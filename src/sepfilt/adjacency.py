@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_DENSE_LIMIT = 4096
-
 
 class UnionFind:
     def __init__(self, size):
@@ -118,68 +116,47 @@ class BallFit:
 def fit_in_ball(geometry, nodes, radius, hint=None):
     """Search for a graph node whose eccentricity over ``nodes`` is <= radius.
 
-    Centers may be any node of the ambient complex.  Tries the hint, then a
-    two-sweep ordering of candidate centers, then every node.  Returns a
-    BallFit; on failure the witness pair is (best center, farthest node).
+    Centers may be any node of the ambient complex.  They are tried in one
+    fixed order: the hint, then the members of ``nodes`` by their two-sweep
+    proxy (largest distance to the two sweep ends, ties by position), then
+    every other node by id; the first whose eccentricity is <= radius is the
+    center.  When the two sweep ends are more than 2 radius apart no center
+    can work, and that pair is the witness.  Otherwise a failure reports the
+    minimum-eccentricity center (lowest id first) and its farthest member.
     """
     graph = geometry.graph
     nodes = np.asarray(nodes, dtype=np.int64)
     if nodes.size == 0:
         return BallFit(True, None, 0.0)
-    if nodes.size == 1:
-        return BallFit(True, int(nodes[0]), 0.0)
-    if graph.n_nodes <= _DENSE_LIMIT:
-        graph.all_distances()
 
     def ecc(center):
         return float(graph.distances_from(center)[nodes].max())
 
-    tried = set()
-    best_center, best_ecc = None, np.inf
-
-    def attempt(center):
-        nonlocal best_center, best_ecc
-        center = int(center)
-        if center in tried:
-            return None
-        tried.add(center)
-        e = ecc(center)
-        if e < best_ecc:
-            best_center, best_ecc = center, e
-        return e
-
     if hint is not None:
-        e = attempt(hint)
-        if e is not None and e <= radius:
+        e = ecc(hint)
+        if e <= radius:
             return BallFit(True, int(hint), e)
 
-    first = int(nodes[0])
-    d_first = graph.distances_from(first)[nodes]
+    d_first = graph.distances_from(int(nodes[0]))[nodes]
     far_a = int(nodes[int(np.argmax(d_first))])
     d_a = graph.distances_from(far_a)[nodes]
+    far_b = int(nodes[int(np.argmax(d_a))])
     if float(d_a.max()) > 2.0 * radius:
         # diameter bound: no center can work
-        far_b = int(nodes[int(np.argmax(d_a))])
         return BallFit(False, far_a, float(d_a.max()), (far_a, far_b))
-    far_b = int(nodes[int(np.argmax(d_a))])
     d_b = graph.distances_from(far_b)[nodes]
-    # order member candidates by the two-sweep eccentricity proxy
-    proxy = np.maximum(d_a, d_b)
-    for index in np.argsort(proxy, kind="stable"):
-        e = attempt(nodes[index])
-        if e is not None and e <= radius:
-            return BallFit(True, int(nodes[index]), e)
-    # widen to neighbors of the members, then everything
-    neighbor_pool = sorted(
-        {int(v) for node in nodes for v in graph.neighbors[int(node)]}
-    )
-    for center in neighbor_pool:
-        e = attempt(center)
-        if e is not None and e <= radius:
-            return BallFit(True, center, e)
-    for center in range(graph.n_nodes):
-        e = attempt(center)
-        if e is not None and e <= radius:
-            return BallFit(True, center, e)
-    farthest = int(nodes[int(np.argmax(graph.distances_from(best_center)[nodes]))])
-    return BallFit(False, best_center, best_ecc, (best_center, farthest))
+    members = nodes[np.argsort(np.maximum(d_a, d_b), kind="stable")]
+    e = ecc(int(members[0]))
+    if e <= radius:
+        return BallFit(True, int(members[0]), e)
+
+    eccs = graph.eccentricities(nodes)
+    fitting = members[eccs[members] <= radius]
+    if fitting.size == 0:
+        fitting = np.flatnonzero(eccs <= radius)
+    if fitting.size:
+        center = int(fitting[0])
+        return BallFit(True, center, float(eccs[center]))
+    best = int(np.argmin(eccs))
+    farthest = int(nodes[int(np.argmax(graph.distances_from(best)[nodes]))])
+    return BallFit(False, best, float(eccs[best]), (best, farthest))

@@ -15,6 +15,7 @@ from numbers import Rational
 
 import numpy as np
 
+from .complexes import credited_measure
 from .errors import CoverFailure, RadiusOrder
 
 _COARSE_SAMPLES = 64
@@ -54,32 +55,10 @@ class InequalityCheck:
         ]
 
 
-def _cells_max_distance(geometry, cells, dist):
-    if not cells:
-        return np.empty((0,)), np.empty((0,))
-    arr = np.array([list(cell) for cell in cells], dtype=np.int64)
-    areas = np.array([geometry.face_volume(cell) for cell in cells])
-    return dist[arr].max(axis=1), areas
-
-
-def _credited_area(geometry, cells, dist, r):
-    """Area of the cells inside a ball with per-node fractional credit.
-
-    Returns (area, boundary credit), the credit being the total area of
-    partially counted cells.
-    """
-    if not cells:
-        return 0.0, 0.0
-    arr = np.array([list(cell) for cell in cells], dtype=np.int64)
-    areas = np.array([geometry.face_volume(cell) for cell in cells])
-    inside = dist[arr] <= r
-    counts = inside.sum(axis=1)
-    size = arr.shape[1]
-    full = counts == size
-    partial = (counts > 0) & ~full
-    area = float(areas[full].sum())
-    area += float((areas[partial] * counts[partial] / size).sum())
-    return area, float(areas[partial].sum())
+def _cell_arrays(geometry, cells):
+    """Node-id rows and volumes of a list of faces of the geometry."""
+    arr = np.array(cells, dtype=np.int64)
+    return arr, np.array([geometry.face_volume(cell) for cell in cells])
 
 
 def point_density_check(filtration, center, r1, r2, epsilon=None):
@@ -126,9 +105,8 @@ def level_trace_checks(filtration, center, r1, r2):
         if i == n:
             area, boundary = geometry.ball_volume_detail(center, r2)
         else:
-            area, boundary = _credited_area(
-                geometry, filtration.level_cells(i), dist, r2
-            )
+            arr, areas = _cell_arrays(geometry, filtration.level_cells(i))
+            area, boundary = credited_measure(arr, areas, dist, r2)
         checks.append(
             InequalityCheck(
                 f"trace{i}",
@@ -157,7 +135,8 @@ def coarea_check(filtration, level, center, r1, r2, samples=_COARSE_SAMPLES):
     eps = filtration.epsilon_schedule()[level]
     dist = geometry.graph.distances_from(center)
     z_cells = filtration.level_cells(level)
-    max_dist, areas = _cells_max_distance(geometry, z_cells, dist)
+    arr, areas = _cell_arrays(geometry, z_cells)
+    max_dist = dist[arr].max(axis=1) if len(arr) else np.empty((0,))
     order = np.argsort(max_dist)
     sorted_dist = max_dist[order]
     cumulative = np.concatenate(([0.0], np.cumsum(areas[order])))
@@ -176,9 +155,9 @@ def coarea_check(filtration, level, center, r1, r2, samples=_COARSE_SAMPLES):
         vol2, b2 = geometry.ball_volume_detail(center, r2)
         vol1, b1 = geometry.ball_volume_detail(center, r1)
     else:
-        parent_cells = filtration.level_cells(parent_level)
-        vol2, b2 = _credited_area(geometry, parent_cells, dist, r2)
-        vol1, b1 = _credited_area(geometry, parent_cells, dist, r1)
+        arr, areas = _cell_arrays(geometry, filtration.level_cells(parent_level))
+        vol2, b2 = credited_measure(arr, areas, dist, r2)
+        vol1, b1 = credited_measure(arr, areas, dist, r1)
     annulus = vol2 - vol1
     rhs = annulus + 2.0 * eps * R
     return InequalityCheck(
@@ -199,7 +178,6 @@ class Packing:
     centers: tuple
     r_small: float
     r_big: float
-    covered: bool
 
     @property
     def count(self):
@@ -232,7 +210,7 @@ def greedy_packing(z0_nodes, geometry, r_small=0.25, r_big=0.5):
             raise CoverFailure(
                 f"point {node} is not covered by any doubled packing ball"
             )
-    return Packing(tuple(centers), float(r_small), float(r_big), True)
+    return Packing(tuple(centers), float(r_small), float(r_big))
 
 
 @dataclass(frozen=True)

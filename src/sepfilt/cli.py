@@ -1,9 +1,7 @@
 """Command line: fixture generation, pipeline runs, verification sweeps.
 
 Exit codes: 0 on success, 2 for input errors, 3 for verification failures.
-All randomness flows from the manifest seed; the SEPFILT_THREADS variable
-caps worker parallelism (the built-in sweeps are sequential and
-deterministic, satisfying the cap for any value).
+All randomness flows from the manifest seed.
 """
 
 from __future__ import annotations
@@ -31,20 +29,6 @@ from .pipeline import coarea_sweep, density_sweep, run_pipeline
 
 INPUT_ERROR = 2
 VERIFICATION_ERROR = 3
-
-
-def worker_cap():
-    """Parallelism cap from SEPFILT_THREADS (>= 1); unset means 1."""
-    raw = os.environ.get("SEPFILT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise BadParams(f"SEPFILT_THREADS={raw!r} is not an integer") from exc
-    if value < 1:
-        raise BadParams("SEPFILT_THREADS must be at least 1")
-    return value
 
 
 @click.group()
@@ -93,7 +77,6 @@ def gen(shape, nodes, length, side, scale, genus_, out):
 def run(complex_file, radius, epsilon, seed, subdivision_depth, move_budget,
         samples, out_dir):
     """Build a filtration, census, and bound report for a complex file."""
-    worker_cap()
     complex_ = WeightedComplex.load(complex_file)
     config = SeparationConfig(
         radius=radius,
@@ -140,7 +123,6 @@ def run(complex_file, radius, epsilon, seed, subdivision_depth, move_budget,
               help="sweep CSV path (default: alongside the filtration)")
 def verify(filtration_file, samples, seed, out):
     """Re-verify a filtration file and sweep the density/coarea inequalities."""
-    worker_cap()
     payload = read_json(filtration_file)
     complex_ = WeightedComplex.from_json(payload["complex"])
     config = SeparationConfig.from_json(payload["config"])

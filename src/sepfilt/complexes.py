@@ -24,7 +24,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import DimensionMismatch, NondegenerateViolation
 
-_FULL_MATRIX_LIMIT = 6000
+# Node count up to which the metric graph keeps the all-pairs matrix.
+_DENSE_LIMIT = 4096
 
 
 def _pair_index(d):
@@ -171,52 +172,79 @@ class WeightedComplex:
 
 
 class MetricGraph:
-    """Shortest-path metric on the sample nodes of a subdivided complex."""
+    """Shortest-path metric on the sample nodes of a subdivided complex.
+
+    Distances follow one policy.  Up to ``_DENSE_LIMIT`` nodes, the first
+    request computes the all-pairs matrix and every row is served from it.
+    Above the limit, each row is computed on its first request and cached.
+    """
 
     def __init__(self, n_nodes, arcs):
         self.n_nodes = n_nodes
         rows, cols, data = [], [], []
-        neighbors = [[] for _ in range(n_nodes)]
         for (a, b), length in arcs.items():
             rows.extend((a, b))
             cols.extend((b, a))
             data.extend((length, length))
-            neighbors[a].append(b)
-            neighbors[b].append(a)
         self._matrix = csr_matrix(
             (np.asarray(data), (np.asarray(rows), np.asarray(cols))),
             shape=(n_nodes, n_nodes),
         )
-        self.neighbors = [np.array(sorted(adj), dtype=np.int64) for adj in neighbors]
-        self._rows = {}
         self._full = None
+        self._rows = {}
+
+    def all_distances(self):
+        """The all-pairs matrix; only available up to the dense limit."""
+        if self._full is None:
+            if self.n_nodes > _DENSE_LIMIT:
+                raise MemoryError(f"{self.n_nodes} nodes exceed the dense limit")
+            self._full = dijkstra(self._matrix)
+        return self._full
 
     def distances_from(self, node):
-        """Distances from one node to every node (cached)."""
-        if self._full is not None:
-            return self._full[node]
+        """Distances from one node to every node."""
+        if self.n_nodes <= _DENSE_LIMIT:
+            return self.all_distances()[node]
         row = self._rows.get(node)
         if row is None:
             row = dijkstra(self._matrix, indices=node)
             self._rows[node] = row
         return row
 
-    def all_distances(self):
-        """The full distance matrix; only sensible for small node counts."""
-        if self._full is None:
-            if self.n_nodes > _FULL_MATRIX_LIMIT:
-                raise MemoryError(
-                    f"{self.n_nodes} nodes exceed the all-pairs limit"
-                )
-            self._full = dijkstra(self._matrix)
-            self._rows = {}
-        return self._full
+    def eccentricities(self, nodes):
+        """Every node's largest distance to the given node set.
+
+        Entry c is ``distances_from(c)[nodes].max()`` exactly; rows are read
+        from the center's side because computed distances are symmetric only
+        up to rounding.
+        """
+        if self.n_nodes <= _DENSE_LIMIT:
+            return self.all_distances()[:, nodes].max(axis=1)
+        return np.array(
+            [self.distances_from(c)[nodes].max() for c in range(self.n_nodes)]
+        )
 
     def distance(self, a, b):
         return float(self.distances_from(a)[b])
 
-    def diameter(self):
-        return float(self.all_distances().max())
+
+def credited_measure(cells, volumes, dist, r):
+    """(measure, boundary credit) of cells inside the ball ``dist <= r``.
+
+    ``cells`` is an array of node-id rows with matching ``volumes``.  Cells
+    with every node inside count fully; cells with some nodes inside count
+    by node fraction.  The boundary credit (total volume of partially
+    counted cells) bounds the crediting error.
+    """
+    if not len(cells):
+        return 0.0, 0.0
+    counts = (dist[cells] <= r).sum(axis=1)
+    size = cells.shape[1]
+    full = counts == size
+    partial = (counts > 0) & ~full
+    measure = float(volumes[full].sum())
+    measure += float((volumes[partial] * counts[partial] / size).sum())
+    return measure, float(volumes[partial].sum())
 
 
 @dataclass(frozen=True)
@@ -457,22 +485,9 @@ class ComplexGeometry:
         )
 
     def ball_volume_detail(self, center, r):
-        """(volume, boundary credit) of the graph ball around a node.
-
-        Cells with every node inside count fully; cells with some nodes
-        inside count by node fraction.  The boundary credit (total volume of
-        partially counted cells) bounds the crediting error.
-        """
+        """(volume, boundary credit) of the graph ball around a node."""
         dist = self.graph.distances_from(center)
-        inside = dist[self.cells_array] <= r
-        counts = inside.sum(axis=1)
-        size = self.dim + 1
-        full = counts == size
-        partial = (counts > 0) & ~full
-        volume = float(self.cell_volumes[full].sum())
-        volume += float((self.cell_volumes[partial] * counts[partial] / size).sum())
-        boundary = float(self.cell_volumes[partial].sum())
-        return volume, boundary
+        return credited_measure(self.cells_array, self.cell_volumes, dist, r)
 
     def ball_volume(self, center, r):
         return self.ball_volume_detail(center, r)[0]

@@ -114,7 +114,6 @@ def test_packing_single_point(circle_filtration):
     geometry = circle_filtration.geometry
     packing = greedy_packing([circle_filtration.z0_nodes()[0]], geometry)
     assert packing.count == 1
-    assert packing.covered
 
 
 def test_packing_two_far_points():

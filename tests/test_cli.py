@@ -198,22 +198,5 @@ def test_process_level_determinism(tmp_path):
         ).read_bytes(), name
 
 
-def test_threads_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SEPFILT_THREADS", "junk")
-    source = tmp_path / "circle.json"
-    main(["gen", "circle", "--nodes", "8", "--length", "4", "-o", str(source)])
-    assert main(["run", str(source), "--subdivision-depth", "1"]) == 2
-    monkeypatch.setenv("SEPFILT_THREADS", "2")
-    out_dir = tmp_path / "run"
-    assert main(
-        [
-            "run", str(source),
-            "--subdivision-depth", "1",
-            "--samples", "5",
-            "--out-dir", str(out_dir),
-        ]
-    ) == 0
-
-
 def test_help_exits_zero():
     assert main(["--help"]) == 0

@@ -5,7 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from sepfilt import Subpolyhedron
+from sepfilt import Subpolyhedron, complexes
+from sepfilt.adjacency import CellSystem, fit_in_ball
 from sepfilt.errors import DimensionMismatch, Infeasible
 from sepfilt.filtration import (
     SeparationConfig,
@@ -14,7 +15,7 @@ from sepfilt.filtration import (
     minimize_separating,
     sphere_replacement_move,
 )
-from sepfilt.generators import circle, torus
+from sepfilt.generators import circle, genus_surface, torus
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +183,108 @@ def test_components_match_oracle_on_random_cuts(torus4_d1):
         ours = sorted(system.component_groups(blocked))
         oracle = components_oracle(torus4_d1.cells, blocked)
         assert ours == oracle
+
+
+# ---------------------------------------------------------------------------
+# fit_in_ball against brute force
+
+FIT_RADII = {"torus4": (0.6, 1.1, 1.6), "genus2": (0.3, 0.7, 1.0)}
+
+
+def fit_geometry(name):
+    """A fresh depth-1 geometry, so its distance store starts empty."""
+    return (torus(4) if name == "torus4" else genus_surface(2)).geometry(1)
+
+
+def fit_inputs(geometry, radii, seed=11):
+    """(nodes, radius, hint) triples: the whole complex and the components
+    of random blocked facet sets, each with and without a hint."""
+    rng = random.Random(seed)
+    system = CellSystem(geometry.cells)
+    node_sets = [np.arange(geometry.n_nodes)]
+    for share in (0.3, 0.6, 0.9):
+        blocked = [facet for facet in system.facets if rng.random() < share]
+        node_sets.extend(
+            system.group_nodes(group)
+            for group in system.component_groups(blocked)
+        )
+    inputs = []
+    for nodes in node_sets:
+        for radius in radii:
+            hint = (
+                int(rng.choice(nodes))
+                if rng.random() < 0.5
+                else rng.randrange(geometry.n_nodes)
+            )
+            inputs.append((nodes, radius, None))
+            inputs.append((nodes, radius, hint))
+    return inputs
+
+
+def center_order(geometry, nodes, hint):
+    """fit_in_ball's documented center order, rebuilt node by node."""
+    row = geometry.graph.distances_from
+    far_a = int(nodes[int(np.argmax(row(int(nodes[0]))[nodes]))])
+    far_b = int(nodes[int(np.argmax(row(far_a)[nodes]))])
+    proxy = np.maximum(row(far_a)[nodes], row(far_b)[nodes])
+    members = [
+        int(nodes[i]) for i in sorted(range(len(nodes)), key=lambda i: (proxy[i], i))
+    ]
+    others = [c for c in range(geometry.n_nodes) if c not in set(members)]
+    return ([] if hint is None else [hint]) + members + others
+
+
+@pytest.mark.parametrize("name", sorted(FIT_RADII))
+def test_fit_in_ball_matches_brute_force(name, torus4_d1, genus2):
+    geometry = torus4_d1 if name == "torus4" else genus2.geometry(1)
+    graph = geometry.graph
+    outcomes = set()
+    for nodes, radius, hint in fit_inputs(geometry, FIT_RADII[name]):
+        fit = fit_in_ball(geometry, nodes, radius, hint=hint)
+        assert fit.fits == eccentricity_oracle(geometry, nodes, radius)
+        ecc = [
+            float(graph.distances_from(c)[nodes].max())
+            for c in range(geometry.n_nodes)
+        ]
+        if fit.fits:
+            center = next(
+                c for c in center_order(geometry, nodes, hint) if ecc[c] <= radius
+            )
+            assert fit.center == center
+            assert fit.radius == ecc[center] <= radius
+            if center == hint:
+                outcomes.add("hint")
+            else:
+                outcomes.add("member" if center in nodes else "other")
+            continue
+        a, b = fit.witness_pair
+        assert a == fit.center and b in nodes
+        assert graph.distance(a, b) == fit.radius
+        if fit.radius > 2 * radius:
+            # two-sweep diameter exit: the pair alone rules out every center
+            outcomes.add("diameter")
+        else:
+            assert fit.radius == min(ecc)
+            assert fit.center == ecc.index(min(ecc))
+            outcomes.add("min-eccentricity")
+    assert outcomes == {"hint", "member", "other", "diameter", "min-eccentricity"}
+
+
+@pytest.mark.parametrize("name", sorted(FIT_RADII))
+def test_fit_in_ball_row_cache_matches_dense(name, monkeypatch):
+    dense = fit_geometry(name)
+    fits = [
+        fit_in_ball(dense, nodes, radius, hint=hint)
+        for nodes, radius, hint in fit_inputs(dense, FIT_RADII[name])
+    ]
+    monkeypatch.setattr(complexes, "_DENSE_LIMIT", 16)
+    rowwise = fit_geometry(name)
+    with pytest.raises(MemoryError):
+        rowwise.graph.all_distances()
+    assert fits == [
+        fit_in_ball(rowwise, nodes, radius, hint=hint)
+        for nodes, radius, hint in fit_inputs(rowwise, FIT_RADII[name])
+    ]
 
 
 # ---------------------------------------------------------------------------
