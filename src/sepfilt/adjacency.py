@@ -9,31 +9,13 @@ rule, which matches point-set connectivity of the underlying polyhedron.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, a):
-        parent = self.parent
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 
 def proper_subfaces(cell):
@@ -45,7 +27,11 @@ def proper_subfaces(cell):
 
 
 class CellSystem:
-    """Face incidence tables for a list of top cells of one dimension."""
+    """Face incidence tables for a list of top cells of one dimension.
+
+    This class owns the passage rule: a face blocks passage exactly when it
+    lies in a blocked facet, which ``cover_counts`` records.
+    """
 
     def __init__(self, cells):
         self.cells = tuple(tuple(sorted(cell)) for cell in cells)
@@ -56,7 +42,9 @@ class CellSystem:
             self.dim = arity.pop() - 1
         else:
             self.dim = -1
-        self.cell_nodes = [np.array(cell, dtype=np.int64) for cell in self.cells]
+        self.cell_nodes = np.array(self.cells, dtype=np.int64).reshape(
+            len(self.cells), self.dim + 1
+        )
         # face -> indices of cells containing it, for every dimension < dim
         self.face_cofaces = {}
         for index, cell in enumerate(self.cells):
@@ -65,28 +53,54 @@ class CellSystem:
         self.facets = sorted(
             face for face in self.face_cofaces if len(face) == self.dim
         )
+        # facet -> the facet, then its proper subfaces: what it blocks
+        self._closures = {
+            facet: (facet, *proper_subfaces(facet)) for facet in self.facets
+        }
+        # each face joins its first coface to every other one
+        self._pair_faces, pairs = [], []
+        for face, cofaces in self.face_cofaces.items():
+            for other in cofaces[1:]:
+                self._pair_faces.append(face)
+                pairs.append((cofaces[0], other))
+        self._pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
-    def facet_set(self):
-        return set(self.facets)
+    def cover_counts(self, blocked):
+        """Per face, how many facets of ``blocked`` contain it (itself too).
+
+        A face blocks passage exactly when its count is positive.
+        """
+        return collections.Counter(
+            itertools.chain.from_iterable(map(self._closures.__getitem__, blocked))
+        )
+
+    def opened_cells(self, facet, counts):
+        """Cells around the faces that only ``facet`` blocks, face by face.
+
+        ``counts`` are the cover counts of a blocked set holding ``facet``.
+        """
+        return [
+            cell
+            for face in self._closures[facet]
+            if counts[face] == 1
+            for cell in self.face_cofaces[face]
+        ]
 
     def components(self, blocked):
         """Component label per cell when the given facet set blocks passage.
 
-        A face of any dimension permits passage unless it is a face of some
-        blocked facet (including the facet itself).
+        The label of a cell is the smallest cell index in its component.
         """
-        blocked = {tuple(sorted(face)) for face in blocked}
-        covered = set(blocked)
-        for facet in blocked:
-            covered.update(proper_subfaces(facet))
-        uf = UnionFind(len(self.cells))
-        for face, cofaces in self.face_cofaces.items():
-            if len(cofaces) > 1 and face not in covered:
-                first = cofaces[0]
-                for other in cofaces[1:]:
-                    uf.union(first, other)
-        labels = [uf.find(i) for i in range(len(self.cells))]
-        return labels
+        covered = self.cover_counts({tuple(sorted(face)) for face in blocked})
+        passable = np.array(
+            [face not in covered for face in self._pair_faces], dtype=bool
+        )
+        rows, cols = self._pairs[:, passable]
+        size = len(self.cells)
+        graph = coo_matrix((np.ones(rows.size), (rows, cols)), (size, size))
+        _, labels = connected_components(graph, directed=False)
+        _, smallest = np.unique(labels, return_index=True)
+        return smallest[labels].tolist()
 
     def component_groups(self, blocked):
         """List of components, each a sorted tuple of cell indices."""
@@ -95,6 +109,14 @@ class CellSystem:
         for index, label in enumerate(labels):
             groups.setdefault(label, []).append(index)
         return [tuple(groups[key]) for key in sorted(groups)]
+
+    def cut_facets(self, side):
+        """Facets whose cofaces do not all have the same ``side[cell]``."""
+        return [
+            facet
+            for facet in self.facets
+            if len({side[cell] for cell in self.face_cofaces[facet]}) > 1
+        ]
 
     def group_nodes(self, group):
         nodes = set()

@@ -25,7 +25,7 @@ from .complexes import WeightedComplex
 from .filtration import Filtration, SeparationConfig
 from .files import read_json, write_checks_csv, write_json, write_manifest
 from .generators import circle, genus_surface, torus
-from .pipeline import coarea_sweep, density_sweep, run_pipeline
+from .pipeline import inequality_sweep, run_pipeline
 
 INPUT_ERROR = 2
 VERIFICATION_ERROR = 3
@@ -129,9 +129,7 @@ def verify(filtration_file, samples, seed, out):
     geometry = complex_.geometry(config.subdivision_depth)
     filtration = Filtration.from_json(geometry, payload)
     filtration.validate()
-    checks = density_sweep(filtration, samples, seed)
-    if filtration.dim >= 1 and samples:
-        checks.extend(coarea_sweep(filtration, max(1, samples // 4), seed + 1))
+    checks = inequality_sweep(filtration, samples, seed)
     if out is None:
         base = os.path.dirname(os.path.abspath(filtration_file))
         out = os.path.join(base, "sweep.csv")
@@ -162,7 +160,7 @@ def main(argv=None):
         print(f"verification failure: {exc}", file=sys.stderr)
         return VERIFICATION_ERROR
     except (BadParams, FileNotFoundError, json.JSONDecodeError, KeyError,
-            ValueError) as exc:
+            TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except SepfiltError as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import CellSystem, fit_in_ball, proper_subfaces
+from .adjacency import BallFit, CellSystem, fit_in_ball
 from .complexes import Subpolyhedron
 from .errors import DimensionMismatch, Infeasible, SeparationViolation
 
@@ -123,14 +123,44 @@ def _as_cell_set(parent, candidate):
 
 
 def _system_for(parent):
-    cached = getattr(parent, "_cell_system", None)
-    if cached is None:
-        cached = CellSystem(parent.cell_tuples)
-        try:
-            parent._cell_system = cached
-        except AttributeError:
-            pass
-    return cached
+    if getattr(parent, "_cell_system", None) is None:
+        parent._cell_system = CellSystem(parent.cell_tuples)
+    return parent._cell_system
+
+
+@dataclass
+class _Component:
+    """One complement component: its cell indices, nodes and ball fit."""
+
+    cells: list
+    nodes: np.ndarray
+    fit: BallFit
+
+
+def _fit_components(system, geometry, blocked, radius):
+    """Complement components of ``blocked``, each fitted to a radius ball.
+
+    Keys are component labels (smallest cell index), in ascending order.
+    """
+    components = {}
+    for group in system.component_groups(blocked):
+        nodes = system.group_nodes(group)
+        components[group[0]] = _Component(
+            list(group), nodes, fit_in_ball(geometry, nodes, radius)
+        )
+    return components
+
+
+def _certificates(components):
+    """One certificate per component, in label order."""
+    certs = []
+    for label in sorted(components):
+        comp = components[label]
+        fit = comp.fit
+        certs.append(
+            ComponentCert(len(comp.cells), fit.center, fit.radius, fit.witness_pair)
+        )
+    return tuple(certs)
 
 
 def is_r_separating(parent, candidate, radius):
@@ -150,17 +180,10 @@ def is_r_separating(parent, candidate, radius):
             raise DimensionMismatch(
                 f"candidate cell {cell} is not a facet of a {parent.dim}-cell"
             )
-    geometry = parent.root
-    certs = []
-    ok = True
-    for group in system.component_groups(blocked):
-        nodes = system.group_nodes(group)
-        fit = fit_in_ball(geometry, nodes, radius)
-        certs.append(
-            ComponentCert(len(group), fit.center, fit.radius, fit.witness_pair)
-        )
-        ok = ok and fit.fits
-    return SeparationCheck(ok, tuple(certs))
+    components = _fit_components(system, parent.root, blocked, radius)
+    return SeparationCheck(
+        all(c.fit.fits for c in components.values()), _certificates(components)
+    )
 
 
 def sphere_replacement_move(parent, candidate, center, rho):
@@ -181,19 +204,11 @@ def sphere_replacement_move(parent, candidate, center, rho):
     strict = dist < rho
     if int(strict.sum()) <= 1:
         return Subpolyhedron(parent, blocked)
-    inside = np.array(
-        [bool(strict[cell].any()) for cell in system.cell_nodes], dtype=bool
-    )
     removed = {
         facet for facet in blocked if bool(strict[np.array(facet)].all())
     }
-    cut = set()
-    for facet in system.facets:
-        cofaces = system.face_cofaces[facet]
-        states = {bool(inside[i]) for i in cofaces}
-        if len(states) == 2:
-            cut.add(facet)
-    return Subpolyhedron(parent, (blocked - removed) | cut)
+    cut = system.cut_facets(strict[system.cell_nodes].any(axis=1))
+    return Subpolyhedron(parent, (blocked - removed).union(cut))
 
 
 @dataclass
@@ -209,103 +224,54 @@ class MinimizeResult:
 
 
 class _PruneState:
-    """Incrementally maintained components while facets are removed."""
+    """Incrementally maintained components while facets are removed.
+
+    Removing a facet never changes ``feasible``: a removal that would merge
+    or touch a component without a ball fit is refused.
+    """
 
     def __init__(self, system, geometry, blocked, radius):
         self.system = system
         self.geometry = geometry
         self.radius = radius
         self.z = set(blocked)
-        self.cover_count = {}
-        for facet in self.z:
-            for face in proper_subfaces(facet):
-                self.cover_count[face] = self.cover_count.get(face, 0) + 1
+        self.cover_count = system.cover_counts(self.z)
         self.area = float(
             sum(geometry.face_volume(facet) for facet in self.z)
         )
-        self.labels = None
-        self.comps = None
-        self.feasible = None
-        self._recompute()
-
-    def _recompute(self):
-        labels = self.system.components(self.z)
-        groups = {}
-        for index, label in enumerate(labels):
-            groups.setdefault(label, []).append(index)
-        self.labels = labels
-        self.comps = {}
-        self.feasible = True
-        for label, members in groups.items():
-            nodes = self.system.group_nodes(members)
-            fit = fit_in_ball(self.geometry, nodes, self.radius)
-            if not fit.fits:
-                self.feasible = False
-            self.comps[label] = {
-                "cells": members,
-                "nodes": nodes,
-                "fit": fit,
-            }
-
-    def _opened_faces(self, facet):
-        opened = [facet]
-        for face in proper_subfaces(facet):
-            if self.cover_count.get(face, 0) == 1:
-                opened.append(face)
-        return opened
+        self.comps = _fit_components(system, geometry, self.z, radius)
+        self.labels = [0] * len(system.cells)
+        for label, comp in self.comps.items():
+            for cell in comp.cells:
+                self.labels[cell] = label
+        self.feasible = all(comp.fit.fits for comp in self.comps.values())
 
     def try_remove(self, facet):
         """Remove one facet if the merge it causes still fits in a ball."""
-        affected = set()
-        for face in self._opened_faces(facet):
-            for cell in self.system.face_cofaces.get(face, ()):
-                affected.add(self.labels[cell])
-        if not affected:
-            self._remove_bookkeeping(facet)
-            return True
-        if len(affected) == 1:
-            label = next(iter(affected))
-            if not self.comps[label]["fit"].fits:
-                return False  # do not touch already-broken components
-            self._remove_bookkeeping(facet)
-            return True
+        affected = {
+            self.labels[cell]
+            for cell in self.system.opened_cells(facet, self.cover_count)
+        }
         parts = [self.comps[label] for label in affected]
-        if any(not part["fit"].fits for part in parts):
-            return False
-        nodes = np.unique(np.concatenate([part["nodes"] for part in parts]))
-        hint = parts[0]["fit"].center
-        fit = fit_in_ball(self.geometry, nodes, self.radius, hint=hint)
-        if not fit.fits:
-            return False
-        self._remove_bookkeeping(facet)
-        target = min(affected)
-        merged_cells = []
-        for label in sorted(affected):
-            merged_cells.extend(self.comps[label]["cells"])
-            if label != target:
-                del self.comps[label]
-        for cell in merged_cells:
-            self.labels[cell] = target
-        self.comps[target] = {"cells": merged_cells, "nodes": nodes, "fit": fit}
-        return True
-
-    def _remove_bookkeeping(self, facet):
+        if not all(part.fit.fits for part in parts):
+            return False  # do not touch already-broken components
+        if len(parts) > 1:
+            nodes = np.unique(np.concatenate([part.nodes for part in parts]))
+            hint = parts[0].fit.center
+            fit = fit_in_ball(self.geometry, nodes, self.radius, hint=hint)
+            if not fit.fits:
+                return False
+            target = min(affected)
+            merged_cells = []
+            for label in sorted(affected):
+                merged_cells.extend(self.comps.pop(label).cells)
+            for cell in merged_cells:
+                self.labels[cell] = target
+            self.comps[target] = _Component(merged_cells, nodes, fit)
         self.z.discard(facet)
         self.area -= self.geometry.face_volume(facet)
-        for face in proper_subfaces(facet):
-            self.cover_count[face] -= 1
-
-    def certificates(self):
-        certs = []
-        for label in sorted(self.comps):
-            comp = self.comps[label]
-            fit = comp["fit"]
-            certs.append(
-                ComponentCert(
-                    len(comp["cells"]), fit.center, fit.radius, fit.witness_pair
-                )
-            )
-        return tuple(certs)
+        self.cover_count.subtract(self.system.cover_counts((facet,)))
+        return True
 
 
 def _prune(system, geometry, blocked, radius, order_key):
@@ -320,7 +286,7 @@ def _prune(system, geometry, blocked, radius, order_key):
     return state
 
 
-def _voronoi_seed(system, geometry, facets, radius):
+def _voronoi_seed(system, geometry, radius):
     """Cross facets of a nearest-center partition of the parent cells.
 
     Centers are a greedy maximal node set at pairwise distance > radius;
@@ -332,35 +298,20 @@ def _voronoi_seed(system, geometry, facets, radius):
     for node in range(graph.n_nodes):
         if all(graph.distances_from(c)[node] > radius for c in centers):
             centers.append(node)
-    if not centers:
-        return None
     rows = np.stack([graph.distances_from(c) for c in centers])
-    owner = {}
-    for index, cell in enumerate(system.cell_nodes):
-        owner[index] = int(np.argmin(rows[:, cell].max(axis=1)))
-    candidate = set()
-    facet_pool = set(facets)
-    for facet in system.facets:
-        cofaces = system.face_cofaces[facet]
-        if len({owner[i] for i in cofaces}) > 1:
-            if facet not in facet_pool:
-                return None  # restricted candidate set cannot express this cut
-            candidate.add(facet)
+    owner = np.argmin(rows[:, system.cell_nodes].max(axis=2), axis=0)
+    candidate = set(system.cut_facets(owner))
     # repair parts that fit no ball by isolating their cells
     for _ in range(len(centers)):
-        check_system_labels = system.component_groups(candidate)
-        bad = []
-        for group in check_system_labels:
-            nodes = system.group_nodes(group)
-            if not fit_in_ball(geometry, nodes, radius).fits:
-                bad.append(group)
+        components = _fit_components(system, geometry, candidate, radius)
+        bad = [c.cells for c in components.values() if not c.fit.fits]
         if not bad:
-            return candidate
-        for group in bad:
-            for index in group:
-                for facet in itertools.combinations(system.cells[index], system.dim):
-                    if facet in facet_pool:
-                        candidate.add(facet)
+            break
+        for cells in bad:
+            for index in cells:
+                candidate.update(
+                    itertools.combinations(system.cells[index], system.dim)
+                )
     return candidate
 
 
@@ -407,30 +358,25 @@ def minimize_separating(
     def area_key(facet):
         return (-area_of[facet], order_index[facet])
 
-    base = _PruneState(system, geometry, full, radius)
-    if not base.feasible:
+    # pruning keeps feasibility, so the first prune decides it
+    best_state = _prune(system, geometry, full, radius, lex_key)
+    if not best_state.feasible:
         raise Infeasible(
             "the full candidate facet set is not separating at this radius"
         )
-
-    best_state = None
     moves_used = 0
 
     def consider(state):
         nonlocal best_state
-        if state is None or not state.feasible:
-            return
-        if best_state is None or state.area < best_state.area - _AREA_TOL:
+        if state.feasible and state.area < best_state.area - _AREA_TOL:
             best_state = state
 
-    consider(_prune(system, geometry, full, radius, lex_key))
     consider(_prune(system, geometry, full, radius, area_key))
 
     if candidate_facets is None:
         for theta in (1.0, 0.75, 0.5):
-            seed = _voronoi_seed(system, geometry, facets, radius * theta)
-            if seed is not None:
-                consider(_prune(system, geometry, seed, radius, lex_key))
+            seed = _voronoi_seed(system, geometry, radius * theta)
+            consider(_prune(system, geometry, seed, radius, lex_key))
 
     shuffle_orders = 2 if move_budget > 0 else 0
     for _ in range(shuffle_orders):
@@ -445,7 +391,7 @@ def minimize_separating(
     h = geometry.max_cell_diameter
     lo = min(0.25 * radius, max(radius - h, 0.05 * radius))
     hi = max(lo + 1e-9, radius * 0.999)
-    while moves_used < move_budget and best_state is not None:
+    while moves_used < move_budget:
         moves_used += 1
         center = rng.randrange(geometry.n_nodes)
         rho = rng.uniform(lo, hi)
@@ -464,7 +410,7 @@ def minimize_separating(
     return MinimizeResult(
         sub,
         best_state.area,
-        best_state.certificates(),
+        _certificates(best_state.comps),
         0.0 if best_state.area == 0.0 else epsilon,
         "certified" if best_state.area == 0.0 else "assumed",
         moves_used,
@@ -552,32 +498,28 @@ class Filtration:
         config = SeparationConfig.from_json(payload["config"])
         levels = []
         parent = geometry
-        stack = []
         for entry in sorted(payload["levels"], key=lambda e: -e["dim"]):
             sub = Subpolyhedron(parent, [tuple(c) for c in entry["cells"]])
-            stack.append(
-                (
-                    entry["dim"],
-                    FiltrationLevel(
-                        sub,
-                        entry["area"],
-                        entry["slack"],
-                        entry.get("slack_kind", "assumed"),
-                        tuple(
-                            ComponentCert(
-                                c["cells"],
-                                c["center"],
-                                c["radius"],
-                                tuple(c["witness_pair"]) if c.get("witness_pair") else None,
-                            )
-                            for c in entry.get("components", ())
-                        ),
+            levels.append(
+                FiltrationLevel(
+                    sub,
+                    entry["area"],
+                    entry["slack"],
+                    entry.get("slack_kind", "assumed"),
+                    tuple(
+                        ComponentCert(
+                            c["cells"],
+                            c["center"],
+                            c["radius"],
+                            tuple(c["witness_pair"]) if c.get("witness_pair") else None,
+                        )
+                        for c in entry.get("components", ())
                     ),
                 )
             )
             parent = sub
-        stack.sort(key=lambda pair: pair[0])
-        return cls(geometry, config, [level for _, level in stack])
+        levels.reverse()
+        return cls(geometry, config, levels)
 
 
 def build_filtration(geometry, config):
@@ -588,23 +530,21 @@ def build_filtration(geometry, config):
     exactly two cofaces in their parent so the filtration stays locally
     flat around its 0-stratum.
     """
-    system = _system_for(geometry)
-    for facet in system.facets:
-        if len(system.face_cofaces[facet]) != 2:
-            raise ValueError(
-                f"complex is not closed: facet {facet} has "
-                f"{len(system.face_cofaces[facet])} cofaces"
-            )
     schedule = config.epsilon_schedule(geometry.dim)
     levels = []
     parent = geometry
     for i in range(geometry.dim - 1, -1, -1):
-        parent_system = _system_for(parent)
-        candidates = [
-            facet
-            for facet in parent_system.facets
-            if len(parent_system.face_cofaces[facet]) == 2
-        ]
+        system = _system_for(parent)
+        candidates = []
+        for facet in system.facets:
+            cofaces = len(system.face_cofaces[facet])
+            if cofaces == 2:
+                candidates.append(facet)
+            elif parent is geometry:
+                raise ValueError(
+                    f"complex is not closed: facet {facet} has "
+                    f"{cofaces} cofaces"
+                )
         result = minimize_separating(
             parent,
             config.radius,

@@ -50,6 +50,14 @@ def coarea_sweep(filtration, samples, seed, level=None):
     return checks
 
 
+def inequality_sweep(filtration, samples, seed):
+    """Density checks, then coarea checks on a quarter of the samples."""
+    checks = density_sweep(filtration, samples, seed)
+    if filtration.dim >= 1 and samples:
+        checks.extend(coarea_sweep(filtration, max(1, samples // 4), seed + 1))
+    return checks
+
+
 @dataclass
 class RunArtifacts:
     """Everything one pipeline run produces, ready for serialization."""
@@ -118,9 +126,7 @@ def run_pipeline(complex_, config, samples=100, sweep_seed=None):
         filtration, census, v1.value, geometry.total_area(), tolerances
     )
     seed = config.rng_seed if sweep_seed is None else sweep_seed
-    checks = density_sweep(filtration, samples, seed)
-    if filtration.dim >= 1 and samples:
-        checks.extend(coarea_sweep(filtration, max(1, samples // 4), seed + 1))
+    checks = inequality_sweep(filtration, samples, seed)
     return RunArtifacts(
         complex_,
         geometry,

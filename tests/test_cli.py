@@ -146,6 +146,46 @@ def test_verify_tampered_filtration(tmp_path, capsys):
     assert "verification failure" in capsys.readouterr().err
 
 
+def _set(path, *keys_and_value):
+    *keys, value = keys_and_value
+    payload = read(path)
+    target = payload
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "command, keys_and_value",
+    [
+        ("run", ("dimension", "1")),
+        ("run", ("simplices", None)),
+        ("verify", ("levels", None)),
+        ("verify", ("config", "radius", "1")),
+        ("verify", ("config", "unknown", 1)),
+    ],
+    ids=["dimension-str", "simplices-null", "levels-null", "radius-str",
+         "config-unknown-key"],
+)
+def test_wrongly_typed_fields_are_input_errors(tmp_path, capsys, command,
+                                               keys_and_value):
+    source = tmp_path / "circle.json"
+    main(["gen", "circle", "--nodes", "8", "--length", "4", "-o", str(source)])
+    out_dir = tmp_path / "run"
+    if command == "run":
+        _set(source, *keys_and_value)
+        code = main(["run", str(source), "--out-dir", str(out_dir)])
+    else:
+        main(["run", str(source), "--subdivision-depth", "1",
+              "--samples", "5", "--out-dir", str(out_dir)])
+        _set(out_dir / "filtration.json", *keys_and_value)
+        code = main(["verify", str(out_dir / "filtration.json"),
+                     "--samples", "5"])
+    assert code == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_run_determinism(tmp_path):
     source = tmp_path / "circle.json"
     main(["gen", "circle", "--nodes", "8", "--length", "4", "-o", str(source)])

@@ -183,6 +183,10 @@ def test_components_match_oracle_on_random_cuts(torus4_d1):
         ours = sorted(system.component_groups(blocked))
         oracle = components_oracle(torus4_d1.cells, blocked)
         assert ours == oracle
+        # each label is the smallest cell index of its component
+        labels = system.components(blocked)
+        for group in oracle:
+            assert all(labels[index] == group[0] for index in group)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +493,26 @@ def test_filtration_deterministic(torus4_d1):
     one = build_filtration(torus4_d1, config).to_json()
     two = build_filtration(torus4_d1, config).to_json()
     assert one == two
+
+
+# sha256 of canonical_dumps(build_filtration(...).to_json()); any change
+# to the search trajectory, its certificates or the file format moves them
+FILTRATION_DIGESTS = {
+    "torus4": "08ebf641bc96c0724683bc939bc6cd45a51c1d5db28028b8b8f41e9d08fd7c12",
+    "genus2": "104a6a1005709c54df300da919623fee03089c5c798cc5ac7677db4bb2f4416d",
+}
+
+
+@pytest.mark.parametrize("name, radius", [("torus4", 1.1), ("genus2", 0.7)])
+def test_filtration_digest_is_pinned(name, radius):
+    import hashlib
+
+    from sepfilt.files import canonical_dumps
+
+    config = SeparationConfig(radius=radius, epsilon=0.05, move_budget=40,
+                              rng_seed=7)
+    text = canonical_dumps(build_filtration(fit_geometry(name), config).to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == FILTRATION_DIGESTS[name]
 
 
 def test_filtration_rejects_open_complex():
