@@ -90,8 +90,10 @@ class CellSystem:
         """Component label per cell when the given facet set blocks passage.
 
         The label of a cell is the smallest cell index in its component.
+        ``blocked`` holds facets of ``self.facets`` as they are (sorted
+        tuples); anything else raises ``KeyError``.
         """
-        covered = self.cover_counts({tuple(sorted(face)) for face in blocked})
+        covered = self.cover_counts(blocked)
         passable = np.array(
             [face not in covered for face in self._pair_faces], dtype=bool
         )

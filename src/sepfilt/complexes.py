@@ -12,6 +12,7 @@ PL distance and converge to it under refinement).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -22,6 +23,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from .adjacency import CellSystem
 from .errors import DimensionMismatch, NondegenerateViolation
 
 # Node count up to which the metric graph keeps the all-pairs matrix.
@@ -405,7 +407,6 @@ class ComplexGeometry:
             for cell, orig in zip(cells, cell_orig)
         )
         self._face_volume_cache = {}
-        self._face_sets = {}
 
     # -- basic queries ----------------------------------------------------
 
@@ -417,10 +418,11 @@ class ComplexGeometry:
     def cell_tuples(self):
         return self.cells
 
-    def node_position(self, node, orig=None):
-        if orig is None:
-            orig = self._node_origs[node][0]
-        return self._orig_nodes[orig][node]
+    @functools.cached_property
+    def cell_system(self):
+        """Face incidence of the top cells, built once; its ``face_cofaces``
+        decides which faces a subpolyhedron of this object may use."""
+        return CellSystem(self.cell_tuples)
 
     def node_barycentric(self, node):
         """Exact barycentric coordinates of a node over the original vertices."""
@@ -455,15 +457,6 @@ class ComplexGeometry:
             cached = math.sqrt(max(det, 0.0)) / math.factorial(len(face) - 1)
             self._face_volume_cache[face] = cached
         return cached
-
-    def faces(self, dim):
-        """All dim-faces of the maximal cells, as sorted vertex tuples."""
-        if dim not in self._face_sets:
-            faces = set()
-            for cell in self.cells:
-                faces.update(itertools.combinations(cell, dim + 1))
-            self._face_sets[dim] = faces
-        return self._face_sets[dim]
 
     def total_area(self):
         return float(self.cell_volumes.sum())
@@ -520,15 +513,17 @@ class Subpolyhedron:
         if self.dim < 0:
             raise DimensionMismatch("parent is already 0-dimensional")
         normalized = sorted({tuple(sorted(cell)) for cell in cells})
-        allowed = parent_faces(parent)
+        faces = parent.cell_system.face_cofaces
         for cell in normalized:
             if len(cell) != self.dim + 1:
                 raise DimensionMismatch(
                     f"cell {cell} is not a {self.dim}-cell of the parent"
                 )
-            if cell not in allowed:
+            if cell not in faces:
                 raise DimensionMismatch(f"cell {cell} is not a face of the parent")
         self.cells = tuple(normalized)
+
+    cell_system = ComplexGeometry.cell_system
 
     @property
     def root(self) -> ComplexGeometry:
@@ -550,16 +545,6 @@ class Subpolyhedron:
 
     def __contains__(self, cell):
         return tuple(sorted(cell)) in set(self.cells)
-
-
-def parent_faces(parent):
-    """The facet set of a geometry or subpolyhedron (cells one dim down)."""
-    if isinstance(parent, ComplexGeometry):
-        return parent.faces(parent.dim - 1)
-    facets = set()
-    for cell in parent.cell_tuples:
-        facets.update(itertools.combinations(cell, len(cell) - 1))
-    return facets
 
 
 def total_area(obj):

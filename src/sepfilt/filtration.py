@@ -9,15 +9,16 @@ boundary.  Every accepted state carries per-component ball certificates.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import BallFit, CellSystem, fit_in_ball
+from .adjacency import BallFit, fit_in_ball
 from .complexes import Subpolyhedron
-from .errors import DimensionMismatch, Infeasible, SeparationViolation
+from .errors import Infeasible, SeparationViolation
 
 _AREA_TOL = 1e-12
 
@@ -117,15 +118,12 @@ class SeparationCheck:
 
 
 def _as_cell_set(parent, candidate):
+    """The candidate's cells, checked to be facets of the parent."""
     if isinstance(candidate, Subpolyhedron):
-        return set(candidate.cells)
-    return {tuple(sorted(cell)) for cell in candidate}
-
-
-def _system_for(parent):
-    if getattr(parent, "_cell_system", None) is None:
-        parent._cell_system = CellSystem(parent.cell_tuples)
-    return parent._cell_system
+        if candidate.parent is parent:
+            return set(candidate.cells)
+        candidate = candidate.cells
+    return set(Subpolyhedron(parent, candidate).cells)
 
 
 @dataclass
@@ -171,16 +169,7 @@ def is_r_separating(parent, candidate, radius):
     check carries, per component, a witnessing center or a violating pair.
     """
     blocked = _as_cell_set(parent, candidate)
-    system = _system_for(parent)
-    expected = parent.dim  # facet arity
-    for cell in blocked:
-        if len(cell) != expected or (
-            expected > 0 and cell not in system.face_cofaces
-        ):
-            raise DimensionMismatch(
-                f"candidate cell {cell} is not a facet of a {parent.dim}-cell"
-            )
-    components = _fit_components(system, parent.root, blocked, radius)
+    components = _fit_components(parent.cell_system, parent.root, blocked, radius)
     return SeparationCheck(
         all(c.fit.fits for c in components.values()), _certificates(components)
     )
@@ -198,7 +187,7 @@ def sphere_replacement_move(parent, candidate, center, rho):
     if rho <= 0:
         raise ValueError("rho must be positive")
     blocked = _as_cell_set(parent, candidate)
-    system = _system_for(parent)
+    system = parent.cell_system
     geometry = parent.root
     dist = geometry.graph.distances_from(center)
     strict = dist < rho
@@ -246,6 +235,15 @@ class _PruneState:
                 self.labels[cell] = label
         self.feasible = all(comp.fit.fits for comp in self.comps.values())
 
+    def copy(self):
+        """An independent state; ``try_remove`` never mutates a component."""
+        clone = copy.copy(self)
+        clone.z = set(self.z)
+        clone.cover_count = self.cover_count.copy()
+        clone.comps = dict(self.comps)
+        clone.labels = list(self.labels)
+        return clone
+
     def try_remove(self, facet):
         """Remove one facet if the merge it causes still fits in a ball."""
         affected = {
@@ -274,9 +272,8 @@ class _PruneState:
         return True
 
 
-def _prune(system, geometry, blocked, radius, order_key):
+def _prune(state, order_key):
     """First-improvement removal passes until no facet can be dropped."""
-    state = _PruneState(system, geometry, blocked, radius)
     improved = True
     while improved:
         improved = False
@@ -330,7 +327,7 @@ def minimize_separating(
     partitions, and spends the move budget on ball-replacement proposals.
     Raises Infeasible when not even the full candidate facet set separates.
     """
-    system = _system_for(parent)
+    system = parent.cell_system
     geometry = parent.root
     if not system.cells:
         empty = Subpolyhedron(parent, ())
@@ -338,7 +335,7 @@ def minimize_separating(
     if candidate_facets is None:
         facets = list(system.facets)
     else:
-        facets = sorted({tuple(sorted(f)) for f in candidate_facets})
+        facets = Subpolyhedron(parent, candidate_facets).cells
     rng = random.Random(rng_seed)
 
     empty_check = is_r_separating(parent, (), radius)
@@ -358,12 +355,13 @@ def minimize_separating(
     def area_key(facet):
         return (-area_of[facet], order_index[facet])
 
-    # pruning keeps feasibility, so the first prune decides it
-    best_state = _prune(system, geometry, full, radius, lex_key)
-    if not best_state.feasible:
+    # pruning keeps feasibility, so the full candidate set decides it
+    full_state = _PruneState(system, geometry, full, radius)
+    if not full_state.feasible:
         raise Infeasible(
             "the full candidate facet set is not separating at this radius"
         )
+    best_state = _prune(full_state.copy(), lex_key)
     moves_used = 0
 
     def consider(state):
@@ -371,21 +369,19 @@ def minimize_separating(
         if state.feasible and state.area < best_state.area - _AREA_TOL:
             best_state = state
 
-    consider(_prune(system, geometry, full, radius, area_key))
+    consider(_prune(full_state.copy(), area_key))
 
     if candidate_facets is None:
         for theta in (1.0, 0.75, 0.5):
             seed = _voronoi_seed(system, geometry, radius * theta)
-            consider(_prune(system, geometry, seed, radius, lex_key))
+            consider(_prune(_PruneState(system, geometry, seed, radius), lex_key))
 
     shuffle_orders = 2 if move_budget > 0 else 0
     for _ in range(shuffle_orders):
-        shuffled = facets[:]
+        shuffled = list(facets)
         rng.shuffle(shuffled)
         shuffled_index = {facet: i for i, facet in enumerate(shuffled)}
-        consider(
-            _prune(system, geometry, full, radius, lambda f: shuffled_index[f])
-        )
+        consider(_prune(full_state.copy(), lambda f: shuffled_index[f]))
 
     # ball-replacement proposals around the incumbent
     h = geometry.max_cell_diameter
@@ -403,8 +399,7 @@ def minimize_separating(
             cells &= full
         if cells == best_state.z:
             continue
-        state = _prune(system, geometry, cells, radius, lex_key)
-        consider(state)
+        consider(_prune(_PruneState(system, geometry, cells, radius), lex_key))
 
     sub = Subpolyhedron(parent, sorted(best_state.z))
     return MinimizeResult(
@@ -534,7 +529,7 @@ def build_filtration(geometry, config):
     levels = []
     parent = geometry
     for i in range(geometry.dim - 1, -1, -1):
-        system = _system_for(parent)
+        system = parent.cell_system
         candidates = []
         for facet in system.facets:
             cofaces = len(system.face_cofaces[facet])

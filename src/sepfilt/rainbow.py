@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .adjacency import CellSystem, fit_in_ball
+from .adjacency import fit_in_ball
 from .complexes import Subpolyhedron, WeightedComplex
 from .errors import CensusMismatch, SeparationViolation, UnalignedFiltration
 from .filtration import Filtration, FiltrationLevel, is_r_separating
@@ -207,11 +207,12 @@ def color_by_filtration(geometry, filtration, radius):
     node_color = {}
     next_color = 0
     for i in range(n + 1):
-        cells = tuple(filtration.level_cells(i))
+        level = filtration.geometry if i == n else filtration.level(i)
+        system = level.cell_system
+        cells = system.cells
         if not cells:
             continue
         blocked = filtration.level_cells(i - 1) if i > 0 else ()
-        system = CellSystem(cells)
         groups = system.component_groups(blocked)
         cell_component = {}
         for index, group in enumerate(groups):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepfilt import Subpolyhedron, WeightedComplex, simplex_volume, total_area
-from sepfilt.errors import NondegenerateViolation
+from sepfilt.errors import DimensionMismatch, NondegenerateViolation
 from sepfilt.generators import circle
 
 
@@ -273,9 +273,21 @@ def test_json_round_trip(torus4):
     assert clone.metadata == torus4.metadata
 
 
-def test_subpolyhedron_validation(circle8_geom):
-    with pytest.raises(Exception):
-        Subpolyhedron(circle8_geom, [(0, 1)])  # an edge is not a facet here
+@pytest.mark.parametrize("kind", ["geometry", "subpolyhedron"])
+def test_subpolyhedron_validation(torus4_d1, kind):
+    # node 0 and the node farthest from it share no cell, hence no face
+    far = int(np.argmax(torus4_d1.graph.distances_from(0)))
+    edge = next(cell[:2] for cell in torus4_d1.cells if cell[0] == 0)
+    if kind == "geometry":
+        parent, facet, wrong_arity, non_face = torus4_d1, edge, (0,), (0, far)
+    else:
+        parent = Subpolyhedron(torus4_d1, [edge])
+        facet, wrong_arity, non_face = (0,), edge, (far,)
+    assert Subpolyhedron(parent, [facet]).cells == (facet,)
+    with pytest.raises(DimensionMismatch, match="is not a"):
+        Subpolyhedron(parent, [facet, wrong_arity])
+    with pytest.raises(DimensionMismatch, match="not a face of the parent"):
+        Subpolyhedron(parent, [facet, non_face])
 
 
 def test_node_barycentric_coordinates(circle8_geom):

@@ -148,6 +148,21 @@ def test_empty_candidate_fails_on_wide_complex(torus4_d1):
 def test_dimension_mismatch(torus4_d1):
     with pytest.raises(DimensionMismatch):
         is_r_separating(torus4_d1, [(0,)], 1.1)
+    # the far corners of two cells of one original triangle that share an
+    # edge lie in one simplex but span no face of the subdivision
+    cells = torus4_d1.cells
+    a, b = next(
+        (a, b) for a, b in itertools.combinations(range(len(cells)), 2)
+        if torus4_d1.cell_orig[a] == torus4_d1.cell_orig[b]
+        and len(set(cells[a]) & set(cells[b])) == 2
+    )
+    corners = tuple(sorted(set(cells[a]) ^ set(cells[b])))
+    with pytest.raises(DimensionMismatch):
+        minimize_separating(torus4_d1, 1.1, 1e-6, candidate_facets=[corners])
+    # a subpolyhedron of another parent is checked against this one
+    points = Subpolyhedron(circle(8, 4.0).geometry(0), [(0,)])
+    with pytest.raises(DimensionMismatch):
+        is_r_separating(torus4_d1, points, 1.1)
 
 
 def test_two_essential_circles_match_oracle(torus4_d1):
@@ -187,6 +202,9 @@ def test_components_match_oracle_on_random_cuts(torus4_d1):
         labels = system.components(blocked)
         for group in oracle:
             assert all(labels[index] == group[0] for index in group)
+    # blocked facets are taken as they are, not re-sorted
+    with pytest.raises(KeyError):
+        system.components([facets[0][::-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +531,30 @@ def test_filtration_digest_is_pinned(name, radius):
                               rng_seed=7)
     text = canonical_dumps(build_filtration(fit_geometry(name), config).to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == FILTRATION_DIGESTS[name]
+
+
+# sha256 of one direct minimize_separating call without candidate_facets:
+# the Voronoi-reseed path, which build_filtration never takes
+MINIMIZE_DIGEST = "599d3cbfd2b52febb2d43b27055ca7168044f19db3cc833a3f73772888a0b4a2"
+
+
+def test_minimize_digest_is_pinned():
+    import hashlib
+
+    from sepfilt.files import canonical_dumps
+
+    result = minimize_separating(fit_geometry("torus4"), 1.1, 0.05,
+                                 move_budget=10, rng_seed=5)
+    payload = {
+        "cells": [list(cell) for cell in result.subpolyhedron.cells],
+        "area": result.area,
+        "certificates": [cert.to_json() for cert in result.certificates],
+        "slack": result.slack,
+        "slack_kind": result.slack_kind,
+        "moves_used": result.moves_used,
+    }
+    text = canonical_dumps(payload)
+    assert hashlib.sha256(text.encode()).hexdigest() == MINIMIZE_DIGEST
 
 
 def test_filtration_rejects_open_complex():
