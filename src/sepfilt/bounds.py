@@ -18,7 +18,10 @@ import numpy as np
 from .complexes import credited_measure
 from .errors import CoverFailure, RadiusOrder
 
-_COARSE_SAMPLES = 64
+_COAREA_SAMPLES = 64
+_V1_RADIUS = 1.0
+_PACKING_R_SMALL = 0.25
+_PACKING_R_BIG = 0.5
 
 
 @dataclass(frozen=True)
@@ -55,32 +58,39 @@ class InequalityCheck:
         ]
 
 
-def _cell_arrays(geometry, cells):
-    """Node-id rows and volumes of a list of faces of the geometry."""
-    arr = np.array(cells, dtype=np.int64)
-    return arr, np.array([geometry.face_volume(cell) for cell in cells])
+def _ball_row(filtration, center, r1, r2):
+    """Distance row from the center and #(Z_0 in B(p, r1)).
 
-
-def point_density_check(filtration, center, r1, r2, epsilon=None):
-    """Compare #(Z_0 in B(p, r1)) (r2-r1)^n / n! against Vol B(p, r2) + eps.
-
-    The budget is the ball-volume boundary credit at r2.  ``epsilon``
-    defaults to the filtration's total configured slack.
+    The radius order is checked before the filtration is read.
     """
     if not 0 < r1 < r2:
         raise RadiusOrder(f"need 0 < r1 < r2, got r1={r1}, r2={r2}")
-    geometry = filtration.geometry
-    n = filtration.dim
-    if epsilon is None:
-        epsilon = filtration.epsilon_total()
-    dist = geometry.graph.distances_from(center)
-    z0 = filtration.z0_nodes()
-    count = int(sum(1 for node in z0 if dist[node] <= r1))
-    lhs = count * (r2 - r1) ** n / math.factorial(n)
-    volume, boundary = geometry.ball_volume_detail(center, r2)
+    dist = filtration.geometry.graph.distances_from(center)
+    z0 = filtration.level(0).cells_array[:, 0]
+    return dist, int((dist[z0] <= r1).sum())
+
+
+def _level_check(kind, filtration, i, slack, center, r1, r2, dist, count):
+    """#(Z_0 in B(p, r1)) (r2-r1)^i / i! against the credited area of Z_i in
+    B(p, r2) plus ``slack``; the budget is the area's boundary credit."""
+    level = filtration.level(i)
+    area, boundary = credited_measure(level.cells_array, level.cell_volumes, dist, r2)
+    lhs = count * (r2 - r1) ** i / math.factorial(i)
     return InequalityCheck(
-        "density", int(center), float(r1), float(r2), lhs, volume + epsilon, boundary
+        kind, int(center), float(r1), float(r2), lhs, area + slack, boundary
     )
+
+
+def point_density_check(filtration, center, r1, r2):
+    """Compare #(Z_0 in B(p, r1)) (r2-r1)^n / n! against Vol B(p, r2) + eps.
+
+    This is the level-n check of the trace chain, whose slack is the
+    filtration's total configured slack.  The budget is the ball-volume
+    boundary credit at r2.
+    """
+    row = _ball_row(filtration, center, r1, r2)
+    n, eps = filtration.dim, filtration.epsilon_total()
+    return _level_check("density", filtration, n, eps, center, r1, r2, *row)
 
 
 def level_trace_checks(filtration, center, r1, r2):
@@ -89,84 +99,43 @@ def level_trace_checks(filtration, center, r1, r2):
     Level i compares #(Z_0 in B(p, r1)) (r2-r1)^i / i! with the credited
     area of Z_i in B(p, r2) plus the accumulated slack sum 2 eps_j R^(i-j).
     """
-    if not 0 < r1 < r2:
-        raise RadiusOrder(f"need 0 < r1 < r2, got r1={r1}, r2={r2}")
-    geometry = filtration.geometry
-    n = filtration.dim
+    row = _ball_row(filtration, center, r1, r2)
     R = filtration.config.radius
     schedule = filtration.epsilon_schedule()
-    dist = geometry.graph.distances_from(center)
-    z0 = filtration.z0_nodes()
-    count = int(sum(1 for node in z0 if dist[node] <= r1))
     checks = []
-    for i in range(n + 1):
-        lhs = count * (r2 - r1) ** i / math.factorial(i)
-        slack = sum(2.0 * schedule[j] * R ** (i - j) for j in range(min(i, n)))
-        if i == n:
-            area, boundary = geometry.ball_volume_detail(center, r2)
-        else:
-            arr, areas = _cell_arrays(geometry, filtration.level_cells(i))
-            area, boundary = credited_measure(arr, areas, dist, r2)
-        checks.append(
-            InequalityCheck(
-                f"trace{i}",
-                int(center),
-                float(r1),
-                float(r2),
-                lhs,
-                area + slack,
-                boundary,
-            )
-        )
+    for i in range(filtration.dim + 1):
+        slack = sum(2.0 * schedule[j] * R ** (i - j) for j in range(i))
+        check = _level_check(f"trace{i}", filtration, i, slack, center, r1, r2, *row)
+        checks.append(check)
     return checks
 
 
-def coarea_check(filtration, level, center, r1, r2, samples=_COARSE_SAMPLES):
+def coarea_check(filtration, level, center, r1, r2):
     """Trapezoid check of the sliced-area inequality for one level.
 
     Integrates the area of Z_level inside B(p, rho) for rho in [r1, r2] and
     compares with the credited area of the parent level in the annulus plus
     2 eps R.  The budget covers quadrature error and both boundary credits.
     """
-    if not 0 < r1 < r2:
-        raise RadiusOrder(f"need 0 < r1 < r2, got r1={r1}, r2={r2}")
-    geometry = filtration.geometry
+    dist, _ = _ball_row(filtration, center, r1, r2)
     R = filtration.config.radius
     eps = filtration.epsilon_schedule()[level]
-    dist = geometry.graph.distances_from(center)
-    z_cells = filtration.level_cells(level)
-    arr, areas = _cell_arrays(geometry, z_cells)
-    max_dist = dist[arr].max(axis=1) if len(arr) else np.empty((0,))
+    z = filtration.level(level)
+    max_dist = dist[z.cells_array].max(axis=1)
     order = np.argsort(max_dist)
-    sorted_dist = max_dist[order]
-    cumulative = np.concatenate(([0.0], np.cumsum(areas[order])))
-
-    def sliced_area(rho):
-        return float(cumulative[np.searchsorted(sorted_dist, rho, side="right")])
-
-    rhos = np.linspace(r1, r2, samples)
-    values = np.array([sliced_area(rho) for rho in rhos])
+    cumulative = np.concatenate(([0.0], np.cumsum(z.cell_volumes[order])))
+    rhos = np.linspace(r1, r2, _COAREA_SAMPLES)
+    values = cumulative[np.searchsorted(max_dist[order], rhos, side="right")]
     integral = float(np.trapezoid(values, rhos))
-    step = (r2 - r1) / (samples - 1)
-    quad_budget = step * float(values.max() - values.min()) if samples > 1 else 0.0
+    step = (r2 - r1) / (_COAREA_SAMPLES - 1)
+    quad_budget = step * float(values.max() - values.min())
 
-    parent_level = level + 1
-    if parent_level == filtration.dim:
-        vol2, b2 = geometry.ball_volume_detail(center, r2)
-        vol1, b1 = geometry.ball_volume_detail(center, r1)
-    else:
-        arr, areas = _cell_arrays(geometry, filtration.level_cells(parent_level))
-        vol2, b2 = credited_measure(arr, areas, dist, r2)
-        vol1, b1 = credited_measure(arr, areas, dist, r1)
-    annulus = vol2 - vol1
-    rhs = annulus + 2.0 * eps * R
+    parent = filtration.level(level + 1)
+    vol2, b2 = credited_measure(parent.cells_array, parent.cell_volumes, dist, r2)
+    vol1, b1 = credited_measure(parent.cells_array, parent.cell_volumes, dist, r1)
+    rhs = (vol2 - vol1) + 2.0 * eps * R
     return InequalityCheck(
-        f"coarea{level}",
-        int(center),
-        float(r1),
-        float(r2),
-        integral,
-        rhs,
+        f"coarea{level}", int(center), float(r1), float(r2), integral, rhs,
         quad_budget + b1 + b2,
     )
 
@@ -184,33 +153,31 @@ class Packing:
         return len(self.centers)
 
 
-def greedy_packing(z0_nodes, geometry, r_small=0.25, r_big=0.5):
+def greedy_packing(z0_nodes, geometry):
     """Greedy maximal collection of disjoint balls centered at Z_0 points.
 
     Centers are chosen in sorted node order, keeping pairwise graph distance
-    strictly above 2 r_small; the concentric r_big balls must cover all of
-    Z_0, else CoverFailure (impossible for a maximal packing when
-    r_big >= 2 r_small unless the metric itself is broken).
+    strictly above 2 r_small (r_small = 0.25); the concentric r_big = 0.5
+    balls must cover all of Z_0, else CoverFailure (impossible for a maximal
+    packing since r_big >= 2 r_small, unless the metric itself is broken).
     """
-    if not 0 < r_small < r_big:
-        raise ValueError("need 0 < r_small < r_big")
     nodes = sorted(int(v) for v in z0_nodes)
     centers = []
     for node in nodes:
         if all(
-            geometry.graph.distances_from(center)[node] > 2.0 * r_small
+            geometry.graph.distances_from(center)[node] > 2.0 * _PACKING_R_SMALL
             for center in centers
         ):
             centers.append(node)
     for node in nodes:
         if not any(
-            geometry.graph.distances_from(center)[node] <= r_big
+            geometry.graph.distances_from(center)[node] <= _PACKING_R_BIG
             for center in centers
         ):
             raise CoverFailure(
                 f"point {node} is not covered by any doubled packing ball"
             )
-    return Packing(tuple(centers), float(r_small), float(r_big))
+    return Packing(tuple(centers), _PACKING_R_SMALL, _PACKING_R_BIG)
 
 
 @dataclass(frozen=True)
@@ -235,8 +202,8 @@ class V1Estimate:
         }
 
 
-def estimate_v1(geometry, radius=1.0):
-    """Maximize ball_volume(p, radius) over the metric-graph nodes.
+def estimate_v1(geometry):
+    """Maximize ball_volume(p, 1) over the metric-graph nodes.
 
     This is the base-space maximum; it equals the supremum over covers only
     when the systole exceeds twice the radius, so shorter (or unknown)
@@ -244,7 +211,7 @@ def estimate_v1(geometry, radius=1.0):
     """
     best, best_node, best_boundary = -1.0, 0, 0.0
     for node in range(geometry.n_nodes):
-        value, boundary = geometry.ball_volume_detail(node, radius)
+        value, boundary = geometry.ball_volume_detail(node, _V1_RADIUS)
         if value > best:
             best, best_node, best_boundary = value, node, boundary
     systole = geometry.base.metadata.get("systole")
@@ -254,12 +221,12 @@ def estimate_v1(geometry, radius=1.0):
             "systole unknown: the node maximum may undershoot the "
             "cover supremum"
         )
-    elif systole <= 2.0 * radius:
+    elif systole <= 2.0 * _V1_RADIUS:
         warning = (
-            f"systole {systole} <= {2 * radius}: the node maximum may "
+            f"systole {systole} <= {2 * _V1_RADIUS}: the node maximum may "
             "undershoot the cover supremum"
         )
-    return V1Estimate(best, best_node, best_boundary, float(radius), systole, warning)
+    return V1Estimate(best, best_node, best_boundary, _V1_RADIUS, systole, warning)
 
 
 def _exact_or_float(value):

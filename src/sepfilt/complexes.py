@@ -414,15 +414,11 @@ class ComplexGeometry:
     def root(self):
         return self
 
-    @property
-    def cell_tuples(self):
-        return self.cells
-
     @functools.cached_property
     def cell_system(self):
         """Face incidence of the top cells, built once; its ``face_cofaces``
         decides which faces a subpolyhedron of this object may use."""
-        return CellSystem(self.cell_tuples)
+        return CellSystem(self.cells)
 
     def node_barycentric(self, node):
         """Exact barycentric coordinates of a node over the original vertices."""
@@ -532,13 +528,19 @@ class Subpolyhedron:
             parent = parent.parent
         return parent
 
-    @property
-    def cell_tuples(self):
-        return self.cells
+    @functools.cached_property
+    def cells_array(self):
+        """Node-id rows of the cells, shape ``(len(cells), dim + 1)``."""
+        return np.array(self.cells, dtype=np.int64).reshape(-1, self.dim + 1)
+
+    @functools.cached_property
+    def cell_volumes(self):
+        """The root's face volume of each cell, in cell order."""
+        root = self.root
+        return np.array([root.face_volume(cell) for cell in self.cells])
 
     def total_area(self):
-        root = self.root
-        return float(sum(root.face_volume(cell) for cell in self.cells))
+        return float(sum(self.cell_volumes))
 
     def __len__(self):
         return len(self.cells)

@@ -437,17 +437,14 @@ class Filtration:
     def dim(self):
         return self.geometry.dim
 
-    def level(self, i) -> Subpolyhedron:
+    def level(self, i):
+        """Z_i for 0 <= i <= n; Z_n is the geometry itself."""
+        if i == self.dim:
+            return self.geometry
         return self.levels[i].subpolyhedron
 
-    def level_cells(self, i):
-        """Cells of Z_i; the top level returns the geometry's cells."""
-        if i == self.dim:
-            return self.geometry.cells
-        return self.levels[i].subpolyhedron.cells
-
     def z0_nodes(self):
-        return tuple(cell[0] for cell in self.levels[0].subpolyhedron.cells)
+        return tuple(cell[0] for cell in self.level(0).cells)
 
     def epsilon_schedule(self):
         return self.config.epsilon_schedule(self.dim)

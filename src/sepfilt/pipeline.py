@@ -38,9 +38,8 @@ def density_sweep(filtration, samples, seed):
     return checks
 
 
-def coarea_sweep(filtration, samples, seed, level=None):
-    if level is None:
-        level = filtration.dim - 1
+def coarea_sweep(filtration, samples, seed):
+    level = filtration.dim - 1
     rng = random.Random(seed)
     geometry = filtration.geometry
     checks = []

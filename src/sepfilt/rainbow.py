@@ -197,7 +197,7 @@ def color_by_filtration(geometry, filtration, radius):
     # iterate top-down so the recorded level is the minimum one
     face_level = {}
     for i in range(n, -1, -1):
-        for cell in filtration.level_cells(i):
+        for cell in filtration.level(i).cells:
             for size in range(1, len(cell) + 1):
                 for face in itertools.combinations(cell, size):
                     face_level[face] = i
@@ -207,12 +207,11 @@ def color_by_filtration(geometry, filtration, radius):
     node_color = {}
     next_color = 0
     for i in range(n + 1):
-        level = filtration.geometry if i == n else filtration.level(i)
-        system = level.cell_system
+        system = filtration.level(i).cell_system
         cells = system.cells
         if not cells:
             continue
-        blocked = filtration.level_cells(i - 1) if i > 0 else ()
+        blocked = filtration.level(i - 1).cells if i > 0 else ()
         groups = system.component_groups(blocked)
         cell_component = {}
         for index, group in enumerate(groups):

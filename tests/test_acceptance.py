@@ -224,7 +224,7 @@ def test_criterion_3_density_sweep(torus_filtration_d2):
 
 
 def test_criterion_4_coarea_sweep(torus_filtration_d2):
-    checks = coarea_sweep(torus_filtration_d2, 200, seed=321, level=1)
+    checks = coarea_sweep(torus_filtration_d2, 200, seed=321)
     violations = [c for c in checks if c.violated]
     min_residual = min(c.residual for c in checks)
     assert len(checks) == 200

@@ -14,6 +14,7 @@ from sepfilt.bounds import (
 )
 from sepfilt.errors import RadiusOrder
 from sepfilt.generators import circle
+from sepfilt.pipeline import inequality_sweep
 from sepfilt.rainbow import color_by_filtration, count_rainbow
 
 
@@ -48,9 +49,19 @@ def test_density_circle_example(circle_filtration):
     assert not check.violated
 
 
-def test_density_radius_order():
+@pytest.mark.parametrize(
+    "check",
+    [
+        point_density_check,
+        level_trace_checks,
+        lambda filtration, *args: coarea_check(filtration, 1, *args),
+    ],
+    ids=["density", "trace", "coarea"],
+)
+def test_density_radius_order(check):
+    # the radius order is checked before the filtration is read
     with pytest.raises(RadiusOrder):
-        point_density_check(None, 0, 0.9, 0.1)
+        check(None, 0, 0.9, 0.1)
 
 
 def test_density_sweep_no_violations(torus_filtration_d1):
@@ -104,6 +115,69 @@ def test_coarea_integral_monotone_in_r2(torus_filtration_d1):
     a = coarea_check(torus_filtration_d1, 1, center, 0.2, 0.6)
     b = coarea_check(torus_filtration_d1, 1, center, 0.2, 0.9)
     assert b.lhs >= a.lhs - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# empty strata and pinned rows
+
+
+def test_checks_on_empty_strata(tiny_torus_filtration):
+    # Z_1 and Z_0 are empty; every level is read through Filtration.level
+    filtration = tiny_torus_filtration
+    assert filtration.level(0).cells_array.shape == (0, 1)
+    assert filtration.level(1).cells_array.shape == (0, 2)
+    row = [0, 0.2, 0.6, 0.0]
+    assert point_density_check(filtration, 0, 0.2, 0.6).to_row() == [
+        "density", *row, 0.37, 0.37, 0.0, 0
+    ]
+    assert [c.to_row() for c in level_trace_checks(filtration, 0, 0.2, 0.6)] == [
+        ["trace0", *row, 0.0, 0.0, 0.0, 0],
+        ["trace1", *row, 0.005, 0.005, 0.0, 0],
+        ["trace2", *row, 0.37, 0.37, 0.0, 0],
+    ]
+    assert coarea_check(filtration, 1, 0, 0.2, 0.6).to_row() == [
+        "coarea1", *row, 0.24583333333333332, 0.24583333333333332,
+        0.039999999999999994, 0,
+    ]
+    assert coarea_check(filtration, 0, 0, 0.2, 0.6).to_row() == [
+        "coarea0", *row, 0.005, 0.005, 0.0, 0
+    ]
+    checks = inequality_sweep(filtration, 8, 3)
+    assert [(c.kind, c.center, c.lhs, c.rhs, c.budget) for c in checks] == [
+        ("density", 155, 0.0, 0.37, 0.0),
+        ("density", 535, 0.0, 0.37, 0.0),
+        ("density", 399, 0.0, 0.37, 0.0),
+        ("density", 15, 0.0, 0.37, 0.0),
+        ("density", 65, 0.0, 0.23166666666666663, 0.05375),
+        ("density", 163, 0.0, 0.37, 0.0),
+        ("density", 43, 0.0, 0.37, 0.0),
+        ("density", 308, 0.0, 0.37, 0.0),
+        ("coarea1", 68, 0.0, 0.14333333333333334, 0.076875),
+        ("coarea1", 20, 0.0, 0.2745833333333333, 0.03999999999999999),
+    ]
+
+
+# sha256 of the check rows below (inequality_sweep, level_trace_checks and
+# level-0 coarea_check on the side-4 depth-2 torus), recorded before the
+# checks read every level through Filtration.level
+CHECKS_DIGEST = "6e2e2422ea5ad2a4c1633d39d23dffc774eb3fd057df82906f4dee29bba4ddee"
+
+
+def test_checks_digest_is_pinned(torus_filtration_d2):
+    import hashlib
+    import json
+
+    rows = [c.to_row() for c in inequality_sweep(torus_filtration_d2, 200, seed=5)]
+    rng = random.Random(11)
+    for _ in range(10):
+        center = rng.randrange(torus_filtration_d2.geometry.n_nodes)
+        r1, r2 = sorted(rng.uniform(0.05, 0.95) for _ in range(2))
+        checks = level_trace_checks(torus_filtration_d2, center, r1, r2)
+        checks.append(coarea_check(torus_filtration_d2, 0, center, r1, r2))
+        rows += [c.to_row() for c in checks]
+    assert len(rows) == 290
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == CHECKS_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ def census_oracle(geometry, filtration):
     level_faces = {}
     for i in range(n + 1):
         faces = set()
-        for cell in filtration.level_cells(i):
+        for cell in filtration.level(i).cells:
             for size in range(1, len(cell) + 1):
                 faces.update(itertools.combinations(cell, size))
         level_faces[i] = faces
@@ -46,7 +46,7 @@ def census_oracle(geometry, filtration):
     # stratum components per level by flood fill over shared faces
     component_of = {}
     for i in range(n + 1):
-        cells = list(filtration.level_cells(i))
+        cells = list(filtration.level(i).cells)
         blocked = level_faces[i - 1] if i > 0 else set()
         adjacency = {}
         for index, cell in enumerate(cells):
@@ -70,7 +70,7 @@ def census_oracle(geometry, filtration):
 
     def face_color(face):
         i = face_level(face)
-        for cell in filtration.level_cells(i):
+        for cell in filtration.level(i).cells:
             if set(face) <= set(cell):
                 return component_of[(i, cell)]
         raise AssertionError(f"face {face} not in its level")
@@ -176,12 +176,12 @@ def test_color_count_matches_component_oracle(torus_filtration_d1, torus4_d1):
     expected = 0
     n = torus4_d1.dim
     for i in range(n + 1):
-        cells = list(torus_filtration_d1.level_cells(i))
+        cells = list(torus_filtration_d1.level(i).cells)
         if not cells:
             continue
         blocked = set()
         if i > 0:
-            for cell in torus_filtration_d1.level_cells(i - 1):
+            for cell in torus_filtration_d1.level(i - 1).cells:
                 for size in range(1, len(cell) + 1):
                     blocked.update(itertools.combinations(cell, size))
         adjacency = {}
