@@ -58,15 +58,27 @@ class InequalityCheck:
         ]
 
 
+def _check_radius_order(r1, r2):
+    if not 0 < r1 < r2:
+        raise RadiusOrder(f"need 0 < r1 < r2, got r1={r1}, r2={r2}")
+
+
 def _ball_row(filtration, center, r1, r2):
     """Distance row from the center and #(Z_0 in B(p, r1)).
 
-    The radius order is checked before the filtration is read.
+    The radius order is checked before the filtration is read.  The
+    density checks compare Z_0 with r1 and the other levels with r2, so
+    when the smaller radius that meets a nonempty set (r1 if Z_0 is
+    nonempty, else r2) provably holds every node, an all-zeros row stands
+    in for the real one: every comparison comes out the same.
     """
-    if not 0 < r1 < r2:
-        raise RadiusOrder(f"need 0 < r1 < r2, got r1={r1}, r2={r2}")
-    dist = filtration.geometry.graph.distances_from(center)
+    _check_radius_order(r1, r2)
+    graph = filtration.geometry.graph
     z0 = filtration.level(0).cells_array[:, 0]
+    if graph.holds_every_node(center, r1 if len(z0) else r2):
+        dist = np.zeros(graph.n_nodes)
+    else:
+        dist = graph.distances_from(center)
     return dist, int((dist[z0] <= r1).sum())
 
 
@@ -116,8 +128,11 @@ def coarea_check(filtration, level, center, r1, r2):
     Integrates the area of Z_level inside B(p, rho) for rho in [r1, r2] and
     compares with the credited area of the parent level in the annulus plus
     2 eps R.  The budget covers quadrature error and both boundary credits.
+    The slice areas are summed in distance order, so this check always
+    reads the real distance row.
     """
-    dist, _ = _ball_row(filtration, center, r1, r2)
+    _check_radius_order(r1, r2)
+    dist = filtration.geometry.graph.distances_from(center)
     R = filtration.config.radius
     eps = filtration.epsilon_schedule()[level]
     z = filtration.level(level)

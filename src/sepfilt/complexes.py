@@ -179,6 +179,10 @@ class MetricGraph:
     Distances follow one policy.  Up to ``_DENSE_LIMIT`` nodes, the first
     request computes the all-pairs matrix and every row is served from it.
     Above the limit, each row is computed on its first request and cached.
+
+    ``reach = d(0, .) + max d(0, .)`` bounds every node's eccentricity by
+    the triangle inequality, so ``holds_every_node`` can prove from the one
+    anchor row that a ball contains every node, without the ball's own row.
     """
 
     def __init__(self, n_nodes, arcs):
@@ -212,6 +216,23 @@ class MetricGraph:
             row = dijkstra(self._matrix, indices=node)
             self._rows[node] = row
         return row
+
+    @functools.cached_property
+    def reach(self):
+        """Per-node upper bound on the eccentricity, from node 0's row."""
+        row = self.distances_from(0)
+        return row + row.max()
+
+    def holds_every_node(self, node, r):
+        """True when B(node, r) provably contains every node."""
+        # Computed rows are float sums along paths of fewer than n_nodes
+        # arcs, each within a relative n_nodes * eps / 2 of its path's
+        # length, so they obey the triangle inequality only up to rounding.
+        # The computed d(p, q) is at most the float sum along p -> 0 -> q,
+        # which exceeds reach[p] by under 2 * n_nodes * eps of it; the
+        # margin doubles that, so every entry of p's row is <= r.
+        margin = 4 * self.n_nodes * np.finfo(float).eps * r
+        return self.reach[node] < r - margin
 
     def eccentricities(self, nodes):
         """Every node's largest distance to the given node set.
@@ -474,9 +495,22 @@ class ComplexGeometry:
         )
 
     def ball_volume_detail(self, center, r):
-        """(volume, boundary credit) of the graph ball around a node."""
+        """(volume, boundary credit) of the graph ball around a node.
+
+        A ball that provably holds every node is measured without its
+        distance row; the result is the same floats the row would give.
+        """
+        if self.graph.holds_every_node(center, r):
+            return self._whole_measure
         dist = self.graph.distances_from(center)
         return credited_measure(self.cells_array, self.cell_volumes, dist, r)
+
+    @functools.cached_property
+    def _whole_measure(self):
+        """``credited_measure`` of a ball holding every node: all cells in
+        cell order, zero boundary credit."""
+        zeros = np.zeros(self.n_nodes)
+        return credited_measure(self.cells_array, self.cell_volumes, zeros, 0.0)
 
     def ball_volume(self, center, r):
         return self.ball_volume_detail(center, r)[0]

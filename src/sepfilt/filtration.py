@@ -439,6 +439,8 @@ class Filtration:
 
     def level(self, i):
         """Z_i for 0 <= i <= n; Z_n is the geometry itself."""
+        if not 0 <= i <= self.dim:
+            raise IndexError(f"level {i} is outside 0..{self.dim}")
         if i == self.dim:
             return self.geometry
         return self.levels[i].subpolyhedron

@@ -131,7 +131,7 @@ def refine_with_filtration(geometry, filtration, extra_points=()):
         rebuilt.append(
             FiltrationLevel(
                 sub,
-                sub.total_area() if i > 0 else float(len(sub.cells)),
+                sub.total_area(),
                 level.slack,
                 level.slack_kind,
                 check.components,

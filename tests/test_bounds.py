@@ -2,8 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from sepfilt import WeightedComplex, bounds, complexes
 from sepfilt.bounds import (
     bound_report,
     coarea_check,
@@ -12,8 +14,10 @@ from sepfilt.bounds import (
     level_trace_checks,
     point_density_check,
 )
+from sepfilt.complexes import credited_measure
 from sepfilt.errors import RadiusOrder
-from sepfilt.generators import circle
+from sepfilt.filtration import Filtration, SeparationConfig, build_filtration
+from sepfilt.generators import circle, genus_surface
 from sepfilt.pipeline import inequality_sweep
 from sepfilt.rainbow import color_by_filtration, count_rainbow
 
@@ -178,6 +182,101 @@ def test_checks_digest_is_pinned(torus_filtration_d2):
     assert len(rows) == 290
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == CHECKS_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# whole-ball shortcut against real distance rows
+
+# Radii spanning the genus-2 surface's eccentricities (0.125 to 0.149) and
+# the anchor bound reach (0.131 to 0.261), so some balls are proven whole
+# and others are measured from their rows.
+WHOLE_BALL_RADII = np.linspace(0.12, 0.27, 11)
+
+
+@pytest.fixture(scope="session")
+def small_genus_filtration():
+    geometry = genus_surface(2, scale=0.1).geometry(1)
+    config = SeparationConfig(
+        radius=0.07, epsilon=0.05, move_budget=10, rng_seed=7, subdivision_depth=1
+    )
+    return build_filtration(geometry, config)
+
+
+def fresh_copy(filtration, monkeypatch, limit):
+    """The filtration over a fresh geometry, built past a dense limit if given."""
+    if limit is not None:
+        monkeypatch.setattr(complexes, "_DENSE_LIMIT", limit)
+    base = WeightedComplex.from_json(filtration.geometry.base.to_json())
+    geometry = base.geometry(filtration.config.subdivision_depth)
+    return Filtration.from_json(geometry, filtration.to_json())
+
+
+def without_shortcut(monkeypatch):
+    monkeypatch.setattr(
+        complexes.MetricGraph, "holds_every_node", lambda graph, node, r: False
+    )
+
+
+def shortcut_fires(graph, radii):
+    return {graph.holds_every_node(p, r) for p in range(graph.n_nodes) for r in radii}
+
+
+@pytest.mark.parametrize("limit", [None, 16], ids=["dense", "rowwise"])
+def test_whole_ball_volume_matches_row(small_genus_filtration, monkeypatch, limit):
+    geometry = fresh_copy(small_genus_filtration, monkeypatch, limit).geometry
+    graph = geometry.graph
+    for r in WHOLE_BALL_RADII:
+        for p in range(geometry.n_nodes):
+            row = graph.distances_from(p)
+            expected = credited_measure(
+                geometry.cells_array, geometry.cell_volumes, row, r
+            )
+            assert geometry.ball_volume_detail(p, r) == expected
+    assert shortcut_fires(graph, WHOLE_BALL_RADII) == {True, False}
+
+
+@pytest.mark.parametrize("limit", [None, 16], ids=["dense", "rowwise"])
+def test_whole_ball_v1_matches_rows(small_genus_filtration, monkeypatch, limit):
+    geometry = fresh_copy(small_genus_filtration, monkeypatch, limit).geometry
+    radii = (0.14, 0.2)
+    assert all(
+        shortcut_fires(geometry.graph, [r]) == {True, False} for r in radii
+    )
+    estimates = []
+    for r in radii:
+        monkeypatch.setattr(bounds, "_V1_RADIUS", r)
+        estimates.append(estimate_v1(geometry))
+    without_shortcut(monkeypatch)
+    for r, estimate in zip(radii, estimates):
+        monkeypatch.setattr(bounds, "_V1_RADIUS", r)
+        assert estimate_v1(geometry) == estimate
+
+
+@pytest.mark.parametrize("limit", [None, 16], ids=["dense", "rowwise"])
+def test_whole_ball_checks_match_rows(small_genus_filtration, monkeypatch, limit):
+    filtration = fresh_copy(small_genus_filtration, monkeypatch, limit)
+    assert len(filtration.level(0).cells) > 0
+    pairs = [(r1, r1 + 0.02) for r1 in WHOLE_BALL_RADII[:-1:2]]
+    assert shortcut_fires(filtration.geometry.graph, [r1 for r1, _ in pairs]) == {
+        True, False
+    }
+
+    def rows():
+        out = []
+        for center in range(filtration.geometry.n_nodes):
+            for r1, r2 in pairs:
+                checks = [point_density_check(filtration, center, r1, r2)]
+                checks += level_trace_checks(filtration, center, r1, r2)
+                checks += [
+                    coarea_check(filtration, level, center, r1, r2)
+                    for level in (0, 1)
+                ]
+                out += [c.to_row() for c in checks]
+        return out
+
+    fast = rows()
+    without_shortcut(monkeypatch)
+    assert fast == rows()
 
 
 # ---------------------------------------------------------------------------

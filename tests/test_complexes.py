@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepfilt import Subpolyhedron, WeightedComplex, simplex_volume, total_area
+from sepfilt.complexes import MetricGraph
 from sepfilt.errors import DimensionMismatch, NondegenerateViolation
 from sepfilt.generators import circle
 
@@ -238,6 +239,31 @@ def test_triangle_inequality(torus4_d1):
         dbc = torus4_d1.graph.distance(b, c)
         dac = torus4_d1.graph.distance(a, c)
         assert dac <= dab + dbc + 1e-9
+
+
+def test_whole_ball_proof_allows_for_rounding():
+    # Paths through node 0 with random arc lengths: a row from p sums its
+    # arcs in another order than reach[p] = d(0, p) + max d(0, .), and for
+    # some p its far end lands a few ulps beyond reach[p].
+    beyond_reach = 0
+    for seed in range(10):
+        rng = random.Random(seed)
+        side = 10
+        arcs = {}
+        for first in (1, side + 1):
+            chain = [0, *range(first, first + side)]
+            for a, b in zip(chain, chain[1:]):
+                arcs[(a, b)] = rng.uniform(0.05, 0.15)
+        graph = MetricGraph(2 * side + 1, arcs)
+        for p in range(graph.n_nodes):
+            ecc = graph.distances_from(p).max()
+            reach = graph.reach[p]
+            beyond_reach += ecc > np.nextafter(reach, np.inf)
+            for r in (reach, np.nextafter(reach, np.inf), np.nextafter(ecc, 0), ecc):
+                if graph.holds_every_node(p, r):
+                    assert ecc <= r
+            assert graph.holds_every_node(p, 1.001 * reach)
+    assert beyond_reach
 
 
 def test_refinement_convergence(torus3):

@@ -483,6 +483,14 @@ def test_circle_filtration_two_points(circle_filtration):
     assert dist[circle_filtration.z0_nodes()[1]] == pytest.approx(2.0)
 
 
+def test_level_outside_range_raises(torus_filtration_d1):
+    n = torus_filtration_d1.dim
+    assert torus_filtration_d1.level(n) is torus_filtration_d1.geometry
+    for i in (-1, n + 1):
+        with pytest.raises(IndexError):
+            torus_filtration_d1.level(i)
+
+
 def test_filtration_validates(torus_filtration_d2):
     assert torus_filtration_d2.validate()
 

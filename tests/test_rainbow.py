@@ -142,6 +142,8 @@ def test_refine_with_mid_edge_point(circle_filtration, circle8_geom):
     new_node = geometry.n_nodes - 1
     assert (new_node,) in refined.level(0).cells
     assert len(refined.level(0).cells) == len(circle_filtration.level(0).cells) + 1
+    # a 0-cell's face volume is 1, so Z_0's area is its point count
+    assert refined.levels[0].area == len(refined.level(0).cells)
     # census identity still holds on the refined object
     coloring = color_by_filtration(geometry, refined, 1.0)
     census = count_rainbow(geometry, coloring, refined)
