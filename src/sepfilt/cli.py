@@ -18,6 +18,7 @@ from .errors import (
     CensusMismatch,
     CoverFailure,
     Infeasible,
+    NondegenerateViolation,
     SepfiltError,
     SeparationViolation,
 )
@@ -160,7 +161,7 @@ def main(argv=None):
         print(f"verification failure: {exc}", file=sys.stderr)
         return VERIFICATION_ERROR
     except (BadParams, FileNotFoundError, json.JSONDecodeError, KeyError,
-            TypeError, ValueError) as exc:
+            NondegenerateViolation, TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except SepfiltError as exc:

@@ -5,9 +5,10 @@ Each maximal simplex carries the flat metric determined by its edge lengths;
 sharing the lengths globally makes the metrics agree on common faces.  The
 distance on the complex is approximated by shortest paths on a metric graph
 whose nodes are the vertices of the k-fold barycentric subdivision and whose
-arcs are straight chords between nodes lying in a common maximal simplex
-(chords are exact path lengths, so graph distances never underestimate the
-PL distance and converge to it under refinement).
+arcs are straight chords between nodes sharing a cell two subdivision rounds
+up (up to depth 2, a common maximal simplex; chords are exact path lengths,
+so graph distances never underestimate the PL distance and converge to it
+under refinement).
 """
 
 from __future__ import annotations
@@ -112,9 +113,12 @@ class WeightedComplex:
         self.edge_lengths = {}
         for key, value in dict(edge_lengths).items():
             u, v = sorted(key)
-            if float(value) <= 0:
-                raise ValueError(f"edge ({u}, {v}) has nonpositive length")
-            self.edge_lengths[(int(u), int(v))] = float(value)
+            length = float(value)
+            if not (math.isfinite(length) and length > 0):
+                raise ValueError(
+                    f"edge ({u}, {v}) length {length} is not positive and finite"
+                )
+            self.edge_lengths[(int(u), int(v))] = length
         self.vertices = tuple(sorted({v for cell in self.simplices for v in cell}))
         self.metadata = dict(metadata or {})
         for cell in self.simplices:
@@ -280,10 +284,6 @@ class Ball:
     cells: tuple
 
 
-def _support_key(support):
-    return tuple(sorted(support.items()))
-
-
 class ComplexGeometry:
     """A weighted complex subdivided k times, with metric graph and volumes.
 
@@ -309,72 +309,52 @@ class ComplexGeometry:
                 _embed_simplex(n, lambda i, j, L=lengths: L[(min(i, j), max(i, j))])
             )
 
-        # node registry keyed by exact barycentric coordinates
-        self._node_key_to_id = {}
+        # Node keys are barycentric numerators over one denominator.  A
+        # barycenter of k nodes divides by k <= n + 1, which divides
+        # lcm(1..n+1) at every round, so the division is exact.
+        self._denominator = math.lcm(*range(1, n + 2)) ** depth
+        node_ids = {}
         self._node_supports = []
 
         def register(support):
-            key = _support_key(support)
-            node = self._node_key_to_id.get(key)
+            key = tuple(sorted(support.items()))
+            node = node_ids.get(key)
             if node is None:
-                node = len(self._node_supports)
-                self._node_key_to_id[key] = node
+                node = node_ids[key] = len(self._node_supports)
                 self._node_supports.append(support)
             return node
 
         for vertex in base.vertices:
-            register({vertex: Fraction(1)})
-
-        cells = []
-        cell_orig = []
-        for index, cell in enumerate(base.simplices):
-            cells.append(tuple(register({v: Fraction(1)}) for v in cell))
-            cell_orig.append(index)
-
-        # Beyond depth 2 the chord graph is restricted to node pairs sharing
-        # a cell of this coarser scope depth, which keeps the arc count near
-        # linear while still refining the metric.
-        scope_depth = max(0, depth - 2)
-        cell_scope = list(range(len(cells))) if scope_depth == 0 else None
-
-        for round_index in range(depth):
+            register({vertex: self._denominator})
+        cells = [
+            tuple(register({v: self._denominator}) for v in cell)
+            for cell in base.simplices
+        ]
+        for _ in range(depth):
             new_cells = []
-            new_orig = []
-            new_scope = [] if cell_scope is not None else None
-            for index, (cell, orig) in enumerate(zip(cells, cell_orig)):
-                scope = cell_scope[index] if cell_scope is not None else None
+            for cell in cells:
                 sub = {}
                 for size in range(1, n + 2):
                     for subset in itertools.combinations(cell, size):
                         support = {}
                         for node in subset:
-                            for vertex, frac in self._node_supports[node].items():
-                                support[vertex] = (
-                                    support.get(vertex, Fraction(0)) + frac
-                                )
-                        share = Fraction(1, size)
+                            for vertex, num in self._node_supports[node].items():
+                                support[vertex] = support.get(vertex, 0) + num
                         sub[subset] = register(
-                            {v: f * share for v, f in support.items()}
+                            {v: num // size for v, num in support.items()}
                         )
                 for perm in itertools.permutations(cell):
                     flag = tuple(
                         sub[tuple(sorted(perm[: j + 1]))] for j in range(n + 1)
                     )
                     new_cells.append(tuple(sorted(flag)))
-                    new_orig.append(orig)
-                    if new_scope is not None:
-                        new_scope.append(scope)
-            cells, cell_orig = new_cells, new_orig
-            if new_scope is not None:
-                cell_scope = new_scope
-            elif round_index + 1 == scope_depth:
-                cell_scope = list(range(len(cells)))
+            cells = new_cells
 
-        if cell_scope is None:
-            cell_scope = list(range(len(cells)))
-
+        # Each round emits a cell's (n+1)! children one after another, so a
+        # cell's ancestor k rounds up is its index divided by (n+1)!^k.
+        children = math.factorial(n + 1)
         self.cells = tuple(cells)
-        self.cell_orig = np.asarray(cell_orig, dtype=np.int64)
+        self.cell_orig = np.arange(len(cells)) // children**depth
         self.cells_array = np.asarray(cells, dtype=np.int64)
         self.n_nodes = len(self._node_supports)
 
@@ -387,11 +367,11 @@ class ComplexGeometry:
             table = orig_nodes[orig]
             for node in cell:
                 if node not in table:
-                    support = self._node_supports[node]
-                    position = np.zeros(n)
+                    coords = self._orig_coords[orig]
                     lookup = orig_vertex_index[orig]
-                    for vertex, frac in support.items():
-                        position += float(frac) * self._orig_coords[orig][lookup[vertex]]
+                    position = np.zeros(n)
+                    for vertex, num in self._node_supports[node].items():
+                        position += num / self._denominator * coords[lookup[vertex]]
                     table[node] = position
         self._orig_nodes = orig_nodes
 
@@ -400,15 +380,16 @@ class ComplexGeometry:
             for node in table:
                 self._node_origs[node].append(orig)
 
-        scope_nodes = {}
-        for cell, orig, scope in zip(self.cells, self.cell_orig, cell_scope):
-            group = scope_nodes.setdefault(scope, (int(orig), set()))[1]
-            group.update(cell)
+        # Chords join nodes sharing a cell two rounds up (the original
+        # simplex up to depth 2): a block of (n+1)!^min(depth, 2) cells.
+        # This keeps the arc count near linear while still refining the
+        # metric.
+        block = children ** min(depth, 2)
         arcs = {}
-        for scope in sorted(scope_nodes):
-            orig, group = scope_nodes[scope]
-            table = orig_nodes[orig]
-            members = sorted(group)
+        for start in range(0, len(cells), block):
+            table = orig_nodes[self.cell_orig[start]]
+            block_cells = cells[start : start + block]
+            members = sorted({node for cell in block_cells for node in cell})
             points = np.array([table[node] for node in members])
             for i, a in enumerate(members):
                 deltas = points[i + 1 :] - points[i]
@@ -417,17 +398,11 @@ class ComplexGeometry:
                     arcs[(a, b)] = float(length)
         self.graph = MetricGraph(self.n_nodes, arcs)
 
-        self.cell_volumes = np.array(
-            [self._cell_volume(cell, orig) for cell, orig in zip(cells, cell_orig)]
-        )
-        self.max_cell_diameter = max(
-            max(
-                float(np.linalg.norm(orig_nodes[orig][a] - orig_nodes[orig][b]))
-                for a, b in itertools.combinations(cell, 2)
-            )
-            for cell, orig in zip(cells, cell_orig)
-        )
         self._face_volume_cache = {}
+        self.cell_volumes = np.array([self.face_volume(cell) for cell in cells])
+        self.max_cell_diameter = max(
+            arcs[pair] for cell in cells for pair in itertools.combinations(cell, 2)
+        )
 
     # -- basic queries ----------------------------------------------------
 
@@ -443,15 +418,10 @@ class ComplexGeometry:
 
     def node_barycentric(self, node):
         """Exact barycentric coordinates of a node over the original vertices."""
-        return dict(self._node_supports[node])
-
-    def _cell_volume(self, cell, orig):
-        table = self._orig_nodes[orig]
-        pts = np.array([table[node] for node in cell])
-        diffs = pts[1:] - pts[0]
-        gram = diffs @ diffs.T
-        det = float(np.linalg.det(gram)) if len(diffs) else 1.0
-        return math.sqrt(max(det, 0.0)) / math.factorial(len(cell) - 1)
+        return {
+            vertex: Fraction(num, self._denominator)
+            for vertex, num in self._node_supports[node].items()
+        }
 
     def face_volume(self, face):
         """k-volume of a face of the subdivision; 0-faces count as 1 each."""

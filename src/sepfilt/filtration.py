@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -41,14 +42,14 @@ class SeparationConfig:
     slack_schedule: tuple | None = None
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError("radius must be positive and finite")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be positive and finite")
         if self.slack_schedule is not None:
             schedule = tuple(float(e) for e in self.slack_schedule)
-            if any(e <= 0 for e in schedule):
-                raise ValueError("slack schedule entries must be positive")
+            if not all(math.isfinite(e) and e > 0 for e in schedule):
+                raise ValueError("slack schedule entries must be positive and finite")
             object.__setattr__(self, "slack_schedule", schedule)
 
     def epsilon_schedule(self, n):

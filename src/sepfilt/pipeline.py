@@ -105,7 +105,7 @@ class RunArtifacts:
         }
 
 
-def run_pipeline(complex_, config, samples=100, sweep_seed=None):
+def run_pipeline(complex_, config, samples=100):
     """Build, refine, color, count, verify, and report on one complex."""
     geometry = complex_.geometry(config.subdivision_depth)
     filtration = build_filtration(geometry, config)
@@ -124,8 +124,7 @@ def run_pipeline(complex_, config, samples=100, sweep_seed=None):
     report = bound_report(
         filtration, census, v1.value, geometry.total_area(), tolerances
     )
-    seed = config.rng_seed if sweep_seed is None else sweep_seed
-    checks = inequality_sweep(filtration, samples, seed)
+    checks = inequality_sweep(filtration, samples, config.rng_seed)
     return RunArtifacts(
         complex_,
         geometry,

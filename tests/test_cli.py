@@ -6,6 +6,7 @@ import pytest
 
 from sepfilt.cli import main
 from sepfilt.complexes import WeightedComplex
+from sepfilt.generators import torus
 
 
 def read(path):
@@ -240,3 +241,60 @@ def test_process_level_determinism(tmp_path):
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    """Complex and filtration files that each carry one malformed number."""
+    root = tmp_path_factory.mktemp("bad_inputs")
+    paths = {"circle": root / "circle.json"}
+    main(["gen", "circle", "--nodes", "8", "--length", "4", "-o",
+          str(paths["circle"])])
+    # the first edge of a unit-grid triangle, set to nan, inf, or a length
+    # that breaks the triangle inequality
+    for name, length in [("nan_edge", math.nan), ("inf_edge", math.inf),
+                         ("degenerate", 5.0)]:
+        payload = torus(3).to_json()
+        payload["edge_lengths"][0][2] = length
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
+    main(["run", str(paths["circle"]), "--subdivision-depth", "1",
+          "--samples", "2", "--out-dir", str(root / "run")])
+    paths["nan_slack"] = root / "run" / "filtration.json"
+    _set(paths["nan_slack"], "config", "slack_schedule", [math.nan])
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "torus", "--scale", "nan"],
+        ["gen", "torus", "--scale", "inf"],
+        ["gen", "circle", "--length", "inf"],
+        ["run", "{circle}", "--radius", "nan"],
+        ["run", "{circle}", "--radius", "inf"],
+        ["run", "{circle}", "--epsilon", "nan"],
+        ["run", "{circle}", "--epsilon", "inf"],
+        ["run", "{nan_edge}"],
+        ["run", "{inf_edge}"],
+        ["run", "{degenerate}"],
+        ["verify", "{nan_slack}"],
+    ],
+    ids=["gen-scale-nan", "gen-scale-inf", "gen-length-inf", "radius-nan",
+         "radius-inf", "epsilon-nan", "epsilon-inf", "edge-nan", "edge-inf",
+         "degenerate-simplex", "slack-nan"],
+)
+def test_non_finite_and_degenerate_inputs_are_input_errors(tmp_path, capsys,
+                                                           bad_inputs, args):
+    args = [arg.format(**bad_inputs) for arg in args]
+    out = tmp_path / "out"
+    if args[0] == "gen":
+        args += ["-o", str(out)]
+    elif args[0] == "run":
+        args += ["--subdivision-depth", "1", "--samples", "2",
+                 "--out-dir", str(out)]
+    else:
+        args += ["--samples", "2", "--out", str(out)]
+    assert main(args) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sepfilt import Subpolyhedron, WeightedComplex, simplex_volume, total_area
 from sepfilt.complexes import MetricGraph
 from sepfilt.errors import DimensionMismatch, NondegenerateViolation
-from sepfilt.generators import circle
+from sepfilt.generators import circle, genus_surface, torus
 
 
 # ---------------------------------------------------------------------------
@@ -352,3 +352,43 @@ def test_circle_distances_exact(circle8_geom):
         [0.0, 2.0] + [0.25 * k for k in range(1, 8) for _ in range(2)]
     )
     assert dist == pytest.approx(expected, abs=1e-12)
+
+
+# sha256 of the subdivision's cells, ancestry, volumes, diameter, chord
+# arcs (CSR arrays) and exact node coordinates; recorded before node keys
+# became integer numerators and ancestry came from the cell index.  Depth 3
+# is the first depth whose chord scope is not the original simplex.
+GEOMETRY_DIGESTS = {
+    ("circle12", 3): "bd37fcef6c51439caa0f2fe7234365082beea1271c13007353803c597ef9bffc",
+    ("torus3", 0): "2b5eb17432ce73ad4a9c242d046667e78aae0b11f2de6af1b2bdb2e2d4506b81",
+    ("torus3", 3): "eb78069e34f818364de56a1ab6e867d9d4be2826d5b81ca1082f75518a30095e",
+    ("genus2", 1): "e7661f84b53885606b4d0360722c0275d6211df6e66ea49df1d6a95e8c7286d4",
+}
+
+
+@pytest.mark.parametrize("name, depth", sorted(GEOMETRY_DIGESTS))
+def test_geometry_digest_is_pinned(name, depth):
+    import hashlib
+
+    complex_ = {
+        "circle12": lambda: circle(12, 6.0),
+        "torus3": lambda: torus(3),
+        "genus2": lambda: genus_surface(2),
+    }[name]()
+    geometry = complex_.geometry(depth)
+    arcs = geometry.graph._matrix
+    digest = hashlib.sha256()
+    for array in (
+        geometry.cells_array,
+        geometry.cell_orig,
+        geometry.cell_volumes,
+        np.float64(geometry.max_cell_diameter),
+        arcs.indptr,
+        arcs.indices,
+        arcs.data,
+    ):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    for node in range(geometry.n_nodes):
+        coords = sorted(geometry.node_barycentric(node).items())
+        digest.update(repr(coords).encode())
+    assert digest.hexdigest() == GEOMETRY_DIGESTS[(name, depth)]
