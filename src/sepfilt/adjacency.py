@@ -137,7 +137,7 @@ class BallFit:
     witness_pair: tuple | None = None
 
 
-def fit_in_ball(geometry, nodes, radius, hint=None):
+def fit_in_ball(geometry, nodes, radius, hint=None, eccs=None):
     """Search for a graph node whose eccentricity over ``nodes`` is <= radius.
 
     Centers may be any node of the ambient complex.  They are tried in one
@@ -147,6 +147,9 @@ def fit_in_ball(geometry, nodes, radius, hint=None):
     center.  When the two sweep ends are more than 2 radius apart no center
     can work, and that pair is the witness.  Otherwise a failure reports the
     minimum-eccentricity center (lowest id first) and its farthest member.
+
+    ``eccs``, when given, is called at most once, only if the exact pass is
+    reached, and must return ``geometry.graph.eccentricities(nodes)``.
     """
     graph = geometry.graph
     nodes = np.asarray(nodes, dtype=np.int64)
@@ -174,7 +177,7 @@ def fit_in_ball(geometry, nodes, radius, hint=None):
     if e <= radius:
         return BallFit(True, int(members[0]), e)
 
-    eccs = graph.eccentricities(nodes)
+    eccs = graph.eccentricities(nodes) if eccs is None else eccs()
     fitting = members[eccs[members] <= radius]
     if fitting.size == 0:
         fitting = np.flatnonzero(eccs <= radius)

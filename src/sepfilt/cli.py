@@ -71,8 +71,10 @@ def gen(shape, nodes, length, side, scale, genus_, out):
 @click.option("--epsilon", type=float, default=0.05, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--subdivision-depth", type=int, default=2, show_default=True)
-@click.option("--move-budget", type=int, default=40, show_default=True)
-@click.option("--samples", type=int, default=100, show_default=True,
+@click.option("--move-budget", type=click.IntRange(min=0), default=40,
+              show_default=True)
+@click.option("--samples", type=click.IntRange(min=0), default=100,
+              show_default=True,
               help="inequality samples for the report CSV")
 @click.option("--out-dir", type=click.Path(), default=".", show_default=True)
 def run(complex_file, radius, epsilon, seed, subdivision_depth, move_budget,
@@ -118,7 +120,8 @@ def run(complex_file, radius, epsilon, seed, subdivision_depth, move_budget,
 
 @cli.command()
 @click.argument("filtration_file", type=click.Path())
-@click.option("--samples", type=int, default=100, show_default=True)
+@click.option("--samples", type=click.IntRange(min=0), default=100,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None,
               help="sweep CSV path (default: alongside the filtration)")

@@ -48,8 +48,8 @@ def simplex_volume(edge_lengths):
     if d < 1 or d * (d + 1) // 2 != m:
         raise ValueError(f"{m} lengths match no d-simplex edge pattern")
     lengths = [float(x) for x in edge_lengths]
-    if any(x <= 0 for x in lengths):
-        raise NondegenerateViolation("edge lengths must be positive")
+    if any(not math.isfinite(x) or x <= 0 for x in lengths):
+        raise NondegenerateViolation("edge lengths must be positive and finite")
     cm = np.ones((d + 2, d + 2))
     cm[0, 0] = 0.0
     np.fill_diagonal(cm[1:, 1:], 0.0)

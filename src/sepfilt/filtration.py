@@ -10,6 +10,7 @@ boundary.  Every accepted state carries per-component ball certificates.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 import random
@@ -46,6 +47,8 @@ class SeparationConfig:
             raise ValueError("radius must be positive and finite")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be positive and finite")
+        if self.move_budget < 0:
+            raise ValueError("move budget must not be negative")
         if self.slack_schedule is not None:
             schedule = tuple(float(e) for e in self.slack_schedule)
             if not all(math.isfinite(e) and e > 0 for e in schedule):
@@ -129,11 +132,20 @@ def _as_cell_set(parent, candidate):
 
 @dataclass
 class _Component:
-    """One complement component: its cell indices, nodes and ball fit."""
+    """One complement component: its cell indices, nodes and ball fit.
+
+    ``ecc`` caches ``graph.eccentricities(nodes)`` once a fit has needed it.
+    """
 
     cells: list
     nodes: np.ndarray
     fit: BallFit
+    ecc: np.ndarray | None = None
+
+    def eccentricities(self, graph):
+        if self.ecc is None:
+            self.ecc = graph.eccentricities(self.nodes)
+        return self.ecc
 
 
 def _fit_components(system, geometry, blocked, radius):
@@ -237,7 +249,8 @@ class _PruneState:
         self.feasible = all(comp.fit.fits for comp in self.comps.values())
 
     def copy(self):
-        """An independent state; ``try_remove`` never mutates a component."""
+        """An independent state; of a shared component, ``try_remove``
+        changes only the (deterministic) eccentricity cache."""
         clone = copy.copy(self)
         clone.z = set(self.z)
         clone.cover_count = self.cover_count.copy()
@@ -255,18 +268,32 @@ class _PruneState:
         if not all(part.fit.fits for part in parts):
             return False  # do not touch already-broken components
         if len(parts) > 1:
-            nodes = np.unique(np.concatenate([part.nodes for part in parts]))
-            hint = parts[0].fit.center
-            fit = fit_in_ball(self.geometry, nodes, self.radius, hint=hint)
-            if not fit.fits:
+            graph = self.geometry.graph
+            mask = np.zeros(graph.n_nodes, dtype=bool)
+            for part in parts:
+                mask[part.nodes] = True
+            merged = _Component([], np.flatnonzero(mask), None)
+
+            def eccs():
+                # max over a union of columns is the max of the parts' maxima,
+                # and max rounds nothing, so this is the from-scratch vector
+                merged.ecc = functools.reduce(
+                    np.maximum, [part.eccentricities(graph) for part in parts]
+                )
+                return merged.ecc
+
+            merged.fit = fit_in_ball(self.geometry, merged.nodes, self.radius,
+                                     hint=parts[0].fit.center, eccs=eccs)
+            if not merged.fit.fits:
                 return False
             target = min(affected)
-            merged_cells = []
             for label in sorted(affected):
-                merged_cells.extend(self.comps.pop(label).cells)
-            for cell in merged_cells:
+                part = self.comps.pop(label)
+                merged.cells.extend(part.cells)
+                part.ecc = None  # bounds the cache to live components
+            for cell in merged.cells:
                 self.labels[cell] = target
-            self.comps[target] = _Component(merged_cells, nodes, fit)
+            self.comps[target] = merged
         self.z.discard(facet)
         self.area -= self.geometry.face_volume(facet)
         self.cover_count.subtract(self.system.cover_counts((facet,)))

@@ -125,6 +125,55 @@ def test_verify_zero_samples_header_only(tmp_path):
     assert lines == ["kind,center,r1,r2,lhs,rhs,residual,budget,violated"]
 
 
+@pytest.fixture(scope="module")
+def circle_run(tmp_path_factory):
+    """A circle fixture and one successful run of it."""
+    root = tmp_path_factory.mktemp("circle_run")
+    source = root / "circle.json"
+    main(["gen", "circle", "--nodes", "8", "--length", "4", "-o", str(source)])
+    assert main(["run", str(source), "--subdivision-depth", "1",
+                 "--samples", "2", "--out-dir", str(root / "run")]) == 0
+    return {"circle": str(source),
+            "filtration": str(root / "run" / "filtration.json")}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "{circle}", "--samples", "-3"],
+        ["run", "{circle}", "--move-budget", "-5"],
+        ["verify", "{filtration}", "--samples", "-3"],
+    ],
+    ids=["run-samples", "run-move-budget", "verify-samples"],
+)
+def test_negative_counts_are_input_errors(tmp_path, circle_run, args):
+    args = [arg.format(**circle_run) for arg in args]
+    out = tmp_path / "out"
+    args += ["--out-dir" if args[0] == "run" else "--out", str(out)]
+    assert main(args) == 2
+    assert not out.exists()
+
+
+def test_zero_counts_are_valid(tmp_path, circle_run):
+    out_dir = tmp_path / "run"
+    assert main(["run", circle_run["circle"], "--subdivision-depth", "1",
+                 "--samples", "0", "--move-budget", "0",
+                 "--out-dir", str(out_dir)]) == 0
+    assert read(out_dir / "manifest.json")["config"]["move_budget"] == 0
+    assert main(["verify", circle_run["filtration"], "--samples", "0",
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+
+
+def test_negative_move_budget_in_file_is_input_error(tmp_path, capsys,
+                                                     circle_run):
+    path = tmp_path / "filtration.json"
+    path.write_text(open(circle_run["filtration"]).read())
+    _set(path, "config", "move_budget", -1)
+    assert main(["verify", str(path), "--samples", "2",
+                 "--out", str(tmp_path / "sweep.csv")]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_verify_tampered_filtration(tmp_path, capsys):
     source = tmp_path / "circle.json"
     main(["gen", "circle", "--nodes", "8", "--length", "4", "-o", str(source)])

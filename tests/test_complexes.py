@@ -68,6 +68,12 @@ def test_degenerate_triangle_rejected():
         simplex_volume([1.0, 1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_length_rejected(bad):
+    with pytest.raises(NondegenerateViolation):
+        simplex_volume([bad, 1.0, 1.0])
+
+
 def test_bad_length_count_rejected():
     with pytest.raises(ValueError):
         simplex_volume([1.0, 1.0])

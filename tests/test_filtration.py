@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from sepfilt import Subpolyhedron, complexes
+from sepfilt import Subpolyhedron, complexes, filtration
 from sepfilt.adjacency import CellSystem, fit_in_ball
 from sepfilt.errors import DimensionMismatch, Infeasible
 from sepfilt.filtration import (
@@ -111,6 +111,9 @@ def test_config_validation():
         SeparationConfig(radius=1.0, epsilon=0.0)
     with pytest.raises(ValueError):
         SeparationConfig(radius=1.0, slack_schedule=(0.1, 0.0))
+    with pytest.raises(ValueError):
+        SeparationConfig(radius=1.0, move_budget=-1)
+    assert SeparationConfig(radius=1.0, move_budget=0).move_budget == 0
 
 
 def test_explicit_slack_schedule():
@@ -307,6 +310,78 @@ def test_fit_in_ball_row_cache_matches_dense(name, monkeypatch):
         fit_in_ball(rowwise, nodes, radius, hint=hint)
         for nodes, radius, hint in fit_inputs(rowwise, FIT_RADII[name])
     ]
+
+
+def prune_runs(geometry, radius, seed=5):
+    """Pruned states from seeded random blocked sets, two orders each."""
+    rng = random.Random(seed)
+    system = geometry.cell_system
+    states = []
+    for share in (0.5, 0.8, 1.0):
+        blocked = [facet for facet in system.facets if rng.random() < share]
+        start = filtration._PruneState(system, geometry, blocked, radius)
+        shuffled = list(system.facets)
+        rng.shuffle(shuffled)
+        for order in (system.facets, shuffled):
+            index = {facet: i for i, facet in enumerate(order)}
+            states.append(filtration._prune(start.copy(), index.__getitem__))
+    return states
+
+
+def state_summary(state):
+    return sorted(state.z), [
+        (label, comp.cells, comp.nodes.tolist(), comp.fit)
+        for label, comp in sorted(state.comps.items())
+    ]
+
+
+@pytest.mark.parametrize("mode", ["dense", "rowwise"])
+def test_merged_eccentricities_match_union(mode, monkeypatch):
+    if mode == "rowwise":
+        monkeypatch.setattr(complexes, "_DENSE_LIMIT", 16)
+    plain_fit = filtration.fit_in_ball
+    counts = {"fits": 0, "merged": 0, "reused": 0}
+
+    def checked_fit(geometry, nodes, radius, hint=None, eccs=None):
+        counts["fits"] += 1
+        if eccs is None:
+            return plain_fit(geometry, nodes, radius, hint=hint)
+
+        def merged():
+            counts["merged"] += 1
+            vector = eccs()
+            assert np.array_equal(vector, geometry.graph.eccentricities(nodes))
+            return vector
+
+        return plain_fit(geometry, nodes, radius, hint=hint, eccs=merged)
+
+    cached = filtration._Component.eccentricities
+
+    def counted(comp, graph):
+        counts["reused"] += comp.ecc is not None
+        return cached(comp, graph)
+
+    monkeypatch.setattr(filtration._Component, "eccentricities", counted)
+
+    def scratch_fit(*args, eccs=None, **kwargs):
+        return checked_fit(*args, **kwargs)
+
+    for name, radius in (("torus4", 1.1), ("genus2", 0.7)):
+        geometry = fit_geometry(name)
+        runs = []
+        # the merged vectors, then every fit computing its vector from scratch
+        for fit in (checked_fit, scratch_fit):
+            monkeypatch.setattr(filtration, "fit_in_ball", fit)
+            counts["fits"] = 0
+            states = prune_runs(geometry, radius)
+            for comp in (c for state in states for c in state.comps.values()):
+                if comp.ecc is not None:
+                    assert np.array_equal(
+                        comp.ecc, geometry.graph.eccentricities(comp.nodes)
+                    )
+            runs.append((counts["fits"], list(map(state_summary, states))))
+        assert runs[0] == runs[1]
+    assert counts["merged"] > 0 and counts["reused"] > 0
 
 
 # ---------------------------------------------------------------------------
