@@ -41,7 +41,6 @@ FIXTURES = {
     "genus2-d2": ("genus_surface", {"genus": 2}, 2, 0.7),
     "torus4-d3": ("torus", {"side": 4}, 3, 1.0),
     "torus6-d3": ("torus", {"side": 6}, 3, 1.0),
-    "circle12-d2": ("circle", {"nodes": 12, "length": 6.0}, 2, 1.0),
 }
 CONFIG = {"epsilon": 0.05, "move_budget": 40, "rng_seed": 7}
 SAMPLES = 100
