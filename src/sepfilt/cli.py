@@ -6,7 +6,6 @@ All randomness flows from the manifest seed.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 
@@ -163,8 +162,8 @@ def main(argv=None):
     except (SeparationViolation, CensusMismatch, CoverFailure, Infeasible) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return VERIFICATION_ERROR
-    except (BadParams, FileNotFoundError, json.JSONDecodeError, KeyError,
-            NondegenerateViolation, TypeError, ValueError) as exc:
+    except (BadParams, KeyError, NondegenerateViolation, OSError,
+            RecursionError, TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except SepfiltError as exc:

@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,7 +102,7 @@ class WeightedComplex:
         seen = set()
         normalized = []
         for simplex in simplices:
-            cell = tuple(sorted(int(v) for v in simplex))
+            cell = tuple(sorted(map(operator.index, simplex)))
             if len(cell) != dimension + 1 or len(set(cell)) != dimension + 1:
                 raise ValueError(f"simplex {simplex} is not a {dimension}-simplex")
             if cell not in seen:
@@ -112,13 +113,13 @@ class WeightedComplex:
         self.simplices = tuple(normalized)
         self.edge_lengths = {}
         for key, value in dict(edge_lengths).items():
-            u, v = sorted(key)
+            u, v = sorted(map(operator.index, key))
             length = float(value)
             if not (math.isfinite(length) and length > 0):
                 raise ValueError(
                     f"edge ({u}, {v}) length {length} is not positive and finite"
                 )
-            self.edge_lengths[(int(u), int(v))] = length
+            self.edge_lengths[(u, v)] = length
         self.vertices = tuple(sorted({v for cell in self.simplices for v in cell}))
         self.metadata = dict(metadata or {})
         for cell in self.simplices:

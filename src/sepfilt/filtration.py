@@ -228,8 +228,13 @@ class MinimizeResult:
 class _PruneState:
     """Incrementally maintained components while facets are removed.
 
-    Removing a facet never changes ``feasible``: a removal that would merge
-    or touch a component without a ball fit is refused.
+    Only separating states are pruned.  ``try_remove(f)`` refuses f only
+    when the union of the components around f's opened faces fits no
+    R-ball.  Removals only merge components and lower cover counts, so each
+    later union around f contains the refused one, and a set containing a
+    set that fits no ball fits none.  So a refused facet stays refused and
+    one pass reaches the fixpoint.  Like ``fit_in_ball``'s two-sweep exit,
+    this assumes the triangle inequality up to rounding.
     """
 
     def __init__(self, system, geometry, blocked, radius):
@@ -265,8 +270,6 @@ class _PruneState:
             for cell in self.system.opened_cells(facet, self.cover_count)
         }
         parts = [self.comps[label] for label in affected]
-        if not all(part.fit.fits for part in parts):
-            return False  # do not touch already-broken components
         if len(parts) > 1:
             graph = self.geometry.graph
             mask = np.zeros(graph.n_nodes, dtype=bool)
@@ -301,13 +304,9 @@ class _PruneState:
 
 
 def _prune(state, order_key):
-    """First-improvement removal passes until no facet can be dropped."""
-    improved = True
-    while improved:
-        improved = False
-        for facet in sorted(state.z, key=order_key):
-            if state.try_remove(facet):
-                improved = True
+    """One first-improvement removal pass; it ends at the fixpoint."""
+    for facet in sorted(state.z, key=order_key):
+        state.try_remove(facet)
     return state
 
 
@@ -377,8 +376,7 @@ def minimize_separating(
     order_index = {facet: i for i, facet in enumerate(facets)}
     area_of = {facet: geometry.face_volume(facet) for facet in facets}
 
-    def lex_key(facet):
-        return order_index[facet]
+    lex_key = order_index.__getitem__
 
     def area_key(facet):
         return (-area_of[facet], order_index[facet])
@@ -392,24 +390,25 @@ def minimize_separating(
     best_state = _prune(full_state.copy(), lex_key)
     moves_used = 0
 
-    def consider(state):
+    def consider(state, order_key):
         nonlocal best_state
-        if state.feasible and state.area < best_state.area - _AREA_TOL:
-            best_state = state
+        if state.feasible:  # only separating states are pruned
+            _prune(state, order_key)
+            if state.area < best_state.area - _AREA_TOL:
+                best_state = state
 
-    consider(_prune(full_state.copy(), area_key))
+    consider(full_state.copy(), area_key)
 
     if candidate_facets is None:
         for theta in (1.0, 0.75, 0.5):
             seed = _voronoi_seed(system, geometry, radius * theta)
-            consider(_prune(_PruneState(system, geometry, seed, radius), lex_key))
+            consider(_PruneState(system, geometry, seed, radius), lex_key)
 
-    shuffle_orders = 2 if move_budget > 0 else 0
-    for _ in range(shuffle_orders):
+    for _ in range(2 if move_budget > 0 else 0):  # shuffled orders
         shuffled = list(facets)
         rng.shuffle(shuffled)
         shuffled_index = {facet: i for i, facet in enumerate(shuffled)}
-        consider(_prune(full_state.copy(), lambda f: shuffled_index[f]))
+        consider(full_state.copy(), shuffled_index.__getitem__)
 
     # ball-replacement proposals around the incumbent
     h = geometry.max_cell_diameter
@@ -422,12 +421,13 @@ def minimize_separating(
         moved = sphere_replacement_move(
             parent, set(best_state.z), center, rho
         )
+        # "&=" reorders the set, and with it the area sum's rounding
         cells = set(moved.cells)
         if not cells.issubset(full):
             cells &= full
         if cells == best_state.z:
             continue
-        consider(_prune(_PruneState(system, geometry, cells, radius), lex_key))
+        consider(_PruneState(system, geometry, cells, radius), lex_key)
 
     sub = Subpolyhedron(parent, sorted(best_state.z))
     return MinimizeResult(

@@ -100,6 +100,53 @@ def test_run_missing_file(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def deep_list_file(root):
+    path = root / "deep.json"
+    path.write_text("[" * 200_000)
+    return path
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "{root}"],
+        ["run", "{circle}", "--out-dir", "{circle}"],
+        ["gen", "torus", "-o", "{root}"],
+        ["run", "{deep}"],
+    ],
+    ids=["run-directory", "out-dir-is-file", "gen-to-directory",
+         "deeply-nested-json"],
+)
+def test_hostile_paths_are_input_errors(tmp_path, capsys, args):
+    source = tmp_path / "circle.json"
+    main(["gen", "circle", "--nodes", "8", "--length", "4", "-o", str(source)])
+    paths = {"root": tmp_path, "circle": source,
+             "deep": deep_list_file(tmp_path)}
+    args = [arg.format(**paths) for arg in args]
+    if args[0] == "run":
+        args += ["--subdivision-depth", "1", "--samples", "2"]
+    assert main(args) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "keys_and_value",
+    [("simplices", 0, [0, 1.7]), ("simplices", 0, [0, "1"]),
+     ("edge_lengths", 0, [0, 1.0, 0.5])],
+    ids=["simplex-float", "simplex-str", "edge-float"],
+)
+def test_non_integer_vertex_ids_are_input_errors(tmp_path, capsys,
+                                                 keys_and_value):
+    source = tmp_path / "circle.json"
+    main(["gen", "circle", "--nodes", "8", "--length", "4", "-o", str(source)])
+    _set(source, *keys_and_value)
+    out = tmp_path / "out"
+    assert main(["run", str(source), "--subdivision-depth", "1",
+                 "--samples", "2", "--out-dir", str(out)]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_zero_samples_header_only(tmp_path):
     source = tmp_path / "circle.json"
     main(["gen", "circle", "--nodes", "8", "--length", "4", "-o", str(source)])

@@ -298,6 +298,18 @@ def test_wrong_arity_rejected():
         WeightedComplex(2, [(0, 1)], {(0, 1): 1.0})
 
 
+@pytest.mark.parametrize(
+    "simplex, key",
+    [((0, 1.7), (0, 1)), ((0, "1"), (0, 1)), ((0, 1), (0, 1.0)),
+     ((0, 1), ("0", 1))],
+    ids=["simplex-float", "simplex-str", "edge-float", "edge-str"],
+)
+def test_non_integer_vertex_ids_rejected(simplex, key):
+    # int() would silently turn 1.7 into 1 and "1" into 1
+    with pytest.raises(TypeError):
+        WeightedComplex(1, [simplex, (1, 0)], {key: 1.0})
+
+
 def test_json_round_trip(torus4):
     clone = WeightedComplex.from_json(torus4.to_json())
     assert clone.simplices == torus4.simplices

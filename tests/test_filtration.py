@@ -313,7 +313,10 @@ def test_fit_in_ball_row_cache_matches_dense(name, monkeypatch):
 
 
 def prune_runs(geometry, radius, seed=5):
-    """Pruned states from seeded random blocked sets, two orders each."""
+    """Pruned states from seeded random blocked sets, two orders each.
+
+    Only separating starts are pruned, as in the minimizer.
+    """
     rng = random.Random(seed)
     system = geometry.cell_system
     states = []
@@ -322,6 +325,8 @@ def prune_runs(geometry, radius, seed=5):
         start = filtration._PruneState(system, geometry, blocked, radius)
         shuffled = list(system.facets)
         rng.shuffle(shuffled)
+        if not start.feasible:
+            continue
         for order in (system.facets, shuffled):
             index = {facet: i for i, facet in enumerate(order)}
             states.append(filtration._prune(start.copy(), index.__getitem__))
@@ -382,6 +387,52 @@ def test_merged_eccentricities_match_union(mode, monkeypatch):
             runs.append((counts["fits"], list(map(state_summary, states))))
         assert runs[0] == runs[1]
     assert counts["merged"] > 0 and counts["reused"] > 0
+
+
+def prune_starts(geometry, radius, seed=3, moves=12):
+    """The full facet set and the separating ones among seeded ball
+    replacements of its lex-order prune."""
+    system = geometry.cell_system
+    full = filtration._PruneState(system, geometry, system.facets, radius)
+    lex = {facet: i for i, facet in enumerate(system.facets)}
+    pruned = filtration._prune(full.copy(), lex.__getitem__)
+    rng = random.Random(seed)
+    starts = [full]
+    for _ in range(moves):
+        center = rng.randrange(geometry.n_nodes)
+        rho = rng.uniform(0.25 * radius, radius)
+        moved = sphere_replacement_move(geometry, pruned.z, center, rho)
+        state = filtration._PruneState(system, geometry, moved.cells, radius)
+        if state.feasible:
+            starts.append(state)
+    return starts
+
+
+@pytest.mark.parametrize("name", ["torus4", "genus2"])
+def test_second_prune_pass_removes_nothing(name):
+    # one pass reaches the fixpoint: a facet refused once stays refused
+    geometry = fit_geometry(name)
+    radius = {"torus4": 1.1, "genus2": 0.7}[name]
+    facets = list(geometry.cell_system.facets)
+    lex = {facet: i for i, facet in enumerate(facets)}
+    shuffled = list(facets)
+    random.Random(17).shuffle(shuffled)
+    orders = {
+        "lex": lex.__getitem__,
+        "area": lambda facet: (-geometry.face_volume(facet), lex[facet]),
+        "shuffled": {facet: i for i, facet in enumerate(shuffled)}.__getitem__,
+    }
+    starts = prune_starts(geometry, radius)
+    assert len(starts) > 2
+    removed = 0
+    for start in starts:
+        for first in orders.values():
+            state = filtration._prune(start.copy(), first)
+            removed += len(start.z) - len(state.z)
+            for again in orders.values():
+                repeat = filtration._prune(state.copy(), again)
+                assert (repeat.z, repeat.area) == (state.z, state.area)
+    assert removed > 0
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ builds the fixture and times ``run_pipeline``'s stages with
 ``peak_rss_mb`` is the process's ``ru_maxrss``.  Checkouts alternate run by
 run, BLAS threads are 1, and ``outputs_identical`` says whether every run
 gave the same sha256 of the filtration and report documents and every
-sweep row.
+sweep row.  Each run also records the per-level areas of its filtration
+(Z_0 first); ``areas_identical`` says whether every run gave the same ones.
 
 With ``--out`` the result is merged into that JSON file under
 ``results[<fixture>]`` (other fixtures already in it are kept); without it,
@@ -78,6 +79,7 @@ def measure(fixture):
     lap("geometry")
     filtration = build_filtration(geometry, config)
     lap("filtration")
+    level_areas = [level.area for level in filtration.levels]
     geometry, filtration = refine_with_filtration(geometry, filtration)
     coloring = color_by_filtration(geometry, filtration, radius)
     census = count_rainbow(geometry, coloring, filtration)
@@ -107,6 +109,7 @@ def measure(fixture):
         "stages_s": stages,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "digest": hashlib.sha256(text.encode()).hexdigest(),
+        "level_areas": level_areas,
     }
 
 
@@ -130,6 +133,7 @@ def summarize(runs):
             statistics.median(r["peak_rss_mb"] for r in runs), 1),
         "runs_total_s": [round(r["stages_s"]["total"], 3) for r in runs],
         "runs_peak_rss_mb": [round(r["peak_rss_mb"], 1) for r in runs],
+        "level_areas": runs[0]["level_areas"],
     }
 
 
@@ -146,6 +150,8 @@ def compare(fixture, checkouts, runs):
     result = {label: summarize(rs) for label, rs in records.items()}
     digests = {r["digest"] for rs in records.values() for r in rs}
     result["outputs_identical"] = len(digests) == 1
+    areas = {tuple(r["level_areas"]) for rs in records.values() for r in rs}
+    result["areas_identical"] = len(areas) == 1
     return result
 
 
