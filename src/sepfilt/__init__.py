@@ -25,7 +25,6 @@ from .rainbow import (
     boundary,
     color_by_filtration,
     count_rainbow,
-    refine_with_filtration,
     straighten,
 )
 from .bounds import (
@@ -75,7 +74,6 @@ __all__ = [
     "parametrized_l1_norm",
     "pattern_partition",
     "point_density_check",
-    "refine_with_filtration",
     "simplex_volume",
     "sphere_replacement_move",
     "straighten",

@@ -87,8 +87,8 @@ def run(complex_file, radius, epsilon, seed, subdivision_depth, move_budget,
         rng_seed=seed,
         subdivision_depth=subdivision_depth,
     )
-    artifacts = run_pipeline(complex_, config, samples=samples)
     os.makedirs(out_dir, exist_ok=True)
+    artifacts = run_pipeline(complex_, config, samples=samples)
     filtration_path = os.path.join(out_dir, "filtration.json")
     report_path = os.path.join(out_dir, "report.json")
     csv_path = os.path.join(out_dir, "report_samples.csv")

@@ -486,24 +486,6 @@ class ComplexGeometry:
     def ball_volume(self, center, r):
         return self.ball_volume_detail(center, r)[0]
 
-    # -- export -------------------------------------------------------------
-
-    def as_weighted_complex(self):
-        """Flatten the current subdivision into a depth-0 weighted complex.
-
-        Node ids are preserved: node k of this geometry becomes vertex k of
-        the returned complex, and vertex k of the result is node k of its
-        own depth-0 geometry.
-        """
-        edge_lengths = {}
-        for cell, orig in zip(self.cells, self.cell_orig):
-            table = self._orig_nodes[orig]
-            for a, b in itertools.combinations(cell, 2):
-                edge_lengths[(a, b)] = float(np.linalg.norm(table[a] - table[b]))
-        return WeightedComplex(
-            self.dim, self.cells, edge_lengths, metadata=dict(self.base.metadata)
-        )
-
 
 class Subpolyhedron:
     """A pure (d-1)-dimensional set of faces of a parent's d-cells."""

@@ -47,7 +47,3 @@ class ActionIncomplete(SepfiltError):
 
 class PartitionInvalid(SepfiltError):
     """A partition part is not independent under the given overlap set."""
-
-
-class UnalignedFiltration(SepfiltError):
-    """Filtration level cells cannot be matched to cells of the complex."""

@@ -7,6 +7,9 @@ import math
 from .complexes import WeightedComplex
 from .errors import BadParams
 
+# interior ring of the genus surface, as a fraction of the polygon's size
+_RING_FACTOR = 0.55
+
 
 def circle(nodes, length):
     """Cycle with the given node count and total circumference."""
@@ -62,7 +65,7 @@ def torus(side, scale=1.0):
     )
 
 
-def genus_surface(genus, scale=1.0, ring_factor=0.55):
+def genus_surface(genus, scale=1.0):
     """Closed genus-g surface from an identified 4g-gon with unit sides.
 
     The polygon boundary follows the word a1 b1 a1' b1' ... ; each side is
@@ -73,8 +76,6 @@ def genus_surface(genus, scale=1.0, ring_factor=0.55):
         raise BadParams("use the torus generator for genus 1")
     if scale <= 0:
         raise BadParams("scale must be positive")
-    if not 0.1 <= ring_factor <= 0.9:
-        raise BadParams("ring_factor must stay strictly inside the polygon")
 
     sides = 4 * genus
     circumradius = scale / (2.0 * math.sin(math.pi / sides))
@@ -115,7 +116,7 @@ def genus_surface(genus, scale=1.0, ring_factor=0.55):
     n_slots = 3 * sides
     ring_base = next_id
     center = ring_base + n_slots
-    ring_pos = [(x * ring_factor, y * ring_factor) for x, y in slot_pos]
+    ring_pos = [(x * _RING_FACTOR, y * _RING_FACTOR) for x, y in slot_pos]
 
     simplices = []
     edges = {}

@@ -13,7 +13,7 @@ from .bounds import (
     point_density_check,
 )
 from .filtration import build_filtration
-from .rainbow import color_by_filtration, count_rainbow, refine_with_filtration
+from .rainbow import color_by_filtration, count_rainbow
 
 
 def sample_radius_pairs(rng, radius, count):
@@ -106,10 +106,9 @@ class RunArtifacts:
 
 
 def run_pipeline(complex_, config, samples=100):
-    """Build, refine, color, count, verify, and report on one complex."""
+    """Build, color, count, verify, and report on one complex."""
     geometry = complex_.geometry(config.subdivision_depth)
     filtration = build_filtration(geometry, config)
-    geometry, filtration = refine_with_filtration(geometry, filtration)
     coloring = color_by_filtration(geometry, filtration, config.radius)
     census = count_rainbow(geometry, coloring, filtration)
     v1 = estimate_v1(geometry)

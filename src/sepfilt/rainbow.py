@@ -1,145 +1,19 @@
 """Colorings by filtration level, rainbow censuses, signed subdivision.
 
 Vertices (and, implicitly, the relative interiors of all faces) are colored
-by the pair (level, component of the level stratum).  Counting happens in
-the barycentric subdivision of the refined complex, whose vertices are the
-faces of the complex, so the census never needs a geometric rebuild.
+by the pair (level, component of the level stratum).  Every level is a
+subcomplex by construction, so counting happens in the barycentric
+subdivision of the complex itself, whose vertices are the faces of the
+complex, and the census never needs a geometric rebuild.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .adjacency import fit_in_ball
-from .complexes import Subpolyhedron, WeightedComplex
-from .errors import CensusMismatch, SeparationViolation, UnalignedFiltration
-from .filtration import Filtration, FiltrationLevel, is_r_separating
-
-
-# ---------------------------------------------------------------------------
-# refinement
-
-
-def split_edge(complex_, u, v, t):
-    """Split edge (u, v) at parameter t, re-triangulating incident cells.
-
-    Returns (new_complex, new_vertex).  New edge lengths to the other
-    vertices of each incident cell come from the flat metric of that cell.
-    """
-    if not 0.0 < t < 1.0:
-        raise ValueError("split parameter must be strictly inside the edge")
-    u, v = (u, v) if u < v else (v, u)
-    base_length = complex_.edge_length(u, v)
-    new_vertex = max(complex_.vertices) + 1
-    new_lengths = dict(complex_.edge_lengths)
-    new_lengths[(u, new_vertex)] = t * base_length
-    new_lengths[(v, new_vertex)] = (1.0 - t) * base_length
-    new_simplices = []
-    for cell in complex_.simplices:
-        if u not in cell or v not in cell:
-            new_simplices.append(cell)
-            continue
-        for other in cell:
-            if other in (u, v):
-                continue
-            du = complex_.edge_length(u, other)
-            dv = complex_.edge_length(v, other)
-            # law of cosines along the edge (u, v)
-            w_sq = (
-                (1.0 - t) * du * du
-                + t * dv * dv
-                - t * (1.0 - t) * base_length * base_length
-            )
-            new_lengths[(other, new_vertex)] = math.sqrt(max(w_sq, 0.0))
-        left = tuple(sorted(new_vertex if x == v else x for x in cell))
-        right = tuple(sorted(new_vertex if x == u else x for x in cell))
-        new_simplices.extend([left, right])
-    refined = WeightedComplex(
-        complex_.dimension,
-        new_simplices,
-        new_lengths,
-        metadata=dict(complex_.metadata),
-    )
-    return refined, new_vertex
-
-
-def refine_with_filtration(geometry, filtration, extra_points=()):
-    """Make every filtration level a full subcomplex of the geometry.
-
-    Levels built by the pipeline already are, and pass through unchanged.
-    ``extra_points`` adds 0-level points given as (u, v, t) positions inside
-    edges of the current subdivision; the complex is then flattened to a
-    depth-0 weighted complex (node ids preserved), split at those points,
-    and the filtration is remapped, with the new nodes joining Z_0.
-    """
-    for level in filtration.levels:
-        for cell in level.subpolyhedron.cells:
-            missing = [
-                node for node in cell if node >= geometry.n_nodes or node < 0
-            ]
-            if missing:
-                raise UnalignedFiltration(f"level cell {cell} is not in the complex")
-    if not extra_points:
-        return geometry, filtration
-
-    flat = geometry.as_weighted_complex()
-    new_nodes = []
-    for u, v, t in extra_points:
-        flat, vertex = split_edge(flat, u, v, t)
-        new_nodes.append(vertex)
-
-    refined = flat.geometry(0)
-
-    def remap_cells(cells):
-        out = []
-        for cell in cells:
-            pieces = [cell]
-            if len(cell) >= 2:
-                pieces = []
-                # map through every split that touched this cell
-                stack = [tuple(cell)]
-                for vertex, (u, v, _) in zip(new_nodes, extra_points):
-                    next_stack = []
-                    for piece in stack:
-                        if u in piece and v in piece:
-                            next_stack.append(
-                                tuple(sorted(vertex if x == v else x for x in piece))
-                            )
-                            next_stack.append(
-                                tuple(sorted(vertex if x == u else x for x in piece))
-                            )
-                        else:
-                            next_stack.append(piece)
-                    stack = next_stack
-                pieces = stack
-            out.extend(tuple(sorted(p)) for p in pieces)
-        return sorted(set(out))
-
-    parent = refined
-    rebuilt = []
-    for i in range(filtration.dim - 1, -1, -1):
-        level = filtration.levels[i]
-        cells = remap_cells(level.subpolyhedron.cells)
-        if i == 0:
-            cells = sorted(set(cells) | {(node,) for node in new_nodes})
-        sub = Subpolyhedron(parent, cells)
-        check = is_r_separating(parent, sub, filtration.config.radius)
-        if not check.separating:
-            raise SeparationViolation(f"refined level {i} lost separation")
-        rebuilt.append(
-            FiltrationLevel(
-                sub,
-                sub.total_area(),
-                level.slack,
-                level.slack_kind,
-                check.components,
-            )
-        )
-        parent = sub
-    rebuilt.reverse()
-    return refined, Filtration(refined, filtration.config, rebuilt)
+from .errors import CensusMismatch, SeparationViolation
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +156,7 @@ class RainbowCensus:
 def count_rainbow(geometry, coloring, filtration):
     """Count rainbow top simplices of the barycentric subdivision.
 
-    A vertex of the subdivision is a face of the refined complex and wears
+    A vertex of the subdivision is a face of the complex and wears
     that face's color.  Asserts the census identity: the total must be
     2^n * #Z_0 with exactly 2^n simplices per 0-level point; any failure
     raises CensusMismatch carrying the observed census.

@@ -117,7 +117,7 @@ def deep_list_file(root):
     ids=["run-directory", "out-dir-is-file", "gen-to-directory",
          "deeply-nested-json"],
 )
-def test_hostile_paths_are_input_errors(tmp_path, capsys, args):
+def test_hostile_paths_are_input_errors(tmp_path, capsys, monkeypatch, args):
     source = tmp_path / "circle.json"
     main(["gen", "circle", "--nodes", "8", "--length", "4", "-o", str(source)])
     paths = {"root": tmp_path, "circle": source,
@@ -125,8 +125,13 @@ def test_hostile_paths_are_input_errors(tmp_path, capsys, args):
     args = [arg.format(**paths) for arg in args]
     if args[0] == "run":
         args += ["--subdivision-depth", "1", "--samples", "2"]
+    calls = []
+    monkeypatch.setattr("sepfilt.cli.run_pipeline",
+                        lambda *a, **k: calls.append(a))
     assert main(args) == 2
     assert "input error" in capsys.readouterr().err
+    # a bad path fails before the search starts, not after it
+    assert not calls
 
 
 @pytest.mark.parametrize(
@@ -241,6 +246,38 @@ def test_verify_tampered_filtration(tmp_path, capsys):
     code = main(["verify", str(tampered), "--samples", "5"])
     assert code == 3
     assert "verification failure" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def torus_filtration(tmp_path_factory):
+    """The filtration file of one successful run on a 2-D torus."""
+    root = tmp_path_factory.mktemp("torus_run")
+    source = root / "torus.json"
+    main(["gen", "torus", "--side", "3", "-o", str(source)])
+    assert main(["run", str(source), "--subdivision-depth", "1",
+                 "--samples", "2", "--out-dir", str(root / "run")]) == 0
+    return root / "run" / "filtration.json"
+
+
+@pytest.mark.parametrize(
+    "level, cell",
+    [(0, [999999]), (0, [-1]), (1, [0, 999999])],
+    ids=["z0-past-end", "z0-negative", "z1-past-end"],
+)
+def test_level_cell_outside_complex_fails_verification(
+        tmp_path, capsys, torus_filtration, level, cell):
+    # a level holds only faces of its parent, so a node id outside the
+    # complex is rejected when the level is read back
+    path = tmp_path / "filtration.json"
+    path.write_text(torus_filtration.read_text())
+    _set(path, "levels", level, "cells", 0, cell)
+    sweep = tmp_path / "sweep.csv"
+    assert main(["verify", str(path), "--samples", "2",
+                 "--out", str(sweep)]) == 3
+    err = capsys.readouterr().err
+    assert "is not a face of the parent" in err
+    assert "Traceback" not in err
+    assert not sweep.exists()
 
 
 def _set(path, *keys_and_value):

@@ -7,14 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepfilt.errors import CensusMismatch, SeparationViolation
-from sepfilt.generators import circle, torus
 from sepfilt.rainbow import (
     Chain,
     boundary,
     color_by_filtration,
     count_rainbow,
-    refine_with_filtration,
-    split_edge,
     straighten,
     straighten_simplex_terms,
 )
@@ -88,66 +85,6 @@ def census_oracle(geometry, filtration):
                 point = zero_faces[0][0]
                 per_point[point] = per_point.get(point, 0) + 1
     return total, per_point
-
-
-# ---------------------------------------------------------------------------
-# refinement
-
-
-def test_refine_identity_for_aligned_levels(circle8_geom, circle_filtration):
-    geometry, filtration = refine_with_filtration(circle8_geom, circle_filtration)
-    assert geometry is circle8_geom
-    assert filtration is circle_filtration
-
-
-def test_refine_identity_for_trivial_filtration(tiny_torus_filtration):
-    geometry = tiny_torus_filtration.geometry
-    out_geometry, out_filtration = refine_with_filtration(
-        geometry, tiny_torus_filtration
-    )
-    assert out_geometry is geometry
-    assert out_filtration is tiny_torus_filtration
-
-
-def test_split_edge_halves_a_circle_edge():
-    one = circle(8, 4.0)
-    split, vertex = split_edge(one, 0, 1, 0.5)
-    assert vertex == 8
-    assert len(split.simplices) == 9
-    assert split.edge_lengths[(0, 8)] == pytest.approx(0.25)
-    assert split.edge_lengths[(1, 8)] == pytest.approx(0.25)
-
-
-def test_split_edge_triangle_lengths():
-    # splitting the hypotenuse of a right triangle pair keeps the metric flat
-    two = torus(4)
-    split, vertex = split_edge(two, 0, 5, 0.5)  # a diagonal edge
-    # the new vertex sits at the square center: distance sqrt(2)/2 to corners
-    assert split.edge_lengths[(0, vertex)] == pytest.approx(math.sqrt(2) / 2)
-    assert split.edge_lengths[(1, vertex)] == pytest.approx(math.sqrt(2) / 2)
-    assert split.edge_lengths[(4, vertex)] == pytest.approx(math.sqrt(2) / 2)
-    geometry = split.geometry(0)
-    assert geometry.total_area() == pytest.approx(16.0)
-
-
-def test_refine_with_mid_edge_point(circle_filtration, circle8_geom):
-    # a 0-level point in the middle of an existing cell splits that cell
-    target = circle_filtration.level(0).parent
-    cell = circle8_geom.cells[0]
-    geometry, refined = refine_with_filtration(
-        circle8_geom, circle_filtration, extra_points=[(cell[0], cell[1], 0.5)]
-    )
-    assert geometry.n_nodes == circle8_geom.n_nodes + 1
-    assert len(geometry.cells) == len(circle8_geom.cells) + 1
-    new_node = geometry.n_nodes - 1
-    assert (new_node,) in refined.level(0).cells
-    assert len(refined.level(0).cells) == len(circle_filtration.level(0).cells) + 1
-    # a 0-cell's face volume is 1, so Z_0's area is its point count
-    assert refined.levels[0].area == len(refined.level(0).cells)
-    # census identity still holds on the refined object
-    coloring = color_by_filtration(geometry, refined, 1.0)
-    census = count_rainbow(geometry, coloring, refined)
-    assert census.total == 2 * census.z0_count
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ Each ``--checkout LABEL=DIR`` names the root of a source tree that holds
 run a fresh ``python3`` process imports ``sepfilt`` from that checkout,
 builds the fixture and times ``run_pipeline``'s stages with
 ``time.perf_counter``: geometry (``complex.geometry``), filtration
-(``build_filtration``), rainbow (``refine_with_filtration`` +
-``color_by_filtration`` + ``count_rainbow``), V1 (``estimate_v1``), packing
-(``greedy_packing``) and sweep (``inequality_sweep``, 100 samples).
+(``build_filtration``), rainbow (``color_by_filtration`` +
+``count_rainbow``), V1 (``estimate_v1``), packing (``greedy_packing``) and
+sweep (``inequality_sweep``, 100 samples).
 ``peak_rss_mb`` is the process's ``ru_maxrss``.  Checkouts alternate run by
 run, BLAS threads are 1, and ``outputs_identical`` says whether every run
 gave the same sha256 of the filtration and report documents and every
@@ -60,8 +60,7 @@ def measure(fixture):
     from sepfilt.files import canonical_dumps
     from sepfilt.filtration import SeparationConfig, build_filtration
     from sepfilt.pipeline import RunArtifacts, inequality_sweep
-    from sepfilt.rainbow import (color_by_filtration, count_rainbow,
-                                 refine_with_filtration)
+    from sepfilt.rainbow import color_by_filtration, count_rainbow
 
     maker, kwargs, depth, radius = FIXTURES[fixture]
     complex_ = getattr(generators, maker)(**kwargs)
@@ -80,7 +79,6 @@ def measure(fixture):
     filtration = build_filtration(geometry, config)
     lap("filtration")
     level_areas = [level.area for level in filtration.levels]
-    geometry, filtration = refine_with_filtration(geometry, filtration)
     coloring = color_by_filtration(geometry, filtration, radius)
     census = count_rainbow(geometry, coloring, filtration)
     lap("rainbow")
