@@ -63,30 +63,36 @@ def _check_radius_order(r1, r2):
         raise RadiusOrder(f"need 0 < r1 < r2, got r1={r1}, r2={r2}")
 
 
+def _measure(z, dist, r):
+    """``credited_measure`` of Z in B(p, r); a ``None`` row means the ball
+    holds every node, so Z's cached whole measure is the same floats."""
+    if dist is None:
+        return z.whole_measure
+    return credited_measure(z.cells_array, z.cell_volumes, dist, r)
+
+
 def _ball_row(filtration, center, r1, r2):
-    """Distance row from the center and #(Z_0 in B(p, r1)).
+    """Distance row from the center (or ``None``) and #(Z_0 in B(p, r1)).
 
     The radius order is checked before the filtration is read.  The
     density checks compare Z_0 with r1 and the other levels with r2, so
     when the smaller radius that meets a nonempty set (r1 if Z_0 is
-    nonempty, else r2) provably holds every node, an all-zeros row stands
-    in for the real one: every comparison comes out the same.
+    nonempty, else r2) provably holds every node, no row is read: Z_0
+    counts whole and every level is measured whole.
     """
     _check_radius_order(r1, r2)
     graph = filtration.geometry.graph
     z0 = filtration.level(0).cells_array[:, 0]
     if graph.holds_every_node(center, r1 if len(z0) else r2):
-        dist = np.zeros(graph.n_nodes)
-    else:
-        dist = graph.distances_from(center)
+        return None, len(z0)
+    dist = graph.distances_from(center)
     return dist, int((dist[z0] <= r1).sum())
 
 
 def _level_check(kind, filtration, i, slack, center, r1, r2, dist, count):
     """#(Z_0 in B(p, r1)) (r2-r1)^i / i! against the credited area of Z_i in
     B(p, r2) plus ``slack``; the budget is the area's boundary credit."""
-    level = filtration.level(i)
-    area, boundary = credited_measure(level.cells_array, level.cell_volumes, dist, r2)
+    area, boundary = _measure(filtration.level(i), dist, r2)
     lhs = count * (r2 - r1) ** i / math.factorial(i)
     return InequalityCheck(
         kind, int(center), float(r1), float(r2), lhs, area + slack, boundary
@@ -128,26 +134,32 @@ def coarea_check(filtration, level, center, r1, r2):
     Integrates the area of Z_level inside B(p, rho) for rho in [r1, r2] and
     compares with the credited area of the parent level in the annulus plus
     2 eps R.  The budget covers quadrature error and both boundary credits.
-    The slice areas are summed in distance order, so this check always
-    reads the real distance row.
+    The slice areas are summed in distance order, so the real distance row
+    is read unless the level is empty and B(p, r1) provably holds every
+    node: then the integral and its budget are 0 and both parent balls are
+    measured whole.
     """
     _check_radius_order(r1, r2)
-    dist = filtration.geometry.graph.distances_from(center)
+    graph = filtration.geometry.graph
     R = filtration.config.radius
     eps = filtration.epsilon_schedule()[level]
     z = filtration.level(level)
-    max_dist = dist[z.cells_array].max(axis=1)
-    order = np.argsort(max_dist)
-    cumulative = np.concatenate(([0.0], np.cumsum(z.cell_volumes[order])))
-    rhos = np.linspace(r1, r2, _COAREA_SAMPLES)
-    values = cumulative[np.searchsorted(max_dist[order], rhos, side="right")]
-    integral = float(np.trapezoid(values, rhos))
-    step = (r2 - r1) / (_COAREA_SAMPLES - 1)
-    quad_budget = step * float(values.max() - values.min())
+    if not len(z) and graph.holds_every_node(center, r1):
+        dist, integral, quad_budget = None, 0.0, 0.0
+    else:
+        dist = graph.distances_from(center)
+        max_dist = dist[z.cells_array].max(axis=1)
+        order = np.argsort(max_dist)
+        cumulative = np.concatenate(([0.0], np.cumsum(z.cell_volumes[order])))
+        rhos = np.linspace(r1, r2, _COAREA_SAMPLES)
+        values = cumulative[np.searchsorted(max_dist[order], rhos, side="right")]
+        integral = float(np.trapezoid(values, rhos))
+        step = (r2 - r1) / (_COAREA_SAMPLES - 1)
+        quad_budget = step * float(values.max() - values.min())
 
     parent = filtration.level(level + 1)
-    vol2, b2 = credited_measure(parent.cells_array, parent.cell_volumes, dist, r2)
-    vol1, b1 = credited_measure(parent.cells_array, parent.cell_volumes, dist, r1)
+    vol2, b2 = _measure(parent, dist, r2)
+    vol1, b1 = _measure(parent, dist, r1)
     rhs = (vol2 - vol1) + 2.0 * eps * R
     return InequalityCheck(
         f"coarea{level}", int(center), float(r1), float(r2), integral, rhs,

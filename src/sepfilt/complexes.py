@@ -185,9 +185,11 @@ class MetricGraph:
     request computes the all-pairs matrix and every row is served from it.
     Above the limit, each row is computed on its first request and cached.
 
-    ``reach = d(0, .) + max d(0, .)`` bounds every node's eccentricity by
-    the triangle inequality, so ``holds_every_node`` can prove from the one
-    anchor row that a ball contains every node, without the ball's own row.
+    For any anchor a, ``d(a, .) + max d(a, .)`` bounds every node's
+    eccentricity by the triangle inequality.  ``reach`` starts from node
+    0's row and, above the limit, every row computed since tightens it to
+    the elementwise minimum over those anchors, so ``holds_every_node`` can
+    prove that a ball contains every node without the ball's own row.
     """
 
     def __init__(self, n_nodes, arcs):
@@ -218,24 +220,29 @@ class MetricGraph:
             return self.all_distances()[node]
         row = self._rows.get(node)
         if row is None:
-            row = dijkstra(self._matrix, indices=node)
-            self._rows[node] = row
+            row = self._rows[node] = dijkstra(self._matrix, indices=node)
+            if "reach" in self.__dict__:
+                np.minimum(self.reach, row + row.max(), out=self.reach)
         return row
 
     @functools.cached_property
     def reach(self):
-        """Per-node upper bound on the eccentricity, from node 0's row."""
+        """Per-node upper bound on the eccentricity over the anchor rows."""
         row = self.distances_from(0)
-        return row + row.max()
+        bound = row + row.max()
+        for other in self._rows.values():
+            np.minimum(bound, other + other.max(), out=bound)
+        return bound
 
     def holds_every_node(self, node, r):
         """True when B(node, r) provably contains every node."""
         # Computed rows are float sums along paths of fewer than n_nodes
         # arcs, each within a relative n_nodes * eps / 2 of its path's
         # length, so they obey the triangle inequality only up to rounding.
-        # The computed d(p, q) is at most the float sum along p -> 0 -> q,
-        # which exceeds reach[p] by under 2 * n_nodes * eps of it; the
-        # margin doubles that, so every entry of p's row is <= r.
+        # reach[p] comes from some anchor a's row; the computed d(p, q) is
+        # at most the float sum along p -> a -> q, which exceeds reach[p]
+        # by under 2 * n_nodes * eps of it; the margin doubles that, so
+        # every entry of p's row is <= r.
         margin = 4 * self.n_nodes * np.finfo(float).eps * r
         return self.reach[node] < r - margin
 
@@ -472,15 +479,15 @@ class ComplexGeometry:
         distance row; the result is the same floats the row would give.
         """
         if self.graph.holds_every_node(center, r):
-            return self._whole_measure
+            return self.whole_measure
         dist = self.graph.distances_from(center)
         return credited_measure(self.cells_array, self.cell_volumes, dist, r)
 
     @functools.cached_property
-    def _whole_measure(self):
+    def whole_measure(self):
         """``credited_measure`` of a ball holding every node: all cells in
         cell order, zero boundary credit."""
-        zeros = np.zeros(self.n_nodes)
+        zeros = np.zeros(self.root.n_nodes)
         return credited_measure(self.cells_array, self.cell_volumes, zeros, 0.0)
 
     def ball_volume(self, center, r):
@@ -507,6 +514,7 @@ class Subpolyhedron:
         self.cells = tuple(normalized)
 
     cell_system = ComplexGeometry.cell_system
+    whole_measure = ComplexGeometry.whole_measure
 
     @property
     def root(self) -> ComplexGeometry:

@@ -17,7 +17,7 @@ from sepfilt.bounds import (
 from sepfilt.complexes import credited_measure
 from sepfilt.errors import RadiusOrder
 from sepfilt.filtration import Filtration, SeparationConfig, build_filtration
-from sepfilt.generators import circle, genus_surface
+from sepfilt.generators import circle, genus_surface, torus
 from sepfilt.pipeline import inequality_sweep
 from sepfilt.rainbow import color_by_filtration, count_rainbow
 
@@ -273,6 +273,89 @@ def test_whole_ball_checks_match_rows(small_genus_filtration, monkeypatch, limit
                 ]
                 out += [c.to_row() for c in checks]
         return out
+
+    fast = rows()
+    without_shortcut(monkeypatch)
+    assert fast == rows()
+
+
+def test_whole_ball_checks_are_order_free(small_genus_filtration, monkeypatch):
+    # Past the dense limit which balls are proven whole depends on the rows
+    # computed so far; the check rows must not.  Large radii come first and
+    # the coarea checks, which read the row of a nonempty level, come last,
+    # so each center's balls are proven whole from other centers' rows.
+    pairs = [(r1, r1 + 0.02) for r1 in WHOLE_BALL_RADII[::-1]]
+    proves = complexes.MetricGraph.holds_every_node
+    proven, refused = [], []
+
+    def recording(graph, node, r):
+        whole = proves(graph, node, r)
+        (proven if whole else refused)[-1].add((node, r))
+        return whole
+
+    monkeypatch.setattr(complexes.MetricGraph, "holds_every_node", recording)
+
+    def rows(centers):
+        filtration = fresh_copy(small_genus_filtration, monkeypatch, 16)
+        proven.append(set())
+        refused.append(set())
+        out = {}
+        for center in centers:
+            checks = []
+            for r1, r2 in pairs:
+                checks.append(point_density_check(filtration, center, r1, r2))
+                checks += level_trace_checks(filtration, center, r1, r2)
+            checks += [
+                coarea_check(filtration, level, center, r1, r2)
+                for r1, r2 in pairs
+                for level in (0, 1)
+            ]
+            out[center] = [c.to_row() for c in checks]
+        return [out[c] for c in sorted(out)]
+
+    n_nodes = small_genus_filtration.geometry.n_nodes
+    forward = rows(range(n_nodes))
+    backward = rows(reversed(range(n_nodes)))
+    assert forward == backward
+    assert proven[0] and proven[1] and refused[0] != refused[1]
+    without_shortcut(monkeypatch)
+    assert forward == rows(range(n_nodes))
+
+
+# Radii spanning the eccentricities of torus(3, scale=0.1) at depth 1 (0.189
+# to 0.212) and node 0's reach (0.212 to 0.424).
+VANISHING_RADII = np.linspace(0.17, 0.44, 8)
+
+
+@pytest.fixture(scope="session")
+def vanishing_filtration():
+    geometry = torus(3, scale=0.1).geometry(1)
+    config = SeparationConfig(
+        radius=1.0, epsilon=0.05, move_budget=5, rng_seed=1, subdivision_depth=1
+    )
+    return build_filtration(geometry, config)
+
+
+@pytest.mark.parametrize("limit", [None, 16], ids=["dense", "rowwise"])
+def test_empty_level_coarea_shortcut(vanishing_filtration, monkeypatch, limit):
+    filtration = fresh_copy(vanishing_filtration, monkeypatch, limit)
+    geometry = filtration.geometry
+    assert [len(filtration.level(i)) for i in (0, 1)] == [0, 0]
+    assert shortcut_fires(geometry.graph, VANISHING_RADII) == {True, False}
+    for i in range(filtration.dim + 1):
+        level = filtration.level(i)
+        inside = np.zeros(geometry.n_nodes)
+        expected = credited_measure(level.cells_array, level.cell_volumes, inside, 0.0)
+        assert level.whole_measure == expected
+    assert filtration.level(0).whole_measure == (0.0, 0.0)
+
+    def rows():
+        return [
+            coarea_check(filtration, level, center, r1, r1 + 0.02).to_row()
+            for center in range(geometry.n_nodes)
+            for r1 in VANISHING_RADII
+            for level in (0, 1)
+        ]
 
     fast = rows()
     without_shortcut(monkeypatch)

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepfilt import Subpolyhedron, WeightedComplex, simplex_volume, total_area
+from sepfilt import (
+    Subpolyhedron,
+    WeightedComplex,
+    complexes,
+    simplex_volume,
+    total_area,
+)
 from sepfilt.complexes import MetricGraph
 from sepfilt.errors import DimensionMismatch, NondegenerateViolation
 from sepfilt.generators import circle, genus_surface, torus
@@ -270,6 +276,38 @@ def test_whole_ball_proof_allows_for_rounding():
                     assert ecc <= r
             assert graph.holds_every_node(p, 1.001 * reach)
     assert beyond_reach
+
+
+def test_tightened_reach_is_sound_and_order_free(monkeypatch):
+    # Past the dense limit every computed row tightens reach.  Whatever the
+    # order the rows arrive in, reach never grows, every ball it proves
+    # whole holds p's real row, and all rows end at the same bound.
+    monkeypatch.setattr(complexes, "_DENSE_LIMIT", 16)
+    finals = []
+    for seed in (0, 1):
+        graph = torus(3).geometry(1).graph
+        n = graph.n_nodes
+        ecc = np.array(
+            [complexes.dijkstra(graph._matrix, indices=p).max() for p in range(n)]
+        )
+        order = list(range(n))
+        random.Random(seed).shuffle(order)
+        previous = None
+        for node in order:
+            graph.distances_from(node)
+            reach = graph.reach.copy()
+            if previous is not None:
+                assert (reach <= previous).all()
+            for p in range(n):
+                for r in (np.nextafter(ecc[p], 0), ecc[p], reach[p], 1.001 * reach[p]):
+                    if graph.holds_every_node(p, r):
+                        assert ecc[p] <= r
+            previous = reach
+        anchor = complexes.dijkstra(graph._matrix, indices=0)
+        assert (previous < anchor + anchor.max()).any()
+        assert all(graph.distances_from(p).max() == ecc[p] for p in range(n))
+        finals.append(previous)
+    assert (finals[0] == finals[1]).all()
 
 
 def test_refinement_convergence(torus3):

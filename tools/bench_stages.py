@@ -11,13 +11,19 @@ run a fresh ``python3`` process imports ``sepfilt`` from that checkout,
 builds the fixture and times ``run_pipeline``'s stages with
 ``time.perf_counter``: geometry (``complex.geometry``), filtration
 (``build_filtration``), rainbow (``color_by_filtration`` +
-``count_rainbow``), V1 (``estimate_v1``), packing (``greedy_packing``) and
-sweep (``inequality_sweep``, 100 samples).
-``peak_rss_mb`` is the process's ``ru_maxrss``.  Checkouts alternate run by
-run, BLAS threads are 1, and ``outputs_identical`` says whether every run
-gave the same sha256 of the filtration and report documents and every
-sweep row.  Each run also records the per-level areas of its filtration
-(Z_0 first); ``areas_identical`` says whether every run gave the same ones.
+``count_rainbow``), V1 (``estimate_v1``), packing (``greedy_packing``),
+sweep (``inequality_sweep``, 100 samples) and verify, which mirrors
+``sepfilt verify`` on a fresh geometry: ``WeightedComplex.from_json`` and
+``Filtration.from_json`` of the filtration document, ``validate`` and
+``inequality_sweep`` with 2,000 samples at seed 101.
+``peak_rss_mb`` is the process's ``ru_maxrss``.  ``dijkstra_rows`` counts
+the distance rows each stage computes (an all-pairs call counts one row per
+node), by wrapping ``sepfilt.complexes.dijkstra`` from outside the package.
+Checkouts alternate run by run, BLAS threads are 1, and
+``outputs_identical`` says whether every run gave the same sha256 of the
+filtration and report documents and every sweep and verify row.  Each run
+also records the per-level areas of its filtration (Z_0 first);
+``areas_identical`` says whether every run gave the same ones.
 
 With ``--out`` the result is merged into that JSON file under
 ``results[<fixture>]`` (other fixtures already in it are kept); without it,
@@ -45,7 +51,9 @@ FIXTURES = {
 }
 CONFIG = {"epsilon": 0.05, "move_budget": 40, "rng_seed": 7}
 SAMPLES = 100
-STAGES = ("geometry", "filtration", "rainbow", "V1", "packing", "sweep")
+VERIFY_SAMPLES, VERIFY_SEED = 2000, 101
+STAGES = ("geometry", "filtration", "rainbow", "V1", "packing", "sweep",
+          "verify")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -55,24 +63,36 @@ def measure(fixture):
     import resource
     import time
 
-    from sepfilt import generators
+    from sepfilt import WeightedComplex, complexes, generators
     from sepfilt.bounds import bound_report, estimate_v1, greedy_packing
     from sepfilt.files import canonical_dumps
-    from sepfilt.filtration import SeparationConfig, build_filtration
+    from sepfilt.filtration import Filtration, SeparationConfig, build_filtration
     from sepfilt.pipeline import RunArtifacts, inequality_sweep
     from sepfilt.rainbow import color_by_filtration, count_rainbow
+
+    rows = 0
+    dijkstra = complexes.dijkstra
+
+    def counted_dijkstra(*args, **kwargs):
+        nonlocal rows
+        result = dijkstra(*args, **kwargs)
+        rows += result.size // result.shape[-1]
+        return result
+
+    complexes.dijkstra = counted_dijkstra
 
     maker, kwargs, depth, radius = FIXTURES[fixture]
     complex_ = getattr(generators, maker)(**kwargs)
     config = SeparationConfig(radius=radius, subdivision_depth=depth, **CONFIG)
-    stages = {}
-    clock = time.perf_counter()
+    stages, stage_rows = {}, {}
+    clock, rows_at_lap = time.perf_counter(), 0
 
     def lap(stage):
-        nonlocal clock
+        nonlocal clock, rows_at_lap
         now = time.perf_counter()
         stages[stage] = stages.get(stage, 0.0) + now - clock
-        clock = now
+        stage_rows[stage] = stage_rows.get(stage, 0) + rows - rows_at_lap
+        clock, rows_at_lap = now, rows
 
     geometry = complex_.geometry(depth)
     lap("geometry")
@@ -95,16 +115,26 @@ def measure(fixture):
                           tolerances)
     checks = inequality_sweep(filtration, SAMPLES, config.rng_seed)
     lap("sweep")
-    stages["total"] = sum(stages.values())
     artifacts = RunArtifacts(complex_, geometry, filtration, coloring, census,
                              v1, packing, report, checks)
+    document = artifacts.filtration_document()
+    clock = time.perf_counter()
+    fresh = WeightedComplex.from_json(document["complex"])
+    checked_depth = SeparationConfig.from_json(document["config"]).subdivision_depth
+    checked = Filtration.from_json(fresh.geometry(checked_depth), document)
+    checked.validate()
+    verify_checks = inequality_sweep(checked, VERIFY_SAMPLES, VERIFY_SEED)
+    lap("verify")
+    stages["total"] = sum(stages.values())
     text = canonical_dumps({
-        "filtration": artifacts.filtration_document(),
+        "filtration": document,
         "report": artifacts.report_document(),
         "checks": [check.to_row() for check in checks],
+        "verify_checks": [check.to_row() for check in verify_checks],
     })
     return {
         "stages_s": stages,
+        "dijkstra_rows": stage_rows,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "digest": hashlib.sha256(text.encode()).hexdigest(),
         "level_areas": level_areas,
@@ -126,6 +156,10 @@ def summarize(runs):
         "stages_median_s": {
             stage: round(statistics.median(r["stages_s"][stage] for r in runs), 4)
             for stage in (*STAGES, "total")
+        },
+        "dijkstra_rows_median": {
+            stage: statistics.median(r["dijkstra_rows"][stage] for r in runs)
+            for stage in STAGES
         },
         "peak_rss_mb_median": round(
             statistics.median(r["peak_rss_mb"] for r in runs), 1),
