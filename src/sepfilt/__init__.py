@@ -35,29 +35,17 @@ from .bounds import (
     greedy_packing,
     point_density_check,
 )
-from .cantor import (
-    ClopenAlgebra,
-    ThickOrbit,
-    greedy_equivariant_packing,
-    independent_partition,
-    parametrized_l1_norm,
-    pattern_partition,
-    thick_area,
-    thick_rainbow_weight,
-)
 
 __all__ = [
     "Ball",
     "BoundReport",
     "Chain",
-    "ClopenAlgebra",
     "ComplexGeometry",
     "Filtration",
     "LevelColoring",
     "MetricGraph",
     "SeparationConfig",
     "Subpolyhedron",
-    "ThickOrbit",
     "WeightedComplex",
     "bound_report",
     "boundary",
@@ -66,19 +54,13 @@ __all__ = [
     "color_by_filtration",
     "count_rainbow",
     "estimate_v1",
-    "greedy_equivariant_packing",
     "greedy_packing",
-    "independent_partition",
     "is_r_separating",
     "minimize_separating",
-    "parametrized_l1_norm",
-    "pattern_partition",
     "point_density_check",
     "simplex_volume",
     "sphere_replacement_move",
     "straighten",
-    "thick_area",
-    "thick_rainbow_weight",
     "total_area",
     "__version__",
 ]

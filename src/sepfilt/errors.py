@@ -22,7 +22,7 @@ class SeparationViolation(SepfiltError):
 
 
 class Infeasible(SepfiltError):
-    """No feasible separating candidate was found within the move budget."""
+    """Not even the full candidate facet set separates, so no move is tried."""
 
 
 class CensusMismatch(SepfiltError):
@@ -39,11 +39,3 @@ class RadiusOrder(SepfiltError):
 
 class CoverFailure(SepfiltError):
     """Doubled packing balls fail to cover the point set they came from."""
-
-
-class ActionIncomplete(SepfiltError):
-    """A group word uses a generator the action does not define."""
-
-
-class PartitionInvalid(SepfiltError):
-    """A partition part is not independent under the given overlap set."""

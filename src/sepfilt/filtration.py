@@ -1,10 +1,12 @@
 """Area-minimizing R-separating subpolyhedra and separating filtrations.
 
 The minimizer is a deterministic seeded local search over facet subsets of a
-parent complex: greedy pruning from the full facet skeleton, Voronoi-style
-reseeding from greedily packed centers, and ball-replacement moves that swap
-the part of a candidate inside a ball for the cut facets along the ball
-boundary.  Every accepted state carries per-component ball certificates.
+parent complex: greedy pruning from the full facet skeleton and
+ball-replacement moves that swap the part of a candidate inside a ball for
+the cut facets along the ball boundary.  Only without candidate facets,
+which ``build_filtration`` always gives, does it also reseed Voronoi-style
+from greedily packed centers.  Every accepted state carries per-component
+ball certificates.
 """
 
 from __future__ import annotations
@@ -350,9 +352,11 @@ def minimize_separating(
     """Local-search a low-area R-separating facet set of the parent.
 
     Deterministic for a fixed seed.  The search prunes from the full facet
-    skeleton under several deterministic orders, reseeds from greedy center
-    partitions, and spends the move budget on ball-replacement proposals.
-    Raises Infeasible when not even the full candidate facet set separates.
+    skeleton under several deterministic orders and spends the move budget
+    on ball-replacement proposals.  Only when ``candidate_facets`` is
+    omitted, which ``build_filtration`` never does, does it also reseed from
+    greedy center partitions.  Raises Infeasible when not even the full
+    candidate facet set separates.
     """
     system = parent.cell_system
     geometry = parent.root
@@ -442,7 +446,7 @@ def minimize_separating(
 
 @dataclass
 class FiltrationLevel:
-    """One level of a separating filtration with its search record."""
+    """One level of a separating filtration and its ball certificates."""
 
     subpolyhedron: Subpolyhedron
     area: float

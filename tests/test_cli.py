@@ -1,9 +1,11 @@
+import ast
 import json
 import math
 import os
 
 import pytest
 
+import sepfilt.cli
 from sepfilt.cli import main
 from sepfilt.complexes import WeightedComplex
 from sepfilt.generators import torus
@@ -374,6 +376,29 @@ def test_process_level_determinism(tmp_path):
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+def test_every_module_is_reached_from_the_cli():
+    # Follow ``from .x import`` edges from cli.py; ``from . import`` only
+    # reaches __init__, which re-exports and so proves nothing.
+    package = os.path.dirname(sepfilt.cli.__file__)
+    reached, pending = set(), ["cli"]
+    while pending:
+        name = pending.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        with open(os.path.join(package, name + ".py"), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        pending.extend(
+            node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        )
+    modules = {
+        name[:-3] for name in os.listdir(package)
+        if name.endswith(".py") and name != "__init__.py"
+    }
+    assert sorted(modules - reached) == []
 
 
 @pytest.fixture(scope="module")
