@@ -2,21 +2,17 @@
 
 The fiber is a finite quotient of size N with the uniform probability
 measure; generators act by permutations, so invariance is automatic.  Group
-elements are words in the generators.  Thick orbits pair a clopen subset of
-the fiber with a bounded cell set in declared fundamental-domain (lattice)
-coordinates; per-generator translation vectors make geometric overlap tests
-computable for the lattice fixtures used here.
+elements are words in the generators, and per-generator translation vectors
+place them in declared fundamental-domain (lattice) coordinates.  No command
+or pipeline stage uses this module.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ActionIncomplete, PartitionInvalid
-
-IDENTITY = ()
+from .errors import ActionIncomplete
 
 
 def word(*steps):
@@ -29,10 +25,6 @@ def word(*steps):
             name, power = step
             out.append((name, int(power)))
     return tuple(out)
-
-
-def invert_word(w):
-    return tuple((name, -power) for name, power in reversed(w))
 
 
 class ClopenAlgebra:
@@ -196,205 +188,6 @@ def grid_action(width, height=None):
         {"h": horizontal, "v": vertical},
         translations={"h": (1, 0), "v": (0, 1)},
     )
-
-
-@dataclass(frozen=True)
-class ThickOrbit:
-    """A clopen set paired with bounded cells in lattice coordinates.
-
-    ``cell_volumes`` carries the d-volume of each base cell (1.0 when
-    omitted).  ``overlap_words`` declares the nonidentity words whose
-    translate of the cell set meets the cell set itself; when the orbit is
-    declared non-self-intersecting those words must move the clopen set off
-    itself, which is verified at construction.
-    """
-
-    algebra: ClopenAlgebra
-    clopen: frozenset
-    cells: frozenset
-    dim: int
-    cell_volumes: dict = field(default_factory=dict)
-    overlap_words: tuple = ()
-    non_self_intersecting: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "clopen", frozenset(self.clopen))
-        object.__setattr__(
-            self, "cells", frozenset(tuple(cell) for cell in self.cells)
-        )
-        if self.non_self_intersecting:
-            for w in self.overlap_words:
-                moved = self.algebra.act_set(w, self.clopen)
-                if moved & self.clopen:
-                    raise PartitionInvalid(
-                        f"translate {w} of the thick set meets itself"
-                    )
-
-    def base_area(self):
-        return float(
-            sum(self.cell_volumes.get(cell, 1.0) for cell in self.cells)
-        )
-
-    def translated_cells(self, w):
-        vec = self.algebra.translation(w)
-        return frozenset(
-            tuple(c + v for c, v in zip(cell, vec)) for cell in self.cells
-        )
-
-
-def thick_area(orbit, d):
-    """Measure-weighted area mu(A) * Area_d(S) of a thick orbit."""
-    if d != orbit.dim:
-        raise ValueError(f"orbit is {orbit.dim}-dimensional, not {d}")
-    return float(orbit.algebra.measure(orbit.clopen)) * orbit.base_area()
-
-
-def relevant_translates(orbit, ball_cells):
-    """Lattice displacements whose translate of the orbit's cells meets the ball."""
-    ball = {tuple(cell) for cell in ball_cells}
-    if not ball or not orbit.cells:
-        return []
-    vectors = set()
-    for target in ball:
-        for source in orbit.cells:
-            vectors.add(tuple(t - s for t, s in zip(target, source)))
-    hits = []
-    for vec in sorted(vectors):
-        translated = frozenset(
-            tuple(c + v for c, v in zip(cell, vec)) for cell in orbit.cells
-        )
-        if translated & ball:
-            hits.append(vec)
-    return hits
-
-
-def pattern_partition(orbits, ball_cells):
-    """Partition the fiber so each part sees one thick-orbit pattern.
-
-    Points land in the same part exactly when they belong to the same sets
-    gamma A_j over all translates gamma whose cells meet the ball; the parts
-    are the fibers of that membership vector, i.e. the atoms of the algebra
-    the translates generate.
-    """
-    if not orbits:
-        return [frozenset(range(0))]
-    algebra = orbits[0].algebra
-    membership_sets = []
-    for orbit in orbits:
-        for vec in relevant_translates(orbit, ball_cells):
-            w = algebra.word_for_translation(vec)
-            membership_sets.append(algebra.act_set(w, orbit.clopen))
-    keys = {}
-    for x in algebra.points():
-        key = tuple(x in s for s in membership_sets)
-        keys.setdefault(key, []).append(x)
-    return [frozenset(keys[key]) for key in sorted(keys)]
-
-
-def independent_partition(overlap_words, algebra):
-    """Clopen parts X_1..X_m with gamma X_j disjoint from X_j for gamma in F.
-
-    Realized as a greedy proper coloring (largest degree first, index ties)
-    of the graph joining x to gamma x; m need not be minimal.  Words acting
-    as the identity are ignored.
-    """
-    moving = []
-    for w in overlap_words:
-        if any(algebra.act(w, x) != x for x in algebra.points()):
-            moving.append(w)
-    edges = set()
-    for w in moving:
-        for x in algebra.points():
-            y = algebra.act(w, x)
-            if y != x:
-                edges.add((min(x, y), max(x, y)))
-    neighbors = {x: set() for x in algebra.points()}
-    for a, b in edges:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-    order = sorted(algebra.points(), key=lambda x: (-len(neighbors[x]), x))
-    color = {}
-    for x in order:
-        used = {color[y] for y in neighbors[x] if y in color}
-        c = 0
-        while c in used:
-            c += 1
-        color[x] = c
-    m = max(color.values()) + 1 if color else 1
-    parts = [
-        frozenset(x for x in algebra.points() if color[x] == c) for c in range(m)
-    ]
-    for part in parts:
-        for w in moving:
-            if algebra.act_set(w, part) & part:
-                raise PartitionInvalid(
-                    f"part {sorted(part)} is not independent under {w}"
-                )
-    return parts
-
-
-@dataclass(frozen=True)
-class PackingOutcome:
-    """Result of the greedy equivariant packing with its growth stages."""
-
-    chosen: frozenset
-    stages: tuple
-
-    @property
-    def measure_positive(self):
-        return len(self.chosen) > 0
-
-
-def greedy_equivariant_packing(clopen, ball_cells, overlap_words, parts, algebra):
-    """Grow a maximal subset of the clopen set with disjoint ball translates.
-
-    Stage j adds the part of A inside X_j that meets no translate (over the
-    overlap words F) of what was already chosen.  The result E satisfies:
-    the translates gamma(E x B) are pairwise disjoint, every rejected point
-    of A meets the orbit of E x B, and E inherits positive measure from A.
-    """
-    clopen = frozenset(clopen)
-    full = algebra.full_set()
-    union = frozenset().union(*parts) if parts else frozenset()
-    if union != full:
-        raise PartitionInvalid("parts do not cover the fiber")
-    moving = [
-        w
-        for w in overlap_words
-        if any(algebra.act(w, x) != x for x in algebra.points())
-    ]
-    for part in parts:
-        for w in moving:
-            if algebra.act_set(w, part) & part:
-                raise PartitionInvalid(
-                    f"part {sorted(part)} is not independent under {w}"
-                )
-    current = frozenset()
-    stages = [current]
-    for part in parts:
-        forbidden = set()
-        for w in overlap_words:
-            forbidden |= algebra.act_set(w, current)
-        current = current | ((clopen & part) - forbidden)
-        stages.append(current)
-    return PackingOutcome(current, tuple(stages))
-
-
-def thick_rainbow_weight(z0_orbits, dimension):
-    """Weighted rainbow total 2^n sum_i mu(A_i) c_i of a projected 0-level.
-
-    Each entry pairs the clopen set of a 0-level thick orbit with the number
-    of points it contributes per sheet.
-    """
-    total = Fraction(0)
-    for clopen_or_orbit, count in z0_orbits:
-        if isinstance(clopen_or_orbit, ThickOrbit):
-            measure = clopen_or_orbit.algebra.measure(clopen_or_orbit.clopen)
-        else:
-            clopen, algebra = clopen_or_orbit
-            measure = algebra.measure(clopen)
-        total += measure * count
-    return Fraction(2**dimension) * total
 
 
 def parametrized_l1_norm(thick_chain, algebra):

@@ -39,3 +39,7 @@ class RadiusOrder(SepfiltError):
 
 class CoverFailure(SepfiltError):
     """Doubled packing balls fail to cover the point set they came from."""
+
+
+class ActionIncomplete(SepfiltError):
+    """A group word uses a generator the action does not define."""

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
-Criteria 7 and 8 were removed with the Cantor-fiber module.
+Criteria 7 and 8 were removed with the Cantor-fiber packing and patterns.
 """
 
 import itertools

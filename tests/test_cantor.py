@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -6,19 +5,12 @@ import pytest
 
 from sepfilt.cantor import (
     ClopenAlgebra,
-    ThickOrbit,
     cyclic_action,
-    greedy_equivariant_packing,
     grid_action,
-    independent_partition,
     parametrized_l1_norm,
-    pattern_partition,
-    relevant_translates,
-    thick_area,
-    thick_rainbow_weight,
     word,
 )
-from sepfilt.errors import ActionIncomplete, PartitionInvalid
+from sepfilt.errors import ActionIncomplete
 
 
 # ---------------------------------------------------------------------------
@@ -96,289 +88,7 @@ def test_word_for_translation():
 
 
 # ---------------------------------------------------------------------------
-# thick orbits and areas
-
-
-def test_thick_area_full_measure():
-    algebra = cyclic_action(6)
-    orbit = ThickOrbit(
-        algebra, algebra.full_set(), {(0,)}, 2, cell_volumes={(0,): 0.5}
-    )
-    assert thick_area(orbit, 2) == pytest.approx(0.5)
-
-
-def test_thick_area_empty_clopen():
-    algebra = cyclic_action(6)
-    orbit = ThickOrbit(algebra, frozenset(), {(0,)}, 2, cell_volumes={(0,): 0.5})
-    assert thick_area(orbit, 2) == 0.0
-
-
-def test_thick_area_half_measure():
-    algebra = cyclic_action(6)
-    orbit = ThickOrbit(
-        algebra,
-        frozenset({0, 1, 2}),
-        {(0,), (1,), (2,)},
-        2,
-        cell_volumes={(0,): 1.0, (1,): 1.0, (2,): 1.0},
-    )
-    assert thick_area(orbit, 2) == pytest.approx(1.5)
-
-
-def test_thick_area_dimension_checked():
-    algebra = cyclic_action(6)
-    orbit = ThickOrbit(algebra, algebra.full_set(), {(0,)}, 1)
-    with pytest.raises(ValueError):
-        thick_area(orbit, 2)
-
-
-def test_non_self_intersection_validated():
-    algebra = cyclic_action(6)
-    # the +1 translate of {0, 1} meets {0, 1}, so declaring is an error
-    with pytest.raises(PartitionInvalid):
-        ThickOrbit(
-            algebra,
-            frozenset({0, 1}),
-            {(0,), (1,)},
-            1,
-            overlap_words=(word(("s", 1)),),
-            non_self_intersecting=True,
-        )
-    ThickOrbit(
-        algebra,
-        frozenset({0, 3}),
-        {(0,), (1,)},
-        1,
-        overlap_words=(word(("s", 1)),),
-        non_self_intersecting=True,
-    )
-
-
-# ---------------------------------------------------------------------------
-# pattern partition
-
-
-def test_pattern_single_orbit_one_translate():
-    algebra = cyclic_action(8)
-    clopen = frozenset({0, 1, 2, 3})
-    orbit = ThickOrbit(algebra, clopen, {(0,)}, 1)
-    parts = pattern_partition([orbit], {(0,)})
-    assert sorted(sorted(p) for p in parts) == [[0, 1, 2, 3], [4, 5, 6, 7]]
-
-
-def test_pattern_empty_ball_single_part():
-    algebra = cyclic_action(8)
-    orbit = ThickOrbit(algebra, frozenset({0}), {(0,)}, 1)
-    parts = pattern_partition([orbit], set())  # no relevant translates
-    assert parts == [frozenset(range(8))]
-
-
-def test_pattern_matches_membership_oracle():
-    algebra = cyclic_action(12)
-    orbit_a = ThickOrbit(algebra, frozenset({0, 1, 2, 3, 4, 5}), {(0,), (1,)}, 1)
-    orbit_b = ThickOrbit(algebra, frozenset(range(0, 12, 2)), {(0,)}, 1)
-    ball = {(0,), (1,), (2,)}
-    parts = pattern_partition([orbit_a, orbit_b], ball)
-
-    # oracle: the membership vector of each fiber point over every relevant
-    # translate (j, gamma), computed by direct scan
-    def membership_vector(x):
-        out = []
-        for orbit in (orbit_a, orbit_b):
-            for vec in relevant_translates(orbit, ball):
-                w = algebra.word_for_translation(vec)
-                out.append(x in algebra.act_set(w, orbit.clopen))
-        return tuple(out)
-
-    fibers = {}
-    for x in algebra.points():
-        fibers.setdefault(membership_vector(x), []).append(x)
-    oracle_parts = sorted(sorted(v) for v in fibers.values())
-    assert sorted(sorted(p) for p in parts) == oracle_parts
-
-    # the user-facing property: points in one part see the same thick
-    # orbits over every cover point of the ball
-    def sees(x, orbit, cell):
-        for vec in relevant_translates(orbit, {cell}):
-            w = algebra.word_for_translation(vec)
-            if cell in orbit.translated_cells(w) and x in algebra.act_set(
-                w, orbit.clopen
-            ):
-                return True
-        return False
-
-    for part in parts:
-        members = sorted(part)
-        for orbit in (orbit_a, orbit_b):
-            for cell in sorted(ball):
-                flags = {sees(x, orbit, cell) for x in members}
-                assert len(flags) == 1
-
-
-def test_pattern_parts_cover_and_disjoint():
-    algebra = grid_action(4)
-    orbit = ThickOrbit(algebra, frozenset({0, 5, 10, 15}), {(0, 0)}, 2)
-    parts = pattern_partition([orbit], {(0, 0), (1, 0), (0, 1)})
-    union = set()
-    for part in parts:
-        assert not (union & part)
-        union |= part
-    assert union == set(algebra.points())
-
-
-# ---------------------------------------------------------------------------
-# independent partition
-
-
-def test_odd_cycle_needs_three_parts():
-    algebra = cyclic_action(5)
-    parts = independent_partition([word(("s", 1)), word(("s", -1))], algebra)
-    assert len(parts) == 3
-    # brute force: 2 parts are impossible on an odd cycle
-    for assignment in itertools.product((0, 1), repeat=5):
-        ok = all(assignment[x] != assignment[(x + 1) % 5] for x in range(5))
-        assert not ok
-
-
-def test_grid_torus_two_parts():
-    algebra = grid_action(4)
-    words = [word(("h", 1)), word(("h", -1)), word(("v", 1)), word(("v", -1))]
-    parts = independent_partition(words, algebra)
-    assert len(parts) == 2
-    # brute-force check that the returned parts really are a 2-coloring
-    for part in parts:
-        for w in words:
-            assert not (algebra.act_set(w, part) & part)
-
-
-def test_identity_word_ignored():
-    algebra = cyclic_action(5)
-    parts = independent_partition([word()], algebra)
-    assert parts == [algebra.full_set()]
-
-
-# ---------------------------------------------------------------------------
-# greedy equivariant packing
-
-
-def _c6_setup():
-    algebra = cyclic_action(6)
-    overlap = [word(), word(("s", 1)), word(("s", -1))]
-    parts = independent_partition(overlap, algebra)
-    return algebra, overlap, parts
-
-
-def test_packing_empty_clopen():
-    algebra, overlap, parts = _c6_setup()
-    outcome = greedy_equivariant_packing(frozenset(), {(0,)}, overlap, parts, algebra)
-    assert outcome.chosen == frozenset()
-
-
-def test_packing_no_overlap_keeps_everything():
-    algebra = cyclic_action(6)
-    parts = independent_partition([word()], algebra)
-    clopen = frozenset({1, 2, 5})
-    outcome = greedy_equivariant_packing(clopen, {(0,)}, [word()], parts, algebra)
-    assert outcome.chosen == clopen
-
-
-def test_packing_c6_matches_exhaustive_oracle():
-    algebra, overlap, parts = _c6_setup()
-    clopen = algebra.full_set()
-    outcome = greedy_equivariant_packing(clopen, {(0,)}, overlap, parts, algebra)
-
-    def non_self_intersecting(subset):
-        for w in overlap:
-            if any(algebra.act(w, x) != x for x in algebra.points()):
-                if algebra.act_set(w, subset) & subset:
-                    return False
-        return True
-
-    def maximal(subset):
-        for x in clopen - subset:
-            if not any(
-                algebra.act(w, y) == x for w in overlap for y in subset
-            ):
-                return False
-        return True
-
-    valid = [
-        frozenset(combo)
-        for size in range(7)
-        for combo in itertools.combinations(range(6), size)
-        if non_self_intersecting(frozenset(combo)) and maximal(frozenset(combo))
-    ]
-    assert valid
-    assert outcome.chosen in valid
-    assert len(outcome.chosen) == max(len(s) for s in valid)
-    assert outcome.measure_positive
-
-
-def test_packing_stage_monotone():
-    algebra, overlap, parts = _c6_setup()
-    outcome = greedy_equivariant_packing(
-        frozenset({0, 1, 2, 3}), {(0,)}, overlap, parts, algebra
-    )
-    for earlier, later in zip(outcome.stages, outcome.stages[1:]):
-        assert earlier <= later
-
-
-def test_packing_measure_lower_bound():
-    algebra, overlap, parts = _c6_setup()
-    clopen = frozenset({1, 3})
-    outcome = greedy_equivariant_packing(clopen, {(0,)}, overlap, parts, algebra)
-    first_positive = next(
-        part for part in parts if algebra.measure(clopen & part) > 0
-    )
-    assert algebra.measure(outcome.chosen) >= algebra.measure(clopen & first_positive)
-
-
-def test_packing_rejects_bad_parts():
-    algebra, overlap, _ = _c6_setup()
-    bad_parts = [frozenset({0, 1}), frozenset({2, 3, 4, 5})]
-    with pytest.raises(PartitionInvalid):
-        greedy_equivariant_packing(
-            algebra.full_set(), {(0,)}, overlap, bad_parts, algebra
-        )
-
-
-def test_packing_rejects_non_covering_parts():
-    algebra, overlap, _ = _c6_setup()
-    with pytest.raises(PartitionInvalid):
-        greedy_equivariant_packing(
-            algebra.full_set(), {(0,)}, overlap, [frozenset({0, 2, 4})], algebra
-        )
-
-
-# ---------------------------------------------------------------------------
-# weights and norms
-
-
-def test_weight_single_orbit_full_measure():
-    algebra = cyclic_action(4)
-    assert thick_rainbow_weight([((algebra.full_set(), algebra), 2)], 1) == 4
-
-
-def test_weight_half_measure():
-    algebra = cyclic_action(4)
-    clopen = frozenset({0, 1})
-    assert thick_rainbow_weight([((clopen, algebra), 2)], 2) == 4
-
-
-def test_weight_matches_per_sheet_enumeration():
-    algebra = cyclic_action(4)
-    orbits = [
-        (ThickOrbit(algebra, frozenset({0, 1}), {(0,)}, 0), 2),
-        (ThickOrbit(algebra, frozenset({0, 1, 2}), {(1,)}, 0), 1),
-    ]
-    # oracle: over each sheet x, count the points x contributes, then divide
-    per_sheet = 0
-    for x in algebra.points():
-        for orbit, count in orbits:
-            if x in orbit.clopen:
-                per_sheet += count
-    expected = Fraction(2**1) * Fraction(per_sheet, algebra.level_size)
-    assert thick_rainbow_weight(orbits, 1) == expected
+# parametrized l1 norm
 
 
 def test_l1_norm_constant_function():
