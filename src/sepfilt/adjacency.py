@@ -18,12 +18,25 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 
-def proper_subfaces(cell):
-    """All proper nonempty subfaces of a simplex given as a sorted tuple."""
-    out = []
-    for size in range(1, len(cell)):
-        out.extend(itertools.combinations(cell, size))
-    return out
+def row_groups(rows):
+    """A stable lexicographic order of the rows of an integer array, and
+    the positions in that order where each distinct row starts.
+
+    Row ``order[starts[k]]`` is the first occurrence of the k-th distinct
+    row, and ``order[starts[k]:starts[k + 1]]`` lists all its occurrences
+    in increasing position.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, np.flatnonzero(new)
+
+
+def shared_tuples(rows, objects):
+    """The rows of a 2-D index array as tuples of ``objects[i]``: equal ids
+    share one Python object instead of each getting an int of its own."""
+    return list(zip(*(map(objects.__getitem__, column) for column in rows.T.tolist())))
 
 
 class CellSystem:
@@ -45,25 +58,65 @@ class CellSystem:
         self.cell_nodes = np.array(self.cells, dtype=np.int64).reshape(
             len(self.cells), self.dim + 1
         )
-        # face -> indices of cells containing it, for every dimension < dim
-        self.face_cofaces = {}
-        for index, cell in enumerate(self.cells):
-            for face in proper_subfaces(cell):
-                self.face_cofaces.setdefault(face, []).append(index)
-        self.facets = sorted(
-            face for face in self.face_cofaces if len(face) == self.dim
+        # face -> indices of cells containing it, for every dimension < dim,
+        # keyed in the order a walk over the cells (each cell's subfaces by
+        # size, then lexicographically) first meets each face; cofaces
+        # ascend.  Faces are gathered one size at a time: ``members`` lists
+        # every face's cofaces, face after face, from ``starts[face]`` on.
+        width = self.dim + 1
+        per_cell = 2**width - 2
+        nodes = list(range(int(self.cell_nodes.max(initial=-1)) + 1))
+        faces, walk, starts, members = [], [], [], []
+        offset = occurrences = 0
+        for size in range(1, width):
+            columns = list(itertools.combinations(range(width), size))
+            rows = self.cell_nodes[:, columns].reshape(-1, size)
+            order, first = row_groups(rows)
+            cell, column = np.divmod(order[first], len(columns))
+            walk.append(cell * per_cell + offset + column)
+            starts.append(first + occurrences)
+            members.append(order // len(columns))
+            offset += len(columns)
+            occurrences += len(rows)
+            unique = rows[order[first]]
+            faces.extend(shared_tuples(unique, nodes))
+        walk, starts, members = (
+            np.concatenate([np.empty(0, np.int64), *parts])
+            for parts in (walk, starts, members)
         )
-        # facet -> the facet, then its proper subfaces: what it blocks
-        self._closures = {
-            facet: (facet, *proper_subfaces(facet)) for facet in self.facets
+        counts = np.diff(starts, append=len(members))
+        by_walk = np.argsort(walk)
+        indices = list(range(len(self.cells)))
+        listed = list(map(indices.__getitem__, members.tolist()))
+        lo, hi = starts.tolist(), (starts + counts).tolist()
+        self.face_cofaces = {
+            faces[face]: listed[lo[face] : hi[face]] for face in by_walk.tolist()
         }
-        # each face joins its first coface to every other one
-        self._pair_faces, pairs = [], []
-        for face, cofaces in self.face_cofaces.items():
-            for other in cofaces[1:]:
-                self._pair_faces.append(face)
-                pairs.append((cofaces[0], other))
-        self._pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        # distinct rows come in lexicographic order, so the faces of the
+        # last size are the facets, sorted
+        self.facets = faces[len(faces) - len(unique) :] if self.dim > 0 else []
+        # facet -> the facet, then its proper subfaces: what it blocks
+        self._closures = dict(
+            zip(
+                self.facets,
+                zip(
+                    self.facets,
+                    *(
+                        shared_tuples(unique[:, list(subset)], nodes)
+                        for size in range(1, self.dim)
+                        for subset in itertools.combinations(range(self.dim), size)
+                    ),
+                ),
+            )
+        )
+        # each face, in dict order, joins its first coface to every other one
+        repeats = counts[by_walk] - 1
+        pair_face = np.repeat(by_walk, repeats)
+        head = starts[pair_face]
+        # the k-th pair of a face pairs its first coface with its (k+1)-th
+        k = np.arange(len(pair_face)) - np.repeat(np.cumsum(repeats) - repeats, repeats)
+        self._pair_faces = [faces[face] for face in pair_face.tolist()]
+        self._pairs = np.array([members[head], members[head + k + 1]])
 
     def cover_counts(self, blocked):
         """Per face, how many facets of ``blocked`` contain it (itself too).

@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,11 +26,13 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .adjacency import CellSystem
+from .adjacency import CellSystem, row_groups, shared_tuples
 from .errors import DimensionMismatch, NondegenerateViolation
 
 # Node count up to which the metric graph keeps the all-pairs matrix.
 _DENSE_LIMIT = 4096
+# Rows per block when reading eccentricities from the all-pairs matrix.
+_ECC_BLOCK = 256
 
 
 def _pair_index(d):
@@ -92,6 +95,54 @@ def _embed_simplex(d, length_of):
     return coords
 
 
+def subdivision_flags(n):
+    """Index tables for the barycentric subdivision of an n-simplex.
+
+    Returns the nonempty subsets of its vertices ``range(n + 1)``, by size
+    and then lexicographically, and an array with one row per permutation
+    of the vertices (in ``itertools.permutations`` order): the indices
+    among those subsets of the permutation's n + 1 prefixes, each sorted.
+    Such a flag of faces spans one n-simplex of the subdivision; its first
+    index is the permutation's first vertex, as singletons come first.
+    """
+    subsets = [
+        subset
+        for size in range(1, n + 2)
+        for subset in itertools.combinations(range(n + 1), size)
+    ]
+    index = {subset: k for k, subset in enumerate(subsets)}
+    flags = np.array(
+        [
+            [index[tuple(sorted(perm[: j + 1]))] for j in range(n + 1)]
+            for perm in itertools.permutations(range(n + 1))
+        ]
+    )
+    return subsets, flags
+
+
+def _barycenter_supports(support_vertex, support_num, faces):
+    """Supports of the barycenters of node faces (rows padded with -1).
+
+    A barycenter's support lists its vertices in the order they first
+    appear over the face's nodes, each node's support in its own order;
+    its numerators are the summed numerators over the face size.
+    """
+    n_faces, width = faces.shape
+    valid = (faces >= 0)[:, :, None]
+    vertex = np.where(valid, support_vertex[faces], -1).reshape(n_faces, -1)
+    num = np.where(valid, support_num[faces], 0).reshape(n_faces, -1)
+    same = vertex[:, :, None] == vertex[:, None, :]
+    total = (same * num[:, None, :]).sum(axis=2)
+    first = (same.argmax(axis=2) == np.arange(vertex.shape[1])) & (vertex >= 0)
+    keep = np.argsort(~first, axis=1, kind="stable")[:, :width]
+    kept = np.take_along_axis(first, keep, axis=1)
+    size = valid.sum(axis=1)
+    return (
+        np.where(kept, np.take_along_axis(vertex, keep, axis=1), -1),
+        np.where(kept, np.take_along_axis(total, keep, axis=1) // size, 0),
+    )
+
+
 class WeightedComplex:
     """Pure n-dimensional complex: maximal simplices plus an edge-length map."""
 
@@ -125,7 +176,10 @@ class WeightedComplex:
         for cell in self.simplices:
             # raises NondegenerateViolation for impossible metrics
             simplex_volume(self.simplex_edge_lengths(cell))
-        self._geometries = {}
+        # Weak, because each geometry refers back to its base: a strong
+        # cache would make a cycle that only the cyclic collector frees,
+        # and a dropped geometry would keep its distance rows until then.
+        self._geometries = weakref.WeakValueDictionary()
 
     def edge_length(self, u, v):
         key = (u, v) if u < v else (v, u)
@@ -144,9 +198,10 @@ class WeightedComplex:
         """The subdivided metric realization at the given refinement depth."""
         if depth < 0:
             raise ValueError("subdivision depth must be nonnegative")
-        if depth not in self._geometries:
-            self._geometries[depth] = ComplexGeometry(self, depth)
-        return self._geometries[depth]
+        geometry = self._geometries.get(depth)
+        if geometry is None:
+            geometry = self._geometries[depth] = ComplexGeometry(self, depth)
+        return geometry
 
     def to_json(self):
         return {
@@ -192,15 +247,17 @@ class MetricGraph:
     prove that a ball contains every node without the ball's own row.
     """
 
-    def __init__(self, n_nodes, arcs):
+    def __init__(self, n_nodes, pairs, lengths):
+        """``pairs`` is a (k, 2) array of distinct node pairs, ``lengths``
+        their k arc lengths; each arc is traversed both ways."""
         self.n_nodes = n_nodes
-        rows, cols, data = [], [], []
-        for (a, b), length in arcs.items():
-            rows.extend((a, b))
-            cols.extend((b, a))
-            data.extend((length, length))
+        heads, tails = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        data = np.asarray(lengths, dtype=float)
         self._matrix = csr_matrix(
-            (np.asarray(data), (np.asarray(rows), np.asarray(cols))),
+            (
+                np.concatenate([data, data]),
+                (np.concatenate([heads, tails]), np.concatenate([tails, heads])),
+            ),
             shape=(n_nodes, n_nodes),
         )
         self._full = None
@@ -251,10 +308,16 @@ class MetricGraph:
 
         Entry c is ``distances_from(c)[nodes].max()`` exactly; rows are read
         from the center's side because computed distances are symmetric only
-        up to rounding.
+        up to rounding.  The dense matrix is read in blocks of
+        ``_ECC_BLOCK`` rows, so the temporary stays small whatever the set.
         """
         if self.n_nodes <= _DENSE_LIMIT:
-            return self.all_distances()[:, nodes].max(axis=1)
+            full = self.all_distances()
+            out = np.empty(self.n_nodes)
+            for start in range(0, self.n_nodes, _ECC_BLOCK):
+                block = full[start : start + _ECC_BLOCK]
+                out[start : start + _ECC_BLOCK] = block[:, nodes].max(axis=1)
+            return out
         return np.array(
             [self.distances_from(c)[nodes].max() for c in range(self.n_nodes)]
         )
@@ -307,110 +370,126 @@ class ComplexGeometry:
         n = self.dim
 
         # embed every original maximal simplex
-        self._orig_coords = []
+        orig_coords = []
         for cell in base.simplices:
             lengths = {
                 (i, j): base.edge_length(cell[i], cell[j])
                 for i, j in _pair_index(n)
             }
-            self._orig_coords.append(
+            orig_coords.append(
                 _embed_simplex(n, lambda i, j, L=lengths: L[(min(i, j), max(i, j))])
             )
+        vertex_index = {v: i for i, v in enumerate(base.vertices)}
+        orig_vertices = np.array(
+            [[vertex_index[v] for v in cell] for cell in base.simplices],
+            dtype=np.int64,
+        )
 
         # Node keys are barycentric numerators over one denominator.  A
         # barycenter of k nodes divides by k <= n + 1, which divides
-        # lcm(1..n+1) at every round, so the division is exact.
+        # lcm(1..n+1) at every round, so the division is exact.  A node's
+        # support lists (original vertex index, numerator) pairs in the
+        # order the vertices first appear in its face, padded with -1.
         self._denominator = math.lcm(*range(1, n + 2)) ** depth
-        node_ids = {}
-        self._node_supports = []
+        n_base = len(base.vertices)
+        support_vertex = np.full((n_base, n + 1), -1, dtype=np.int64)
+        support_vertex[:, 0] = np.arange(n_base)
+        support_num = np.zeros((n_base, n + 1), dtype=np.int64)
+        support_num[:, 0] = self._denominator
+        cells = orig_vertices
 
-        def register(support):
-            key = tuple(sorted(support.items()))
-            node = node_ids.get(key)
-            if node is None:
-                node = node_ids[key] = len(self._node_supports)
-                self._node_supports.append(support)
-            return node
-
-        for vertex in base.vertices:
-            register({vertex: self._denominator})
-        cells = [
-            tuple(register({v: self._denominator}) for v in cell)
-            for cell in base.simplices
-        ]
+        # A round numbers the barycenter of every face of 2 or more nodes,
+        # in the order faces first appear cell by cell (subsets by size,
+        # then lexicographically), and splits each cell into its (n+1)!
+        # flags, one per permutation of its nodes.
+        subsets, flags = subdivision_flags(n)
+        # column n + 1 of a padded cell row is -1
+        face_columns = np.array(
+            [s + (n + 1,) * (n + 1 - len(s)) for s in subsets[n + 1 :]]
+        )
         for _ in range(depth):
-            new_cells = []
-            for cell in cells:
-                sub = {}
-                for size in range(1, n + 2):
-                    for subset in itertools.combinations(cell, size):
-                        support = {}
-                        for node in subset:
-                            for vertex, num in self._node_supports[node].items():
-                                support[vertex] = support.get(vertex, 0) + num
-                        sub[subset] = register(
-                            {v: num // size for v, num in support.items()}
-                        )
-                for perm in itertools.permutations(cell):
-                    flag = tuple(
-                        sub[tuple(sorted(perm[: j + 1]))] for j in range(n + 1)
-                    )
-                    new_cells.append(tuple(sorted(flag)))
-            cells = new_cells
+            padded = np.hstack([cells, np.full((len(cells), 1), -1)])
+            faces = padded[:, face_columns].reshape(-1, n + 1)
+            order, starts = row_groups(faces)
+            first = order[starts]
+            # distinct faces get new node ids in order of first appearance
+            numbering = np.argsort(first)
+            ids = np.empty_like(numbering)
+            ids[numbering] = np.arange(len(numbering)) + len(support_vertex)
+            node = np.empty(len(faces), dtype=np.int64)
+            node[order] = np.repeat(ids, np.diff(starts, append=len(faces)))
+            sub = np.hstack([cells, node.reshape(len(cells), -1)])
+            vertex, num = _barycenter_supports(
+                support_vertex, support_num, faces[first[numbering]]
+            )
+            support_vertex = np.vstack([support_vertex, vertex])
+            support_num = np.vstack([support_num, num])
+            cells = np.sort(sub[:, flags], axis=2).reshape(-1, n + 1)
+        self._support_vertex = support_vertex
+        self._support_num = support_num
 
         # Each round emits a cell's (n+1)! children one after another, so a
         # cell's ancestor k rounds up is its index divided by (n+1)!^k.
         children = math.factorial(n + 1)
-        self.cells = tuple(cells)
+        self.cells = tuple(shared_tuples(cells, list(range(len(support_vertex)))))
         self.cell_orig = np.arange(len(cells)) // children**depth
-        self.cells_array = np.asarray(cells, dtype=np.int64)
-        self.n_nodes = len(self._node_supports)
+        self.cells_array = cells
+        self.n_nodes = n_nodes = len(support_vertex)
 
-        # nodes per original simplex, with their embedded positions
-        orig_vertex_index = [
-            {v: i for i, v in enumerate(cell)} for cell in base.simplices
-        ]
-        orig_nodes = [dict() for _ in base.simplices]
-        for cell, orig in zip(self.cells, self.cell_orig):
-            table = orig_nodes[orig]
-            for node in cell:
-                if node not in table:
-                    coords = self._orig_coords[orig]
-                    lookup = orig_vertex_index[orig]
-                    position = np.zeros(n)
-                    for vertex, num in self._node_supports[node].items():
-                        position += num / self._denominator * coords[lookup[vertex]]
-                    table[node] = position
-        self._orig_nodes = orig_nodes
-
-        self._node_origs = [[] for _ in range(self.n_nodes)]
-        for orig, table in enumerate(orig_nodes):
-            for node in table:
-                self._node_origs[node].append(orig)
+        # One position per (original simplex, node in it), keyed by
+        # orig * n_nodes + node in sorted order.  A position sums its
+        # support's weighted corners in support order, from zero.
+        self._pair_keys = np.unique(self.cell_orig[:, None] * n_nodes + cells)
+        pair_orig, pair_node = np.divmod(self._pair_keys, n_nodes)
+        support = support_vertex[pair_node]
+        local = (orig_vertices[pair_orig][:, None, :] == support[:, :, None]).argmax(
+            axis=2
+        )
+        weights = support_num[pair_node] / self._denominator
+        corners = np.asarray(orig_coords)[pair_orig[:, None], local]
+        self._positions = np.zeros((len(pair_node), n))
+        for k in range(n + 1):
+            # a padding slot adds 0.0 * corner, which changes no sum
+            self._positions += weights[:, k, None] * corners[:, k]
 
         # Chords join nodes sharing a cell two rounds up (the original
         # simplex up to depth 2): a block of (n+1)!^min(depth, 2) cells.
         # This keeps the arc count near linear while still refining the
-        # metric.
+        # metric.  Every block is the same subdivided simplex, so each has
+        # the same member count.
         block = children ** min(depth, 2)
-        arcs = {}
-        for start in range(0, len(cells), block):
-            table = orig_nodes[self.cell_orig[start]]
-            block_cells = cells[start : start + block]
-            members = sorted({node for cell in block_cells for node in cell})
-            points = np.array([table[node] for node in members])
-            for i, a in enumerate(members):
-                deltas = points[i + 1 :] - points[i]
-                lengths = np.sqrt((deltas * deltas).sum(axis=1))
-                for b, length in zip(members[i + 1 :], lengths):
-                    arcs[(a, b)] = float(length)
-        self.graph = MetricGraph(self.n_nodes, arcs)
+        block_nodes = np.sort(cells.reshape(len(cells) // block, -1), axis=1)
+        distinct = np.ones(block_nodes.shape, dtype=bool)
+        distinct[:, 1:] = block_nodes[:, 1:] != block_nodes[:, :-1]
+        members = block_nodes[distinct].reshape(len(block_nodes), -1)
+        first, second = np.triu_indices(members.shape[1], 1)
+        heads = members[:, first].ravel()
+        tails = members[:, second].ravel()
+        block_orig = np.repeat(self.cell_orig[::block], len(first))
+        deltas = self._positions_of(block_orig, tails) - self._positions_of(
+            block_orig, heads
+        )
+        lengths = np.sqrt((deltas * deltas).sum(axis=1))
+        # A pair shared by two blocks keeps the later block's length.  Arcs
+        # come out sorted by pair; the CSR matrix sorts them that way anyway.
+        arc_keys, last = np.unique(
+            (heads * n_nodes + tails)[::-1], return_index=True
+        )
+        arc_lengths = lengths[::-1][last]
+        self.graph = MetricGraph(
+            n_nodes, np.column_stack(np.divmod(arc_keys, n_nodes)), arc_lengths
+        )
 
         self._face_volume_cache = {}
-        self.cell_volumes = np.array([self.face_volume(cell) for cell in cells])
-        self.max_cell_diameter = max(
-            arcs[pair] for cell in cells for pair in itertools.combinations(cell, 2)
-        )
+        points = self._positions_of(self.cell_orig[:, None], cells)
+        diffs = points[:, 1:] - points[:, :1]
+        gram = diffs @ diffs.transpose(0, 2, 1)
+        det = np.linalg.det(gram)
+        self.cell_volumes = np.sqrt(np.maximum(det, 0.0)) / math.factorial(n)
+        # every cell edge is an arc of the cell's block
+        a, b = np.array(_pair_index(n)).T
+        edges = np.searchsorted(arc_keys, cells[:, a] * n_nodes + cells[:, b])
+        self.max_cell_diameter = float(arc_lengths[edges].max())
 
     # -- basic queries ----------------------------------------------------
 
@@ -424,11 +503,28 @@ class ComplexGeometry:
         decides which faces a subpolyhedron of this object may use."""
         return CellSystem(self.cells)
 
+    @functools.cached_property
+    def _node_origs(self):
+        """Per node, the set of original simplices it lies in."""
+        origs, nodes = np.divmod(self._pair_keys, self.n_nodes)
+        stops = np.cumsum(np.bincount(nodes, minlength=self.n_nodes)).tolist()
+        listed = origs[np.argsort(nodes, kind="stable")].tolist()
+        return [frozenset(listed[a:b]) for a, b in zip([0, *stops], stops)]
+
+    def _positions_of(self, origs, nodes):
+        """Positions of nodes in the embeddings of the given original simplices."""
+        keys = np.asarray(origs) * self.n_nodes + np.asarray(nodes)
+        return self._positions[np.searchsorted(self._pair_keys, keys)]
+
     def node_barycentric(self, node):
         """Exact barycentric coordinates of a node over the original vertices."""
+        vertices = self.base.vertices
         return {
-            vertex: Fraction(num, self._denominator)
-            for vertex, num in self._node_supports[node].items()
+            vertices[vertex]: Fraction(num, self._denominator)
+            for vertex, num in zip(
+                self._support_vertex[node].tolist(), self._support_num[node].tolist()
+            )
+            if vertex >= 0
         }
 
     def face_volume(self, face):
@@ -438,14 +534,10 @@ class ComplexGeometry:
             return 1.0
         cached = self._face_volume_cache.get(face)
         if cached is None:
-            common = set(self._node_origs[face[0]])
-            for node in face[1:]:
-                common &= set(self._node_origs[node])
+            common = frozenset.intersection(*map(self._node_origs.__getitem__, face))
             if not common:
                 raise DimensionMismatch(f"{face} does not lie in one simplex")
-            orig = min(common)
-            table = self._orig_nodes[orig]
-            pts = np.array([table[node] for node in face])
+            pts = self._positions_of(min(common), face)
             diffs = pts[1:] - pts[0]
             gram = diffs @ diffs.T
             det = float(np.linalg.det(gram))

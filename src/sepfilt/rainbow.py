@@ -9,10 +9,14 @@ complex, and the census never needs a geometric rebuild.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .adjacency import fit_in_ball
+from .complexes import subdivision_flags
 from .errors import CensusMismatch, SeparationViolation
 
 
@@ -163,25 +167,33 @@ def count_rainbow(geometry, coloring, filtration):
     """
     n = geometry.dim
     z0 = filtration.z0_nodes()
+    cells = geometry.cells_array
+    subsets, flags = subdivision_flags(n)
+    # every face of every cell is looked up once: colors[cell, subset]
+    table = coloring._face_color
+    colors = np.array(
+        [
+            [table[face] for face in map(tuple, cells[:, list(subset)].tolist())]
+            for subset in subsets
+        ]
+    ).T
+    # all (n+1)! flags of every cell at once
+    flag_colors = np.sort(colors[:, flags], axis=2)
+    rainbow = (flag_colors[:, :, 1:] != flag_colors[:, :, :-1]).all(axis=2)
+    total = int(rainbow.sum())
+    # a rainbow flag's only vertex is its first face; it counts for that
+    # node when the vertex wears a level-0 color
+    cell, flag = np.nonzero(rainbow)
+    first = flags[flag, 0]
+    first_colors, inverse = np.unique(colors[cell, first], return_inverse=True)
+    at_point = np.array(
+        [coloring.color_meta[c].level == 0 for c in first_colors.tolist()],
+        dtype=bool,
+    )
     per_point = {node: 0 for node in z0}
-    total = 0
-    face_color = coloring.face_color
-    for cell in geometry.cells:
-        for perm in itertools.permutations(cell):
-            flag = [tuple(sorted(perm[: j + 1])) for j in range(n + 1)]
-            colors = {face_color(face) for face in flag}
-            if len(colors) == n + 1:
-                total += 1
-                point_faces = [
-                    face
-                    for face in flag
-                    if len(face) == 1
-                    and coloring.color_meta[face_color(face)].level == 0
-                ]
-                if len(point_faces) == 1:
-                    per_point[point_faces[0][0]] = (
-                        per_point.get(point_faces[0][0], 0) + 1
-                    )
+    hits = collections.Counter(cells[cell, first][at_point[inverse]].tolist())
+    for node, count in hits.items():
+        per_point[node] = per_point.get(node, 0) + count
     census = RainbowCensus(
         dimension=n,
         total=total,

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from sepfilt import WeightedComplex
 from sepfilt.filtration import SeparationConfig, build_filtration
 from sepfilt.generators import circle, genus_surface, torus
 
@@ -37,6 +40,16 @@ def torus3():
 @pytest.fixture(scope="session")
 def genus2():
     return genus_surface(2)
+
+
+@pytest.fixture(scope="session")
+def sphere3():
+    # the 3-sphere as the boundary of the unit-edge 4-simplex
+    return WeightedComplex(
+        3,
+        list(itertools.combinations(range(5), 4)),
+        {pair: 1.0 for pair in itertools.combinations(range(5), 2)},
+    )
 
 
 @pytest.fixture(scope="session")

@@ -398,8 +398,7 @@ def test_every_module_is_reached_from_the_cli():
         name[:-3] for name in os.listdir(package)
         if name.endswith(".py") and name != "__init__.py"
     }
-    # cantor is the one known island, kept until its remaining tests can go.
-    assert sorted(modules - reached) == ["cantor"]
+    assert sorted(modules - reached) == []
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,8 @@
+import gc
 import heapq
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -266,7 +268,7 @@ def test_whole_ball_proof_allows_for_rounding():
             chain = [0, *range(first, first + side)]
             for a, b in zip(chain, chain[1:]):
                 arcs[(a, b)] = rng.uniform(0.05, 0.15)
-        graph = MetricGraph(2 * side + 1, arcs)
+        graph = MetricGraph(2 * side + 1, list(arcs), list(arcs.values()))
         for p in range(graph.n_nodes):
             ecc = graph.distances_from(p).max()
             reach = graph.reach[p]
@@ -276,6 +278,34 @@ def test_whole_ball_proof_allows_for_rounding():
                     assert ecc <= r
             assert graph.holds_every_node(p, 1.001 * reach)
     assert beyond_reach
+
+
+def test_dropped_geometry_is_freed_without_the_cycle_collector():
+    # The complex caches its geometries weakly: a held geometry is reused,
+    # and a dropped one (with its distance rows) is freed at once.
+    complex_ = torus(3)
+    geometry = complex_.geometry(1)
+    assert complex_.geometry(1) is geometry
+    dropped = weakref.ref(geometry)
+    gc.disable()
+    try:
+        del geometry
+        assert dropped() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("block", [1, 7, 10_000])
+def test_blocked_eccentricities_equal_row_maxima(monkeypatch, block):
+    # Dense eccentricities are read in row blocks; whatever the block size,
+    # entry c is the max of c's own row over the set, bit for bit.
+    monkeypatch.setattr(complexes, "_ECC_BLOCK", block)
+    graph = torus(3).geometry(1).graph
+    rng = np.random.default_rng(4)
+    for size in (1, 5, graph.n_nodes):
+        nodes = np.sort(rng.choice(graph.n_nodes, size, replace=False))
+        expected = [graph.distances_from(c)[nodes].max() for c in range(graph.n_nodes)]
+        assert graph.eccentricities(nodes).tolist() == expected
 
 
 def test_tightened_reach_is_sound_and_order_free(monkeypatch):
@@ -413,23 +443,29 @@ def test_circle_distances_exact(circle8_geom):
 # sha256 of the subdivision's cells, ancestry, volumes, diameter, chord
 # arcs (CSR arrays) and exact node coordinates; recorded before node keys
 # became integer numerators and ancestry came from the cell index.  Depth 3
-# is the first depth whose chord scope is not the original simplex.
+# is the first depth whose chord scope is not the original simplex.  The
+# 3-sphere rows were recorded before the geometry was built with array
+# operations; they are the only n > 2 geometry pinned.
 GEOMETRY_DIGESTS = {
     ("circle12", 3): "bd37fcef6c51439caa0f2fe7234365082beea1271c13007353803c597ef9bffc",
     ("torus3", 0): "2b5eb17432ce73ad4a9c242d046667e78aae0b11f2de6af1b2bdb2e2d4506b81",
     ("torus3", 3): "eb78069e34f818364de56a1ab6e867d9d4be2826d5b81ca1082f75518a30095e",
     ("genus2", 1): "e7661f84b53885606b4d0360722c0275d6211df6e66ea49df1d6a95e8c7286d4",
+    ("sphere3", 0): "e9c94df3c463114e1ed51c2c227b2647300d1b46b80f33177894025646a82dbc",
+    ("sphere3", 1): "5124647aab2e71f3f4ffa327de5503e2794e26d0581f3daf5811e389c336a7c1",
+    ("sphere3", 2): "d437c601662a7ad6199fbed5d7c731c6a1c99ffac7ca142fb6acd53d24346ec6",
 }
 
 
 @pytest.mark.parametrize("name, depth", sorted(GEOMETRY_DIGESTS))
-def test_geometry_digest_is_pinned(name, depth):
+def test_geometry_digest_is_pinned(name, depth, request):
     import hashlib
 
     complex_ = {
         "circle12": lambda: circle(12, 6.0),
         "torus3": lambda: torus(3),
         "genus2": lambda: genus_surface(2),
+        "sphere3": lambda: request.getfixturevalue("sphere3"),
     }[name]()
     geometry = complex_.geometry(depth)
     arcs = geometry.graph._matrix

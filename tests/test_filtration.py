@@ -210,6 +210,66 @@ def test_components_match_oracle_on_random_cuts(torus4_d1):
         system.components([facets[0][::-1]])
 
 
+def loop_cell_system(cells):
+    """CellSystem's tables built cell by cell and face by face: (face
+    cofaces, sorted facets, facet closures, pair faces, coface pairs)."""
+
+    def proper_subfaces(cell):
+        return [
+            face
+            for size in range(1, len(cell))
+            for face in itertools.combinations(cell, size)
+        ]
+
+    face_cofaces = {}
+    for index, cell in enumerate(cells):
+        for face in proper_subfaces(cell):
+            face_cofaces.setdefault(face, []).append(index)
+    dim = len(cells[0]) - 1
+    facets = sorted(face for face in face_cofaces if len(face) == dim)
+    closures = {facet: (facet, *proper_subfaces(facet)) for facet in facets}
+    pair_faces, pairs = [], []
+    for face, cofaces in face_cofaces.items():
+        for other in cofaces[1:]:
+            pair_faces.append(face)
+            pairs.append([cofaces[0], other])
+    return face_cofaces, facets, closures, pair_faces, pairs
+
+
+LOOP_FIXTURES = {
+    "circle": lambda: circle(12, 6.0),
+    "torus": lambda: torus(3),
+    "genus2": lambda: genus_surface(2),
+}
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(LOOP_FIXTURES))
+def test_cell_system_matches_loop_build(name, depth):
+    geometry = LOOP_FIXTURES[name]().geometry(depth)
+    # the top cells, and the facets of the top cells as cells of their own
+    for cells in (geometry.cells, geometry.cell_system.facets):
+        system = CellSystem(cells)
+        face_cofaces, facets, closures, pair_faces, pairs = loop_cell_system(
+            system.cells
+        )
+        assert list(system.face_cofaces.items()) == list(face_cofaces.items())
+        assert all(type(v) is int for face in system.face_cofaces for v in face)
+        assert system.facets == facets
+        assert list(system._closures.items()) == list(closures.items())
+        assert system._pair_faces == pair_faces
+        assert system._pairs.T.tolist() == pairs
+
+
+def test_cell_system_of_points_and_of_nothing():
+    points = CellSystem([(4,), (1,), (7,)])
+    assert (points.dim, points.face_cofaces, points.facets) == (0, {}, [])
+    assert points.components([]) == [0, 1, 2]
+    empty = CellSystem([])
+    assert (empty.dim, empty.face_cofaces, empty.facets) == (-1, {}, [])
+    assert empty.components([]) == []
+
+
 # ---------------------------------------------------------------------------
 # fit_in_ball against brute force
 

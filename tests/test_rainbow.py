@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from sepfilt.errors import CensusMismatch, SeparationViolation
 from sepfilt.rainbow import (
     Chain,
+    ColorInfo,
+    LevelColoring,
     boundary,
     color_by_filtration,
     count_rainbow,
@@ -84,6 +86,23 @@ def census_oracle(geometry, filtration):
                 assert len(zero_faces) == 1 and len(zero_faces[0]) == 1
                 point = zero_faces[0][0]
                 per_point[point] = per_point.get(point, 0) + 1
+    return total, per_point
+
+
+def loop_census(geometry, coloring, z0):
+    """count_rainbow's tally taken flag by flag: (total, per_point), with
+    per_point keyed by Z_0 first, then other nodes as they are counted."""
+    n = geometry.dim
+    per_point = {node: 0 for node in z0}
+    total = 0
+    for cell in geometry.cells:
+        for perm in itertools.permutations(cell):
+            flag = [tuple(sorted(perm[: j + 1])) for j in range(n + 1)]
+            if len({coloring.face_color(face) for face in flag}) == n + 1:
+                total += 1
+                point = flag[0][0]
+                if coloring.color_meta[coloring.face_color(flag[0])].level == 0:
+                    per_point[point] = per_point.get(point, 0) + 1
     return total, per_point
 
 
@@ -234,8 +253,66 @@ def test_census_mismatch_on_tampered_filtration(torus_filtration_d1, torus4_d1):
             z1,
         ],
     )
-    with pytest.raises(CensusMismatch):
-        census = count_rainbow(torus4_d1, coloring, tampered)
+    with pytest.raises(CensusMismatch) as raised:
+        count_rainbow(torus4_d1, coloring, tampered)
+    # the error carries the census a flag-by-flag count gives
+    total, per_point = loop_census(torus4_d1, coloring, tampered.z0_nodes())
+    assert raised.value.census.total == total
+    assert list(raised.value.census.per_point.items()) == list(per_point.items())
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "circle_filtration",
+        "tiny_torus_filtration",
+        "torus_filtration_d1",
+        "torus_filtration_d2",
+    ],
+)
+def test_census_matches_flag_loop(name, request):
+    filtration = request.getfixturevalue(name)
+    geometry = filtration.geometry
+    coloring = color_by_filtration(geometry, filtration, filtration.config.radius)
+    census = count_rainbow(geometry, coloring, filtration)
+    total, per_point = loop_census(geometry, coloring, filtration.z0_nodes())
+    assert census.total == total
+    assert list(census.per_point.items()) == list(per_point.items())
+
+
+class _Points:
+    """Stands in for a filtration whose level 0 is the given nodes."""
+
+    def __init__(self, nodes):
+        self.nodes = nodes
+
+    def z0_nodes(self):
+        return self.nodes
+
+
+def test_census_matches_flag_loop_on_random_3d_colorings(sphere3):
+    # the 3-sphere with random face colors: 24 flags per cell, rainbow or
+    # not, and points counted outside the given Z_0
+    geometry = sphere3.geometry(1)
+    rng = random.Random(5)
+    meta = {color: ColorInfo(color % 4, 0, None, 0.0, 0) for color in range(6)}
+    for _ in range(5):
+        table = {
+            face: rng.randrange(6)
+            for cell in geometry.cells
+            for size in range(1, 5)
+            for face in itertools.combinations(cell, size)
+        }
+        coloring = LevelColoring(geometry, {}, meta, table)
+        z0 = sorted(rng.sample(range(geometry.n_nodes), 3))
+        try:
+            census = count_rainbow(geometry, coloring, _Points(z0))
+        except CensusMismatch as error:
+            census = error.census
+        total, per_point = loop_census(geometry, coloring, z0)
+        assert total > 0
+        assert census.total == total
+        assert list(census.per_point.items()) == list(per_point.items())
 
 
 # ---------------------------------------------------------------------------

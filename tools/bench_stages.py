@@ -9,10 +9,11 @@ Each ``--checkout LABEL=DIR`` names the root of a source tree that holds
 ``src/sepfilt`` (for example a ``git archive`` of one commit).  For every
 run a fresh ``python3`` process imports ``sepfilt`` from that checkout,
 builds the fixture and times ``run_pipeline``'s stages with
-``time.perf_counter``: geometry (``complex.geometry``), filtration
-(``build_filtration``), rainbow (``color_by_filtration`` +
-``count_rainbow``), V1 (``estimate_v1``), packing (``greedy_packing``),
-sweep (``inequality_sweep``, 100 samples) and verify, which mirrors
+``time.perf_counter``: geometry (``complex.geometry``), incidence (the
+geometry's ``cell_system``), filtration (``build_filtration`` alone),
+rainbow (``color_by_filtration`` + ``count_rainbow``), V1
+(``estimate_v1``), packing (``greedy_packing``), sweep
+(``inequality_sweep``, 100 samples) and verify, which mirrors
 ``sepfilt verify`` on a fresh geometry: ``WeightedComplex.from_json`` and
 ``Filtration.from_json`` of the filtration document, ``validate`` and
 ``inequality_sweep`` with 2,000 samples at seed 101.
@@ -52,8 +53,8 @@ FIXTURES = {
 CONFIG = {"epsilon": 0.05, "move_budget": 40, "rng_seed": 7}
 SAMPLES = 100
 VERIFY_SAMPLES, VERIFY_SEED = 2000, 101
-STAGES = ("geometry", "filtration", "rainbow", "V1", "packing", "sweep",
-          "verify")
+STAGES = ("geometry", "incidence", "filtration", "rainbow", "V1", "packing",
+          "sweep", "verify")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -96,6 +97,8 @@ def measure(fixture):
 
     geometry = complex_.geometry(depth)
     lap("geometry")
+    geometry.cell_system
+    lap("incidence")
     filtration = build_filtration(geometry, config)
     lap("filtration")
     level_areas = [level.area for level in filtration.levels]
