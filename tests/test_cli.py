@@ -398,7 +398,8 @@ def test_every_module_is_reached_from_the_cli():
         name[:-3] for name in os.listdir(package)
         if name.endswith(".py") and name != "__init__.py"
     }
-    assert sorted(modules - reached) == []
+    # cantor is the one known island, kept until its last two tests can go.
+    assert sorted(modules - reached) == ["cantor"]
 
 
 @pytest.fixture(scope="module")
