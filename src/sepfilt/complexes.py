@@ -7,8 +7,8 @@ distance on the complex is approximated by shortest paths on a metric graph
 whose nodes are the vertices of the k-fold barycentric subdivision and whose
 arcs are straight chords between nodes sharing a cell two subdivision rounds
 up (up to depth 2, a common maximal simplex; chords are exact path lengths,
-so graph distances never underestimate the PL distance and converge to it
-under refinement).
+rounded up to a dyadic quantum, so graph distances never underestimate the
+PL distance and converge to it under refinement).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import DimensionMismatch, NondegenerateViolation
 
 # Node count up to which the metric graph keeps the all-pairs matrix.
 _DENSE_LIMIT = 4096
-# Rows per block when reading eccentricities from the all-pairs matrix.
+# Member rows per block when reading eccentricities.
 _ECC_BLOCK = 256
 
 
@@ -240,6 +240,11 @@ class MetricGraph:
     request computes the all-pairs matrix and every row is served from it.
     Above the limit, each row is computed on its first request and cached.
 
+    Arc lengths are rounded up to multiples of one power-of-two quantum,
+    fine enough that every path sum, and every sum of two, is exact in
+    float64.  So distances are exactly symmetric, obey the triangle
+    inequality exactly and do not depend on summation order.
+
     For any anchor a, ``d(a, .) + max d(a, .)`` bounds every node's
     eccentricity by the triangle inequality.  ``reach`` starts from node
     0's row and, above the limit, every row computed since tightens it to
@@ -253,6 +258,11 @@ class MetricGraph:
         self.n_nodes = n_nodes
         heads, tails = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
         data = np.asarray(lengths, dtype=float)
+        # 2 ** e exceeds every path length, and the quantum leaves one bit
+        # for the sum of two path lengths below the 53-bit mantissa
+        e = math.frexp(data.sum())[1]
+        self.quantum = math.ldexp(1.0, e - 51)
+        data = np.ceil(data / self.quantum) * self.quantum
         self._matrix = csr_matrix(
             (
                 np.concatenate([data, data]),
@@ -293,34 +303,25 @@ class MetricGraph:
 
     def holds_every_node(self, node, r):
         """True when B(node, r) provably contains every node."""
-        # Computed rows are float sums along paths of fewer than n_nodes
-        # arcs, each within a relative n_nodes * eps / 2 of its path's
-        # length, so they obey the triangle inequality only up to rounding.
-        # reach[p] comes from some anchor a's row; the computed d(p, q) is
-        # at most the float sum along p -> a -> q, which exceeds reach[p]
-        # by under 2 * n_nodes * eps of it; the margin doubles that, so
-        # every entry of p's row is <= r.
-        margin = 4 * self.n_nodes * np.finfo(float).eps * r
-        return self.reach[node] < r - margin
+        return self.reach[node] <= r
 
     def eccentricities(self, nodes):
         """Every node's largest distance to the given node set.
 
-        Entry c is ``distances_from(c)[nodes].max()`` exactly; rows are read
-        from the center's side because computed distances are symmetric only
-        up to rounding.  The dense matrix is read in blocks of
-        ``_ECC_BLOCK`` rows, so the temporary stays small whatever the set.
+        Entry c is ``distances_from(c)[nodes].max()``.  Distances are
+        exactly symmetric, so it is read from the members' own rows,
+        ``_ECC_BLOCK`` rows at a time.
         """
-        if self.n_nodes <= _DENSE_LIMIT:
-            full = self.all_distances()
-            out = np.empty(self.n_nodes)
-            for start in range(0, self.n_nodes, _ECC_BLOCK):
-                block = full[start : start + _ECC_BLOCK]
-                out[start : start + _ECC_BLOCK] = block[:, nodes].max(axis=1)
-            return out
-        return np.array(
-            [self.distances_from(c)[nodes].max() for c in range(self.n_nodes)]
-        )
+        nodes = np.asarray(nodes)
+        out = np.full(self.n_nodes, -np.inf)
+        for start in range(0, len(nodes), _ECC_BLOCK):
+            block = nodes[start : start + _ECC_BLOCK]
+            if self.n_nodes <= _DENSE_LIMIT:
+                rows = self.all_distances()[block]
+            else:
+                rows = np.stack([self.distances_from(c) for c in block.tolist()])
+            np.maximum(out, rows.max(axis=0), out=out)
+        return out
 
     def distance(self, a, b):
         return float(self.distances_from(a)[b])

@@ -235,8 +235,7 @@ class _PruneState:
     R-ball.  Removals only merge components and lower cover counts, so each
     later union around f contains the refused one, and a set containing a
     set that fits no ball fits none.  So a refused facet stays refused and
-    one pass reaches the fixpoint.  Like ``fit_in_ball``'s two-sweep exit,
-    this assumes the triangle inequality up to rounding.
+    one pass reaches the fixpoint.
     """
 
     def __init__(self, system, geometry, blocked, radius):
@@ -245,9 +244,7 @@ class _PruneState:
         self.radius = radius
         self.z = set(blocked)
         self.cover_count = system.cover_counts(self.z)
-        self.area = float(
-            sum(geometry.face_volume(facet) for facet in self.z)
-        )
+        self.area = math.fsum(geometry.face_volume(facet) for facet in self.z)
         self.comps = _fit_components(system, geometry, self.z, radius)
         self.labels = [0] * len(system.cells)
         for label, comp in self.comps.items():
@@ -280,8 +277,8 @@ class _PruneState:
             merged = _Component([], np.flatnonzero(mask), None)
 
             def eccs():
-                # max over a union of columns is the max of the parts' maxima,
-                # and max rounds nothing, so this is the from-scratch vector
+                # the max over a union of members is the max of the parts'
+                # maxima, and max rounds nothing, so this is the fresh vector
                 merged.ecc = functools.reduce(
                     np.maximum, [part.eccentricities(graph) for part in parts]
                 )
@@ -425,10 +422,7 @@ def minimize_separating(
         moved = sphere_replacement_move(
             parent, set(best_state.z), center, rho
         )
-        # "&=" reorders the set, and with it the area sum's rounding
-        cells = set(moved.cells)
-        if not cells.issubset(full):
-            cells &= full
+        cells = set(moved.cells) & full
         if cells == best_state.z:
             continue
         consider(_PruneState(system, geometry, cells, radius), lex_key)

@@ -72,13 +72,13 @@ def color_by_filtration(geometry, filtration, radius):
     is stored); otherwise SeparationViolation is raised.
     """
     n = geometry.dim
-    # iterate top-down so the recorded level is the minimum one
+    # each face's minimal level: levels are written top-down, and a level's
+    # faces are its cells and the faces its incidence table lists
     face_level = {}
     for i in range(n, -1, -1):
-        for cell in filtration.level(i).cells:
-            for size in range(1, len(cell) + 1):
-                for face in itertools.combinations(cell, size):
-                    face_level[face] = i
+        system = filtration.level(i).cell_system
+        face_level.update(dict.fromkeys(system.face_cofaces, i))
+        face_level.update(dict.fromkeys(system.cells, i))
 
     face_color_table = {}
     color_meta = {}
@@ -91,31 +91,27 @@ def color_by_filtration(geometry, filtration, radius):
             continue
         blocked = filtration.level(i - 1).cells if i > 0 else ()
         groups = system.component_groups(blocked)
-        cell_component = {}
-        for index, group in enumerate(groups):
+        colors = range(next_color, next_color + len(groups))
+        next_color += len(groups)
+        cell_color = [None] * len(cells)
+        for color, group in zip(colors, groups):
             for member in group:
-                cell_component[system.cells[member]] = index
-        color_of_component = {}
-        for index, group in enumerate(groups):
-            color_of_component[index] = next_color
-            next_color += 1
-        # faces whose minimal level is i inherit the component of any
-        # containing i-cell (passage through the face makes this unique)
-        for cell in cells:
-            component = cell_component[cell]
-            for size in range(1, len(cell) + 1):
-                for face in itertools.combinations(cell, size):
-                    if face_level[face] == i and face not in face_color_table:
-                        face_color_table[face] = color_of_component[component]
-        class_nodes = {color: set() for color in color_of_component.values()}
+                cell_color[member] = color
+        # faces whose minimal level is i inherit the color of their first
+        # containing i-cell (passage through the face makes it unique)
+        for cell, color in zip(cells, cell_color):
+            face_color_table[cell] = color
+        for face, cofaces in system.face_cofaces.items():
+            if face_level[face] == i:
+                face_color_table[face] = cell_color[cofaces[0]]
+        class_nodes = {color: set() for color in colors}
         for node in range(geometry.n_nodes):
             face = (node,)
             if face_level.get(face) == i:
                 color = face_color_table[face]
                 node_color[node] = color
                 class_nodes[color].add(node)
-        for index, group in enumerate(groups):
-            color = color_of_component[index]
+        for index, color in enumerate(colors):
             nodes = sorted(class_nodes[color])
             fit = fit_in_ball(geometry, nodes, radius)
             if not fit.fits:

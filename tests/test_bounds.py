@@ -162,9 +162,9 @@ def test_checks_on_empty_strata(tiny_torus_filtration):
 
 
 # sha256 of the check rows below (inequality_sweep, level_trace_checks and
-# level-0 coarea_check on the side-4 depth-2 torus), recorded before the
-# checks read every level through Filtration.level
-CHECKS_DIGEST = "6e2e2422ea5ad2a4c1633d39d23dffc774eb3fd057df82906f4dee29bba4ddee"
+# level-0 coarea_check on the side-4 depth-2 torus), re-pinned once when
+# the metric graph's arc lengths became multiples of a dyadic quantum
+CHECKS_DIGEST = "88365c08e70cf9023c9c8c4d74e0322c72602e9a19716f6b0dc79f7918b5511d"
 
 
 def test_checks_digest_is_pinned(torus_filtration_d2):

@@ -710,8 +710,8 @@ def test_filtration_deterministic(torus4_d1):
 # sha256 of canonical_dumps(build_filtration(...).to_json()); any change
 # to the search trajectory, its certificates or the file format moves them
 FILTRATION_DIGESTS = {
-    "torus4": "08ebf641bc96c0724683bc939bc6cd45a51c1d5db28028b8b8f41e9d08fd7c12",
-    "genus2": "104a6a1005709c54df300da919623fee03089c5c798cc5ac7677db4bb2f4416d",
+    "torus4": "254fb6323793693a2b98207d41e2e2fe46534a8dd4bc1c5ddae464dc2d4d5931",
+    "genus2": "a33a4af31c82b5dc746ad30c640321971e84f8f31ff3f990124263e03a6a2d00",
 }
 
 
@@ -729,7 +729,7 @@ def test_filtration_digest_is_pinned(name, radius):
 
 # sha256 of one direct minimize_separating call without candidate_facets:
 # the Voronoi-reseed path, which build_filtration never takes
-MINIMIZE_DIGEST = "599d3cbfd2b52febb2d43b27055ca7168044f19db3cc833a3f73772888a0b4a2"
+MINIMIZE_DIGEST = "ab41320e108d096d64eb3c610677d72c7b1a1ed93e84975273482f5b57ef4e76"
 
 
 def test_minimize_digest_is_pinned():

@@ -188,6 +188,47 @@ def test_face_compatibility(torus_filtration_d1, torus4_d1):
                 )
 
 
+def walk_face_colors(geometry, filtration, coloring):
+    """Face colors by a walk over every face of every level cell: a face
+    takes its minimal level and the color of the first cell of that level
+    containing it.  Cell colors are read from the coloring."""
+    n = geometry.dim
+    face_level = {}
+    for i in range(n, -1, -1):
+        for cell in filtration.level(i).cells:
+            for size in range(1, len(cell) + 1):
+                for face in itertools.combinations(cell, size):
+                    face_level[face] = i
+    table = {}
+    for i in range(n + 1):
+        for cell in filtration.level(i).cells:
+            for size in range(1, len(cell) + 1):
+                for face in itertools.combinations(cell, size):
+                    if face_level[face] == i and face not in table:
+                        table[face] = coloring.face_color(cell)
+    return table
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "circle_filtration",
+        "tiny_torus_filtration",
+        "torus_filtration_d1",
+        "torus_filtration_d2",
+    ],
+)
+def test_face_colors_match_face_walk(name, request):
+    filtration = request.getfixturevalue(name)
+    geometry = filtration.geometry
+    coloring = color_by_filtration(geometry, filtration, filtration.config.radius)
+    table = walk_face_colors(geometry, filtration, coloring)
+    assert coloring._face_color == table
+    assert coloring.node_color == {
+        node: table[(node,)] for node in range(geometry.n_nodes)
+    }
+
+
 # ---------------------------------------------------------------------------
 # census
 

@@ -23,8 +23,9 @@ node), by wrapping ``sepfilt.complexes.dijkstra`` from outside the package.
 Checkouts alternate run by run, BLAS threads are 1, and
 ``outputs_identical`` says whether every run gave the same sha256 of the
 filtration and report documents and every sweep and verify row.  Each run
-also records the per-level areas of its filtration (Z_0 first);
-``areas_identical`` says whether every run gave the same ones.
+also records the per-level areas of its filtration (Z_0 first) and a
+sha256 of each level's cell list; ``areas_identical`` and
+``cells_identical`` say whether every run gave the same ones.
 
 With ``--out`` the result is merged into that JSON file under
 ``results[<fixture>]`` (other fixtures already in it are kept); without it,
@@ -43,10 +44,13 @@ from pathlib import Path
 
 # name -> (generator, generator arguments, subdivision depth, radius)
 FIXTURES = {
+    "circle12-d2": ("circle", {"nodes": 12, "length": 6.0}, 2, 1.0),
+    "torus4-d2": ("torus", {"side": 4}, 2, 1.0),
     "search-torus": ("torus", {"side": 4}, 2, 1.1),
     "search-genus": ("genus_surface", {"genus": 2}, 1, 0.7),
     "vanish-large": ("torus", {"side": 5, "scale": 0.1}, 3, 1.0),
     "genus2-d2": ("genus_surface", {"genus": 2}, 2, 0.7),
+    "torus6-d2": ("torus", {"side": 6}, 2, 1.0),
     "torus4-d3": ("torus", {"side": 4}, 3, 1.0),
     "torus6-d3": ("torus", {"side": 6}, 3, 1.0),
 }
@@ -102,6 +106,10 @@ def measure(fixture):
     filtration = build_filtration(geometry, config)
     lap("filtration")
     level_areas = [level.area for level in filtration.levels]
+    level_cells = [
+        hashlib.sha256(repr(level.subpolyhedron.cells).encode()).hexdigest()
+        for level in filtration.levels
+    ]
     coloring = color_by_filtration(geometry, filtration, radius)
     census = count_rainbow(geometry, coloring, filtration)
     lap("rainbow")
@@ -141,6 +149,7 @@ def measure(fixture):
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "digest": hashlib.sha256(text.encode()).hexdigest(),
         "level_areas": level_areas,
+        "level_cells": level_cells,
     }
 
 
@@ -169,6 +178,7 @@ def summarize(runs):
         "runs_total_s": [round(r["stages_s"]["total"], 3) for r in runs],
         "runs_peak_rss_mb": [round(r["peak_rss_mb"], 1) for r in runs],
         "level_areas": runs[0]["level_areas"],
+        "level_cells": runs[0]["level_cells"],
     }
 
 
@@ -187,6 +197,8 @@ def compare(fixture, checkouts, runs):
     result["outputs_identical"] = len(digests) == 1
     areas = {tuple(r["level_areas"]) for rs in records.values() for r in rs}
     result["areas_identical"] = len(areas) == 1
+    cells = {tuple(r["level_cells"]) for rs in records.values() for r in rs}
+    result["cells_identical"] = len(cells) == 1
     return result
 
 
