@@ -10,6 +10,7 @@ rule, which matches point-set connectivity of the underlying polyhedron.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -159,25 +160,35 @@ class CellSystem:
 
     def component_groups(self, blocked):
         """List of components, each a sorted tuple of cell indices."""
-        labels = self.components(blocked)
-        groups = {}
-        for index, label in enumerate(labels):
-            groups.setdefault(label, []).append(index)
-        return [tuple(groups[key]) for key in sorted(groups)]
+        labels = np.asarray(self.components(blocked), dtype=np.int64)
+        order = np.argsort(labels, kind="stable")
+        cuts = (np.flatnonzero(np.diff(labels[order])) + 1).tolist()
+        cells = order.tolist()
+        return [
+            tuple(cells[a:b]) for a, b in zip([0, *cuts], [*cuts, len(cells)])
+        ] if cells else []
+
+    @functools.cached_property
+    def _facet_cofaces(self):
+        """Every facet's cofaces, facet after facet; where each facet's
+        run starts, and how long it is."""
+        cofaces = list(map(self.face_cofaces.__getitem__, self.facets))
+        counts = np.array(list(map(len, cofaces)), dtype=np.int64)
+        members = np.array(list(itertools.chain.from_iterable(cofaces)), np.int64)
+        return members, np.cumsum(counts) - counts, counts
 
     def cut_facets(self, side):
         """Facets whose cofaces do not all have the same ``side[cell]``."""
-        return [
-            facet
-            for facet in self.facets
-            if len({side[cell] for cell in self.face_cofaces[facet]}) > 1
-        ]
+        if not self.facets:
+            return []
+        members, starts, counts = self._facet_cofaces
+        values = np.asarray(side)[members]
+        differs = values != np.repeat(values[starts], counts)
+        cut = np.logical_or.reduceat(differs, starts)
+        return [self.facets[i] for i in np.flatnonzero(cut).tolist()]
 
     def group_nodes(self, group):
-        nodes = set()
-        for index in group:
-            nodes.update(self.cells[index])
-        return np.array(sorted(nodes), dtype=np.int64)
+        return np.unique(self.cell_nodes[list(group)])
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ from .errors import DimensionMismatch, NondegenerateViolation
 
 # Node count up to which the metric graph keeps the all-pairs matrix.
 _DENSE_LIMIT = 4096
-# Member rows per block when reading eccentricities.
-_ECC_BLOCK = 256
+# Distance entries per gather when reading eccentricities (1 MB).
+_ECC_ELEMENTS = 2**17
 
 
 def _pair_index(d):
@@ -309,13 +309,14 @@ class MetricGraph:
         """Every node's largest distance to the given node set.
 
         Entry c is ``distances_from(c)[nodes].max()``.  Distances are
-        exactly symmetric, so it is read from the members' own rows,
-        ``_ECC_BLOCK`` rows at a time.
+        exactly symmetric, so it is read from the members' own rows, as
+        many at a time as ``_ECC_ELEMENTS`` entries allow (at least one).
         """
         nodes = np.asarray(nodes)
         out = np.full(self.n_nodes, -np.inf)
-        for start in range(0, len(nodes), _ECC_BLOCK):
-            block = nodes[start : start + _ECC_BLOCK]
+        step = max(1, _ECC_ELEMENTS // self.n_nodes)
+        for start in range(0, len(nodes), step):
+            block = nodes[start : start + step]
             if self.n_nodes <= _DENSE_LIMIT:
                 rows = self.all_distances()[block]
             else:

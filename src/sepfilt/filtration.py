@@ -236,15 +236,27 @@ class _PruneState:
     later union around f contains the refused one, and a set containing a
     set that fits no ball fits none.  So a refused facet stays refused and
     one pass reaches the fixpoint.
+
+    ``refused`` remembers the node sets of refused unions (packed node
+    masks), and ``minimize_separating`` shares one such set between all its
+    states.  A hit skips the fit and is exact: whether a node set fits an
+    R-ball depends only on the set and R (the hint can only make a fit
+    succeed early), and a refusal changes nothing but eccentricity caches.
+    ``area_of`` maps each facet to its face volume.
     """
 
-    def __init__(self, system, geometry, blocked, radius):
+    def __init__(self, system, geometry, blocked, radius, area_of=None,
+                 refused=None):
         self.system = system
         self.geometry = geometry
         self.radius = radius
         self.z = set(blocked)
+        if area_of is None:
+            area_of = {facet: geometry.face_volume(facet) for facet in self.z}
+        self.area_of = area_of
+        self.refused = set() if refused is None else refused
         self.cover_count = system.cover_counts(self.z)
-        self.area = math.fsum(geometry.face_volume(facet) for facet in self.z)
+        self.area = math.fsum(map(area_of.__getitem__, self.z))
         self.comps = _fit_components(system, geometry, self.z, radius)
         self.labels = [0] * len(system.cells)
         for label, comp in self.comps.items():
@@ -274,6 +286,9 @@ class _PruneState:
             mask = np.zeros(graph.n_nodes, dtype=bool)
             for part in parts:
                 mask[part.nodes] = True
+            key = np.packbits(mask).tobytes()
+            if key in self.refused:
+                return False
             merged = _Component([], np.flatnonzero(mask), None)
 
             def eccs():
@@ -287,6 +302,7 @@ class _PruneState:
             merged.fit = fit_in_ball(self.geometry, merged.nodes, self.radius,
                                      hint=parts[0].fit.center, eccs=eccs)
             if not merged.fit.fits:
+                self.refused.add(key)
                 return False
             target = min(affected)
             for label in sorted(affected):
@@ -297,7 +313,7 @@ class _PruneState:
                 self.labels[cell] = target
             self.comps[target] = merged
         self.z.discard(facet)
-        self.area -= self.geometry.face_volume(facet)
+        self.area -= self.area_of[facet]
         self.cover_count.subtract(self.system.cover_counts((facet,)))
         return True
 
@@ -382,8 +398,14 @@ def minimize_separating(
     def area_key(facet):
         return (-area_of[facet], order_index[facet])
 
+    # node sets refused by any prune of this search; freed on return
+    refused = set()
+
+    def new_state(blocked):
+        return _PruneState(system, geometry, blocked, radius, area_of, refused)
+
     # pruning keeps feasibility, so the full candidate set decides it
-    full_state = _PruneState(system, geometry, full, radius)
+    full_state = new_state(full)
     if not full_state.feasible:
         raise Infeasible(
             "the full candidate facet set is not separating at this radius"
@@ -403,7 +425,7 @@ def minimize_separating(
     if candidate_facets is None:
         for theta in (1.0, 0.75, 0.5):
             seed = _voronoi_seed(system, geometry, radius * theta)
-            consider(_PruneState(system, geometry, seed, radius), lex_key)
+            consider(new_state(seed), lex_key)
 
     for _ in range(2 if move_budget > 0 else 0):  # shuffled orders
         shuffled = list(facets)
@@ -425,7 +447,7 @@ def minimize_separating(
         cells = set(moved.cells) & full
         if cells == best_state.z:
             continue
-        consider(_PruneState(system, geometry, cells, radius), lex_key)
+        consider(new_state(cells), lex_key)
 
     sub = Subpolyhedron(parent, sorted(best_state.z))
     return MinimizeResult(
@@ -436,6 +458,44 @@ def minimize_separating(
         "certified" if best_state.area == 0.0 else "assumed",
         moves_used,
     )
+
+
+def _audit_certificates(level, certificates, components, geometry, radius):
+    """Compare a level's stored certificates with its fitted components.
+
+    Both are in label order.  A stored center must see every node of its
+    component within exactly the stored radius, and that radius must be at
+    most R; distances are exact, so the radius is compared with ``==``.
+    """
+    if len(certificates) != len(components):
+        raise SeparationViolation(
+            f"level {level}: {len(certificates)} stored components, "
+            f"{len(components)} recomputed"
+        )
+    graph = geometry.graph
+    for k, (cert, label) in enumerate(zip(certificates, sorted(components))):
+        comp = components[label]
+        wrong = None
+        if cert.cells != len(comp.cells):
+            wrong = f"cells {cert.cells} (recomputed {len(comp.cells)})"
+        elif cert.witness_pair is not None:
+            wrong = "witness_pair (the component fits)"
+        elif not (isinstance(cert.center, int)
+                  and 0 <= cert.center < graph.n_nodes):
+            wrong = f"center {cert.center!r} (not a node)"
+        elif not cert.radius <= radius:
+            wrong = f"radius {cert.radius!r} (above R = {radius})"
+        else:
+            # a fresh fit's radius is its center's eccentricity: no new row
+            ecc = (comp.fit.radius if cert.center == comp.fit.center else
+                   float(graph.distances_from(cert.center)[comp.nodes].max()))
+            if ecc != cert.radius:
+                wrong = (f"radius {cert.radius!r} (center {cert.center} has "
+                         f"eccentricity {ecc!r})")
+        if wrong is not None:
+            raise SeparationViolation(
+                f"level {level} component {k}: stored {wrong}"
+            )
 
 
 @dataclass
@@ -481,16 +541,20 @@ class Filtration:
         return self.config.epsilon_total(self.dim)
 
     def validate(self):
-        """Re-verify nesting and separation of every level from scratch."""
+        """Re-verify nesting, separation and the stored certificates of
+        every level from scratch."""
         parent = self.geometry
+        radius = self.config.radius
         for i in range(self.dim - 1, -1, -1):
             level = self.levels[i]
             rebuilt = Subpolyhedron(parent, level.subpolyhedron.cells)
-            check = is_r_separating(parent, rebuilt, self.config.radius)
-            if not check.separating:
-                raise SeparationViolation(
-                    f"level {i} is not {self.config.radius}-separating"
-                )
+            components = _fit_components(
+                parent.cell_system, self.geometry, set(rebuilt.cells), radius
+            )
+            if not all(comp.fit.fits for comp in components.values()):
+                raise SeparationViolation(f"level {i} is not {radius}-separating")
+            _audit_certificates(i, level.certificates, components, self.geometry,
+                                radius)
             parent = rebuilt
         return True
 

@@ -282,6 +282,55 @@ def test_level_cell_outside_complex_fails_verification(
     assert not sweep.exists()
 
 
+CERTIFICATE_EDITS = {
+    # the first level-0 component claims a ball far too small
+    "tiny-ball": (0, 0, {"center": 0, "radius": 0.0001}, "radius 0.0001"),
+    "one-ulp-radius": (
+        1, 2, lambda c: {"radius": math.nextafter(c["radius"], math.inf)},
+        "has eccentricity"),
+    "radius-above-R": (0, 1, {"radius": 1.5}, "above R"),
+    "cell-count": (1, 0, lambda c: {"cells": c["cells"] + 1}, "cells"),
+    "witness": (0, 3, {"witness_pair": [0, 1]}, "witness_pair"),
+    "center-past-end": (1, 1, {"center": 10**9}, "not a node"),
+    "center-negative": (0, 2, {"center": -1}, "not a node"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_EDITS))
+def test_tampered_certificate_fails_verification(tmp_path, capsys,
+                                                 torus_filtration, name):
+    level, index, edit, field = CERTIFICATE_EDITS[name]
+    payload = read(torus_filtration)
+    component = payload["levels"][level]["components"][index]
+    component.update(edit(component) if callable(edit) else edit)
+    path = tmp_path / "filtration.json"
+    path.write_text(json.dumps(payload))
+    sweep = tmp_path / "sweep.csv"
+    assert main(["verify", str(path), "--samples", "2",
+                 "--out", str(sweep)]) == 3
+    err = capsys.readouterr().err
+    assert f"level {level} component {index}: stored " in err
+    assert field in err
+    assert "Traceback" not in err
+    assert not sweep.exists()
+
+
+@pytest.mark.parametrize("change", ["dropped", "duplicated"])
+def test_component_count_mismatch_fails_verification(tmp_path, capsys,
+                                                     torus_filtration, change):
+    payload = read(torus_filtration)
+    components = payload["levels"][1]["components"]
+    if change == "dropped":
+        components.pop()
+    else:
+        components.append(components[0])
+    path = tmp_path / "filtration.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", str(path), "--samples", "2",
+                 "--out", str(tmp_path / "sweep.csv")]) == 3
+    assert "level 1: " in capsys.readouterr().err
+
+
 def _set(path, *keys_and_value):
     *keys, value = keys_and_value
     payload = read(path)

@@ -316,13 +316,14 @@ def test_dropped_geometry_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-@pytest.mark.parametrize("block", [1, 7, 10_000])
+@pytest.mark.parametrize("block", [0, 1, 7, 10_000])
 def test_blocked_eccentricities_equal_row_maxima(monkeypatch, block):
-    # Eccentricities are read from the members' rows in blocks; whatever the
-    # block size, entry c is the max of c's own row over the set, bit for
-    # bit.  Past the dense limit exactly the missing member rows are computed.
-    monkeypatch.setattr(complexes, "_ECC_BLOCK", block)
+    # Eccentricities are read from the members' rows in blocks of
+    # ``_ECC_ELEMENTS // n`` rows, at least one; whatever the block size, entry c is the
+    # max of c's own row over the set, bit for bit.  Past the dense limit
+    # exactly the missing member rows are computed.
     graph = torus(3).geometry(1).graph
+    monkeypatch.setattr(complexes, "_ECC_ELEMENTS", block * graph.n_nodes)
     rng = np.random.default_rng(4)
     for size in (1, 5, graph.n_nodes):
         nodes = np.sort(rng.choice(graph.n_nodes, size, replace=False))

@@ -210,6 +210,47 @@ def test_components_match_oracle_on_random_cuts(torus4_d1):
         system.components([facets[0][::-1]])
 
 
+def incidence_systems(geometry, seed=9):
+    """The geometry's cell system and those of two random sets of its
+    facets, whose own facets have one, two and three or more cofaces."""
+    rng = random.Random(seed)
+    systems = [geometry.cell_system]
+    for share in (0.4, 0.7):
+        facets = [f for f in geometry.cell_system.facets if rng.random() < share]
+        systems.append(Subpolyhedron(geometry, facets).cell_system)
+    return systems
+
+
+@pytest.mark.parametrize("name", ["torus4", "genus2"])
+def test_array_incidence_matches_set_definitions(name):
+    rng = np.random.default_rng(21)
+    seen_cofaces = set()
+    for system in incidence_systems(fit_geometry(name)):
+        seen_cofaces.update(min(len(system.face_cofaces[f]), 3)
+                            for f in system.facets)
+        size = len(system.cells)
+        for side in (rng.random(size) < 0.5, rng.integers(0, 3, size),
+                     np.zeros(size, dtype=np.int64)):
+            assert system.cut_facets(side) == [
+                facet for facet in system.facets
+                if len({side[c] for c in system.face_cofaces[facet]}) > 1
+            ]
+        for share in (0.0, 0.3, 0.8):
+            blocked = [f for f in system.facets if rng.random() < share]
+            labels = system.components(blocked)
+            groups = {}
+            for index, label in enumerate(labels):
+                groups.setdefault(label, []).append(index)
+            expected = [tuple(groups[key]) for key in sorted(groups)]
+            found = system.component_groups(blocked)
+            assert found == expected
+            assert all(type(i) is int for group in found for i in group)
+            for group in found:
+                nodes = sorted({v for i in group for v in system.cells[i]})
+                assert system.group_nodes(group).tolist() == nodes
+    assert seen_cofaces == {1, 2, 3}
+
+
 def loop_cell_system(cells):
     """CellSystem's tables built cell by cell and face by face: (face
     cofaces, sorted facets, facet closures, pair faces, coface pairs)."""
@@ -449,11 +490,17 @@ def test_merged_eccentricities_match_union(mode, monkeypatch):
     assert counts["merged"] > 0 and counts["reused"] > 0
 
 
-def prune_starts(geometry, radius, seed=3, moves=12):
+def prune_starts(geometry, radius, seed=3, moves=12, refused=None):
     """The full facet set and the separating ones among seeded ball
-    replacements of its lex-order prune."""
+    replacements of its lex-order prune; all share the ``refused`` memo
+    when one is given."""
     system = geometry.cell_system
-    full = filtration._PruneState(system, geometry, system.facets, radius)
+
+    def new_state(blocked):
+        return filtration._PruneState(system, geometry, blocked, radius,
+                                      refused=refused)
+
+    full = new_state(system.facets)
     lex = {facet: i for i, facet in enumerate(system.facets)}
     pruned = filtration._prune(full.copy(), lex.__getitem__)
     rng = random.Random(seed)
@@ -462,7 +509,7 @@ def prune_starts(geometry, radius, seed=3, moves=12):
         center = rng.randrange(geometry.n_nodes)
         rho = rng.uniform(0.25 * radius, radius)
         moved = sphere_replacement_move(geometry, pruned.z, center, rho)
-        state = filtration._PruneState(system, geometry, moved.cells, radius)
+        state = new_state(moved.cells)
         if state.feasible:
             starts.append(state)
     return starts
@@ -493,6 +540,54 @@ def test_second_prune_pass_removes_nothing(name):
                 repeat = filtration._prune(state.copy(), again)
                 assert (repeat.z, repeat.area) == (state.z, state.area)
     assert removed > 0
+
+
+class CheckedMemo(set):
+    """A refused-merge memo that re-fits the node set of every hit."""
+
+    def __init__(self, geometry, radius):
+        super().__init__()
+        self.geometry, self.radius, self.hits = geometry, radius, 0
+
+    def __contains__(self, key):
+        hit = super().__contains__(key)
+        if hit:
+            self.hits += 1
+            mask = np.unpackbits(np.frombuffer(key, np.uint8),
+                                 count=self.geometry.n_nodes)
+            nodes = np.flatnonzero(mask)
+            assert not fit_in_ball(self.geometry, nodes, self.radius).fits
+        return hit
+
+
+class NoMemo(set):
+    """A memo that forgets everything: every refusal is fitted afresh."""
+
+    def add(self, key):
+        pass
+
+
+@pytest.mark.parametrize("mode", ["dense", "rowwise"])
+def test_refused_merge_memo_is_exact(mode, monkeypatch):
+    # Every memo hit re-fits its node set, which must fit no R-ball, and a
+    # shared memo prunes every start exactly as fresh fits would.
+    if mode == "rowwise":
+        monkeypatch.setattr(complexes, "_DENSE_LIMIT", 16)
+    for name, radius in (("torus4", 1.1), ("genus2", 0.7)):
+        geometry = fit_geometry(name)
+        lex = {facet: i for i, facet in enumerate(geometry.cell_system.facets)}
+        orders = (lex.__getitem__, lambda facet: -lex[facet])
+        checked = CheckedMemo(geometry, radius)
+        runs = []
+        for memo in (checked, NoMemo()):
+            runs.append([
+                (state_summary(state), state.area)
+                for start in prune_starts(geometry, radius, refused=memo)
+                for state in (filtration._prune(start.copy(), order)
+                              for order in orders)
+            ])
+        assert runs[0] == runs[1]
+        assert checked.hits > 0
 
 
 # ---------------------------------------------------------------------------

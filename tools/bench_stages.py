@@ -19,7 +19,9 @@ rainbow (``color_by_filtration`` + ``count_rainbow``), V1
 ``inequality_sweep`` with 2,000 samples at seed 101.
 ``peak_rss_mb`` is the process's ``ru_maxrss``.  ``dijkstra_rows`` counts
 the distance rows each stage computes (an all-pairs call counts one row per
-node), by wrapping ``sepfilt.complexes.dijkstra`` from outside the package.
+node), by wrapping ``sepfilt.complexes.dijkstra`` from outside the package;
+``fit_calls`` counts each stage's ``fit_in_ball`` calls, wrapped at every
+``sepfilt`` module attribute that holds it.
 Checkouts alternate run by run, BLAS threads are 1, and
 ``outputs_identical`` says whether every run gave the same sha256 of the
 filtration and report documents and every sweep and verify row.  Each run
@@ -68,15 +70,15 @@ def measure(fixture):
     import resource
     import time
 
-    from sepfilt import WeightedComplex, complexes, generators
+    from sepfilt import WeightedComplex, adjacency, complexes, generators
     from sepfilt.bounds import bound_report, estimate_v1, greedy_packing
     from sepfilt.files import canonical_dumps
     from sepfilt.filtration import Filtration, SeparationConfig, build_filtration
     from sepfilt.pipeline import RunArtifacts, inequality_sweep
     from sepfilt.rainbow import color_by_filtration, count_rainbow
 
-    rows = 0
-    dijkstra = complexes.dijkstra
+    rows = fits = 0
+    dijkstra, fit_in_ball = complexes.dijkstra, adjacency.fit_in_ball
 
     def counted_dijkstra(*args, **kwargs):
         nonlocal rows
@@ -84,20 +86,32 @@ def measure(fixture):
         rows += result.size // result.shape[-1]
         return result
 
+    def counted_fit(*args, **kwargs):
+        nonlocal fits
+        fits += 1
+        return fit_in_ball(*args, **kwargs)
+
     complexes.dijkstra = counted_dijkstra
+    # modules import fit_in_ball by name: rebind every sepfilt binding
+    for name, module in list(sys.modules.items()):
+        if name == "sepfilt" or name.startswith("sepfilt."):
+            for attr, value in list(vars(module).items()):
+                if value is fit_in_ball:
+                    setattr(module, attr, counted_fit)
 
     maker, kwargs, depth, radius = FIXTURES[fixture]
     complex_ = getattr(generators, maker)(**kwargs)
     config = SeparationConfig(radius=radius, subdivision_depth=depth, **CONFIG)
-    stages, stage_rows = {}, {}
-    clock, rows_at_lap = time.perf_counter(), 0
+    stages, stage_rows, stage_fits = {}, {}, {}
+    clock, rows_at_lap, fits_at_lap = time.perf_counter(), 0, 0
 
     def lap(stage):
-        nonlocal clock, rows_at_lap
+        nonlocal clock, rows_at_lap, fits_at_lap
         now = time.perf_counter()
         stages[stage] = stages.get(stage, 0.0) + now - clock
         stage_rows[stage] = stage_rows.get(stage, 0) + rows - rows_at_lap
-        clock, rows_at_lap = now, rows
+        stage_fits[stage] = stage_fits.get(stage, 0) + fits - fits_at_lap
+        clock, rows_at_lap, fits_at_lap = now, rows, fits
 
     geometry = complex_.geometry(depth)
     lap("geometry")
@@ -146,6 +160,7 @@ def measure(fixture):
     return {
         "stages_s": stages,
         "dijkstra_rows": stage_rows,
+        "fit_calls": stage_fits,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "digest": hashlib.sha256(text.encode()).hexdigest(),
         "level_areas": level_areas,
@@ -171,6 +186,10 @@ def summarize(runs):
         },
         "dijkstra_rows_median": {
             stage: statistics.median(r["dijkstra_rows"][stage] for r in runs)
+            for stage in STAGES
+        },
+        "fit_calls_median": {
+            stage: statistics.median(r["fit_calls"][stage] for r in runs)
             for stage in STAGES
         },
         "peak_rss_mb_median": round(
