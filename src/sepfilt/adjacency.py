@@ -5,12 +5,12 @@ relative interior is not covered by a blocking (d-1)-cell set; a face is
 covered exactly when it is a face of some blocking cell.  Components of the
 complement of a candidate separating set are computed with this passage
 rule, which matches point-set connectivity of the underlying polyhedron.
+``CellSystem`` numbers every face of a cell list once, and its incidence
+tables and queries are integer arrays over those face ids.
 """
 
 from __future__ import annotations
 
-import collections
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -34,133 +34,125 @@ def row_groups(rows):
     return order, np.flatnonzero(new)
 
 
-def shared_tuples(rows, objects):
-    """The rows of a 2-D index array as tuples of ``objects[i]``: equal ids
-    share one Python object instead of each getting an int of its own."""
-    return list(zip(*(map(objects.__getitem__, column) for column in rows.T.tolist())))
-
-
 class CellSystem:
     """Face incidence tables for a list of top cells of one dimension.
 
+    Every face of the cells has one integer id.  The faces of each size get
+    consecutive ids, from the facets (size ``dim``) down to the nodes, each
+    size's distinct node rows in lexicographic order; the cells follow, in
+    their given order.  So facet k has id k.  The tables are arrays over
+    these ids:
+
+    - ``face_rows[size]``: the sorted node rows of one size's faces, in id
+      order; ``offsets[size]`` is the id of the first;
+    - ``coface_ptr``, ``coface_cells``: each proper face's cofaces,
+      ascending, from ``coface_cells[coface_ptr[face]]`` on;
+    - ``closures``: per facet, its own id and then those of its proper
+      subfaces by size and then lexicographically: the faces it blocks;
+    - ``cell_faces``: per cell, the ids of its faces, the cell last, in the
+      order of ``complexes.subdivision_flags``'s subsets;
+    - ``dual_pairs``: rows of shared face id, first coface and other
+      coface: each proper face joins its first coface to each other one.
+
     This class owns the passage rule: a face blocks passage exactly when it
-    lies in a blocked facet, which ``cover_counts`` records.
+    lies in a blocked facet, which ``cover`` counts.
     """
 
     def __init__(self, cells):
-        self.cells = tuple(tuple(sorted(cell)) for cell in cells)
-        if self.cells:
-            arity = {len(cell) for cell in self.cells}
-            if len(arity) != 1:
-                raise ValueError("cells of mixed dimension")
-            self.dim = arity.pop() - 1
-        else:
-            self.dim = -1
-        self.cell_nodes = np.array(self.cells, dtype=np.int64).reshape(
-            len(self.cells), self.dim + 1
-        )
-        # face -> indices of cells containing it, for every dimension < dim,
-        # keyed in the order a walk over the cells (each cell's subfaces by
-        # size, then lexicographically) first meets each face; cofaces
-        # ascend.  Faces are gathered one size at a time: ``members`` lists
-        # every face's cofaces, face after face, from ``starts[face]`` on.
-        width = self.dim + 1
-        per_cell = 2**width - 2
-        nodes = list(range(int(self.cell_nodes.max(initial=-1)) + 1))
-        faces, walk, starts, members = [], [], [], []
+        cell_nodes = np.asarray(cells, dtype=np.int64)
+        if cell_nodes.ndim == 1:  # no cells
+            cell_nodes = cell_nodes.reshape(0, 0)
+        self.cell_nodes = np.sort(cell_nodes, axis=1)
+        n_cells, width = self.cell_nodes.shape
+        self.dim = width - 1
+        subsets = [
+            subset
+            for size in range(1, width + 1)
+            for subset in itertools.combinations(range(width), size)
+        ]
+        self.cell_faces = np.empty((n_cells, len(subsets)), dtype=np.int64)
+        self.face_rows, self.offsets = {}, {}
+        starts, members = [], []
         offset = occurrences = 0
-        for size in range(1, width):
-            columns = list(itertools.combinations(range(width), size))
-            rows = self.cell_nodes[:, columns].reshape(-1, size)
+        for size in range(width - 1, 0, -1):
+            # every cell's faces of one size, grouped into distinct rows
+            columns = [k for k, subset in enumerate(subsets) if len(subset) == size]
+            rows = self.cell_nodes[:, [subsets[k] for k in columns]].reshape(-1, size)
             order, first = row_groups(rows)
-            cell, column = np.divmod(order[first], len(columns))
-            walk.append(cell * per_cell + offset + column)
+            ids = np.empty(len(rows), dtype=np.int64)
+            ids[order] = np.repeat(np.arange(len(first)), np.diff(first, append=len(rows)))
+            self.cell_faces[:, columns] = offset + ids.reshape(n_cells, len(columns))
+            self.face_rows[size] = rows[order[first]]
+            self.offsets[size] = offset
             starts.append(first + occurrences)
             members.append(order // len(columns))
-            offset += len(columns)
+            offset += len(first)
             occurrences += len(rows)
-            unique = rows[order[first]]
-            faces.extend(shared_tuples(unique, nodes))
-        walk, starts, members = (
-            np.concatenate([np.empty(0, np.int64), *parts])
-            for parts in (walk, starts, members)
+        self.face_rows[width] = self.cell_nodes
+        self.offsets[width] = offset
+        self.cell_faces[:, len(subsets) - 1 :] = offset + np.arange(n_cells)[:, None]
+        self.n_faces = offset + n_cells
+        self.coface_ptr = np.concatenate([*starts, [occurrences]]).astype(np.int64)
+        self.coface_cells = np.concatenate([np.empty(0, np.int64), *members])
+        self.facets = self.face_rows.get(self.dim, np.empty((0, 0), np.int64))
+        self.closures = np.column_stack(
+            [np.arange(len(self.facets))]
+            + [
+                self.face_ids(self.facets[:, list(subset)])
+                for size in range(1, self.dim)
+                for subset in itertools.combinations(range(self.dim), size)
+            ]
         )
-        counts = np.diff(starts, append=len(members))
-        by_walk = np.argsort(walk)
-        indices = list(range(len(self.cells)))
-        listed = list(map(indices.__getitem__, members.tolist()))
-        lo, hi = starts.tolist(), (starts + counts).tolist()
-        self.face_cofaces = {
-            faces[face]: listed[lo[face] : hi[face]] for face in by_walk.tolist()
-        }
-        # distinct rows come in lexicographic order, so the faces of the
-        # last size are the facets, sorted
-        self.facets = faces[len(faces) - len(unique) :] if self.dim > 0 else []
-        # facet -> the facet, then its proper subfaces: what it blocks
-        self._closures = dict(
-            zip(
-                self.facets,
-                zip(
-                    self.facets,
-                    *(
-                        shared_tuples(unique[:, list(subset)], nodes)
-                        for size in range(1, self.dim)
-                        for subset in itertools.combinations(range(self.dim), size)
-                    ),
-                ),
-            )
-        )
-        # each face, in dict order, joins its first coface to every other one
-        repeats = counts[by_walk] - 1
-        pair_face = np.repeat(by_walk, repeats)
-        head = starts[pair_face]
-        # the k-th pair of a face pairs its first coface with its (k+1)-th
-        k = np.arange(len(pair_face)) - np.repeat(np.cumsum(repeats) - repeats, repeats)
-        self._pair_faces = [faces[face] for face in pair_face.tolist()]
-        self._pairs = np.array([members[head], members[head + k + 1]])
+        # each proper face joins its first coface to every other one
+        repeats = np.diff(self.coface_ptr) - 1
+        faces = np.repeat(np.arange(len(repeats)), repeats)
+        head = self.coface_ptr[faces]
+        k = np.arange(len(head)) - np.repeat(np.cumsum(repeats) - repeats, repeats)
+        self.dual_pairs = np.vstack([faces, self.coface_cells[[head, head + k + 1]]])
 
-    def cover_counts(self, blocked):
-        """Per face, how many facets of ``blocked`` contain it (itself too).
+    def face_ids(self, rows):
+        """Ids of the faces with the given node rows, all of one size and
+        each sorted; a row that is no face raises ``KeyError``."""
+        rows = np.asarray(rows, dtype=np.int64)
+        size = rows.shape[1]
+        table = self.face_rows.get(size, np.empty((0, size), np.int64))
+        # a query row's group starts at the table row equal to it, if any
+        order, starts = row_groups(np.concatenate([table, rows]))
+        first = np.empty(len(order), dtype=np.int64)
+        first[order] = np.repeat(order[starts], np.diff(starts, append=len(order)))
+        found = first[len(table):]
+        missing = found >= len(table)
+        if missing.any():
+            raise KeyError(tuple(rows[np.argmax(missing)].tolist()))
+        return found + self.offsets.get(size, 0)
+
+    def cover(self, blocked):
+        """Per proper face, how many of the facets with the given ids
+        contain it (itself too).
 
         A face blocks passage exactly when its count is positive.
         """
-        return collections.Counter(
-            itertools.chain.from_iterable(map(self._closures.__getitem__, blocked))
-        )
-
-    def opened_cells(self, facet, counts):
-        """Cells around the faces that only ``facet`` blocks, face by face.
-
-        ``counts`` are the cover counts of a blocked set holding ``facet``.
-        """
-        return [
-            cell
-            for face in self._closures[facet]
-            if counts[face] == 1
-            for cell in self.face_cofaces[face]
-        ]
+        faces = self.closures[np.fromiter(blocked, dtype=np.int64)]
+        return np.bincount(faces.ravel(), minlength=len(self.coface_ptr) - 1)
 
     def components(self, blocked):
-        """Component label per cell when the given facet set blocks passage.
+        """Component label per cell when the facets with the given ids
+        block passage.
 
         The label of a cell is the smallest cell index in its component.
-        ``blocked`` holds facets of ``self.facets`` as they are (sorted
-        tuples); anything else raises ``KeyError``.
         """
-        covered = self.cover_counts(blocked)
-        passable = np.array(
-            [face not in covered for face in self._pair_faces], dtype=bool
-        )
-        rows, cols = self._pairs[:, passable]
-        size = len(self.cells)
+        faces, rows, cols = self.dual_pairs
+        passable = self.cover(blocked)[faces] == 0
+        rows, cols = rows[passable], cols[passable]
+        size = len(self.cell_nodes)
         graph = coo_matrix((np.ones(rows.size), (rows, cols)), (size, size))
         _, labels = connected_components(graph, directed=False)
         _, smallest = np.unique(labels, return_index=True)
-        return smallest[labels].tolist()
+        return smallest[labels]
 
     def component_groups(self, blocked):
         """List of components, each a sorted tuple of cell indices."""
-        labels = np.asarray(self.components(blocked), dtype=np.int64)
+        labels = self.components(blocked)
         order = np.argsort(labels, kind="stable")
         cuts = (np.flatnonzero(np.diff(labels[order])) + 1).tolist()
         cells = order.tolist()
@@ -168,24 +160,15 @@ class CellSystem:
             tuple(cells[a:b]) for a, b in zip([0, *cuts], [*cuts, len(cells)])
         ] if cells else []
 
-    @functools.cached_property
-    def _facet_cofaces(self):
-        """Every facet's cofaces, facet after facet; where each facet's
-        run starts, and how long it is."""
-        cofaces = list(map(self.face_cofaces.__getitem__, self.facets))
-        counts = np.array(list(map(len, cofaces)), dtype=np.int64)
-        members = np.array(list(itertools.chain.from_iterable(cofaces)), np.int64)
-        return members, np.cumsum(counts) - counts, counts
-
     def cut_facets(self, side):
-        """Facets whose cofaces do not all have the same ``side[cell]``."""
-        if not self.facets:
-            return []
-        members, starts, counts = self._facet_cofaces
-        values = np.asarray(side)[members]
-        differs = values != np.repeat(values[starts], counts)
-        cut = np.logical_or.reduceat(differs, starts)
-        return [self.facets[i] for i in np.flatnonzero(cut).tolist()]
+        """Ids of the facets whose cofaces do not all have the same
+        ``side[cell]``."""
+        ptr = self.coface_ptr[: len(self.facets) + 1]
+        if len(ptr) < 2:
+            return np.empty(0, dtype=np.int64)
+        values = np.asarray(side)[self.coface_cells[: ptr[-1]]]
+        differs = values != np.repeat(values[ptr[:-1]], np.diff(ptr))
+        return np.flatnonzero(np.logical_or.reduceat(differs, ptr[:-1]))
 
     def group_nodes(self, group):
         return np.unique(self.cell_nodes[list(group)])

@@ -25,7 +25,7 @@ from .complexes import WeightedComplex
 from .filtration import Filtration, SeparationConfig
 from .files import read_json, write_checks_csv, write_json, write_manifest
 from .generators import circle, genus_surface, torus
-from .pipeline import inequality_sweep, run_pipeline
+from .pipeline import audit_document, inequality_sweep, run_pipeline
 
 INPUT_ERROR = 2
 VERIFICATION_ERROR = 3
@@ -125,13 +125,15 @@ def run(complex_file, radius, epsilon, seed, subdivision_depth, move_budget,
 @click.option("--out", type=click.Path(), default=None,
               help="sweep CSV path (default: alongside the filtration)")
 def verify(filtration_file, samples, seed, out):
-    """Re-verify a filtration file and sweep the density/coarea inequalities."""
+    """Re-verify a filtration file, its coloring and census, and sweep the
+    density/coarea inequalities."""
     payload = read_json(filtration_file)
     complex_ = WeightedComplex.from_json(payload["complex"])
     config = SeparationConfig.from_json(payload["config"])
     geometry = complex_.geometry(config.subdivision_depth)
     filtration = Filtration.from_json(geometry, payload)
     filtration.validate()
+    audit_document(filtration, payload)
     checks = inequality_sweep(filtration, samples, seed)
     if out is None:
         base = os.path.dirname(os.path.abspath(filtration_file))

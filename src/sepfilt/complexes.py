@@ -26,7 +26,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .adjacency import CellSystem, row_groups, shared_tuples
+from .adjacency import CellSystem, row_groups
 from .errors import DimensionMismatch, NondegenerateViolation
 
 # Node count up to which the metric graph keeps the all-pairs matrix.
@@ -433,7 +433,6 @@ class ComplexGeometry:
         # Each round emits a cell's (n+1)! children one after another, so a
         # cell's ancestor k rounds up is its index divided by (n+1)!^k.
         children = math.factorial(n + 1)
-        self.cells = tuple(shared_tuples(cells, list(range(len(support_vertex)))))
         self.cell_orig = np.arange(len(cells)) // children**depth
         self.cells_array = cells
         self.n_nodes = n_nodes = len(support_vertex)
@@ -482,7 +481,6 @@ class ComplexGeometry:
             n_nodes, np.column_stack(np.divmod(arc_keys, n_nodes)), arc_lengths
         )
 
-        self._face_volume_cache = {}
         points = self._positions_of(self.cell_orig[:, None], cells)
         diffs = points[:, 1:] - points[:, :1]
         gram = diffs @ diffs.transpose(0, 2, 1)
@@ -500,18 +498,15 @@ class ComplexGeometry:
         return self
 
     @functools.cached_property
-    def cell_system(self):
-        """Face incidence of the top cells, built once; its ``face_cofaces``
-        decides which faces a subpolyhedron of this object may use."""
-        return CellSystem(self.cells)
+    def cells(self):
+        """The cells as sorted tuples of node ids, in cell order."""
+        return tuple(map(tuple, self.cells_array.tolist()))
 
     @functools.cached_property
-    def _node_origs(self):
-        """Per node, the set of original simplices it lies in."""
-        origs, nodes = np.divmod(self._pair_keys, self.n_nodes)
-        stops = np.cumsum(np.bincount(nodes, minlength=self.n_nodes)).tolist()
-        listed = origs[np.argsort(nodes, kind="stable")].tolist()
-        return [frozenset(listed[a:b]) for a, b in zip([0, *stops], stops)]
+    def cell_system(self):
+        """Face incidence of the top cells, built once; its facets are the
+        cells a subpolyhedron of this object may use."""
+        return CellSystem(self.cells_array)
 
     def _positions_of(self, origs, nodes):
         """Positions of nodes in the embeddings of the given original simplices."""
@@ -529,23 +524,31 @@ class ComplexGeometry:
             if vertex >= 0
         }
 
-    def face_volume(self, face):
-        """k-volume of a face of the subdivision; 0-faces count as 1 each."""
-        face = tuple(face)
-        if len(face) == 1:
-            return 1.0
-        cached = self._face_volume_cache.get(face)
-        if cached is None:
-            common = frozenset.intersection(*map(self._node_origs.__getitem__, face))
-            if not common:
-                raise DimensionMismatch(f"{face} does not lie in one simplex")
-            pts = self._positions_of(min(common), face)
-            diffs = pts[1:] - pts[0]
-            gram = diffs @ diffs.T
-            det = float(np.linalg.det(gram))
-            cached = math.sqrt(max(det, 0.0)) / math.factorial(len(face) - 1)
-            self._face_volume_cache[face] = cached
-        return cached
+    @functools.cached_property
+    def face_volumes(self):
+        """k-volume of every face of the subdivision, by ``cell_system``
+        face id; 0-faces count as 1 each.
+
+        A face is measured in the embedding of the smallest original simplex
+        holding it (that of its lowest-numbered coface), as the cells are.
+        """
+        system = self.cell_system
+        orig = np.minimum.reduceat(
+            self.cell_orig[system.coface_cells], system.coface_ptr[:-1]
+        )
+        volumes = []
+        for size, rows in system.face_rows.items():
+            if size == self.dim + 1:
+                volumes.append(self.cell_volumes)
+            elif size == 1:
+                volumes.append(np.ones(len(rows)))
+            else:
+                start = system.offsets[size]
+                points = self._positions_of(orig[start : start + len(rows), None], rows)
+                diffs = points[:, 1:] - points[:, :1]
+                det = np.linalg.det(diffs @ diffs.transpose(0, 2, 1))
+                volumes.append(np.sqrt(np.maximum(det, 0.0)) / math.factorial(size - 1))
+        return np.concatenate(volumes)
 
     def total_area(self):
         return float(self.cell_volumes.sum())
@@ -589,7 +592,13 @@ class ComplexGeometry:
 
 
 class Subpolyhedron:
-    """A pure (d-1)-dimensional set of faces of a parent's d-cells."""
+    """A pure (d-1)-dimensional set of faces of a parent's d-cells.
+
+    ``cells`` are sorted tuples of node ids, sorted (built on first use
+    when made ``of_facets``); ``cells_array`` holds the same rows, and
+    ``facet_ids`` are the cells' facet ids in the parent's
+    ``cell_system``, ascending.
+    """
 
     def __init__(self, parent, cells):
         self.parent = parent
@@ -597,15 +606,36 @@ class Subpolyhedron:
         if self.dim < 0:
             raise DimensionMismatch("parent is already 0-dimensional")
         normalized = sorted({tuple(sorted(cell)) for cell in cells})
-        faces = parent.cell_system.face_cofaces
         for cell in normalized:
             if len(cell) != self.dim + 1:
                 raise DimensionMismatch(
                     f"cell {cell} is not a {self.dim}-cell of the parent"
                 )
-            if cell not in faces:
-                raise DimensionMismatch(f"cell {cell} is not a face of the parent")
+        rows = np.array(normalized).reshape(-1, self.dim + 1)
+        try:
+            if rows.size and rows.dtype.kind not in "iu":
+                raise KeyError(normalized[0])
+            self.facet_ids = parent.cell_system.face_ids(rows)
+        except KeyError as missing:
+            raise DimensionMismatch(
+                f"cell {missing.args[0]} is not a face of the parent"
+            ) from None
         self.cells = tuple(normalized)
+        self.cells_array = rows.astype(np.int64)
+
+    @classmethod
+    def of_facets(cls, parent, facet_ids):
+        """The subpolyhedron made of the parent's facets with these ids."""
+        self = cls.__new__(cls)
+        self.parent = parent
+        self.dim = parent.dim - 1
+        self.facet_ids = np.unique(np.fromiter(facet_ids, dtype=np.int64))
+        self.cells_array = parent.cell_system.facets[self.facet_ids]
+        return self
+
+    @functools.cached_property
+    def cells(self):
+        return tuple(map(tuple, self.cells_array.tolist()))
 
     cell_system = ComplexGeometry.cell_system
     whole_measure = ComplexGeometry.whole_measure
@@ -618,15 +648,10 @@ class Subpolyhedron:
         return parent
 
     @functools.cached_property
-    def cells_array(self):
-        """Node-id rows of the cells, shape ``(len(cells), dim + 1)``."""
-        return np.array(self.cells, dtype=np.int64).reshape(-1, self.dim + 1)
-
-    @functools.cached_property
     def cell_volumes(self):
         """The root's face volume of each cell, in cell order."""
         root = self.root
-        return np.array([root.face_volume(cell) for cell in self.cells])
+        return root.face_volumes[root.cell_system.face_ids(self.cells_array)]
 
     def total_area(self):
         return float(sum(self.cell_volumes))

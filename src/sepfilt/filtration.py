@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -25,6 +24,8 @@ from .complexes import Subpolyhedron
 from .errors import Infeasible, SeparationViolation
 
 _AREA_TOL = 1e-12
+# Relative tolerance of a stored level area against its recomputed sum.
+_AREA_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -123,13 +124,21 @@ class SeparationCheck:
         return self.separating
 
 
-def _as_cell_set(parent, candidate):
-    """The candidate's cells, checked to be facets of the parent."""
+def _facet_ids(parent, candidate):
+    """The facet ids of the candidate's cells, checked to be facets of the
+    parent."""
     if isinstance(candidate, Subpolyhedron):
         if candidate.parent is parent:
-            return set(candidate.cells)
+            return candidate.facet_ids
         candidate = candidate.cells
-    return set(Subpolyhedron(parent, candidate).cells)
+    return Subpolyhedron(parent, candidate).facet_ids
+
+
+def _facet_volumes(system, geometry):
+    """The geometry's face volume of each facet of ``system``, by facet id;
+    ``system`` is the cell system of the geometry or of a level in it."""
+    ids = geometry.cell_system.face_ids(system.facets)
+    return geometry.face_volumes[ids].tolist()
 
 
 @dataclass
@@ -183,7 +192,7 @@ def is_r_separating(parent, candidate, radius):
     with passage blocked exactly by faces of candidate cells.  The returned
     check carries, per component, a witnessing center or a violating pair.
     """
-    blocked = _as_cell_set(parent, candidate)
+    blocked = _facet_ids(parent, candidate)
     components = _fit_components(parent.cell_system, parent.root, blocked, radius)
     return SeparationCheck(
         all(c.fit.fits for c in components.values()), _certificates(components)
@@ -201,18 +210,16 @@ def sphere_replacement_move(parent, candidate, center, rho):
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    blocked = _as_cell_set(parent, candidate)
+    blocked = _facet_ids(parent, candidate)
     system = parent.cell_system
     geometry = parent.root
     dist = geometry.graph.distances_from(center)
     strict = dist < rho
     if int(strict.sum()) <= 1:
-        return Subpolyhedron(parent, blocked)
-    removed = {
-        facet for facet in blocked if bool(strict[np.array(facet)].all())
-    }
+        return Subpolyhedron.of_facets(parent, blocked)
+    kept = blocked[~strict[system.facets[blocked]].all(axis=1)]
     cut = system.cut_facets(strict[system.cell_nodes].any(axis=1))
-    return Subpolyhedron(parent, (blocked - removed).union(cut))
+    return Subpolyhedron.of_facets(parent, np.concatenate([kept, cut]))
 
 
 @dataclass
@@ -242,7 +249,10 @@ class _PruneState:
     states.  A hit skips the fit and is exact: whether a node set fits an
     R-ball depends only on the set and R (the hint can only make a fit
     succeed early), and a refusal changes nothing but eccentricity caches.
-    ``area_of`` maps each facet to its face volume.
+
+    ``z`` holds facet ids of ``system``; ``area_of`` lists the face volume
+    of each of its facets by id, ``cover_count`` is ``system.cover(z)`` and
+    ``labels`` holds each cell's component label.
     """
 
     def __init__(self, system, geometry, blocked, radius, area_of=None,
@@ -252,16 +262,15 @@ class _PruneState:
         self.radius = radius
         self.z = set(blocked)
         if area_of is None:
-            area_of = {facet: geometry.face_volume(facet) for facet in self.z}
+            area_of = _facet_volumes(system, geometry)
         self.area_of = area_of
         self.refused = set() if refused is None else refused
-        self.cover_count = system.cover_counts(self.z)
+        self.cover_count = system.cover(self.z)
         self.area = math.fsum(map(area_of.__getitem__, self.z))
         self.comps = _fit_components(system, geometry, self.z, radius)
-        self.labels = [0] * len(system.cells)
+        self.labels = np.empty(len(system.cell_nodes), dtype=np.int64)
         for label, comp in self.comps.items():
-            for cell in comp.cells:
-                self.labels[cell] = label
+            self.labels[comp.cells] = label
         self.feasible = all(comp.fit.fits for comp in self.comps.values())
 
     def copy(self):
@@ -271,15 +280,22 @@ class _PruneState:
         clone.z = set(self.z)
         clone.cover_count = self.cover_count.copy()
         clone.comps = dict(self.comps)
-        clone.labels = list(self.labels)
+        clone.labels = self.labels.copy()
         return clone
 
     def try_remove(self, facet):
         """Remove one facet if the merge it causes still fits in a ball."""
-        affected = {
-            self.labels[cell]
-            for cell in self.system.opened_cells(facet, self.cover_count)
-        }
+        system = self.system
+        closure = system.closures[facet]
+        # the cells around the faces only this facet blocks, face by face
+        # in closure order, each face's cofaces ascending; the first label
+        # met leads ``parts``, and its center is the fit's hint
+        ptr = system.coface_ptr
+        opened = closure[self.cover_count[closure] == 1]
+        cells = np.concatenate(
+            [system.coface_cells[ptr[face] : ptr[face + 1]] for face in opened.tolist()]
+        )
+        affected = set(self.labels[cells].tolist())
         parts = [self.comps[label] for label in affected]
         if len(parts) > 1:
             graph = self.geometry.graph
@@ -309,12 +325,11 @@ class _PruneState:
                 part = self.comps.pop(label)
                 merged.cells.extend(part.cells)
                 part.ecc = None  # bounds the cache to live components
-            for cell in merged.cells:
-                self.labels[cell] = target
+            self.labels[merged.cells] = target
             self.comps[target] = merged
         self.z.discard(facet)
         self.area -= self.area_of[facet]
-        self.cover_count.subtract(self.system.cover_counts((facet,)))
+        self.cover_count[closure] -= 1
         return True
 
 
@@ -339,18 +354,17 @@ def _voronoi_seed(system, geometry, radius):
             centers.append(node)
     rows = np.stack([graph.distances_from(c) for c in centers])
     owner = np.argmin(rows[:, system.cell_nodes].max(axis=2), axis=0)
-    candidate = set(system.cut_facets(owner))
-    # repair parts that fit no ball by isolating their cells
+    candidate = set(system.cut_facets(owner).tolist())
+    # repair parts that fit no ball by isolating their cells: a cell's
+    # dim + 1 facets are its faces just before the cell itself
+    facet_columns = slice(-system.dim - 2, -1)
     for _ in range(len(centers)):
         components = _fit_components(system, geometry, candidate, radius)
         bad = [c.cells for c in components.values() if not c.fit.fits]
         if not bad:
             break
         for cells in bad:
-            for index in cells:
-                candidate.update(
-                    itertools.combinations(system.cells[index], system.dim)
-                )
+            candidate.update(system.cell_faces[cells, facet_columns].ravel().tolist())
     return candidate
 
 
@@ -373,13 +387,13 @@ def minimize_separating(
     """
     system = parent.cell_system
     geometry = parent.root
-    if not system.cells:
+    if not len(system.cell_nodes):
         empty = Subpolyhedron(parent, ())
         return MinimizeResult(empty, 0.0, (), 0.0, "certified", 0)
     if candidate_facets is None:
-        facets = list(system.facets)
+        facets = list(range(len(system.facets)))
     else:
-        facets = Subpolyhedron(parent, candidate_facets).cells
+        facets = _facet_ids(parent, candidate_facets).tolist()
     rng = random.Random(rng_seed)
 
     empty_check = is_r_separating(parent, (), radius)
@@ -391,7 +405,7 @@ def minimize_separating(
 
     full = set(facets)
     order_index = {facet: i for i, facet in enumerate(facets)}
-    area_of = {facet: geometry.face_volume(facet) for facet in facets}
+    area_of = _facet_volumes(system, geometry)
 
     lex_key = order_index.__getitem__
 
@@ -442,14 +456,14 @@ def minimize_separating(
         center = rng.randrange(geometry.n_nodes)
         rho = rng.uniform(lo, hi)
         moved = sphere_replacement_move(
-            parent, set(best_state.z), center, rho
+            parent, Subpolyhedron.of_facets(parent, best_state.z), center, rho
         )
-        cells = set(moved.cells) & full
+        cells = set(moved.facet_ids.tolist()) & full
         if cells == best_state.z:
             continue
         consider(new_state(cells), lex_key)
 
-    sub = Subpolyhedron(parent, sorted(best_state.z))
+    sub = Subpolyhedron.of_facets(parent, best_state.z)
     return MinimizeResult(
         sub,
         best_state.area,
@@ -498,6 +512,30 @@ def _audit_certificates(level, certificates, components, geometry, radius):
             )
 
 
+def _audit_measures(level, stored, cells, epsilon):
+    """Compare a level's stored area, slack and slack kind with the ones
+    re-derived from its cells.
+
+    The area must lie within a relative ``_AREA_RTOL`` of the ``math.fsum``
+    of the cells' volumes: the minimizer's area is a running subtraction,
+    which rounds.  The slack and its kind must be exactly the minimizer's
+    for the stored area: 0.0 and "certified" for an area of 0.0, else the
+    level's scheduled epsilon and "assumed".
+    """
+    area = math.fsum(cells.cell_volumes.tolist())
+    slack, kind = (0.0, "certified") if stored.area == 0.0 else (epsilon, "assumed")
+    for field, value, derived, same in (
+        ("area", stored.area, area,
+         math.isclose(stored.area, area, rel_tol=_AREA_RTOL, abs_tol=0.0)),
+        ("slack", stored.slack, slack, stored.slack == slack),
+        ("slack_kind", stored.slack_kind, kind, stored.slack_kind == kind),
+    ):
+        if not same:
+            raise SeparationViolation(
+                f"level {level}: stored {field} {value!r} (re-derived {derived!r})"
+            )
+
+
 @dataclass
 class FiltrationLevel:
     """One level of a separating filtration and its ball certificates."""
@@ -541,20 +579,23 @@ class Filtration:
         return self.config.epsilon_total(self.dim)
 
     def validate(self):
-        """Re-verify nesting, separation and the stored certificates of
-        every level from scratch."""
+        """Re-verify nesting, separation, the stored certificates and the
+        stored area, slack and slack kind of every level from scratch
+        (``_audit_certificates``, ``_audit_measures``)."""
         parent = self.geometry
         radius = self.config.radius
+        schedule = self.epsilon_schedule()
         for i in range(self.dim - 1, -1, -1):
             level = self.levels[i]
             rebuilt = Subpolyhedron(parent, level.subpolyhedron.cells)
             components = _fit_components(
-                parent.cell_system, self.geometry, set(rebuilt.cells), radius
+                parent.cell_system, self.geometry, rebuilt.facet_ids, radius
             )
             if not all(comp.fit.fits for comp in components.values()):
                 raise SeparationViolation(f"level {i} is not {radius}-separating")
             _audit_certificates(i, level.certificates, components, self.geometry,
                                 radius)
+            _audit_measures(i, level, rebuilt, schedule[i])
             parent = rebuilt
         return True
 
@@ -619,23 +660,21 @@ def build_filtration(geometry, config):
     parent = geometry
     for i in range(geometry.dim - 1, -1, -1):
         system = parent.cell_system
-        candidates = []
-        for facet in system.facets:
-            cofaces = len(system.face_cofaces[facet])
-            if cofaces == 2:
-                candidates.append(facet)
-            elif parent is geometry:
-                raise ValueError(
-                    f"complex is not closed: facet {facet} has "
-                    f"{cofaces} cofaces"
-                )
+        cofaces = np.diff(system.coface_ptr[: len(system.facets) + 1])
+        if parent is geometry and (cofaces != 2).any():
+            facet = int(np.argmax(cofaces != 2))
+            raise ValueError(
+                f"complex is not closed: facet {tuple(system.facets[facet].tolist())} "
+                f"has {cofaces[facet]} cofaces"
+            )
+        candidates = np.flatnonzero(cofaces == 2)
         result = minimize_separating(
             parent,
             config.radius,
             schedule[i],
             move_budget=config.move_budget,
             rng_seed=config.rng_seed + i,
-            candidate_facets=candidates,
+            candidate_facets=Subpolyhedron.of_facets(parent, candidates),
         )
         levels.append(
             FiltrationLevel(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import reprlib
 from dataclasses import dataclass
 
 from .bounds import (
@@ -12,6 +13,7 @@ from .bounds import (
     greedy_packing,
     point_density_check,
 )
+from .errors import CensusMismatch, SeparationViolation
 from .filtration import build_filtration
 from .rainbow import color_by_filtration, count_rainbow
 
@@ -103,6 +105,29 @@ class RunArtifacts:
             ),
             "sweep_summary": summary,
         }
+
+
+def audit_document(filtration, payload):
+    """Re-derive the coloring and the rainbow census of a filtration and
+    compare them field by field with the ``coloring`` and ``census`` of
+    its document.
+
+    The first difference raises SeparationViolation (coloring) or
+    CensusMismatch (census), naming the field.
+    """
+    geometry = filtration.geometry
+    coloring = color_by_filtration(geometry, filtration, filtration.config.radius)
+    census = count_rainbow(geometry, coloring, filtration)
+    for name, derived, error in (
+        ("coloring", coloring.to_json(), SeparationViolation),
+        ("census", census.to_json(), CensusMismatch),
+    ):
+        stored = payload.get(name)
+        for field, value in derived.items():
+            found = stored.get(field) if isinstance(stored, dict) else None
+            if found != value:
+                raise error(f"{name}.{field}: stored {reprlib.repr(found)} "
+                            f"(re-derived {reprlib.repr(value)})")
 
 
 def run_pipeline(complex_, config, samples=100):

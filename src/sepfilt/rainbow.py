@@ -34,16 +34,17 @@ class ColorInfo:
 
 
 class LevelColoring:
-    """Node and face colors induced by (level, stratum component)."""
+    """Node and face colors induced by (level, stratum component).
 
-    def __init__(self, geometry, node_color, color_meta, face_color_table):
+    ``face_colors`` holds the color of every face of the geometry, by the
+    face ids of its ``cell_system``.
+    """
+
+    def __init__(self, geometry, node_color, color_meta, face_colors):
         self.geometry = geometry
         self.node_color = node_color
         self.color_meta = color_meta
-        self._face_color = face_color_table
-
-    def face_color(self, face):
-        return self._face_color[tuple(sorted(face))]
+        self.face_colors = face_colors
 
     @property
     def colors(self):
@@ -65,6 +66,16 @@ class LevelColoring:
         }
 
 
+def _root_face_ids(geometry, level):
+    """The geometry's face id of each face of a level, by the level's own
+    face ids."""
+    system = level.cell_system
+    if level is geometry:
+        return np.arange(system.n_faces)
+    root = geometry.cell_system
+    return np.concatenate([root.face_ids(rows) for rows in system.face_rows.values()])
+
+
 def color_by_filtration(geometry, filtration, radius):
     """Color faces by their stratum: same color iff same level and component.
 
@@ -72,56 +83,49 @@ def color_by_filtration(geometry, filtration, radius):
     is stored); otherwise SeparationViolation is raised.
     """
     n = geometry.dim
-    # each face's minimal level: levels are written top-down, and a level's
-    # faces are its cells and the faces its incidence table lists
-    face_level = {}
+    levels = [filtration.level(i) for i in range(n + 1)]
+    root_ids = [_root_face_ids(geometry, level) for level in levels]
+    # each face's minimal level: levels are written top-down
+    face_level = np.empty(geometry.cell_system.n_faces, dtype=np.int64)
     for i in range(n, -1, -1):
-        system = filtration.level(i).cell_system
-        face_level.update(dict.fromkeys(system.face_cofaces, i))
-        face_level.update(dict.fromkeys(system.cells, i))
+        face_level[root_ids[i]] = i
+    face_colors = np.empty_like(face_level)
+    # every node lies in a cell, so node v is the v-th 1-face
+    node_faces = geometry.cell_system.offsets[1] + np.arange(geometry.n_nodes)
 
-    face_color_table = {}
     color_meta = {}
-    node_color = {}
     next_color = 0
-    for i in range(n + 1):
-        system = filtration.level(i).cell_system
-        cells = system.cells
-        if not cells:
+    for i, level in enumerate(levels):
+        system = level.cell_system
+        if not len(system.cell_nodes):
             continue
-        blocked = filtration.level(i - 1).cells if i > 0 else ()
-        groups = system.component_groups(blocked)
-        colors = range(next_color, next_color + len(groups))
-        next_color += len(groups)
-        cell_color = [None] * len(cells)
-        for color, group in zip(colors, groups):
-            for member in group:
-                cell_color[member] = color
+        blocked = levels[i - 1].facet_ids if i > 0 else ()
+        _, component = np.unique(system.components(blocked), return_inverse=True)
+        cell_color = next_color + component
+        colors = range(next_color, next_color + int(component.max()) + 1)
+        next_color = colors.stop
         # faces whose minimal level is i inherit the color of their first
         # containing i-cell (passage through the face makes it unique)
-        for cell, color in zip(cells, cell_color):
-            face_color_table[cell] = color
-        for face, cofaces in system.face_cofaces.items():
-            if face_level[face] == i:
-                face_color_table[face] = cell_color[cofaces[0]]
-        class_nodes = {color: set() for color in colors}
-        for node in range(geometry.n_nodes):
-            face = (node,)
-            if face_level.get(face) == i:
-                color = face_color_table[face]
-                node_color[node] = color
-                class_nodes[color].add(node)
+        first_cell = system.coface_cells[system.coface_ptr[:-1]]
+        local = np.concatenate([cell_color[first_cell], cell_color])
+        mine = face_level[root_ids[i]] == i
+        face_colors[root_ids[i][mine]] = local[mine]
+        nodes = np.flatnonzero(face_level[node_faces] == i)
+        node_colors = face_colors[node_faces[nodes]]
+        order = np.argsort(node_colors, kind="stable")
+        bounds = np.searchsorted(node_colors[order], [*colors, colors.stop])
         for index, color in enumerate(colors):
-            nodes = sorted(class_nodes[color])
-            fit = fit_in_ball(geometry, nodes, radius)
+            members = nodes[order[bounds[index] : bounds[index + 1]]]
+            fit = fit_in_ball(geometry, members, radius)
             if not fit.fits:
                 raise SeparationViolation(
                     f"color class at level {i} fits in no radius-{radius} ball"
                 )
             color_meta[color] = ColorInfo(
-                i, index, fit.center, fit.radius, len(nodes)
+                i, index, fit.center, fit.radius, len(members)
             )
-    return LevelColoring(geometry, node_color, color_meta, face_color_table)
+    node_color = dict(enumerate(face_colors[node_faces].tolist()))
+    return LevelColoring(geometry, node_color, color_meta, face_colors)
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +168,9 @@ def count_rainbow(geometry, coloring, filtration):
     n = geometry.dim
     z0 = filtration.z0_nodes()
     cells = geometry.cells_array
-    subsets, flags = subdivision_flags(n)
-    # every face of every cell is looked up once: colors[cell, subset]
-    table = coloring._face_color
-    colors = np.array(
-        [
-            [table[face] for face in map(tuple, cells[:, list(subset)].tolist())]
-            for subset in subsets
-        ]
-    ).T
+    _, flags = subdivision_flags(n)
+    # the color of every face of every cell: colors[cell, subset]
+    colors = coloring.face_colors[geometry.cell_system.cell_faces]
     # all (n+1)! flags of every cell at once
     flag_colors = np.sort(colors[:, flags], axis=2)
     rainbow = (flag_colors[:, :, 1:] != flag_colors[:, :, :-1]).all(axis=2)

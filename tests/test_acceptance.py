@@ -15,6 +15,7 @@ import pytest
 
 from sepfilt.bounds import bound_report, estimate_v1
 from sepfilt.cli import main as cli_main
+from sepfilt.complexes import Subpolyhedron
 from sepfilt.filtration import SeparationConfig, build_filtration, minimize_separating
 from sepfilt.generators import circle, genus_surface, torus
 from sepfilt.pipeline import coarea_sweep, density_sweep
@@ -128,13 +129,16 @@ def _torus_partition_optimum(geometry, radius):
                 if len(seen) == size:
                     feasible.add(frozenset(combo))
 
+    facets = sorted(facet_cofaces)
+    volume = dict(zip(facets, Subpolyhedron(geometry, facets).cell_volumes.tolist()))
+
     def perimeter(part):
         total = 0.0
         for i in part:
             for facet in itertools.combinations(cells[i], len(cells[i]) - 1):
                 for other in facet_cofaces[facet]:
                     if other != i and other not in part:
-                        total += geometry.face_volume(facet)
+                        total += volume[facet]
         return total
 
     contains = [[] for _ in range(ncells)]

@@ -315,6 +315,34 @@ def test_tampered_certificate_fails_verification(tmp_path, capsys,
     assert not sweep.exists()
 
 
+STORED_FIELD_EDITS = {
+    # (keys to the edited value, new value, field named in the message)
+    "unedited": None,
+    "level-1-area": (("levels", 1, "area"), 0.001, "level 1: stored area 0.001"),
+    "census-total": (("census", "total"), 999, "census.total: stored 999"),
+    "level-0-slack": (("levels", 0, "slack"), -5, "level 0: stored slack -5"),
+    "coloring-empty": (("coloring",), {}, "coloring.colors: stored None"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STORED_FIELD_EDITS))
+def test_stored_fields_are_re_derived(tmp_path, capsys, torus_filtration, name):
+    path = tmp_path / "filtration.json"
+    path.write_text(torus_filtration.read_text())
+    edit = STORED_FIELD_EDITS[name]
+    if edit is not None:
+        _set(path, *edit[0], edit[1])
+    code = main(["verify", str(path), "--samples", "2",
+                 "--out", str(tmp_path / "sweep.csv")])
+    err = capsys.readouterr().err
+    if edit is None:
+        assert code == 0
+        return
+    assert code == 3
+    assert f"verification failure: {edit[2]} (re-derived " in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("change", ["dropped", "duplicated"])
 def test_component_count_mismatch_fails_verification(tmp_path, capsys,
                                                      torus_filtration, change):

@@ -195,19 +195,20 @@ def test_components_match_oracle_on_random_cuts(torus4_d1):
 
     rng = random.Random(3)
     system = CellSystem(torus4_d1.cells)
-    facets = system.facets
+    facets = list(map(tuple, system.facets.tolist()))
     for _ in range(10):
-        blocked = rng.sample(facets, k=rng.randrange(0, len(facets)))
-        ours = sorted(system.component_groups(blocked))
+        ids = rng.sample(range(len(facets)), k=rng.randrange(0, len(facets)))
+        blocked = [facets[k] for k in ids]
+        ours = sorted(system.component_groups(ids))
         oracle = components_oracle(torus4_d1.cells, blocked)
         assert ours == oracle
         # each label is the smallest cell index of its component
-        labels = system.components(blocked)
+        labels = system.components(ids)
         for group in oracle:
             assert all(labels[index] == group[0] for index in group)
-    # blocked facets are taken as they are, not re-sorted
+    # facet rows are looked up as they are, not re-sorted
     with pytest.raises(KeyError):
-        system.components([facets[0][::-1]])
+        system.face_ids([facets[0][::-1]])
 
 
 def incidence_systems(geometry, seed=9):
@@ -216,7 +217,8 @@ def incidence_systems(geometry, seed=9):
     rng = random.Random(seed)
     systems = [geometry.cell_system]
     for share in (0.4, 0.7):
-        facets = [f for f in geometry.cell_system.facets if rng.random() < share]
+        facets = [f for f in geometry.cell_system.facets.tolist()
+                  if rng.random() < share]
         systems.append(Subpolyhedron(geometry, facets).cell_system)
     return systems
 
@@ -226,17 +228,19 @@ def test_array_incidence_matches_set_definitions(name):
     rng = np.random.default_rng(21)
     seen_cofaces = set()
     for system in incidence_systems(fit_geometry(name)):
-        seen_cofaces.update(min(len(system.face_cofaces[f]), 3)
-                            for f in system.facets)
-        size = len(system.cells)
+        cells = list(map(tuple, system.cell_nodes.tolist()))
+        face_cofaces = loop_cell_system(cells)["cofaces"]
+        facets = [tuple(f) for f in system.facets.tolist()]
+        seen_cofaces.update(min(len(face_cofaces[f]), 3) for f in facets)
+        size = len(cells)
         for side in (rng.random(size) < 0.5, rng.integers(0, 3, size),
                      np.zeros(size, dtype=np.int64)):
-            assert system.cut_facets(side) == [
-                facet for facet in system.facets
-                if len({side[c] for c in system.face_cofaces[facet]}) > 1
+            assert system.cut_facets(side).tolist() == [
+                k for k, facet in enumerate(facets)
+                if len({side[c] for c in face_cofaces[facet]}) > 1
             ]
         for share in (0.0, 0.3, 0.8):
-            blocked = [f for f in system.facets if rng.random() < share]
+            blocked = [k for k in range(len(facets)) if rng.random() < share]
             labels = system.components(blocked)
             groups = {}
             for index, label in enumerate(labels):
@@ -246,35 +250,67 @@ def test_array_incidence_matches_set_definitions(name):
             assert found == expected
             assert all(type(i) is int for group in found for i in group)
             for group in found:
-                nodes = sorted({v for i in group for v in system.cells[i]})
+                nodes = sorted({v for i in group for v in cells[i]})
                 assert system.group_nodes(group).tolist() == nodes
     assert seen_cofaces == {1, 2, 3}
 
 
 def loop_cell_system(cells):
-    """CellSystem's tables built cell by cell and face by face: (face
-    cofaces, sorted facets, facet closures, pair faces, coface pairs)."""
+    """CellSystem's tables built cell by cell and face by face.
 
-    def proper_subfaces(cell):
+    Faces are numbered by size from the facets down to the nodes, each
+    size's faces sorted, then the cells in order.  Returns a dict: ``ids``
+    (face -> id), ``cofaces`` (face -> ascending cell indices), ``closures``
+    (per facet, the ids of the facet and of its subfaces by size, then
+    lexicographically), ``cell_faces`` (per cell, the ids of its faces by
+    size, then lexicographically, the cell last) and ``pairs`` (per face in
+    id order, its first coface with each other one: [face, first, other]).
+    """
+
+    def faces_of(cell, sizes):
         return [
-            face
-            for size in range(1, len(cell))
-            for face in itertools.combinations(cell, size)
+            face for size in sizes for face in itertools.combinations(cell, size)
         ]
 
-    face_cofaces = {}
+    width = len(cells[0])
+    cofaces = {}
     for index, cell in enumerate(cells):
-        for face in proper_subfaces(cell):
-            face_cofaces.setdefault(face, []).append(index)
-    dim = len(cells[0]) - 1
-    facets = sorted(face for face in face_cofaces if len(face) == dim)
-    closures = {facet: (facet, *proper_subfaces(facet)) for facet in facets}
-    pair_faces, pairs = [], []
-    for face, cofaces in face_cofaces.items():
-        for other in cofaces[1:]:
-            pair_faces.append(face)
-            pairs.append([cofaces[0], other])
-    return face_cofaces, facets, closures, pair_faces, pairs
+        for face in faces_of(cell, range(1, width)):
+            cofaces.setdefault(face, []).append(index)
+    order = sorted(cofaces, key=lambda face: (-len(face), face))
+    ids = {face: k for k, face in enumerate(order)}
+    ids.update((cell, len(order) + k) for k, cell in enumerate(cells))
+    facets = [face for face in order if len(face) == width - 1]
+    closures = [
+        [ids[facet]] + [ids[f] for f in faces_of(facet, range(1, width - 1))]
+        for facet in facets
+    ]
+    cell_faces = [
+        [ids[face] for face in faces_of(cell, range(1, width + 1))]
+        for cell in cells
+    ]
+    pairs = [
+        [ids[face], members[0], other]
+        for face in order
+        for members in [cofaces[face]]
+        for other in members[1:]
+    ]
+    return {"ids": ids, "cofaces": cofaces, "closures": closures,
+            "cell_faces": cell_faces, "pairs": pairs}
+
+
+def loop_face_volume(geometry, face):
+    """A face's k-volume, face by face: the Gram determinant of its edge
+    vectors in the embedding of the smallest original simplex holding all
+    its nodes; a 0-face counts 1."""
+    if len(face) == 1:
+        return 1.0
+    origs, nodes = np.divmod(geometry._pair_keys, geometry.n_nodes)
+    common = set.intersection(*(set(origs[nodes == v].tolist()) for v in face))
+    points = geometry._positions_of(min(common), face)
+    diffs = points[1:] - points[0]
+    det = float(np.linalg.det(diffs @ diffs.T))
+    return math.sqrt(max(det, 0.0)) / math.factorial(len(face) - 1)
 
 
 LOOP_FIXTURES = {
@@ -291,24 +327,60 @@ def test_cell_system_matches_loop_build(name, depth):
     # the top cells, and the facets of the top cells as cells of their own
     for cells in (geometry.cells, geometry.cell_system.facets):
         system = CellSystem(cells)
-        face_cofaces, facets, closures, pair_faces, pairs = loop_cell_system(
-            system.cells
-        )
-        assert list(system.face_cofaces.items()) == list(face_cofaces.items())
-        assert all(type(v) is int for face in system.face_cofaces for v in face)
-        assert system.facets == facets
-        assert list(system._closures.items()) == list(closures.items())
-        assert system._pair_faces == pair_faces
-        assert system._pairs.T.tolist() == pairs
+        cells = list(map(tuple, system.cell_nodes.tolist()))
+        loop = loop_cell_system(cells)
+        # each face id's nodes, and each size's rows back to their ids
+        faces = [tuple(row) for rows in system.face_rows.values()
+                 for row in rows.tolist()]
+        assert faces == list(loop["ids"])
+        assert system.n_faces == len(faces)
+        for size, rows in system.face_rows.items():
+            ids = system.face_ids(rows)
+            assert ids.tolist() == list(range(ids[0], ids[0] + len(rows)))
+            assert ids[0] == system.offsets[size]
+        assert system.facets.tolist() == [list(f) for f in faces
+                                           if len(f) == len(cells[0]) - 1]
+        ptr = system.coface_ptr.tolist()
+        assert len(ptr) - 1 == len(loop["cofaces"])
+        assert [system.coface_cells[a:b].tolist() for a, b in zip(ptr, ptr[1:])
+                ] == [loop["cofaces"][face] for face in faces[: len(ptr) - 1]]
+        assert all(type(v) is int for v in system.coface_cells.tolist())
+        assert system.closures.tolist() == loop["closures"]
+        assert system.cell_faces.tolist() == loop["cell_faces"]
+        assert system.dual_pairs.T.tolist() == loop["pairs"]
+
+
+@pytest.mark.parametrize(
+    "name, depth",
+    [("circle", 2), ("torus", 1), ("genus2", 1), ("sphere3", 1)],
+)
+def test_face_volumes_match_face_by_face_formula(name, depth, sphere3):
+    complex_ = sphere3 if name == "sphere3" else LOOP_FIXTURES[name]()
+    geometry = complex_.geometry(depth)
+    system = geometry.cell_system
+    # the loop build on the pinned 3-D geometry too
+    cells = list(map(tuple, system.cell_nodes.tolist()))
+    loop = loop_cell_system(cells)
+    assert system.cell_faces.tolist() == loop["cell_faces"]
+    assert system.closures.tolist() == loop["closures"]
+    faces = list(loop["ids"])
+    # bit for bit, cells included
+    assert geometry.face_volumes.tolist() == [
+        loop_face_volume(geometry, face) for face in faces
+    ]
+    assert geometry.face_volumes[-len(cells):].tolist() == (
+        geometry.cell_volumes.tolist())
 
 
 def test_cell_system_of_points_and_of_nothing():
     points = CellSystem([(4,), (1,), (7,)])
-    assert (points.dim, points.face_cofaces, points.facets) == (0, {}, [])
-    assert points.components([]) == [0, 1, 2]
+    assert (points.dim, points.coface_ptr.tolist(), points.facets.size) == (
+        0, [0], 0)
+    assert points.components([]).tolist() == [0, 1, 2]
     empty = CellSystem([])
-    assert (empty.dim, empty.face_cofaces, empty.facets) == (-1, {}, [])
-    assert empty.components([]) == []
+    assert (empty.dim, empty.coface_ptr.tolist(), empty.facets.size) == (
+        -1, [0], 0)
+    assert empty.components([]).tolist() == []
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +401,7 @@ def fit_inputs(geometry, radii, seed=11):
     system = CellSystem(geometry.cells)
     node_sets = [np.arange(geometry.n_nodes)]
     for share in (0.3, 0.6, 0.9):
-        blocked = [facet for facet in system.facets if rng.random() < share]
+        blocked = [k for k in range(len(system.facets)) if rng.random() < share]
         node_sets.extend(
             system.group_nodes(group)
             for group in system.component_groups(blocked)
@@ -421,14 +493,15 @@ def prune_runs(geometry, radius, seed=5):
     rng = random.Random(seed)
     system = geometry.cell_system
     states = []
+    facets = range(len(system.facets))
     for share in (0.5, 0.8, 1.0):
-        blocked = [facet for facet in system.facets if rng.random() < share]
+        blocked = [facet for facet in facets if rng.random() < share]
         start = filtration._PruneState(system, geometry, blocked, radius)
-        shuffled = list(system.facets)
+        shuffled = list(facets)
         rng.shuffle(shuffled)
         if not start.feasible:
             continue
-        for order in (system.facets, shuffled):
+        for order in (facets, shuffled):
             index = {facet: i for i, facet in enumerate(order)}
             states.append(filtration._prune(start.copy(), index.__getitem__))
     return states
@@ -500,16 +573,19 @@ def prune_starts(geometry, radius, seed=3, moves=12, refused=None):
         return filtration._PruneState(system, geometry, blocked, radius,
                                       refused=refused)
 
-    full = new_state(system.facets)
-    lex = {facet: i for i, facet in enumerate(system.facets)}
+    facets = range(len(system.facets))
+    full = new_state(facets)
+    lex = {facet: i for i, facet in enumerate(facets)}
     pruned = filtration._prune(full.copy(), lex.__getitem__)
     rng = random.Random(seed)
     starts = [full]
     for _ in range(moves):
         center = rng.randrange(geometry.n_nodes)
         rho = rng.uniform(0.25 * radius, radius)
-        moved = sphere_replacement_move(geometry, pruned.z, center, rho)
-        state = new_state(moved.cells)
+        moved = sphere_replacement_move(
+            geometry, Subpolyhedron.of_facets(geometry, pruned.z), center, rho
+        )
+        state = new_state(moved.facet_ids.tolist())
         if state.feasible:
             starts.append(state)
     return starts
@@ -520,13 +596,15 @@ def test_second_prune_pass_removes_nothing(name):
     # one pass reaches the fixpoint: a facet refused once stays refused
     geometry = fit_geometry(name)
     radius = {"torus4": 1.1, "genus2": 0.7}[name]
-    facets = list(geometry.cell_system.facets)
+    facets = list(range(len(geometry.cell_system.facets)))
     lex = {facet: i for i, facet in enumerate(facets)}
     shuffled = list(facets)
     random.Random(17).shuffle(shuffled)
+    # a geometry's facet k has face id k
+    volume = geometry.face_volumes.tolist()
     orders = {
         "lex": lex.__getitem__,
-        "area": lambda facet: (-geometry.face_volume(facet), lex[facet]),
+        "area": lambda facet: (-volume[facet], lex[facet]),
         "shuffled": {facet: i for i, facet in enumerate(shuffled)}.__getitem__,
     }
     starts = prune_starts(geometry, radius)
@@ -575,7 +653,8 @@ def test_refused_merge_memo_is_exact(mode, monkeypatch):
         monkeypatch.setattr(complexes, "_DENSE_LIMIT", 16)
     for name, radius in (("torus4", 1.1), ("genus2", 0.7)):
         geometry = fit_geometry(name)
-        lex = {facet: i for i, facet in enumerate(geometry.cell_system.facets)}
+        lex = {facet: i for i, facet in
+               enumerate(range(len(geometry.cell_system.facets)))}
         orders = (lex.__getitem__, lambda facet: -lex[facet])
         checked = CheckedMemo(geometry, radius)
         runs = []
@@ -740,7 +819,7 @@ def test_minimizer_beats_grid_curve_systems(torus4_d1):
             if mask >> bit & 1:
                 candidate |= circles[bit]
         if is_r_separating(torus4_d1, candidate, 1.1).separating:
-            area = sum(torus4_d1.face_volume(f) for f in candidate)
+            area = sum(Subpolyhedron(torus4_d1, candidate).cell_volumes.tolist())
             best = min(best, area)
     assert best < math.inf
     result = minimize_separating(torus4_d1, 1.1, 1e-6, move_budget=20, rng_seed=3)

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,19 +90,35 @@ def census_oracle(geometry, filtration):
     return total, per_point
 
 
+def face_tuples(geometry):
+    """Every face of the geometry as a node tuple, in face id order."""
+    return [
+        tuple(row)
+        for rows in geometry.cell_system.face_rows.values()
+        for row in rows.tolist()
+    ]
+
+
+def color_table(coloring):
+    """The coloring's face colors keyed by face node tuples."""
+    faces = face_tuples(coloring.geometry)
+    return dict(zip(faces, coloring.face_colors.tolist()))
+
+
 def loop_census(geometry, coloring, z0):
     """count_rainbow's tally taken flag by flag: (total, per_point), with
     per_point keyed by Z_0 first, then other nodes as they are counted."""
     n = geometry.dim
+    face_color = color_table(coloring)
     per_point = {node: 0 for node in z0}
     total = 0
     for cell in geometry.cells:
         for perm in itertools.permutations(cell):
             flag = [tuple(sorted(perm[: j + 1])) for j in range(n + 1)]
-            if len({coloring.face_color(face) for face in flag}) == n + 1:
+            if len({face_color[face] for face in flag}) == n + 1:
                 total += 1
                 point = flag[0][0]
-                if coloring.color_meta[coloring.face_color(flag[0])].level == 0:
+                if coloring.color_meta[face_color[flag[0]]].level == 0:
                     per_point[point] = per_point.get(point, 0) + 1
     return total, per_point
 
@@ -193,6 +210,7 @@ def walk_face_colors(geometry, filtration, coloring):
     takes its minimal level and the color of the first cell of that level
     containing it.  Cell colors are read from the coloring."""
     n = geometry.dim
+    cell_color = color_table(coloring)
     face_level = {}
     for i in range(n, -1, -1):
         for cell in filtration.level(i).cells:
@@ -205,7 +223,7 @@ def walk_face_colors(geometry, filtration, coloring):
             for size in range(1, len(cell) + 1):
                 for face in itertools.combinations(cell, size):
                     if face_level[face] == i and face not in table:
-                        table[face] = coloring.face_color(cell)
+                        table[face] = cell_color[cell]
     return table
 
 
@@ -223,7 +241,7 @@ def test_face_colors_match_face_walk(name, request):
     geometry = filtration.geometry
     coloring = color_by_filtration(geometry, filtration, filtration.config.radius)
     table = walk_face_colors(geometry, filtration, coloring)
-    assert coloring._face_color == table
+    assert dict(zip(face_tuples(geometry), coloring.face_colors.tolist())) == table
     assert coloring.node_color == {
         node: table[(node,)] for node in range(geometry.n_nodes)
     }
@@ -262,10 +280,11 @@ def test_rainbow_level_structure(torus_filtration_d1, torus4_d1):
     # every rainbow flag hits each level exactly once
     n = torus4_d1.dim
     coloring = color_by_filtration(torus4_d1, torus_filtration_d1, 1.1)
+    face_color = color_table(coloring)
     for cell in torus4_d1.cells:
         for perm in itertools.permutations(cell):
             flag = [tuple(sorted(perm[: j + 1])) for j in range(n + 1)]
-            colors = [coloring.face_color(f) for f in flag]
+            colors = [face_color[f] for f in flag]
             if len(set(colors)) == n + 1:
                 levels = sorted(coloring.color_meta[c].level for c in colors)
                 assert levels == list(range(n + 1))
@@ -344,7 +363,8 @@ def test_census_matches_flag_loop_on_random_3d_colorings(sphere3):
             for size in range(1, 5)
             for face in itertools.combinations(cell, size)
         }
-        coloring = LevelColoring(geometry, {}, meta, table)
+        face_colors = np.array([table[face] for face in face_tuples(geometry)])
+        coloring = LevelColoring(geometry, {}, meta, face_colors)
         z0 = sorted(rng.sample(range(geometry.n_nodes), 3))
         try:
             census = count_rainbow(geometry, coloring, _Points(z0))

@@ -11,11 +11,12 @@ run a fresh ``python3`` process imports ``sepfilt`` from that checkout,
 builds the fixture and times ``run_pipeline``'s stages with
 ``time.perf_counter``: geometry (``complex.geometry``), incidence (the
 geometry's ``cell_system``), filtration (``build_filtration`` alone),
-rainbow (``color_by_filtration`` + ``count_rainbow``), V1
+coloring (``color_by_filtration``), census (``count_rainbow``), V1
 (``estimate_v1``), packing (``greedy_packing``), sweep
 (``inequality_sweep``, 100 samples) and verify, which mirrors
 ``sepfilt verify`` on a fresh geometry: ``WeightedComplex.from_json`` and
-``Filtration.from_json`` of the filtration document, ``validate`` and
+``Filtration.from_json`` of the filtration document, ``validate``,
+``pipeline.audit_document`` (in checkouts that have it) and
 ``inequality_sweep`` with 2,000 samples at seed 101.
 ``peak_rss_mb`` is the process's ``ru_maxrss``.  ``dijkstra_rows`` counts
 the distance rows each stage computes (an all-pairs call counts one row per
@@ -59,8 +60,8 @@ FIXTURES = {
 CONFIG = {"epsilon": 0.05, "move_budget": 40, "rng_seed": 7}
 SAMPLES = 100
 VERIFY_SAMPLES, VERIFY_SEED = 2000, 101
-STAGES = ("geometry", "incidence", "filtration", "rainbow", "V1", "packing",
-          "sweep", "verify")
+STAGES = ("geometry", "incidence", "filtration", "coloring", "census", "V1",
+          "packing", "sweep", "verify")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -70,7 +71,7 @@ def measure(fixture):
     import resource
     import time
 
-    from sepfilt import WeightedComplex, adjacency, complexes, generators
+    from sepfilt import WeightedComplex, adjacency, complexes, generators, pipeline
     from sepfilt.bounds import bound_report, estimate_v1, greedy_packing
     from sepfilt.files import canonical_dumps
     from sepfilt.filtration import Filtration, SeparationConfig, build_filtration
@@ -125,8 +126,9 @@ def measure(fixture):
         for level in filtration.levels
     ]
     coloring = color_by_filtration(geometry, filtration, radius)
+    lap("coloring")
     census = count_rainbow(geometry, coloring, filtration)
-    lap("rainbow")
+    lap("census")
     v1 = estimate_v1(geometry)
     lap("V1")
     z0 = filtration.z0_nodes()
@@ -148,6 +150,8 @@ def measure(fixture):
     checked_depth = SeparationConfig.from_json(document["config"]).subdivision_depth
     checked = Filtration.from_json(fresh.geometry(checked_depth), document)
     checked.validate()
+    if hasattr(pipeline, "audit_document"):
+        pipeline.audit_document(checked, document)
     verify_checks = inequality_sweep(checked, VERIFY_SAMPLES, VERIFY_SEED)
     lap("verify")
     stages["total"] = sum(stages.values())
