@@ -11,6 +11,7 @@ tables and queries are integer arrays over those face ids.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -53,6 +54,9 @@ class CellSystem:
       order of ``complexes.subdivision_flags``'s subsets;
     - ``dual_pairs``: rows of shared face id, first coface and other
       coface: each proper face joins its first coface to each other one.
+
+    ``closure_lists`` and ``coface_lists`` give the same closures and
+    cofaces as Python lists, for loops over a few faces at a time.
 
     This class owns the passage rule: a face blocks passage exactly when it
     lies in a blocked facet, which ``cover`` counts.
@@ -109,6 +113,17 @@ class CellSystem:
         head = self.coface_ptr[faces]
         k = np.arange(len(head)) - np.repeat(np.cumsum(repeats) - repeats, repeats)
         self.dual_pairs = np.vstack([faces, self.coface_cells[[head, head + k + 1]]])
+
+    @functools.cached_property
+    def closure_lists(self):
+        """Per facet, its ``closures`` row as a list of face ids."""
+        return self.closures.tolist()
+
+    @functools.cached_property
+    def coface_lists(self):
+        """Per proper face, its cofaces as an ascending list of cells."""
+        cells, ptr = self.coface_cells.tolist(), self.coface_ptr.tolist()
+        return [cells[a:b] for a, b in zip(ptr, ptr[1:])]
 
     def face_ids(self, rows):
         """Ids of the faces with the given node rows, all of one size and
@@ -203,13 +218,13 @@ def fit_in_ball(geometry, nodes, radius, hint=None, eccs=None):
     if nodes.size == 0:
         return BallFit(True, None, 0.0)
 
-    def ecc(center):
-        return float(graph.distances_from(center)[nodes].max())
-
     if hint is not None:
-        e = ecc(hint)
+        e = float(graph.distances_from(hint)[nodes].max())
         if e <= radius:
             return BallFit(True, int(hint), e)
+
+    def ecc(center):
+        return float(graph.distances_from(center)[nodes].max())
 
     d_first = graph.distances_from(int(nodes[0]))[nodes]
     far_a = int(nodes[int(np.argmax(d_first))])

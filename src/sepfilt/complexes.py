@@ -283,6 +283,8 @@ class MetricGraph:
 
     def distances_from(self, node):
         """Distances from one node to every node."""
+        if self._full is not None:
+            return self._full[node]
         if self.n_nodes <= _DENSE_LIMIT:
             return self.all_distances()[node]
         row = self._rows.get(node)
@@ -338,8 +340,13 @@ def credited_measure(cells, volumes, dist, r):
     """
     if not len(cells):
         return 0.0, 0.0
-    counts = (dist[cells] <= r).sum(axis=1)
+    # one threshold of the row and one gather per node column cost less
+    # than gathering and comparing the whole (cells x size) block
+    inside = (dist <= r).view(np.uint8)
     size = cells.shape[1]
+    counts = inside[cells[:, 0]].astype(np.int64)
+    for k in range(1, size):
+        counts += inside[cells[:, k]]
     full = counts == size
     partial = (counts > 0) & ~full
     measure = float(volumes[full].sum())

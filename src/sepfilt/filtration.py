@@ -251,8 +251,11 @@ class _PruneState:
     succeed early), and a refusal changes nothing but eccentricity caches.
 
     ``z`` holds facet ids of ``system``; ``area_of`` lists the face volume
-    of each of its facets by id, ``cover_count`` is ``system.cover(z)`` and
-    ``labels`` holds each cell's component label.
+    of each of its facets by id.  ``cover_count`` (``system.cover(z)``) and
+    ``labels`` (each cell's component label) are Python lists: a removal
+    touches only one closure's few faces and their cells, where indexing a
+    list beats a NumPy call.  Merges keep NumPy for the node union, the
+    memo key and the fit.
     """
 
     def __init__(self, system, geometry, blocked, radius, area_of=None,
@@ -265,12 +268,13 @@ class _PruneState:
             area_of = _facet_volumes(system, geometry)
         self.area_of = area_of
         self.refused = set() if refused is None else refused
-        self.cover_count = system.cover(self.z)
+        self.cover_count = system.cover(self.z).tolist()
         self.area = math.fsum(map(area_of.__getitem__, self.z))
         self.comps = _fit_components(system, geometry, self.z, radius)
-        self.labels = np.empty(len(system.cell_nodes), dtype=np.int64)
+        labels = np.empty(len(system.cell_nodes), dtype=np.int64)
         for label, comp in self.comps.items():
-            self.labels[comp.cells] = label
+            labels[comp.cells] = label
+        self.labels = labels.tolist()
         self.feasible = all(comp.fit.fits for comp in self.comps.values())
 
     def copy(self):
@@ -278,26 +282,26 @@ class _PruneState:
         changes only the (deterministic) eccentricity cache."""
         clone = copy.copy(self)
         clone.z = set(self.z)
-        clone.cover_count = self.cover_count.copy()
+        clone.cover_count = list(self.cover_count)
         clone.comps = dict(self.comps)
-        clone.labels = self.labels.copy()
+        clone.labels = list(self.labels)
         return clone
 
     def try_remove(self, facet):
         """Remove one facet if the merge it causes still fits in a ball."""
         system = self.system
-        closure = system.closures[facet]
-        # the cells around the faces only this facet blocks, face by face
-        # in closure order, each face's cofaces ascending; the first label
-        # met leads ``parts``, and its center is the fit's hint
-        ptr = system.coface_ptr
-        opened = closure[self.cover_count[closure] == 1]
-        cells = np.concatenate(
-            [system.coface_cells[ptr[face] : ptr[face + 1]] for face in opened.tolist()]
-        )
-        affected = set(self.labels[cells].tolist())
-        parts = [self.comps[label] for label in affected]
-        if len(parts) > 1:
+        closure = system.closure_lists[facet]
+        cover, labels, cofaces = self.cover_count, self.labels, system.coface_lists
+        # the labels of the cells around the faces only this facet blocks,
+        # added face by face in closure order, each face's cofaces
+        # ascending.  ``parts`` follows the set's iteration order, not the
+        # order labels were met in (met as [2, 9], label 9 comes first), and
+        # the center of ``parts[0]`` is the fit's hint; certificate centers
+        # depend on that hint, so the insertion sequence is kept as it is.
+        affected = {labels[cell] for face in closure if cover[face] == 1
+                    for cell in cofaces[face]}
+        if len(affected) > 1:
+            parts = [self.comps[label] for label in affected]
             graph = self.geometry.graph
             mask = np.zeros(graph.n_nodes, dtype=bool)
             for part in parts:
@@ -325,11 +329,14 @@ class _PruneState:
                 part = self.comps.pop(label)
                 merged.cells.extend(part.cells)
                 part.ecc = None  # bounds the cache to live components
-            self.labels[merged.cells] = target
+                if label != target:
+                    for cell in part.cells:
+                        labels[cell] = target
             self.comps[target] = merged
         self.z.discard(facet)
         self.area -= self.area_of[facet]
-        self.cover_count[closure] -= 1
+        for face in closure:
+            cover[face] -= 1
         return True
 
 
@@ -572,11 +579,17 @@ class Filtration:
     def z0_nodes(self):
         return tuple(cell[0] for cell in self.level(0).cells)
 
+    @functools.cached_property
+    def _slacks(self):
+        """The configured slack schedule and its total, computed once."""
+        return (self.config.epsilon_schedule(self.dim),
+                self.config.epsilon_total(self.dim))
+
     def epsilon_schedule(self):
-        return self.config.epsilon_schedule(self.dim)
+        return self._slacks[0]
 
     def epsilon_total(self):
-        return self.config.epsilon_total(self.dim)
+        return self._slacks[1]
 
     def validate(self):
         """Re-verify nesting, separation, the stored certificates and the

@@ -669,6 +669,117 @@ def test_refused_merge_memo_is_exact(mode, monkeypatch):
         assert checked.hits > 0
 
 
+# torus4 at depth 2 and genus2 at depth 1, at the radii the benchmark runs
+PRUNE_FIXTURES = {"torus4": (2, 1.1), "genus2": (1, 0.7)}
+
+
+def prune_geometry(name):
+    depth, _ = PRUNE_FIXTURES[name]
+    return (torus(4) if name == "torus4" else genus_surface(2)).geometry(depth)
+
+
+def array_affected(state, facet):
+    """The opened faces' coface cells and the affected label set, as the
+    NumPy prune state built them: one concatenation of the opened faces'
+    coface ranges in closure order, then ``set`` of their labels.  Only the
+    entries read are taken from the state's lists."""
+    system = state.system
+    closure = system.closures[facet]
+    ptr = system.coface_ptr
+    cover = np.array([state.cover_count[face] for face in closure.tolist()])
+    opened = closure[cover == 1]
+    cells = np.concatenate(
+        [system.coface_cells[ptr[face] : ptr[face + 1]] for face in opened.tolist()]
+    )
+    return cells, set([state.labels[cell] for cell in cells.tolist()])
+
+
+@pytest.mark.parametrize("name", sorted(PRUNE_FIXTURES))
+def test_try_remove_hint_follows_set_order(name, monkeypatch):
+    # The hint of every merge fit is the center of the first label in the
+    # affected set's iteration order, as the NumPy label set gave it; that
+    # is often not the first label met.
+    plain_remove = filtration._PruneState.try_remove
+    plain_fit = filtration.fit_in_ball
+    pending, pairs = [], []
+    counts = {"multi": 0, "reordered": 0}
+
+    def recorded_remove(state, facet):
+        cells, affected = array_affected(state, facet)
+        if len(affected) > 1:
+            lead = next(iter(affected))
+            pending.append(state.comps[lead].fit.center)
+            counts["multi"] += 1
+            counts["reordered"] += lead != state.labels[int(cells[0])]
+        try:
+            return plain_remove(state, facet)
+        finally:
+            pending.clear()
+
+    def recorded_fit(geometry, nodes, radius, hint=None, eccs=None):
+        if pending:  # a merge fit inside try_remove
+            pairs.append((hint, pending.pop()))
+        return plain_fit(geometry, nodes, radius, hint=hint, eccs=eccs)
+
+    monkeypatch.setattr(filtration._PruneState, "try_remove", recorded_remove)
+    monkeypatch.setattr(filtration, "fit_in_ball", recorded_fit)
+    depth, radius = PRUNE_FIXTURES[name]
+    config = SeparationConfig(radius=radius, epsilon=0.05, move_budget=40,
+                              rng_seed=7, subdivision_depth=depth)
+    build_filtration(prune_geometry(name), config)
+    hints, expected = zip(*pairs)
+    assert list(hints) == list(expected)
+    assert 0 < len(pairs) <= counts["multi"]
+    assert counts["reordered"] > 0
+
+
+def assert_state_from_scratch(state):
+    """The state's cover counts, labels, cells and nodes, against the ones
+    computed from its facet set alone."""
+    system = state.system
+    z = sorted(state.z)
+    assert state.cover_count == system.cover(z).tolist()
+    labels = system.components(z)
+    assert state.labels == labels.tolist()
+    assert sorted(state.comps) == np.unique(labels).tolist()
+    # every component's cells, and its nodes as group_nodes(cells), checked
+    # for all components at once: both sides concatenated in label order
+    comps = [state.comps[label] for label in sorted(state.comps)]
+    sizes = np.bincount(labels)[sorted(state.comps)]
+    assert [len(comp.cells) for comp in comps] == sizes.tolist()
+    assert [cell for comp in comps for cell in sorted(comp.cells)] == (
+        np.argsort(labels, kind="stable").tolist())
+    n_nodes = state.geometry.n_nodes
+    nodes = np.concatenate([comp.nodes for comp in comps])
+    owners = np.repeat(sorted(state.comps), [len(comp.nodes) for comp in comps])
+    scratch = np.sort((labels[:, None] * n_nodes + system.cell_nodes).ravel())
+    scratch = scratch[np.diff(scratch, prepend=-1) != 0]
+    assert np.array_equal(owners * n_nodes + nodes, scratch)
+
+
+@pytest.mark.parametrize("mode", ["dense", "rowwise"])
+@pytest.mark.parametrize("name", sorted(PRUNE_FIXTURES))
+def test_list_prune_state_matches_scratch(name, mode, monkeypatch):
+    # after every accepted removal of a lex-order prune pass from the full
+    # facet set, the incremental state equals a fresh one
+    if mode == "rowwise":
+        monkeypatch.setattr(complexes, "_DENSE_LIMIT", 16)
+    geometry = prune_geometry(name)
+    _, radius = PRUNE_FIXTURES[name]
+    facets = list(range(len(geometry.cell_system.facets)))
+    full = filtration._PruneState(geometry.cell_system, geometry, facets, radius)
+    assert full.feasible
+    assert_state_from_scratch(full)
+    state = full.copy()
+    for facet in facets:
+        if state.try_remove(facet):
+            assert_state_from_scratch(state)
+    assert state.z < full.z
+    # the copy shares nothing that a removal changes in place
+    assert_state_from_scratch(full)
+    assert full.z == set(facets)
+
+
 # ---------------------------------------------------------------------------
 # sphere replacement move
 

@@ -22,7 +22,11 @@ coloring (``color_by_filtration``), census (``count_rainbow``), V1
 the distance rows each stage computes (an all-pairs call counts one row per
 node), by wrapping ``sepfilt.complexes.dijkstra`` from outside the package;
 ``fit_calls`` counts each stage's ``fit_in_ball`` calls, wrapped at every
-``sepfilt`` module attribute that holds it.
+``sepfilt`` module attribute that holds it.  The prune counters wrap the
+method ``filtration._PruneState.try_remove``: ``try_remove_calls``
+counts its calls, ``try_remove_fits`` the ball fits made inside them (the
+merge fits) and ``memo_hits`` the calls refused with no fit, which only the
+refused-merge memo does.
 Checkouts alternate run by run, BLAS threads are 1, and
 ``outputs_identical`` says whether every run gave the same sha256 of the
 filtration and report documents and every sweep and verify row.  Each run
@@ -62,6 +66,8 @@ SAMPLES = 100
 VERIFY_SAMPLES, VERIFY_SEED = 2000, 101
 STAGES = ("geometry", "incidence", "filtration", "coloring", "census", "V1",
           "packing", "sweep", "verify")
+COUNTERS = ("dijkstra_rows", "fit_calls", "try_remove_calls", "try_remove_fits",
+            "memo_hits")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -71,28 +77,38 @@ def measure(fixture):
     import resource
     import time
 
-    from sepfilt import WeightedComplex, adjacency, complexes, generators, pipeline
+    from sepfilt import (WeightedComplex, adjacency, complexes, filtration as
+                         filtration_module, generators, pipeline)
     from sepfilt.bounds import bound_report, estimate_v1, greedy_packing
     from sepfilt.files import canonical_dumps
     from sepfilt.filtration import Filtration, SeparationConfig, build_filtration
     from sepfilt.pipeline import RunArtifacts, inequality_sweep
     from sepfilt.rainbow import color_by_filtration, count_rainbow
 
-    rows = fits = 0
+    counts = dict.fromkeys(COUNTERS, 0)
     dijkstra, fit_in_ball = complexes.dijkstra, adjacency.fit_in_ball
+    try_remove = filtration_module._PruneState.try_remove
 
     def counted_dijkstra(*args, **kwargs):
-        nonlocal rows
         result = dijkstra(*args, **kwargs)
-        rows += result.size // result.shape[-1]
+        counts["dijkstra_rows"] += result.size // result.shape[-1]
         return result
 
     def counted_fit(*args, **kwargs):
-        nonlocal fits
-        fits += 1
+        counts["fit_calls"] += 1
         return fit_in_ball(*args, **kwargs)
 
+    def counted_remove(state, facet):
+        fits_before = counts["fit_calls"]
+        removed = try_remove(state, facet)
+        fits = counts["fit_calls"] - fits_before
+        counts["try_remove_calls"] += 1
+        counts["try_remove_fits"] += fits
+        counts["memo_hits"] += not removed and not fits
+        return removed
+
     complexes.dijkstra = counted_dijkstra
+    filtration_module._PruneState.try_remove = counted_remove
     # modules import fit_in_ball by name: rebind every sepfilt binding
     for name, module in list(sys.modules.items()):
         if name == "sepfilt" or name.startswith("sepfilt."):
@@ -103,16 +119,18 @@ def measure(fixture):
     maker, kwargs, depth, radius = FIXTURES[fixture]
     complex_ = getattr(generators, maker)(**kwargs)
     config = SeparationConfig(radius=radius, subdivision_depth=depth, **CONFIG)
-    stages, stage_rows, stage_fits = {}, {}, {}
-    clock, rows_at_lap, fits_at_lap = time.perf_counter(), 0, 0
+    stages = {}
+    stage_counts = {counter: {} for counter in COUNTERS}
+    clock, at_lap = time.perf_counter(), dict(counts)
 
     def lap(stage):
-        nonlocal clock, rows_at_lap, fits_at_lap
+        nonlocal clock, at_lap
         now = time.perf_counter()
         stages[stage] = stages.get(stage, 0.0) + now - clock
-        stage_rows[stage] = stage_rows.get(stage, 0) + rows - rows_at_lap
-        stage_fits[stage] = stage_fits.get(stage, 0) + fits - fits_at_lap
-        clock, rows_at_lap, fits_at_lap = now, rows, fits
+        for counter, per_stage in stage_counts.items():
+            per_stage[stage] = (per_stage.get(stage, 0) + counts[counter]
+                                - at_lap[counter])
+        clock, at_lap = now, dict(counts)
 
     geometry = complex_.geometry(depth)
     lap("geometry")
@@ -163,8 +181,7 @@ def measure(fixture):
     })
     return {
         "stages_s": stages,
-        "dijkstra_rows": stage_rows,
-        "fit_calls": stage_fits,
+        **stage_counts,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "digest": hashlib.sha256(text.encode()).hexdigest(),
         "level_areas": level_areas,
@@ -188,13 +205,12 @@ def summarize(runs):
             stage: round(statistics.median(r["stages_s"][stage] for r in runs), 4)
             for stage in (*STAGES, "total")
         },
-        "dijkstra_rows_median": {
-            stage: statistics.median(r["dijkstra_rows"][stage] for r in runs)
-            for stage in STAGES
-        },
-        "fit_calls_median": {
-            stage: statistics.median(r["fit_calls"][stage] for r in runs)
-            for stage in STAGES
+        **{
+            f"{counter}_median": {
+                stage: statistics.median(r[counter][stage] for r in runs)
+                for stage in STAGES
+            }
+            for counter in COUNTERS
         },
         "peak_rss_mb_median": round(
             statistics.median(r["peak_rss_mb"] for r in runs), 1),
