@@ -3,13 +3,11 @@
 __version__ = "0.1.0"
 
 from .complexes import (
-    Ball,
     ComplexGeometry,
     MetricGraph,
     Subpolyhedron,
     WeightedComplex,
     simplex_volume,
-    total_area,
 )
 from .filtration import (
     Filtration,
@@ -37,7 +35,6 @@ from .bounds import (
 )
 
 __all__ = [
-    "Ball",
     "BoundReport",
     "Chain",
     "ComplexGeometry",
@@ -61,6 +58,5 @@ __all__ = [
     "simplex_volume",
     "sphere_replacement_move",
     "straighten",
-    "total_area",
     "__version__",
 ]

@@ -230,7 +230,7 @@ class V1Estimate:
 
 
 def estimate_v1(geometry):
-    """Maximize ball_volume(p, 1) over the metric-graph nodes.
+    """Maximize the ball volume at radius 1 over the metric-graph nodes.
 
     This is the base-space maximum; it equals the supremum over covers only
     when the systole exceeds twice the radius, so shorter (or unknown)

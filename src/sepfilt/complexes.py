@@ -19,7 +19,6 @@ import json
 import math
 import operator
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -326,9 +325,6 @@ class MetricGraph:
             np.maximum(out, rows.max(axis=0), out=out)
         return out
 
-    def distance(self, a, b):
-        return float(self.distances_from(a)[b])
-
 
 def credited_measure(cells, volumes, dist, r):
     """(measure, boundary credit) of cells inside the ball ``dist <= r``.
@@ -352,16 +348,6 @@ def credited_measure(cells, volumes, dist, r):
     measure = float(volumes[full].sum())
     measure += float((volumes[partial] * counts[partial] / size).sum())
     return measure, float(volumes[partial].sum())
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Nodes within graph distance r of the center and fully-inside cells."""
-
-    center: int
-    radius: float
-    nodes: frozenset
-    cells: tuple
 
 
 class ComplexGeometry:
@@ -562,20 +548,6 @@ class ComplexGeometry:
 
     # -- balls -------------------------------------------------------------
 
-    def ball(self, center, r):
-        """Nodes within graph distance r, and cells all of whose nodes are."""
-        if r <= 0:
-            raise ValueError("ball radius must be positive")
-        dist = self.graph.distances_from(center)
-        node_ids = np.nonzero(dist <= r)[0]
-        full = (dist[self.cells_array] <= r).all(axis=1)
-        return Ball(
-            center=center,
-            radius=float(r),
-            nodes=frozenset(int(v) for v in node_ids),
-            cells=tuple(self.cells[i] for i in np.nonzero(full)[0]),
-        )
-
     def ball_volume_detail(self, center, r):
         """(volume, boundary credit) of the graph ball around a node.
 
@@ -593,9 +565,6 @@ class ComplexGeometry:
         cell order, zero boundary credit."""
         zeros = np.zeros(self.root.n_nodes)
         return credited_measure(self.cells_array, self.cell_volumes, zeros, 0.0)
-
-    def ball_volume(self, center, r):
-        return self.ball_volume_detail(center, r)[0]
 
 
 class Subpolyhedron:
@@ -668,10 +637,3 @@ class Subpolyhedron:
 
     def __contains__(self, cell):
         return tuple(sorted(cell)) in set(self.cells)
-
-
-def total_area(obj):
-    """d-volume of a geometry or subpolyhedron (counting measure in dim 0)."""
-    if isinstance(obj, (ComplexGeometry, Subpolyhedron)):
-        return obj.total_area()
-    raise TypeError(f"cannot measure {type(obj).__name__}")

@@ -223,15 +223,19 @@ def sphere_replacement_move(parent, candidate, center, rho):
 
 
 @dataclass
-class MinimizeResult:
-    """Best separating candidate found plus its certificates and slack."""
+class FiltrationLevel:
+    """One level of a separating filtration and its ball certificates.
+
+    ``moves_used`` counts the minimizer's ball-replacement proposals; it
+    stays in memory and is not written to the file.
+    """
 
     subpolyhedron: Subpolyhedron
     area: float
-    certificates: tuple
     slack: float
     slack_kind: str  # "certified" for provably optimal, else "assumed"
-    moves_used: int
+    certificates: tuple
+    moves_used: int = 0
 
 
 class _PruneState:
@@ -389,14 +393,13 @@ def minimize_separating(
     skeleton under several deterministic orders and spends the move budget
     on ball-replacement proposals.  Only when ``candidate_facets`` is
     omitted, which ``build_filtration`` never does, does it also reseed from
-    greedy center partitions.  Raises Infeasible when not even the full
-    candidate facet set separates.
+    greedy center partitions.  Returns the proved ``FiltrationLevel``.
+    Raises Infeasible when not even the full candidate facet set separates.
     """
     system = parent.cell_system
     geometry = parent.root
     if not len(system.cell_nodes):
-        empty = Subpolyhedron(parent, ())
-        return MinimizeResult(empty, 0.0, (), 0.0, "certified", 0)
+        return FiltrationLevel(Subpolyhedron(parent, ()), 0.0, 0.0, "certified", ())
     if candidate_facets is None:
         facets = list(range(len(system.facets)))
     else:
@@ -405,10 +408,8 @@ def minimize_separating(
 
     empty_check = is_r_separating(parent, (), radius)
     if empty_check.separating:
-        empty = Subpolyhedron(parent, ())
-        return MinimizeResult(
-            empty, 0.0, empty_check.components, 0.0, "certified", 0
-        )
+        return FiltrationLevel(Subpolyhedron(parent, ()), 0.0, 0.0, "certified",
+                               empty_check.components)
 
     full = set(facets)
     order_index = {facet: i for i, facet in enumerate(facets)}
@@ -470,46 +471,44 @@ def minimize_separating(
             continue
         consider(new_state(cells), lex_key)
 
-    sub = Subpolyhedron.of_facets(parent, best_state.z)
-    return MinimizeResult(
-        sub,
+    certified = best_state.area == 0.0
+    return FiltrationLevel(
+        Subpolyhedron.of_facets(parent, best_state.z),
         best_state.area,
+        0.0 if certified else epsilon,
+        "certified" if certified else "assumed",
         _certificates(best_state.comps),
-        0.0 if best_state.area == 0.0 else epsilon,
-        "certified" if best_state.area == 0.0 else "assumed",
         moves_used,
     )
 
 
-def _audit_certificates(level, certificates, components, geometry, radius):
-    """Compare a level's stored certificates with its fitted components.
+def _audit_certificates(level, certificates, components, graph, radius):
+    """Check a level's stored certificates against its complement
+    components, the ``(cells, nodes)`` pairs in label order.
 
-    Both are in label order.  A stored center must see every node of its
-    component within exactly the stored radius, and that radius must be at
-    most R; distances are exact, so the radius is compared with ``==``.
+    Each certificate is the only proof that its component fits an R-ball:
+    its center must see every node of the component within exactly the
+    stored radius, read from the center's own row, and that radius must be
+    at most R; distances are exact, so the radius is compared with ``==``.
     """
     if len(certificates) != len(components):
         raise SeparationViolation(
             f"level {level}: {len(certificates)} stored components, "
             f"{len(components)} recomputed"
         )
-    graph = geometry.graph
-    for k, (cert, label) in enumerate(zip(certificates, sorted(components))):
-        comp = components[label]
+    for k, (cert, (cells, nodes)) in enumerate(zip(certificates, components)):
         wrong = None
-        if cert.cells != len(comp.cells):
-            wrong = f"cells {cert.cells} (recomputed {len(comp.cells)})"
+        if cert.cells != len(cells):
+            wrong = f"cells {cert.cells} (recomputed {len(cells)})"
         elif cert.witness_pair is not None:
-            wrong = "witness_pair (the component fits)"
+            wrong = "witness_pair (a separating level stores a center)"
         elif not (isinstance(cert.center, int)
                   and 0 <= cert.center < graph.n_nodes):
             wrong = f"center {cert.center!r} (not a node)"
         elif not cert.radius <= radius:
             wrong = f"radius {cert.radius!r} (above R = {radius})"
         else:
-            # a fresh fit's radius is its center's eccentricity: no new row
-            ecc = (comp.fit.radius if cert.center == comp.fit.center else
-                   float(graph.distances_from(cert.center)[comp.nodes].max()))
+            ecc = float(graph.distances_from(cert.center)[nodes].max())
             if ecc != cert.radius:
                 wrong = (f"radius {cert.radius!r} (center {cert.center} has "
                          f"eccentricity {ecc!r})")
@@ -541,17 +540,6 @@ def _audit_measures(level, stored, cells, epsilon):
             raise SeparationViolation(
                 f"level {level}: stored {field} {value!r} (re-derived {derived!r})"
             )
-
-
-@dataclass
-class FiltrationLevel:
-    """One level of a separating filtration and its ball certificates."""
-
-    subpolyhedron: Subpolyhedron
-    area: float
-    slack: float
-    slack_kind: str
-    certificates: tuple
 
 
 class Filtration:
@@ -592,22 +580,23 @@ class Filtration:
         return self._slacks[1]
 
     def validate(self):
-        """Re-verify nesting, separation, the stored certificates and the
-        stored area, slack and slack kind of every level from scratch
-        (``_audit_certificates``, ``_audit_measures``)."""
+        """Re-verify nesting, then separation from the stored certificates,
+        and the stored area, slack and slack kind of every level from
+        scratch (``_audit_certificates``, ``_audit_measures``).
+
+        A certificate that passes proves that its component fits an R-ball,
+        so no ball is searched for."""
         parent = self.geometry
         radius = self.config.radius
         schedule = self.epsilon_schedule()
         for i in range(self.dim - 1, -1, -1):
             level = self.levels[i]
             rebuilt = Subpolyhedron(parent, level.subpolyhedron.cells)
-            components = _fit_components(
-                parent.cell_system, self.geometry, rebuilt.facet_ids, radius
-            )
-            if not all(comp.fit.fits for comp in components.values()):
-                raise SeparationViolation(f"level {i} is not {radius}-separating")
-            _audit_certificates(i, level.certificates, components, self.geometry,
-                                radius)
+            system = parent.cell_system
+            components = [(group, system.group_nodes(group))
+                          for group in system.component_groups(rebuilt.facet_ids)]
+            _audit_certificates(i, level.certificates, components,
+                                self.geometry.graph, radius)
             _audit_measures(i, level, rebuilt, schedule[i])
             parent = rebuilt
         return True
@@ -681,7 +670,7 @@ def build_filtration(geometry, config):
                 f"has {cofaces[facet]} cofaces"
             )
         candidates = np.flatnonzero(cofaces == 2)
-        result = minimize_separating(
+        level = minimize_separating(
             parent,
             config.radius,
             schedule[i],
@@ -689,15 +678,7 @@ def build_filtration(geometry, config):
             rng_seed=config.rng_seed + i,
             candidate_facets=Subpolyhedron.of_facets(parent, candidates),
         )
-        levels.append(
-            FiltrationLevel(
-                result.subpolyhedron,
-                result.area,
-                result.slack,
-                result.slack_kind,
-                result.certificates,
-            )
-        )
-        parent = result.subpolyhedron
+        levels.append(level)
+        parent = level.subpolyhedron
     levels.reverse()
     return Filtration(geometry, config, levels)

@@ -396,17 +396,17 @@ def test_packing_reverify_independent(torus_filtration_d2):
     for a in packing.centers:
         for b in packing.centers:
             if a < b:
-                assert geometry.graph.distance(a, b) > 2 * packing.r_small
+                assert geometry.graph.distances_from(a)[b] > 2 * packing.r_small
     # maximality: every point is within 2 r_small of some center
     for node in z0:
         assert any(
-            geometry.graph.distance(center, node) <= 2 * packing.r_small
+            geometry.graph.distances_from(center)[node] <= 2 * packing.r_small
             for center in packing.centers
         )
     # cover: doubled balls cover the point set
     for node in z0:
         assert any(
-            geometry.graph.distance(center, node) <= packing.r_big
+            geometry.graph.distances_from(center)[node] <= packing.r_big
             for center in packing.centers
         )
 
@@ -417,7 +417,7 @@ def test_packing_oracle_matches_greedy(torus_filtration_d2):
     z0 = sorted(torus_filtration_d2.z0_nodes())
     chosen = []
     for node in z0:
-        if all(geometry.graph.distance(c, node) > 0.5 for c in chosen):
+        if all(geometry.graph.distances_from(c)[node] > 0.5 for c in chosen):
             chosen.append(node)
     packing = greedy_packing(z0, geometry)
     assert list(packing.centers) == chosen

@@ -359,6 +359,25 @@ def test_component_count_mismatch_fails_verification(tmp_path, capsys,
     assert "level 1: " in capsys.readouterr().err
 
 
+def test_edited_level_cells_with_stale_certificates_fail_verification(
+        tmp_path, capsys, torus_filtration):
+    # drop a level-1 edge holding no level-0 point: the level stays nested
+    # over Z_0, but its stored certificates no longer match its components
+    payload = read(torus_filtration)
+    points = {node for cell in payload["levels"][0]["cells"] for node in cell}
+    cells = payload["levels"][1]["cells"]
+    cells.remove(next(cell for cell in cells if not points & set(cell)))
+    path = tmp_path / "filtration.json"
+    path.write_text(json.dumps(payload))
+    sweep = tmp_path / "sweep.csv"
+    assert main(["verify", str(path), "--samples", "2",
+                 "--out", str(sweep)]) == 3
+    err = capsys.readouterr().err
+    assert "verification failure: level 1" in err
+    assert "Traceback" not in err
+    assert not sweep.exists()
+
+
 def _set(path, *keys_and_value):
     *keys, value = keys_and_value
     payload = read(path)

@@ -9,14 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepfilt import (
-    Subpolyhedron,
-    WeightedComplex,
-    complexes,
-    simplex_volume,
-    total_area,
-)
-from sepfilt.complexes import MetricGraph
+from sepfilt import Subpolyhedron, WeightedComplex, complexes, simplex_volume
+from sepfilt.complexes import MetricGraph, credited_measure
 from sepfilt.errors import DimensionMismatch, NondegenerateViolation
 from sepfilt.generators import circle, genus_surface, torus
 
@@ -147,16 +141,16 @@ def test_two_triangles_additive():
             (3, 4): 1.0, (3, 5): 1.0, (4, 5): math.sqrt(2.0),
         },
     )
-    assert total_area(complex_.geometry(0)) == pytest.approx(1.0)
+    assert complex_.geometry(0).total_area() == pytest.approx(1.0)
 
 
 def test_empty_subpolyhedron_area(circle8_geom):
-    assert total_area(Subpolyhedron(circle8_geom, ())) == 0.0
+    assert Subpolyhedron(circle8_geom, ()).total_area() == 0.0
 
 
 def test_torus_total_area(torus4_d1):
     # 32 unit right triangles of area 1/2 each
-    assert total_area(torus4_d1) == pytest.approx(16.0)
+    assert torus4_d1.total_area() == pytest.approx(16.0)
 
 
 def test_disjoint_union_additivity():
@@ -169,8 +163,8 @@ def test_disjoint_union_additivity():
             **{(u + 6, v + 6): l for (u, v), l in one.edge_lengths.items()},
         },
     )
-    assert total_area(both.geometry(0)) == pytest.approx(
-        2 * total_area(one.geometry(0)), abs=1e-12
+    assert both.geometry(0).total_area() == pytest.approx(
+        2 * one.geometry(0).total_area(), abs=1e-12
     )
 
 
@@ -178,25 +172,39 @@ def test_disjoint_union_additivity():
 # balls
 
 
+def ball_of(geometry, center, r):
+    """Node ids within graph distance r of the center, the cells all of
+    whose nodes are, and the ball's ``credited_measure``."""
+    dist = geometry.graph.distances_from(center)
+    inside = (dist[geometry.cells_array] <= r).all(axis=1)
+    measure = credited_measure(geometry.cells_array, geometry.cell_volumes, dist, r)
+    return (set(np.flatnonzero(dist <= r).tolist()),
+            set(np.flatnonzero(inside).tolist()), measure)
+
+
 def test_ball_all_nodes_beyond_diameter(circle8_geom):
-    ball = circle8_geom.ball(0, 2.5)
-    assert ball.nodes == frozenset(range(circle8_geom.n_nodes))
-    assert len(ball.cells) == len(circle8_geom.cells)
+    nodes, cells, (volume, boundary) = ball_of(circle8_geom, 0, 2.5)
+    assert nodes == set(range(circle8_geom.n_nodes))
+    assert len(cells) == len(circle8_geom.cells)
+    assert volume == pytest.approx(circle8_geom.total_area())
+    assert boundary == 0.0
 
 
 def test_ball_tiny_radius_is_center_only(circle8_geom):
-    ball = circle8_geom.ball(0, 1e-9)
-    assert ball.nodes == frozenset({0})
-    assert ball.cells == ()
+    nodes, cells, (volume, boundary) = ball_of(circle8_geom, 0, 1e-9)
+    assert nodes == {0}
+    assert cells == set()
+    # the two edges at the center are credited by half each
+    assert volume == pytest.approx(boundary / 2) and boundary > 0.0
 
 
 def test_ball_matches_dijkstra_oracle(torus4_d1):
     oracle = dijkstra_oracle(torus4_d1, 0)
-    ball = torus4_d1.ball(0, 1.0)
+    nodes, cells, _ = ball_of(torus4_d1, 0, 1.0)
     expected = {v for v, d in enumerate(oracle) if d <= 1.0}
-    assert ball.nodes == expected
-    for cell in ball.cells:
-        assert all(oracle[v] <= 1.0 for v in cell)
+    assert nodes == expected
+    for cell in cells:
+        assert all(oracle[v] <= 1.0 for v in torus4_d1.cells[cell])
 
 
 def test_graph_distance_matches_oracle(torus4_d1):
@@ -206,11 +214,11 @@ def test_graph_distance_matches_oracle(torus4_d1):
 
 
 def test_ball_volume_saturates(torus4_d1):
-    assert torus4_d1.ball_volume(0, 100.0) == pytest.approx(16.0)
+    assert torus4_d1.ball_volume_detail(0, 100.0)[0] == pytest.approx(16.0)
 
 
 def test_ball_volume_vanishes_at_small_radius(torus4_d1):
-    value = torus4_d1.ball_volume(0, 1e-9)
+    value = torus4_d1.ball_volume_detail(0, 1e-9)[0]
     # only fractional credit from the cells touching the center
     assert value <= torus4_d1.cell_volumes.max() * 7
 
@@ -231,13 +239,13 @@ def test_ball_monotonicity(torus4_d1, circle8_geom):
             if r1 == r2:
                 continue
             center = rng.randrange(geometry.n_nodes)
-            small = geometry.ball(center, r1)
-            large = geometry.ball(center, r2)
-            assert small.nodes <= large.nodes
-            assert set(small.cells) <= set(large.cells)
-            assert geometry.ball_volume(center, r1) <= geometry.ball_volume(
-                center, r2
-            ) + 1e-12
+            small_nodes, small_cells, _ = ball_of(geometry, center, r1)
+            large_nodes, large_cells, _ = ball_of(geometry, center, r2)
+            assert small_nodes <= large_nodes
+            assert small_cells <= large_cells
+            assert geometry.ball_volume_detail(center, r1)[0] <= (
+                geometry.ball_volume_detail(center, r2)[0] + 1e-12
+            )
 
 
 def test_graph_connected_when_complex_is(torus4_d1):
@@ -249,9 +257,9 @@ def test_triangle_inequality(torus4_d1):
     rng = random.Random(7)
     for _ in range(100):
         a, b, c = (rng.randrange(torus4_d1.n_nodes) for _ in range(3))
-        dab = torus4_d1.graph.distance(a, b)
-        dbc = torus4_d1.graph.distance(b, c)
-        dac = torus4_d1.graph.distance(a, c)
+        dab = torus4_d1.graph.distances_from(a)[b]
+        dbc = torus4_d1.graph.distances_from(b)[c]
+        dac = torus4_d1.graph.distances_from(a)[c]
         assert dac <= dab + dbc
 
 
@@ -374,7 +382,8 @@ def test_tightened_reach_is_sound_and_order_free(monkeypatch):
 
 def test_refinement_convergence(torus3):
     # frozen configuration: center 0, radius 1.0; deltas shrink monotonically
-    volumes = [torus3.geometry(depth).ball_volume(0, 1.0) for depth in (1, 2, 3, 4)]
+    volumes = [torus3.geometry(depth).ball_volume_detail(0, 1.0)[0]
+               for depth in (1, 2, 3, 4)]
     deltas = [abs(volumes[i + 1] - volumes[i]) for i in range(3)]
     assert deltas[0] >= deltas[1] >= deltas[2]
 

@@ -457,7 +457,7 @@ def test_fit_in_ball_matches_brute_force(name, torus4_d1, genus2):
             continue
         a, b = fit.witness_pair
         assert a == fit.center and b in nodes
-        assert graph.distance(a, b) == fit.radius
+        assert graph.distances_from(a)[b] == fit.radius
         if fit.radius > 2 * radius:
             # two-sweep diameter exit: the pair alone rules out every center
             outcomes.add("diameter")
@@ -981,6 +981,41 @@ def test_filtration_certificates_reverify(torus_filtration_d2):
         for cert in level.certificates:
             assert cert.center is not None
             assert cert.radius <= radius + 1e-12
+
+
+def _no_ball_search(*args, **kwargs):
+    raise AssertionError("validate searched for a ball")
+
+
+@pytest.mark.parametrize("name", ["torus4", "genus2"])
+def test_validate_searches_no_ball(name, torus_filtration_d1, monkeypatch):
+    # the stored certificates are the only proof of separation
+    if name == "torus4":
+        checked = torus_filtration_d1
+    else:
+        config = SeparationConfig(radius=0.7, epsilon=0.05, move_budget=10,
+                                  rng_seed=7, subdivision_depth=1)
+        checked = build_filtration(fit_geometry("genus2"), config)
+    monkeypatch.setattr(filtration, "fit_in_ball", _no_ball_search)
+    assert checked.validate()
+
+
+@pytest.mark.parametrize("name, radius", [("torus4", 1.1), ("genus2", 0.7)])
+def test_validate_reads_one_row_per_component(name, radius, monkeypatch):
+    # past the dense limit each row is computed on request: validate reads
+    # only the stored centers' rows
+    from sepfilt.filtration import Filtration
+
+    monkeypatch.setattr(complexes, "_DENSE_LIMIT", 16)
+    config = SeparationConfig(radius=radius, epsilon=0.05, move_budget=10,
+                              rng_seed=7, subdivision_depth=1)
+    payload = build_filtration(fit_geometry(name), config).to_json()
+    checked = Filtration.from_json(fit_geometry(name), payload)
+    rows = checked.geometry.graph._rows
+    assert not rows
+    assert checked.validate()
+    stored = sum(len(level.certificates) for level in checked.levels)
+    assert 0 < len(rows) <= stored
 
 
 def test_filtration_deterministic(torus4_d1):

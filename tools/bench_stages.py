@@ -13,11 +13,14 @@ builds the fixture and times ``run_pipeline``'s stages with
 geometry's ``cell_system``), filtration (``build_filtration`` alone),
 coloring (``color_by_filtration``), census (``count_rainbow``), V1
 (``estimate_v1``), packing (``greedy_packing``), sweep
-(``inequality_sweep``, 100 samples) and verify, which mirrors
-``sepfilt verify`` on a fresh geometry: ``WeightedComplex.from_json`` and
-``Filtration.from_json`` of the filtration document, ``validate``,
-``pipeline.audit_document`` (in checkouts that have it) and
-``inequality_sweep`` with 2,000 samples at seed 101.
+(``inequality_sweep``, 100 samples), then validate and verify, which
+together mirror ``sepfilt verify`` on a fresh geometry: validate is
+``Filtration.validate`` alone, and verify is the rest:
+``WeightedComplex.from_json`` and ``Filtration.from_json`` of the
+filtration document before it, ``pipeline.audit_document`` (in checkouts
+that have it) and ``inequality_sweep`` with 2,000 samples at seed 101
+after it.  Each of the two keeps its own time and counters; their sum is
+what the verify stage alone measured before they were split.
 ``peak_rss_mb`` is the process's ``ru_maxrss``.  ``dijkstra_rows`` counts
 the distance rows each stage computes (an all-pairs call counts one row per
 node), by wrapping ``sepfilt.complexes.dijkstra`` from outside the package;
@@ -65,7 +68,7 @@ CONFIG = {"epsilon": 0.05, "move_budget": 40, "rng_seed": 7}
 SAMPLES = 100
 VERIFY_SAMPLES, VERIFY_SEED = 2000, 101
 STAGES = ("geometry", "incidence", "filtration", "coloring", "census", "V1",
-          "packing", "sweep", "verify")
+          "packing", "sweep", "validate", "verify")
 COUNTERS = ("dijkstra_rows", "fit_calls", "try_remove_calls", "try_remove_fits",
             "memo_hits")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -167,7 +170,9 @@ def measure(fixture):
     fresh = WeightedComplex.from_json(document["complex"])
     checked_depth = SeparationConfig.from_json(document["config"]).subdivision_depth
     checked = Filtration.from_json(fresh.geometry(checked_depth), document)
+    lap("verify")
     checked.validate()
+    lap("validate")
     if hasattr(pipeline, "audit_document"):
         pipeline.audit_document(checked, document)
     verify_checks = inequality_sweep(checked, VERIFY_SAMPLES, VERIFY_SEED)
