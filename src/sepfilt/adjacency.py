@@ -166,14 +166,25 @@ class CellSystem:
         return smallest[labels]
 
     def component_groups(self, blocked):
-        """List of components, each a sorted tuple of cell indices."""
+        """Per component, in label order, its cells as a sorted tuple of
+        cell indices and its nodes as a sorted array.
+
+        The node arrays come from one sorted unique of ``label * n + node``
+        keys over every cell's nodes, split where the label changes.
+        """
         labels = self.components(blocked)
+        if not len(labels):
+            return []
         order = np.argsort(labels, kind="stable")
         cuts = (np.flatnonzero(np.diff(labels[order])) + 1).tolist()
         cells = order.tolist()
+        n = int(self.cell_nodes.max()) + 1
+        owners, nodes = np.divmod(np.unique(labels[:, None] * n + self.cell_nodes), n)
+        node_groups = np.split(nodes, np.flatnonzero(np.diff(owners)) + 1)
         return [
-            tuple(cells[a:b]) for a, b in zip([0, *cuts], [*cuts, len(cells)])
-        ] if cells else []
+            (tuple(cells[a:b]), group)
+            for a, b, group in zip([0, *cuts], [*cuts, len(cells)], node_groups)
+        ]
 
     def cut_facets(self, side):
         """Ids of the facets whose cofaces do not all have the same
@@ -184,9 +195,6 @@ class CellSystem:
         values = np.asarray(side)[self.coface_cells[: ptr[-1]]]
         differs = values != np.repeat(values[ptr[:-1]], np.diff(ptr))
         return np.flatnonzero(np.logical_or.reduceat(differs, ptr[:-1]))
-
-    def group_nodes(self, group):
-        return np.unique(self.cell_nodes[list(group)])
 
 
 @dataclass(frozen=True)

@@ -76,16 +76,17 @@ def _ball_row(filtration, center, r1, r2):
 
     The radius order is checked before the filtration is read.  The
     density checks compare Z_0 with r1 and the other levels with r2, so
-    when the smaller radius that meets a nonempty set (r1 if Z_0 is
-    nonempty, else r2) provably holds every node, no row is read: Z_0
-    counts whole and every level is measured whole.
+    the row is read only out to r2, and when the smaller radius that meets
+    a nonempty set (r1 if Z_0 is nonempty, else r2) provably holds every
+    node, no row is read: Z_0 counts whole and every level is measured
+    whole.
     """
     _check_radius_order(r1, r2)
     graph = filtration.geometry.graph
     z0 = filtration.level(0).cells_array[:, 0]
     if graph.holds_every_node(center, r1 if len(z0) else r2):
         return None, len(z0)
-    dist = graph.distances_from(center)
+    dist = graph.distances_within(center, r2)
     return dist, int((dist[z0] <= r1).sum())
 
 
@@ -134,10 +135,13 @@ def coarea_check(filtration, level, center, r1, r2):
     Integrates the area of Z_level inside B(p, rho) for rho in [r1, r2] and
     compares with the credited area of the parent level in the annulus plus
     2 eps R.  The budget covers quadrature error and both boundary credits.
-    The slice areas are summed in distance order, so the real distance row
-    is read unless the level is empty and B(p, r1) provably holds every
-    node: then the integral and its budget are 0 and both parent balls are
-    measured whole.
+    The slice areas are summed in distance order: ``np.argsort`` is not
+    stable, so the order of tied cells, and with it the rounding of the
+    cumulative sum, depends on every entry of the row, and a nonempty level
+    reads the complete row.  An empty level has an integral and budget of
+    0, and only the parent is measured, at r1 and r2: its row is read out
+    to r2, or not at all when B(p, r1) provably holds every node, and then
+    both parent balls are measured whole.
     """
     _check_radius_order(r1, r2)
     graph = filtration.geometry.graph
@@ -147,7 +151,8 @@ def coarea_check(filtration, level, center, r1, r2):
     if not len(z) and graph.holds_every_node(center, r1):
         dist, integral, quad_budget = None, 0.0, 0.0
     else:
-        dist = graph.distances_from(center)
+        dist = (graph.distances_from(center) if len(z)
+                else graph.distances_within(center, r2))
         max_dist = dist[z.cells_array].max(axis=1)
         order = np.argsort(max_dist)
         cumulative = np.concatenate(([0.0], np.cumsum(z.cell_volumes[order])))
@@ -187,20 +192,17 @@ def greedy_packing(z0_nodes, geometry):
     strictly above 2 r_small (r_small = 0.25); the concentric r_big = 0.5
     balls must cover all of Z_0, else CoverFailure (impossible for a maximal
     packing since r_big >= 2 r_small, unless the metric itself is broken).
+    Both tests compare with 2 r_small = r_big, so each center's row is read
+    once, out to r_big.
     """
     nodes = sorted(int(v) for v in z0_nodes)
-    centers = []
+    centers, rows = [], []
     for node in nodes:
-        if all(
-            geometry.graph.distances_from(center)[node] > 2.0 * _PACKING_R_SMALL
-            for center in centers
-        ):
+        if all(row[node] > 2.0 * _PACKING_R_SMALL for row in rows):
             centers.append(node)
+            rows.append(geometry.graph.distances_within(node, _PACKING_R_BIG))
     for node in nodes:
-        if not any(
-            geometry.graph.distances_from(center)[node] <= _PACKING_R_BIG
-            for center in centers
-        ):
+        if not any(row[node] <= _PACKING_R_BIG for row in rows):
             raise CoverFailure(
                 f"point {node} is not covered by any doubled packing ball"
             )

@@ -237,7 +237,9 @@ class MetricGraph:
 
     Distances follow one policy.  Up to ``_DENSE_LIMIT`` nodes, the first
     request computes the all-pairs matrix and every row is served from it.
-    Above the limit, each row is computed on its first request and cached.
+    Above the limit, a row is computed on request out to the radius its
+    caller reads (``distances_within``); a complete row, every entry
+    finite, is cached, and a truncated one is returned and not kept.
 
     Arc lengths are rounded up to multiples of one power-of-two quantum,
     fine enough that every path sum, and every sum of two, is exact in
@@ -246,9 +248,10 @@ class MetricGraph:
 
     For any anchor a, ``d(a, .) + max d(a, .)`` bounds every node's
     eccentricity by the triangle inequality.  ``reach`` starts from node
-    0's row and, above the limit, every row computed since tightens it to
-    the elementwise minimum over those anchors, so ``holds_every_node`` can
-    prove that a ball contains every node without the ball's own row.
+    0's row and, above the limit, every complete row computed since
+    tightens it to the elementwise minimum over those anchors, so
+    ``holds_every_node`` can prove that a ball contains every node without
+    the ball's own row.
     """
 
     def __init__(self, n_nodes, pairs, lengths):
@@ -282,20 +285,34 @@ class MetricGraph:
 
     def distances_from(self, node):
         """Distances from one node to every node."""
+        return self.distances_within(node, math.inf)
+
+    def distances_within(self, node, limit):
+        """Distances from one node, exact wherever they are <= ``limit``.
+
+        Above the dense limit, an uncached row is computed only out to
+        ``limit`` (inclusive), so an entry beyond it may read ``inf``; any
+        comparison with a radius <= ``limit`` gives the true answer.  The
+        row is kept only when it came out complete.
+        """
         if self._full is not None:
             return self._full[node]
         if self.n_nodes <= _DENSE_LIMIT:
             return self.all_distances()[node]
         row = self._rows.get(node)
         if row is None:
-            row = self._rows[node] = dijkstra(self._matrix, indices=node)
+            row = dijkstra(self._matrix, indices=node, limit=limit)
+            if limit < math.inf and np.isinf(row).any():
+                return row
+            self._rows[node] = row
             if "reach" in self.__dict__:
                 np.minimum(self.reach, row + row.max(), out=self.reach)
         return row
 
     @functools.cached_property
     def reach(self):
-        """Per-node upper bound on the eccentricity over the anchor rows."""
+        """Per-node upper bound on the eccentricity over the complete rows
+        computed so far."""
         row = self.distances_from(0)
         bound = row + row.max()
         for other in self._rows.values():
@@ -446,12 +463,32 @@ class ComplexGeometry:
             # a padding slot adds 0.0 * corner, which changes no sum
             self._positions += weights[:, k, None] * corners[:, k]
 
-        # Chords join nodes sharing a cell two rounds up (the original
-        # simplex up to depth 2): a block of (n+1)!^min(depth, 2) cells.
-        # This keeps the arc count near linear while still refining the
-        # metric.  Every block is the same subdivided simplex, so each has
-        # the same member count.
-        block = children ** min(depth, 2)
+        arc_keys, arc_lengths = self._chords(children ** min(depth, 2))
+        self.graph = MetricGraph(
+            n_nodes, np.column_stack(np.divmod(arc_keys, n_nodes)), arc_lengths
+        )
+
+        points = self._positions_of(self.cell_orig[:, None], cells)
+        diffs = points[:, 1:] - points[:, :1]
+        gram = diffs @ diffs.transpose(0, 2, 1)
+        det = np.linalg.det(gram)
+        self.cell_volumes = np.sqrt(np.maximum(det, 0.0)) / math.factorial(n)
+        # every cell edge is an arc of the cell's block
+        a, b = np.array(_pair_index(n)).T
+        edges = np.searchsorted(arc_keys, cells[:, a] * n_nodes + cells[:, b])
+        self.max_cell_diameter = float(arc_lengths[edges].max())
+
+    def _chords(self, block):
+        """Arc keys ``head * n_nodes + tail`` (ascending) and lengths of the
+        chords between the nodes of each block of ``block`` cells.
+
+        Chords join nodes sharing a cell two rounds up (the original
+        simplex up to depth 2).  This keeps the arc count near linear while
+        still refining the metric.  Every block is the same subdivided
+        simplex, so each has the same member count.  The per-pair arrays
+        are freed on return, before the metric graph is built.
+        """
+        cells, n_nodes = self.cells_array, self.n_nodes
         block_nodes = np.sort(cells.reshape(len(cells) // block, -1), axis=1)
         distinct = np.ones(block_nodes.shape, dtype=bool)
         distinct[:, 1:] = block_nodes[:, 1:] != block_nodes[:, :-1]
@@ -469,20 +506,7 @@ class ComplexGeometry:
         arc_keys, last = np.unique(
             (heads * n_nodes + tails)[::-1], return_index=True
         )
-        arc_lengths = lengths[::-1][last]
-        self.graph = MetricGraph(
-            n_nodes, np.column_stack(np.divmod(arc_keys, n_nodes)), arc_lengths
-        )
-
-        points = self._positions_of(self.cell_orig[:, None], cells)
-        diffs = points[:, 1:] - points[:, :1]
-        gram = diffs @ diffs.transpose(0, 2, 1)
-        det = np.linalg.det(gram)
-        self.cell_volumes = np.sqrt(np.maximum(det, 0.0)) / math.factorial(n)
-        # every cell edge is an arc of the cell's block
-        a, b = np.array(_pair_index(n)).T
-        edges = np.searchsorted(arc_keys, cells[:, a] * n_nodes + cells[:, b])
-        self.max_cell_diameter = float(arc_lengths[edges].max())
+        return arc_keys, lengths[::-1][last]
 
     # -- basic queries ----------------------------------------------------
 
@@ -556,7 +580,7 @@ class ComplexGeometry:
         """
         if self.graph.holds_every_node(center, r):
             return self.whole_measure
-        dist = self.graph.distances_from(center)
+        dist = self.graph.distances_within(center, r)
         return credited_measure(self.cells_array, self.cell_volumes, dist, r)
 
     @functools.cached_property

@@ -165,8 +165,7 @@ def _fit_components(system, geometry, blocked, radius):
     Keys are component labels (smallest cell index), in ascending order.
     """
     components = {}
-    for group in system.component_groups(blocked):
-        nodes = system.group_nodes(group)
+    for group, nodes in system.component_groups(blocked):
         components[group[0]] = _Component(
             list(group), nodes, fit_in_ball(geometry, nodes, radius)
         )
@@ -592,9 +591,7 @@ class Filtration:
         for i in range(self.dim - 1, -1, -1):
             level = self.levels[i]
             rebuilt = Subpolyhedron(parent, level.subpolyhedron.cells)
-            system = parent.cell_system
-            components = [(group, system.group_nodes(group))
-                          for group in system.component_groups(rebuilt.facet_ids)]
+            components = parent.cell_system.component_groups(rebuilt.facet_ids)
             _audit_certificates(i, level.certificates, components,
                                 self.geometry.graph, radius)
             _audit_measures(i, level, rebuilt, schedule[i])

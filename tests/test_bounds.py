@@ -363,6 +363,92 @@ def test_empty_level_coarea_shortcut(vanishing_filtration, monkeypatch, limit):
 
 
 # ---------------------------------------------------------------------------
+# rows read out to a radius past the dense limit
+
+
+def test_limited_row_is_the_full_row_cut_at_its_limit(
+    small_genus_filtration, monkeypatch
+):
+    full_rows = small_genus_filtration.geometry.graph
+    graph = fresh_copy(small_genus_filtration, monkeypatch, 16).geometry.graph
+    for p in range(0, graph.n_nodes, 7):
+        full = full_rows.distances_from(p)
+        # SciPy's limit is inclusive: entries equal to it are kept
+        for limit in np.quantile(np.unique(full), [0.0, 0.1, 0.5, 0.9], method="lower"):
+            row = graph.distances_within(p, limit)
+            assert np.array_equal(row, np.where(full <= limit, full, np.inf))
+        assert np.array_equal(graph.distances_within(p, full.max()), full)
+    # up to the dense limit every row is the all-pairs row, whatever the limit
+    assert np.array_equal(full_rows.distances_within(3, 0.0), full_rows.distances_from(3))
+
+
+def test_only_complete_rows_are_kept(small_genus_filtration, monkeypatch):
+    full_rows = small_genus_filtration.geometry.graph
+    graph = fresh_copy(small_genus_filtration, monkeypatch, 16).geometry.graph
+    reach = graph.reach.copy()
+    assert list(graph._rows) == [0]
+    p, q = 5, 9
+    full_p, full_q = full_rows.distances_from(p), full_rows.distances_from(q)
+    row = graph.distances_within(p, np.median(full_p))
+    assert np.isinf(row).any()
+    assert list(graph._rows) == [0]
+    assert np.array_equal(graph.reach, reach)
+    # a limited request whose row comes out complete is kept and tightens
+    row = graph.distances_within(q, full_q.max())
+    assert np.array_equal(row, full_q)
+    assert list(graph._rows) == [0, q]
+    assert np.array_equal(graph.reach, np.minimum(reach, full_q + full_q.max()))
+    assert (graph.reach < reach).any()
+
+
+@pytest.mark.parametrize(
+    "name,top",
+    [("small_genus_filtration", 0.07), ("torus_filtration_d2", 1.0),
+     ("vanishing_filtration", VANISHING_RADII[-1])],
+)
+def test_truncated_rows_give_the_dense_outputs(name, top, request, monkeypatch):
+    # The same sweep, V1 estimate and packing from the all-pairs rows and
+    # from rows computed one at a time, read out to each check's radius;
+    # more checks are drawn with radii up to ``top``, so that some balls
+    # miss nodes.  Coarea levels are empty on the vanishing fixture and
+    # not on the others.
+    filtration = request.getfixturevalue(name)
+    truncated = []
+    dijkstra = complexes.dijkstra
+
+    def recording(*args, **kwargs):
+        row = dijkstra(*args, **kwargs)
+        if kwargs.get("limit", math.inf) < math.inf and np.isinf(row).any():
+            truncated.append(kwargs["limit"])
+        return row
+
+    monkeypatch.setattr(complexes, "dijkstra", recording)
+
+    def outputs(copy):
+        geometry = copy.geometry
+        rng = random.Random(13)
+        rows = [c.to_row() for c in inequality_sweep(copy, 60, seed=3)]
+        for _ in range(20):
+            center = rng.randrange(geometry.n_nodes)
+            r1 = rng.uniform(0.02, 0.9) * top
+            r2 = r1 + 0.05 * top
+            checks = [point_density_check(copy, center, r1, r2)]
+            checks += [coarea_check(copy, level, center, r1, r2)
+                       for level in range(copy.dim)]
+            rows += [c.to_row() for c in checks]
+        z0 = copy.z0_nodes()
+        packing = greedy_packing(z0, geometry) if z0 else None
+        return rows, estimate_v1(geometry), packing
+
+    dense = outputs(fresh_copy(filtration, monkeypatch, None))
+    assert not truncated
+    assert outputs(fresh_copy(filtration, monkeypatch, 16)) == dense
+    assert truncated
+    levels = {len(filtration.level(i)) > 0 for i in range(filtration.dim)}
+    assert levels == ({False} if name == "vanishing_filtration" else {True})
+
+
+# ---------------------------------------------------------------------------
 # packing
 
 

@@ -199,7 +199,7 @@ def test_components_match_oracle_on_random_cuts(torus4_d1):
     for _ in range(10):
         ids = rng.sample(range(len(facets)), k=rng.randrange(0, len(facets)))
         blocked = [facets[k] for k in ids]
-        ours = sorted(system.component_groups(ids))
+        ours = sorted(cells for cells, _ in system.component_groups(ids))
         oracle = components_oracle(torus4_d1.cells, blocked)
         assert ours == oracle
         # each label is the smallest cell index of its component
@@ -247,11 +247,11 @@ def test_array_incidence_matches_set_definitions(name):
                 groups.setdefault(label, []).append(index)
             expected = [tuple(groups[key]) for key in sorted(groups)]
             found = system.component_groups(blocked)
-            assert found == expected
-            assert all(type(i) is int for group in found for i in group)
-            for group in found:
-                nodes = sorted({v for i in group for v in cells[i]})
-                assert system.group_nodes(group).tolist() == nodes
+            assert [group for group, _ in found] == expected
+            assert all(type(i) is int for group, _ in found for i in group)
+            for group, nodes in found:
+                assert nodes.dtype == np.int64
+                assert nodes.tolist() == sorted({v for i in group for v in cells[i]})
     assert seen_cofaces == {1, 2, 3}
 
 
@@ -402,10 +402,7 @@ def fit_inputs(geometry, radii, seed=11):
     node_sets = [np.arange(geometry.n_nodes)]
     for share in (0.3, 0.6, 0.9):
         blocked = [k for k in range(len(system.facets)) if rng.random() < share]
-        node_sets.extend(
-            system.group_nodes(group)
-            for group in system.component_groups(blocked)
-        )
+        node_sets.extend(nodes for _, nodes in system.component_groups(blocked))
     inputs = []
     for nodes in node_sets:
         for radius in radii:
@@ -742,7 +739,7 @@ def assert_state_from_scratch(state):
     labels = system.components(z)
     assert state.labels == labels.tolist()
     assert sorted(state.comps) == np.unique(labels).tolist()
-    # every component's cells, and its nodes as group_nodes(cells), checked
+    # every component's cells, and its nodes (those of its cells), checked
     # for all components at once: both sides concatenated in label order
     comps = [state.comps[label] for label in sorted(state.comps)]
     sizes = np.bincount(labels)[sorted(state.comps)]

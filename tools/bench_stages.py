@@ -23,7 +23,9 @@ after it.  Each of the two keeps its own time and counters; their sum is
 what the verify stage alone measured before they were split.
 ``peak_rss_mb`` is the process's ``ru_maxrss``.  ``dijkstra_rows`` counts
 the distance rows each stage computes (an all-pairs call counts one row per
-node), by wrapping ``sepfilt.complexes.dijkstra`` from outside the package;
+node), by wrapping ``sepfilt.complexes.dijkstra`` from outside the package,
+and ``truncated_rows`` counts those of them computed with a finite
+``limit`` (read only out to a check's radius, past the dense limit);
 ``fit_calls`` counts each stage's ``fit_in_ball`` calls, wrapped at every
 ``sepfilt`` module attribute that holds it.  The prune counters wrap the
 method ``filtration._PruneState.try_remove``: ``try_remove_calls``
@@ -69,14 +71,15 @@ SAMPLES = 100
 VERIFY_SAMPLES, VERIFY_SEED = 2000, 101
 STAGES = ("geometry", "incidence", "filtration", "coloring", "census", "V1",
           "packing", "sweep", "validate", "verify")
-COUNTERS = ("dijkstra_rows", "fit_calls", "try_remove_calls", "try_remove_fits",
-            "memo_hits")
+COUNTERS = ("dijkstra_rows", "truncated_rows", "fit_calls", "try_remove_calls",
+            "try_remove_fits", "memo_hits")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def measure(fixture):
     """One in-process run of the pipeline: stage seconds, RSS and digest."""
     import hashlib
+    import math
     import resource
     import time
 
@@ -94,7 +97,10 @@ def measure(fixture):
 
     def counted_dijkstra(*args, **kwargs):
         result = dijkstra(*args, **kwargs)
-        counts["dijkstra_rows"] += result.size // result.shape[-1]
+        rows = result.size // result.shape[-1]
+        counts["dijkstra_rows"] += rows
+        if kwargs.get("limit", math.inf) < math.inf:
+            counts["truncated_rows"] += rows
         return result
 
     def counted_fit(*args, **kwargs):
