@@ -514,6 +514,11 @@ class ComplexGeometry:
     def root(self):
         return self
 
+    @property
+    def root_face_ids(self):
+        """The identity on the face ids, built per call (read once per coloring)."""
+        return np.arange(self.cell_system.n_faces)
+
     @functools.cached_property
     def cells(self):
         """The cells as sorted tuples of node ids, in cell order."""
@@ -594,10 +599,10 @@ class ComplexGeometry:
 class Subpolyhedron:
     """A pure (d-1)-dimensional set of faces of a parent's d-cells.
 
-    ``cells`` are sorted tuples of node ids, sorted (built on first use
-    when made ``of_facets``); ``cells_array`` holds the same rows, and
-    ``facet_ids`` are the cells' facet ids in the parent's
-    ``cell_system``, ascending.
+    ``facet_ids`` are the cells' facet ids in the parent's ``cell_system``,
+    ascending, ``cells_array`` their node rows and ``cells`` the same rows
+    as tuples, built on first use.  Every face is a face of the root, and
+    ``root_face_ids`` maps this level's face ids to the root's.
     """
 
     def __init__(self, parent, cells):
@@ -620,8 +625,7 @@ class Subpolyhedron:
             raise DimensionMismatch(
                 f"cell {missing.args[0]} is not a face of the parent"
             ) from None
-        self.cells = tuple(normalized)
-        self.cells_array = rows.astype(np.int64)
+        self.cells_array = parent.cell_system.facets[self.facet_ids]
 
     @classmethod
     def of_facets(cls, parent, facet_ids):
@@ -642,22 +646,27 @@ class Subpolyhedron:
 
     @property
     def root(self) -> ComplexGeometry:
-        parent = self.parent
-        while isinstance(parent, Subpolyhedron):
-            parent = parent.parent
-        return parent
+        return self.parent.root
+
+    @functools.cached_property
+    def root_face_ids(self):
+        """The root's face id of each face of this level, by face id."""
+        root, rows = self.root.cell_system, self.cell_system.face_rows.values()
+        return np.concatenate([root.face_ids(size_rows) for size_rows in rows])
+
+    @functools.cached_property
+    def face_volumes(self):
+        """The root's volume of each face of this level, by face id."""
+        return self.root.face_volumes[self.root_face_ids]
 
     @functools.cached_property
     def cell_volumes(self):
-        """The root's face volume of each cell, in cell order."""
-        root = self.root
-        return root.face_volumes[root.cell_system.face_ids(self.cells_array)]
+        """The root's face volume of each cell, in cell order, read from the
+        parent's face volumes: this level's ``cell_system`` is not needed."""
+        return self.parent.face_volumes[self.facet_ids]
 
     def total_area(self):
         return float(sum(self.cell_volumes))
 
     def __len__(self):
-        return len(self.cells)
-
-    def __contains__(self, cell):
-        return tuple(sorted(cell)) in set(self.cells)
+        return len(self.cells_array)

@@ -134,13 +134,6 @@ def _facet_ids(parent, candidate):
     return Subpolyhedron(parent, candidate).facet_ids
 
 
-def _facet_volumes(system, geometry):
-    """The geometry's face volume of each facet of ``system``, by facet id;
-    ``system`` is the cell system of the geometry or of a level in it."""
-    ids = geometry.cell_system.face_ids(system.facets)
-    return geometry.face_volumes[ids].tolist()
-
-
 @dataclass
 class _Component:
     """One complement component: its cell indices, nodes and ball fit.
@@ -159,13 +152,15 @@ class _Component:
         return self.ecc
 
 
-def _fit_components(system, geometry, blocked, radius):
-    """Complement components of ``blocked``, each fitted to a radius ball.
+def _fit_components(parent, blocked, radius):
+    """Complement components of the parent's facets ``blocked``, each
+    fitted to a radius ball.
 
     Keys are component labels (smallest cell index), in ascending order.
     """
+    geometry = parent.root
     components = {}
-    for group, nodes in system.component_groups(blocked):
+    for group, nodes in parent.cell_system.component_groups(blocked):
         components[group[0]] = _Component(
             list(group), nodes, fit_in_ball(geometry, nodes, radius)
         )
@@ -192,7 +187,7 @@ def is_r_separating(parent, candidate, radius):
     check carries, per component, a witnessing center or a violating pair.
     """
     blocked = _facet_ids(parent, candidate)
-    components = _fit_components(parent.cell_system, parent.root, blocked, radius)
+    components = _fit_components(parent, blocked, radius)
     return SeparationCheck(
         all(c.fit.fits for c in components.values()), _certificates(components)
     )
@@ -211,8 +206,7 @@ def sphere_replacement_move(parent, candidate, center, rho):
         raise ValueError("rho must be positive")
     blocked = _facet_ids(parent, candidate)
     system = parent.cell_system
-    geometry = parent.root
-    dist = geometry.graph.distances_from(center)
+    dist = parent.root.graph.distances_from(center)
     strict = dist < rho
     if int(strict.sum()) <= 1:
         return Subpolyhedron.of_facets(parent, blocked)
@@ -253,7 +247,7 @@ class _PruneState:
     R-ball depends only on the set and R (the hint can only make a fit
     succeed early), and a refusal changes nothing but eccentricity caches.
 
-    ``z`` holds facet ids of ``system``; ``area_of`` lists the face volume
+    ``z`` holds facet ids of the parent; ``area_of`` lists the face volume
     of each of its facets by id.  ``cover_count`` (``system.cover(z)``) and
     ``labels`` (each cell's component label) are Python lists: a removal
     touches only one closure's few faces and their cells, where indexing a
@@ -261,19 +255,18 @@ class _PruneState:
     memo key and the fit.
     """
 
-    def __init__(self, system, geometry, blocked, radius, area_of=None,
-                 refused=None):
-        self.system = system
-        self.geometry = geometry
+    def __init__(self, parent, blocked, radius, area_of=None, refused=None):
+        self.system = system = parent.cell_system
+        self.geometry = parent.root
         self.radius = radius
         self.z = set(blocked)
         if area_of is None:
-            area_of = _facet_volumes(system, geometry)
+            area_of = parent.face_volumes[: len(system.facets)].tolist()
         self.area_of = area_of
         self.refused = set() if refused is None else refused
         self.cover_count = system.cover(self.z).tolist()
         self.area = math.fsum(map(area_of.__getitem__, self.z))
-        self.comps = _fit_components(system, geometry, self.z, radius)
+        self.comps = _fit_components(parent, self.z, radius)
         labels = np.empty(len(system.cell_nodes), dtype=np.int64)
         for label, comp in self.comps.items():
             labels[comp.cells] = label
@@ -350,14 +343,14 @@ def _prune(state, order_key):
     return state
 
 
-def _voronoi_seed(system, geometry, radius):
+def _voronoi_seed(parent, radius):
     """Cross facets of a nearest-center partition of the parent cells.
 
     Centers are a greedy maximal node set at pairwise distance > radius;
     each cell goes to the center minimizing its farthest-node distance.
     Parts that fit no ball fall back to all their internal facets.
     """
-    graph = geometry.graph
+    system, graph = parent.cell_system, parent.root.graph
     centers = []
     for node in range(graph.n_nodes):
         if all(graph.distances_from(c)[node] > radius for c in centers):
@@ -369,7 +362,7 @@ def _voronoi_seed(system, geometry, radius):
     # dim + 1 facets are its faces just before the cell itself
     facet_columns = slice(-system.dim - 2, -1)
     for _ in range(len(centers)):
-        components = _fit_components(system, geometry, candidate, radius)
+        components = _fit_components(parent, candidate, radius)
         bad = [c.cells for c in components.values() if not c.fit.fits]
         if not bad:
             break
@@ -412,7 +405,7 @@ def minimize_separating(
 
     full = set(facets)
     order_index = {facet: i for i, facet in enumerate(facets)}
-    area_of = _facet_volumes(system, geometry)
+    area_of = parent.face_volumes[: len(system.facets)].tolist()
 
     lex_key = order_index.__getitem__
 
@@ -423,7 +416,7 @@ def minimize_separating(
     refused = set()
 
     def new_state(blocked):
-        return _PruneState(system, geometry, blocked, radius, area_of, refused)
+        return _PruneState(parent, blocked, radius, area_of, refused)
 
     # pruning keeps feasibility, so the full candidate set decides it
     full_state = new_state(full)
@@ -445,7 +438,7 @@ def minimize_separating(
 
     if candidate_facets is None:
         for theta in (1.0, 0.75, 0.5):
-            seed = _voronoi_seed(system, geometry, radius * theta)
+            seed = _voronoi_seed(parent, radius * theta)
             consider(new_state(seed), lex_key)
 
     for _ in range(2 if move_budget > 0 else 0):  # shuffled orders
@@ -542,7 +535,8 @@ def _audit_measures(level, stored, cells, epsilon):
 
 
 class Filtration:
-    """Nested separating levels Z_n >= ... >= Z_0 over one geometry."""
+    """Nested separating levels Z_n >= ... >= Z_0 over one geometry, nested
+    by construction: each level is built on the very level above it."""
 
     def __init__(self, geometry, config, levels):
         self.geometry = geometry
@@ -550,6 +544,9 @@ class Filtration:
         if len(levels) != geometry.dim:
             raise ValueError("expected one level per dimension below the top")
         self.levels = tuple(levels)  # index i holds Z_i, i = 0..n-1
+        for i, level in enumerate(self.levels):
+            if level.subpolyhedron.parent is not self.level(i + 1):
+                raise ValueError(f"level {i} is not built on level {i + 1}")
 
     @property
     def dim(self):
@@ -579,23 +576,22 @@ class Filtration:
         return self._slacks[1]
 
     def validate(self):
-        """Re-verify nesting, then separation from the stored certificates,
-        and the stored area, slack and slack kind of every level from
-        scratch (``_audit_certificates``, ``_audit_measures``).
+        """Re-verify separation from the stored certificates, and the
+        stored area, slack and slack kind of every level, top level first
+        (``_audit_certificates``, ``_audit_measures``).
 
-        A certificate that passes proves that its component fits an R-ball,
+        The levels audited are the ones held, nested by construction.  A
+        certificate that passes proves that its component fits an R-ball,
         so no ball is searched for."""
-        parent = self.geometry
         radius = self.config.radius
         schedule = self.epsilon_schedule()
         for i in range(self.dim - 1, -1, -1):
             level = self.levels[i]
-            rebuilt = Subpolyhedron(parent, level.subpolyhedron.cells)
-            components = parent.cell_system.component_groups(rebuilt.facet_ids)
+            z = level.subpolyhedron
+            components = z.parent.cell_system.component_groups(z.facet_ids)
             _audit_certificates(i, level.certificates, components,
                                 self.geometry.graph, radius)
-            _audit_measures(i, level, rebuilt, schedule[i])
-            parent = rebuilt
+            _audit_measures(i, level, z, schedule[i])
         return True
 
     def to_json(self):
@@ -619,10 +615,20 @@ class Filtration:
 
     @classmethod
     def from_json(cls, geometry, payload):
+        """The filtration of a ``to_json`` payload on ``geometry``.  The
+        stored ``dimension`` must be the geometry's and each level's ``dim``
+        its position; a mismatch raises SeparationViolation."""
         config = SeparationConfig.from_json(payload["config"])
+        entries = payload["levels"]
+        for field, value, derived in [
+            ("dimension: stored", payload["dimension"], geometry.dim),
+            *((f"level {i}: stored dim", e["dim"], i) for i, e in enumerate(entries)),
+        ]:
+            if value != derived:
+                raise SeparationViolation(f"{field} {value!r} (re-derived {derived})")
         levels = []
         parent = geometry
-        for entry in sorted(payload["levels"], key=lambda e: -e["dim"]):
+        for entry in reversed(entries):
             sub = Subpolyhedron(parent, [tuple(c) for c in entry["cells"]])
             levels.append(
                 FiltrationLevel(

@@ -34,21 +34,16 @@ class ColorInfo:
 
 
 class LevelColoring:
-    """Node and face colors induced by (level, stratum component).
+    """Face colors induced by (level, stratum component).
 
     ``face_colors`` holds the color of every face of the geometry, by the
-    face ids of its ``cell_system``.
+    face ids of its ``cell_system``; node v is face ``offsets[1] + v``.
     """
 
-    def __init__(self, geometry, node_color, color_meta, face_colors):
+    def __init__(self, geometry, color_meta, face_colors):
         self.geometry = geometry
-        self.node_color = node_color
         self.color_meta = color_meta
         self.face_colors = face_colors
-
-    @property
-    def colors(self):
-        return sorted(self.color_meta)
 
     def to_json(self):
         return {
@@ -66,16 +61,6 @@ class LevelColoring:
         }
 
 
-def _root_face_ids(geometry, level):
-    """The geometry's face id of each face of a level, by the level's own
-    face ids."""
-    system = level.cell_system
-    if level is geometry:
-        return np.arange(system.n_faces)
-    root = geometry.cell_system
-    return np.concatenate([root.face_ids(rows) for rows in system.face_rows.values()])
-
-
 def color_by_filtration(geometry, filtration, radius):
     """Color faces by their stratum: same color iff same level and component.
 
@@ -84,7 +69,7 @@ def color_by_filtration(geometry, filtration, radius):
     """
     n = geometry.dim
     levels = [filtration.level(i) for i in range(n + 1)]
-    root_ids = [_root_face_ids(geometry, level) for level in levels]
+    root_ids = [level.root_face_ids for level in levels]
     # each face's minimal level: levels are written top-down
     face_level = np.empty(geometry.cell_system.n_faces, dtype=np.int64)
     for i in range(n, -1, -1):
@@ -124,8 +109,7 @@ def color_by_filtration(geometry, filtration, radius):
             color_meta[color] = ColorInfo(
                 i, index, fit.center, fit.radius, len(members)
             )
-    node_color = dict(enumerate(face_colors[node_faces].tolist()))
-    return LevelColoring(geometry, node_color, color_meta, face_colors)
+    return LevelColoring(geometry, color_meta, face_colors)
 
 
 # ---------------------------------------------------------------------------

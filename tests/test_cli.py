@@ -322,6 +322,8 @@ STORED_FIELD_EDITS = {
     "census-total": (("census", "total"), 999, "census.total: stored 999"),
     "level-0-slack": (("levels", 0, "slack"), -5, "level 0: stored slack -5"),
     "coloring-empty": (("coloring",), {}, "coloring.colors: stored None"),
+    "dimension": (("dimension",), 9, "dimension: stored 9"),
+    "level-1-dim": (("levels", 1, "dim"), 5, "level 1: stored dim 5"),
 }
 
 

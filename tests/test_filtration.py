@@ -493,7 +493,7 @@ def prune_runs(geometry, radius, seed=5):
     facets = range(len(system.facets))
     for share in (0.5, 0.8, 1.0):
         blocked = [facet for facet in facets if rng.random() < share]
-        start = filtration._PruneState(system, geometry, blocked, radius)
+        start = filtration._PruneState(geometry, blocked, radius)
         shuffled = list(facets)
         rng.shuffle(shuffled)
         if not start.feasible:
@@ -567,7 +567,7 @@ def prune_starts(geometry, radius, seed=3, moves=12, refused=None):
     system = geometry.cell_system
 
     def new_state(blocked):
-        return filtration._PruneState(system, geometry, blocked, radius,
+        return filtration._PruneState(geometry, blocked, radius,
                                       refused=refused)
 
     facets = range(len(system.facets))
@@ -764,7 +764,7 @@ def test_list_prune_state_matches_scratch(name, mode, monkeypatch):
     geometry = prune_geometry(name)
     _, radius = PRUNE_FIXTURES[name]
     facets = list(range(len(geometry.cell_system.facets)))
-    full = filtration._PruneState(geometry.cell_system, geometry, facets, radius)
+    full = filtration._PruneState(geometry, facets, radius)
     assert full.feasible
     assert_state_from_scratch(full)
     state = full.copy()
@@ -998,6 +998,41 @@ def test_validate_searches_no_ball(name, torus_filtration_d1, monkeypatch):
 
 
 @pytest.mark.parametrize("name, radius", [("torus4", 1.1), ("genus2", 0.7)])
+def test_validate_builds_no_level(name, radius, monkeypatch):
+    # validate audits the levels from_json built, nested by construction:
+    # it constructs no subpolyhedron and no cell system of its own
+    from sepfilt.filtration import Filtration
+
+    config = SeparationConfig(radius=radius, epsilon=0.05, move_budget=10,
+                              rng_seed=7, subdivision_depth=1)
+    payload = build_filtration(fit_geometry(name), config).to_json()
+    checked = Filtration.from_json(fit_geometry(name), payload)
+    built = []
+    # every constructor: __init__ of both classes, and of_facets
+    for cls in (Subpolyhedron, CellSystem):
+        def counted_init(self, *args, init=cls.__init__, name=cls.__name__):
+            built.append(name)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    of_facets = Subpolyhedron.of_facets.__func__
+
+    def counted_of_facets(cls, *args):
+        built.append("of_facets")
+        return of_facets(cls, *args)
+
+    monkeypatch.setattr(Subpolyhedron, "of_facets", classmethod(counted_of_facets))
+    Subpolyhedron(checked.geometry, [])
+    Subpolyhedron.of_facets(checked.geometry, [0])
+    CellSystem([[0, 1]])
+    # the counters count
+    assert built == ["Subpolyhedron", "of_facets", "CellSystem"]
+    built.clear()
+    assert checked.validate()
+    assert built == []
+
+
+@pytest.mark.parametrize("name, radius", [("torus4", 1.1), ("genus2", 0.7)])
 def test_validate_reads_one_row_per_component(name, radius, monkeypatch):
     # past the dense limit each row is computed on request: validate reads
     # only the stored centers' rows
@@ -1086,6 +1121,63 @@ def test_filtration_json_round_trip(torus_filtration_d1, torus4_d1):
     payload = torus_filtration_d1.to_json()
     clone = Filtration.from_json(torus4_d1, payload)
     assert clone.to_json() == payload
+
+
+def genus_filtration():
+    config = SeparationConfig(radius=0.7, epsilon=0.05, move_budget=10,
+                              rng_seed=7, subdivision_depth=1)
+    return build_filtration(fit_geometry("genus2"), config)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["torus_filtration_d1", "torus_filtration_d2", "genus",
+     "tiny_torus_filtration"],
+)
+def test_level_face_maps_match_per_call_lookup(name, request):
+    # oracle: each size's face rows of a level looked up in the root's
+    # cell system, one call per size
+    checked = genus_filtration() if name == "genus" else request.getfixturevalue(name)
+    root = checked.geometry
+    for i in range(checked.dim + 1):
+        level = checked.level(i)
+        system = level.cell_system
+        ids = np.concatenate(
+            [root.cell_system.face_ids(rows) for rows in system.face_rows.values()]
+        )
+        assert np.array_equal(level.root_face_ids, ids)
+        assert np.array_equal(level.face_volumes, root.face_volumes[ids])
+        cell_ids = root.cell_system.face_ids(level.cells_array)
+        assert np.array_equal(level.cell_volumes, root.face_volumes[cell_ids])
+        cells = level.face_volumes[system.offsets[level.dim + 1]:]
+        assert np.array_equal(level.cell_volumes, cells)
+
+
+def test_filtration_rejects_level_on_a_copy_of_its_parent(torus_filtration_d1):
+    import dataclasses
+
+    from sepfilt.filtration import Filtration
+
+    geometry, config = torus_filtration_d1.geometry, torus_filtration_d1.config
+    z0, z1 = torus_filtration_d1.levels
+    cells = z0.subpolyhedron.cells
+    twin = Subpolyhedron(geometry, z1.subpolyhedron.cells)
+    assert twin.cells == z1.subpolyhedron.cells
+    on_twin = dataclasses.replace(z0, subpolyhedron=Subpolyhedron(twin, cells))
+    with pytest.raises(ValueError, match="level 0 is not built on level 1"):
+        Filtration(geometry, config, [on_twin, z1])
+    # the same top level on an equal geometry of another complex
+    other = torus(4).geometry(1)
+    elsewhere = dataclasses.replace(
+        z1, subpolyhedron=Subpolyhedron(other, z1.subpolyhedron.cells))
+    below = dataclasses.replace(
+        z0, subpolyhedron=Subpolyhedron(elsewhere.subpolyhedron, cells))
+    with pytest.raises(ValueError, match="level 1 is not built on level 2"):
+        Filtration(geometry, config, [below, elsewhere])
+    # built on the held level, the same cells are accepted
+    held = dataclasses.replace(
+        z0, subpolyhedron=Subpolyhedron(z1.subpolyhedron, cells))
+    assert Filtration(geometry, config, [held, z1]).validate()
 
 
 # ---------------------------------------------------------------------------

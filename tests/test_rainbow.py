@@ -195,10 +195,11 @@ def test_coloring_fails_beyond_radius(torus_filtration_d1, torus4_d1):
 def test_face_compatibility(torus_filtration_d1, torus4_d1):
     # vertices sharing a simplex are same-colored or at different levels
     coloring = color_by_filtration(torus4_d1, torus_filtration_d1, 1.1)
+    node_faces = torus4_d1.cell_system.offsets[1]
     for cell in torus4_d1.cells:
         for a, b in itertools.combinations(cell, 2):
-            ca = coloring.node_color[a]
-            cb = coloring.node_color[b]
+            ca = coloring.face_colors[node_faces + a]
+            cb = coloring.face_colors[node_faces + b]
             if ca != cb:
                 assert (
                     coloring.color_meta[ca].level != coloring.color_meta[cb].level
@@ -242,9 +243,6 @@ def test_face_colors_match_face_walk(name, request):
     coloring = color_by_filtration(geometry, filtration, filtration.config.radius)
     table = walk_face_colors(geometry, filtration, coloring)
     assert dict(zip(face_tuples(geometry), coloring.face_colors.tolist())) == table
-    assert coloring.node_color == {
-        node: table[(node,)] for node in range(geometry.n_nodes)
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +362,7 @@ def test_census_matches_flag_loop_on_random_3d_colorings(sphere3):
             for face in itertools.combinations(cell, size)
         }
         face_colors = np.array([table[face] for face in face_tuples(geometry)])
-        coloring = LevelColoring(geometry, {}, meta, face_colors)
+        coloring = LevelColoring(geometry, meta, face_colors)
         z0 = sorted(rng.sample(range(geometry.n_nodes), 3))
         try:
             census = count_rainbow(geometry, coloring, _Points(z0))

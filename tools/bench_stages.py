@@ -31,7 +31,10 @@ and ``truncated_rows`` counts those of them computed with a finite
 method ``filtration._PruneState.try_remove``: ``try_remove_calls``
 counts its calls, ``try_remove_fits`` the ball fits made inside them (the
 merge fits) and ``memo_hits`` the calls refused with no fit, which only the
-refused-merge memo does.
+refused-merge memo does.  ``cell_systems`` counts the ``CellSystem``
+constructions and ``face_id_lookups`` the ``CellSystem.face_ids`` calls
+(those inside a construction too), both by wrapping the methods of
+``sepfilt.adjacency.CellSystem`` from outside the package.
 Checkouts alternate run by run, BLAS threads are 1, and
 ``outputs_identical`` says whether every run gave the same sha256 of the
 filtration and report documents and every sweep and verify row.  Each run
@@ -72,7 +75,7 @@ VERIFY_SAMPLES, VERIFY_SEED = 2000, 101
 STAGES = ("geometry", "incidence", "filtration", "coloring", "census", "V1",
           "packing", "sweep", "validate", "verify")
 COUNTERS = ("dijkstra_rows", "truncated_rows", "fit_calls", "try_remove_calls",
-            "try_remove_fits", "memo_hits")
+            "try_remove_fits", "memo_hits", "cell_systems", "face_id_lookups")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -94,6 +97,8 @@ def measure(fixture):
     counts = dict.fromkeys(COUNTERS, 0)
     dijkstra, fit_in_ball = complexes.dijkstra, adjacency.fit_in_ball
     try_remove = filtration_module._PruneState.try_remove
+    cell_system_init = adjacency.CellSystem.__init__
+    face_ids = adjacency.CellSystem.face_ids
 
     def counted_dijkstra(*args, **kwargs):
         result = dijkstra(*args, **kwargs)
@@ -116,7 +121,17 @@ def measure(fixture):
         counts["memo_hits"] += not removed and not fits
         return removed
 
+    def counted_cell_system(system, *args, **kwargs):
+        counts["cell_systems"] += 1
+        cell_system_init(system, *args, **kwargs)
+
+    def counted_face_ids(system, *args, **kwargs):
+        counts["face_id_lookups"] += 1
+        return face_ids(system, *args, **kwargs)
+
     complexes.dijkstra = counted_dijkstra
+    adjacency.CellSystem.__init__ = counted_cell_system
+    adjacency.CellSystem.face_ids = counted_face_ids
     filtration_module._PruneState.try_remove = counted_remove
     # modules import fit_in_ball by name: rebind every sepfilt binding
     for name, module in list(sys.modules.items()):
