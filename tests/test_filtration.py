@@ -1079,6 +1079,36 @@ def test_filtration_digest_is_pinned(name, radius):
     assert hashlib.sha256(text.encode()).hexdigest() == FILTRATION_DIGESTS[name]
 
 
+# per level, Z_0 first: sha256 of canonical_dumps of its cells and area.
+# They pin the search trajectory alone: a change to how certificates pick
+# their centers and radii moves FILTRATION_DIGESTS, not these
+LEVEL_CELLS_DIGESTS = {
+    "torus4": ["d34fdb6050bd0827cf1326c6d1cb29af70342e2ac7a798e45c00824e262d3a04",
+               "f08b8a4153f4df4f548ef9a4c7c15148036ffc14d5a61046383160cba49ea13e"],
+    "genus2": ["adbeb598d61f8d61c7478b22e07a8b82da29cbd7c79c8f318967a99115fba577",
+               "f11be940e13df12ced3a6a27b621daef6be076822880efbf0719cb0af6e10529"],
+}
+
+
+@pytest.mark.parametrize("name, radius", [("torus4", 1.1), ("genus2", 0.7)])
+def test_level_cells_digest_is_pinned(name, radius):
+    import hashlib
+
+    from sepfilt.files import canonical_dumps
+
+    config = SeparationConfig(radius=radius, epsilon=0.05, move_budget=40,
+                              rng_seed=7)
+    levels = build_filtration(fit_geometry(name), config).levels
+    digests = [
+        hashlib.sha256(canonical_dumps({
+            "cells": [list(cell) for cell in level.subpolyhedron.cells],
+            "area": level.area,
+        }).encode()).hexdigest()
+        for level in levels
+    ]
+    assert digests == LEVEL_CELLS_DIGESTS[name]
+
+
 # sha256 of one direct minimize_separating call without candidate_facets:
 # the Voronoi-reseed path, which build_filtration never takes
 MINIMIZE_DIGEST = "ab41320e108d096d64eb3c610677d72c7b1a1ed93e84975273482f5b57ef4e76"
