@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,61 +200,30 @@ class CellSystem:
 
 @dataclass(frozen=True)
 class BallFit:
-    """Witness that a node set fits in (or escapes) every radius-R ball."""
+    """Whether a node set fits in a radius-R ball, and the ball's center
+    and exact radius when it does."""
 
     fits: bool
     center: int | None
     radius: float
-    witness_pair: tuple | None = None
 
 
-def fit_in_ball(geometry, nodes, radius, hint=None, eccs=None):
-    """Search for a graph node whose eccentricity over ``nodes`` is <= radius.
+def fit_in_ball(geometry, nodes, radius):
+    """The lowest-id node whose eccentricity over ``nodes`` is <= radius.
 
-    Centers may be any node of the ambient complex.  They are tried in one
-    fixed order: the hint, then the members of ``nodes`` by their two-sweep
-    proxy (largest distance to the two sweep ends, ties by position), then
-    every other node by id; the first whose eccentricity is <= radius is the
-    center.  When the two sweep ends are more than 2 radius apart no center
-    can work, and that pair is the witness.  Otherwise a failure reports the
-    minimum-eccentricity center (lowest id first) and its farthest member.
-
-    ``eccs``, when given, is called at most once, only if the exact pass is
-    reached, and must return ``geometry.graph.eccentricities(nodes)``.
+    Centers may be any node of the ambient complex; the feasible ones are
+    ``graph.feasible_centers(nodes, radius)``.  The fit's radius is the
+    center's exact eccentricity, read from its radius-limited row.  When no
+    node is feasible the set fits no radius-R ball: it has no center, and
+    its radius is ``inf``.
     """
     graph = geometry.graph
     nodes = np.asarray(nodes, dtype=np.int64)
     if nodes.size == 0:
         return BallFit(True, None, 0.0)
-
-    if hint is not None:
-        e = float(graph.distances_from(hint)[nodes].max())
-        if e <= radius:
-            return BallFit(True, int(hint), e)
-
-    def ecc(center):
-        return float(graph.distances_from(center)[nodes].max())
-
-    d_first = graph.distances_from(int(nodes[0]))[nodes]
-    far_a = int(nodes[int(np.argmax(d_first))])
-    d_a = graph.distances_from(far_a)[nodes]
-    far_b = int(nodes[int(np.argmax(d_a))])
-    if float(d_a.max()) > 2.0 * radius:
-        # diameter bound: no center can work
-        return BallFit(False, far_a, float(d_a.max()), (far_a, far_b))
-    d_b = graph.distances_from(far_b)[nodes]
-    members = nodes[np.argsort(np.maximum(d_a, d_b), kind="stable")]
-    e = ecc(int(members[0]))
-    if e <= radius:
-        return BallFit(True, int(members[0]), e)
-
-    eccs = graph.eccentricities(nodes) if eccs is None else eccs()
-    fitting = members[eccs[members] <= radius]
-    if fitting.size == 0:
-        fitting = np.flatnonzero(eccs <= radius)
-    if fitting.size:
-        center = int(fitting[0])
-        return BallFit(True, center, float(eccs[center]))
-    best = int(np.argmin(eccs))
-    farthest = int(nodes[int(np.argmax(graph.distances_from(best)[nodes]))])
-    return BallFit(False, best, float(eccs[best]), (best, farthest))
+    centers = graph.feasible_centers(nodes, radius)
+    if not centers:
+        return BallFit(False, None, math.inf)
+    center = (centers & -centers).bit_length() - 1
+    row = graph.distances_within(center, radius)
+    return BallFit(True, center, float(row[nodes].max()))

@@ -30,8 +30,6 @@ from .errors import DimensionMismatch, NondegenerateViolation
 
 # Node count up to which the metric graph keeps the all-pairs matrix.
 _DENSE_LIMIT = 4096
-# Distance entries per gather when reading eccentricities (1 MB).
-_ECC_ELEMENTS = 2**17
 
 
 def _pair_index(d):
@@ -252,6 +250,11 @@ class MetricGraph:
     tightens it to the elementwise minimum over those anchors, so
     ``holds_every_node`` can prove that a ball contains every node without
     the ball's own row.
+
+    Balls are also bitsets, Python ints with bit c for node c
+    (``ball_bits``), read from rows limited to their radius and cached per
+    (node, radius) by ``feasible_centers``, which ANDs them: a node set
+    fits a radius ball around c exactly when c lies in every member's ball.
     """
 
     def __init__(self, n_nodes, pairs, lengths):
@@ -274,6 +277,8 @@ class MetricGraph:
         )
         self._full = None
         self._rows = {}
+        self._balls = {}  # radius -> {node: ball_bits(node, radius)}
+        self._every_node = (1 << n_nodes) - 1
 
     def all_distances(self):
         """The all-pairs matrix; only available up to the dense limit."""
@@ -323,24 +328,33 @@ class MetricGraph:
         """True when B(node, r) provably contains every node."""
         return self.reach[node] <= r
 
-    def eccentricities(self, nodes):
-        """Every node's largest distance to the given node set.
+    def ball_bits(self, node, radius):
+        """B(node, radius) as a bitset: bit c of the int is set exactly
+        when ``d(node, c) <= radius``.  Read from the radius-limited row."""
+        inside = self.distances_within(node, radius) <= radius
+        bits = np.packbits(inside, bitorder="little").tobytes()
+        return int.from_bytes(bits, "little")
 
-        Entry c is ``distances_from(c)[nodes].max()``.  Distances are
-        exactly symmetric, so it is read from the members' own rows, as
-        many at a time as ``_ECC_ELEMENTS`` entries allow (at least one).
+    def feasible_centers(self, nodes, radius):
+        """The nodes within ``radius`` of every given node, as a bitset.
+
+        Distances are exactly symmetric, so these are the centers c whose
+        eccentricity ``max d(c, nodes)`` is at most the radius: the
+        intersection of the members' balls.  A member whose ball provably
+        holds every node (``reach``) is skipped; every other member's ball
+        is built once per radius and cached.  The AND stops once it is 0.
         """
         nodes = np.asarray(nodes)
-        out = np.full(self.n_nodes, -np.inf)
-        step = max(1, _ECC_ELEMENTS // self.n_nodes)
-        for start in range(0, len(nodes), step):
-            block = nodes[start : start + step]
-            if self.n_nodes <= _DENSE_LIMIT:
-                rows = self.all_distances()[block]
-            else:
-                rows = np.stack([self.distances_from(c) for c in block.tolist()])
-            np.maximum(out, rows.max(axis=0), out=out)
-        return out
+        balls = self._balls.setdefault(radius, {})
+        centers = self._every_node
+        for node in nodes[self.reach[nodes] > radius].tolist():
+            ball = balls.get(node)
+            if ball is None:
+                ball = balls[node] = self.ball_bits(node, radius)
+            centers &= ball
+            if not centers:
+                break
+        return centers
 
 
 def credited_measure(cells, volumes, dist, r):

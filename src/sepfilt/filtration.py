@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import BallFit, fit_in_ball
+from .adjacency import fit_in_ball
 from .complexes import Subpolyhedron
 from .errors import Infeasible, SeparationViolation
 
@@ -97,7 +97,10 @@ class SeparationConfig:
 
 @dataclass(frozen=True)
 class ComponentCert:
-    """Ball certificate for one complement component."""
+    """Ball certificate for one complement component: its cell count and
+    the center and exact radius of a ball holding it, or no center when it
+    fits none.  ``witness_pair`` stays in the file format and is always
+    None; the certificate audit rejects a stored pair."""
 
     cells: int
     center: int | None
@@ -136,46 +139,39 @@ def _facet_ids(parent, candidate):
 
 @dataclass
 class _Component:
-    """One complement component: its cell indices, nodes and ball fit.
+    """One complement component: its cell indices and its feasible
+    centers, the bitset ``graph.feasible_centers`` of its nodes.
 
-    ``ecc`` caches ``graph.eccentricities(nodes)`` once a fit has needed it.
+    The component fits an R-ball exactly when ``centers`` is nonzero, and
+    the feasible centers of a union are the AND of its parts' ones.
     """
 
     cells: list
-    nodes: np.ndarray
-    fit: BallFit
-    ecc: np.ndarray | None = None
-
-    def eccentricities(self, graph):
-        if self.ecc is None:
-            self.ecc = graph.eccentricities(self.nodes)
-        return self.ecc
+    centers: int
 
 
 def _fit_components(parent, blocked, radius):
-    """Complement components of the parent's facets ``blocked``, each
-    fitted to a radius ball.
+    """Complement components of the parent's facets ``blocked``, each with
+    its feasible radius-ball centers.
 
     Keys are component labels (smallest cell index), in ascending order.
     """
-    geometry = parent.root
-    components = {}
-    for group, nodes in parent.cell_system.component_groups(blocked):
-        components[group[0]] = _Component(
-            list(group), nodes, fit_in_ball(geometry, nodes, radius)
-        )
-    return components
+    graph = parent.root.graph
+    return {
+        group[0]: _Component(list(group), graph.feasible_centers(nodes, radius))
+        for group, nodes in parent.cell_system.component_groups(blocked)
+    }
 
 
-def _certificates(components):
-    """One certificate per component, in label order."""
+def _certificates(parent, components, radius):
+    """One certificate per component, in label order: ``fit_in_ball`` of
+    the nodes of its cells."""
+    cell_nodes = parent.cell_system.cell_nodes
     certs = []
     for label in sorted(components):
-        comp = components[label]
-        fit = comp.fit
-        certs.append(
-            ComponentCert(len(comp.cells), fit.center, fit.radius, fit.witness_pair)
-        )
+        cells = components[label].cells
+        fit = fit_in_ball(parent.root, np.unique(cell_nodes[cells]), radius)
+        certs.append(ComponentCert(len(cells), fit.center, fit.radius))
     return tuple(certs)
 
 
@@ -184,12 +180,14 @@ def is_r_separating(parent, candidate, radius):
 
     Components are computed on the dual adjacency of the parent's top cells,
     with passage blocked exactly by faces of candidate cells.  The returned
-    check carries, per component, a witnessing center or a violating pair.
+    check carries one certificate per component: its center and radius, or
+    no center when the component fits no radius ball.
     """
     blocked = _facet_ids(parent, candidate)
     components = _fit_components(parent, blocked, radius)
     return SeparationCheck(
-        all(c.fit.fits for c in components.values()), _certificates(components)
+        all(c.centers for c in components.values()),
+        _certificates(parent, components, radius),
     )
 
 
@@ -234,36 +232,27 @@ class FiltrationLevel:
 class _PruneState:
     """Incrementally maintained components while facets are removed.
 
-    Only separating states are pruned.  ``try_remove(f)`` refuses f only
+    Only separating states are pruned.  ``try_remove(f)`` refuses f exactly
     when the union of the components around f's opened faces fits no
-    R-ball.  Removals only merge components and lower cover counts, so each
-    later union around f contains the refused one, and a set containing a
-    set that fits no ball fits none.  So a refused facet stays refused and
-    one pass reaches the fixpoint.
-
-    ``refused`` remembers the node sets of refused unions (packed node
-    masks), and ``minimize_separating`` shares one such set between all its
-    states.  A hit skips the fit and is exact: whether a node set fits an
-    R-ball depends only on the set and R (the hint can only make a fit
-    succeed early), and a refusal changes nothing but eccentricity caches.
+    R-ball: when the AND of their ``centers`` bitsets is 0.  Removals only
+    merge components and lower cover counts, so each later union around f
+    contains the refused one, and a set containing a set that fits no ball
+    fits none.  So a refused facet stays refused and one pass reaches the
+    fixpoint.
 
     ``z`` holds facet ids of the parent; ``area_of`` lists the face volume
-    of each of its facets by id.  ``cover_count`` (``system.cover(z)``) and
-    ``labels`` (each cell's component label) are Python lists: a removal
-    touches only one closure's few faces and their cells, where indexing a
-    list beats a NumPy call.  Merges keep NumPy for the node union, the
-    memo key and the fit.
+    of each of its facets by id.  ``cover_count`` (``system.cover(z)``),
+    ``labels`` (each cell's component label) and the bitsets are plain
+    Python values: a removal touches only one closure's few faces and their
+    cells, where indexing a list beats a NumPy call.
     """
 
-    def __init__(self, parent, blocked, radius, area_of=None, refused=None):
+    def __init__(self, parent, blocked, radius, area_of=None):
         self.system = system = parent.cell_system
-        self.geometry = parent.root
-        self.radius = radius
         self.z = set(blocked)
         if area_of is None:
             area_of = parent.face_volumes[: len(system.facets)].tolist()
         self.area_of = area_of
-        self.refused = set() if refused is None else refused
         self.cover_count = system.cover(self.z).tolist()
         self.area = math.fsum(map(area_of.__getitem__, self.z))
         self.comps = _fit_components(parent, self.z, radius)
@@ -271,11 +260,11 @@ class _PruneState:
         for label, comp in self.comps.items():
             labels[comp.cells] = label
         self.labels = labels.tolist()
-        self.feasible = all(comp.fit.fits for comp in self.comps.values())
+        self.feasible = all(comp.centers for comp in self.comps.values())
 
     def copy(self):
-        """An independent state; of a shared component, ``try_remove``
-        changes only the (deterministic) eccentricity cache."""
+        """An independent state; ``try_remove`` replaces merged components
+        and changes none in place."""
         clone = copy.copy(self)
         clone.z = set(self.z)
         clone.cover_count = list(self.cover_count)
@@ -288,47 +277,24 @@ class _PruneState:
         system = self.system
         closure = system.closure_lists[facet]
         cover, labels, cofaces = self.cover_count, self.labels, system.coface_lists
-        # the labels of the cells around the faces only this facet blocks,
-        # added face by face in closure order, each face's cofaces
-        # ascending.  ``parts`` follows the set's iteration order, not the
-        # order labels were met in (met as [2, 9], label 9 comes first), and
-        # the center of ``parts[0]`` is the fit's hint; certificate centers
-        # depend on that hint, so the insertion sequence is kept as it is.
+        # the labels of the cells around the faces only this facet blocks
         affected = {labels[cell] for face in closure if cover[face] == 1
                     for cell in cofaces[face]}
         if len(affected) > 1:
-            parts = [self.comps[label] for label in affected]
-            graph = self.geometry.graph
-            mask = np.zeros(graph.n_nodes, dtype=bool)
-            for part in parts:
-                mask[part.nodes] = True
-            key = np.packbits(mask).tobytes()
-            if key in self.refused:
-                return False
-            merged = _Component([], np.flatnonzero(mask), None)
-
-            def eccs():
-                # the max over a union of members is the max of the parts'
-                # maxima, and max rounds nothing, so this is the fresh vector
-                merged.ecc = functools.reduce(
-                    np.maximum, [part.eccentricities(graph) for part in parts]
-                )
-                return merged.ecc
-
-            merged.fit = fit_in_ball(self.geometry, merged.nodes, self.radius,
-                                     hint=parts[0].fit.center, eccs=eccs)
-            if not merged.fit.fits:
-                self.refused.add(key)
+            comps = self.comps
+            centers = functools.reduce(
+                int.__and__, [comps[label].centers for label in affected])
+            if not centers:
                 return False
             target = min(affected)
+            merged = _Component([], centers)
             for label in sorted(affected):
-                part = self.comps.pop(label)
+                part = comps.pop(label)
                 merged.cells.extend(part.cells)
-                part.ecc = None  # bounds the cache to live components
                 if label != target:
                     for cell in part.cells:
                         labels[cell] = target
-            self.comps[target] = merged
+            comps[target] = merged
         self.z.discard(facet)
         self.area -= self.area_of[facet]
         for face in closure:
@@ -363,7 +329,7 @@ def _voronoi_seed(parent, radius):
     facet_columns = slice(-system.dim - 2, -1)
     for _ in range(len(centers)):
         components = _fit_components(parent, candidate, radius)
-        bad = [c.cells for c in components.values() if not c.fit.fits]
+        bad = [c.cells for c in components.values() if not c.centers]
         if not bad:
             break
         for cells in bad:
@@ -412,11 +378,8 @@ def minimize_separating(
     def area_key(facet):
         return (-area_of[facet], order_index[facet])
 
-    # node sets refused by any prune of this search; freed on return
-    refused = set()
-
     def new_state(blocked):
-        return _PruneState(parent, blocked, radius, area_of, refused)
+        return _PruneState(parent, blocked, radius, area_of)
 
     # pruning keeps feasibility, so the full candidate set decides it
     full_state = new_state(full)
@@ -469,7 +432,7 @@ def minimize_separating(
         best_state.area,
         0.0 if certified else epsilon,
         "certified" if certified else "assumed",
-        _certificates(best_state.comps),
+        _certificates(parent, best_state.comps, radius),
         moves_used,
     )
 

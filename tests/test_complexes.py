@@ -324,30 +324,6 @@ def test_dropped_geometry_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-@pytest.mark.parametrize("block", [0, 1, 7, 10_000])
-def test_blocked_eccentricities_equal_row_maxima(monkeypatch, block):
-    # Eccentricities are read from the members' rows in blocks of
-    # ``_ECC_ELEMENTS // n`` rows, at least one; whatever the block size, entry c is the
-    # max of c's own row over the set, bit for bit.  Past the dense limit
-    # exactly the missing member rows are computed.
-    graph = torus(3).geometry(1).graph
-    monkeypatch.setattr(complexes, "_ECC_ELEMENTS", block * graph.n_nodes)
-    rng = np.random.default_rng(4)
-    for size in (1, 5, graph.n_nodes):
-        nodes = np.sort(rng.choice(graph.n_nodes, size, replace=False))
-        expected = [graph.distances_from(c)[nodes].max() for c in range(graph.n_nodes)]
-        assert graph.eccentricities(nodes).tolist() == expected
-    monkeypatch.setattr(complexes, "_DENSE_LIMIT", 16)
-    graph = torus(3).geometry(1).graph
-    for size in (1, 5, 40, graph.n_nodes):
-        nodes = np.sort(rng.choice(graph.n_nodes, size, replace=False))
-        cached = set(graph._rows)
-        eccs = graph.eccentricities(nodes).tolist()
-        assert set(graph._rows) - cached == set(nodes.tolist()) - cached
-        expected = [graph.distances_from(c)[nodes].max() for c in range(graph.n_nodes)]
-        assert eccs == expected
-
-
 def test_tightened_reach_is_sound_and_order_free(monkeypatch):
     # Past the dense limit every computed row tightens reach.  Whatever the
     # order the rows arrive in, reach never grows, every ball it proves

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -145,7 +146,8 @@ def test_empty_candidate_fails_on_wide_complex(torus4_d1):
     check = is_r_separating(torus4_d1, (), 1.1)
     assert not check.separating
     assert len(check.components) == 1
-    assert check.components[0].witness_pair is not None
+    cert = check.components[0]
+    assert (cert.center, cert.radius, cert.witness_pair) == (None, math.inf, None)
 
 
 def test_dimension_mismatch(torus4_d1):
@@ -384,7 +386,7 @@ def test_cell_system_of_points_and_of_nothing():
 
 
 # ---------------------------------------------------------------------------
-# fit_in_ball against brute force
+# feasible centers and fit_in_ball against brute force
 
 FIT_RADII = {"torus4": (0.6, 1.1, 1.6), "genus2": (0.3, 0.7, 1.0)}
 
@@ -395,180 +397,101 @@ def fit_geometry(name):
 
 
 def fit_inputs(geometry, radii, seed=11):
-    """(nodes, radius, hint) triples: the whole complex and the components
-    of random blocked facet sets, each with and without a hint."""
+    """(nodes, radius) pairs: the whole complex and the components of
+    random blocked facet sets, each at every radius."""
     rng = random.Random(seed)
     system = CellSystem(geometry.cells)
     node_sets = [np.arange(geometry.n_nodes)]
     for share in (0.3, 0.6, 0.9):
         blocked = [k for k in range(len(system.facets)) if rng.random() < share]
         node_sets.extend(nodes for _, nodes in system.component_groups(blocked))
-    inputs = []
-    for nodes in node_sets:
-        for radius in radii:
-            hint = (
-                int(rng.choice(nodes))
-                if rng.random() < 0.5
-                else rng.randrange(geometry.n_nodes)
-            )
-            inputs.append((nodes, radius, None))
-            inputs.append((nodes, radius, hint))
-    return inputs
+    return [(nodes, radius) for nodes in node_sets for radius in radii]
 
 
-def center_order(geometry, nodes, hint):
-    """fit_in_ball's documented center order, rebuilt node by node."""
+def feasible_oracle(geometry, nodes, radius):
+    """The centers c with max over the nodes m of d(c, m) <= radius, each
+    read from c's complete row."""
     row = geometry.graph.distances_from
-    far_a = int(nodes[int(np.argmax(row(int(nodes[0]))[nodes]))])
-    far_b = int(nodes[int(np.argmax(row(far_a)[nodes]))])
-    proxy = np.maximum(row(far_a)[nodes], row(far_b)[nodes])
-    members = [
-        int(nodes[i]) for i in sorted(range(len(nodes)), key=lambda i: (proxy[i], i))
-    ]
-    others = [c for c in range(geometry.n_nodes) if c not in set(members)]
-    return ([] if hint is None else [hint]) + members + others
+    return {c for c in range(geometry.n_nodes) if row(c)[nodes].max() <= radius}
+
+
+def bit_set(bits):
+    return {c for c in range(bits.bit_length()) if bits >> c & 1}
+
+
+@pytest.mark.parametrize("mode", ["dense", "rowwise"])
+@pytest.mark.parametrize("name", sorted(FIT_RADII))
+def test_feasible_centers_match_brute_force(name, mode, monkeypatch):
+    # Past the dense limit (16 here), each ball is read from a row limited
+    # to the radius.  At the largest distance from node 0 that node's ball
+    # is whole by ``reach``, and at twice that every ball is: those members
+    # are skipped, and at twice it no ball is built at all.
+    if mode == "rowwise":
+        monkeypatch.setattr(complexes, "_DENSE_LIMIT", 16)
+    geometry = fit_geometry(name)
+    graph = geometry.graph
+    far = float(graph.distances_from(0).max())
+    radii = (*FIT_RADII[name], far, 2 * far)
+    outcomes = set()
+    for nodes, radius in fit_inputs(geometry, radii):
+        # before the oracle caches complete rows: the first radius's balls
+        # come from truncated rows
+        centers = bit_set(graph.feasible_centers(nodes, radius))
+        expected = feasible_oracle(geometry, nodes, radius)
+        assert centers == expected
+        outcomes.add(len(expected) == 0)
+    assert outcomes == {True, False}
+    assert graph._balls[far] and not graph._balls[2 * far]
+    assert 0 not in graph._balls[far]
+    assert (graph._full is None) == (mode == "rowwise")
 
 
 @pytest.mark.parametrize("name", sorted(FIT_RADII))
 def test_fit_in_ball_matches_brute_force(name, torus4_d1, genus2):
+    # the center is the lowest feasible id and the radius its exact
+    # eccentricity; a set with no feasible center has none
     geometry = torus4_d1 if name == "torus4" else genus2.geometry(1)
     graph = geometry.graph
     outcomes = set()
-    for nodes, radius, hint in fit_inputs(geometry, FIT_RADII[name]):
-        fit = fit_in_ball(geometry, nodes, radius, hint=hint)
-        assert fit.fits == eccentricity_oracle(geometry, nodes, radius)
-        ecc = [
-            float(graph.distances_from(c)[nodes].max())
-            for c in range(geometry.n_nodes)
-        ]
-        if fit.fits:
-            center = next(
-                c for c in center_order(geometry, nodes, hint) if ecc[c] <= radius
-            )
-            assert fit.center == center
-            assert fit.radius == ecc[center] <= radius
-            if center == hint:
-                outcomes.add("hint")
-            else:
-                outcomes.add("member" if center in nodes else "other")
+    for nodes, radius in fit_inputs(geometry, FIT_RADII[name]):
+        fit = fit_in_ball(geometry, nodes, radius)
+        feasible = feasible_oracle(geometry, nodes, radius)
+        assert fit.fits == bool(feasible)
+        if not fit.fits:
+            assert (fit.center, fit.radius) == (None, math.inf)
+            outcomes.add("none")
             continue
-        a, b = fit.witness_pair
-        assert a == fit.center and b in nodes
-        assert graph.distances_from(a)[b] == fit.radius
-        if fit.radius > 2 * radius:
-            # two-sweep diameter exit: the pair alone rules out every center
-            outcomes.add("diameter")
-        else:
-            assert fit.radius == min(ecc)
-            assert fit.center == ecc.index(min(ecc))
-            outcomes.add("min-eccentricity")
-    assert outcomes == {"hint", "member", "other", "diameter", "min-eccentricity"}
+        assert fit.center == min(feasible)
+        ecc = float(graph.distances_from(fit.center)[nodes].max())
+        assert fit.radius == ecc <= radius
+        outcomes.add("member" if fit.center in nodes else "other")
+    assert outcomes == {"member", "other", "none"}
 
 
 @pytest.mark.parametrize("name", sorted(FIT_RADII))
 def test_fit_in_ball_row_cache_matches_dense(name, monkeypatch):
     dense = fit_geometry(name)
     fits = [
-        fit_in_ball(dense, nodes, radius, hint=hint)
-        for nodes, radius, hint in fit_inputs(dense, FIT_RADII[name])
+        fit_in_ball(dense, nodes, radius)
+        for nodes, radius in fit_inputs(dense, FIT_RADII[name])
     ]
     monkeypatch.setattr(complexes, "_DENSE_LIMIT", 16)
     rowwise = fit_geometry(name)
     with pytest.raises(MemoryError):
         rowwise.graph.all_distances()
     assert fits == [
-        fit_in_ball(rowwise, nodes, radius, hint=hint)
-        for nodes, radius, hint in fit_inputs(rowwise, FIT_RADII[name])
+        fit_in_ball(rowwise, nodes, radius)
+        for nodes, radius in fit_inputs(rowwise, FIT_RADII[name])
     ]
 
 
-def prune_runs(geometry, radius, seed=5):
-    """Pruned states from seeded random blocked sets, two orders each.
-
-    Only separating starts are pruned, as in the minimizer.
-    """
-    rng = random.Random(seed)
-    system = geometry.cell_system
-    states = []
-    facets = range(len(system.facets))
-    for share in (0.5, 0.8, 1.0):
-        blocked = [facet for facet in facets if rng.random() < share]
-        start = filtration._PruneState(geometry, blocked, radius)
-        shuffled = list(facets)
-        rng.shuffle(shuffled)
-        if not start.feasible:
-            continue
-        for order in (facets, shuffled):
-            index = {facet: i for i, facet in enumerate(order)}
-            states.append(filtration._prune(start.copy(), index.__getitem__))
-    return states
-
-
-def state_summary(state):
-    return sorted(state.z), [
-        (label, comp.cells, comp.nodes.tolist(), comp.fit)
-        for label, comp in sorted(state.comps.items())
-    ]
-
-
-@pytest.mark.parametrize("mode", ["dense", "rowwise"])
-def test_merged_eccentricities_match_union(mode, monkeypatch):
-    if mode == "rowwise":
-        monkeypatch.setattr(complexes, "_DENSE_LIMIT", 16)
-    plain_fit = filtration.fit_in_ball
-    counts = {"fits": 0, "merged": 0, "reused": 0}
-
-    def checked_fit(geometry, nodes, radius, hint=None, eccs=None):
-        counts["fits"] += 1
-        if eccs is None:
-            return plain_fit(geometry, nodes, radius, hint=hint)
-
-        def merged():
-            counts["merged"] += 1
-            vector = eccs()
-            assert np.array_equal(vector, geometry.graph.eccentricities(nodes))
-            return vector
-
-        return plain_fit(geometry, nodes, radius, hint=hint, eccs=merged)
-
-    cached = filtration._Component.eccentricities
-
-    def counted(comp, graph):
-        counts["reused"] += comp.ecc is not None
-        return cached(comp, graph)
-
-    monkeypatch.setattr(filtration._Component, "eccentricities", counted)
-
-    def scratch_fit(*args, eccs=None, **kwargs):
-        return checked_fit(*args, **kwargs)
-
-    for name, radius in (("torus4", 1.1), ("genus2", 0.7)):
-        geometry = fit_geometry(name)
-        runs = []
-        # the merged vectors, then every fit computing its vector from scratch
-        for fit in (checked_fit, scratch_fit):
-            monkeypatch.setattr(filtration, "fit_in_ball", fit)
-            counts["fits"] = 0
-            states = prune_runs(geometry, radius)
-            for comp in (c for state in states for c in state.comps.values()):
-                if comp.ecc is not None:
-                    assert np.array_equal(
-                        comp.ecc, geometry.graph.eccentricities(comp.nodes)
-                    )
-            runs.append((counts["fits"], list(map(state_summary, states))))
-        assert runs[0] == runs[1]
-    assert counts["merged"] > 0 and counts["reused"] > 0
-
-
-def prune_starts(geometry, radius, seed=3, moves=12, refused=None):
+def prune_starts(geometry, radius, seed=3, moves=12):
     """The full facet set and the separating ones among seeded ball
-    replacements of its lex-order prune; all share the ``refused`` memo
-    when one is given."""
+    replacements of its lex-order prune."""
     system = geometry.cell_system
 
     def new_state(blocked):
-        return filtration._PruneState(geometry, blocked, radius,
-                                      refused=refused)
+        return filtration._PruneState(geometry, blocked, radius)
 
     facets = range(len(system.facets))
     full = new_state(facets)
@@ -617,55 +540,6 @@ def test_second_prune_pass_removes_nothing(name):
     assert removed > 0
 
 
-class CheckedMemo(set):
-    """A refused-merge memo that re-fits the node set of every hit."""
-
-    def __init__(self, geometry, radius):
-        super().__init__()
-        self.geometry, self.radius, self.hits = geometry, radius, 0
-
-    def __contains__(self, key):
-        hit = super().__contains__(key)
-        if hit:
-            self.hits += 1
-            mask = np.unpackbits(np.frombuffer(key, np.uint8),
-                                 count=self.geometry.n_nodes)
-            nodes = np.flatnonzero(mask)
-            assert not fit_in_ball(self.geometry, nodes, self.radius).fits
-        return hit
-
-
-class NoMemo(set):
-    """A memo that forgets everything: every refusal is fitted afresh."""
-
-    def add(self, key):
-        pass
-
-
-@pytest.mark.parametrize("mode", ["dense", "rowwise"])
-def test_refused_merge_memo_is_exact(mode, monkeypatch):
-    # Every memo hit re-fits its node set, which must fit no R-ball, and a
-    # shared memo prunes every start exactly as fresh fits would.
-    if mode == "rowwise":
-        monkeypatch.setattr(complexes, "_DENSE_LIMIT", 16)
-    for name, radius in (("torus4", 1.1), ("genus2", 0.7)):
-        geometry = fit_geometry(name)
-        lex = {facet: i for i, facet in
-               enumerate(range(len(geometry.cell_system.facets)))}
-        orders = (lex.__getitem__, lambda facet: -lex[facet])
-        checked = CheckedMemo(geometry, radius)
-        runs = []
-        for memo in (checked, NoMemo()):
-            runs.append([
-                (state_summary(state), state.area)
-                for start in prune_starts(geometry, radius, refused=memo)
-                for state in (filtration._prune(start.copy(), order)
-                              for order in orders)
-            ])
-        assert runs[0] == runs[1]
-        assert checked.hits > 0
-
-
 # torus4 at depth 2 and genus2 at depth 1, at the radii the benchmark runs
 PRUNE_FIXTURES = {"torus4": (2, 1.1), "genus2": (1, 0.7)}
 
@@ -675,83 +549,32 @@ def prune_geometry(name):
     return (torus(4) if name == "torus4" else genus_surface(2)).geometry(depth)
 
 
-def array_affected(state, facet):
-    """The opened faces' coface cells and the affected label set, as the
-    NumPy prune state built them: one concatenation of the opened faces'
-    coface ranges in closure order, then ``set`` of their labels.  Only the
-    entries read are taken from the state's lists."""
-    system = state.system
-    closure = system.closures[facet]
-    ptr = system.coface_ptr
-    cover = np.array([state.cover_count[face] for face in closure.tolist()])
-    opened = closure[cover == 1]
-    cells = np.concatenate(
-        [system.coface_cells[ptr[face] : ptr[face + 1]] for face in opened.tolist()]
-    )
-    return cells, set([state.labels[cell] for cell in cells.tolist()])
-
-
-@pytest.mark.parametrize("name", sorted(PRUNE_FIXTURES))
-def test_try_remove_hint_follows_set_order(name, monkeypatch):
-    # The hint of every merge fit is the center of the first label in the
-    # affected set's iteration order, as the NumPy label set gave it; that
-    # is often not the first label met.
-    plain_remove = filtration._PruneState.try_remove
-    plain_fit = filtration.fit_in_ball
-    pending, pairs = [], []
-    counts = {"multi": 0, "reordered": 0}
-
-    def recorded_remove(state, facet):
-        cells, affected = array_affected(state, facet)
-        if len(affected) > 1:
-            lead = next(iter(affected))
-            pending.append(state.comps[lead].fit.center)
-            counts["multi"] += 1
-            counts["reordered"] += lead != state.labels[int(cells[0])]
-        try:
-            return plain_remove(state, facet)
-        finally:
-            pending.clear()
-
-    def recorded_fit(geometry, nodes, radius, hint=None, eccs=None):
-        if pending:  # a merge fit inside try_remove
-            pairs.append((hint, pending.pop()))
-        return plain_fit(geometry, nodes, radius, hint=hint, eccs=eccs)
-
-    monkeypatch.setattr(filtration._PruneState, "try_remove", recorded_remove)
-    monkeypatch.setattr(filtration, "fit_in_ball", recorded_fit)
-    depth, radius = PRUNE_FIXTURES[name]
-    config = SeparationConfig(radius=radius, epsilon=0.05, move_budget=40,
-                              rng_seed=7, subdivision_depth=depth)
-    build_filtration(prune_geometry(name), config)
-    hints, expected = zip(*pairs)
-    assert list(hints) == list(expected)
-    assert 0 < len(pairs) <= counts["multi"]
-    assert counts["reordered"] > 0
-
-
-def assert_state_from_scratch(state):
-    """The state's cover counts, labels, cells and nodes, against the ones
-    computed from its facet set alone."""
+def assert_state_from_scratch(state, balls):
+    """The state's cover counts, labels, cells and feasible centers, against
+    the ones computed from its facet set alone; each component's centers
+    are the AND of ``balls[node]`` over the nodes of its cells."""
     system = state.system
     z = sorted(state.z)
     assert state.cover_count == system.cover(z).tolist()
     labels = system.components(z)
     assert state.labels == labels.tolist()
-    assert sorted(state.comps) == np.unique(labels).tolist()
-    # every component's cells, and its nodes (those of its cells), checked
-    # for all components at once: both sides concatenated in label order
-    comps = [state.comps[label] for label in sorted(state.comps)]
-    sizes = np.bincount(labels)[sorted(state.comps)]
+    order = sorted(state.comps)
+    assert order == np.unique(labels).tolist()
+    # every component's cells and centers, checked for all components at
+    # once: both sides in label order
+    comps = [state.comps[label] for label in order]
+    sizes = np.bincount(labels)[order]
     assert [len(comp.cells) for comp in comps] == sizes.tolist()
     assert [cell for comp in comps for cell in sorted(comp.cells)] == (
         np.argsort(labels, kind="stable").tolist())
-    n_nodes = state.geometry.n_nodes
-    nodes = np.concatenate([comp.nodes for comp in comps])
-    owners = np.repeat(sorted(state.comps), [len(comp.nodes) for comp in comps])
-    scratch = np.sort((labels[:, None] * n_nodes + system.cell_nodes).ravel())
-    scratch = scratch[np.diff(scratch, prepend=-1) != 0]
-    assert np.array_equal(owners * n_nodes + nodes, scratch)
+    n_nodes = len(balls)
+    owners, nodes = np.divmod(
+        np.unique(labels[:, None] * n_nodes + system.cell_nodes), n_nodes)
+    cuts = [0, *(np.flatnonzero(np.diff(owners)) + 1).tolist(), len(nodes)]
+    nodes = nodes.tolist()
+    centers = [functools.reduce(int.__and__, map(balls.__getitem__, nodes[a:b]))
+               for a, b in zip(cuts, cuts[1:])]
+    assert [comp.centers for comp in comps] == centers
 
 
 @pytest.mark.parametrize("mode", ["dense", "rowwise"])
@@ -764,16 +587,18 @@ def test_list_prune_state_matches_scratch(name, mode, monkeypatch):
     geometry = prune_geometry(name)
     _, radius = PRUNE_FIXTURES[name]
     facets = list(range(len(geometry.cell_system.facets)))
+    balls = [geometry.graph.ball_bits(node, radius)
+             for node in range(geometry.n_nodes)]
     full = filtration._PruneState(geometry, facets, radius)
     assert full.feasible
-    assert_state_from_scratch(full)
+    assert_state_from_scratch(full, balls)
     state = full.copy()
     for facet in facets:
         if state.try_remove(facet):
-            assert_state_from_scratch(state)
+            assert_state_from_scratch(state, balls)
     assert state.z < full.z
     # the copy shares nothing that a removal changes in place
-    assert_state_from_scratch(full)
+    assert_state_from_scratch(full, balls)
     assert full.z == set(facets)
 
 
@@ -1060,10 +885,12 @@ def test_filtration_deterministic(torus4_d1):
 
 
 # sha256 of canonical_dumps(build_filtration(...).to_json()); any change
-# to the search trajectory, its certificates or the file format moves them
+# to the search trajectory, its certificates or the file format moves them.
+# genus2 was re-pinned once when a certificate's center became the lowest
+# feasible id (its cells and areas, LEVEL_CELLS_DIGESTS, did not move)
 FILTRATION_DIGESTS = {
     "torus4": "254fb6323793693a2b98207d41e2e2fe46534a8dd4bc1c5ddae464dc2d4d5931",
-    "genus2": "a33a4af31c82b5dc746ad30c640321971e84f8f31ff3f990124263e03a6a2d00",
+    "genus2": "0c2caca3ca6819f2dd34e03604a149dc06bba5aa6316e549abcfe64163fc82c5",
 }
 
 

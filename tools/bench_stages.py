@@ -27,12 +27,16 @@ node), by wrapping ``sepfilt.complexes.dijkstra`` from outside the package,
 and ``truncated_rows`` counts those of them computed with a finite
 ``limit`` (read only out to a check's radius, past the dense limit);
 ``fit_calls`` counts each stage's ``fit_in_ball`` calls, wrapped at every
-``sepfilt`` module attribute that holds it.  The prune counters wrap the
-method ``filtration._PruneState.try_remove``: ``try_remove_calls``
-counts its calls, ``try_remove_fits`` the ball fits made inside them (the
-merge fits) and ``memo_hits`` the calls refused with no fit, which only the
-refused-merge memo does.  ``cell_systems`` counts the ``CellSystem``
-constructions and ``face_id_lookups`` the ``CellSystem.face_ids`` calls
+``sepfilt`` module attribute that holds it.  ``balls_built`` counts the
+R-ball bitsets computed (``MetricGraph.ball_bits`` calls; 0 in checkouts
+without it).  The prune counters wrap the method
+``filtration._PruneState.try_remove``: ``try_remove_calls`` counts its
+calls and ``merge_refusals`` the calls that return False, which
+``try_remove`` does only when it refuses a merge: because the parts' AND
+of feasible centers is empty, or in older checkouts because the merge fit
+failed or a memo recalled its refusal.  ``cell_systems`` counts the
+``CellSystem`` constructions and ``face_id_lookups`` the
+``CellSystem.face_ids`` calls
 (those inside a construction too), both by wrapping the methods of
 ``sepfilt.adjacency.CellSystem`` from outside the package.
 Checkouts alternate run by run, BLAS threads are 1, and
@@ -74,8 +78,9 @@ SAMPLES = 100
 VERIFY_SAMPLES, VERIFY_SEED = 2000, 101
 STAGES = ("geometry", "incidence", "filtration", "coloring", "census", "V1",
           "packing", "sweep", "validate", "verify")
-COUNTERS = ("dijkstra_rows", "truncated_rows", "fit_calls", "try_remove_calls",
-            "try_remove_fits", "memo_hits", "cell_systems", "face_id_lookups")
+COUNTERS = ("dijkstra_rows", "truncated_rows", "fit_calls", "balls_built",
+            "try_remove_calls", "merge_refusals", "cell_systems",
+            "face_id_lookups")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -97,6 +102,7 @@ def measure(fixture):
     counts = dict.fromkeys(COUNTERS, 0)
     dijkstra, fit_in_ball = complexes.dijkstra, adjacency.fit_in_ball
     try_remove = filtration_module._PruneState.try_remove
+    ball_bits = getattr(complexes.MetricGraph, "ball_bits", None)
     cell_system_init = adjacency.CellSystem.__init__
     face_ids = adjacency.CellSystem.face_ids
 
@@ -112,13 +118,14 @@ def measure(fixture):
         counts["fit_calls"] += 1
         return fit_in_ball(*args, **kwargs)
 
+    def counted_ball(graph, *args, **kwargs):
+        counts["balls_built"] += 1
+        return ball_bits(graph, *args, **kwargs)
+
     def counted_remove(state, facet):
-        fits_before = counts["fit_calls"]
         removed = try_remove(state, facet)
-        fits = counts["fit_calls"] - fits_before
         counts["try_remove_calls"] += 1
-        counts["try_remove_fits"] += fits
-        counts["memo_hits"] += not removed and not fits
+        counts["merge_refusals"] += not removed
         return removed
 
     def counted_cell_system(system, *args, **kwargs):
@@ -133,6 +140,8 @@ def measure(fixture):
     adjacency.CellSystem.__init__ = counted_cell_system
     adjacency.CellSystem.face_ids = counted_face_ids
     filtration_module._PruneState.try_remove = counted_remove
+    if ball_bits is not None:
+        complexes.MetricGraph.ball_bits = counted_ball
     # modules import fit_in_ball by name: rebind every sepfilt binding
     for name, module in list(sys.modules.items()):
         if name == "sepfilt" or name.startswith("sepfilt."):
