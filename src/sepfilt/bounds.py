@@ -135,13 +135,13 @@ def coarea_check(filtration, level, center, r1, r2):
     Integrates the area of Z_level inside B(p, rho) for rho in [r1, r2] and
     compares with the credited area of the parent level in the annulus plus
     2 eps R.  The budget covers quadrature error and both boundary credits.
-    The slice areas are summed in distance order: ``np.argsort`` is not
-    stable, so the order of tied cells, and with it the rounding of the
-    cumulative sum, depends on every entry of the row, and a nonempty level
-    reads the complete row.  An empty level has an integral and budget of
-    0, and only the parent is measured, at r1 and r2: its row is read out
-    to r2, or not at all when B(p, r1) provably holds every node, and then
-    both parent balls are measured whole.
+    The row is read out to r2.  The slice areas are summed in distance
+    order, sorted stably, so tied cells keep their cell order and the cells
+    within r2, the only ones summed, come in the same order whatever the
+    entries beyond r2 read.  An empty level has an integral and budget of
+    0, and only the parent is measured, at r1 and r2; when B(p, r1)
+    provably holds every node no row is read, and both parent balls are
+    measured whole.
     """
     _check_radius_order(r1, r2)
     graph = filtration.geometry.graph
@@ -151,10 +151,9 @@ def coarea_check(filtration, level, center, r1, r2):
     if not len(z) and graph.holds_every_node(center, r1):
         dist, integral, quad_budget = None, 0.0, 0.0
     else:
-        dist = (graph.distances_from(center) if len(z)
-                else graph.distances_within(center, r2))
+        dist = graph.distances_within(center, r2)
         max_dist = dist[z.cells_array].max(axis=1)
-        order = np.argsort(max_dist)
+        order = np.argsort(max_dist, kind="stable")
         cumulative = np.concatenate(([0.0], np.cumsum(z.cell_volumes[order])))
         rhos = np.linspace(r1, r2, _COAREA_SAMPLES)
         values = cumulative[np.searchsorted(max_dist[order], rhos, side="right")]

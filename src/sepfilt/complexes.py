@@ -28,8 +28,10 @@ from scipy.sparse.csgraph import dijkstra
 from .adjacency import CellSystem, row_groups
 from .errors import DimensionMismatch, NondegenerateViolation
 
-# Node count up to which the metric graph keeps the all-pairs matrix.
+# Node count up to which the metric graph keeps a dense distance matrix.
 _DENSE_LIMIT = 4096
+# Distance entries (8 bytes each) turned into ball bitsets per batch.
+_BALL_BATCH = 1 << 17
 
 
 def _pair_index(d):
@@ -233,11 +235,14 @@ class WeightedComplex:
 class MetricGraph:
     """Shortest-path metric on the sample nodes of a subdivided complex.
 
-    Distances follow one policy.  Up to ``_DENSE_LIMIT`` nodes, the first
-    request computes the all-pairs matrix and every row is served from it.
-    Above the limit, a row is computed on request out to the radius its
-    caller reads (``distances_within``); a complete row, every entry
-    finite, is cached, and a truncated one is returned and not kept.
+    Distances follow one policy: every reader asks for the rows it reads
+    only out to the radius it compares with (``distances_within``).  Up to
+    ``_DENSE_LIMIT`` nodes, rows come from one dense matrix computed out to
+    the largest limit requested so far; a request above it drops the
+    matrix and computes it again at the new limit.  Above the dense limit,
+    a row is computed on request out to its caller's limit; a complete row,
+    every entry finite, is cached, and a truncated one is returned and not
+    kept.
 
     Arc lengths are rounded up to multiples of one power-of-two quantum,
     fine enough that every path sum, and every sum of two, is exact in
@@ -246,14 +251,14 @@ class MetricGraph:
 
     For any anchor a, ``d(a, .) + max d(a, .)`` bounds every node's
     eccentricity by the triangle inequality.  ``reach`` starts from node
-    0's row and, above the limit, every complete row computed since
-    tightens it to the elementwise minimum over those anchors, so
-    ``holds_every_node`` can prove that a ball contains every node without
-    the ball's own row.
+    0's complete row, one single-row call, and, above the limit, every
+    complete row computed since tightens it to the elementwise minimum
+    over those anchors, so ``holds_every_node`` can prove that a ball
+    contains every node without the ball's own row.
 
     Balls are also bitsets, Python ints with bit c for node c
-    (``ball_bits``), read from rows limited to their radius and cached per
-    (node, radius) by ``feasible_centers``, which ANDs them: a node set
+    (``ball_bitsets``), read from rows limited to their radius and cached
+    per (node, radius) by ``feasible_centers``, which ANDs them: a node set
     fits a radius ball around c exactly when c lies in every member's ball.
     """
 
@@ -275,18 +280,27 @@ class MetricGraph:
             ),
             shape=(n_nodes, n_nodes),
         )
+        # the dense matrix, exact out to ``_full_limit`` (inclusive)
         self._full = None
+        self._full_limit = -math.inf
         self._rows = {}
-        self._balls = {}  # radius -> {node: ball_bits(node, radius)}
+        self._balls = {}  # radius -> {node: bitset of B(node, radius)}
         self._every_node = (1 << n_nodes) - 1
 
-    def all_distances(self):
-        """The all-pairs matrix; only available up to the dense limit."""
-        if self._full is None:
-            if self.n_nodes > _DENSE_LIMIT:
-                raise MemoryError(f"{self.n_nodes} nodes exceed the dense limit")
-            self._full = dijkstra(self._matrix)
+    def _dense(self, limit):
+        """The dense matrix, exact out to at least ``limit``."""
+        if limit > self._full_limit:
+            self._full = None  # freed before its successor is allocated
+            self._full = dijkstra(self._matrix, limit=limit)
+            self._full_limit = limit
         return self._full
+
+    def all_distances(self):
+        """The complete all-pairs matrix; only available up to the dense
+        limit."""
+        if self.n_nodes > _DENSE_LIMIT:
+            raise MemoryError(f"{self.n_nodes} nodes exceed the dense limit")
+        return self._dense(math.inf)
 
     def distances_from(self, node):
         """Distances from one node to every node."""
@@ -295,15 +309,15 @@ class MetricGraph:
     def distances_within(self, node, limit):
         """Distances from one node, exact wherever they are <= ``limit``.
 
-        Above the dense limit, an uncached row is computed only out to
-        ``limit`` (inclusive), so an entry beyond it may read ``inf``; any
-        comparison with a radius <= ``limit`` gives the true answer.  The
-        row is kept only when it came out complete.
+        An entry beyond ``limit`` may read ``inf`` (SciPy's limit is
+        inclusive), so any comparison with a radius <= ``limit`` gives the
+        true answer.  Up to the dense limit the row is read from the dense
+        matrix, exact out to the largest limit requested so far.  Above
+        it, an uncached row is computed out to ``limit`` and kept only when
+        it came out complete.
         """
-        if self._full is not None:
-            return self._full[node]
         if self.n_nodes <= _DENSE_LIMIT:
-            return self.all_distances()[node]
+            return self._dense(limit)[node]
         row = self._rows.get(node)
         if row is None:
             row = dijkstra(self._matrix, indices=node, limit=limit)
@@ -317,8 +331,10 @@ class MetricGraph:
     @functools.cached_property
     def reach(self):
         """Per-node upper bound on the eccentricity over the complete rows
-        computed so far."""
-        row = self.distances_from(0)
+        computed so far.  Up to the dense limit node 0's row is one
+        single-row call, so the dense matrix stays limited."""
+        row = (dijkstra(self._matrix, indices=0) if self.n_nodes <= _DENSE_LIMIT
+               else self.distances_from(0))
         bound = row + row.max()
         for other in self._rows.values():
             np.minimum(bound, other + other.max(), out=bound)
@@ -328,12 +344,26 @@ class MetricGraph:
         """True when B(node, r) provably contains every node."""
         return self.reach[node] <= r
 
+    def ball_bitsets(self, nodes, radius):
+        """B(node, radius) for each node, as bitsets: bit c of an int is
+        set exactly when ``d(node, c) <= radius``.
+
+        Rows limited to the radius are thresholded and packed in batches
+        of about ``_BALL_BATCH`` entries, which bounds the temporaries."""
+        balls, size = [], max(1, _BALL_BATCH // self.n_nodes)
+        for start in range(0, len(nodes), size):
+            batch = nodes[start : start + size]
+            if self.n_nodes <= _DENSE_LIMIT:
+                rows = self._dense(radius)[batch]
+            else:
+                rows = np.array([self.distances_within(n, radius) for n in batch])
+            packed = np.packbits(rows <= radius, axis=1, bitorder="little")
+            balls.extend(int.from_bytes(ball, "little") for ball in packed)
+        return balls
+
     def ball_bits(self, node, radius):
-        """B(node, radius) as a bitset: bit c of the int is set exactly
-        when ``d(node, c) <= radius``.  Read from the radius-limited row."""
-        inside = self.distances_within(node, radius) <= radius
-        bits = np.packbits(inside, bitorder="little").tobytes()
-        return int.from_bytes(bits, "little")
+        """B(node, radius) as one bitset (``ball_bitsets``)."""
+        return self.ball_bitsets([node], radius)[0]
 
     def feasible_centers(self, nodes, radius):
         """The nodes within ``radius`` of every given node, as a bitset.
@@ -341,17 +371,19 @@ class MetricGraph:
         Distances are exactly symmetric, so these are the centers c whose
         eccentricity ``max d(c, nodes)`` is at most the radius: the
         intersection of the members' balls.  A member whose ball provably
-        holds every node (``reach``) is skipped; every other member's ball
-        is built once per radius and cached.  The AND stops once it is 0.
+        holds every node (``reach``) is skipped; the balls of the other
+        members not yet cached for this radius are built in one batch and
+        cached.  The AND stops once it is 0.
         """
         nodes = np.asarray(nodes)
         balls = self._balls.setdefault(radius, {})
+        members = nodes[self.reach[nodes] > radius].tolist()
+        missing = [node for node in members if node not in balls]
+        if missing:
+            balls.update(zip(missing, self.ball_bitsets(missing, radius)))
         centers = self._every_node
-        for node in nodes[self.reach[nodes] > radius].tolist():
-            ball = balls.get(node)
-            if ball is None:
-                ball = balls[node] = self.ball_bits(node, radius)
-            centers &= ball
+        for node in members:
+            centers &= balls[node]
             if not centers:
                 break
         return centers

@@ -204,7 +204,7 @@ def sphere_replacement_move(parent, candidate, center, rho):
         raise ValueError("rho must be positive")
     blocked = _facet_ids(parent, candidate)
     system = parent.cell_system
-    dist = parent.root.graph.distances_from(center)
+    dist = parent.root.graph.distances_within(center, rho)
     strict = dist < rho
     if int(strict.sum()) <= 1:
         return Subpolyhedron.of_facets(parent, blocked)
@@ -445,6 +445,10 @@ def _audit_certificates(level, certificates, components, graph, radius):
     its center must see every node of the component within exactly the
     stored radius, read from the center's own row, and that radius must be
     at most R; distances are exact, so the radius is compared with ``==``.
+    Every row is read out to R, not to its certificate's radius, so that
+    up to the dense limit one matrix serves them all: a node beyond R
+    reads more than R (``inf`` if the row stops short of it), which equals
+    no stored radius.
     """
     if len(certificates) != len(components):
         raise SeparationViolation(
@@ -463,7 +467,7 @@ def _audit_certificates(level, certificates, components, graph, radius):
         elif not cert.radius <= radius:
             wrong = f"radius {cert.radius!r} (above R = {radius})"
         else:
-            ecc = float(graph.distances_from(cert.center)[nodes].max())
+            ecc = float(graph.distances_within(cert.center, radius)[nodes].max())
             if ecc != cert.radius:
                 wrong = (f"radius {cert.radius!r} (center {cert.center} has "
                          f"eccentricity {ecc!r})")

@@ -163,8 +163,9 @@ def test_checks_on_empty_strata(tiny_torus_filtration):
 
 # sha256 of the check rows below (inequality_sweep, level_trace_checks and
 # level-0 coarea_check on the side-4 depth-2 torus), re-pinned once when
-# the metric graph's arc lengths became multiples of a dyadic quantum
-CHECKS_DIGEST = "88365c08e70cf9023c9c8c4d74e0322c72602e9a19716f6b0dc79f7918b5511d"
+# the metric graph's arc lengths became multiples of a dyadic quantum and
+# once when the coarea check's slice order became a stable sort
+CHECKS_DIGEST = "f5e5be30cdf81f1ddaadc278e1765cd028cfcc8ce62b9caa5ab6cff1b0d1c02e"
 
 
 def test_checks_digest_is_pinned(torus_filtration_d2):
@@ -322,6 +323,37 @@ def test_whole_ball_checks_are_order_free(small_genus_filtration, monkeypatch):
     assert forward == rows(range(n_nodes))
 
 
+@pytest.mark.parametrize("name", ["torus_filtration_d2", "small_genus_filtration"])
+def test_coarea_rows_cut_at_r2_give_the_complete_rows_checks(
+    name, request, monkeypatch
+):
+    # The slices are summed in a stable distance order, so the cells within
+    # r2, the only ones summed, come in the same order whatever the entries
+    # beyond r2 read: a row cut at r2 (past the dense limit, 16 here) or at
+    # the dense matrix's limit gives the same floats as the complete row.
+    filtration = request.getfixturevalue(name)
+    assert all(len(filtration.level(i)) for i in range(filtration.dim))
+    top = filtration.config.radius
+    rng = random.Random(17)
+    samples = []
+    for _ in range(40):
+        center = rng.randrange(filtration.geometry.n_nodes)
+        r1, r2 = sorted(rng.uniform(0.02, 0.98) * top for _ in range(2))
+        samples += [(level, center, r1, r2) for level in range(filtration.dim)]
+
+    def rows(copy):
+        return [coarea_check(copy, *sample).to_row() for sample in samples]
+
+    complete = fresh_copy(filtration, monkeypatch, None)
+    complete.geometry.graph.all_distances()
+    expected = rows(complete)
+    dense = fresh_copy(filtration, monkeypatch, None)
+    assert rows(dense) == expected
+    assert np.isinf(dense.geometry.graph._full).any()
+    rowwise = fresh_copy(filtration, monkeypatch, 16)
+    assert rows(rowwise) == expected
+
+
 # Radii spanning the eccentricities of torus(3, scale=0.1) at depth 1 (0.189
 # to 0.212) and node 0's reach (0.212 to 0.424).
 VANISHING_RADII = np.linspace(0.17, 0.44, 8)
@@ -378,8 +410,16 @@ def test_limited_row_is_the_full_row_cut_at_its_limit(
             row = graph.distances_within(p, limit)
             assert np.array_equal(row, np.where(full <= limit, full, np.inf))
         assert np.array_equal(graph.distances_within(p, full.max()), full)
-    # up to the dense limit every row is the all-pairs row, whatever the limit
-    assert np.array_equal(full_rows.distances_within(3, 0.0), full_rows.distances_from(3))
+    # up to the dense limit a row is the dense matrix's row, cut at the
+    # largest limit requested so far
+    monkeypatch.undo()
+    dense = fresh_copy(small_genus_filtration, monkeypatch, None).geometry.graph
+    full = full_rows.distances_from(3)
+    limit = np.median(full)
+    cut = np.where(full <= limit, full, np.inf)
+    assert np.array_equal(dense.distances_within(3, limit), cut)
+    assert np.array_equal(dense.distances_within(3, 0.0), cut)
+    assert np.array_equal(dense.distances_within(3, full.max()), full)
 
 
 def test_only_complete_rows_are_kept(small_genus_filtration, monkeypatch):
@@ -407,11 +447,11 @@ def test_only_complete_rows_are_kept(small_genus_filtration, monkeypatch):
      ("vanishing_filtration", VANISHING_RADII[-1])],
 )
 def test_truncated_rows_give_the_dense_outputs(name, top, request, monkeypatch):
-    # The same sweep, V1 estimate and packing from the all-pairs rows and
-    # from rows computed one at a time, read out to each check's radius;
-    # more checks are drawn with radii up to ``top``, so that some balls
-    # miss nodes.  Coarea levels are empty on the vanishing fixture and
-    # not on the others.
+    # The same sweep, V1 estimate and packing from complete rows, from the
+    # dense matrix read out to the checks' radii and from rows computed one
+    # at a time, read out to each check's radius; more checks are drawn
+    # with radii up to ``top``, so that some balls miss nodes.  Coarea
+    # levels are empty on the vanishing fixture and not on the others.
     filtration = request.getfixturevalue(name)
     truncated = []
     dijkstra = complexes.dijkstra
@@ -440,10 +480,18 @@ def test_truncated_rows_give_the_dense_outputs(name, top, request, monkeypatch):
         packing = greedy_packing(z0, geometry) if z0 else None
         return rows, estimate_v1(geometry), packing
 
-    dense = outputs(fresh_copy(filtration, monkeypatch, None))
+    complete = fresh_copy(filtration, monkeypatch, None)
+    complete.geometry.graph.all_distances()
+    expected = outputs(complete)
     assert not truncated
-    assert outputs(fresh_copy(filtration, monkeypatch, 16)) == dense
+    assert outputs(fresh_copy(filtration, monkeypatch, None)) == expected
+    dense_truncated = bool(truncated)
+    truncated.clear()
+    assert outputs(fresh_copy(filtration, monkeypatch, 16)) == expected
     assert truncated
+    # on the vanishing fixture (eccentricities at most 0.212) every dense
+    # matrix the checks ask for holds every distance
+    assert dense_truncated == (name != "vanishing_filtration")
     levels = {len(filtration.level(i)) > 0 for i in range(filtration.dim)}
     assert levels == ({False} if name == "vanishing_filtration" else {True})
 

@@ -356,6 +356,42 @@ def test_tightened_reach_is_sound_and_order_free(monkeypatch):
     assert (finals[0] == finals[1]).all()
 
 
+@pytest.mark.parametrize(
+    "make, radius", [(lambda: torus(4), 1.1), (lambda: genus_surface(2), 0.7)],
+    ids=["torus4-R1.1", "genus2-R0.7"],
+)
+def test_dense_matrix_is_built_once_per_radius(make, radius, monkeypatch):
+    # Below the dense limit every reader asks for the radius it compares
+    # with.  ``run`` builds one matrix at R, and a second at V1's radius 1
+    # only when R < 1; ``verify`` builds one at R.  Each also computes node
+    # 0's complete row for ``reach``, in a single-row call.
+    from sepfilt.filtration import Filtration, SeparationConfig
+    from sepfilt.pipeline import audit_document, inequality_sweep, run_pipeline
+
+    calls = []
+    dijkstra = complexes.dijkstra
+
+    def recording(*args, **kwargs):
+        row = kwargs.get("indices")
+        calls.append(("matrix", kwargs["limit"]) if row is None else ("row", row))
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "dijkstra", recording)
+    config = SeparationConfig(radius=radius, epsilon=0.05, move_budget=10,
+                              rng_seed=7, subdivision_depth=1)
+    artifacts = run_pipeline(make(), config, samples=40)
+    matrices = [("matrix", radius)] + ([("matrix", 1.0)] if radius < 1 else [])
+    assert sorted(calls) == sorted(matrices + [("row", 0)])
+    calls.clear()
+    document = artifacts.filtration_document()
+    base = WeightedComplex.from_json(document["complex"])
+    checked = Filtration.from_json(base.geometry(1), document)
+    assert checked.validate()
+    audit_document(checked, document)
+    inequality_sweep(checked, 400, 101)
+    assert sorted(calls) == [("matrix", radius), ("row", 0)]
+
+
 def test_refinement_convergence(torus3):
     # frozen configuration: center 0, radius 1.0; deltas shrink monotonically
     volumes = [torus3.geometry(depth).ball_volume_detail(0, 1.0)[0]

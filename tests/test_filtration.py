@@ -860,7 +860,7 @@ def test_validate_builds_no_level(name, radius, monkeypatch):
 @pytest.mark.parametrize("name, radius", [("torus4", 1.1), ("genus2", 0.7)])
 def test_validate_reads_one_row_per_component(name, radius, monkeypatch):
     # past the dense limit each row is computed on request: validate reads
-    # only the stored centers' rows
+    # only the stored centers' rows, one single-row call each
     from sepfilt.filtration import Filtration
 
     monkeypatch.setattr(complexes, "_DENSE_LIMIT", 16)
@@ -868,11 +868,19 @@ def test_validate_reads_one_row_per_component(name, radius, monkeypatch):
                               rng_seed=7, subdivision_depth=1)
     payload = build_filtration(fit_geometry(name), config).to_json()
     checked = Filtration.from_json(fit_geometry(name), payload)
-    rows = checked.geometry.graph._rows
-    assert not rows
+    assert not checked.geometry.graph._rows
+    calls = []
+    dijkstra = complexes.dijkstra
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get("indices"))
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "dijkstra", recording)
     assert checked.validate()
     stored = sum(len(level.certificates) for level in checked.levels)
-    assert 0 < len(rows) <= stored
+    assert 0 < len(calls) <= stored
+    assert None not in calls
 
 
 def test_filtration_deterministic(torus4_d1):

@@ -25,11 +25,15 @@ what the verify stage alone measured before they were split.
 the distance rows each stage computes (an all-pairs call counts one row per
 node), by wrapping ``sepfilt.complexes.dijkstra`` from outside the package,
 and ``truncated_rows`` counts those of them computed with a finite
-``limit`` (read only out to a check's radius, past the dense limit);
+``limit`` (read only out to a check's radius).  ``matrix_builds`` counts
+the dense matrix calls (``dijkstra`` without ``indices``), and
+``matrix_limits`` lists each stage's limits of them (``null`` for none),
+from the first run.
 ``fit_calls`` counts each stage's ``fit_in_ball`` calls, wrapped at every
 ``sepfilt`` module attribute that holds it.  ``balls_built`` counts the
-R-ball bitsets computed (``MetricGraph.ball_bits`` calls; 0 in checkouts
-without it).  The prune counters wrap the method
+R-ball bitsets computed: the nodes passed to ``MetricGraph.ball_bitsets``,
+or in older checkouts the ``MetricGraph.ball_bits`` calls (0 in checkouts
+without either).  The prune counters wrap the method
 ``filtration._PruneState.try_remove``: ``try_remove_calls`` counts its
 calls and ``merge_refusals`` the calls that return False, which
 ``try_remove`` does only when it refuses a merge: because the parts' AND
@@ -78,9 +82,9 @@ SAMPLES = 100
 VERIFY_SAMPLES, VERIFY_SEED = 2000, 101
 STAGES = ("geometry", "incidence", "filtration", "coloring", "census", "V1",
           "packing", "sweep", "validate", "verify")
-COUNTERS = ("dijkstra_rows", "truncated_rows", "fit_calls", "balls_built",
-            "try_remove_calls", "merge_refusals", "cell_systems",
-            "face_id_lookups")
+COUNTERS = ("dijkstra_rows", "truncated_rows", "matrix_builds", "fit_calls",
+            "balls_built", "try_remove_calls", "merge_refusals",
+            "cell_systems", "face_id_lookups")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -102,7 +106,12 @@ def measure(fixture):
     counts = dict.fromkeys(COUNTERS, 0)
     dijkstra, fit_in_ball = complexes.dijkstra, adjacency.fit_in_ball
     try_remove = filtration_module._PruneState.try_remove
-    ball_bits = getattr(complexes.MetricGraph, "ball_bits", None)
+    graph_class = complexes.MetricGraph
+    # the batch builder counts its nodes; an older single-ball one, its calls
+    ball_name = next((name for name in ("ball_bitsets", "ball_bits")
+                      if hasattr(graph_class, name)), None)
+    ball_builder = getattr(graph_class, ball_name) if ball_name else None
+    limits = []
     cell_system_init = adjacency.CellSystem.__init__
     face_ids = adjacency.CellSystem.face_ids
 
@@ -112,15 +121,19 @@ def measure(fixture):
         counts["dijkstra_rows"] += rows
         if kwargs.get("limit", math.inf) < math.inf:
             counts["truncated_rows"] += rows
+        if kwargs.get("indices") is None:
+            counts["matrix_builds"] += 1
+            limit = kwargs.get("limit", math.inf)
+            limits.append(None if limit == math.inf else float(limit))
         return result
 
     def counted_fit(*args, **kwargs):
         counts["fit_calls"] += 1
         return fit_in_ball(*args, **kwargs)
 
-    def counted_ball(graph, *args, **kwargs):
-        counts["balls_built"] += 1
-        return ball_bits(graph, *args, **kwargs)
+    def counted_ball(graph, nodes, *args, **kwargs):
+        counts["balls_built"] += len(nodes) if ball_name == "ball_bitsets" else 1
+        return ball_builder(graph, nodes, *args, **kwargs)
 
     def counted_remove(state, facet):
         removed = try_remove(state, facet)
@@ -140,8 +153,8 @@ def measure(fixture):
     adjacency.CellSystem.__init__ = counted_cell_system
     adjacency.CellSystem.face_ids = counted_face_ids
     filtration_module._PruneState.try_remove = counted_remove
-    if ball_bits is not None:
-        complexes.MetricGraph.ball_bits = counted_ball
+    if ball_builder is not None:
+        setattr(graph_class, ball_name, counted_ball)
     # modules import fit_in_ball by name: rebind every sepfilt binding
     for name, module in list(sys.modules.items()):
         if name == "sepfilt" or name.startswith("sepfilt."):
@@ -154,6 +167,7 @@ def measure(fixture):
     config = SeparationConfig(radius=radius, subdivision_depth=depth, **CONFIG)
     stages = {}
     stage_counts = {counter: {} for counter in COUNTERS}
+    stage_limits = {}
     clock, at_lap = time.perf_counter(), dict(counts)
 
     def lap(stage):
@@ -163,6 +177,8 @@ def measure(fixture):
         for counter, per_stage in stage_counts.items():
             per_stage[stage] = (per_stage.get(stage, 0) + counts[counter]
                                 - at_lap[counter])
+        stage_limits.setdefault(stage, []).extend(limits)
+        limits.clear()
         clock, at_lap = now, dict(counts)
 
     geometry = complex_.geometry(depth)
@@ -217,6 +233,7 @@ def measure(fixture):
     return {
         "stages_s": stages,
         **stage_counts,
+        "matrix_limits": stage_limits,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "digest": hashlib.sha256(text.encode()).hexdigest(),
         "level_areas": level_areas,
@@ -251,6 +268,7 @@ def summarize(runs):
             statistics.median(r["peak_rss_mb"] for r in runs), 1),
         "runs_total_s": [round(r["stages_s"]["total"], 3) for r in runs],
         "runs_peak_rss_mb": [round(r["peak_rss_mb"], 1) for r in runs],
+        "matrix_limits": runs[0].get("matrix_limits"),
         "level_areas": runs[0]["level_areas"],
         "level_cells": runs[0]["level_cells"],
     }
