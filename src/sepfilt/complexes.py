@@ -288,11 +288,13 @@ class MetricGraph:
         self._every_node = (1 << n_nodes) - 1
 
     def _dense(self, limit):
-        """The dense matrix, exact out to at least ``limit``."""
+        """The dense matrix, exact out to at least ``limit``; a matrix with
+        no ``inf`` entry is complete and serves every limit."""
         if limit > self._full_limit:
             self._full = None  # freed before its successor is allocated
             self._full = dijkstra(self._matrix, limit=limit)
-            self._full_limit = limit
+            complete = math.isfinite(self._full.max())
+            self._full_limit = math.inf if complete else limit
         return self._full
 
     def all_distances(self):

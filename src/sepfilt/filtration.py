@@ -98,22 +98,17 @@ class SeparationConfig:
 @dataclass(frozen=True)
 class ComponentCert:
     """Ball certificate for one complement component: its cell count and
-    the center and exact radius of a ball holding it, or no center when it
-    fits none.  ``witness_pair`` stays in the file format and is always
-    None; the certificate audit rejects a stored pair."""
+    the center and exact radius of a ball holding it, or no center (and an
+    infinite radius) when it fits none.  A stored level's certificates
+    also prove that the color classes of the level above fit their
+    balls."""
 
     cells: int
     center: int | None
     radius: float
-    witness_pair: tuple | None = None
 
     def to_json(self):
-        return {
-            "cells": self.cells,
-            "center": self.center,
-            "radius": self.radius,
-            "witness_pair": list(self.witness_pair) if self.witness_pair else None,
-        }
+        return {"cells": self.cells, "center": self.center, "radius": self.radius}
 
 
 @dataclass(frozen=True)
@@ -459,8 +454,6 @@ def _audit_certificates(level, certificates, components, graph, radius):
         wrong = None
         if cert.cells != len(cells):
             wrong = f"cells {cert.cells} (recomputed {len(cells)})"
-        elif cert.witness_pair is not None:
-            wrong = "witness_pair (a separating level stores a center)"
         elif not (isinstance(cert.center, int)
                   and 0 <= cert.center < graph.n_nodes):
             wrong = f"center {cert.center!r} (not a node)"
@@ -604,12 +597,7 @@ class Filtration:
                     entry["slack"],
                     entry.get("slack_kind", "assumed"),
                     tuple(
-                        ComponentCert(
-                            c["cells"],
-                            c["center"],
-                            c["radius"],
-                            tuple(c["witness_pair"]) if c.get("witness_pair") else None,
-                        )
+                        ComponentCert(c["cells"], c["center"], c["radius"])
                         for c in entry.get("components", ())
                     ),
                 )

@@ -112,11 +112,13 @@ def audit_document(filtration, payload):
     compare them field by field with the ``coloring`` and ``census`` of
     its document.
 
-    The first difference raises SeparationViolation (coloring) or
+    No ball is searched: each color class lies in a complement component
+    whose stored certificate ``Filtration.validate`` checks.  The first
+    difference raises SeparationViolation (coloring) or
     CensusMismatch (census), naming the field.
     """
     geometry = filtration.geometry
-    coloring = color_by_filtration(geometry, filtration, filtration.config.radius)
+    coloring = color_by_filtration(geometry, filtration)
     census = count_rainbow(geometry, coloring, filtration)
     for name, derived, error in (
         ("coloring", coloring.to_json(), SeparationViolation),
@@ -134,7 +136,7 @@ def run_pipeline(complex_, config, samples=100):
     """Build, color, count, verify, and report on one complex."""
     geometry = complex_.geometry(config.subdivision_depth)
     filtration = build_filtration(geometry, config)
-    coloring = color_by_filtration(geometry, filtration, config.radius)
+    coloring = color_by_filtration(geometry, filtration)
     census = count_rainbow(geometry, coloring, filtration)
     v1 = estimate_v1(geometry)
     z0 = filtration.z0_nodes()

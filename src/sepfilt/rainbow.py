@@ -1,10 +1,13 @@
 """Colorings by filtration level, rainbow censuses, signed subdivision.
 
 Vertices (and, implicitly, the relative interiors of all faces) are colored
-by the pair (level, component of the level stratum).  Every level is a
-subcomplex by construction, so counting happens in the barycentric
-subdivision of the complex itself, whose vertices are the faces of the
-complex, and the census never needs a geometric rebuild.
+by the pair (level, component of the level stratum).  A class at level
+i >= 1 lies in one complement component of Z_{i-1} in Z_i, which a stored
+certificate proves to fit an R-ball, and a level-0 class is one point, so
+the coloring searches no ball.  Every level is a subcomplex by
+construction, so counting happens in the barycentric subdivision of the
+complex itself, whose vertices are the faces of the complex, and the
+census never needs a geometric rebuild.
 """
 
 from __future__ import annotations
@@ -15,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import fit_in_ball
 from .complexes import subdivision_flags
-from .errors import CensusMismatch, SeparationViolation
+from .errors import CensusMismatch
 
 
 # ---------------------------------------------------------------------------
@@ -26,10 +28,12 @@ from .errors import CensusMismatch, SeparationViolation
 
 @dataclass(frozen=True)
 class ColorInfo:
+    """One color class: its level, its index among the level's classes
+    (the order of the certificates below them) and the number of nodes it
+    colors."""
+
     level: int
     component: int
-    center: int | None
-    radius: float
     nodes: int
 
 
@@ -52,8 +56,6 @@ class LevelColoring:
                     "id": color,
                     "level": info.level,
                     "component": info.component,
-                    "center": info.center,
-                    "radius": info.radius,
                     "nodes": info.nodes,
                 }
                 for color, info in sorted(self.color_meta.items())
@@ -61,11 +63,13 @@ class LevelColoring:
         }
 
 
-def color_by_filtration(geometry, filtration, radius):
+def color_by_filtration(geometry, filtration):
     """Color faces by their stratum: same color iff same level and component.
 
-    Each color class must fit in a ball of the given radius (the certificate
-    is stored); otherwise SeparationViolation is raised.
+    The classes of level i >= 1 are the complement components of Z_{i-1}
+    in Z_i in label order, so class k fits the ball of level i - 1's k-th
+    certificate, which ``Filtration.validate`` checks.  No ball is
+    searched.
     """
     n = geometry.dim
     levels = [filtration.level(i) for i in range(n + 1)]
@@ -95,20 +99,10 @@ def color_by_filtration(geometry, filtration, radius):
         local = np.concatenate([cell_color[first_cell], cell_color])
         mine = face_level[root_ids[i]] == i
         face_colors[root_ids[i][mine]] = local[mine]
-        nodes = np.flatnonzero(face_level[node_faces] == i)
-        node_colors = face_colors[node_faces[nodes]]
-        order = np.argsort(node_colors, kind="stable")
-        bounds = np.searchsorted(node_colors[order], [*colors, colors.stop])
+        node_colors = face_colors[node_faces[face_level[node_faces] == i]]
+        counts = np.bincount(node_colors - colors.start, minlength=len(colors))
         for index, color in enumerate(colors):
-            members = nodes[order[bounds[index] : bounds[index + 1]]]
-            fit = fit_in_ball(geometry, members, radius)
-            if not fit.fits:
-                raise SeparationViolation(
-                    f"color class at level {i} fits in no radius-{radius} ball"
-                )
-            color_meta[color] = ColorInfo(
-                i, index, fit.center, fit.radius, len(members)
-            )
+            color_meta[color] = ColorInfo(i, index, int(counts[index]))
     return LevelColoring(geometry, color_meta, face_colors)
 
 

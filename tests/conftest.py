@@ -89,3 +89,12 @@ def tiny_torus_filtration(tiny_torus):
         radius=1.0, epsilon=0.01, move_budget=5, rng_seed=1, subdivision_depth=2
     )
     return build_filtration(tiny_torus.geometry(2), config)
+
+
+@pytest.fixture(scope="session")
+def small_genus_filtration():
+    geometry = genus_surface(2, scale=0.1).geometry(1)
+    config = SeparationConfig(
+        radius=0.07, epsilon=0.05, move_budget=10, rng_seed=7, subdivision_depth=1
+    )
+    return build_filtration(geometry, config)

@@ -55,7 +55,7 @@ def test_criterion_1_census_identity(name, make, depth, radius):
         subdivision_depth=depth,
     )
     filtration = build_filtration(geometry, config)
-    coloring = color_by_filtration(geometry, filtration, radius)
+    coloring = color_by_filtration(geometry, filtration)
     census = count_rainbow(geometry, coloring, filtration)
     n = geometry.dim
     assert census.total == (2**n) * census.z0_count  # tolerance 0
@@ -241,7 +241,7 @@ def test_criterion_5_vanishing(tiny_torus_filtration):
     n = geometry.dim
     assert estimate.value + estimate.boundary_credit < 1.0 / math.factorial(n)
     assert tiny_torus_filtration.z0_nodes() == ()
-    coloring = color_by_filtration(geometry, tiny_torus_filtration, 1.0)
+    coloring = color_by_filtration(geometry, tiny_torus_filtration)
     census = count_rainbow(geometry, coloring, tiny_torus_filtration)
     report = bound_report(
         tiny_torus_filtration, census, estimate.value, geometry.total_area()

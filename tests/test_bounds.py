@@ -17,7 +17,7 @@ from sepfilt.bounds import (
 from sepfilt.complexes import credited_measure
 from sepfilt.errors import RadiusOrder
 from sepfilt.filtration import Filtration, SeparationConfig, build_filtration
-from sepfilt.generators import circle, genus_surface, torus
+from sepfilt.generators import circle, torus
 from sepfilt.pipeline import inequality_sweep
 from sepfilt.rainbow import color_by_filtration, count_rainbow
 
@@ -194,15 +194,6 @@ def test_checks_digest_is_pinned(torus_filtration_d2):
 WHOLE_BALL_RADII = np.linspace(0.12, 0.27, 11)
 
 
-@pytest.fixture(scope="session")
-def small_genus_filtration():
-    geometry = genus_surface(2, scale=0.1).geometry(1)
-    config = SeparationConfig(
-        radius=0.07, epsilon=0.05, move_budget=10, rng_seed=7, subdivision_depth=1
-    )
-    return build_filtration(geometry, config)
-
-
 def fresh_copy(filtration, monkeypatch, limit):
     """The filtration over a fresh geometry, built past a dense limit if given."""
     if limit is not None:
@@ -366,6 +357,24 @@ def vanishing_filtration():
         radius=1.0, epsilon=0.05, move_budget=5, rng_seed=1, subdivision_depth=1
     )
     return build_filtration(geometry, config)
+
+
+def test_a_complete_matrix_serves_every_limit(vanishing_filtration, monkeypatch):
+    # the sweep's radii rise from sample to sample, but its first matrix
+    # already holds every distance, so it is the only one built
+    filtration = fresh_copy(vanishing_filtration, monkeypatch, None)
+    limits = []
+    dijkstra = complexes.dijkstra
+
+    def recording(*args, **kwargs):
+        if kwargs.get("indices") is None:
+            limits.append(kwargs["limit"])
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "dijkstra", recording)
+    inequality_sweep(filtration, 60, 101)
+    assert len(limits) == 1
+    assert np.isfinite(filtration.geometry.graph._full).all()
 
 
 @pytest.mark.parametrize("limit", [None, 16], ids=["dense", "rowwise"])
@@ -601,7 +610,7 @@ def test_bound_report_vanishing_flag(torus_filtration_d1):
 
 def test_bound_report_vanishing_consistent(tiny_torus_filtration):
     geometry = tiny_torus_filtration.geometry
-    coloring = color_by_filtration(geometry, tiny_torus_filtration, 1.0)
+    coloring = color_by_filtration(geometry, tiny_torus_filtration)
     census = count_rainbow(geometry, coloring, tiny_torus_filtration)
     estimate = estimate_v1(geometry)
     report = bound_report(

@@ -290,7 +290,7 @@ CERTIFICATE_EDITS = {
         "has eccentricity"),
     "radius-above-R": (0, 1, {"radius": 1.5}, "above R"),
     "cell-count": (1, 0, lambda c: {"cells": c["cells"] + 1}, "cells"),
-    "witness": (0, 3, {"witness_pair": [0, 1]}, "witness_pair"),
+    "center-none": (0, 3, {"center": None}, "not a node"),
     "center-past-end": (1, 1, {"center": 10**9}, "not a node"),
     "center-negative": (0, 2, {"center": -1}, "not a node"),
 }

@@ -147,7 +147,7 @@ def test_empty_candidate_fails_on_wide_complex(torus4_d1):
     assert not check.separating
     assert len(check.components) == 1
     cert = check.components[0]
-    assert (cert.center, cert.radius, cert.witness_pair) == (None, math.inf, None)
+    assert (cert.center, cert.radius) == (None, math.inf)
 
 
 def test_dimension_mismatch(torus4_d1):
@@ -883,6 +883,41 @@ def test_validate_reads_one_row_per_component(name, radius, monkeypatch):
     assert None not in calls
 
 
+@pytest.mark.parametrize("name, radius", [("torus4", 1.1), ("genus2", 0.7)])
+def test_only_certificates_search_balls(name, radius, monkeypatch):
+    # run searches a ball only to write a certificate; verify's loading,
+    # validate, audit and sweep search none
+    import sys
+
+    from sepfilt.filtration import Filtration
+    from sepfilt.pipeline import audit_document, inequality_sweep, run_pipeline
+
+    callers = []
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code)
+        return fit_in_ball(*args, **kwargs)
+
+    # modules import fit_in_ball by name: rebind every sepfilt binding
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "sepfilt" or module_name.startswith("sepfilt."):
+            for attr, value in list(vars(module).items()):
+                if value is fit_in_ball:
+                    monkeypatch.setattr(module, attr, counted)
+    complex_ = torus(4) if name == "torus4" else genus_surface(2)
+    config = SeparationConfig(radius=radius, epsilon=0.05, move_budget=10,
+                              rng_seed=7, subdivision_depth=1)
+    document = run_pipeline(complex_, config, samples=20).filtration_document()
+    assert callers
+    assert set(callers) == {filtration._certificates.__code__}
+    callers.clear()
+    checked = Filtration.from_json(fit_geometry(name), document)
+    assert checked.validate()
+    audit_document(checked, document)
+    inequality_sweep(checked, 200, 101)
+    assert callers == []
+
+
 def test_filtration_deterministic(torus4_d1):
     config = SeparationConfig(
         radius=1.1, epsilon=0.05, move_budget=8, rng_seed=9, subdivision_depth=1
@@ -895,10 +930,11 @@ def test_filtration_deterministic(torus4_d1):
 # sha256 of canonical_dumps(build_filtration(...).to_json()); any change
 # to the search trajectory, its certificates or the file format moves them.
 # genus2 was re-pinned once when a certificate's center became the lowest
-# feasible id (its cells and areas, LEVEL_CELLS_DIGESTS, did not move)
+# feasible id (its cells and areas, LEVEL_CELLS_DIGESTS, did not move), and
+# both once when the always-empty ``witness_pair`` left the format
 FILTRATION_DIGESTS = {
-    "torus4": "254fb6323793693a2b98207d41e2e2fe46534a8dd4bc1c5ddae464dc2d4d5931",
-    "genus2": "0c2caca3ca6819f2dd34e03604a149dc06bba5aa6316e549abcfe64163fc82c5",
+    "torus4": "a97a051c4b6938c8fc33d8b7797cace75e88dc170f238bd7fc7411661424b135",
+    "genus2": "fed65a33af75f3ef33218ebc6d911cc0cb7f8a2b8f425781767faf81075b3047",
 }
 
 
@@ -946,7 +982,7 @@ def test_level_cells_digest_is_pinned(name, radius):
 
 # sha256 of one direct minimize_separating call without candidate_facets:
 # the Voronoi-reseed path, which build_filtration never takes
-MINIMIZE_DIGEST = "ab41320e108d096d64eb3c610677d72c7b1a1ed93e84975273482f5b57ef4e76"
+MINIMIZE_DIGEST = "6b4e12237142dfb3d26f979a3d398cfbda5ba346fd6c559ddb0833bc52563831"
 
 
 def test_minimize_digest_is_pinned():

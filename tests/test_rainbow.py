@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepfilt.errors import CensusMismatch, SeparationViolation
+from sepfilt.errors import CensusMismatch
 from sepfilt.rainbow import (
     Chain,
     ColorInfo,
@@ -129,15 +129,14 @@ def loop_census(geometry, coloring, z0):
 
 def test_single_level_single_color(tiny_torus_filtration):
     geometry = tiny_torus_filtration.geometry
-    coloring = color_by_filtration(geometry, tiny_torus_filtration, 1.0)
+    coloring = color_by_filtration(geometry, tiny_torus_filtration)
     assert len(coloring.color_meta) == 1
     info = coloring.color_meta[0]
     assert info.level == geometry.dim
-    assert info.radius <= 1.0
 
 
 def test_circle_coloring_four_colors(circle_filtration, circle8_geom):
-    coloring = color_by_filtration(circle8_geom, circle_filtration, 1.0)
+    coloring = color_by_filtration(circle8_geom, circle_filtration)
     levels = sorted(
         (info.level, info.component) for info in coloring.color_meta.values()
     )
@@ -145,7 +144,7 @@ def test_circle_coloring_four_colors(circle_filtration, circle8_geom):
 
 
 def test_color_count_matches_component_oracle(torus_filtration_d1, torus4_d1):
-    coloring = color_by_filtration(torus4_d1, torus_filtration_d1, 1.1)
+    coloring = color_by_filtration(torus4_d1, torus_filtration_d1)
     _, per_point = census_oracle(torus4_d1, torus_filtration_d1)
     # oracle component count per level via the same flood fill
     expected = 0
@@ -180,21 +179,49 @@ def test_color_count_matches_component_oracle(torus_filtration_d1, torus4_d1):
     assert len(coloring.color_meta) == expected
 
 
-def test_color_classes_fit_in_balls(torus_filtration_d1, torus4_d1):
-    radius = torus_filtration_d1.config.radius
-    coloring = color_by_filtration(torus4_d1, torus_filtration_d1, radius)
-    for info in coloring.color_meta.values():
-        assert info.radius <= radius + 1e-12
-
-
-def test_coloring_fails_beyond_radius(torus_filtration_d1, torus4_d1):
-    with pytest.raises(SeparationViolation):
-        color_by_filtration(torus4_d1, torus_filtration_d1, 0.05)
+@pytest.mark.parametrize(
+    "name",
+    [
+        "circle_filtration",
+        "tiny_torus_filtration",
+        "torus_filtration_d1",
+        "torus_filtration_d2",
+        "small_genus_filtration",
+    ],
+)
+def test_color_classes_lie_in_their_certified_balls(name, request):
+    # the classes of level i >= 1 are level i - 1's certified components in
+    # certificate order; a level-0 class is one point
+    filtration = request.getfixturevalue(name)
+    geometry = filtration.geometry
+    coloring = color_by_filtration(geometry, filtration)
+    node_faces = geometry.cell_system.offsets[1] + np.arange(geometry.n_nodes)
+    node_colors = coloring.face_colors[node_faces]
+    for i in range(geometry.dim + 1):
+        classes = sorted(
+            (info.component, color)
+            for color, info in coloring.color_meta.items()
+            if info.level == i
+        )
+        assert [k for k, _ in classes] == list(range(len(classes)))
+        members = [np.flatnonzero(node_colors == color) for _, color in classes]
+        assert [len(nodes) for nodes in members] == [
+            coloring.color_meta[color].nodes for _, color in classes
+        ]
+        if i == 0:
+            assert all(len(nodes) == 1 for nodes in members)
+            continue
+        certificates = filtration.levels[i - 1].certificates
+        assert len(classes) == len(certificates)
+        for cert, nodes in zip(certificates, members):
+            assert cert.radius <= filtration.config.radius
+            row = geometry.graph.distances_from(cert.center)
+            assert row[nodes].max() <= cert.radius
 
 
 def test_face_compatibility(torus_filtration_d1, torus4_d1):
     # vertices sharing a simplex are same-colored or at different levels
-    coloring = color_by_filtration(torus4_d1, torus_filtration_d1, 1.1)
+    coloring = color_by_filtration(torus4_d1, torus_filtration_d1)
     node_faces = torus4_d1.cell_system.offsets[1]
     for cell in torus4_d1.cells:
         for a, b in itertools.combinations(cell, 2):
@@ -240,7 +267,7 @@ def walk_face_colors(geometry, filtration, coloring):
 def test_face_colors_match_face_walk(name, request):
     filtration = request.getfixturevalue(name)
     geometry = filtration.geometry
-    coloring = color_by_filtration(geometry, filtration, filtration.config.radius)
+    coloring = color_by_filtration(geometry, filtration)
     table = walk_face_colors(geometry, filtration, coloring)
     assert dict(zip(face_tuples(geometry), coloring.face_colors.tolist())) == table
 
@@ -251,14 +278,14 @@ def test_face_colors_match_face_walk(name, request):
 
 def test_census_empty_z0(tiny_torus_filtration):
     geometry = tiny_torus_filtration.geometry
-    coloring = color_by_filtration(geometry, tiny_torus_filtration, 1.0)
+    coloring = color_by_filtration(geometry, tiny_torus_filtration)
     census = count_rainbow(geometry, coloring, tiny_torus_filtration)
     assert census.total == 0
     assert census.z0_count == 0
 
 
 def test_census_circle_two_points(circle_filtration, circle8_geom):
-    coloring = color_by_filtration(circle8_geom, circle_filtration, 1.0)
+    coloring = color_by_filtration(circle8_geom, circle_filtration)
     census = count_rainbow(circle8_geom, coloring, circle_filtration)
     # one-dimensional identity: 2 per 0-level point
     assert census.total == 4
@@ -266,7 +293,7 @@ def test_census_circle_two_points(circle_filtration, circle8_geom):
 
 
 def test_census_matches_oracle_on_torus(torus_filtration_d1, torus4_d1):
-    coloring = color_by_filtration(torus4_d1, torus_filtration_d1, 1.1)
+    coloring = color_by_filtration(torus4_d1, torus_filtration_d1)
     census = count_rainbow(torus4_d1, coloring, torus_filtration_d1)
     oracle_total, oracle_per_point = census_oracle(torus4_d1, torus_filtration_d1)
     assert census.total == oracle_total
@@ -277,7 +304,7 @@ def test_census_matches_oracle_on_torus(torus_filtration_d1, torus4_d1):
 def test_rainbow_level_structure(torus_filtration_d1, torus4_d1):
     # every rainbow flag hits each level exactly once
     n = torus4_d1.dim
-    coloring = color_by_filtration(torus4_d1, torus_filtration_d1, 1.1)
+    coloring = color_by_filtration(torus4_d1, torus_filtration_d1)
     face_color = color_table(coloring)
     for cell in torus4_d1.cells:
         for perm in itertools.permutations(cell):
@@ -296,7 +323,7 @@ def test_census_mismatch_on_tampered_filtration(torus_filtration_d1, torus4_d1):
     z0 = torus_filtration_d1.levels[0]
     z1 = torus_filtration_d1.levels[1]
     # recolor with the full filtration but count against a tampered one
-    coloring = color_by_filtration(torus4_d1, torus_filtration_d1, 1.1)
+    coloring = color_by_filtration(torus4_d1, torus_filtration_d1)
     tampered = Filtration(
         torus4_d1,
         torus_filtration_d1.config,
@@ -331,7 +358,7 @@ def test_census_mismatch_on_tampered_filtration(torus_filtration_d1, torus4_d1):
 def test_census_matches_flag_loop(name, request):
     filtration = request.getfixturevalue(name)
     geometry = filtration.geometry
-    coloring = color_by_filtration(geometry, filtration, filtration.config.radius)
+    coloring = color_by_filtration(geometry, filtration)
     census = count_rainbow(geometry, coloring, filtration)
     total, per_point = loop_census(geometry, coloring, filtration.z0_nodes())
     assert census.total == total
@@ -353,7 +380,7 @@ def test_census_matches_flag_loop_on_random_3d_colorings(sphere3):
     # not, and points counted outside the given Z_0
     geometry = sphere3.geometry(1)
     rng = random.Random(5)
-    meta = {color: ColorInfo(color % 4, 0, None, 0.0, 0) for color in range(6)}
+    meta = {color: ColorInfo(color % 4, 0, 0) for color in range(6)}
     for _ in range(5):
         table = {
             face: rng.randrange(6)

@@ -11,7 +11,8 @@ run a fresh ``python3`` process imports ``sepfilt`` from that checkout,
 builds the fixture and times ``run_pipeline``'s stages with
 ``time.perf_counter``: geometry (``complex.geometry``), incidence (the
 geometry's ``cell_system``), filtration (``build_filtration`` alone),
-coloring (``color_by_filtration``), census (``count_rainbow``), V1
+coloring (``color_by_filtration``, given the radius in checkouts whose
+coloring takes one), census (``count_rainbow``), V1
 (``estimate_v1``), packing (``greedy_packing``), sweep
 (``inequality_sweep``, 100 samples), then validate and verify, which
 together mirror ``sepfilt verify`` on a fresh geometry: validate is
@@ -91,6 +92,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 def measure(fixture):
     """One in-process run of the pipeline: stage seconds, RSS and digest."""
     import hashlib
+    import inspect
     import math
     import resource
     import time
@@ -192,7 +194,9 @@ def measure(fixture):
         hashlib.sha256(repr(level.subpolyhedron.cells).encode()).hexdigest()
         for level in filtration.levels
     ]
-    coloring = color_by_filtration(geometry, filtration, radius)
+    takes_radius = "radius" in inspect.signature(color_by_filtration).parameters
+    coloring = color_by_filtration(geometry, filtration,
+                                   *((radius,) if takes_radius else ()))
     lap("coloring")
     census = count_rainbow(geometry, coloring, filtration)
     lap("census")
