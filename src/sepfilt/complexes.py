@@ -58,9 +58,16 @@ def simplex_volume(edge_lengths):
     np.fill_diagonal(cm[1:, 1:], 0.0)
     for (i, j), length in zip(_pair_index(d), lengths):
         cm[i + 1, j + 1] = cm[j + 1, i + 1] = length * length
-    det = np.linalg.det(cm)
+    try:
+        # when the scale is finite, so is every squared length in cm
+        scale = max(lengths) ** (2 * d)
+        with np.errstate(over="raise"):
+            det = np.linalg.det(cm)
+    except (OverflowError, FloatingPointError):
+        raise NondegenerateViolation(
+            f"edge lengths {lengths} overflow the volume computation"
+        ) from None
     vol2 = (-1) ** (d + 1) * det / (2**d * math.factorial(d) ** 2)
-    scale = max(lengths) ** (2 * d)
     if vol2 <= 1e-14 * scale:
         raise NondegenerateViolation(
             f"degenerate simplex: squared volume {vol2:.3e} from lengths {lengths}"
@@ -240,9 +247,8 @@ class MetricGraph:
     ``_DENSE_LIMIT`` nodes, rows come from one dense matrix computed out to
     the largest limit requested so far; a request above it drops the
     matrix and computes it again at the new limit.  Above the dense limit,
-    a row is computed on request out to its caller's limit; a complete row,
-    every entry finite, is cached, and a truncated one is returned and not
-    kept.
+    the rows of each request are computed out to its caller's limit in one
+    call and not kept; a reader that reads a row again keeps it itself.
 
     Arc lengths are rounded up to multiples of one power-of-two quantum,
     fine enough that every path sum, and every sum of two, is exact in
@@ -283,7 +289,6 @@ class MetricGraph:
         # the dense matrix, exact out to ``_full_limit`` (inclusive)
         self._full = None
         self._full_limit = -math.inf
-        self._rows = {}
         self._balls = {}  # radius -> {node: bitset of B(node, radius)}
         self._every_node = (1 << n_nodes) - 1
 
@@ -308,39 +313,33 @@ class MetricGraph:
         """Distances from one node to every node."""
         return self.distances_within(node, math.inf)
 
-    def distances_within(self, node, limit):
-        """Distances from one node, exact wherever they are <= ``limit``.
+    def distances_within(self, nodes, limit):
+        """Distances from one node (a row) or a list of nodes (one row
+        each), exact wherever they are <= ``limit``.
 
         An entry beyond ``limit`` may read ``inf`` (SciPy's limit is
         inclusive), so any comparison with a radius <= ``limit`` gives the
-        true answer.  Up to the dense limit the row is read from the dense
-        matrix, exact out to the largest limit requested so far.  Above
-        it, an uncached row is computed out to ``limit`` and kept only when
-        it came out complete.
+        true answer.  Up to the dense limit the rows are read from the
+        dense matrix, exact out to the largest limit requested so far; one
+        node's row is a view of it.  Above it, the rows are computed out to
+        ``limit`` in one call, and each complete one tightens ``reach``.
         """
         if self.n_nodes <= _DENSE_LIMIT:
-            return self._dense(limit)[node]
-        row = self._rows.get(node)
-        if row is None:
-            row = dijkstra(self._matrix, indices=node, limit=limit)
-            if limit < math.inf and np.isinf(row).any():
-                return row
-            self._rows[node] = row
-            if "reach" in self.__dict__:
-                np.minimum(self.reach, row + row.max(), out=self.reach)
-        return row
+            return self._dense(limit)[nodes]
+        rows = dijkstra(self._matrix, indices=nodes, limit=limit)
+        for row in np.atleast_2d(rows):
+            top = row.max()
+            if top < math.inf:
+                np.minimum(self.reach, row + top, out=self.reach)
+        return rows
 
     @functools.cached_property
     def reach(self):
-        """Per-node upper bound on the eccentricity over the complete rows
-        computed so far.  Up to the dense limit node 0's row is one
-        single-row call, so the dense matrix stays limited."""
-        row = (dijkstra(self._matrix, indices=0) if self.n_nodes <= _DENSE_LIMIT
-               else self.distances_from(0))
-        bound = row + row.max()
-        for other in self._rows.values():
-            np.minimum(bound, other + other.max(), out=bound)
-        return bound
+        """Per-node upper bound on the eccentricity: node 0's complete row
+        plus its max, from one single-row call (so the dense matrix stays
+        limited), tightened by ``distances_within`` above the dense limit."""
+        row = dijkstra(self._matrix, indices=0)
+        return row + row.max()
 
     def holds_every_node(self, node, r):
         """True when B(node, r) provably contains every node."""
@@ -354,18 +353,10 @@ class MetricGraph:
         of about ``_BALL_BATCH`` entries, which bounds the temporaries."""
         balls, size = [], max(1, _BALL_BATCH // self.n_nodes)
         for start in range(0, len(nodes), size):
-            batch = nodes[start : start + size]
-            if self.n_nodes <= _DENSE_LIMIT:
-                rows = self._dense(radius)[batch]
-            else:
-                rows = np.array([self.distances_within(n, radius) for n in batch])
+            rows = self.distances_within(nodes[start : start + size], radius)
             packed = np.packbits(rows <= radius, axis=1, bitorder="little")
             balls.extend(int.from_bytes(ball, "little") for ball in packed)
         return balls
-
-    def ball_bits(self, node, radius):
-        """B(node, radius) as one bitset (``ball_bitsets``)."""
-        return self.ball_bitsets([node], radius)[0]
 
     def feasible_centers(self, nodes, radius):
         """The nodes within ``radius`` of every given node, as a bitset.

@@ -312,11 +312,12 @@ def _voronoi_seed(parent, radius):
     Parts that fit no ball fall back to all their internal facets.
     """
     system, graph = parent.cell_system, parent.root.graph
-    centers = []
+    centers, rows = [], []
     for node in range(graph.n_nodes):
-        if all(graph.distances_from(c)[node] > radius for c in centers):
+        if all(row[node] > radius for row in rows):
             centers.append(node)
-    rows = np.stack([graph.distances_from(c) for c in centers])
+            rows.append(graph.distances_from(node))
+    rows = np.stack(rows)
     owner = np.argmin(rows[:, system.cell_nodes].max(axis=2), axis=0)
     candidate = set(system.cut_facets(owner).tolist())
     # repair parts that fit no ball by isolating their cells: a cell's

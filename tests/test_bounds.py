@@ -215,13 +215,13 @@ def shortcut_fires(graph, radii):
 
 @pytest.mark.parametrize("limit", [None, 16], ids=["dense", "rowwise"])
 def test_whole_ball_volume_matches_row(small_genus_filtration, monkeypatch, limit):
+    dist = small_genus_filtration.geometry.graph.all_distances()
     geometry = fresh_copy(small_genus_filtration, monkeypatch, limit).geometry
     graph = geometry.graph
     for r in WHOLE_BALL_RADII:
         for p in range(geometry.n_nodes):
-            row = graph.distances_from(p)
             expected = credited_measure(
-                geometry.cells_array, geometry.cell_volumes, row, r
+                geometry.cells_array, geometry.cell_volumes, dist[p], r
             )
             assert geometry.ball_volume_detail(p, r) == expected
     assert shortcut_fires(graph, WHOLE_BALL_RADII) == {True, False}
@@ -407,6 +407,13 @@ def test_empty_level_coarea_shortcut(vanishing_filtration, monkeypatch, limit):
 # rows read out to a radius past the dense limit
 
 
+def assert_batch_is_single_rows(graph, p, q, limits):
+    for limit in limits:
+        batch = graph.distances_within([p, q], limit)
+        single = [graph.distances_within(node, limit) for node in (p, q)]
+        assert np.array_equal(batch, np.stack(single))
+
+
 def test_limited_row_is_the_full_row_cut_at_its_limit(
     small_genus_filtration, monkeypatch
 ):
@@ -419,35 +426,41 @@ def test_limited_row_is_the_full_row_cut_at_its_limit(
             row = graph.distances_within(p, limit)
             assert np.array_equal(row, np.where(full <= limit, full, np.inf))
         assert np.array_equal(graph.distances_within(p, full.max()), full)
+    full = full_rows.distances_from(3)
+    limits = [0.0, np.median(full), full.max()]
+    assert_batch_is_single_rows(graph, 3, 10, limits)
     # up to the dense limit a row is the dense matrix's row, cut at the
     # largest limit requested so far
     monkeypatch.undo()
     dense = fresh_copy(small_genus_filtration, monkeypatch, None).geometry.graph
-    full = full_rows.distances_from(3)
     limit = np.median(full)
     cut = np.where(full <= limit, full, np.inf)
     assert np.array_equal(dense.distances_within(3, limit), cut)
     assert np.array_equal(dense.distances_within(3, 0.0), cut)
+    assert_batch_is_single_rows(dense, 3, 10, [limit])
     assert np.array_equal(dense.distances_within(3, full.max()), full)
 
 
-def test_only_complete_rows_are_kept(small_genus_filtration, monkeypatch):
-    full_rows = small_genus_filtration.geometry.graph
+def test_only_complete_rows_tighten_reach(small_genus_filtration, monkeypatch):
+    # past the dense limit no row is kept; a complete one, alone or in a
+    # batch, tightens reach to min(reach, row + row.max())
+    dist = small_genus_filtration.geometry.graph.all_distances()
     graph = fresh_copy(small_genus_filtration, monkeypatch, 16).geometry.graph
+    ecc = dist.max(axis=1)
+    near, far, q = int(ecc.argmin()), int(ecc.argmax()), 9
     reach = graph.reach.copy()
-    assert list(graph._rows) == [0]
-    p, q = 5, 9
-    full_p, full_q = full_rows.distances_from(p), full_rows.distances_from(q)
-    row = graph.distances_within(p, np.median(full_p))
+    row = graph.distances_within(far, np.median(dist[far]))
     assert np.isinf(row).any()
-    assert list(graph._rows) == [0]
     assert np.array_equal(graph.reach, reach)
-    # a limited request whose row comes out complete is kept and tightens
-    row = graph.distances_within(q, full_q.max())
-    assert np.array_equal(row, full_q)
-    assert list(graph._rows) == [0, q]
-    assert np.array_equal(graph.reach, np.minimum(reach, full_q + full_q.max()))
-    assert (graph.reach < reach).any()
+    row = graph.distances_within(q, ecc[q])
+    assert np.array_equal(row, dist[q])
+    tightened = np.minimum(reach, dist[q] + ecc[q])
+    assert np.array_equal(graph.reach, tightened)
+    assert (tightened < reach).any()
+    # at the nearest node's eccentricity, the farthest node's row is cut
+    rows = graph.distances_within([far, near], ecc[near])
+    assert np.isinf(rows[0]).any() and np.array_equal(rows[1], dist[near])
+    assert np.array_equal(graph.reach, np.minimum(tightened, dist[near] + ecc[near]))
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import ast
+import collections
 import json
 import math
 import os
@@ -476,18 +477,32 @@ def test_help_exits_zero():
     assert main(["--help"]) == 0
 
 
+# Definitions only the tests call: reference implementations they compare
+# the package's results with.
+TEST_ORACLES = ["ComplexGeometry.node_barycentric", "MetricGraph.all_distances",
+                "Chain.is_zero", "level_trace_checks", "straighten"]
+
+
+def referenced_names(node):
+    """How often each name is read in a syntax tree, as a name or an attribute."""
+    return collections.Counter(
+        item.id if isinstance(item, ast.Name) else item.attr
+        for item in ast.walk(node) if isinstance(item, (ast.Name, ast.Attribute))
+    )
+
+
 def test_every_module_is_reached_from_the_cli():
     # Follow ``from .x import`` edges from cli.py; ``from . import`` only
     # reaches __init__, which re-exports and so proves nothing.
     package = os.path.dirname(sepfilt.cli.__file__)
-    reached, pending = set(), ["cli"]
+    trees = {}
+    pending = ["cli"]
     while pending:
         name = pending.pop()
-        if name in reached:
+        if name in trees:
             continue
-        reached.add(name)
         with open(os.path.join(package, name + ".py"), encoding="utf-8") as handle:
-            tree = ast.parse(handle.read())
+            trees[name] = tree = ast.parse(handle.read())
         pending.extend(
             node.module for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
@@ -496,7 +511,26 @@ def test_every_module_is_reached_from_the_cli():
         name[:-3] for name in os.listdir(package)
         if name.endswith(".py") and name != "__init__.py"
     }
-    assert sorted(modules - reached) == []
+    assert sorted(modules - set(trees)) == []
+    # Every top-level function and class, and every method, is read somewhere
+    # in those modules outside its own definition.  Dunders run implicitly,
+    # and the commands are registered by their ``cli.command()`` decorator.
+    reads = sum(map(referenced_names, trees.values()), collections.Counter())
+    unread = []
+    for tree in trees.values():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for item, prefix in [(node, ""), *((m, node.name + ".") for m in methods)]:
+                if (not isinstance(item, (ast.FunctionDef, ast.ClassDef))
+                        or item.name.startswith("__")
+                        or any(ast.unparse(d) == "cli.command()"
+                               for d in item.decorator_list)):
+                    continue
+                if reads[item.name] == referenced_names(item)[item.name]:
+                    unread.append(prefix + item.name)
+    assert sorted(unread) == sorted(TEST_ORACLES)
 
 
 @pytest.fixture(scope="module")
@@ -506,10 +540,10 @@ def bad_inputs(tmp_path_factory):
     paths = {"circle": root / "circle.json"}
     main(["gen", "circle", "--nodes", "8", "--length", "4", "-o",
           str(paths["circle"])])
-    # the first edge of a unit-grid triangle, set to nan, inf, or a length
-    # that breaks the triangle inequality
+    # the first edge of a unit-grid triangle, set to nan, inf, a length
+    # that breaks the triangle inequality, or one whose square overflows
     for name, length in [("nan_edge", math.nan), ("inf_edge", math.inf),
-                         ("degenerate", 5.0)]:
+                         ("degenerate", 5.0), ("huge_edge", 1e100)]:
         payload = torus(3).to_json()
         payload["edge_lengths"][0][2] = length
         paths[name] = root / f"{name}.json"
@@ -527,18 +561,20 @@ def bad_inputs(tmp_path_factory):
         ["gen", "torus", "--scale", "nan"],
         ["gen", "torus", "--scale", "inf"],
         ["gen", "circle", "--length", "inf"],
+        ["gen", "circle", "--length", "1e300"],
         ["run", "{circle}", "--radius", "nan"],
         ["run", "{circle}", "--radius", "inf"],
         ["run", "{circle}", "--epsilon", "nan"],
         ["run", "{circle}", "--epsilon", "inf"],
         ["run", "{nan_edge}"],
         ["run", "{inf_edge}"],
+        ["run", "{huge_edge}"],
         ["run", "{degenerate}"],
         ["verify", "{nan_slack}"],
     ],
-    ids=["gen-scale-nan", "gen-scale-inf", "gen-length-inf", "radius-nan",
-         "radius-inf", "epsilon-nan", "epsilon-inf", "edge-nan", "edge-inf",
-         "degenerate-simplex", "slack-nan"],
+    ids=["gen-scale-nan", "gen-scale-inf", "gen-length-inf", "gen-length-huge",
+         "radius-nan", "radius-inf", "epsilon-nan", "epsilon-inf", "edge-nan",
+         "edge-inf", "edge-huge", "degenerate-simplex", "slack-nan"],
 )
 def test_non_finite_and_degenerate_inputs_are_input_errors(tmp_path, capsys,
                                                            bad_inputs, args):

@@ -76,6 +76,13 @@ def test_non_finite_length_rejected(bad):
         simplex_volume([bad, 1.0, 1.0])
 
 
+# the squared length overflows, or only the Cayley-Menger determinant does
+@pytest.mark.parametrize("length", [1e300, 1.5e308**0.25], ids=["square", "det"])
+def test_overflowing_length_rejected(length):
+    with pytest.raises(NondegenerateViolation, match="overflow"):
+        simplex_volume([length] * 3)
+
+
 def test_bad_length_count_rejected():
     with pytest.raises(ValueError):
         simplex_volume([1.0, 1.0])

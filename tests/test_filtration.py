@@ -408,11 +408,10 @@ def fit_inputs(geometry, radii, seed=11):
     return [(nodes, radius) for nodes in node_sets for radius in radii]
 
 
-def feasible_oracle(geometry, nodes, radius):
+def feasible_oracle(dist, nodes, radius):
     """The centers c with max over the nodes m of d(c, m) <= radius, each
-    read from c's complete row."""
-    row = geometry.graph.distances_from
-    return {c for c in range(geometry.n_nodes) if row(c)[nodes].max() <= radius}
+    read from c's row of the complete distance matrix ``dist``."""
+    return set(np.flatnonzero(dist[:, nodes].max(axis=1) <= radius).tolist())
 
 
 def bit_set(bits):
@@ -425,7 +424,10 @@ def test_feasible_centers_match_brute_force(name, mode, monkeypatch):
     # Past the dense limit (16 here), each ball is read from a row limited
     # to the radius.  At the largest distance from node 0 that node's ball
     # is whole by ``reach``, and at twice that every ball is: those members
-    # are skipped, and at twice it no ball is built at all.
+    # are skipped, and at twice it no ball is built at all.  The oracle
+    # reads a separate geometry's matrix, so no complete row of its own
+    # tightens ``reach`` past the limit.
+    dist = fit_geometry(name).graph.all_distances()
     if mode == "rowwise":
         monkeypatch.setattr(complexes, "_DENSE_LIMIT", 16)
     geometry = fit_geometry(name)
@@ -434,10 +436,8 @@ def test_feasible_centers_match_brute_force(name, mode, monkeypatch):
     radii = (*FIT_RADII[name], far, 2 * far)
     outcomes = set()
     for nodes, radius in fit_inputs(geometry, radii):
-        # before the oracle caches complete rows: the first radius's balls
-        # come from truncated rows
         centers = bit_set(graph.feasible_centers(nodes, radius))
-        expected = feasible_oracle(geometry, nodes, radius)
+        expected = feasible_oracle(dist, nodes, radius)
         assert centers == expected
         outcomes.add(len(expected) == 0)
     assert outcomes == {True, False}
@@ -451,18 +451,18 @@ def test_fit_in_ball_matches_brute_force(name, torus4_d1, genus2):
     # the center is the lowest feasible id and the radius its exact
     # eccentricity; a set with no feasible center has none
     geometry = torus4_d1 if name == "torus4" else genus2.geometry(1)
-    graph = geometry.graph
+    dist = geometry.graph.all_distances()
     outcomes = set()
     for nodes, radius in fit_inputs(geometry, FIT_RADII[name]):
         fit = fit_in_ball(geometry, nodes, radius)
-        feasible = feasible_oracle(geometry, nodes, radius)
+        feasible = feasible_oracle(dist, nodes, radius)
         assert fit.fits == bool(feasible)
         if not fit.fits:
             assert (fit.center, fit.radius) == (None, math.inf)
             outcomes.add("none")
             continue
         assert fit.center == min(feasible)
-        ecc = float(graph.distances_from(fit.center)[nodes].max())
+        ecc = float(dist[fit.center, nodes].max())
         assert fit.radius == ecc <= radius
         outcomes.add("member" if fit.center in nodes else "other")
     assert outcomes == {"member", "other", "none"}
@@ -587,7 +587,7 @@ def test_list_prune_state_matches_scratch(name, mode, monkeypatch):
     geometry = prune_geometry(name)
     _, radius = PRUNE_FIXTURES[name]
     facets = list(range(len(geometry.cell_system.facets)))
-    balls = [geometry.graph.ball_bits(node, radius)
+    balls = [geometry.graph.ball_bitsets([node], radius)[0]
              for node in range(geometry.n_nodes)]
     full = filtration._PruneState(geometry, facets, radius)
     assert full.feasible
@@ -868,7 +868,6 @@ def test_validate_reads_one_row_per_component(name, radius, monkeypatch):
                               rng_seed=7, subdivision_depth=1)
     payload = build_filtration(fit_geometry(name), config).to_json()
     checked = Filtration.from_json(fit_geometry(name), payload)
-    assert not checked.geometry.graph._rows
     calls = []
     dijkstra = complexes.dijkstra
 

@@ -6,21 +6,20 @@ Usage, from anywhere:
         --checkout change=DIR_B --runs 3 --out BENCH_x.json
 
 Each ``--checkout LABEL=DIR`` names the root of a source tree that holds
-``src/sepfilt`` (for example a ``git archive`` of one commit).  For every
+``src/sepfilt``, for example a ``git archive`` of one commit: 6199f8b (the
+coloring without a radius) or a later one.  For every
 run a fresh ``python3`` process imports ``sepfilt`` from that checkout,
 builds the fixture and times ``run_pipeline``'s stages with
 ``time.perf_counter``: geometry (``complex.geometry``), incidence (the
 geometry's ``cell_system``), filtration (``build_filtration`` alone),
-coloring (``color_by_filtration``, given the radius in checkouts whose
-coloring takes one), census (``count_rainbow``), V1
+coloring (``color_by_filtration``), census (``count_rainbow``), V1
 (``estimate_v1``), packing (``greedy_packing``), sweep
 (``inequality_sweep``, 100 samples), then validate and verify, which
 together mirror ``sepfilt verify`` on a fresh geometry: validate is
 ``Filtration.validate`` alone, and verify is the rest:
 ``WeightedComplex.from_json`` and ``Filtration.from_json`` of the
-filtration document before it, ``pipeline.audit_document`` (in checkouts
-that have it) and ``inequality_sweep`` with 2,000 samples at seed 101
-after it.  Each of the two keeps its own time and counters; their sum is
+filtration document before it, ``pipeline.audit_document`` and
+``inequality_sweep`` with 2,000 samples at seed 101 after it.  Each of the two keeps its own time and counters; their sum is
 what the verify stage alone measured before they were split.
 ``peak_rss_mb`` is the process's ``ru_maxrss``.  ``dijkstra_rows`` counts
 the distance rows each stage computes (an all-pairs call counts one row per
@@ -32,14 +31,12 @@ the dense matrix calls (``dijkstra`` without ``indices``), and
 from the first run.
 ``fit_calls`` counts each stage's ``fit_in_ball`` calls, wrapped at every
 ``sepfilt`` module attribute that holds it.  ``balls_built`` counts the
-R-ball bitsets computed: the nodes passed to ``MetricGraph.ball_bitsets``,
-or in older checkouts the ``MetricGraph.ball_bits`` calls (0 in checkouts
-without either).  The prune counters wrap the method
+R-ball bitsets computed: the nodes passed to ``MetricGraph.ball_bitsets``.
+The prune counters wrap the method
 ``filtration._PruneState.try_remove``: ``try_remove_calls`` counts its
 calls and ``merge_refusals`` the calls that return False, which
-``try_remove`` does only when it refuses a merge: because the parts' AND
-of feasible centers is empty, or in older checkouts because the merge fit
-failed or a memo recalled its refusal.  ``cell_systems`` counts the
+``try_remove`` does only when it refuses a merge, because the parts' AND
+of feasible centers is empty.  ``cell_systems`` counts the
 ``CellSystem`` constructions and ``face_id_lookups`` the
 ``CellSystem.face_ids`` calls
 (those inside a construction too), both by wrapping the methods of
@@ -92,7 +89,6 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 def measure(fixture):
     """One in-process run of the pipeline: stage seconds, RSS and digest."""
     import hashlib
-    import inspect
     import math
     import resource
     import time
@@ -108,11 +104,7 @@ def measure(fixture):
     counts = dict.fromkeys(COUNTERS, 0)
     dijkstra, fit_in_ball = complexes.dijkstra, adjacency.fit_in_ball
     try_remove = filtration_module._PruneState.try_remove
-    graph_class = complexes.MetricGraph
-    # the batch builder counts its nodes; an older single-ball one, its calls
-    ball_name = next((name for name in ("ball_bitsets", "ball_bits")
-                      if hasattr(graph_class, name)), None)
-    ball_builder = getattr(graph_class, ball_name) if ball_name else None
+    ball_bitsets = complexes.MetricGraph.ball_bitsets
     limits = []
     cell_system_init = adjacency.CellSystem.__init__
     face_ids = adjacency.CellSystem.face_ids
@@ -133,9 +125,9 @@ def measure(fixture):
         counts["fit_calls"] += 1
         return fit_in_ball(*args, **kwargs)
 
-    def counted_ball(graph, nodes, *args, **kwargs):
-        counts["balls_built"] += len(nodes) if ball_name == "ball_bitsets" else 1
-        return ball_builder(graph, nodes, *args, **kwargs)
+    def counted_balls(graph, nodes, *args, **kwargs):
+        counts["balls_built"] += len(nodes)
+        return ball_bitsets(graph, nodes, *args, **kwargs)
 
     def counted_remove(state, facet):
         removed = try_remove(state, facet)
@@ -155,8 +147,7 @@ def measure(fixture):
     adjacency.CellSystem.__init__ = counted_cell_system
     adjacency.CellSystem.face_ids = counted_face_ids
     filtration_module._PruneState.try_remove = counted_remove
-    if ball_builder is not None:
-        setattr(graph_class, ball_name, counted_ball)
+    complexes.MetricGraph.ball_bitsets = counted_balls
     # modules import fit_in_ball by name: rebind every sepfilt binding
     for name, module in list(sys.modules.items()):
         if name == "sepfilt" or name.startswith("sepfilt."):
@@ -194,9 +185,7 @@ def measure(fixture):
         hashlib.sha256(repr(level.subpolyhedron.cells).encode()).hexdigest()
         for level in filtration.levels
     ]
-    takes_radius = "radius" in inspect.signature(color_by_filtration).parameters
-    coloring = color_by_filtration(geometry, filtration,
-                                   *((radius,) if takes_radius else ()))
+    coloring = color_by_filtration(geometry, filtration)
     lap("coloring")
     census = count_rainbow(geometry, coloring, filtration)
     lap("census")
@@ -223,8 +212,7 @@ def measure(fixture):
     lap("verify")
     checked.validate()
     lap("validate")
-    if hasattr(pipeline, "audit_document"):
-        pipeline.audit_document(checked, document)
+    pipeline.audit_document(checked, document)
     verify_checks = inequality_sweep(checked, VERIFY_SAMPLES, VERIFY_SEED)
     lap("verify")
     stages["total"] = sum(stages.values())
