@@ -71,23 +71,35 @@ def _measure(z, dist, r):
     return credited_measure(z.cells_array, z.cell_volumes, dist, r)
 
 
-def _ball_row(filtration, center, r1, r2):
-    """Distance row from the center (or ``None``) and #(Z_0 in B(p, r1)).
+def _ball_rows(graph, center, r1, r2):
+    """The distance rows for B(p, r1) and B(p, r2), ``None`` for a ball
+    ``holds_every_node`` proves whole (measured whole).  One row serves
+    both, read out to the larger radius whose ball is not proven whole;
+    when both balls are, no row is read."""
+    if not graph.holds_every_node(center, r2):
+        dist = graph.distances_within(center, r2)
+        return dist, dist
+    if not graph.holds_every_node(center, r1):
+        return graph.distances_within(center, r1), None
+    return None, None
 
-    The radius order is checked before the filtration is read.  The
-    density checks compare Z_0 with r1 and the other levels with r2, so
-    the row is read only out to r2, and when the smaller radius that meets
-    a nonempty set (r1 if Z_0 is nonempty, else r2) provably holds every
-    node, no row is read: Z_0 counts whole and every level is measured
-    whole.
+
+def _ball_row(filtration, center, r1, r2):
+    """Distance row for the r2 balls (or ``None``) and #(Z_0 in B(p, r1)).
+
+    The radius order is checked before the filtration is read.  The density
+    and trace checks count Z_0 in B(p, r1) and measure every level in
+    B(p, r2), so the row is read out to r2, or only to r1 when B(p, r2) is
+    proven whole and Z_0 is nonempty (an empty Z_0 counts 0 at any radius),
+    or not at all when both balls are (``_ball_rows``).  A ball proven
+    whole counts Z_0 whole or measures its level whole.
     """
     _check_radius_order(r1, r2)
     graph = filtration.geometry.graph
     z0 = filtration.level(0).cells_array[:, 0]
-    if graph.holds_every_node(center, r1 if len(z0) else r2):
-        return None, len(z0)
-    dist = graph.distances_within(center, r2)
-    return dist, int((dist[z0] <= r1).sum())
+    row1, row2 = _ball_rows(graph, center, r1 if len(z0) else r2, r2)
+    count = len(z0) if row1 is None else int((row1[z0] <= r1).sum())
+    return row2, count
 
 
 def _level_check(kind, filtration, i, slack, center, r1, r2, dist, count):
@@ -135,12 +147,13 @@ def coarea_check(filtration, level, center, r1, r2):
     Integrates the area of Z_level inside B(p, rho) for rho in [r1, r2] and
     compares with the credited area of the parent level in the annulus plus
     2 eps R.  The budget covers quadrature error and both boundary credits.
-    The row is read out to r2.  The slice areas are summed in distance
-    order, sorted stably, so tied cells keep their cell order and the cells
-    within r2, the only ones summed, come in the same order whatever the
-    entries beyond r2 read.  An empty level has an integral and budget of
-    0, and only the parent is measured, at r1 and r2; when B(p, r1)
-    provably holds every node no row is read, and both parent balls are
+    A nonempty level's row is read out to r2.  Its slice areas are summed
+    in distance order, sorted stably, so tied cells keep their cell order
+    and the cells within r2, the only ones summed, come in the same order
+    whatever the entries beyond r2 read.  An empty level has an integral
+    and budget of 0, and only the parent is measured, at r1 and r2: its row
+    is read out to r2, or only to r1 when B(p, r2) is proven whole, or not
+    at all when B(p, r1) is (``_ball_rows``), and a ball proven whole is
     measured whole.
     """
     _check_radius_order(r1, r2)
@@ -148,10 +161,11 @@ def coarea_check(filtration, level, center, r1, r2):
     R = filtration.config.radius
     eps = filtration.epsilon_schedule()[level]
     z = filtration.level(level)
-    if not len(z) and graph.holds_every_node(center, r1):
-        dist, integral, quad_budget = None, 0.0, 0.0
+    if not len(z):
+        row1, row2 = _ball_rows(graph, center, r1, r2)
+        integral, quad_budget = 0.0, 0.0
     else:
-        dist = graph.distances_within(center, r2)
+        row1 = row2 = dist = graph.distances_within(center, r2)
         max_dist = dist[z.cells_array].max(axis=1)
         order = np.argsort(max_dist, kind="stable")
         cumulative = np.concatenate(([0.0], np.cumsum(z.cell_volumes[order])))
@@ -162,8 +176,8 @@ def coarea_check(filtration, level, center, r1, r2):
         quad_budget = step * float(values.max() - values.min())
 
     parent = filtration.level(level + 1)
-    vol2, b2 = _measure(parent, dist, r2)
-    vol1, b1 = _measure(parent, dist, r1)
+    vol2, b2 = _measure(parent, row2, r2)
+    vol1, b1 = _measure(parent, row1, r1)
     rhs = (vol2 - vol1) + 2.0 * eps * R
     return InequalityCheck(
         f"coarea{level}", int(center), float(r1), float(r2), integral, rhs,

@@ -403,6 +403,62 @@ def test_empty_level_coarea_shortcut(vanishing_filtration, monkeypatch, limit):
     assert fast == rows()
 
 
+# The checks whose balls B(p, r1) and B(p, r2) are all measured from one row:
+# the coarea check on an empty level, the density and trace checks with a
+# nonempty Z_0.
+ROW_RADIUS_CHECKS = {
+    "vanishing_filtration": (
+        VANISHING_RADII,
+        [lambda f, p, r1, r2, level=level: coarea_check(f, level, p, r1, r2)
+         for level in (0, 1)],
+    ),
+    "small_genus_filtration": (
+        WHOLE_BALL_RADII, [point_density_check, level_trace_checks]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_RADIUS_CHECKS))
+def test_rows_stop_at_the_largest_radius_not_proven_whole(name, request, monkeypatch):
+    # Each check reads its row out to r2 when neither ball is proven whole,
+    # out to r1 when only B(p, r2) is, and not at all when B(p, r1) is.
+    # Past the dense limit every row is one single-row call, so its limit
+    # is the radius the check read to.
+    radii, checks = ROW_RADIUS_CHECKS[name]
+    filtration = fresh_copy(request.getfixturevalue(name), monkeypatch, 16)
+    graph = filtration.geometry.graph
+    empty = {len(filtration.level(i)) == 0 for i in (0, 1)}
+    assert empty == {name == "vanishing_filtration"}
+    limits = []
+    dijkstra = complexes.dijkstra
+
+    def recording(*args, **kwargs):
+        indices = kwargs.get("indices")
+        if indices is not None and np.ndim(indices) == 0:
+            limits.append(kwargs.get("limit"))
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "dijkstra", recording)
+    cases = set()
+    for center in range(graph.n_nodes):
+        for r1 in radii:
+            r2 = r1 + 0.02
+            for check in checks:
+                # classified just before each call: a complete row read
+                # by an earlier check tightens reach
+                if graph.holds_every_node(center, r1):
+                    case, expected = "both whole", []
+                elif graph.holds_every_node(center, r2):
+                    case, expected = "r2 whole", [r1]
+                else:
+                    case, expected = "neither whole", [r2]
+                cases.add(case)
+                limits.clear()
+                check(filtration, center, r1, r2)
+                assert limits == expected
+    assert cases == {"both whole", "r2 whole", "neither whole"}
+
+
 # ---------------------------------------------------------------------------
 # rows read out to a radius past the dense limit
 

@@ -25,7 +25,9 @@ what the verify stage alone measured before they were split.
 the distance rows each stage computes (an all-pairs call counts one row per
 node), by wrapping ``sepfilt.complexes.dijkstra`` from outside the package,
 and ``truncated_rows`` counts those of them computed with a finite
-``limit`` (read only out to a check's radius).  ``matrix_builds`` counts
+``limit`` (read only out to a check's radius); ``complete_rows`` counts
+the rows that come out with no ``inf`` entry, truncated or not (a row
+that reaches every node).  ``matrix_builds`` counts
 the dense matrix calls (``dijkstra`` without ``indices``), and
 ``matrix_limits`` lists each stage's limits of them (``null`` for none),
 from the first run.
@@ -41,7 +43,10 @@ of feasible centers is empty.  ``cell_systems`` counts the
 ``CellSystem.face_ids`` calls
 (those inside a construction too), both by wrapping the methods of
 ``sepfilt.adjacency.CellSystem`` from outside the package.
-Checkouts alternate run by run, BLAS threads are 1, and
+Each checkout first makes one untimed warm-up run, whose result is
+dropped, so that no timed run includes the byte-compilation of modules
+edited since the checkout's last import.  Checkouts then alternate run
+by run, BLAS threads are 1, and
 ``outputs_identical`` says whether every run gave the same sha256 of the
 filtration and report documents and every sweep and verify row.  Each run
 also records the per-level areas of its filtration (Z_0 first) and a
@@ -80,7 +85,8 @@ SAMPLES = 100
 VERIFY_SAMPLES, VERIFY_SEED = 2000, 101
 STAGES = ("geometry", "incidence", "filtration", "coloring", "census", "V1",
           "packing", "sweep", "validate", "verify")
-COUNTERS = ("dijkstra_rows", "truncated_rows", "matrix_builds", "fit_calls",
+COUNTERS = ("dijkstra_rows", "truncated_rows", "complete_rows",
+            "matrix_builds", "fit_calls",
             "balls_built", "try_remove_calls", "merge_refusals",
             "cell_systems", "face_id_lookups")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -92,6 +98,8 @@ def measure(fixture):
     import math
     import resource
     import time
+
+    import numpy as np
 
     from sepfilt import (WeightedComplex, adjacency, complexes, filtration as
                          filtration_module, generators, pipeline)
@@ -115,6 +123,8 @@ def measure(fixture):
         counts["dijkstra_rows"] += rows
         if kwargs.get("limit", math.inf) < math.inf:
             counts["truncated_rows"] += rows
+        counts["complete_rows"] += int(
+            np.isfinite(result).all(axis=-1).sum())
         if kwargs.get("indices") is None:
             counts["matrix_builds"] += 1
             limit = kwargs.get("limit", math.inf)
@@ -269,6 +279,8 @@ def summarize(runs):
 def compare(fixture, checkouts, runs):
     """Alternate fresh runs over ``{label: directory}``; summarize each."""
     records = {label: [] for label in checkouts}
+    for checkout in checkouts.values():
+        fresh_run(fixture, checkout)  # warm-up, not timed
     for _ in range(runs):
         for label, checkout in checkouts.items():
             record = fresh_run(fixture, checkout)
