@@ -120,7 +120,7 @@ def point_density_check(filtration, center, r1, r2):
     boundary credit at r2.
     """
     row = _ball_row(filtration, center, r1, r2)
-    n, eps = filtration.dim, filtration.epsilon_total()
+    n, eps = filtration.dim, filtration.slacks[1]
     return _level_check("density", filtration, n, eps, center, r1, r2, *row)
 
 
@@ -132,7 +132,7 @@ def level_trace_checks(filtration, center, r1, r2):
     """
     row = _ball_row(filtration, center, r1, r2)
     R = filtration.config.radius
-    schedule = filtration.epsilon_schedule()
+    schedule, _ = filtration.slacks
     checks = []
     for i in range(filtration.dim + 1):
         slack = sum(2.0 * schedule[j] * R ** (i - j) for j in range(i))
@@ -159,7 +159,7 @@ def coarea_check(filtration, level, center, r1, r2):
     _check_radius_order(r1, r2)
     graph = filtration.geometry.graph
     R = filtration.config.radius
-    eps = filtration.epsilon_schedule()[level]
+    eps = filtration.slacks[0][level]
     z = filtration.level(level)
     if not len(z):
         row1, row2 = _ball_rows(graph, center, r1, r2)
@@ -249,13 +249,17 @@ def estimate_v1(geometry):
 
     This is the base-space maximum; it equals the supremum over covers only
     when the systole exceeds twice the radius, so shorter (or unknown)
-    systoles attach a warning instead of a silent number.
+    systoles attach a warning instead of a silent number.  The rows of
+    balls not proven whole are read in batches; the first largest wins.
     """
-    best, best_node, best_boundary = -1.0, 0, 0.0
-    for node in range(geometry.n_nodes):
-        value, boundary = geometry.ball_volume_detail(node, _V1_RADIUS)
-        if value > best:
-            best, best_node, best_boundary = value, node, boundary
+    graph = geometry.graph
+    measures = [geometry.whole_measure] * geometry.n_nodes
+    nodes = [node for node in range(geometry.n_nodes)
+             if not graph.holds_every_node(node, _V1_RADIUS)]
+    for node, row in graph.rows_within(nodes, _V1_RADIUS):
+        measures[node] = _measure(geometry, row, _V1_RADIUS)
+    best_node = max(range(geometry.n_nodes), key=lambda node: measures[node][0])
+    best, best_boundary = measures[best_node]
     systole = geometry.base.metadata.get("systole")
     warning = None
     if systole is None:
@@ -332,7 +336,7 @@ def bound_report(filtration, census, v1, vol_m, tolerances=None):
         constant_bound = factor * float(v1) * float(vol_m)
         vanishing = float(v1) < 1.0 / math.factorial(n)
     record = dict(tolerances or {})
-    record.setdefault("epsilon_total", filtration.epsilon_total())
+    record.setdefault("epsilon_total", filtration.slacks[1])
     return BoundReport(
         dimension=n,
         v1=v1,

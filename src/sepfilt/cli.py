@@ -87,6 +87,7 @@ def run(complex_file, radius, epsilon, seed, subdivision_depth, move_budget,
         rng_seed=seed,
         subdivision_depth=subdivision_depth,
     )
+    config.slacks(complex_.dimension)  # input errors before any output
     os.makedirs(out_dir, exist_ok=True)
     artifacts = run_pipeline(complex_, config, samples=samples)
     filtration_path = os.path.join(out_dir, "filtration.json")

@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import weakref
 from fractions import Fraction
 
@@ -28,10 +29,8 @@ from scipy.sparse.csgraph import dijkstra
 from .adjacency import CellSystem, row_groups
 from .errors import DimensionMismatch, NondegenerateViolation
 
-# Node count up to which the metric graph keeps a dense distance matrix.
-_DENSE_LIMIT = 4096
-# Distance entries (8 bytes each) turned into ball bitsets per batch.
-_BALL_BATCH = 1 << 17
+# Distance entries (8 bytes each) computed per batch of rows.
+_BATCH = 1 << 18
 
 
 def _pair_index(d):
@@ -201,9 +200,17 @@ class WeightedComplex:
         ]
 
     def geometry(self, depth=2):
-        """The subdivided metric realization at the given refinement depth."""
-        if depth < 0:
+        """The subdivided metric realization at the given refinement depth;
+        ValueError when its len(simplices) ((n+1)!)^depth cells of n + 1
+        int64 ids alone would exceed physical memory."""
+        if operator.index(depth) < 0:
             raise ValueError("subdivision depth must be nonnegative")
+        n = self.dimension
+        cells = len(self.simplices) * math.factorial(n + 1) ** depth
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if cells * (n + 1) * 8 > memory:
+            raise ValueError(f"subdivision depth {depth} gives {cells} cells, "
+                             f"more than {memory} bytes of physical memory")
         geometry = self._geometries.get(depth)
         if geometry is None:
             geometry = self._geometries[depth] = ComplexGeometry(self, depth)
@@ -242,13 +249,12 @@ class WeightedComplex:
 class MetricGraph:
     """Shortest-path metric on the sample nodes of a subdivided complex.
 
-    Distances follow one policy: every reader asks for the rows it reads
-    only out to the radius it compares with (``distances_within``).  Up to
-    ``_DENSE_LIMIT`` nodes, rows come from one dense matrix computed out to
-    the largest limit requested so far; a request above it drops the
-    matrix and computes it again at the new limit.  Above the dense limit,
-    the rows of each request are computed out to its caller's limit in one
-    call and not kept; a reader that reads a row again keeps it itself.
+    Distances have one store, the ball table (``tabulate``) at the radius
+    R named by the ball search and the sweep: the distances <= R and the
+    bitset of each ball B(node, R) that ``reach`` does not prove whole,
+    computed when readers ask for them.  A read out to at most R of such a
+    node comes from the table, a read of node 0 from its complete row
+    (``reach``'s anchor), and any other read is one row cut at its limit.
 
     Arc lengths are rounded up to multiples of one power-of-two quantum,
     fine enough that every path sum, and every sum of two, is exact in
@@ -257,15 +263,9 @@ class MetricGraph:
 
     For any anchor a, ``d(a, .) + max d(a, .)`` bounds every node's
     eccentricity by the triangle inequality.  ``reach`` starts from node
-    0's complete row, one single-row call, and, above the limit, every
-    complete row computed since tightens it to the elementwise minimum
-    over those anchors, so ``holds_every_node`` can prove that a ball
-    contains every node without the ball's own row.
-
-    Balls are also bitsets, Python ints with bit c for node c
-    (``ball_bitsets``), read from rows limited to their radius and cached
-    per (node, radius) by ``feasible_centers``, which ANDs them: a node set
-    fits a radius ball around c exactly when c lies in every member's ball.
+    0's complete row, and every complete row computed since tightens it to
+    the elementwise minimum over those anchors, so ``holds_every_node``
+    can prove that a ball contains every node without the ball's own row.
     """
 
     def __init__(self, n_nodes, pairs, lengths):
@@ -286,97 +286,106 @@ class MetricGraph:
             ),
             shape=(n_nodes, n_nodes),
         )
-        # the dense matrix, exact out to ``_full_limit`` (inclusive)
-        self._full = None
-        self._full_limit = -math.inf
-        self._balls = {}  # radius -> {node: bitset of B(node, radius)}
+        self.radius, self._table = -math.inf, {}  # no table: every limit is above
+        self._no_row = np.full(n_nodes, math.inf)  # copied for each table read
         self._every_node = (1 << n_nodes) - 1
 
-    def _dense(self, limit):
-        """The dense matrix, exact out to at least ``limit``; a matrix with
-        no ``inf`` entry is complete and serves every limit."""
-        if limit > self._full_limit:
-            self._full = None  # freed before its successor is allocated
-            self._full = dijkstra(self._matrix, limit=limit)
-            complete = math.isfinite(self._full.max())
-            self._full_limit = math.inf if complete else limit
-        return self._full
-
-    def all_distances(self):
-        """The complete all-pairs matrix; only available up to the dense
-        limit."""
-        if self.n_nodes > _DENSE_LIMIT:
-            raise MemoryError(f"{self.n_nodes} nodes exceed the dense limit")
-        return self._dense(math.inf)
-
-    def distances_from(self, node):
-        """Distances from one node to every node."""
-        return self.distances_within(node, math.inf)
-
-    def distances_within(self, nodes, limit):
-        """Distances from one node (a row) or a list of nodes (one row
-        each), exact wherever they are <= ``limit``.
-
-        An entry beyond ``limit`` may read ``inf`` (SciPy's limit is
-        inclusive), so any comparison with a radius <= ``limit`` gives the
-        true answer.  Up to the dense limit the rows are read from the
-        dense matrix, exact out to the largest limit requested so far; one
-        node's row is a view of it.  Above it, the rows are computed out to
-        ``limit`` in one call, and each complete one tightens ``reach``.
-        """
-        if self.n_nodes <= _DENSE_LIMIT:
-            return self._dense(limit)[nodes]
+    def _limited(self, nodes, limit):
+        """Rows of the nodes out to ``limit`` from one call; complete ones
+        tighten ``reach``."""
         rows = dijkstra(self._matrix, indices=nodes, limit=limit)
-        for row in np.atleast_2d(rows):
-            top = row.max()
-            if top < math.inf:
-                np.minimum(self.reach, row + top, out=self.reach)
+        complete = rows[np.isfinite(rows).all(axis=1)]
+        if len(complete):
+            bounds = complete + complete.max(axis=1, keepdims=True)
+            np.minimum(self.reach, bounds.min(axis=0), out=self.reach)
         return rows
+
+    @functools.cached_property
+    def _anchor(self):
+        """Node 0's complete row."""
+        return dijkstra(self._matrix, indices=0)
 
     @functools.cached_property
     def reach(self):
         """Per-node upper bound on the eccentricity: node 0's complete row
-        plus its max, from one single-row call (so the dense matrix stays
-        limited), tightened by ``distances_within`` above the dense limit."""
-        row = dijkstra(self._matrix, indices=0)
-        return row + row.max()
+        plus its max, tightened by every complete row computed since."""
+        return self._anchor + self._anchor.max()
 
     def holds_every_node(self, node, r):
         """True when B(node, r) provably contains every node."""
         return self.reach[node] <= r
 
-    def ball_bitsets(self, nodes, radius):
-        """B(node, radius) for each node, as bitsets: bit c of an int is
-        set exactly when ``d(node, c) <= radius``.
+    def tabulate(self, nodes, radius):
+        """Hold B(node, radius) in the ball table for each node whose ball
+        is neither held nor proven whole, first dropping a table at another
+        radius.  Batches of ``_BATCH`` entries keep those <= radius as CSR
+        columns and distances; a node holds its slices and its bitset."""
+        if radius != self.radius:
+            self.radius, self._table = radius, {}
+        table = self._table
+        missing = list(dict.fromkeys(node for node in nodes if node not in table
+                                     and self.reach[node] > radius))
+        size = max(1, _BATCH // self.n_nodes)
+        for start in range(0, len(missing), size):
+            batch = missing[start : start + size]
+            rows = self._limited(batch, radius)
+            inside = rows <= radius
+            flat = np.flatnonzero(inside)  # by row, each row's columns ascending
+            distances, columns = rows.flat[flat], flat.astype(np.int32) % self.n_nodes
+            ends = np.cumsum(np.count_nonzero(inside, axis=1)).tolist()
+            bits = np.packbits(inside, axis=1, bitorder="little")
+            for node, begin, end, ball in zip(batch, [0, *ends], ends, bits):
+                table[node] = (columns[begin:end], distances[begin:end],
+                               int.from_bytes(ball, "little"))
 
-        Rows limited to the radius are thresholded and packed in batches
-        of about ``_BALL_BATCH`` entries, which bounds the temporaries."""
-        balls, size = [], max(1, _BALL_BATCH // self.n_nodes)
+    def distances_from(self, node):
+        """Distances from one node to every node."""
+        return self.distances_within(node, math.inf)
+
+    def distances_within(self, node, limit):
+        """Distances from one node, exact wherever they are <= ``limit``.
+
+        An entry beyond ``limit`` may read ``inf`` (SciPy's limit is
+        inclusive), so any comparison with a radius <= ``limit`` gives the
+        true answer.  A node's table row is filled on its first read."""
+        if node == 0:
+            return self._anchor
+        if limit <= self.radius and node not in self._table:
+            if self.reach[node] > self.radius:
+                self.tabulate([node], self.radius)
+        ball = self._table.get(node) if limit <= self.radius else None
+        if ball is None:
+            return self._limited([node], limit)[0]
+        row = self._no_row.copy()
+        row.put(ball[0], ball[1])
+        return row
+
+    def rows_within(self, nodes, limit):
+        """``(node, row)`` for each node in order, each row exact wherever
+        it is <= ``limit``: tabulated (``limit <= R``) or computed about
+        ``_BATCH`` entries at a time."""
+        size = max(1, _BATCH // self.n_nodes)
         for start in range(0, len(nodes), size):
-            rows = self.distances_within(nodes[start : start + size], radius)
-            packed = np.packbits(rows <= radius, axis=1, bitorder="little")
-            balls.extend(int.from_bytes(ball, "little") for ball in packed)
-        return balls
+            chunk = nodes[start : start + size]
+            if limit > self.radius:
+                yield from zip(chunk, self._limited(chunk, limit))
+                continue
+            self.tabulate(chunk, self.radius)
+            yield from ((node, self.distances_within(node, limit)) for node in chunk)
 
     def feasible_centers(self, nodes, radius):
         """The nodes within ``radius`` of every given node, as a bitset.
 
         Distances are exactly symmetric, so these are the centers c whose
-        eccentricity ``max d(c, nodes)`` is at most the radius: the
-        intersection of the members' balls.  A member whose ball provably
-        holds every node (``reach``) is skipped; the balls of the other
-        members not yet cached for this radius are built in one batch and
-        cached.  The AND stops once it is 0.
+        eccentricity ``max d(c, nodes)`` is at most the radius: the AND of
+        the members' table bitsets, skipping balls proven whole.
         """
         nodes = np.asarray(nodes)
-        balls = self._balls.setdefault(radius, {})
         members = nodes[self.reach[nodes] > radius].tolist()
-        missing = [node for node in members if node not in balls]
-        if missing:
-            balls.update(zip(missing, self.ball_bitsets(missing, radius)))
-        centers = self._every_node
+        self.tabulate(members, radius)
+        table, centers = self._table, self._every_node
         for node in members:
-            centers &= balls[node]
+            centers &= table[node][2]
             if not centers:
                 break
         return centers
@@ -615,17 +624,6 @@ class ComplexGeometry:
         return float(self.cell_volumes.sum())
 
     # -- balls -------------------------------------------------------------
-
-    def ball_volume_detail(self, center, r):
-        """(volume, boundary credit) of the graph ball around a node.
-
-        A ball that provably holds every node is measured without its
-        distance row; the result is the same floats the row would give.
-        """
-        if self.graph.holds_every_node(center, r):
-            return self.whole_measure
-        dist = self.graph.distances_within(center, r)
-        return credited_measure(self.cells_array, self.cell_volumes, dist, r)
 
     @functools.cached_property
     def whole_measure(self):

@@ -35,7 +35,7 @@ class SeparationConfig:
     ``slack_schedule`` fixes the per-level minimization slacks directly;
     when omitted, level i receives eps / (2 n R^(n-i)), which makes the
     total accumulated slack sum 2 eps_i R^(n-i) equal the configured
-    epsilon.
+    epsilon; ``slacks`` checks the schedule.
     """
 
     radius: float
@@ -54,24 +54,27 @@ class SeparationConfig:
             raise ValueError("move budget must not be negative")
         if self.slack_schedule is not None:
             schedule = tuple(float(e) for e in self.slack_schedule)
-            if not all(math.isfinite(e) and e > 0 for e in schedule):
-                raise ValueError("slack schedule entries must be positive and finite")
             object.__setattr__(self, "slack_schedule", schedule)
+            self.slacks(len(schedule))
 
-    def epsilon_schedule(self, n):
-        if self.slack_schedule is not None:
-            if len(self.slack_schedule) != n:
-                raise ValueError(
-                    f"slack schedule has {len(self.slack_schedule)} entries, "
-                    f"need {n}"
-                )
-            return self.slack_schedule
-        R = self.radius
-        return tuple(self.epsilon / (2.0 * n * R ** (n - i)) for i in range(n))
-
-    def epsilon_total(self, n):
-        return sum(2.0 * e * self.radius ** (n - i)
-                   for i, e in enumerate(self.epsilon_schedule(n)))
+    def slacks(self, n):
+        """The slacks eps_i of an n-dimensional filtration and their total
+        sum 2 eps_i R^(n-i).  Raises ValueError unless all are positive and
+        finite: R^(n-i) can overflow or underflow for R far from 1."""
+        schedule, R = self.slack_schedule, self.radius
+        if schedule is not None and len(schedule) != n:
+            raise ValueError(f"slack schedule has {len(schedule)} entries, need {n}")
+        try:
+            if schedule is None:
+                schedule = tuple(self.epsilon / (2.0 * n * R ** (n - i))
+                                 for i in range(n))
+            total = sum(2.0 * e * R ** (n - i) for i, e in enumerate(schedule))
+        except (OverflowError, ZeroDivisionError):
+            total = math.inf  # fails the check below before schedule is read
+        if not (0 < total < math.inf and all(0 < e < math.inf for e in schedule)):
+            raise ValueError(f"radius {R} and epsilon {self.epsilon} give no "
+                             f"positive, finite slacks in dimension {n}")
+        return schedule, total
 
     def to_json(self):
         return {
@@ -441,10 +444,8 @@ def _audit_certificates(level, certificates, components, graph, radius):
     its center must see every node of the component within exactly the
     stored radius, read from the center's own row, and that radius must be
     at most R; distances are exact, so the radius is compared with ``==``.
-    Every row is read out to R, not to its certificate's radius, so that
-    up to the dense limit one matrix serves them all: a node beyond R
-    reads more than R (``inf`` if the row stops short of it), which equals
-    no stored radius.
+    Every row is read out to R, so the ball table serves it: a node beyond
+    R reads more than R (maybe ``inf``), which equals no stored radius.
     """
     if len(certificates) != len(components):
         raise SeparationViolation(
@@ -525,16 +526,9 @@ class Filtration:
         return tuple(cell[0] for cell in self.level(0).cells)
 
     @functools.cached_property
-    def _slacks(self):
+    def slacks(self):
         """The configured slack schedule and its total, computed once."""
-        return (self.config.epsilon_schedule(self.dim),
-                self.config.epsilon_total(self.dim))
-
-    def epsilon_schedule(self):
-        return self._slacks[0]
-
-    def epsilon_total(self):
-        return self._slacks[1]
+        return self.config.slacks(self.dim)
 
     def validate(self):
         """Re-verify separation from the stored certificates, and the
@@ -545,7 +539,7 @@ class Filtration:
         certificate that passes proves that its component fits an R-ball,
         so no ball is searched for."""
         radius = self.config.radius
-        schedule = self.epsilon_schedule()
+        schedule, _ = self.slacks
         for i in range(self.dim - 1, -1, -1):
             level = self.levels[i]
             z = level.subpolyhedron
@@ -616,7 +610,7 @@ def build_filtration(geometry, config):
     exactly two cofaces in their parent so the filtration stays locally
     flat around its 0-stratum.
     """
-    schedule = config.epsilon_schedule(geometry.dim)
+    schedule, _ = config.slacks(geometry.dim)
     levels = []
     parent = geometry
     for i in range(geometry.dim - 1, -1, -1):

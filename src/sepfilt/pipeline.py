@@ -30,25 +30,27 @@ def sample_radius_pairs(rng, radius, count):
     return pairs
 
 
-def density_sweep(filtration, samples, seed):
+def sweep_samples(filtration, samples, seed):
+    """``(center, r1, r2)`` per sample, radius pairs drawn first, then the
+    centers, whose R-balls are tabulated together for the checks."""
     rng = random.Random(seed)
-    geometry = filtration.geometry
-    checks = []
-    for r1, r2 in sample_radius_pairs(rng, filtration.config.radius, samples):
-        center = rng.randrange(geometry.n_nodes)
-        checks.append(point_density_check(filtration, center, r1, r2))
-    return checks
+    radius = filtration.config.radius
+    pairs = sample_radius_pairs(rng, radius, samples)
+    graph = filtration.geometry.graph
+    centers = [rng.randrange(graph.n_nodes) for _ in pairs]
+    graph.tabulate(centers, radius)
+    return [(center, r1, r2) for center, (r1, r2) in zip(centers, pairs)]
+
+
+def density_sweep(filtration, samples, seed):
+    return [point_density_check(filtration, *sample)
+            for sample in sweep_samples(filtration, samples, seed)]
 
 
 def coarea_sweep(filtration, samples, seed):
     level = filtration.dim - 1
-    rng = random.Random(seed)
-    geometry = filtration.geometry
-    checks = []
-    for r1, r2 in sample_radius_pairs(rng, filtration.config.radius, samples):
-        center = rng.randrange(geometry.n_nodes)
-        checks.append(coarea_check(filtration, level, center, r1, r2))
-    return checks
+    return [coarea_check(filtration, level, *sample)
+            for sample in sweep_samples(filtration, samples, seed)]
 
 
 def inequality_sweep(filtration, samples, seed):

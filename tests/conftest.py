@@ -1,10 +1,28 @@
 import itertools
 
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from sepfilt import WeightedComplex
+from sepfilt.complexes import credited_measure
 from sepfilt.filtration import SeparationConfig, build_filtration
 from sepfilt.generators import circle, genus_surface, torus
+
+
+def reference_distances(graph, nodes=None):
+    """The complete distance rows of the given nodes (all by default) from
+    one SciPy call on the graph's arcs: the reference the graph's own rows
+    are compared with."""
+    return dijkstra(graph._matrix, indices=nodes)
+
+
+def ball_volume(geometry, center, r):
+    """(volume, boundary credit) of B(center, r) as the package measures a
+    ball: whole when ``holds_every_node`` proves it, else from its row."""
+    if geometry.graph.holds_every_node(center, r):
+        return geometry.whole_measure
+    dist = geometry.graph.distances_within(center, r)
+    return credited_measure(geometry.cells_array, geometry.cell_volumes, dist, r)
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +48,12 @@ def torus4_d1(torus4):
 @pytest.fixture(scope="session")
 def torus4_d2(torus4):
     return torus4.geometry(2)
+
+
+@pytest.fixture(scope="session")
+def torus5_small_d3():
+    # 5,400 nodes: the large graph of the ball table tests
+    return torus(5, scale=0.1).geometry(3)
 
 
 @pytest.fixture(scope="session")

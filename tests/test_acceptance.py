@@ -28,6 +28,8 @@ from sepfilt.rainbow import (
     straighten_simplex_terms,
 )
 
+from conftest import reference_distances
+
 
 def _pass(criterion, detail):
     print(f"PASS {criterion}: {detail}")
@@ -95,7 +97,7 @@ def _torus_partition_optimum(geometry, radius):
     """
     cells = geometry.cells
     ncells = len(cells)
-    distances = geometry.graph.all_distances()
+    distances = reference_distances(geometry.graph)
     ball_nodes = [
         set(np.nonzero(distances[c] <= radius)[0].tolist())
         for c in range(geometry.n_nodes)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sepfilt import WeightedComplex, bounds, complexes
+from sepfilt.adjacency import fit_in_ball
 from sepfilt.bounds import (
     bound_report,
     coarea_check,
@@ -20,6 +21,8 @@ from sepfilt.filtration import Filtration, SeparationConfig, build_filtration
 from sepfilt.generators import circle, torus
 from sepfilt.pipeline import inequality_sweep
 from sepfilt.rainbow import color_by_filtration, count_rainbow
+
+from conftest import ball_volume, reference_distances
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +197,20 @@ def test_checks_digest_is_pinned(torus_filtration_d2):
 WHOLE_BALL_RADII = np.linspace(0.12, 0.27, 11)
 
 
-def fresh_copy(filtration, monkeypatch, limit):
-    """The filtration over a fresh geometry, built past a dense limit if given."""
-    if limit is not None:
-        monkeypatch.setattr(complexes, "_DENSE_LIMIT", limit)
+def fresh_copy(filtration):
+    """The filtration over a fresh geometry: no row computed, no ball table."""
     base = WeightedComplex.from_json(filtration.geometry.base.to_json())
     geometry = base.geometry(filtration.config.subdivision_depth)
     return Filtration.from_json(geometry, filtration.to_json())
+
+
+def read_complete_rows(graph, monkeypatch):
+    """Make every read of this graph return the node's complete row."""
+    dist = reference_distances(graph)
+    monkeypatch.setattr(graph, "distances_within", lambda node, limit: dist[node])
+    monkeypatch.setattr(
+        graph, "rows_within", lambda nodes, limit: ((n, dist[n]) for n in nodes)
+    )
 
 
 def without_shortcut(monkeypatch):
@@ -213,23 +223,21 @@ def shortcut_fires(graph, radii):
     return {graph.holds_every_node(p, r) for p in range(graph.n_nodes) for r in radii}
 
 
-@pytest.mark.parametrize("limit", [None, 16], ids=["dense", "rowwise"])
-def test_whole_ball_volume_matches_row(small_genus_filtration, monkeypatch, limit):
-    dist = small_genus_filtration.geometry.graph.all_distances()
-    geometry = fresh_copy(small_genus_filtration, monkeypatch, limit).geometry
+def test_whole_ball_volume_matches_row(small_genus_filtration):
+    dist = reference_distances(small_genus_filtration.geometry.graph)
+    geometry = fresh_copy(small_genus_filtration).geometry
     graph = geometry.graph
     for r in WHOLE_BALL_RADII:
         for p in range(geometry.n_nodes):
             expected = credited_measure(
                 geometry.cells_array, geometry.cell_volumes, dist[p], r
             )
-            assert geometry.ball_volume_detail(p, r) == expected
+            assert ball_volume(geometry, p, r) == expected
     assert shortcut_fires(graph, WHOLE_BALL_RADII) == {True, False}
 
 
-@pytest.mark.parametrize("limit", [None, 16], ids=["dense", "rowwise"])
-def test_whole_ball_v1_matches_rows(small_genus_filtration, monkeypatch, limit):
-    geometry = fresh_copy(small_genus_filtration, monkeypatch, limit).geometry
+def test_whole_ball_v1_matches_rows(small_genus_filtration, monkeypatch):
+    geometry = fresh_copy(small_genus_filtration).geometry
     radii = (0.14, 0.2)
     assert all(
         shortcut_fires(geometry.graph, [r]) == {True, False} for r in radii
@@ -244,9 +252,8 @@ def test_whole_ball_v1_matches_rows(small_genus_filtration, monkeypatch, limit):
         assert estimate_v1(geometry) == estimate
 
 
-@pytest.mark.parametrize("limit", [None, 16], ids=["dense", "rowwise"])
-def test_whole_ball_checks_match_rows(small_genus_filtration, monkeypatch, limit):
-    filtration = fresh_copy(small_genus_filtration, monkeypatch, limit)
+def test_whole_ball_checks_match_rows(small_genus_filtration, monkeypatch):
+    filtration = fresh_copy(small_genus_filtration)
     assert len(filtration.level(0).cells) > 0
     pairs = [(r1, r1 + 0.02) for r1 in WHOLE_BALL_RADII[:-1:2]]
     assert shortcut_fires(filtration.geometry.graph, [r1 for r1, _ in pairs]) == {
@@ -272,8 +279,8 @@ def test_whole_ball_checks_match_rows(small_genus_filtration, monkeypatch, limit
 
 
 def test_whole_ball_checks_are_order_free(small_genus_filtration, monkeypatch):
-    # Past the dense limit which balls are proven whole depends on the rows
-    # computed so far; the check rows must not.  Large radii come first and
+    # Which balls are proven whole depends on the rows computed so far;
+    # the check rows must not.  Large radii come first and
     # the coarea checks, which read the row of a nonempty level, come last,
     # so each center's balls are proven whole from other centers' rows.
     pairs = [(r1, r1 + 0.02) for r1 in WHOLE_BALL_RADII[::-1]]
@@ -288,7 +295,7 @@ def test_whole_ball_checks_are_order_free(small_genus_filtration, monkeypatch):
     monkeypatch.setattr(complexes.MetricGraph, "holds_every_node", recording)
 
     def rows(centers):
-        filtration = fresh_copy(small_genus_filtration, monkeypatch, 16)
+        filtration = fresh_copy(small_genus_filtration)
         proven.append(set())
         refused.append(set())
         out = {}
@@ -320,8 +327,8 @@ def test_coarea_rows_cut_at_r2_give_the_complete_rows_checks(
 ):
     # The slices are summed in a stable distance order, so the cells within
     # r2, the only ones summed, come in the same order whatever the entries
-    # beyond r2 read: a row cut at r2 (past the dense limit, 16 here) or at
-    # the dense matrix's limit gives the same floats as the complete row.
+    # beyond r2 read: a row cut at r2 (one call, no table) or at R (the
+    # ball table) gives the same floats as the complete row.
     filtration = request.getfixturevalue(name)
     assert all(len(filtration.level(i)) for i in range(filtration.dim))
     top = filtration.config.radius
@@ -335,14 +342,15 @@ def test_coarea_rows_cut_at_r2_give_the_complete_rows_checks(
     def rows(copy):
         return [coarea_check(copy, *sample).to_row() for sample in samples]
 
-    complete = fresh_copy(filtration, monkeypatch, None)
-    complete.geometry.graph.all_distances()
+    complete = fresh_copy(filtration)
+    read_complete_rows(complete.geometry.graph, monkeypatch)
     expected = rows(complete)
-    dense = fresh_copy(filtration, monkeypatch, None)
-    assert rows(dense) == expected
-    assert np.isinf(dense.geometry.graph._full).any()
-    rowwise = fresh_copy(filtration, monkeypatch, 16)
-    assert rows(rowwise) == expected
+    assert rows(fresh_copy(filtration)) == expected
+    tabled = fresh_copy(filtration)
+    graph = tabled.geometry.graph
+    graph.tabulate(range(graph.n_nodes), top)
+    assert any(len(ball[0]) < graph.n_nodes for ball in graph._table.values())
+    assert rows(tabled) == expected
 
 
 # Radii spanning the eccentricities of torus(3, scale=0.1) at depth 1 (0.189
@@ -359,27 +367,54 @@ def vanishing_filtration():
     return build_filtration(geometry, config)
 
 
-def test_a_complete_matrix_serves_every_limit(vanishing_filtration, monkeypatch):
-    # the sweep's radii rise from sample to sample, but its first matrix
-    # already holds every distance, so it is the only one built
-    filtration = fresh_copy(vanishing_filtration, monkeypatch, None)
-    limits = []
+def test_a_complex_inside_one_ball_tabulates_nothing(monkeypatch):
+    # every R-ball is proven whole, so the filtration's ball search, the
+    # fit and V1 read no row but node 0's anchor, and the table stays empty
+    geometry = torus(3, scale=0.1).geometry(1)
+    calls = []
     dijkstra = complexes.dijkstra
 
     def recording(*args, **kwargs):
-        if kwargs.get("indices") is None:
-            limits.append(kwargs["limit"])
+        calls.append(kwargs.get("indices"))
         return dijkstra(*args, **kwargs)
 
     monkeypatch.setattr(complexes, "dijkstra", recording)
-    inequality_sweep(filtration, 60, 101)
-    assert len(limits) == 1
-    assert np.isfinite(filtration.geometry.graph._full).all()
+    config = SeparationConfig(radius=1.0, epsilon=0.05, move_budget=5,
+                              rng_seed=1, subdivision_depth=1)
+    filtration = build_filtration(geometry, config)
+    estimate_v1(geometry)
+    assert calls == [0]
+    assert geometry.graph.radius == 1.0 and geometry.graph._table == {}
+    inequality_sweep(filtration, 40, 101)
+    assert geometry.graph._table == {}
 
 
-@pytest.mark.parametrize("limit", [None, 16], ids=["dense", "rowwise"])
-def test_empty_level_coarea_shortcut(vanishing_filtration, monkeypatch, limit):
-    filtration = fresh_copy(vanishing_filtration, monkeypatch, limit)
+def test_the_anchor_row_serves_every_read_of_node_0(vanishing_filtration, monkeypatch):
+    # node 0's complete row, computed for reach, is the only row the fit
+    # and the certificate audit read when the whole complex fits one ball
+    # around node 0, and it serves reads of node 0 out to any limit
+    filtration = fresh_copy(vanishing_filtration)
+    geometry = filtration.geometry
+    full = reference_distances(geometry.graph)[0]
+    calls = []
+    dijkstra = complexes.dijkstra
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get("indices"))
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "dijkstra", recording)
+    fit = fit_in_ball(geometry, np.arange(geometry.n_nodes), 1.0)
+    assert (fit.center, fit.radius) == (0, full.max())
+    assert filtration.validate()
+    assert [cert.center for cert in filtration.levels[1].certificates] == [0]
+    for limit in (0.0, full.max() / 2, math.inf):
+        assert np.array_equal(geometry.graph.distances_within(0, limit), full)
+    assert calls == [0]
+
+
+def test_empty_level_coarea_shortcut(vanishing_filtration, monkeypatch):
+    filtration = fresh_copy(vanishing_filtration)
     geometry = filtration.geometry
     assert [len(filtration.level(i)) for i in (0, 1)] == [0, 0]
     assert shortcut_fires(geometry.graph, VANISHING_RADII) == {True, False}
@@ -422,10 +457,10 @@ ROW_RADIUS_CHECKS = {
 def test_rows_stop_at_the_largest_radius_not_proven_whole(name, request, monkeypatch):
     # Each check reads its row out to r2 when neither ball is proven whole,
     # out to r1 when only B(p, r2) is, and not at all when B(p, r1) is.
-    # Past the dense limit every row is one single-row call, so its limit
-    # is the radius the check read to.
+    # With no ball table every row is one single-row call, so its limit is
+    # the radius the check read to; node 0's reads come from its anchor row.
     radii, checks = ROW_RADIUS_CHECKS[name]
-    filtration = fresh_copy(request.getfixturevalue(name), monkeypatch, 16)
+    filtration = fresh_copy(request.getfixturevalue(name))
     graph = filtration.geometry.graph
     empty = {len(filtration.level(i)) == 0 for i in (0, 1)}
     assert empty == {name == "vanishing_filtration"}
@@ -433,8 +468,7 @@ def test_rows_stop_at_the_largest_radius_not_proven_whole(name, request, monkeyp
     dijkstra = complexes.dijkstra
 
     def recording(*args, **kwargs):
-        indices = kwargs.get("indices")
-        if indices is not None and np.ndim(indices) == 0:
+        if np.ndim(kwargs.get("indices")) == 1:
             limits.append(kwargs.get("limit"))
         return dijkstra(*args, **kwargs)
 
@@ -453,6 +487,8 @@ def test_rows_stop_at_the_largest_radius_not_proven_whole(name, request, monkeyp
                 else:
                     case, expected = "neither whole", [r2]
                 cases.add(case)
+                if center == 0:
+                    expected = []
                 limits.clear()
                 check(filtration, center, r1, r2)
                 assert limits == expected
@@ -460,50 +496,54 @@ def test_rows_stop_at_the_largest_radius_not_proven_whole(name, request, monkeyp
 
 
 # ---------------------------------------------------------------------------
-# rows read out to a radius past the dense limit
+# rows read out to a radius, from single calls and from the ball table
 
 
-def assert_batch_is_single_rows(graph, p, q, limits):
+def assert_batch_is_single_rows(graph, nodes, limits):
+    # equal wherever a row is exact: out to the limit
     for limit in limits:
-        batch = graph.distances_within([p, q], limit)
-        single = [graph.distances_within(node, limit) for node in (p, q)]
-        assert np.array_equal(batch, np.stack(single))
+        batch = list(graph.rows_within(nodes, limit))
+        assert [node for node, _ in batch] == nodes
+        for node, row in batch:
+            one = graph.distances_within(node, limit)
+            assert np.array_equal(np.where(row <= limit, row, np.inf),
+                                  np.where(one <= limit, one, np.inf))
 
 
-def test_limited_row_is_the_full_row_cut_at_its_limit(
-    small_genus_filtration, monkeypatch
-):
-    full_rows = small_genus_filtration.geometry.graph
-    graph = fresh_copy(small_genus_filtration, monkeypatch, 16).geometry.graph
-    for p in range(0, graph.n_nodes, 7):
-        full = full_rows.distances_from(p)
+def test_limited_row_is_the_full_row_cut_at_its_limit(small_genus_filtration):
+    dist = reference_distances(small_genus_filtration.geometry.graph)
+    graph = fresh_copy(small_genus_filtration).geometry.graph
+    for p in range(1, graph.n_nodes, 7):
+        full = dist[p]
         # SciPy's limit is inclusive: entries equal to it are kept
         for limit in np.quantile(np.unique(full), [0.0, 0.1, 0.5, 0.9], method="lower"):
             row = graph.distances_within(p, limit)
             assert np.array_equal(row, np.where(full <= limit, full, np.inf))
         assert np.array_equal(graph.distances_within(p, full.max()), full)
-    full = full_rows.distances_from(3)
+    # node 0's row is its complete anchor row at every limit
+    assert np.array_equal(graph.distances_within(0, 0.0), dist[0])
+    full = dist[3]
     limits = [0.0, np.median(full), full.max()]
-    assert_batch_is_single_rows(graph, 3, 10, limits)
-    # up to the dense limit a row is the dense matrix's row, cut at the
-    # largest limit requested so far
-    monkeypatch.undo()
-    dense = fresh_copy(small_genus_filtration, monkeypatch, None).geometry.graph
-    limit = np.median(full)
-    cut = np.where(full <= limit, full, np.inf)
-    assert np.array_equal(dense.distances_within(3, limit), cut)
-    assert np.array_equal(dense.distances_within(3, 0.0), cut)
-    assert_batch_is_single_rows(dense, 3, 10, [limit])
-    assert np.array_equal(dense.distances_within(3, full.max()), full)
+    assert_batch_is_single_rows(graph, [3, 0, 10], limits)
+    # a tabulated row is the full row cut at the table's radius R, for
+    # any read out to at most R; reads past R are computed
+    top = np.median(full)
+    graph.tabulate([3, 10], top)
+    cut = np.where(full <= top, full, np.inf)
+    assert np.array_equal(graph.distances_within(3, top), cut)
+    assert np.array_equal(graph.distances_within(3, 0.0), cut)
+    assert_batch_is_single_rows(graph, [3, 0, 10, 11], [0.0, top, full.max()])
+    assert np.array_equal(graph.distances_within(3, full.max()), full)
 
 
-def test_only_complete_rows_tighten_reach(small_genus_filtration, monkeypatch):
-    # past the dense limit no row is kept; a complete one, alone or in a
-    # batch, tightens reach to min(reach, row + row.max())
-    dist = small_genus_filtration.geometry.graph.all_distances()
-    graph = fresh_copy(small_genus_filtration, monkeypatch, 16).geometry.graph
+def test_only_complete_rows_tighten_reach(small_genus_filtration):
+    # a complete row, alone or in a batch, tightens reach to
+    # min(reach, row + row.max()); a cut one does not
+    dist = reference_distances(small_genus_filtration.geometry.graph)
+    graph = fresh_copy(small_genus_filtration).geometry.graph
     ecc = dist.max(axis=1)
     near, far, q = int(ecc.argmin()), int(ecc.argmax()), 9
+    assert 0 not in (near, far, q)
     reach = graph.reach.copy()
     row = graph.distances_within(far, np.median(dist[far]))
     assert np.isinf(row).any()
@@ -514,7 +554,7 @@ def test_only_complete_rows_tighten_reach(small_genus_filtration, monkeypatch):
     assert np.array_equal(graph.reach, tightened)
     assert (tightened < reach).any()
     # at the nearest node's eccentricity, the farthest node's row is cut
-    rows = graph.distances_within([far, near], ecc[near])
+    rows = [row for _, row in graph.rows_within([far, near], ecc[near])]
     assert np.isinf(rows[0]).any() and np.array_equal(rows[1], dist[near])
     assert np.array_equal(graph.reach, np.minimum(tightened, dist[near] + ecc[near]))
 
@@ -525,11 +565,11 @@ def test_only_complete_rows_tighten_reach(small_genus_filtration, monkeypatch):
      ("vanishing_filtration", VANISHING_RADII[-1])],
 )
 def test_truncated_rows_give_the_dense_outputs(name, top, request, monkeypatch):
-    # The same sweep, V1 estimate and packing from complete rows, from the
-    # dense matrix read out to the checks' radii and from rows computed one
-    # at a time, read out to each check's radius; more checks are drawn
-    # with radii up to ``top``, so that some balls miss nodes.  Coarea
-    # levels are empty on the vanishing fixture and not on the others.
+    # The same sweep, V1 estimate and packing from complete rows and from
+    # rows read out to the checks' radii: from the ball table at R and from
+    # single calls; more checks are drawn with radii up to ``top``, so that
+    # some balls miss nodes.  Coarea levels are empty on the vanishing
+    # fixture and not on the others.
     filtration = request.getfixturevalue(name)
     truncated = []
     dijkstra = complexes.dijkstra
@@ -539,8 +579,6 @@ def test_truncated_rows_give_the_dense_outputs(name, top, request, monkeypatch):
         if kwargs.get("limit", math.inf) < math.inf and np.isinf(row).any():
             truncated.append(kwargs["limit"])
         return row
-
-    monkeypatch.setattr(complexes, "dijkstra", recording)
 
     def outputs(copy):
         geometry = copy.geometry
@@ -558,20 +596,48 @@ def test_truncated_rows_give_the_dense_outputs(name, top, request, monkeypatch):
         packing = greedy_packing(z0, geometry) if z0 else None
         return rows, estimate_v1(geometry), packing
 
-    complete = fresh_copy(filtration, monkeypatch, None)
-    complete.geometry.graph.all_distances()
+    complete = fresh_copy(filtration)
+    read_complete_rows(complete.geometry.graph, monkeypatch)
     expected = outputs(complete)
-    assert not truncated
-    assert outputs(fresh_copy(filtration, monkeypatch, None)) == expected
-    dense_truncated = bool(truncated)
-    truncated.clear()
-    assert outputs(fresh_copy(filtration, monkeypatch, 16)) == expected
+    monkeypatch.setattr(complexes, "dijkstra", recording)
+    assert outputs(fresh_copy(filtration)) == expected
     assert truncated
-    # on the vanishing fixture (eccentricities at most 0.212) every dense
-    # matrix the checks ask for holds every distance
-    assert dense_truncated == (name != "vanishing_filtration")
     levels = {len(filtration.level(i)) > 0 for i in range(filtration.dim)}
     assert levels == ({False} if name == "vanishing_filtration" else {True})
+
+
+@pytest.mark.parametrize("table", [True, False], ids=["table", "rows"])
+def test_v1_rows_come_in_batches(table, monkeypatch):
+    # On 5,400 nodes V1 reads its rows in at most ceil(N / batch) calls,
+    # batch = _BATCH // N rows: from the ball table when its radius covers
+    # V1's, else computed out to V1's radius.  The estimate is the first
+    # node of largest measure, as one row per node gives it.
+    geometry = torus(5, scale=0.1).geometry(3)
+    graph = geometry.graph
+    monkeypatch.setattr(bounds, "_V1_RADIUS", 0.02)
+    if table:
+        graph.tabulate([], 0.025)  # names R, as the ball search would
+    calls = []
+    dijkstra = complexes.dijkstra
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get("limit"))
+        return dijkstra(*args, **kwargs)
+
+    graph.reach  # node 0's anchor row, computed before the count starts
+    monkeypatch.setattr(complexes, "dijkstra", recording)
+    estimate = estimate_v1(geometry)
+    n = geometry.n_nodes
+    assert 0 < len(calls) <= math.ceil(n / (complexes._BATCH // n))
+    assert set(calls) == {0.025 if table else 0.02}
+    assert len(graph._table) == (n if table else 0)
+    rows = reference_distances(graph, [0, estimate.argmax_node, n - 1])
+    measures = [
+        credited_measure(geometry.cells_array, geometry.cell_volumes, row, 0.02)
+        for row in rows
+    ]
+    assert (estimate.value, estimate.boundary_credit) == measures[1]
+    assert all(value <= estimate.value for value, _ in measures)
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +763,7 @@ def test_rainbow_bound_below_packing_chain(torus_filtration_d2):
     z0 = torus_filtration_d2.z0_nodes()
     packing = greedy_packing(z0, geometry)
     estimate = estimate_v1(geometry)
-    eps = torus_filtration_d2.epsilon_total()
+    eps = torus_filtration_d2.slacks[1]
     budget = 0.0
     for center in packing.centers:
         check = point_density_check(torus_filtration_d2, center, 0.5, 0.999)

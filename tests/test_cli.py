@@ -98,6 +98,18 @@ def test_run_circle_reports_rainbow_bound(tmp_path):
     assert (out_dir / "report_samples.csv").exists()
 
 
+def test_run_refuses_a_depth_past_memory(tmp_path, capsys):
+    # 8 segments split 2**40 times would need more memory than the machine
+    # has for the cell array alone: refused before the geometry is built
+    source = tmp_path / "circle.json"
+    main(["gen", "circle", "--nodes", "8", "--length", "4", "-o", str(source)])
+    out = tmp_path / "out"
+    assert main(["run", str(source), "--subdivision-depth", "40",
+                 "--out-dir", str(out)]) == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert not (out / "filtration.json").exists()
+
+
 def test_run_missing_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.json")]) == 2
     assert "input error" in capsys.readouterr().err
@@ -479,8 +491,8 @@ def test_help_exits_zero():
 
 # Definitions only the tests call: reference implementations they compare
 # the package's results with.
-TEST_ORACLES = ["ComplexGeometry.node_barycentric", "MetricGraph.all_distances",
-                "Chain.is_zero", "level_trace_checks", "straighten"]
+TEST_ORACLES = ["ComplexGeometry.node_barycentric", "Chain.is_zero",
+                "level_trace_checks", "straighten"]
 
 
 def referenced_names(node):
@@ -552,6 +564,19 @@ def bad_inputs(tmp_path_factory):
           "--samples", "2", "--out-dir", str(root / "run")])
     paths["nan_slack"] = root / "run" / "filtration.json"
     _set(paths["nan_slack"], "config", "slack_schedule", [math.nan])
+    # a surface, whose slacks eps / (4 R^(2-i)) overflow or underflow for
+    # a radius far from 1, and its filtration with such a radius or a
+    # subdivision depth whose cells would not fit in memory
+    paths["torus"] = root / "torus.json"
+    torus(3).save(paths["torus"])
+    main(["run", str(paths["torus"]), "--subdivision-depth", "1",
+          "--samples", "2", "--out-dir", str(root / "torus_run")])
+    document = (root / "torus_run" / "filtration.json").read_text()
+    for name, key, value in [("huge_radius", "radius", 1e308),
+                             ("deep", "subdivision_depth", 40)]:
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(document)
+        _set(paths[name], "config", key, value)
     return {name: str(path) for name, path in paths.items()}
 
 
@@ -571,10 +596,15 @@ def bad_inputs(tmp_path_factory):
         ["run", "{huge_edge}"],
         ["run", "{degenerate}"],
         ["verify", "{nan_slack}"],
+        ["run", "{torus}", "--radius", "1e200"],
+        ["run", "{torus}", "--radius", "1e-200"],
+        ["verify", "{huge_radius}"],
+        ["verify", "{deep}"],
     ],
     ids=["gen-scale-nan", "gen-scale-inf", "gen-length-inf", "gen-length-huge",
          "radius-nan", "radius-inf", "epsilon-nan", "epsilon-inf", "edge-nan",
-         "edge-inf", "edge-huge", "degenerate-simplex", "slack-nan"],
+         "edge-inf", "edge-huge", "degenerate-simplex", "slack-nan",
+         "radius-huge", "radius-tiny", "verify-radius-huge", "verify-depth-huge"],
 )
 def test_non_finite_and_degenerate_inputs_are_input_errors(tmp_path, capsys,
                                                            bad_inputs, args):

@@ -14,6 +14,8 @@ from sepfilt.complexes import MetricGraph, credited_measure
 from sepfilt.errors import DimensionMismatch, NondegenerateViolation
 from sepfilt.generators import circle, genus_surface, torus
 
+from conftest import ball_volume, reference_distances
+
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -221,18 +223,18 @@ def test_graph_distance_matches_oracle(torus4_d1):
 
 
 def test_ball_volume_saturates(torus4_d1):
-    assert torus4_d1.ball_volume_detail(0, 100.0)[0] == pytest.approx(16.0)
+    assert ball_volume(torus4_d1, 0, 100.0)[0] == pytest.approx(16.0)
 
 
 def test_ball_volume_vanishes_at_small_radius(torus4_d1):
-    value = torus4_d1.ball_volume_detail(0, 1e-9)[0]
+    value = ball_volume(torus4_d1, 0, 1e-9)[0]
     # only fractional credit from the cells touching the center
     assert value <= torus4_d1.cell_volumes.max() * 7
 
 
 def test_ball_volume_near_disk_area(torus4):
     geometry = torus4.geometry(3)
-    value, boundary = geometry.ball_volume_detail(0, 1.0)
+    value, boundary = ball_volume(geometry, 0, 1.0)
     assert abs(value - MC_DISK_AREA) / MC_DISK_AREA <= 0.10
     oracle_now = flat_torus_disk_area_mc(4, 1.0)
     assert oracle_now == pytest.approx(MC_DISK_AREA, abs=1e-9)
@@ -250,13 +252,13 @@ def test_ball_monotonicity(torus4_d1, circle8_geom):
             large_nodes, large_cells, _ = ball_of(geometry, center, r2)
             assert small_nodes <= large_nodes
             assert small_cells <= large_cells
-            assert geometry.ball_volume_detail(center, r1)[0] <= (
-                geometry.ball_volume_detail(center, r2)[0] + 1e-12
+            assert ball_volume(geometry, center, r1)[0] <= (
+                ball_volume(geometry, center, r2)[0] + 1e-12
             )
 
 
 def test_graph_connected_when_complex_is(torus4_d1):
-    distances = torus4_d1.graph.all_distances()
+    distances = reference_distances(torus4_d1.graph)
     assert np.isfinite(distances).all()
 
 
@@ -299,7 +301,7 @@ def test_metric_is_exact(name, request):
         graphs = [request.getfixturevalue("genus2").geometry(1).graph]
     rng = np.random.default_rng(5)
     for graph in graphs:
-        dist = graph.all_distances()
+        dist = reference_distances(graph)
         assert (dist == dist.T).all()
         assert (np.fmod(dist, graph.quantum) == 0).all()
         a, b, c = rng.integers(graph.n_nodes, size=(3, 200_000))
@@ -310,10 +312,19 @@ def test_metric_is_exact(name, request):
     if name == "chains":
         for (graph, pairs), lengths in zip(chains, arc_sets):
             # a chain arc is the only path between its ends
-            arcs = graph.all_distances()[tuple(np.array(pairs).T)]
+            arcs = reference_distances(graph)[tuple(np.array(pairs).T)]
             assert (arcs > 0).all()
             assert (arcs >= lengths).all()
             assert (arcs - lengths < graph.quantum).all()
+
+
+def test_a_depth_past_physical_memory_is_refused_before_any_allocation():
+    # torus(3) has 18 triangles; at depth 40 its cell array alone would
+    # take 18 * 6**40 * 3 * 8 bytes, so the request fails before a round
+    with pytest.raises(ValueError, match="physical memory"):
+        torus(3).geometry(40)
+    with pytest.raises(TypeError):
+        torus(3).geometry(2.0)
 
 
 def test_dropped_geometry_is_freed_without_the_cycle_collector():
@@ -331,11 +342,10 @@ def test_dropped_geometry_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def test_tightened_reach_is_sound_and_order_free(monkeypatch):
-    # Past the dense limit every computed row tightens reach.  Whatever the
-    # order the rows arrive in, reach never grows, every ball it proves
-    # whole holds p's real row, and all rows end at the same bound.
-    monkeypatch.setattr(complexes, "_DENSE_LIMIT", 16)
+def test_tightened_reach_is_sound_and_order_free():
+    # Every computed complete row tightens reach.  Whatever the order the
+    # rows arrive in, reach never grows, every ball it proves whole holds
+    # p's real row, and all rows end at the same bound.
     finals = []
     for seed in (0, 1):
         graph = torus(3).geometry(1).graph
@@ -364,14 +374,48 @@ def test_tightened_reach_is_sound_and_order_free(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "name, radius, step", [("torus4_d2", 1.1, 1), ("torus5_small_d3", 0.03, 7)]
+)
+def test_table_rows_are_the_reference_rows_cut_at_the_radius(
+    name, radius, step, request
+):
+    # On a small and a large graph, each held row lists exactly the nodes
+    # within R, in order, with their exact distances, and its bitset is
+    # that ball; a node whose R-ball ``reach`` proves whole holds no row.
+    # A new radius drops the table.
+    graph = request.getfixturevalue(name).graph
+    nodes = list(range(0, graph.n_nodes, step))
+    reference = reference_distances(graph, nodes)
+    for r in (radius, float(np.median(graph.reach))):
+        whole = graph.reach <= r
+        graph.tabulate(nodes, r)
+        assert graph.radius == r
+        assert sorted(graph._table) == [node for node in nodes if not whole[node]]
+        for node, row in zip(nodes, reference):
+            if whole[node]:
+                assert row.max() <= r
+                continue
+            columns, distances, bits = graph._table[node]
+            assert np.array_equal(columns, np.flatnonzero(row <= r))
+            assert np.array_equal(distances, row[columns])
+            inside = np.packbits(row <= r, bitorder="little")
+            assert bits == int.from_bytes(inside, "little")
+            # node 0's reads come from its complete anchor row
+            cut = row if node == 0 else np.where(row <= r, row, np.inf)
+            assert np.array_equal(graph.distances_within(node, r), cut)
+        assert whole[nodes].any() == (r > radius)
+
+
+@pytest.mark.parametrize(
     "make, radius", [(lambda: torus(4), 1.1), (lambda: genus_surface(2), 0.7)],
     ids=["torus4-R1.1", "genus2-R0.7"],
 )
-def test_dense_matrix_is_built_once_per_radius(make, radius, monkeypatch):
-    # Below the dense limit every reader asks for the radius it compares
-    # with.  ``run`` builds one matrix at R, and a second at V1's radius 1
-    # only when R < 1; ``verify`` builds one at R.  Each also computes node
-    # 0's complete row for ``reach``, in a single-row call.
+def test_each_ball_is_tabulated_once(make, radius, monkeypatch):
+    # ``run`` and ``verify`` compute node 0's complete row once, for
+    # ``reach``, and tabulate each R-ball at most once, in batches.  V1
+    # reads its radius-1 rows from the table when R >= 1 and computes them
+    # in one batch when R < 1; validate reads its certificate rows alone,
+    # and the density and coarea sweeps each tabulate their centers at once.
     from sepfilt.filtration import Filtration, SeparationConfig
     from sepfilt.pipeline import audit_document, inequality_sweep, run_pipeline
 
@@ -379,29 +423,42 @@ def test_dense_matrix_is_built_once_per_radius(make, radius, monkeypatch):
     dijkstra = complexes.dijkstra
 
     def recording(*args, **kwargs):
-        row = kwargs.get("indices")
-        calls.append(("matrix", kwargs["limit"]) if row is None else ("row", row))
+        calls.append((kwargs.get("limit"), np.atleast_1d(kwargs["indices"]).tolist()))
         return dijkstra(*args, **kwargs)
+
+    def rows_at(limit, start=0):
+        return [node for at, nodes in calls[start:] for node in nodes if at == limit]
 
     monkeypatch.setattr(complexes, "dijkstra", recording)
     config = SeparationConfig(radius=radius, epsilon=0.05, move_budget=10,
                               rng_seed=7, subdivision_depth=1)
     artifacts = run_pipeline(make(), config, samples=40)
-    matrices = [("matrix", radius)] + ([("matrix", 1.0)] if radius < 1 else [])
-    assert sorted(calls) == sorted(matrices + [("row", 0)])
+    graph = artifacts.geometry.graph
+    assert calls[0] == (None, [0])
+    assert sorted(rows_at(radius)) == sorted(graph._table)
+    v1_calls = [nodes for limit, nodes in calls if limit == 1.0]
+    assert len(v1_calls) == (radius < 1) and len(calls) == 1 + len(
+        [limit for limit, _ in calls if limit in (radius, 1.0)])
     calls.clear()
     document = artifacts.filtration_document()
     base = WeightedComplex.from_json(document["complex"])
     checked = Filtration.from_json(base.geometry(1), document)
     assert checked.validate()
     audit_document(checked, document)
+    centers = {cert.center for level in checked.levels for cert in level.certificates}
+    assert all(len(nodes) == 1 and set(nodes) <= centers
+               for limit, nodes in calls if limit is not None)
+    certificates = len(calls)
     inequality_sweep(checked, 400, 101)
-    assert sorted(calls) == [("matrix", radius), ("row", 0)]
+    assert 0 < len(calls) - certificates <= 2
+    assert [call for call in calls if call[0] != radius] == [(None, [0])]
+    assert sorted(rows_at(radius, certificates)) == sorted(
+        checked.geometry.graph._table)
 
 
 def test_refinement_convergence(torus3):
     # frozen configuration: center 0, radius 1.0; deltas shrink monotonically
-    volumes = [torus3.geometry(depth).ball_volume_detail(0, 1.0)[0]
+    volumes = [ball_volume(torus3.geometry(depth), 0, 1.0)[0]
                for depth in (1, 2, 3, 4)]
     deltas = [abs(volumes[i + 1] - volumes[i]) for i in range(3)]
     assert deltas[0] >= deltas[1] >= deltas[2]

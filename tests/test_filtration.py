@@ -18,6 +18,8 @@ from sepfilt.filtration import (
 )
 from sepfilt.generators import circle, genus_surface, torus
 
+from conftest import reference_distances
+
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -98,11 +100,11 @@ def circle_minimum_oracle(geometry, radius):
 def test_epsilon_schedule_matches_budget():
     config = SeparationConfig(radius=1.5, epsilon=0.12)
     for n in (1, 2, 3):
-        schedule = config.epsilon_schedule(n)
+        schedule, total = config.slacks(n)
         assert len(schedule) == n
         for i, eps in enumerate(schedule):
             assert eps == pytest.approx(0.12 / (2 * n * 1.5 ** (n - i)))
-        assert config.epsilon_total(n) == pytest.approx(0.12)
+        assert total == pytest.approx(0.12)
 
 
 def test_config_validation():
@@ -115,16 +117,23 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SeparationConfig(radius=1.0, move_budget=-1)
     assert SeparationConfig(radius=1.0, move_budget=0).move_budget == 0
+    # R^(n-i) overflows or underflows: no positive, finite slacks
+    with pytest.raises(ValueError):
+        SeparationConfig(radius=1e200, slack_schedule=(0.1, 0.1))
+    for radius in (1e200, 1e-200):
+        config = SeparationConfig(radius=radius)
+        with pytest.raises(ValueError):
+            config.slacks(2)
+    assert SeparationConfig(radius=1e200).slacks(1)[1] == pytest.approx(1e-6)
 
 
 def test_explicit_slack_schedule():
     config = SeparationConfig(radius=1.5, slack_schedule=(0.01, 0.02))
-    assert config.epsilon_schedule(2) == (0.01, 0.02)
-    assert config.epsilon_total(2) == pytest.approx(
+    assert config.slacks(2) == ((0.01, 0.02), pytest.approx(
         2 * 0.01 * 1.5**2 + 2 * 0.02 * 1.5
-    )
+    ))
     with pytest.raises(ValueError):
-        config.epsilon_schedule(3)
+        config.slacks(3)
     clone = SeparationConfig.from_json(config.to_json())
     assert clone == config
 
@@ -418,21 +427,16 @@ def bit_set(bits):
     return {c for c in range(bits.bit_length()) if bits >> c & 1}
 
 
-@pytest.mark.parametrize("mode", ["dense", "rowwise"])
 @pytest.mark.parametrize("name", sorted(FIT_RADII))
-def test_feasible_centers_match_brute_force(name, mode, monkeypatch):
-    # Past the dense limit (16 here), each ball is read from a row limited
-    # to the radius.  At the largest distance from node 0 that node's ball
-    # is whole by ``reach``, and at twice that every ball is: those members
-    # are skipped, and at twice it no ball is built at all.  The oracle
-    # reads a separate geometry's matrix, so no complete row of its own
-    # tightens ``reach`` past the limit.
-    dist = fit_geometry(name).graph.all_distances()
-    if mode == "rowwise":
-        monkeypatch.setattr(complexes, "_DENSE_LIMIT", 16)
+def test_feasible_centers_match_brute_force(name):
+    # Each member's ball is read from the ball table at the radius, and a
+    # new radius drops the table.  At the largest distance from node 0 that
+    # node's ball is whole by ``reach``, and at twice that every ball is:
+    # those members are skipped, and at twice it the table holds no row.
     geometry = fit_geometry(name)
     graph = geometry.graph
-    far = float(graph.distances_from(0).max())
+    dist = reference_distances(graph)
+    far = float(dist[0].max())
     radii = (*FIT_RADII[name], far, 2 * far)
     outcomes = set()
     for nodes, radius in fit_inputs(geometry, radii):
@@ -441,9 +445,9 @@ def test_feasible_centers_match_brute_force(name, mode, monkeypatch):
         assert centers == expected
         outcomes.add(len(expected) == 0)
     assert outcomes == {True, False}
-    assert graph._balls[far] and not graph._balls[2 * far]
-    assert 0 not in graph._balls[far]
-    assert (graph._full is None) == (mode == "rowwise")
+    assert graph.radius == 2 * far and not graph._table
+    graph.feasible_centers(np.arange(graph.n_nodes), far)
+    assert graph._table and 0 not in graph._table
 
 
 @pytest.mark.parametrize("name", sorted(FIT_RADII))
@@ -451,7 +455,7 @@ def test_fit_in_ball_matches_brute_force(name, torus4_d1, genus2):
     # the center is the lowest feasible id and the radius its exact
     # eccentricity; a set with no feasible center has none
     geometry = torus4_d1 if name == "torus4" else genus2.geometry(1)
-    dist = geometry.graph.all_distances()
+    dist = reference_distances(geometry.graph)
     outcomes = set()
     for nodes, radius in fit_inputs(geometry, FIT_RADII[name]):
         fit = fit_in_ball(geometry, nodes, radius)
@@ -466,23 +470,6 @@ def test_fit_in_ball_matches_brute_force(name, torus4_d1, genus2):
         assert fit.radius == ecc <= radius
         outcomes.add("member" if fit.center in nodes else "other")
     assert outcomes == {"member", "other", "none"}
-
-
-@pytest.mark.parametrize("name", sorted(FIT_RADII))
-def test_fit_in_ball_row_cache_matches_dense(name, monkeypatch):
-    dense = fit_geometry(name)
-    fits = [
-        fit_in_ball(dense, nodes, radius)
-        for nodes, radius in fit_inputs(dense, FIT_RADII[name])
-    ]
-    monkeypatch.setattr(complexes, "_DENSE_LIMIT", 16)
-    rowwise = fit_geometry(name)
-    with pytest.raises(MemoryError):
-        rowwise.graph.all_distances()
-    assert fits == [
-        fit_in_ball(rowwise, nodes, radius)
-        for nodes, radius in fit_inputs(rowwise, FIT_RADII[name])
-    ]
 
 
 def prune_starts(geometry, radius, seed=3, moves=12):
@@ -577,18 +564,16 @@ def assert_state_from_scratch(state, balls):
     assert [comp.centers for comp in comps] == centers
 
 
-@pytest.mark.parametrize("mode", ["dense", "rowwise"])
 @pytest.mark.parametrize("name", sorted(PRUNE_FIXTURES))
-def test_list_prune_state_matches_scratch(name, mode, monkeypatch):
+def test_list_prune_state_matches_scratch(name):
     # after every accepted removal of a lex-order prune pass from the full
     # facet set, the incremental state equals a fresh one
-    if mode == "rowwise":
-        monkeypatch.setattr(complexes, "_DENSE_LIMIT", 16)
     geometry = prune_geometry(name)
     _, radius = PRUNE_FIXTURES[name]
     facets = list(range(len(geometry.cell_system.facets)))
-    balls = [geometry.graph.ball_bitsets([node], radius)[0]
-             for node in range(geometry.n_nodes)]
+    inside = reference_distances(geometry.graph) <= radius
+    balls = [int.from_bytes(ball, "little")
+             for ball in np.packbits(inside, axis=1, bitorder="little")]
     full = filtration._PruneState(geometry, facets, radius)
     assert full.feasible
     assert_state_from_scratch(full, balls)
@@ -859,11 +844,10 @@ def test_validate_builds_no_level(name, radius, monkeypatch):
 
 @pytest.mark.parametrize("name, radius", [("torus4", 1.1), ("genus2", 0.7)])
 def test_validate_reads_one_row_per_component(name, radius, monkeypatch):
-    # past the dense limit each row is computed on request: validate reads
-    # only the stored centers' rows, one single-row call each
+    # validate builds no ball table: it reads only the stored centers'
+    # rows, one single-row call each, and node 0's anchor row for reach
     from sepfilt.filtration import Filtration
 
-    monkeypatch.setattr(complexes, "_DENSE_LIMIT", 16)
     config = SeparationConfig(radius=radius, epsilon=0.05, move_budget=10,
                               rng_seed=7, subdivision_depth=1)
     payload = build_filtration(fit_geometry(name), config).to_json()
@@ -877,9 +861,11 @@ def test_validate_reads_one_row_per_component(name, radius, monkeypatch):
 
     monkeypatch.setattr(complexes, "dijkstra", recording)
     assert checked.validate()
-    stored = sum(len(level.certificates) for level in checked.levels)
-    assert 0 < len(calls) <= stored
-    assert None not in calls
+    centers = [cert.center for level in checked.levels for cert in level.certificates]
+    rows = [indices for indices in calls if indices != 0]
+    assert calls.count(0) <= 1 and 0 < len(rows) <= len(centers)
+    assert all(len(indices) == 1 and indices[0] in centers for indices in rows)
+    assert checked.geometry.graph.radius == -math.inf
 
 
 @pytest.mark.parametrize("name, radius", [("torus4", 1.1), ("genus2", 0.7)])

@@ -27,13 +27,19 @@ node), by wrapping ``sepfilt.complexes.dijkstra`` from outside the package,
 and ``truncated_rows`` counts those of them computed with a finite
 ``limit`` (read only out to a check's radius); ``complete_rows`` counts
 the rows that come out with no ``inf`` entry, truncated or not (a row
-that reaches every node).  ``matrix_builds`` counts
-the dense matrix calls (``dijkstra`` without ``indices``), and
-``matrix_limits`` lists each stage's limits of them (``null`` for none),
-from the first run.
+that reaches every node).  ``table_builds`` counts the calls that fill
+the distance store: the ``dijkstra`` calls made inside
+``MetricGraph.tabulate`` (the ball table), or, in a checkout from before
+the ball table, the dense matrix calls (``dijkstra`` without
+``indices``).  ``table_entries`` and ``table_bytes`` give the size of
+the store held at the end of each stage by the geometry the stage read
+(the run's, or the fresh one of validate and verify): the ball table's
+entries and the bytes of its column and distance arrays and bitsets, or
+the dense matrix's entries and bytes plus its cached ball bitsets.
 ``fit_calls`` counts each stage's ``fit_in_ball`` calls, wrapped at every
 ``sepfilt`` module attribute that holds it.  ``balls_built`` counts the
-R-ball bitsets computed: the nodes passed to ``MetricGraph.ball_bitsets``.
+R-balls computed: the rows ``MetricGraph.tabulate`` adds to the table, or
+the nodes passed to ``MetricGraph.ball_bitsets`` before it.
 The prune counters wrap the method
 ``filtration._PruneState.try_remove``: ``try_remove_calls`` counts its
 calls and ``merge_refusals`` the calls that return False, which
@@ -86,9 +92,11 @@ VERIFY_SAMPLES, VERIFY_SEED = 2000, 101
 STAGES = ("geometry", "incidence", "filtration", "coloring", "census", "V1",
           "packing", "sweep", "validate", "verify")
 COUNTERS = ("dijkstra_rows", "truncated_rows", "complete_rows",
-            "matrix_builds", "fit_calls",
+            "table_builds", "fit_calls",
             "balls_built", "try_remove_calls", "merge_refusals",
             "cell_systems", "face_id_lookups")
+# sizes at the end of each stage, not counts during it
+STORE = ("table_entries", "table_bytes")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -112,8 +120,10 @@ def measure(fixture):
     counts = dict.fromkeys(COUNTERS, 0)
     dijkstra, fit_in_ball = complexes.dijkstra, adjacency.fit_in_ball
     try_remove = filtration_module._PruneState.try_remove
-    ball_bitsets = complexes.MetricGraph.ball_bitsets
-    limits = []
+    graph_class = complexes.MetricGraph
+    tabulate = getattr(graph_class, "tabulate", None)
+    ball_bitsets = getattr(graph_class, "ball_bitsets", None)
+    filling = False
     cell_system_init = adjacency.CellSystem.__init__
     face_ids = adjacency.CellSystem.face_ids
 
@@ -125,11 +135,19 @@ def measure(fixture):
             counts["truncated_rows"] += rows
         counts["complete_rows"] += int(
             np.isfinite(result).all(axis=-1).sum())
-        if kwargs.get("indices") is None:
-            counts["matrix_builds"] += 1
-            limit = kwargs.get("limit", math.inf)
-            limits.append(None if limit == math.inf else float(limit))
+        if filling or (tabulate is None and kwargs.get("indices") is None):
+            counts["table_builds"] += 1
         return result
+
+    def counted_tabulate(graph, nodes, radius):
+        nonlocal filling
+        held = len(graph._table) if radius == graph.radius else 0
+        filling = True
+        try:
+            tabulate(graph, nodes, radius)
+        finally:
+            filling = False
+        counts["balls_built"] += len(graph._table) - held
 
     def counted_fit(*args, **kwargs):
         counts["fit_calls"] += 1
@@ -157,7 +175,25 @@ def measure(fixture):
     adjacency.CellSystem.__init__ = counted_cell_system
     adjacency.CellSystem.face_ids = counted_face_ids
     filtration_module._PruneState.try_remove = counted_remove
-    complexes.MetricGraph.ball_bitsets = counted_balls
+    if tabulate is not None:
+        graph_class.tabulate = counted_tabulate
+    else:
+        graph_class.ball_bitsets = counted_balls
+
+    def store(graph):
+        """(entries, bytes) of the distances the graph holds."""
+        table = getattr(graph, "_table", None)
+        if table is not None:
+            return (sum(len(ball[0]) for ball in table.values()),
+                    sum(ball[0].nbytes + ball[1].nbytes + sys.getsizeof(ball[2])
+                        for ball in table.values()))
+        full = getattr(graph, "_full", None)
+        bitsets = sum(sys.getsizeof(bits)
+                      for balls in getattr(graph, "_balls", {}).values()
+                      for bits in balls.values())
+        if full is None:
+            return 0, bitsets
+        return full.size, full.nbytes + bitsets
     # modules import fit_in_ball by name: rebind every sepfilt binding
     for name, module in list(sys.modules.items()):
         if name == "sepfilt" or name.startswith("sepfilt."):
@@ -169,41 +205,41 @@ def measure(fixture):
     complex_ = getattr(generators, maker)(**kwargs)
     config = SeparationConfig(radius=radius, subdivision_depth=depth, **CONFIG)
     stages = {}
-    stage_counts = {counter: {} for counter in COUNTERS}
-    stage_limits = {}
+    stage_counts = {counter: {} for counter in (*COUNTERS, *STORE)}
     clock, at_lap = time.perf_counter(), dict(counts)
 
-    def lap(stage):
+    def lap(stage, graph):
         nonlocal clock, at_lap
         now = time.perf_counter()
         stages[stage] = stages.get(stage, 0.0) + now - clock
-        for counter, per_stage in stage_counts.items():
+        for counter in COUNTERS:
+            per_stage = stage_counts[counter]
             per_stage[stage] = (per_stage.get(stage, 0) + counts[counter]
                                 - at_lap[counter])
-        stage_limits.setdefault(stage, []).extend(limits)
-        limits.clear()
-        clock, at_lap = now, dict(counts)
+        for counter, size in zip(STORE, store(graph)):
+            stage_counts[counter][stage] = size
+        clock, at_lap = time.perf_counter(), dict(counts)
 
     geometry = complex_.geometry(depth)
-    lap("geometry")
+    lap("geometry", geometry.graph)
     geometry.cell_system
-    lap("incidence")
+    lap("incidence", geometry.graph)
     filtration = build_filtration(geometry, config)
-    lap("filtration")
+    lap("filtration", geometry.graph)
     level_areas = [level.area for level in filtration.levels]
     level_cells = [
         hashlib.sha256(repr(level.subpolyhedron.cells).encode()).hexdigest()
         for level in filtration.levels
     ]
     coloring = color_by_filtration(geometry, filtration)
-    lap("coloring")
+    lap("coloring", geometry.graph)
     census = count_rainbow(geometry, coloring, filtration)
-    lap("census")
+    lap("census", geometry.graph)
     v1 = estimate_v1(geometry)
-    lap("V1")
+    lap("V1", geometry.graph)
     z0 = filtration.z0_nodes()
     packing = greedy_packing(z0, geometry) if z0 else None
-    lap("packing")
+    lap("packing", geometry.graph)
     tolerances = {"ball_boundary_credit": v1.boundary_credit,
                   "max_cell_diameter": geometry.max_cell_diameter}
     if v1.warning:
@@ -211,7 +247,7 @@ def measure(fixture):
     report = bound_report(filtration, census, v1.value, geometry.total_area(),
                           tolerances)
     checks = inequality_sweep(filtration, SAMPLES, config.rng_seed)
-    lap("sweep")
+    lap("sweep", geometry.graph)
     artifacts = RunArtifacts(complex_, geometry, filtration, coloring, census,
                              v1, packing, report, checks)
     document = artifacts.filtration_document()
@@ -219,12 +255,12 @@ def measure(fixture):
     fresh = WeightedComplex.from_json(document["complex"])
     checked_depth = SeparationConfig.from_json(document["config"]).subdivision_depth
     checked = Filtration.from_json(fresh.geometry(checked_depth), document)
-    lap("verify")
+    lap("verify", checked.geometry.graph)
     checked.validate()
-    lap("validate")
+    lap("validate", checked.geometry.graph)
     pipeline.audit_document(checked, document)
     verify_checks = inequality_sweep(checked, VERIFY_SAMPLES, VERIFY_SEED)
-    lap("verify")
+    lap("verify", checked.geometry.graph)
     stages["total"] = sum(stages.values())
     text = canonical_dumps({
         "filtration": document,
@@ -235,7 +271,6 @@ def measure(fixture):
     return {
         "stages_s": stages,
         **stage_counts,
-        "matrix_limits": stage_limits,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "digest": hashlib.sha256(text.encode()).hexdigest(),
         "level_areas": level_areas,
@@ -264,13 +299,12 @@ def summarize(runs):
                 stage: statistics.median(r[counter][stage] for r in runs)
                 for stage in STAGES
             }
-            for counter in COUNTERS
+            for counter in (*COUNTERS, *STORE)
         },
         "peak_rss_mb_median": round(
             statistics.median(r["peak_rss_mb"] for r in runs), 1),
         "runs_total_s": [round(r["stages_s"]["total"], 3) for r in runs],
         "runs_peak_rss_mb": [round(r["peak_rss_mb"], 1) for r in runs],
-        "matrix_limits": runs[0].get("matrix_limits"),
         "level_areas": runs[0]["level_areas"],
         "level_cells": runs[0]["level_cells"],
     }
