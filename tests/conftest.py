@@ -3,7 +3,7 @@ import itertools
 import pytest
 from scipy.sparse.csgraph import dijkstra
 
-from sepfilt import WeightedComplex
+from sepfilt import WeightedComplex, complexes
 from sepfilt.complexes import credited_measure
 from sepfilt.filtration import SeparationConfig, build_filtration
 from sepfilt.generators import circle, genus_surface, torus
@@ -23,6 +23,21 @@ def ball_volume(geometry, center, r):
         return geometry.whole_measure
     dist = geometry.graph.distances_within(center, r)
     return credited_measure(geometry.cells_array, geometry.cell_volumes, dist, r)
+
+
+def row_source(graph, mode, monkeypatch, radius=None):
+    """Set where the graph's rows come from, for a "dense"/"rowwise" pair.
+
+    "dense": the ball table is named at ``radius`` (when given), so reads
+    out to it of balls not proven whole come from the table, filled in
+    batches of many rows each; pick a radius some ball is not proven whole
+    at, or the table stays empty.
+    "rowwise": no table is named and a batch is one row, so every row,
+    tabulated or not, comes from its own single-row call."""
+    if mode == "rowwise":
+        monkeypatch.setattr(complexes, "_BATCH", 1)
+    elif radius is not None:
+        graph.tabulate([], radius)
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from sepfilt.generators import circle, torus
 from sepfilt.pipeline import inequality_sweep
 from sepfilt.rainbow import color_by_filtration, count_rainbow
 
-from conftest import ball_volume, reference_distances
+from conftest import ball_volume, reference_distances, row_source
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +223,12 @@ def shortcut_fires(graph, radii):
     return {graph.holds_every_node(p, r) for p in range(graph.n_nodes) for r in radii}
 
 
-def test_whole_ball_volume_matches_row(small_genus_filtration):
+@pytest.mark.parametrize("mode", ["dense", "rowwise"])
+def test_whole_ball_volume_matches_row(small_genus_filtration, monkeypatch, mode):
     dist = reference_distances(small_genus_filtration.geometry.graph)
     geometry = fresh_copy(small_genus_filtration).geometry
     graph = geometry.graph
+    row_source(graph, mode, monkeypatch, np.median(WHOLE_BALL_RADII))
     for r in WHOLE_BALL_RADII:
         for p in range(geometry.n_nodes):
             expected = credited_measure(
@@ -234,11 +236,14 @@ def test_whole_ball_volume_matches_row(small_genus_filtration):
             )
             assert ball_volume(geometry, p, r) == expected
     assert shortcut_fires(graph, WHOLE_BALL_RADII) == {True, False}
+    assert bool(graph._table) == (mode == "dense")
 
 
-def test_whole_ball_v1_matches_rows(small_genus_filtration, monkeypatch):
+@pytest.mark.parametrize("mode", ["dense", "rowwise"])
+def test_whole_ball_v1_matches_rows(small_genus_filtration, monkeypatch, mode):
     geometry = fresh_copy(small_genus_filtration).geometry
     radii = (0.14, 0.2)
+    row_source(geometry.graph, mode, monkeypatch, max(radii))
     assert all(
         shortcut_fires(geometry.graph, [r]) == {True, False} for r in radii
     )
@@ -250,12 +255,15 @@ def test_whole_ball_v1_matches_rows(small_genus_filtration, monkeypatch):
     for r, estimate in zip(radii, estimates):
         monkeypatch.setattr(bounds, "_V1_RADIUS", r)
         assert estimate_v1(geometry) == estimate
+    assert bool(geometry.graph._table) == (mode == "dense")
 
 
-def test_whole_ball_checks_match_rows(small_genus_filtration, monkeypatch):
+@pytest.mark.parametrize("mode", ["dense", "rowwise"])
+def test_whole_ball_checks_match_rows(small_genus_filtration, monkeypatch, mode):
     filtration = fresh_copy(small_genus_filtration)
     assert len(filtration.level(0).cells) > 0
     pairs = [(r1, r1 + 0.02) for r1 in WHOLE_BALL_RADII[:-1:2]]
+    row_source(filtration.geometry.graph, mode, monkeypatch, np.median(pairs))
     assert shortcut_fires(filtration.geometry.graph, [r1 for r1, _ in pairs]) == {
         True, False
     }
@@ -276,6 +284,7 @@ def test_whole_ball_checks_match_rows(small_genus_filtration, monkeypatch):
     fast = rows()
     without_shortcut(monkeypatch)
     assert fast == rows()
+    assert bool(filtration.geometry.graph._table) == (mode == "dense")
 
 
 def test_whole_ball_checks_are_order_free(small_genus_filtration, monkeypatch):
@@ -413,9 +422,11 @@ def test_the_anchor_row_serves_every_read_of_node_0(vanishing_filtration, monkey
     assert calls == [0]
 
 
-def test_empty_level_coarea_shortcut(vanishing_filtration, monkeypatch):
+@pytest.mark.parametrize("mode", ["dense", "rowwise"])
+def test_empty_level_coarea_shortcut(vanishing_filtration, monkeypatch, mode):
     filtration = fresh_copy(vanishing_filtration)
     geometry = filtration.geometry
+    row_source(geometry.graph, mode, monkeypatch, np.median(VANISHING_RADII))
     assert [len(filtration.level(i)) for i in (0, 1)] == [0, 0]
     assert shortcut_fires(geometry.graph, VANISHING_RADII) == {True, False}
     for i in range(filtration.dim + 1):
@@ -436,6 +447,7 @@ def test_empty_level_coarea_shortcut(vanishing_filtration, monkeypatch):
     fast = rows()
     without_shortcut(monkeypatch)
     assert fast == rows()
+    assert bool(geometry.graph._table) == (mode == "dense")
 
 
 # The checks whose balls B(p, r1) and B(p, r2) are all measured from one row:

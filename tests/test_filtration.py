@@ -18,7 +18,7 @@ from sepfilt.filtration import (
 )
 from sepfilt.generators import circle, genus_surface, torus
 
-from conftest import reference_distances
+from conftest import reference_distances, row_source
 
 
 # ---------------------------------------------------------------------------
@@ -427,15 +427,26 @@ def bit_set(bits):
     return {c for c in range(bits.bit_length()) if bits >> c & 1}
 
 
+@pytest.mark.parametrize("mode", ["dense", "rowwise"])
 @pytest.mark.parametrize("name", sorted(FIT_RADII))
-def test_feasible_centers_match_brute_force(name):
-    # Each member's ball is read from the ball table at the radius, and a
+def test_feasible_centers_match_brute_force(name, mode, monkeypatch):
+    # Each member's ball is read from the ball table at the radius, filled
+    # in batches of many rows (dense) or one row a call (rowwise), and a
     # new radius drops the table.  At the largest distance from node 0 that
     # node's ball is whole by ``reach``, and at twice that every ball is:
     # those members are skipped, and at twice it the table holds no row.
     geometry = fit_geometry(name)
     graph = geometry.graph
     dist = reference_distances(graph)
+    row_source(graph, mode, monkeypatch)
+    batches = []
+    dijkstra = complexes.dijkstra
+
+    def recording(*args, **kwargs):
+        batches.append(np.size(kwargs.get("indices")))
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "dijkstra", recording)
     far = float(dist[0].max())
     radii = (*FIT_RADII[name], far, 2 * far)
     outcomes = set()
@@ -448,6 +459,7 @@ def test_feasible_centers_match_brute_force(name):
     assert graph.radius == 2 * far and not graph._table
     graph.feasible_centers(np.arange(graph.n_nodes), far)
     assert graph._table and 0 not in graph._table
+    assert (max(batches) == 1) == (mode == "rowwise")
 
 
 @pytest.mark.parametrize("name", sorted(FIT_RADII))
@@ -564,11 +576,14 @@ def assert_state_from_scratch(state, balls):
     assert [comp.centers for comp in comps] == centers
 
 
+@pytest.mark.parametrize("mode", ["dense", "rowwise"])
 @pytest.mark.parametrize("name", sorted(PRUNE_FIXTURES))
-def test_list_prune_state_matches_scratch(name):
+def test_list_prune_state_matches_scratch(name, mode, monkeypatch):
     # after every accepted removal of a lex-order prune pass from the full
-    # facet set, the incremental state equals a fresh one
+    # facet set, the incremental state equals a fresh one, with the ball
+    # table filled in batches of many rows (dense) or one row a call
     geometry = prune_geometry(name)
+    row_source(geometry.graph, mode, monkeypatch)
     _, radius = PRUNE_FIXTURES[name]
     facets = list(range(len(geometry.cell_system.facets)))
     inside = reference_distances(geometry.graph) <= radius
