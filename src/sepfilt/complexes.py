@@ -256,6 +256,13 @@ class MetricGraph:
     node comes from the table, a read of node 0 from its complete row
     (``reach``'s anchor), and any other read is one row cut at its limit.
 
+    The arcs are kept in two disjoint parts (``_split``): the Dijkstra
+    graph holds every arc but portal -> interior, and per-block tables hold
+    the portal x interior lengths.  A batch of rows is one ``dijkstra``
+    call on the Dijkstra graph, then one min-plus step per (row, block)
+    pair that fills the block's interior entries from its portal entries
+    (``_fill``); the rows are bit-identical to those of all the arcs.
+
     Arc lengths are rounded up to multiples of one power-of-two quantum,
     fine enough that every path sum, and every sum of two, is exact in
     float64.  So distances are exactly symmetric, obey the triangle
@@ -268,9 +275,11 @@ class MetricGraph:
     can prove that a ball contains every node without the ball's own row.
     """
 
-    def __init__(self, n_nodes, pairs, lengths):
+    def __init__(self, n_nodes, pairs, lengths, blocks=np.empty((0, 0))):
         """``pairs`` is a (k, 2) array of distinct node pairs, ``lengths``
-        their k arc lengths; each arc is traversed both ways."""
+        their k arc lengths; each arc is traversed both ways.  Each row of
+        ``blocks`` lists the members of a block, every pair of which must
+        be an arc; all rows have the same length."""
         self.n_nodes = n_nodes
         heads, tails = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
         data = np.asarray(lengths, dtype=float)
@@ -279,10 +288,15 @@ class MetricGraph:
         e = math.frexp(data.sum())[1]
         self.quantum = math.ldexp(1.0, e - 51)
         data = np.ceil(data / self.quantum) * self.quantum
-        self._matrix = csr_matrix(
+        interior = self._split(heads, tails, data, np.asarray(blocks, dtype=np.int64))
+        # each arc both ways, but no portal -> interior arc
+        forth = interior[heads] | ~interior[tails]
+        back = interior[tails] | ~interior[heads]
+        self._arcs = csr_matrix(
             (
-                np.concatenate([data, data]),
-                (np.concatenate([heads, tails]), np.concatenate([tails, heads])),
+                np.concatenate([data[forth], data[back]]),
+                (np.concatenate([heads[forth], tails[back]]),
+                 np.concatenate([tails[forth], heads[back]])),
             ),
             shape=(n_nodes, n_nodes),
         )
@@ -290,10 +304,107 @@ class MetricGraph:
         self._no_row = np.full(n_nodes, math.inf)  # copied for each table read
         self._every_node = (1 << n_nodes) - 1
 
+    def _split(self, heads, tails, data, blocks):
+        """Mark the interior nodes and hold each block's portal x interior
+        lengths; returns the interior mask.
+
+        A node is interior when it lies in exactly one block, has no arc
+        leaving it and is no strict shortcut there: no members x, y have
+        ``L(x, w) + L(w, y) < L(x, y)``.  Then dropping it from the middle
+        of a path never lengthens the path, so a shortest path with the
+        fewest arcs has no interior node inside.  The tables pad each block
+        to the widest by repeating its first portal and first interior.
+        """
+        n = self.n_nodes
+        blocks = np.sort(blocks, axis=1)
+        m = blocks.shape[1]
+        keys = np.minimum(heads, tails) * n + np.maximum(heads, tails)
+        order = np.argsort(keys)
+        keys, data = keys[order], data[order]
+        degree = np.bincount(heads, minlength=n) + np.bincount(tails, minlength=n)
+        single = np.bincount(blocks.ravel(), minlength=n) == 1
+        interior = single & (degree == m - 1)
+        # each block's member pair lengths, in np.triu_indices order
+        first, second = np.triu_indices(m, 1)
+        lengths = np.empty((len(blocks), len(first)))
+        size = max(1, _BATCH // max(1, m * len(first)))  # sums per chunk's tests
+        for start in range(0, len(blocks), size):
+            chunk = blocks[start : start + size]
+            key = chunk[:, first] * n + chunk[:, second]
+            at = np.searchsorted(keys, key)
+            if not (at < len(keys)).all() or not (keys[at] == key).all():
+                raise ValueError("every pair of a block must be an arc")
+            pair = lengths[start : start + size] = data[at]
+            square = np.zeros((len(chunk), m, m))
+            square[:, first, second] = square[:, second, first] = pair
+            # position w holds a candidate in its only block or a portal,
+            # which stays one: clearing the strict shortcuts there is exact
+            for w in np.flatnonzero(interior[chunk].any(axis=0)):
+                strict = (square[:, w, first] + square[:, w, second] < pair).any(axis=1)
+                interior[chunk[strict, w]] = False
+
+        inside = interior[blocks]
+        count = inside.sum(axis=1)
+        filled = (count > 0) & (count < m)
+        blocks, inside, count = blocks[filled], inside[filled], count[filled]
+        portals = m - count
+        ranked = np.argsort(inside, axis=1, kind="stable")  # portals first
+        slot = np.arange(portals.max(initial=0))
+        portal_at = np.take_along_axis(
+            ranked, np.where(slot < portals[:, None], slot, 0), 1)
+        slot = np.arange(count.max(initial=0))
+        interior_at = np.take_along_axis(
+            ranked, portals[:, None] + np.where(slot < count[:, None], slot, 0), 1)
+        # the portal tables put the portal slot first: the fill's least runs
+        # over the first axis, the bound's over the middle one
+        self._portals = np.ascontiguousarray(
+            np.take_along_axis(blocks, portal_at, 1).T)
+        self._interiors = np.take_along_axis(blocks, interior_at, 1)
+        index = np.zeros((m, m), dtype=np.int64)  # pair index of two positions
+        index[first, second] = index[second, first] = np.arange(len(first))
+        pairs = index[portal_at[:, :, None], interior_at[:, None, :]]
+        block = np.arange(len(pairs))[:, None, None]
+        self._portal_lengths = np.ascontiguousarray(
+            lengths[filled][block, pairs].transpose(1, 0, 2))
+        # each portal's least length to an interior of its block
+        self._nearest = self._portal_lengths.min(axis=2, initial=math.inf)
+        return interior
+
+    def _fill(self, rows, limit):
+        """Complete the interior entries of rows from the portal graph, in
+        place: for each (row, block) pair with a finite portal entry and an
+        interior that may lie within ``limit``, each interior entry becomes
+        the least of itself and the portal entries plus the portal lengths;
+        entries above ``limit`` read ``inf``, as SciPy's inclusive limit
+        gives them.  Rows are filled a step at a time, each step holding
+        no more temporary entries than the rows do, or one row."""
+        n, portals, interiors = self.n_nodes, self._portals, self._interiors
+        lengths, flat = self._portal_lengths, rows.reshape(-1, self.n_nodes)
+        step = max(1, rows.size // max(1, lengths.size + 2 * portals.size))
+        for start in range(0, len(flat), step):
+            part = flat[start : start + step]
+            line = part.reshape(-1)  # a view: puts land in the rows
+            bound = part.take(portals, axis=1)
+            bound += self._nearest
+            bound = bound.min(axis=1, initial=math.inf)  # least interior entry
+            row, block = np.nonzero((bound < math.inf) & (bound <= limit))
+            row *= n
+            at = portals[:, block]
+            at += row
+            via = lengths.take(block, axis=1)
+            via += line.take(at)[:, :, None]
+            via = via.min(axis=0, initial=math.inf)
+            at = interiors.take(block, axis=0)
+            at += row[:, None]
+            np.minimum(via, line.take(at), out=via)
+            via[via > limit] = math.inf
+            line.put(at, via)
+        return rows
+
     def _limited(self, nodes, limit):
         """Rows of the nodes out to ``limit`` from one call; complete ones
         tighten ``reach``."""
-        rows = dijkstra(self._matrix, indices=nodes, limit=limit)
+        rows = self._fill(dijkstra(self._arcs, indices=nodes, limit=limit), limit)
         complete = rows[np.isfinite(rows).all(axis=1)]
         if len(complete):
             bounds = complete + complete.max(axis=1, keepdims=True)
@@ -303,7 +414,7 @@ class MetricGraph:
     @functools.cached_property
     def _anchor(self):
         """Node 0's complete row."""
-        return dijkstra(self._matrix, indices=0)
+        return self._fill(dijkstra(self._arcs, indices=0), math.inf)
 
     @functools.cached_property
     def reach(self):
@@ -511,9 +622,10 @@ class ComplexGeometry:
             # a padding slot adds 0.0 * corner, which changes no sum
             self._positions += weights[:, k, None] * corners[:, k]
 
-        arc_keys, arc_lengths = self._chords(children ** min(depth, 2))
+        arc_keys, arc_lengths, blocks = self._chords(children ** min(depth, 2))
         self.graph = MetricGraph(
-            n_nodes, np.column_stack(np.divmod(arc_keys, n_nodes)), arc_lengths
+            n_nodes, np.column_stack(np.divmod(arc_keys, n_nodes)), arc_lengths,
+            blocks,
         )
 
         points = self._positions_of(self.cell_orig[:, None], cells)
@@ -528,13 +640,16 @@ class ComplexGeometry:
 
     def _chords(self, block):
         """Arc keys ``head * n_nodes + tail`` (ascending) and lengths of the
-        chords between the nodes of each block of ``block`` cells.
+        chords between the nodes of each block of ``block`` cells, and the
+        blocks' members, one ascending row per block.
 
         Chords join nodes sharing a cell two rounds up (the original
         simplex up to depth 2).  This keeps the arc count near linear while
         still refining the metric.  Every block is the same subdivided
-        simplex, so each has the same member count.  The per-pair arrays
-        are freed on return, before the metric graph is built.
+        simplex, so each has the same member count, and every pair of its
+        members is a chord: the metric graph splits its arcs by these
+        blocks.  The per-pair arrays are freed on return, before the
+        metric graph is built.
         """
         cells, n_nodes = self.cells_array, self.n_nodes
         block_nodes = np.sort(cells.reshape(len(cells) // block, -1), axis=1)
@@ -554,7 +669,7 @@ class ComplexGeometry:
         arc_keys, last = np.unique(
             (heads * n_nodes + tails)[::-1], return_index=True
         )
-        return arc_keys, lengths[::-1][last]
+        return arc_keys, lengths[::-1][last], members
 
     # -- basic queries ----------------------------------------------------
 

@@ -1,6 +1,8 @@
 import itertools
 
+import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from sepfilt import WeightedComplex, complexes
@@ -9,11 +11,30 @@ from sepfilt.filtration import SeparationConfig, build_filtration
 from sepfilt.generators import circle, genus_surface, torus
 
 
+def complete_arcs(graph):
+    """Every arc of the graph as one canonical CSR matrix: the Dijkstra
+    graph's arcs and the portal -> interior arcs of the block tables (whose
+    padding repeats an arc, kept once)."""
+    arcs = graph._arcs.tocoo()
+    lengths = graph._portal_lengths
+    heads = np.broadcast_to(graph._portals[:, :, None], lengths.shape).ravel()
+    tails = np.broadcast_to(graph._interiors[None, :, :], lengths.shape).ravel()
+    _, once = np.unique(heads * graph.n_nodes + tails, return_index=True)
+    return csr_matrix(
+        (
+            np.concatenate([arcs.data, lengths.ravel()[once]]),
+            (np.concatenate([arcs.row, heads[once]]),
+             np.concatenate([arcs.col, tails[once]])),
+        ),
+        shape=arcs.shape,
+    )
+
+
 def reference_distances(graph, nodes=None):
     """The complete distance rows of the given nodes (all by default) from
-    one SciPy call on the graph's arcs: the reference the graph's own rows
-    are compared with."""
-    return dijkstra(graph._matrix, indices=nodes)
+    one SciPy call on all the graph's arcs: the reference the graph's own
+    rows are compared with."""
+    return dijkstra(complete_arcs(graph), indices=nodes)
 
 
 def ball_volume(geometry, center, r):

@@ -584,13 +584,14 @@ def test_truncated_rows_give_the_dense_outputs(name, top, request, monkeypatch):
     # fixture and not on the others.
     filtration = request.getfixturevalue(name)
     truncated = []
-    dijkstra = complexes.dijkstra
+    limited = complexes.MetricGraph._limited
 
-    def recording(*args, **kwargs):
-        row = dijkstra(*args, **kwargs)
-        if kwargs.get("limit", math.inf) < math.inf and np.isinf(row).any():
-            truncated.append(kwargs["limit"])
-        return row
+    def recording(graph, nodes, limit):
+        # the finished rows: the Dijkstra graph's own rows miss interiors
+        rows = limited(graph, nodes, limit)
+        if limit < math.inf and np.isinf(rows).any():
+            truncated.append(limit)
+        return rows
 
     def outputs(copy):
         geometry = copy.geometry
@@ -611,7 +612,7 @@ def test_truncated_rows_give_the_dense_outputs(name, top, request, monkeypatch):
     complete = fresh_copy(filtration)
     read_complete_rows(complete.geometry.graph, monkeypatch)
     expected = outputs(complete)
-    monkeypatch.setattr(complexes, "dijkstra", recording)
+    monkeypatch.setattr(complexes.MetricGraph, "_limited", recording)
     assert outputs(fresh_copy(filtration)) == expected
     assert truncated
     levels = {len(filtration.level(i)) > 0 for i in range(filtration.dim)}

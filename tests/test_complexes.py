@@ -14,7 +14,7 @@ from sepfilt.complexes import MetricGraph, credited_measure
 from sepfilt.errors import DimensionMismatch, NondegenerateViolation
 from sepfilt.generators import circle, genus_surface, torus
 
-from conftest import ball_volume, reference_distances
+from conftest import ball_volume, complete_arcs, reference_distances
 
 
 # ---------------------------------------------------------------------------
@@ -23,7 +23,7 @@ from conftest import ball_volume, reference_distances
 
 def dijkstra_oracle(geometry, source):
     """Plain heapq Dijkstra over the metric-graph arcs."""
-    matrix = geometry.graph._matrix
+    matrix = complete_arcs(geometry.graph)
     indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
     dist = [math.inf] * geometry.n_nodes
     dist[source] = 0.0
@@ -350,9 +350,7 @@ def test_tightened_reach_is_sound_and_order_free():
     for seed in (0, 1):
         graph = torus(3).geometry(1).graph
         n = graph.n_nodes
-        ecc = np.array(
-            [complexes.dijkstra(graph._matrix, indices=p).max() for p in range(n)]
-        )
+        ecc = reference_distances(graph).max(axis=1)
         order = list(range(n))
         random.Random(seed).shuffle(order)
         previous = None
@@ -366,11 +364,94 @@ def test_tightened_reach_is_sound_and_order_free():
                     if graph.holds_every_node(p, r):
                         assert ecc[p] <= r
             previous = reach
-        anchor = complexes.dijkstra(graph._matrix, indices=0)
+        anchor = reference_distances(graph, 0)
         assert (previous < anchor + anchor.max()).any()
         assert all(graph.distances_from(p).max() == ecc[p] for p in range(n))
         finals.append(previous)
     assert (finals[0] == finals[1]).all()
+
+
+def sphere3_at(depth):
+    return lambda request: request.getfixturevalue("sphere3").geometry(depth)
+
+
+def assert_same_arcs(matrix, expected):
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(matrix, part), getattr(expected, part))
+
+
+PORTAL_ROW_FIXTURES = {
+    "torus5_small_d3": lambda request: torus(5, scale=0.1).geometry(3),
+    "torus4_d2": lambda request: torus(4).geometry(2),
+    "torus4_d3": lambda request: torus(4).geometry(3),
+    "genus2_d1": lambda request: genus_surface(2).geometry(1),
+    "genus3_d2": lambda request: genus_surface(3).geometry(2),
+    "circle12_d3": lambda request: circle(12, 6.0).geometry(3),
+    "torus3_d0": lambda request: torus(3).geometry(0),
+    "torus3_d1": lambda request: torus(3).geometry(1),
+    **{f"sphere3_d{depth}": sphere3_at(depth) for depth in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PORTAL_ROW_FIXTURES))
+def test_rows_equal_the_complete_arc_reference(name, request):
+    # Rows run Dijkstra over every arc but portal -> interior and fill each
+    # block's interior from its portals.  From portal and interior sources,
+    # alone and in one batch, at a small limit, a middle one, the
+    # eccentricity and none, they are the complete-arc rows cut at the
+    # limit, bit for bit.  Depth 0 has no interior node.  The split keeps
+    # every chord: its two parts make up the arcs of a graph with no blocks.
+    geometry = PORTAL_ROW_FIXTURES[name](request)
+    graph = geometry.graph
+    block = math.factorial(geometry.dim + 1) ** min(geometry.depth, 2)
+    keys, lengths, _ = geometry._chords(block)
+    pairs = np.column_stack(np.divmod(keys, graph.n_nodes))
+    whole = MetricGraph(graph.n_nodes, pairs, lengths)
+    assert_same_arcs(complete_arcs(graph), whole._arcs)
+    interior = np.unique(graph._interiors)
+    portal = np.setdiff1d(np.arange(graph.n_nodes), interior)
+    assert (len(interior) > 0) == (name != "torus3_d0")
+    rng = np.random.default_rng(3)
+    sources = [
+        int(node)
+        for group in (portal[portal > 0], interior)
+        for node in rng.choice(group, size=min(3, len(group)), replace=False)
+    ]
+    reference = reference_distances(graph, [0, *sources])
+    assert np.array_equal(graph.distances_from(0), reference[0])
+    reference = reference[1:]
+    ecc = float(reference.max())
+    for limit in (ecc / 8, ecc / 2, ecc, math.inf):
+        cut = np.where(reference <= limit, reference, math.inf)
+        assert np.isinf(cut).any() == (limit < ecc)
+        for node, expected in zip(sources, cut):
+            assert np.array_equal(graph.distances_within(node, limit), expected)
+        batch = np.array([row for _, row in graph.rows_within(sources, limit)])
+        assert np.array_equal(batch, cut)
+
+
+def test_a_strict_shortcut_stays_a_portal():
+    # Node 1 lies only in block {0, 1, 2} but is a strict shortcut there,
+    # L(0, 1) + L(1, 2) = 2 < L(0, 2) = 3; node 4 lies only in block
+    # {0, 2, 4} but has an arc to node 5, which is in no block.  Both stay
+    # portals; node 3, alone in block {0, 2, 3} with 2 + 2 >= 3, is interior.
+    pairs = [(0, 1), (1, 2), (0, 2), (0, 3), (2, 3), (0, 4), (2, 4), (4, 5)]
+    lengths = [1.0, 1.0, 3.0, 2.0, 2.0, 2.0, 2.0, 0.5]
+    blocks = [[0, 1, 2], [0, 2, 3], [0, 2, 4]]
+    graph = MetricGraph(6, pairs, lengths, blocks)
+    assert graph._interiors.tolist() == [[3]]
+    assert graph._portals.tolist() == [[0], [2]]
+    assert_same_arcs(complete_arcs(graph), MetricGraph(6, pairs, lengths)._arcs)
+    reference = reference_distances(graph)
+    assert reference[0, 2] == 2.0 and reference[5, 4] == 0.5
+    for limit in (1.0, 2.5, math.inf):
+        cut = np.where(reference <= limit, reference, math.inf)
+        rows = np.array([row for _, row in graph.rows_within(range(6), limit)])
+        assert np.array_equal(rows, cut)
+    with pytest.raises(ValueError, match="must be an arc"):
+        MetricGraph(3, [(0, 1), (1, 2)], [1.0, 1.0], [[0, 1, 2]])
+    with pytest.raises(ValueError, match="must be an arc"):
+        MetricGraph(3, [(0, 1)], [1.0], [[0, 1, 2]])
 
 
 @pytest.mark.parametrize(
@@ -585,7 +666,7 @@ def test_geometry_digest_is_pinned(name, depth, request):
         "sphere3": lambda: request.getfixturevalue("sphere3"),
     }[name]()
     geometry = complex_.geometry(depth)
-    arcs = geometry.graph._matrix
+    arcs = complete_arcs(geometry.graph)
     digest = hashlib.sha256()
     for array in (
         geometry.cells_array,

@@ -36,6 +36,15 @@ the store held at the end of each stage by the geometry the stage read
 (the run's, or the fresh one of validate and verify): the ball table's
 entries and the bytes of its column and distance arrays and bitsets, or
 the dense matrix's entries and bytes plus its cached ball bitsets.
+``fill_pairs`` counts the (row, block) pairs whose interior entries
+``MetricGraph._fill`` completes from the block's portals (0 before the
+portal split); it is counted by redoing the fill's selection after each
+call, and the time that takes is left out of the stage's time.  With the
+split, ``complete_rows`` is counted on the filled rows.
+``graph`` describes the run's metric graph once per fixture:
+``nodes``, ``portals`` (the nodes Dijkstra settles from a portal source;
+every node before the split), ``dijkstra_arcs`` (the arcs Dijkstra scans)
+and ``table_arcs`` (the portal -> interior arcs held in the block tables).
 ``fit_calls`` counts each stage's ``fit_in_ball`` calls, wrapped at every
 ``sepfilt`` module attribute that holds it.  ``balls_built`` counts the
 R-balls computed: the rows ``MetricGraph.tabulate`` adds to the table, or
@@ -84,6 +93,7 @@ FIXTURES = {
     "genus2-d2": ("genus_surface", {"genus": 2}, 2, 0.7),
     "torus6-d2": ("torus", {"side": 6}, 2, 1.0),
     "torus4-d3": ("torus", {"side": 4}, 3, 1.0),
+    "torus5-d3": ("torus", {"side": 5}, 3, 1.0),
     "torus6-d3": ("torus", {"side": 6}, 3, 1.0),
 }
 CONFIG = {"epsilon": 0.05, "move_budget": 40, "rng_seed": 7}
@@ -92,7 +102,7 @@ VERIFY_SAMPLES, VERIFY_SEED = 2000, 101
 STAGES = ("geometry", "incidence", "filtration", "coloring", "census", "V1",
           "packing", "sweep", "validate", "verify")
 COUNTERS = ("dijkstra_rows", "truncated_rows", "complete_rows",
-            "table_builds", "fit_calls",
+            "fill_pairs", "table_builds", "fit_calls",
             "balls_built", "try_remove_calls", "merge_refusals",
             "cell_systems", "face_id_lookups")
 # sizes at the end of each stage, not counts during it
@@ -123,7 +133,8 @@ def measure(fixture):
     graph_class = complexes.MetricGraph
     tabulate = getattr(graph_class, "tabulate", None)
     ball_bitsets = getattr(graph_class, "ball_bitsets", None)
-    filling = False
+    fill = getattr(graph_class, "_fill", None)
+    filling, uncounted = False, 0.0
     cell_system_init = adjacency.CellSystem.__init__
     face_ids = adjacency.CellSystem.face_ids
 
@@ -133,8 +144,9 @@ def measure(fixture):
         counts["dijkstra_rows"] += rows
         if kwargs.get("limit", math.inf) < math.inf:
             counts["truncated_rows"] += rows
-        counts["complete_rows"] += int(
-            np.isfinite(result).all(axis=-1).sum())
+        if fill is None:
+            counts["complete_rows"] += int(
+                np.isfinite(result).all(axis=-1).sum())
         if filling or (tabulate is None and kwargs.get("indices") is None):
             counts["table_builds"] += 1
         return result
@@ -148,6 +160,20 @@ def measure(fixture):
         finally:
             filling = False
         counts["balls_built"] += len(graph._table) - held
+
+    def counted_fill(graph, rows, limit):
+        nonlocal uncounted
+        result = fill(graph, rows, limit)
+        start = time.perf_counter()
+        # the fill's own selection; the fill changes no portal entry
+        near = rows.reshape(-1, graph.n_nodes).take(graph._portals, axis=1)
+        bound = (near + graph._nearest).min(axis=1, initial=math.inf)
+        counts["fill_pairs"] += int(((bound < math.inf)
+                                     & (bound <= limit)).sum())
+        counts["complete_rows"] += int(
+            np.isfinite(result).reshape(-1, graph.n_nodes).all(axis=1).sum())
+        uncounted += time.perf_counter() - start
+        return result
 
     def counted_fit(*args, **kwargs):
         counts["fit_calls"] += 1
@@ -179,6 +205,8 @@ def measure(fixture):
         graph_class.tabulate = counted_tabulate
     else:
         graph_class.ball_bitsets = counted_balls
+    if fill is not None:
+        graph_class._fill = counted_fill
 
     def store(graph):
         """(entries, bytes) of the distances the graph holds."""
@@ -209,9 +237,10 @@ def measure(fixture):
     clock, at_lap = time.perf_counter(), dict(counts)
 
     def lap(stage, graph):
-        nonlocal clock, at_lap
+        nonlocal clock, at_lap, uncounted
         now = time.perf_counter()
-        stages[stage] = stages.get(stage, 0.0) + now - clock
+        stages[stage] = stages.get(stage, 0.0) + now - clock - uncounted
+        uncounted = 0.0
         for counter in COUNTERS:
             per_stage = stage_counts[counter]
             per_stage[stage] = (per_stage.get(stage, 0) + counts[counter]
@@ -222,6 +251,18 @@ def measure(fixture):
 
     geometry = complex_.geometry(depth)
     lap("geometry", geometry.graph)
+    graph = geometry.graph
+    arcs = getattr(graph, "_arcs", None)
+    if arcs is None:  # before the portal split: one complete matrix
+        arcs, portals, table_arcs = graph._matrix, graph.n_nodes, 0
+    else:
+        interior = np.unique(graph._interiors)
+        portals = graph.n_nodes - len(interior)
+        table_arcs = len(np.unique(graph._portals[:, :, None] * graph.n_nodes
+                                   + graph._interiors[None, :, :]))
+    graph_size = {"nodes": graph.n_nodes, "portals": portals,
+                  "dijkstra_arcs": int(arcs.nnz), "table_arcs": table_arcs}
+    clock = time.perf_counter()
     geometry.cell_system
     lap("incidence", geometry.graph)
     filtration = build_filtration(geometry, config)
@@ -272,6 +313,7 @@ def measure(fixture):
         "stages_s": stages,
         **stage_counts,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "graph": graph_size,
         "digest": hashlib.sha256(text.encode()).hexdigest(),
         "level_areas": level_areas,
         "level_cells": level_cells,
@@ -305,6 +347,7 @@ def summarize(runs):
             statistics.median(r["peak_rss_mb"] for r in runs), 1),
         "runs_total_s": [round(r["stages_s"]["total"], 3) for r in runs],
         "runs_peak_rss_mb": [round(r["peak_rss_mb"], 1) for r in runs],
+        "graph": runs[0]["graph"],
         "level_areas": runs[0]["level_areas"],
         "level_cells": runs[0]["level_cells"],
     }
