@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 
@@ -55,6 +55,8 @@ class CellSystem:
       order of ``complexes.subdivision_flags``'s subsets;
     - ``dual_pairs``: rows of shared face id, first coface and other
       coface: each proper face joins its first coface to each other one.
+      The columns are sorted stably by first coface, so ``dual_ptr[cell]``
+      is where the cell's own columns start: the rows of a CSR dual graph.
 
     ``closure_lists`` and ``coface_lists`` give the same closures and
     cofaces as Python lists, for loops over a few faces at a time.
@@ -108,12 +110,20 @@ class CellSystem:
                 for subset in itertools.combinations(range(self.dim), size)
             ]
         )
-        # each proper face joins its first coface to every other one
+        # each proper face joins its first coface to every other one; the
+        # pairs are put in order straight into their rows, the fewest copies
         repeats = np.diff(self.coface_ptr) - 1
         faces = np.repeat(np.arange(len(repeats)), repeats)
-        head = self.coface_ptr[faces]
-        k = np.arange(len(head)) - np.repeat(np.cumsum(repeats) - repeats, repeats)
-        self.dual_pairs = np.vstack([faces, self.coface_cells[[head, head + k + 1]]])
+        other = self.coface_ptr[faces]
+        first = self.coface_cells[other]
+        other += np.arange(len(other)) - np.repeat(np.cumsum(repeats) - repeats, repeats)
+        other += 1
+        order = np.argsort(first, kind="stable")
+        self.dual_pairs = np.empty((3, len(order)), dtype=np.int64)
+        faces.take(order, out=self.dual_pairs[0])
+        first.take(order, out=self.dual_pairs[1])
+        self.coface_cells.take(other.take(order), out=self.dual_pairs[2])
+        self.dual_ptr = np.searchsorted(self.dual_pairs[1], np.arange(n_cells + 1))
 
     @functools.cached_property
     def closure_lists(self):
@@ -151,29 +161,33 @@ class CellSystem:
         faces = self.closures[np.fromiter(blocked, dtype=np.int64)]
         return np.bincount(faces.ravel(), minlength=len(self.coface_ptr) - 1)
 
-    def components(self, blocked):
+    def components(self, blocked, cover=None):
         """Component label per cell when the facets with the given ids
-        block passage.
+        block passage; ``cover`` is their ``cover``, when the caller has
+        it already.
 
         The label of a cell is the smallest cell index in its component.
         """
-        faces, rows, cols = self.dual_pairs
-        passable = self.cover(blocked)[faces] == 0
-        rows, cols = rows[passable], cols[passable]
+        if cover is None:
+            cover = self.cover(blocked)
+        faces, _, tails = self.dual_pairs
+        passable = cover[faces] == 0
+        pointer = np.concatenate(([0], np.cumsum(passable)))[self.dual_ptr]
         size = len(self.cell_nodes)
-        graph = coo_matrix((np.ones(rows.size), (rows, cols)), (size, size))
+        graph = csr_matrix((np.ones(pointer[-1]), tails[passable], pointer),
+                           (size, size))
         _, labels = connected_components(graph, directed=False)
         _, smallest = np.unique(labels, return_index=True)
         return smallest[labels]
 
-    def component_groups(self, blocked):
-        """Per component, in label order, its cells as a sorted tuple of
-        cell indices and its nodes as a sorted array.
+    def component_groups(self, labels):
+        """Per component of the cell labels ``labels`` (``components``), in
+        label order, its cells as a sorted tuple of cell indices and its
+        nodes as a sorted array.
 
         The node arrays come from one sorted unique of ``label * n + node``
         keys over every cell's nodes, split where the label changes.
         """
-        labels = self.components(blocked)
         if not len(labels):
             return []
         order = np.argsort(labels, kind="stable")

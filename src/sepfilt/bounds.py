@@ -15,7 +15,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .complexes import credited_measure
+from . import complexes
 from .errors import CoverFailure, RadiusOrder
 
 _COAREA_SAMPLES = 64
@@ -58,131 +58,215 @@ class InequalityCheck:
         ]
 
 
-def _check_radius_order(r1, r2):
-    if not 0 < r1 < r2:
-        raise RadiusOrder(f"need 0 < r1 < r2, got r1={r1}, r2={r2}")
+def _check_radius_orders(samples):
+    for _, r1, r2 in samples:
+        if not 0 < r1 < r2:
+            raise RadiusOrder(f"need 0 < r1 < r2, got r1={r1}, r2={r2}")
 
 
-def _measure(z, dist, r):
-    """``credited_measure`` of Z in B(p, r); a ``None`` row means the ball
-    holds every node, so Z's cached whole measure is the same floats."""
-    if dist is None:
-        return z.whole_measure
-    return credited_measure(z.cells_array, z.cell_volumes, dist, r)
+def _chunks(geometry, samples, reads):
+    """The samples ``(center, r1, r2)`` a chunk of balls at a time, with the
+    distance rows their checks read: yields ``(at, chunk, rows, (r1s,
+    whole1), (r2s, whole2))``, where ``chunk[k]`` is sample ``at[k]``,
+    ``rows[k]`` its row and ``whole1[k]`` says whether
+    ``holds_every_node`` proves its B(p, r1) whole.
 
-
-def _ball_rows(graph, center, r1, r2):
-    """The distance rows for B(p, r1) and B(p, r2), ``None`` for a ball
-    ``holds_every_node`` proves whole (measured whole).  One row serves
-    both, read out to the larger radius whose ball is not proven whole;
-    when both balls are, no row is read."""
-    if not graph.holds_every_node(center, r2):
-        dist = graph.distances_within(center, r2)
-        return dist, dist
-    if not graph.holds_every_node(center, r1):
-        return graph.distances_within(center, r1), None
-    return None, None
-
-
-def _ball_row(filtration, center, r1, r2):
-    """Distance row for the r2 balls (or ``None``) and #(Z_0 in B(p, r1)).
-
-    The radius order is checked before the filtration is read.  The density
-    and trace checks count Z_0 in B(p, r1) and measure every level in
-    B(p, r2), so the row is read out to r2, or only to r1 when B(p, r2) is
-    proven whole and Z_0 is nonempty (an empty Z_0 counts 0 at any radius),
-    or not at all when both balls are (``_ball_rows``).  A ball proven
-    whole counts Z_0 whole or measures its level whole.
+    ``reads((r1s, whole1), (r2s, whole2))`` gives the radius each row is
+    read out to, negative for no row.  The samples are taken in ascending
+    order of r2, so one chunk's rows are read out to like radii, and
+    ``MetricGraph.rows_within`` reads each chunk's rows at once.  Balls are
+    classified when the chunk's turn comes, so the complete rows read for
+    earlier chunks have tightened ``reach``.  The centers whose r2 is
+    within the table's radius R are tabulated first, together.  A chunk
+    holds about ``_BATCH / 8`` entries in its widest matrix of balls by
+    nodes or by cells: a float64 one is then 256 KB.
     """
-    _check_radius_order(r1, r2)
-    graph = filtration.geometry.graph
+    graph = geometry.graph
+    graph.tabulate([c for c, _, r2 in samples if r2 <= graph.radius], graph.radius)
+    order = sorted(range(len(samples)), key=lambda k: samples[k][2])
+    width = max(geometry.n_nodes, len(geometry.cells_array))
+    size = max(1, complexes._BATCH // (8 * width))
+    for start in range(0, len(order), size):
+        at = order[start : start + size]
+        chunk = [samples[k] for k in at]
+        centers, r1s, r2s = (np.array(column) for column in zip(*chunk))
+        small = r1s, graph.holds_every_node(centers, r1s)
+        large = r2s, graph.holds_every_node(centers, r2s)
+        yield at, chunk, graph.rows_within(centers, reads(small, large)), small, large
+
+
+def _row_radii(small, large):
+    """The larger of two radii whose ball is not proven whole, -1 when both
+    are: one row serves both balls, and a ball proven whole is measured
+    whole."""
+    (r1s, whole1), (r2s, whole2) = small, large
+    return np.where(~whole2, r2s, np.where(~whole1, r1s, -1.0))
+
+
+def _measures(z, rows, radii, whole):
+    """(measure, boundary credit) of Z in each ball B(p_k, radii[k]) of a
+    chunk, ``rows[k]`` exact out to the radius unless ``whole[k]``: a ball
+    proven whole gets Z's cached ``whole_measure``.
+
+    Cells with every node inside count fully; cells with some nodes inside
+    count by node fraction.  The boundary credit (total volume of partially
+    counted cells) bounds the crediting error.  The node-in-ball counts are
+    one gather per cell column over the chunk; each ball's sums are
+    ``ndarray.sum`` over its own cells in cell order, so a ball's floats do
+    not depend on the chunk it is measured in.
+    """
+    out = [z.whole_measure] * len(radii)
+    balls = np.flatnonzero(~whole)
+    columns, volumes = z.cell_columns, z.cell_volumes
+    if not len(balls) or not len(volumes):
+        return out
+    inside = (rows <= radii[:, None])[balls].view(np.uint8)
+    size = len(columns)
+    counts = inside.take(columns[0], axis=1)
+    for column in columns[1:]:
+        counts += inside.take(column, axis=1)
+    full = counts == size
+    partial = counts > 0
+    partial ^= full
+    for k, count, whole_cells, cut in zip(balls.tolist(), counts, full, partial):
+        part = volumes[cut]
+        measure = float(volumes[whole_cells].sum())
+        measure += float((part * count[cut] / size).sum())
+        out[k] = measure, float(part.sum())
+    return out
+
+
+def _level_checks(filtration, samples, levels):
+    """Per sample, in sample order, one check per ``(kind, i, slack)`` of
+    ``levels``: #(Z_0 in B(p, r1)) (r2-r1)^i / i! against the credited area
+    of Z_i in B(p, r2) plus the slack; the budget is the area's boundary
+    credit.
+
+    Each row is read out to r2, or only to r1 when B(p, r2) is proven whole
+    and Z_0 is nonempty (an empty Z_0 counts 0 at any radius), or not at
+    all when both balls are (``_row_radii``).  A ball proven whole counts
+    Z_0 whole or measures its level whole.
+    """
+    geometry = filtration.geometry
     z0 = filtration.level(0).cells_array[:, 0]
-    row1, row2 = _ball_rows(graph, center, r1 if len(z0) else r2, r2)
-    count = len(z0) if row1 is None else int((row1[z0] <= r1).sum())
-    return row2, count
+
+    def reads(small, large):
+        return _row_radii(small if len(z0) else large, large)
+
+    checks = [None] * (len(samples) * len(levels))
+    for at, chunk, rows, (r1s, whole1), (r2s, whole2) in _chunks(
+        geometry, samples, reads
+    ):
+        inside = np.count_nonzero(rows[:, z0] <= r1s[:, None], axis=1)
+        counts = np.where(whole1, len(z0), inside).tolist()
+        areas = {i: _measures(filtration.level(i), rows, r2s, whole2)
+                 for i in {i for _, i, _ in levels}}
+        for k, (center, r1, r2) in enumerate(chunk):
+            for j, (kind, i, slack) in enumerate(levels, at[k] * len(levels)):
+                area, boundary = areas[i][k]
+                lhs = counts[k] * (r2 - r1) ** i / math.factorial(i)
+                checks[j] = InequalityCheck(
+                    kind, int(center), float(r1), float(r2), lhs, area + slack,
+                    boundary)
+    return checks
 
 
-def _level_check(kind, filtration, i, slack, center, r1, r2, dist, count):
-    """#(Z_0 in B(p, r1)) (r2-r1)^i / i! against the credited area of Z_i in
-    B(p, r2) plus ``slack``; the budget is the area's boundary credit."""
-    area, boundary = _measure(filtration.level(i), dist, r2)
-    lhs = count * (r2 - r1) ** i / math.factorial(i)
-    return InequalityCheck(
-        kind, int(center), float(r1), float(r2), lhs, area + slack, boundary
-    )
-
-
-def point_density_check(filtration, center, r1, r2):
-    """Compare #(Z_0 in B(p, r1)) (r2-r1)^n / n! against Vol B(p, r2) + eps.
+def point_density_check(filtration, samples):
+    """Compare #(Z_0 in B(p, r1)) (r2-r1)^n / n! against Vol B(p, r2) + eps
+    for each sample ``(center, r1, r2)``, in sample order.
 
     This is the level-n check of the trace chain, whose slack is the
     filtration's total configured slack.  The budget is the ball-volume
-    boundary credit at r2.
+    boundary credit at r2.  Every radius order is checked before the
+    filtration is read.
     """
-    row = _ball_row(filtration, center, r1, r2)
-    n, eps = filtration.dim, filtration.slacks[1]
-    return _level_check("density", filtration, n, eps, center, r1, r2, *row)
+    _check_radius_orders(samples)
+    return _level_checks(
+        filtration, samples, [("density", filtration.dim, filtration.slacks[1])])
 
 
-def level_trace_checks(filtration, center, r1, r2):
-    """The level-by-level chain of density inequalities, one check per level.
+def level_trace_checks(filtration, samples):
+    """The level-by-level chain of density inequalities for each sample,
+    one check per level, levels in order and samples in sample order.
 
     Level i compares #(Z_0 in B(p, r1)) (r2-r1)^i / i! with the credited
     area of Z_i in B(p, r2) plus the accumulated slack sum 2 eps_j R^(i-j).
     """
-    row = _ball_row(filtration, center, r1, r2)
+    _check_radius_orders(samples)
     R = filtration.config.radius
     schedule, _ = filtration.slacks
-    checks = []
-    for i in range(filtration.dim + 1):
-        slack = sum(2.0 * schedule[j] * R ** (i - j) for j in range(i))
-        check = _level_check(f"trace{i}", filtration, i, slack, center, r1, r2, *row)
-        checks.append(check)
-    return checks
+    levels = [
+        (f"trace{i}", i, sum(2.0 * schedule[j] * R ** (i - j) for j in range(i)))
+        for i in range(filtration.dim + 1)
+    ]
+    return _level_checks(filtration, samples, levels)
 
 
-def coarea_check(filtration, level, center, r1, r2):
-    """Trapezoid check of the sliced-area inequality for one level.
+def _slice_integrals(z, rows, r1s, r2s):
+    """Trapezoid integrals over [r1, r2] of the area of Z inside B(p, rho),
+    and their quadrature budgets, for the balls of a chunk whose rows are
+    read out to r2.
+
+    A cell is inside once rho reaches its farthest node.  The slice areas
+    are summed in distance order, sorted stably, so tied cells keep their
+    cell order and the cells within r2, the only ones summed, come in the
+    same order whatever the entries beyond r2 read.
+    """
+    columns = z.cell_columns
+    far = rows.take(columns[0], axis=1)
+    for column in columns[1:]:
+        np.maximum(far, rows.take(column, axis=1), out=far)
+    # row-major, so each row's trapezoid sum is one pairwise sum over the
+    # row, as for the row alone (linspace along axis 1 returns a transpose)
+    rhos = np.ascontiguousarray(np.linspace(r1s, r2s, _COAREA_SAMPLES, axis=1))
+    order = np.argsort(far, axis=1, kind="stable")
+    far.sort(axis=1)  # the values of far in that order
+    inside = np.array([row.searchsorted(rho, side="right")
+                       for row, rho in zip(far, rhos)])
+    # far becomes the running area sums, in that order, in place
+    np.cumsum(z.cell_volumes.take(order, out=far), axis=1, out=far)
+    del order
+    values = np.where(inside > 0, np.take_along_axis(far, inside - 1, axis=1), 0.0)
+    step = (r2s - r1s) / (_COAREA_SAMPLES - 1)
+    budgets = step * (values.max(axis=1) - values.min(axis=1))
+    return np.trapezoid(values, rhos, axis=1).tolist(), budgets.tolist()
+
+
+def coarea_check(filtration, level, samples):
+    """Trapezoid checks of the sliced-area inequality for one level, one
+    per sample ``(center, r1, r2)``, in sample order.
 
     Integrates the area of Z_level inside B(p, rho) for rho in [r1, r2] and
     compares with the credited area of the parent level in the annulus plus
     2 eps R.  The budget covers quadrature error and both boundary credits.
-    A nonempty level's row is read out to r2.  Its slice areas are summed
-    in distance order, sorted stably, so tied cells keep their cell order
-    and the cells within r2, the only ones summed, come in the same order
-    whatever the entries beyond r2 read.  An empty level has an integral
-    and budget of 0, and only the parent is measured, at r1 and r2: its row
-    is read out to r2, or only to r1 when B(p, r2) is proven whole, or not
-    at all when B(p, r1) is (``_ball_rows``), and a ball proven whole is
-    measured whole.
+    A nonempty level's rows are read out to r2 (``_slice_integrals``).  An
+    empty level has an integral and budget of 0, and only the parent is
+    measured, at r1 and r2: its row is read out to r2, or only to r1 when
+    B(p, r2) is proven whole, or not at all when B(p, r1) is
+    (``_row_radii``).  A ball proven whole is measured whole.
     """
-    _check_radius_order(r1, r2)
-    graph = filtration.geometry.graph
+    _check_radius_orders(samples)
     R = filtration.config.radius
     eps = filtration.slacks[0][level]
-    z = filtration.level(level)
-    if not len(z):
-        row1, row2 = _ball_rows(graph, center, r1, r2)
-        integral, quad_budget = 0.0, 0.0
-    else:
-        row1 = row2 = dist = graph.distances_within(center, r2)
-        max_dist = dist[z.cells_array].max(axis=1)
-        order = np.argsort(max_dist, kind="stable")
-        cumulative = np.concatenate(([0.0], np.cumsum(z.cell_volumes[order])))
-        rhos = np.linspace(r1, r2, _COAREA_SAMPLES)
-        values = cumulative[np.searchsorted(max_dist[order], rhos, side="right")]
-        integral = float(np.trapezoid(values, rhos))
-        step = (r2 - r1) / (_COAREA_SAMPLES - 1)
-        quad_budget = step * float(values.max() - values.min())
-
-    parent = filtration.level(level + 1)
-    vol2, b2 = _measure(parent, row2, r2)
-    vol1, b1 = _measure(parent, row1, r1)
-    rhs = (vol2 - vol1) + 2.0 * eps * R
-    return InequalityCheck(
-        f"coarea{level}", int(center), float(r1), float(r2), integral, rhs,
-        quad_budget + b1 + b2,
-    )
+    z, parent = filtration.level(level), filtration.level(level + 1)
+    reads = (lambda small, large: large[0]) if len(z) else _row_radii
+    checks = [None] * len(samples)
+    for at, chunk, rows, (r1s, whole1), (r2s, whole2) in _chunks(
+        filtration.geometry, samples, reads
+    ):
+        if len(z):
+            integrals, quad_budgets = _slice_integrals(z, rows, r1s, r2s)
+        else:
+            integrals = quad_budgets = [0.0] * len(chunk)
+        outer = _measures(parent, rows, r2s, whole2)
+        inner = _measures(parent, rows, r1s, whole1)
+        for k, (center, r1, r2) in enumerate(chunk):
+            (vol2, b2), (vol1, b1) = outer[k], inner[k]
+            rhs = (vol2 - vol1) + 2.0 * eps * R
+            checks[at[k]] = InequalityCheck(
+                f"coarea{level}", int(center), float(r1), float(r2),
+                integrals[k], rhs, quad_budgets[k] + b1 + b2)
+    return checks
 
 
 @dataclass(frozen=True)
@@ -249,15 +333,18 @@ def estimate_v1(geometry):
 
     This is the base-space maximum; it equals the supremum over covers only
     when the systole exceeds twice the radius, so shorter (or unknown)
-    systoles attach a warning instead of a silent number.  The rows of
-    balls not proven whole are read in batches; the first largest wins.
+    systoles attach a warning instead of a silent number.  The balls not
+    proven whole are measured a chunk at a time (``_chunks``); the first
+    largest wins.
     """
     graph = geometry.graph
     measures = [geometry.whole_measure] * geometry.n_nodes
-    nodes = [node for node in range(geometry.n_nodes)
-             if not graph.holds_every_node(node, _V1_RADIUS)]
-    for node, row in graph.rows_within(nodes, _V1_RADIUS):
-        measures[node] = _measure(geometry, row, _V1_RADIUS)
+    nodes = np.arange(geometry.n_nodes)
+    nodes = nodes[~graph.holds_every_node(nodes, _V1_RADIUS)].tolist()
+    samples = [(node, _V1_RADIUS, _V1_RADIUS) for node in nodes]
+    for _, chunk, rows, _, (radii, whole) in _chunks(geometry, samples, _row_radii):
+        for (node, _, _), measure in zip(chunk, _measures(geometry, rows, radii, whole)):
+            measures[node] = measure
     best_node = max(range(geometry.n_nodes), key=lambda node: measures[node][0])
     best, best_boundary = measures[best_node]
     systole = geometry.base.metadata.get("systole")

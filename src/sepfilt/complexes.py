@@ -301,7 +301,6 @@ class MetricGraph:
             shape=(n_nodes, n_nodes),
         )
         self.radius, self._table = -math.inf, {}  # no table: every limit is above
-        self._no_row = np.full(n_nodes, math.inf)  # copied for each table read
         self._every_node = (1 << n_nodes) - 1
 
     def _split(self, heads, tails, data, blocks):
@@ -423,7 +422,8 @@ class MetricGraph:
         return self._anchor + self._anchor.max()
 
     def holds_every_node(self, node, r):
-        """True when B(node, r) provably contains every node."""
+        """True when B(node, r) provably contains every node; elementwise
+        for arrays of nodes and radii."""
         return self.reach[node] <= r
 
     def tabulate(self, nodes, radius):
@@ -454,35 +454,48 @@ class MetricGraph:
         return self.distances_within(node, math.inf)
 
     def distances_within(self, node, limit):
-        """Distances from one node, exact wherever they are <= ``limit``.
+        """Distances from one node, exact wherever they are <= ``limit``:
+        its row of ``rows_within``."""
+        return self.rows_within([node], [limit])[0]
 
-        An entry beyond ``limit`` may read ``inf`` (SciPy's limit is
-        inclusive), so any comparison with a radius <= ``limit`` gives the
-        true answer.  A node's table row is filled on its first read."""
-        if node == 0:
-            return self._anchor
-        if limit <= self.radius and node not in self._table:
-            if self.reach[node] > self.radius:
-                self.tabulate([node], self.radius)
-        ball = self._table.get(node) if limit <= self.radius else None
-        if ball is None:
-            return self._limited([node], limit)[0]
-        row = self._no_row.copy()
-        row.put(ball[0], ball[1])
-        return row
+    def rows_within(self, nodes, limits):
+        """The distance rows of the nodes as one matrix, row k exact
+        wherever it is <= ``limits[k]``; an entry beyond its limit may read
+        ``inf`` (SciPy's limit is inclusive), so any comparison with a
+        radius <= the limit gives the true answer.  A negative limit asks
+        for no entry: its row reads ``inf``.
 
-    def rows_within(self, nodes, limit):
-        """``(node, row)`` for each node in order, each row exact wherever
-        it is <= ``limit``: tabulated (``limit <= R``) or computed about
-        ``_BATCH`` entries at a time."""
-        size = max(1, _BATCH // self.n_nodes)
-        for start in range(0, len(nodes), size):
-            chunk = nodes[start : start + size]
-            if limit > self.radius:
-                yield from zip(chunk, self._limited(chunk, limit))
+        Node 0's row is its anchor row.  A row out to at most R comes from
+        the ball table when the table holds the node or the node's R-ball
+        is not proven whole; the balls not yet held are tabulated first.
+        Every other node is computed once, out to its largest limit, in
+        ascending order of that limit, about ``_BATCH`` entries per call.
+        """
+        table, radius = self._table, self.radius
+        rows = np.full((len(nodes), self.n_nodes), math.inf)
+        tabled, computed, largest = {}, {}, {}  # node -> positions, limit
+        for k, (node, limit) in enumerate(zip(nodes, limits)):
+            if limit < 0:
                 continue
-            self.tabulate(chunk, self.radius)
-            yield from ((node, self.distances_within(node, limit)) for node in chunk)
+            if node == 0:
+                rows[k] = self._anchor
+            elif limit <= radius and (node in table or self.reach[node] > radius):
+                tabled.setdefault(node, []).append(k)
+            else:
+                computed.setdefault(node, []).append(k)
+                largest[node] = max(limit, largest.get(node, limit))
+        self.tabulate(tabled, radius)
+        for node, at in tabled.items():
+            columns, distances, _ = table[node]
+            for k in at:
+                rows[k].put(columns, distances)
+        order = sorted(computed, key=largest.get)
+        size = max(1, _BATCH // self.n_nodes)
+        for start in range(0, len(order), size):
+            batch = order[start : start + size]
+            for node, row in zip(batch, self._limited(batch, largest[batch[-1]])):
+                rows[computed[node]] = row
+        return rows
 
     def feasible_centers(self, nodes, radius):
         """The nodes within ``radius`` of every given node, as a bitset.
@@ -500,30 +513,6 @@ class MetricGraph:
             if not centers:
                 break
         return centers
-
-
-def credited_measure(cells, volumes, dist, r):
-    """(measure, boundary credit) of cells inside the ball ``dist <= r``.
-
-    ``cells`` is an array of node-id rows with matching ``volumes``.  Cells
-    with every node inside count fully; cells with some nodes inside count
-    by node fraction.  The boundary credit (total volume of partially
-    counted cells) bounds the crediting error.
-    """
-    if not len(cells):
-        return 0.0, 0.0
-    # one threshold of the row and one gather per node column cost less
-    # than gathering and comparing the whole (cells x size) block
-    inside = (dist <= r).view(np.uint8)
-    size = cells.shape[1]
-    counts = inside[cells[:, 0]].astype(np.int64)
-    for k in range(1, size):
-        counts += inside[cells[:, k]]
-    full = counts == size
-    partial = (counts > 0) & ~full
-    measure = float(volumes[full].sum())
-    measure += float((volumes[partial] * counts[partial] / size).sum())
-    return measure, float(volumes[partial].sum())
 
 
 class ComplexGeometry:
@@ -742,10 +731,15 @@ class ComplexGeometry:
 
     @functools.cached_property
     def whole_measure(self):
-        """``credited_measure`` of a ball holding every node: all cells in
-        cell order, zero boundary credit."""
-        zeros = np.zeros(self.root.n_nodes)
-        return credited_measure(self.cells_array, self.cell_volumes, zeros, 0.0)
+        """(measure, boundary credit) of a ball holding every node: the sum
+        of all cell volumes in cell order, zero boundary credit."""
+        return float(self.cell_volumes.sum()), 0.0
+
+    @functools.cached_property
+    def cell_columns(self):
+        """``cells_array`` by columns, each contiguous: a contiguous index
+        array gathers faster than a column of ``cells_array``."""
+        return np.ascontiguousarray(self.cells_array.T)
 
 
 class Subpolyhedron:
@@ -795,6 +789,7 @@ class Subpolyhedron:
 
     cell_system = ComplexGeometry.cell_system
     whole_measure = ComplexGeometry.whole_measure
+    cell_columns = ComplexGeometry.cell_columns
 
     @property
     def root(self) -> ComplexGeometry:

@@ -148,16 +148,17 @@ class _Component:
     centers: int
 
 
-def _fit_components(parent, blocked, radius):
-    """Complement components of the parent's facets ``blocked``, each with
-    its feasible radius-ball centers.
+def _fit_components(parent, labels, radius):
+    """The complement components of the parent's cell labels ``labels``
+    (``CellSystem.components``), each with its feasible radius-ball
+    centers.
 
     Keys are component labels (smallest cell index), in ascending order.
     """
     graph = parent.root.graph
     return {
         group[0]: _Component(list(group), graph.feasible_centers(nodes, radius))
-        for group, nodes in parent.cell_system.component_groups(blocked)
+        for group, nodes in parent.cell_system.component_groups(labels)
     }
 
 
@@ -182,7 +183,8 @@ def is_r_separating(parent, candidate, radius):
     no center when the component fits no radius ball.
     """
     blocked = _facet_ids(parent, candidate)
-    components = _fit_components(parent, blocked, radius)
+    labels = parent.cell_system.components(blocked)
+    components = _fit_components(parent, labels, radius)
     return SeparationCheck(
         all(c.centers for c in components.values()),
         _certificates(parent, components, radius),
@@ -251,12 +253,11 @@ class _PruneState:
         if area_of is None:
             area_of = parent.face_volumes[: len(system.facets)].tolist()
         self.area_of = area_of
-        self.cover_count = system.cover(self.z).tolist()
+        cover = system.cover(self.z)
+        self.cover_count = cover.tolist()
         self.area = math.fsum(map(area_of.__getitem__, self.z))
-        self.comps = _fit_components(parent, self.z, radius)
-        labels = np.empty(len(system.cell_nodes), dtype=np.int64)
-        for label, comp in self.comps.items():
-            labels[comp.cells] = label
+        labels = system.components(self.z, cover)
+        self.comps = _fit_components(parent, labels, radius)
         self.labels = labels.tolist()
         self.feasible = all(comp.centers for comp in self.comps.values())
 
@@ -327,7 +328,7 @@ def _voronoi_seed(parent, radius):
     # dim + 1 facets are its faces just before the cell itself
     facet_columns = slice(-system.dim - 2, -1)
     for _ in range(len(centers)):
-        components = _fit_components(parent, candidate, radius)
+        components = _fit_components(parent, system.components(candidate), radius)
         bad = [c.cells for c in components.values() if not c.centers]
         if not bad:
             break
@@ -543,7 +544,8 @@ class Filtration:
         for i in range(self.dim - 1, -1, -1):
             level = self.levels[i]
             z = level.subpolyhedron
-            components = z.parent.cell_system.component_groups(z.facet_ids)
+            system = z.parent.cell_system
+            components = system.component_groups(system.components(z.facet_ids))
             _audit_certificates(i, level.certificates, components,
                                 self.geometry.graph, radius)
             _audit_measures(i, level, z, schedule[i])

@@ -32,25 +32,24 @@ def sample_radius_pairs(rng, radius, count):
 
 def sweep_samples(filtration, samples, seed):
     """``(center, r1, r2)`` per sample, radius pairs drawn first, then the
-    centers, whose R-balls are tabulated together for the checks."""
+    centers.  The ball table is named at R, so the checks' rows come from
+    it."""
     rng = random.Random(seed)
     radius = filtration.config.radius
     pairs = sample_radius_pairs(rng, radius, samples)
     graph = filtration.geometry.graph
     centers = [rng.randrange(graph.n_nodes) for _ in pairs]
-    graph.tabulate(centers, radius)
+    graph.tabulate([], radius)
     return [(center, r1, r2) for center, (r1, r2) in zip(centers, pairs)]
 
 
 def density_sweep(filtration, samples, seed):
-    return [point_density_check(filtration, *sample)
-            for sample in sweep_samples(filtration, samples, seed)]
+    return point_density_check(filtration, sweep_samples(filtration, samples, seed))
 
 
 def coarea_sweep(filtration, samples, seed):
     level = filtration.dim - 1
-    return [coarea_check(filtration, level, *sample)
-            for sample in sweep_samples(filtration, samples, seed)]
+    return coarea_check(filtration, level, sweep_samples(filtration, samples, seed))
 
 
 def inequality_sweep(filtration, samples, seed):

@@ -5,8 +5,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from sepfilt import WeightedComplex, complexes
-from sepfilt.complexes import credited_measure
+from sepfilt import WeightedComplex, bounds, complexes
 from sepfilt.filtration import SeparationConfig, build_filtration
 from sepfilt.generators import circle, genus_surface, torus
 
@@ -37,13 +36,34 @@ def reference_distances(graph, nodes=None):
     return dijkstra(complete_arcs(graph), indices=nodes)
 
 
+def reference_measure(cells, volumes, dist, r):
+    """(measure, boundary credit) of cells inside the ball ``dist <= r``,
+    one ball at a time: the formula the package's measure evaluates.
+
+    ``cells`` is an array of node-id rows with matching ``volumes``.  Cells
+    with every node inside count fully; cells with some nodes inside count
+    by node fraction.  The boundary credit is the total volume of the
+    partially counted cells.
+    """
+    if not len(cells):
+        return 0.0, 0.0
+    counts = (dist[cells] <= r).sum(axis=1)
+    size = cells.shape[1]
+    full = counts == size
+    partial = (counts > 0) & ~full
+    measure = float(volumes[full].sum())
+    measure += float((volumes[partial] * counts[partial] / size).sum())
+    return measure, float(volumes[partial].sum())
+
+
 def ball_volume(geometry, center, r):
     """(volume, boundary credit) of B(center, r) as the package measures a
     ball: whole when ``holds_every_node`` proves it, else from its row."""
-    if geometry.graph.holds_every_node(center, r):
-        return geometry.whole_measure
-    dist = geometry.graph.distances_within(center, r)
-    return credited_measure(geometry.cells_array, geometry.cell_volumes, dist, r)
+    graph = geometry.graph
+    centers, radii = np.array([center]), np.array([float(r)])
+    whole = graph.holds_every_node(centers, radii)
+    rows = graph.rows_within(centers, np.where(whole, -1.0, radii))
+    return bounds._measures(geometry, rows, radii, whole)[0]
 
 
 def row_source(graph, mode, monkeypatch, radius=None):

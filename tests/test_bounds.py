@@ -8,6 +8,7 @@ import pytest
 from sepfilt import WeightedComplex, bounds, complexes
 from sepfilt.adjacency import fit_in_ball
 from sepfilt.bounds import (
+    InequalityCheck,
     bound_report,
     coarea_check,
     estimate_v1,
@@ -15,14 +16,14 @@ from sepfilt.bounds import (
     level_trace_checks,
     point_density_check,
 )
-from sepfilt.complexes import credited_measure
 from sepfilt.errors import RadiusOrder
 from sepfilt.filtration import Filtration, SeparationConfig, build_filtration
 from sepfilt.generators import circle, torus
 from sepfilt.pipeline import inequality_sweep
 from sepfilt.rainbow import color_by_filtration, count_rainbow
 
-from conftest import ball_volume, reference_distances, row_source
+from conftest import (ball_volume, reference_distances, reference_measure,
+                      row_source)
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +39,7 @@ def test_density_empty_intersection(torus_filtration_d1):
         for node in range(geometry.n_nodes)
         if all(geometry.graph.distances_from(node)[list(z0)] > 0.05)
     )
-    check = point_density_check(torus_filtration_d1, center, 0.05, 0.9)
+    (check,) = point_density_check(torus_filtration_d1, [(center, 0.05, 0.9)])
     assert check.lhs == 0.0
     assert not check.violated
 
@@ -50,7 +51,7 @@ def test_density_circle_example(circle_filtration):
     # holds six full 0.25-cells (1.5) plus half credit on the two straddling
     # cells (0.25), so rhs = 1.75 + 0.05
     point = circle_filtration.z0_nodes()[0]
-    check = point_density_check(circle_filtration, point, 0.1, 0.9)
+    (check,) = point_density_check(circle_filtration, [(point, 0.1, 0.9)])
     assert check.lhs == pytest.approx(0.8)
     assert check.rhs == pytest.approx(1.75 + 0.05)
     assert not check.violated
@@ -61,43 +62,46 @@ def test_density_circle_example(circle_filtration):
     [
         point_density_check,
         level_trace_checks,
-        lambda filtration, *args: coarea_check(filtration, 1, *args),
+        lambda filtration, samples: coarea_check(filtration, 1, samples),
     ],
     ids=["density", "trace", "coarea"],
 )
 def test_density_radius_order(check):
-    # the radius order is checked before the filtration is read
+    # every radius order is checked before the filtration is read
     with pytest.raises(RadiusOrder):
-        check(None, 0, 0.9, 0.1)
+        check(None, [(0, 0.1, 0.9), (0, 0.9, 0.1)])
 
 
 def test_density_sweep_no_violations(torus_filtration_d1):
     rng = random.Random(19)
     geometry = torus_filtration_d1.geometry
     radius = torus_filtration_d1.config.radius
-    worst = math.inf
+    samples = []
     for _ in range(200):
         r1, r2 = sorted(rng.uniform(0.02, 0.98 * radius) for _ in range(2))
         if r1 == r2:
             continue
-        center = rng.randrange(geometry.n_nodes)
-        check = point_density_check(torus_filtration_d1, center, r1, r2)
-        worst = min(worst, check.residual + check.budget)
-        assert not check.violated
-    assert worst >= 0.0
+        samples.append((rng.randrange(geometry.n_nodes), r1, r2))
+    checks = point_density_check(torus_filtration_d1, samples)
+    assert len(checks) == len(samples)
+    assert not any(check.violated for check in checks)
+    assert min(check.residual + check.budget for check in checks) >= 0.0
 
 
 def test_level_trace_holds(torus_filtration_d2):
     rng = random.Random(43)
     geometry = torus_filtration_d2.geometry
     radius = torus_filtration_d2.config.radius
+    samples = []
     for _ in range(50):
         r1, r2 = sorted(rng.uniform(0.05, 0.95 * radius) for _ in range(2))
         if r1 == r2:
             continue
-        center = rng.randrange(geometry.n_nodes)
-        for check in level_trace_checks(torus_filtration_d2, center, r1, r2):
-            assert check.residual >= -check.budget
+        samples.append((rng.randrange(geometry.n_nodes), r1, r2))
+    checks = level_trace_checks(torus_filtration_d2, samples)
+    assert len(checks) == 3 * len(samples)
+    for check in checks:
+        assert check.residual >= -check.budget
 
 
 # ---------------------------------------------------------------------------
@@ -108,19 +112,18 @@ def test_coarea_no_violations(torus_filtration_d2):
     rng = random.Random(47)
     geometry = torus_filtration_d2.geometry
     radius = torus_filtration_d2.config.radius
+    samples = []
     for _ in range(60):
         r1, r2 = sorted(rng.uniform(0.05, 0.95 * radius) for _ in range(2))
         if r1 == r2:
             continue
-        center = rng.randrange(geometry.n_nodes)
-        check = coarea_check(torus_filtration_d2, 1, center, r1, r2)
+        samples.append((rng.randrange(geometry.n_nodes), r1, r2))
+    for check in coarea_check(torus_filtration_d2, 1, samples):
         assert check.residual >= -check.budget
 
 
 def test_coarea_integral_monotone_in_r2(torus_filtration_d1):
-    center = 0
-    a = coarea_check(torus_filtration_d1, 1, center, 0.2, 0.6)
-    b = coarea_check(torus_filtration_d1, 1, center, 0.2, 0.9)
+    a, b = coarea_check(torus_filtration_d1, 1, [(0, 0.2, 0.6), (0, 0.2, 0.9)])
     assert b.lhs >= a.lhs - 1e-12
 
 
@@ -134,21 +137,22 @@ def test_checks_on_empty_strata(tiny_torus_filtration):
     assert filtration.level(0).cells_array.shape == (0, 1)
     assert filtration.level(1).cells_array.shape == (0, 2)
     row = [0, 0.2, 0.6, 0.0]
-    assert point_density_check(filtration, 0, 0.2, 0.6).to_row() == [
-        "density", *row, 0.37, 0.37, 0.0, 0
+    sample = [(0, 0.2, 0.6)]
+    assert [c.to_row() for c in point_density_check(filtration, sample)] == [
+        ["density", *row, 0.37, 0.37, 0.0, 0]
     ]
-    assert [c.to_row() for c in level_trace_checks(filtration, 0, 0.2, 0.6)] == [
+    assert [c.to_row() for c in level_trace_checks(filtration, sample)] == [
         ["trace0", *row, 0.0, 0.0, 0.0, 0],
         ["trace1", *row, 0.005, 0.005, 0.0, 0],
         ["trace2", *row, 0.37, 0.37, 0.0, 0],
     ]
-    assert coarea_check(filtration, 1, 0, 0.2, 0.6).to_row() == [
+    assert [c.to_row() for c in coarea_check(filtration, 1, sample)] == [[
         "coarea1", *row, 0.24583333333333332, 0.24583333333333332,
         0.039999999999999994, 0,
-    ]
-    assert coarea_check(filtration, 0, 0, 0.2, 0.6).to_row() == [
+    ]]
+    assert [c.to_row() for c in coarea_check(filtration, 0, sample)] == [[
         "coarea0", *row, 0.005, 0.005, 0.0, 0
-    ]
+    ]]
     checks = inequality_sweep(filtration, 8, 3)
     assert [(c.kind, c.center, c.lhs, c.rhs, c.budget) for c in checks] == [
         ("density", 155, 0.0, 0.37, 0.0),
@@ -177,12 +181,14 @@ def test_checks_digest_is_pinned(torus_filtration_d2):
 
     rows = [c.to_row() for c in inequality_sweep(torus_filtration_d2, 200, seed=5)]
     rng = random.Random(11)
+    samples = []
     for _ in range(10):
         center = rng.randrange(torus_filtration_d2.geometry.n_nodes)
-        r1, r2 = sorted(rng.uniform(0.05, 0.95) for _ in range(2))
-        checks = level_trace_checks(torus_filtration_d2, center, r1, r2)
-        checks.append(coarea_check(torus_filtration_d2, 0, center, r1, r2))
-        rows += [c.to_row() for c in checks]
+        samples.append((center, *sorted(rng.uniform(0.05, 0.95) for _ in range(2))))
+    traces = level_trace_checks(torus_filtration_d2, samples)
+    coareas = coarea_check(torus_filtration_d2, 0, samples)
+    for k, coarea in enumerate(coareas):
+        rows += [c.to_row() for c in [*traces[3 * k : 3 * k + 3], coarea]]
     assert len(rows) == 290
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == CHECKS_DIGEST
@@ -209,13 +215,15 @@ def read_complete_rows(graph, monkeypatch):
     dist = reference_distances(graph)
     monkeypatch.setattr(graph, "distances_within", lambda node, limit: dist[node])
     monkeypatch.setattr(
-        graph, "rows_within", lambda nodes, limit: ((n, dist[n]) for n in nodes)
+        graph, "rows_within",
+        lambda nodes, limits: dist[np.asarray(nodes, dtype=np.int64)],
     )
 
 
 def without_shortcut(monkeypatch):
     monkeypatch.setattr(
-        complexes.MetricGraph, "holds_every_node", lambda graph, node, r: False
+        complexes.MetricGraph, "holds_every_node",
+        lambda graph, node, r: np.zeros(np.broadcast(node, r).shape, dtype=bool),
     )
 
 
@@ -231,7 +239,7 @@ def test_whole_ball_volume_matches_row(small_genus_filtration, monkeypatch, mode
     row_source(graph, mode, monkeypatch, np.median(WHOLE_BALL_RADII))
     for r in WHOLE_BALL_RADII:
         for p in range(geometry.n_nodes):
-            expected = credited_measure(
+            expected = reference_measure(
                 geometry.cells_array, geometry.cell_volumes, dist[p], r
             )
             assert ball_volume(geometry, p, r) == expected
@@ -268,18 +276,15 @@ def test_whole_ball_checks_match_rows(small_genus_filtration, monkeypatch, mode)
         True, False
     }
 
+    samples = [(center, r1, r2) for center in range(filtration.geometry.n_nodes)
+               for r1, r2 in pairs]
+
     def rows():
-        out = []
-        for center in range(filtration.geometry.n_nodes):
-            for r1, r2 in pairs:
-                checks = [point_density_check(filtration, center, r1, r2)]
-                checks += level_trace_checks(filtration, center, r1, r2)
-                checks += [
-                    coarea_check(filtration, level, center, r1, r2)
-                    for level in (0, 1)
-                ]
-                out += [c.to_row() for c in checks]
-        return out
+        checks = point_density_check(filtration, samples)
+        checks += level_trace_checks(filtration, samples)
+        for level in (0, 1):
+            checks += coarea_check(filtration, level, samples)
+        return [c.to_row() for c in checks]
 
     fast = rows()
     without_shortcut(monkeypatch)
@@ -296,9 +301,10 @@ def test_whole_ball_checks_are_order_free(small_genus_filtration, monkeypatch):
     proves = complexes.MetricGraph.holds_every_node
     proven, refused = [], []
 
-    def recording(graph, node, r):
-        whole = proves(graph, node, r)
-        (proven if whole else refused)[-1].add((node, r))
+    def recording(graph, nodes, radii):
+        whole = proves(graph, nodes, radii)
+        for node, r, one in zip(*np.broadcast_arrays(nodes, radii, whole)):
+            (proven if one else refused)[-1].add((int(node), float(r)))
         return whole
 
     monkeypatch.setattr(complexes.MetricGraph, "holds_every_node", recording)
@@ -309,15 +315,11 @@ def test_whole_ball_checks_are_order_free(small_genus_filtration, monkeypatch):
         refused.append(set())
         out = {}
         for center in centers:
-            checks = []
-            for r1, r2 in pairs:
-                checks.append(point_density_check(filtration, center, r1, r2))
-                checks += level_trace_checks(filtration, center, r1, r2)
-            checks += [
-                coarea_check(filtration, level, center, r1, r2)
-                for r1, r2 in pairs
-                for level in (0, 1)
-            ]
+            samples = [(center, r1, r2) for r1, r2 in pairs]
+            checks = point_density_check(filtration, samples)
+            checks += level_trace_checks(filtration, samples)
+            for level in (0, 1):
+                checks += coarea_check(filtration, level, samples)
             out[center] = [c.to_row() for c in checks]
         return [out[c] for c in sorted(out)]
 
@@ -346,10 +348,11 @@ def test_coarea_rows_cut_at_r2_give_the_complete_rows_checks(
     for _ in range(40):
         center = rng.randrange(filtration.geometry.n_nodes)
         r1, r2 = sorted(rng.uniform(0.02, 0.98) * top for _ in range(2))
-        samples += [(level, center, r1, r2) for level in range(filtration.dim)]
+        samples.append((center, r1, r2))
 
     def rows(copy):
-        return [coarea_check(copy, *sample).to_row() for sample in samples]
+        return [check.to_row() for level in range(filtration.dim)
+                for check in coarea_check(copy, level, samples)]
 
     complete = fresh_copy(filtration)
     read_complete_rows(complete.geometry.graph, monkeypatch)
@@ -432,17 +435,16 @@ def test_empty_level_coarea_shortcut(vanishing_filtration, monkeypatch, mode):
     for i in range(filtration.dim + 1):
         level = filtration.level(i)
         inside = np.zeros(geometry.n_nodes)
-        expected = credited_measure(level.cells_array, level.cell_volumes, inside, 0.0)
+        expected = reference_measure(level.cells_array, level.cell_volumes, inside, 0.0)
         assert level.whole_measure == expected
     assert filtration.level(0).whole_measure == (0.0, 0.0)
 
+    samples = [(center, r1, r1 + 0.02) for center in range(geometry.n_nodes)
+               for r1 in VANISHING_RADII]
+
     def rows():
-        return [
-            coarea_check(filtration, level, center, r1, r1 + 0.02).to_row()
-            for center in range(geometry.n_nodes)
-            for r1 in VANISHING_RADII
-            for level in (0, 1)
-        ]
+        return [check.to_row() for level in (0, 1)
+                for check in coarea_check(filtration, level, samples)]
 
     fast = rows()
     without_shortcut(monkeypatch)
@@ -456,7 +458,7 @@ def test_empty_level_coarea_shortcut(vanishing_filtration, monkeypatch, mode):
 ROW_RADIUS_CHECKS = {
     "vanishing_filtration": (
         VANISHING_RADII,
-        [lambda f, p, r1, r2, level=level: coarea_check(f, level, p, r1, r2)
+        [lambda f, samples, level=level: coarea_check(f, level, samples)
          for level in (0, 1)],
     ),
     "small_genus_filtration": (
@@ -465,46 +467,161 @@ ROW_RADIUS_CHECKS = {
 }
 
 
+def chunk_size(geometry):
+    """Balls per chunk of the checks and of V1."""
+    width = max(geometry.n_nodes, len(geometry.cells_array))
+    return complexes._BATCH // (8 * width)
+
+
 @pytest.mark.parametrize("name", sorted(ROW_RADIUS_CHECKS))
 def test_rows_stop_at_the_largest_radius_not_proven_whole(name, request, monkeypatch):
-    # Each check reads its row out to r2 when neither ball is proven whole,
-    # out to r1 when only B(p, r2) is, and not at all when B(p, r1) is.
-    # With no ball table every row is one single-row call, so its limit is
-    # the radius the check read to; node 0's reads come from its anchor row.
+    # With no ball table, a chunk of balls reads the rows it needs in one
+    # dijkstra call: each center once, out to the largest radius one of its
+    # checks needs that is not proven whole (r2 when neither ball is, r1
+    # when only B(p, r2) is, none when B(p, r1) is), and the call's limit is
+    # the largest of these.  Balls are classified when the chunk's turn
+    # comes, so a complete row read for an earlier chunk tightens reach;
+    # node 0's rows come from its anchor row.  A sweep longer than one
+    # chunk, with repeated centers, takes its samples in ascending order of
+    # r2 and makes the calls of those chunks in turn.
     radii, checks = ROW_RADIUS_CHECKS[name]
-    filtration = fresh_copy(request.getfixturevalue(name))
-    graph = filtration.geometry.graph
+    filtration = request.getfixturevalue(name)
     empty = {len(filtration.level(i)) == 0 for i in (0, 1)}
     assert empty == {name == "vanishing_filtration"}
-    limits = []
+    n_nodes = filtration.geometry.n_nodes
+    samples = [(center, r1, r1 + step) for step in (0.02, 0.05) for r1 in radii
+               for center in range(n_nodes)]
+    random.Random(5).shuffle(samples)
+    ascending = sorted(samples, key=lambda sample: sample[2])
+    size = chunk_size(filtration.geometry)
+    chunks = [ascending[start : start + size]
+              for start in range(0, len(samples), size)]
+    assert len(chunks) > 1
+    assert any(len({center for center, _, _ in chunk}) < len(chunk) for chunk in chunks)
+    calls = []
     dijkstra = complexes.dijkstra
 
     def recording(*args, **kwargs):
         if np.ndim(kwargs.get("indices")) == 1:
-            limits.append(kwargs.get("limit"))
+            calls.append((kwargs.get("limit"), sorted(kwargs["indices"])))
         return dijkstra(*args, **kwargs)
 
     monkeypatch.setattr(complexes, "dijkstra", recording)
     cases = set()
-    for center in range(graph.n_nodes):
-        for r1 in radii:
-            r2 = r1 + 0.02
-            for check in checks:
-                # classified just before each call: a complete row read
-                # by an earlier check tightens reach
+    for check in checks:
+        copy = fresh_copy(filtration)
+        graph = copy.geometry.graph
+        expected = []
+        for chunk in chunks:
+            needs = {}
+            for center, r1, r2 in chunk:
                 if graph.holds_every_node(center, r1):
-                    case, expected = "both whole", []
+                    case, need = "both whole", None
                 elif graph.holds_every_node(center, r2):
-                    case, expected = "r2 whole", [r1]
+                    case, need = "r2 whole", r1
                 else:
-                    case, expected = "neither whole", [r2]
+                    case, need = "neither whole", r2
                 cases.add(case)
-                if center == 0:
-                    expected = []
-                limits.clear()
-                check(filtration, center, r1, r2)
-                assert limits == expected
+                if need is not None and center != 0:
+                    needs[center] = max(need, needs.get(center, need))
+            calls.clear()
+            check(copy, chunk)
+            assert calls == ([(max(needs.values()), sorted(needs))] if needs else [])
+            expected += calls
+        calls.clear()
+        check(fresh_copy(filtration), samples)
+        assert calls == expected
     assert cases == {"both whole", "r2 whole", "neither whole"}
+
+
+def reference_checks(filtration, samples):
+    """The density checks, the trace checks and the coarea checks of each
+    level, for each sample one check at a time: complete reference rows,
+    measured by ``reference_measure``, and the slice integral summed in
+    stable distance order."""
+    dist = reference_distances(filtration.geometry.graph)
+    n, R = filtration.dim, filtration.config.radius
+    schedule, total = filtration.slacks
+    z0 = filtration.level(0).cells_array[:, 0]
+
+    def measure(i, row, r):
+        z = filtration.level(i)
+        return reference_measure(z.cells_array, z.cell_volumes, row, r)
+
+    density, trace, coarea = [], [], [[] for _ in range(n)]
+    for center, r1, r2 in samples:
+        row = dist[center]
+        count = int((row[z0] <= r1).sum())
+
+        def level_check(kind, i, slack):
+            area, boundary = measure(i, row, r2)
+            lhs = count * (r2 - r1) ** i / math.factorial(i)
+            return InequalityCheck(kind, center, r1, r2, lhs, area + slack, boundary)
+
+        density.append(level_check("density", n, total))
+        trace += [
+            level_check(f"trace{i}", i,
+                        sum(2.0 * schedule[j] * R ** (i - j) for j in range(i)))
+            for i in range(n + 1)
+        ]
+        for level in range(n):
+            z = filtration.level(level)
+            integral = budget = 0.0
+            if len(z):
+                far = row[z.cells_array].max(axis=1)
+                order = np.argsort(far, kind="stable")
+                cumulative = np.concatenate(([0.0], np.cumsum(z.cell_volumes[order])))
+                rhos = np.linspace(r1, r2, bounds._COAREA_SAMPLES)
+                values = cumulative[np.searchsorted(far[order], rhos, side="right")]
+                integral = float(np.trapezoid(values, rhos))
+                step = (r2 - r1) / (bounds._COAREA_SAMPLES - 1)
+                budget = step * float(values.max() - values.min())
+            vol2, b2 = measure(level + 1, row, r2)
+            vol1, b1 = measure(level + 1, row, r1)
+            rhs = (vol2 - vol1) + 2.0 * schedule[level] * R
+            coarea[level].append(InequalityCheck(
+                f"coarea{level}", center, r1, r2, integral, rhs, budget + b1 + b2))
+    return density, trace, coarea
+
+
+@pytest.mark.parametrize("mode", ["table", "rows"])
+@pytest.mark.parametrize(
+    "name", ["small_genus_filtration", "torus_filtration_d2", "vanishing_filtration"]
+)
+def test_chunked_checks_equal_the_per_check_reference(name, mode, request):
+    # Check by check, the chunked density, trace and coarea checks equal
+    # those of one ball at a time from complete rows, bit for bit: with the
+    # ball table named at the median r2 and with no table, over more than two chunks of
+    # samples that repeat centers, include node 0 and mix balls proven
+    # whole, balls of which only B(p, r2) is, and balls neither is.  The
+    # coarea levels are empty on the vanishing fixture.
+    filtration = fresh_copy(request.getfixturevalue(name))
+    geometry = filtration.geometry
+    graph = geometry.graph
+    rng = random.Random(23)
+    top = float(graph.reach.max())
+    count = 2 * chunk_size(geometry) + 7
+    centers = [0, 0, 5, 5] + [rng.randrange(geometry.n_nodes) for _ in range(count - 4)]
+    samples = []
+    for center in centers:
+        r1 = rng.uniform(0.05, 0.9) * top
+        samples.append((center, r1, r1 + rng.uniform(0.01, 0.3) * top))
+    cases = {(bool(graph.holds_every_node(c, r1)), bool(graph.holds_every_node(c, r2)))
+             for c, r1, r2 in samples}
+    assert cases == {(True, True), (False, True), (False, False)}
+    if mode == "table":
+        graph.tabulate([], float(np.median([r2 for _, _, r2 in samples])))
+    density, trace, coarea = reference_checks(filtration, samples)
+    assert ([c.to_row() for c in point_density_check(filtration, samples)]
+            == [c.to_row() for c in density])
+    assert ([c.to_row() for c in level_trace_checks(filtration, samples)]
+            == [c.to_row() for c in trace])
+    for level in range(filtration.dim):
+        assert ([c.to_row() for c in coarea_check(filtration, level, samples)]
+                == [c.to_row() for c in coarea[level]])
+    assert bool(graph._table) == (mode == "table")
+    levels = {len(filtration.level(i)) > 0 for i in range(filtration.dim)}
+    assert levels == ({False} if name == "vanishing_filtration" else {True})
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +631,9 @@ def test_rows_stop_at_the_largest_radius_not_proven_whole(name, request, monkeyp
 def assert_batch_is_single_rows(graph, nodes, limits):
     # equal wherever a row is exact: out to the limit
     for limit in limits:
-        batch = list(graph.rows_within(nodes, limit))
-        assert [node for node, _ in batch] == nodes
-        for node, row in batch:
+        batch = graph.rows_within(nodes, [limit] * len(nodes))
+        assert batch.shape == (len(nodes), graph.n_nodes)
+        for node, row in zip(nodes, batch):
             one = graph.distances_within(node, limit)
             assert np.array_equal(np.where(row <= limit, row, np.inf),
                                   np.where(one <= limit, one, np.inf))
@@ -566,7 +683,7 @@ def test_only_complete_rows_tighten_reach(small_genus_filtration):
     assert np.array_equal(graph.reach, tightened)
     assert (tightened < reach).any()
     # at the nearest node's eccentricity, the farthest node's row is cut
-    rows = [row for _, row in graph.rows_within([far, near], ecc[near])]
+    rows = graph.rows_within([far, near], [ecc[near]] * 2)
     assert np.isinf(rows[0]).any() and np.array_equal(rows[1], dist[near])
     assert np.array_equal(graph.reach, np.minimum(tightened, dist[near] + ecc[near]))
 
@@ -597,14 +714,15 @@ def test_truncated_rows_give_the_dense_outputs(name, top, request, monkeypatch):
         geometry = copy.geometry
         rng = random.Random(13)
         rows = [c.to_row() for c in inequality_sweep(copy, 60, seed=3)]
+        samples = []
         for _ in range(20):
             center = rng.randrange(geometry.n_nodes)
             r1 = rng.uniform(0.02, 0.9) * top
-            r2 = r1 + 0.05 * top
-            checks = [point_density_check(copy, center, r1, r2)]
-            checks += [coarea_check(copy, level, center, r1, r2)
-                       for level in range(copy.dim)]
-            rows += [c.to_row() for c in checks]
+            samples.append((center, r1, r1 + 0.05 * top))
+        checks = point_density_check(copy, samples)
+        for level in range(copy.dim):
+            checks += coarea_check(copy, level, samples)
+        rows += [c.to_row() for c in checks]
         z0 = copy.z0_nodes()
         packing = greedy_packing(z0, geometry) if z0 else None
         return rows, estimate_v1(geometry), packing
@@ -621,10 +739,11 @@ def test_truncated_rows_give_the_dense_outputs(name, top, request, monkeypatch):
 
 @pytest.mark.parametrize("table", [True, False], ids=["table", "rows"])
 def test_v1_rows_come_in_batches(table, monkeypatch):
-    # On 5,400 nodes V1 reads its rows in at most ceil(N / batch) calls,
-    # batch = _BATCH // N rows: from the ball table when its radius covers
-    # V1's, else computed out to V1's radius.  The estimate is the first
-    # node of largest measure, as one row per node gives it.
+    # On 5,400 nodes V1 reads its rows from the ball table when its radius
+    # covers V1's, tabulated first in at most ceil(N / batch) calls, batch
+    # = _BATCH // N rows; else it computes them out to V1's radius, one
+    # call per chunk of balls.  The estimate is the first node of largest
+    # measure, as one row per node gives it.
     geometry = torus(5, scale=0.1).geometry(3)
     graph = geometry.graph
     monkeypatch.setattr(bounds, "_V1_RADIUS", 0.02)
@@ -641,12 +760,13 @@ def test_v1_rows_come_in_batches(table, monkeypatch):
     monkeypatch.setattr(complexes, "dijkstra", recording)
     estimate = estimate_v1(geometry)
     n = geometry.n_nodes
-    assert 0 < len(calls) <= math.ceil(n / (complexes._BATCH // n))
+    size = complexes._BATCH // n if table else chunk_size(geometry)
+    assert 0 < len(calls) <= math.ceil(n / size)
     assert set(calls) == {0.025 if table else 0.02}
     assert len(graph._table) == (n if table else 0)
     rows = reference_distances(graph, [0, estimate.argmax_node, n - 1])
     measures = [
-        credited_measure(geometry.cells_array, geometry.cell_volumes, row, 0.02)
+        reference_measure(geometry.cells_array, geometry.cell_volumes, row, 0.02)
         for row in rows
     ]
     assert (estimate.value, estimate.boundary_credit) == measures[1]
@@ -777,10 +897,9 @@ def test_rainbow_bound_below_packing_chain(torus_filtration_d2):
     packing = greedy_packing(z0, geometry)
     estimate = estimate_v1(geometry)
     eps = torus_filtration_d2.slacks[1]
-    budget = 0.0
-    for center in packing.centers:
-        check = point_density_check(torus_filtration_d2, center, 0.5, 0.999)
-        budget = max(budget, check.budget)
+    samples = [(center, 0.5, 0.999) for center in packing.centers]
+    checks = point_density_check(torus_filtration_d2, samples)
+    budget = max(check.budget for check in checks)
     lhs = (2**n) * len(z0)
     rhs = (4**n) * math.factorial(n) * (estimate.value + eps + budget) * packing.count
     assert lhs <= rhs + 1e-9

@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepfilt import Subpolyhedron, WeightedComplex, complexes, simplex_volume
-from sepfilt.complexes import MetricGraph, credited_measure
+from sepfilt.complexes import MetricGraph
 from sepfilt.errors import DimensionMismatch, NondegenerateViolation
 from sepfilt.generators import circle, genus_surface, torus
 
-from conftest import ball_volume, complete_arcs, reference_distances
+from conftest import (ball_volume, complete_arcs, reference_distances,
+                      reference_measure)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +184,10 @@ def test_disjoint_union_additivity():
 
 def ball_of(geometry, center, r):
     """Node ids within graph distance r of the center, the cells all of
-    whose nodes are, and the ball's ``credited_measure``."""
+    whose nodes are, and the ball's ``reference_measure``."""
     dist = geometry.graph.distances_from(center)
     inside = (dist[geometry.cells_array] <= r).all(axis=1)
-    measure = credited_measure(geometry.cells_array, geometry.cell_volumes, dist, r)
+    measure = reference_measure(geometry.cells_array, geometry.cell_volumes, dist, r)
     return (set(np.flatnonzero(dist <= r).tolist()),
             set(np.flatnonzero(inside).tolist()), measure)
 
@@ -426,7 +427,7 @@ def test_rows_equal_the_complete_arc_reference(name, request):
         assert np.isinf(cut).any() == (limit < ecc)
         for node, expected in zip(sources, cut):
             assert np.array_equal(graph.distances_within(node, limit), expected)
-        batch = np.array([row for _, row in graph.rows_within(sources, limit)])
+        batch = graph.rows_within(sources, [limit] * len(sources))
         assert np.array_equal(batch, cut)
 
 
@@ -446,8 +447,10 @@ def test_a_strict_shortcut_stays_a_portal():
     assert reference[0, 2] == 2.0 and reference[5, 4] == 0.5
     for limit in (1.0, 2.5, math.inf):
         cut = np.where(reference <= limit, reference, math.inf)
-        rows = np.array([row for _, row in graph.rows_within(range(6), limit)])
-        assert np.array_equal(rows, cut)
+        rows = graph.rows_within(range(6), [limit] * 6)
+        # node 0's row is its complete anchor row at every limit
+        assert np.array_equal(rows[0], reference[0])
+        assert np.array_equal(rows[1:], cut[1:])
     with pytest.raises(ValueError, match="must be an arc"):
         MetricGraph(3, [(0, 1), (1, 2)], [1.0, 1.0], [[0, 1, 2]])
     with pytest.raises(ValueError, match="must be an arc"):
@@ -495,7 +498,8 @@ def test_each_ball_is_tabulated_once(make, radius, monkeypatch):
     # ``run`` and ``verify`` compute node 0's complete row once, for
     # ``reach``, and tabulate each R-ball at most once, in batches.  V1
     # reads its radius-1 rows from the table when R >= 1 and computes them
-    # in one batch when R < 1; validate reads its certificate rows alone,
+    # one call per chunk of balls when R < 1; validate reads its
+    # certificate rows alone,
     # and the density and coarea sweeps each tabulate their centers at once.
     from sepfilt.filtration import Filtration, SeparationConfig
     from sepfilt.pipeline import audit_document, inequality_sweep, run_pipeline
@@ -518,7 +522,10 @@ def test_each_ball_is_tabulated_once(make, radius, monkeypatch):
     assert calls[0] == (None, [0])
     assert sorted(rows_at(radius)) == sorted(graph._table)
     v1_calls = [nodes for limit, nodes in calls if limit == 1.0]
-    assert len(v1_calls) == (radius < 1) and len(calls) == 1 + len(
+    geometry = artifacts.geometry
+    chunk = complexes._BATCH // (8 * max(geometry.n_nodes, len(geometry.cells)))
+    assert all(len(nodes) <= chunk for nodes in v1_calls)
+    assert bool(v1_calls) == (radius < 1) and len(calls) == 1 + len(
         [limit for limit, _ in calls if limit in (radius, 1.0)])
     calls.clear()
     document = artifacts.filtration_document()

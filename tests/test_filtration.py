@@ -210,7 +210,8 @@ def test_components_match_oracle_on_random_cuts(torus4_d1):
     for _ in range(10):
         ids = rng.sample(range(len(facets)), k=rng.randrange(0, len(facets)))
         blocked = [facets[k] for k in ids]
-        ours = sorted(cells for cells, _ in system.component_groups(ids))
+        groups = system.component_groups(system.components(ids))
+        ours = sorted(cells for cells, _ in groups)
         oracle = components_oracle(torus4_d1.cells, blocked)
         assert ours == oracle
         # each label is the smallest cell index of its component
@@ -257,7 +258,7 @@ def test_array_incidence_matches_set_definitions(name):
             for index, label in enumerate(labels):
                 groups.setdefault(label, []).append(index)
             expected = [tuple(groups[key]) for key in sorted(groups)]
-            found = system.component_groups(blocked)
+            found = system.component_groups(labels)
             assert [group for group, _ in found] == expected
             assert all(type(i) is int for group, _ in found for i in group)
             for group, nodes in found:
@@ -358,7 +359,11 @@ def test_cell_system_matches_loop_build(name, depth):
         assert all(type(v) is int for v in system.coface_cells.tolist())
         assert system.closures.tolist() == loop["closures"]
         assert system.cell_faces.tolist() == loop["cell_faces"]
-        assert system.dual_pairs.T.tolist() == loop["pairs"]
+        # sorted stably by first coface, with a row pointer over the cells
+        pairs = sorted(loop["pairs"], key=lambda pair: pair[1])
+        assert system.dual_pairs.T.tolist() == pairs
+        assert system.dual_ptr.tolist() == [
+            sum(pair[1] < cell for pair in pairs) for cell in range(len(cells) + 1)]
 
 
 @pytest.mark.parametrize(
@@ -413,7 +418,8 @@ def fit_inputs(geometry, radii, seed=11):
     node_sets = [np.arange(geometry.n_nodes)]
     for share in (0.3, 0.6, 0.9):
         blocked = [k for k in range(len(system.facets)) if rng.random() < share]
-        node_sets.extend(nodes for _, nodes in system.component_groups(blocked))
+        groups = system.component_groups(system.components(blocked))
+        node_sets.extend(nodes for _, nodes in groups)
     return [(nodes, radius) for nodes in node_sets for radius in radii]
 
 
@@ -1091,10 +1097,11 @@ def test_coarea_inequality_on_minimized_level(torus_filtration_d1):
     rng = random.Random(31)
     geometry = torus_filtration_d1.geometry
     radius = torus_filtration_d1.config.radius
+    samples = []
     for _ in range(50):
         r1, r2 = sorted(rng.uniform(0.05 * radius, 0.95 * radius) for _ in range(2))
         if r1 == r2:
             continue
-        center = rng.randrange(geometry.n_nodes)
-        check = coarea_check(torus_filtration_d1, 1, center, r1, r2)
+        samples.append((rng.randrange(geometry.n_nodes), r1, r2))
+    for check in coarea_check(torus_filtration_d1, 1, samples):
         assert check.residual >= -check.budget

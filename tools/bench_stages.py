@@ -45,6 +45,18 @@ split, ``complete_rows`` is counted on the filled rows.
 ``nodes``, ``portals`` (the nodes Dijkstra settles from a portal source;
 every node before the split), ``dijkstra_arcs`` (the arcs Dijkstra scans)
 and ``table_arcs`` (the portal -> interior arcs held in the block tables).
+The sweep counters: ``checks`` counts the inequality checks made
+(``InequalityCheck`` constructions), ``sweep_chunks`` the chunks of
+balls that the checks and V1 evaluate (the chunks ``bounds._chunks``
+yields; a checkout from before the chunks evaluates each check alone and
+counts one chunk per check), ``dijkstra_calls`` the ``dijkstra`` calls
+(an all-pairs call counts one) and ``rows_read`` the distance rows the
+metric graph hands out: the rows ``MetricGraph.rows_within`` returns for
+a nonnegative limit, or, before it took per-node limits, the
+``distances_within`` reads plus the rows ``rows_within`` computed past
+the table's radius.  ``gc_s`` is the time the cyclic garbage collector
+spent in each stage, from ``gc.callbacks`` (it is part of the stage's
+time), and ``gc_collections`` the number of its collections there.
 ``fit_calls`` counts each stage's ``fit_in_ball`` calls, wrapped at every
 ``sepfilt`` module attribute that holds it.  ``balls_built`` counts the
 R-balls computed: the rows ``MetricGraph.tabulate`` adds to the table, or
@@ -102,7 +114,9 @@ VERIFY_SAMPLES, VERIFY_SEED = 2000, 101
 STAGES = ("geometry", "incidence", "filtration", "coloring", "census", "V1",
           "packing", "sweep", "validate", "verify")
 COUNTERS = ("dijkstra_rows", "truncated_rows", "complete_rows",
-            "fill_pairs", "table_builds", "fit_calls",
+            "fill_pairs", "table_builds", "checks", "sweep_chunks",
+            "dijkstra_calls", "rows_read", "gc_s", "gc_collections",
+            "fit_calls",
             "balls_built", "try_remove_calls", "merge_refusals",
             "cell_systems", "face_id_lookups")
 # sizes at the end of each stage, not counts during it
@@ -112,15 +126,17 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 def measure(fixture):
     """One in-process run of the pipeline: stage seconds, RSS and digest."""
+    import gc
     import hashlib
+    import inspect
     import math
     import resource
     import time
 
     import numpy as np
 
-    from sepfilt import (WeightedComplex, adjacency, complexes, filtration as
-                         filtration_module, generators, pipeline)
+    from sepfilt import (WeightedComplex, adjacency, bounds, complexes,
+                         filtration as filtration_module, generators, pipeline)
     from sepfilt.bounds import bound_report, estimate_v1, greedy_packing
     from sepfilt.files import canonical_dumps
     from sepfilt.filtration import Filtration, SeparationConfig, build_filtration
@@ -141,6 +157,7 @@ def measure(fixture):
     def counted_dijkstra(*args, **kwargs):
         result = dijkstra(*args, **kwargs)
         rows = result.size // result.shape[-1]
+        counts["dijkstra_calls"] += 1
         counts["dijkstra_rows"] += rows
         if kwargs.get("limit", math.inf) < math.inf:
             counts["truncated_rows"] += rows
@@ -197,6 +214,49 @@ def measure(fixture):
         counts["face_id_lookups"] += 1
         return face_ids(system, *args, **kwargs)
 
+    check_init = bounds.InequalityCheck.__init__
+    chunks = getattr(bounds, "_chunks", None)
+    rows_within = graph_class.rows_within
+    distances_within = graph_class.distances_within
+    per_node_limits = "limits" in inspect.signature(rows_within).parameters
+    collecting = 0.0
+
+    def counted_check(check, *args, **kwargs):
+        counts["checks"] += 1
+        counts["sweep_chunks"] += chunks is None
+        check_init(check, *args, **kwargs)
+
+    def counted_chunks(*args, **kwargs):
+        for chunk in chunks(*args, **kwargs):
+            counts["sweep_chunks"] += 1
+            yield chunk
+
+    def counted_rows_within(graph, nodes, limits):
+        if per_node_limits:
+            counts["rows_read"] += int((np.asarray(limits) >= 0).sum())
+        elif limits > graph.radius:
+            counts["rows_read"] += len(nodes)
+        return rows_within(graph, nodes, limits)
+
+    def counted_distances_within(graph, node, limit):
+        counts["rows_read"] += 1
+        return distances_within(graph, node, limit)
+
+    def timed_collection(phase, info):
+        nonlocal collecting
+        if phase == "start":
+            collecting = time.perf_counter()
+        else:
+            counts["gc_s"] += time.perf_counter() - collecting
+            counts["gc_collections"] += 1
+
+    bounds.InequalityCheck.__init__ = counted_check
+    if chunks is not None:
+        bounds._chunks = counted_chunks
+    graph_class.rows_within = counted_rows_within
+    if not per_node_limits:
+        graph_class.distances_within = counted_distances_within
+    gc.callbacks.append(timed_collection)
     complexes.dijkstra = counted_dijkstra
     adjacency.CellSystem.__init__ = counted_cell_system
     adjacency.CellSystem.face_ids = counted_face_ids
