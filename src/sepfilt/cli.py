@@ -59,7 +59,7 @@ def gen(shape, nodes, length, side, scale, genus_, out):
         complex_ = torus(side, scale=scale)
     else:
         complex_ = genus_surface(genus_, scale=scale)
-    complex_.save(out)
+    write_json(out, complex_.to_json())
     click.echo(f"wrote {out}: dimension {complex_.dimension}, "
                f"{len(complex_.simplices)} maximal simplices")
 
@@ -79,7 +79,7 @@ def gen(shape, nodes, length, side, scale, genus_, out):
 def run(complex_file, radius, epsilon, seed, subdivision_depth, move_budget,
         samples, out_dir):
     """Build a filtration, census, and bound report for a complex file."""
-    complex_ = WeightedComplex.load(complex_file)
+    complex_ = WeightedComplex.from_json(read_json(complex_file))
     config = SeparationConfig(
         radius=radius,
         epsilon=epsilon,
@@ -93,8 +93,9 @@ def run(complex_file, radius, epsilon, seed, subdivision_depth, move_budget,
     filtration_path = os.path.join(out_dir, "filtration.json")
     report_path = os.path.join(out_dir, "report.json")
     csv_path = os.path.join(out_dir, "report_samples.csv")
+    report = artifacts.report_document()
     write_json(filtration_path, artifacts.filtration_document())
-    write_json(report_path, artifacts.report_document())
+    write_json(report_path, report)
     write_checks_csv(csv_path, artifacts.checks)
     manifest_path = os.path.join(out_dir, "manifest.json")
     write_manifest(
@@ -105,7 +106,7 @@ def run(complex_file, radius, epsilon, seed, subdivision_depth, move_budget,
         [filtration_path, report_path, csv_path],
         __version__,
     )
-    summary = artifacts.report_document()["sweep_summary"]
+    summary = report["sweep_summary"]
     click.echo(
         f"rainbow_bound={artifacts.report.rainbow_bound} "
         f"constant_bound={float(artifacts.report.constant_bound):.6g} "

@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import operator
 import os
-import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -181,10 +179,6 @@ class WeightedComplex:
         for cell in self.simplices:
             # raises NondegenerateViolation for impossible metrics
             simplex_volume(self.simplex_edge_lengths(cell))
-        # Weak, because each geometry refers back to its base: a strong
-        # cache would make a cycle that only the cyclic collector frees,
-        # and a dropped geometry would keep its distance rows until then.
-        self._geometries = weakref.WeakValueDictionary()
 
     def edge_length(self, u, v):
         key = (u, v) if u < v else (v, u)
@@ -211,10 +205,7 @@ class WeightedComplex:
         if cells * (n + 1) * 8 > memory:
             raise ValueError(f"subdivision depth {depth} gives {cells} cells, "
                              f"more than {memory} bytes of physical memory")
-        geometry = self._geometries.get(depth)
-        if geometry is None:
-            geometry = self._geometries[depth] = ComplexGeometry(self, depth)
-        return geometry
+        return ComplexGeometry(self, depth)
 
     def to_json(self):
         return {
@@ -234,16 +225,6 @@ class WeightedComplex:
             {(u, v): length for u, v, length in data["edge_lengths"]},
             metadata=data.get("metadata"),
         )
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_json(json.load(handle))
 
 
 class MetricGraph:
@@ -811,9 +792,6 @@ class Subpolyhedron:
         """The root's face volume of each cell, in cell order, read from the
         parent's face volumes: this level's ``cell_system`` is not needed."""
         return self.parent.face_volumes[self.facet_ids]
-
-    def total_area(self):
-        return float(sum(self.cell_volumes))
 
     def __len__(self):
         return len(self.cells_array)

@@ -32,10 +32,9 @@ _AREA_RTOL = 1e-9
 class SeparationConfig:
     """Knobs for one filtration run; all randomness flows from rng_seed.
 
-    ``slack_schedule`` fixes the per-level minimization slacks directly;
-    when omitted, level i receives eps / (2 n R^(n-i)), which makes the
-    total accumulated slack sum 2 eps_i R^(n-i) equal the configured
-    epsilon; ``slacks`` checks the schedule.
+    Level i of an n-dimensional filtration receives the slack
+    eps / (2 n R^(n-i)), which makes the total accumulated slack
+    sum 2 eps_i R^(n-i) equal the configured epsilon.
     """
 
     radius: float
@@ -43,7 +42,6 @@ class SeparationConfig:
     move_budget: int = 40
     rng_seed: int = 0
     subdivision_depth: int = 2
-    slack_schedule: tuple | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius > 0):
@@ -52,22 +50,15 @@ class SeparationConfig:
             raise ValueError("epsilon must be positive and finite")
         if self.move_budget < 0:
             raise ValueError("move budget must not be negative")
-        if self.slack_schedule is not None:
-            schedule = tuple(float(e) for e in self.slack_schedule)
-            object.__setattr__(self, "slack_schedule", schedule)
-            self.slacks(len(schedule))
 
     def slacks(self, n):
         """The slacks eps_i of an n-dimensional filtration and their total
         sum 2 eps_i R^(n-i).  Raises ValueError unless all are positive and
         finite: R^(n-i) can overflow or underflow for R far from 1."""
-        schedule, R = self.slack_schedule, self.radius
-        if schedule is not None and len(schedule) != n:
-            raise ValueError(f"slack schedule has {len(schedule)} entries, need {n}")
+        R = self.radius
         try:
-            if schedule is None:
-                schedule = tuple(self.epsilon / (2.0 * n * R ** (n - i))
-                                 for i in range(n))
+            schedule = tuple(self.epsilon / (2.0 * n * R ** (n - i))
+                             for i in range(n))
             total = sum(2.0 * e * R ** (n - i) for i, e in enumerate(schedule))
         except (OverflowError, ZeroDivisionError):
             total = math.inf  # fails the check below before schedule is read
@@ -83,19 +74,11 @@ class SeparationConfig:
             "move_budget": self.move_budget,
             "rng_seed": self.rng_seed,
             "subdivision_depth": self.subdivision_depth,
-            "slack_schedule": (
-                list(self.slack_schedule) if self.slack_schedule else None
-            ),
         }
 
     @classmethod
     def from_json(cls, data):
-        data = dict(data)
-        schedule = data.pop("slack_schedule", None)
-        return cls(
-            **data,
-            slack_schedule=tuple(schedule) if schedule else None,
-        )
+        return cls(**data)
 
 
 @dataclass(frozen=True)

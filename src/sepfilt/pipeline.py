@@ -55,7 +55,7 @@ def coarea_sweep(filtration, samples, seed):
 def inequality_sweep(filtration, samples, seed):
     """Density checks, then coarea checks on a quarter of the samples."""
     checks = density_sweep(filtration, samples, seed)
-    if filtration.dim >= 1 and samples:
+    if samples:
         checks.extend(coarea_sweep(filtration, max(1, samples // 4), seed + 1))
     return checks
 

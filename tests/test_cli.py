@@ -9,18 +9,14 @@ import pytest
 import sepfilt.cli
 from sepfilt.cli import main
 from sepfilt.complexes import WeightedComplex
-from sepfilt.generators import torus
-
-
-def read(path):
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+from sepfilt.files import canonical_dumps, read_json, write_json
+from sepfilt.generators import circle, genus_surface, torus
 
 
 def test_gen_circle(tmp_path):
     out = tmp_path / "circle.json"
     assert main(["gen", "circle", "--nodes", "8", "--length", "4", "-o", str(out)]) == 0
-    complex_ = WeightedComplex.load(out)
+    complex_ = WeightedComplex.from_json(read_json(out))
     assert complex_.dimension == 1
     assert len(complex_.simplices) == 8
     assert complex_.geometry(0).total_area() == pytest.approx(4.0)
@@ -29,7 +25,7 @@ def test_gen_circle(tmp_path):
 def test_gen_torus(tmp_path):
     out = tmp_path / "torus.json"
     assert main(["gen", "torus", "--side", "4", "-o", str(out)]) == 0
-    complex_ = WeightedComplex.load(out)
+    complex_ = WeightedComplex.from_json(read_json(out))
     assert len(complex_.simplices) == 32
     assert complex_.geometry(0).total_area() == pytest.approx(16.0)
 
@@ -37,9 +33,29 @@ def test_gen_torus(tmp_path):
 def test_gen_genus_surface(tmp_path):
     out = tmp_path / "g2.json"
     assert main(["gen", "genus", "--genus", "2", "-o", str(out)]) == 0
-    complex_ = WeightedComplex.load(out)
+    complex_ = WeightedComplex.from_json(read_json(out))
     expected = 2.0 * (1.0 + math.sqrt(2.0))  # octagon with unit sides
     assert complex_.geometry(0).total_area() == pytest.approx(expected)
+
+
+@pytest.mark.parametrize(
+    "args, complex_, radius",
+    [
+        (["circle", "--nodes", "8", "--length", "4"], circle(8, 4.0), "1.0"),
+        (["torus", "--side", "4"], torus(4), "1.1"),
+        (["genus", "--genus", "2"], genus_surface(2), "0.7"),
+    ],
+    ids=["circle", "torus", "genus"],
+)
+def test_gen_writes_the_canonical_document_that_run_reads(tmp_path, args,
+                                                          complex_, radius):
+    out = tmp_path / "complex.json"
+    assert main(["gen", *args, "-o", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == canonical_dumps(complex_.to_json())
+    assert main(["run", str(out), "--subdivision-depth", "1", "--radius", radius,
+                 "--samples", "2", "--out-dir", str(tmp_path / "run")]) == 0
+    document = read_json(tmp_path / "run" / "filtration.json")
+    assert document["complex"] == complex_.to_json()
 
 
 @pytest.mark.parametrize(
@@ -90,9 +106,9 @@ def test_run_circle_reports_rainbow_bound(tmp_path):
         ]
     )
     assert code == 0
-    report = read(out_dir / "report.json")
+    report = read_json(out_dir / "report.json")
     assert report["bound_report"]["rainbow_bound"] == 4
-    filtration = read(out_dir / "filtration.json")
+    filtration = read_json(out_dir / "filtration.json")
     assert filtration["census"]["total"] == 4
     assert (out_dir / "manifest.json").exists()
     assert (out_dir / "report_samples.csv").exists()
@@ -226,7 +242,7 @@ def test_zero_counts_are_valid(tmp_path, circle_run):
     assert main(["run", circle_run["circle"], "--subdivision-depth", "1",
                  "--samples", "0", "--move-budget", "0",
                  "--out-dir", str(out_dir)]) == 0
-    assert read(out_dir / "manifest.json")["config"]["move_budget"] == 0
+    assert read_json(out_dir / "manifest.json")["config"]["move_budget"] == 0
     assert main(["verify", circle_run["filtration"], "--samples", "0",
                  "--out", str(tmp_path / "sweep.csv")]) == 0
 
@@ -253,7 +269,7 @@ def test_verify_tampered_filtration(tmp_path, capsys):
             "--out-dir", str(out_dir),
         ]
     )
-    payload = read(out_dir / "filtration.json")
+    payload = read_json(out_dir / "filtration.json")
     # delete a 0-level cell: the remaining point cannot separate the circle
     del payload["levels"][0]["cells"][0]
     tampered = tmp_path / "tampered.json"
@@ -313,7 +329,7 @@ CERTIFICATE_EDITS = {
 def test_tampered_certificate_fails_verification(tmp_path, capsys,
                                                  torus_filtration, name):
     level, index, edit, field = CERTIFICATE_EDITS[name]
-    payload = read(torus_filtration)
+    payload = read_json(torus_filtration)
     component = payload["levels"][level]["components"][index]
     component.update(edit(component) if callable(edit) else edit)
     path = tmp_path / "filtration.json"
@@ -361,7 +377,7 @@ def test_stored_fields_are_re_derived(tmp_path, capsys, torus_filtration, name):
 @pytest.mark.parametrize("change", ["dropped", "duplicated"])
 def test_component_count_mismatch_fails_verification(tmp_path, capsys,
                                                      torus_filtration, change):
-    payload = read(torus_filtration)
+    payload = read_json(torus_filtration)
     components = payload["levels"][1]["components"]
     if change == "dropped":
         components.pop()
@@ -378,7 +394,7 @@ def test_edited_level_cells_with_stale_certificates_fail_verification(
         tmp_path, capsys, torus_filtration):
     # drop a level-1 edge holding no level-0 point: the level stays nested
     # over Z_0, but its stored certificates no longer match its components
-    payload = read(torus_filtration)
+    payload = read_json(torus_filtration)
     points = {node for cell in payload["levels"][0]["cells"] for node in cell}
     cells = payload["levels"][1]["cells"]
     cells.remove(next(cell for cell in cells if not points & set(cell)))
@@ -395,7 +411,7 @@ def test_edited_level_cells_with_stale_certificates_fail_verification(
 
 def _set(path, *keys_and_value):
     *keys, value = keys_and_value
-    payload = read(path)
+    payload = read_json(path)
     target = payload
     for key in keys[:-1]:
         target = target[key]
@@ -492,15 +508,28 @@ def test_help_exits_zero():
 # Definitions only the tests call: reference implementations they compare
 # the package's results with.
 TEST_ORACLES = ["ComplexGeometry.node_barycentric", "Chain.is_zero",
-                "level_trace_checks", "straighten"]
+                "boundary", "level_trace_checks", "straighten"]
 
 
-def referenced_names(node):
-    """How often each name is read in a syntax tree, as a name or an attribute."""
-    return collections.Counter(
-        item.id if isinstance(item, ast.Name) else item.attr
-        for item in ast.walk(node) if isinstance(item, (ast.Name, ast.Attribute))
-    )
+def referenced_names(node, bound=frozenset()):
+    """How often each name is read in a syntax tree, as a name or an
+    attribute.  A name a function binds (an assignment or loop target, or
+    an argument) is that function's local, so it is no read there."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        bound = bound | {
+            item.arg if isinstance(item, ast.arg) else item.id
+            for item in ast.walk(node)
+            if isinstance(item, ast.arg)
+            or isinstance(item, ast.Name) and isinstance(item.ctx, ast.Store)
+        }
+    counts = collections.Counter()
+    if isinstance(node, ast.Name) and node.id not in bound:
+        counts[node.id] += 1
+    elif isinstance(node, ast.Attribute):
+        counts[node.attr] += 1
+    for child in ast.iter_child_nodes(node):
+        counts += referenced_names(child, bound)
+    return counts
 
 
 def test_every_module_is_reached_from_the_cli():
@@ -562,13 +591,15 @@ def bad_inputs(tmp_path_factory):
         paths[name].write_text(json.dumps(payload))
     main(["run", str(paths["circle"]), "--subdivision-depth", "1",
           "--samples", "2", "--out-dir", str(root / "run")])
+    # a config key that no command writes: verify refuses it as an input
+    # error, exit 2 with no traceback
     paths["nan_slack"] = root / "run" / "filtration.json"
     _set(paths["nan_slack"], "config", "slack_schedule", [math.nan])
     # a surface, whose slacks eps / (4 R^(2-i)) overflow or underflow for
     # a radius far from 1, and its filtration with such a radius or a
     # subdivision depth whose cells would not fit in memory
     paths["torus"] = root / "torus.json"
-    torus(3).save(paths["torus"])
+    write_json(paths["torus"], torus(3).to_json())
     main(["run", str(paths["torus"]), "--subdivision-depth", "1",
           "--samples", "2", "--out-dir", str(root / "torus_run")])
     document = (root / "torus_run" / "filtration.json").read_text()

@@ -155,7 +155,7 @@ def test_two_triangles_additive():
 
 
 def test_empty_subpolyhedron_area(circle8_geom):
-    assert Subpolyhedron(circle8_geom, ()).total_area() == 0.0
+    assert Subpolyhedron(circle8_geom, ()).whole_measure == (0.0, 0.0)
 
 
 def test_torus_total_area(torus4_d1):
@@ -329,11 +329,9 @@ def test_a_depth_past_physical_memory_is_refused_before_any_allocation():
 
 
 def test_dropped_geometry_is_freed_without_the_cycle_collector():
-    # The complex caches its geometries weakly: a held geometry is reused,
-    # and a dropped one (with its distance rows) is freed at once.
+    # A dropped geometry (with its distance rows) is freed at once.
     complex_ = torus(3)
     geometry = complex_.geometry(1)
-    assert complex_.geometry(1) is geometry
     dropped = weakref.ref(geometry)
     gc.disable()
     try:

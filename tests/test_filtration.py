@@ -113,29 +113,17 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SeparationConfig(radius=1.0, epsilon=0.0)
     with pytest.raises(ValueError):
-        SeparationConfig(radius=1.0, slack_schedule=(0.1, 0.0))
-    with pytest.raises(ValueError):
         SeparationConfig(radius=1.0, move_budget=-1)
     assert SeparationConfig(radius=1.0, move_budget=0).move_budget == 0
     # R^(n-i) overflows or underflows: no positive, finite slacks
-    with pytest.raises(ValueError):
-        SeparationConfig(radius=1e200, slack_schedule=(0.1, 0.1))
     for radius in (1e200, 1e-200):
         config = SeparationConfig(radius=radius)
         with pytest.raises(ValueError):
             config.slacks(2)
     assert SeparationConfig(radius=1e200).slacks(1)[1] == pytest.approx(1e-6)
-
-
-def test_explicit_slack_schedule():
-    config = SeparationConfig(radius=1.5, slack_schedule=(0.01, 0.02))
-    assert config.slacks(2) == ((0.01, 0.02), pytest.approx(
-        2 * 0.01 * 1.5**2 + 2 * 0.02 * 1.5
-    ))
-    with pytest.raises(ValueError):
-        config.slacks(3)
-    clone = SeparationConfig.from_json(config.to_json())
-    assert clone == config
+    config = SeparationConfig(radius=1.5, epsilon=0.12, move_budget=3,
+                              rng_seed=5, subdivision_depth=1)
+    assert SeparationConfig.from_json(config.to_json()) == config
 
 
 # ---------------------------------------------------------------------------
@@ -936,11 +924,12 @@ def test_filtration_deterministic(torus4_d1):
 # sha256 of canonical_dumps(build_filtration(...).to_json()); any change
 # to the search trajectory, its certificates or the file format moves them.
 # genus2 was re-pinned once when a certificate's center became the lowest
-# feasible id (its cells and areas, LEVEL_CELLS_DIGESTS, did not move), and
-# both once when the always-empty ``witness_pair`` left the format
+# feasible id (its cells and areas, LEVEL_CELLS_DIGESTS, did not move),
+# both once when the always-empty ``witness_pair`` left the format, and
+# both once when the config's always-null ``slack_schedule`` left it
 FILTRATION_DIGESTS = {
-    "torus4": "a97a051c4b6938c8fc33d8b7797cace75e88dc170f238bd7fc7411661424b135",
-    "genus2": "fed65a33af75f3ef33218ebc6d911cc0cb7f8a2b8f425781767faf81075b3047",
+    "torus4": "c00dd995bceb8c23295c905f8cf430847d59921e42e60ce4c35f47bb7cd50b57",
+    "genus2": "575a31c513f87b006efd03954d6e7281308eb6d8e0c287ce20d5bd4677389739",
 }
 
 

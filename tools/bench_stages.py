@@ -6,8 +6,8 @@ Usage, from anywhere:
         --checkout change=DIR_B --runs 3 --out BENCH_x.json
 
 Each ``--checkout LABEL=DIR`` names the root of a source tree that holds
-``src/sepfilt``, for example a ``git archive`` of one commit: 6199f8b (the
-coloring without a radius) or a later one.  For every
+``src/sepfilt``, for example a ``git archive`` of one commit: d2bccac (the
+chunked inequality sweep) or a later one.  For every
 run a fresh ``python3`` process imports ``sepfilt`` from that checkout,
 builds the fixture and times ``run_pipeline``'s stages with
 ``time.perf_counter``: geometry (``complex.geometry``), incidence (the
@@ -22,45 +22,38 @@ filtration document before it, ``pipeline.audit_document`` and
 ``inequality_sweep`` with 2,000 samples at seed 101 after it.  Each of the two keeps its own time and counters; their sum is
 what the verify stage alone measured before they were split.
 ``peak_rss_mb`` is the process's ``ru_maxrss``.  ``dijkstra_rows`` counts
-the distance rows each stage computes (an all-pairs call counts one row per
-node), by wrapping ``sepfilt.complexes.dijkstra`` from outside the package,
+the distance rows each stage computes, by wrapping
+``sepfilt.complexes.dijkstra`` from outside the package,
 and ``truncated_rows`` counts those of them computed with a finite
 ``limit`` (read only out to a check's radius); ``complete_rows`` counts
 the rows that come out with no ``inf`` entry, truncated or not (a row
 that reaches every node).  ``table_builds`` counts the calls that fill
 the distance store: the ``dijkstra`` calls made inside
-``MetricGraph.tabulate`` (the ball table), or, in a checkout from before
-the ball table, the dense matrix calls (``dijkstra`` without
-``indices``).  ``table_entries`` and ``table_bytes`` give the size of
-the store held at the end of each stage by the geometry the stage read
-(the run's, or the fresh one of validate and verify): the ball table's
-entries and the bytes of its column and distance arrays and bitsets, or
-the dense matrix's entries and bytes plus its cached ball bitsets.
+``MetricGraph.tabulate`` (the ball table).  ``table_entries`` and
+``table_bytes`` give the size of the store held at the end of each stage
+by the geometry the stage read (the run's, or the fresh one of validate
+and verify): the ball table's entries and the bytes of its column and
+distance arrays and bitsets.
 ``fill_pairs`` counts the (row, block) pairs whose interior entries
-``MetricGraph._fill`` completes from the block's portals (0 before the
-portal split); it is counted by redoing the fill's selection after each
-call, and the time that takes is left out of the stage's time.  With the
-split, ``complete_rows`` is counted on the filled rows.
+``MetricGraph._fill`` completes from the block's portals; it is counted
+by redoing the fill's selection after each call, and the time that takes
+is left out of the stage's time.  ``complete_rows`` is counted on the
+filled rows.
 ``graph`` describes the run's metric graph once per fixture:
-``nodes``, ``portals`` (the nodes Dijkstra settles from a portal source;
-every node before the split), ``dijkstra_arcs`` (the arcs Dijkstra scans)
-and ``table_arcs`` (the portal -> interior arcs held in the block tables).
+``nodes``, ``portals`` (the nodes Dijkstra settles from a portal source),
+``dijkstra_arcs`` (the arcs Dijkstra scans) and ``table_arcs`` (the
+portal -> interior arcs held in the block tables).
 The sweep counters: ``checks`` counts the inequality checks made
 (``InequalityCheck`` constructions), ``sweep_chunks`` the chunks of
 balls that the checks and V1 evaluate (the chunks ``bounds._chunks``
-yields; a checkout from before the chunks evaluates each check alone and
-counts one chunk per check), ``dijkstra_calls`` the ``dijkstra`` calls
-(an all-pairs call counts one) and ``rows_read`` the distance rows the
-metric graph hands out: the rows ``MetricGraph.rows_within`` returns for
-a nonnegative limit, or, before it took per-node limits, the
-``distances_within`` reads plus the rows ``rows_within`` computed past
-the table's radius.  ``gc_s`` is the time the cyclic garbage collector
-spent in each stage, from ``gc.callbacks`` (it is part of the stage's
+yields), ``dijkstra_calls`` the ``dijkstra`` calls and ``rows_read`` the
+distance rows the metric graph hands out: the rows
+``MetricGraph.rows_within`` returns for a nonnegative limit.  ``gc_s`` is
+the time the cyclic garbage collector spent in each stage, from ``gc.callbacks`` (it is part of the stage's
 time), and ``gc_collections`` the number of its collections there.
 ``fit_calls`` counts each stage's ``fit_in_ball`` calls, wrapped at every
 ``sepfilt`` module attribute that holds it.  ``balls_built`` counts the
-R-balls computed: the rows ``MetricGraph.tabulate`` adds to the table, or
-the nodes passed to ``MetricGraph.ball_bitsets`` before it.
+R-balls computed: the rows ``MetricGraph.tabulate`` adds to the table.
 The prune counters wrap the method
 ``filtration._PruneState.try_remove``: ``try_remove_calls`` counts its
 calls and ``merge_refusals`` the calls that return False, which
@@ -128,7 +121,6 @@ def measure(fixture):
     """One in-process run of the pipeline: stage seconds, RSS and digest."""
     import gc
     import hashlib
-    import inspect
     import math
     import resource
     import time
@@ -147,9 +139,7 @@ def measure(fixture):
     dijkstra, fit_in_ball = complexes.dijkstra, adjacency.fit_in_ball
     try_remove = filtration_module._PruneState.try_remove
     graph_class = complexes.MetricGraph
-    tabulate = getattr(graph_class, "tabulate", None)
-    ball_bitsets = getattr(graph_class, "ball_bitsets", None)
-    fill = getattr(graph_class, "_fill", None)
+    tabulate, fill = graph_class.tabulate, graph_class._fill
     filling, uncounted = False, 0.0
     cell_system_init = adjacency.CellSystem.__init__
     face_ids = adjacency.CellSystem.face_ids
@@ -161,11 +151,7 @@ def measure(fixture):
         counts["dijkstra_rows"] += rows
         if kwargs.get("limit", math.inf) < math.inf:
             counts["truncated_rows"] += rows
-        if fill is None:
-            counts["complete_rows"] += int(
-                np.isfinite(result).all(axis=-1).sum())
-        if filling or (tabulate is None and kwargs.get("indices") is None):
-            counts["table_builds"] += 1
+        counts["table_builds"] += filling
         return result
 
     def counted_tabulate(graph, nodes, radius):
@@ -196,10 +182,6 @@ def measure(fixture):
         counts["fit_calls"] += 1
         return fit_in_ball(*args, **kwargs)
 
-    def counted_balls(graph, nodes, *args, **kwargs):
-        counts["balls_built"] += len(nodes)
-        return ball_bitsets(graph, nodes, *args, **kwargs)
-
     def counted_remove(state, facet):
         removed = try_remove(state, facet)
         counts["try_remove_calls"] += 1
@@ -215,15 +197,11 @@ def measure(fixture):
         return face_ids(system, *args, **kwargs)
 
     check_init = bounds.InequalityCheck.__init__
-    chunks = getattr(bounds, "_chunks", None)
-    rows_within = graph_class.rows_within
-    distances_within = graph_class.distances_within
-    per_node_limits = "limits" in inspect.signature(rows_within).parameters
+    chunks, rows_within = bounds._chunks, graph_class.rows_within
     collecting = 0.0
 
     def counted_check(check, *args, **kwargs):
         counts["checks"] += 1
-        counts["sweep_chunks"] += chunks is None
         check_init(check, *args, **kwargs)
 
     def counted_chunks(*args, **kwargs):
@@ -232,15 +210,8 @@ def measure(fixture):
             yield chunk
 
     def counted_rows_within(graph, nodes, limits):
-        if per_node_limits:
-            counts["rows_read"] += int((np.asarray(limits) >= 0).sum())
-        elif limits > graph.radius:
-            counts["rows_read"] += len(nodes)
+        counts["rows_read"] += int((np.asarray(limits) >= 0).sum())
         return rows_within(graph, nodes, limits)
-
-    def counted_distances_within(graph, node, limit):
-        counts["rows_read"] += 1
-        return distances_within(graph, node, limit)
 
     def timed_collection(phase, info):
         nonlocal collecting
@@ -251,37 +222,22 @@ def measure(fixture):
             counts["gc_collections"] += 1
 
     bounds.InequalityCheck.__init__ = counted_check
-    if chunks is not None:
-        bounds._chunks = counted_chunks
+    bounds._chunks = counted_chunks
     graph_class.rows_within = counted_rows_within
-    if not per_node_limits:
-        graph_class.distances_within = counted_distances_within
     gc.callbacks.append(timed_collection)
     complexes.dijkstra = counted_dijkstra
     adjacency.CellSystem.__init__ = counted_cell_system
     adjacency.CellSystem.face_ids = counted_face_ids
     filtration_module._PruneState.try_remove = counted_remove
-    if tabulate is not None:
-        graph_class.tabulate = counted_tabulate
-    else:
-        graph_class.ball_bitsets = counted_balls
-    if fill is not None:
-        graph_class._fill = counted_fill
+    graph_class.tabulate = counted_tabulate
+    graph_class._fill = counted_fill
 
     def store(graph):
         """(entries, bytes) of the distances the graph holds."""
-        table = getattr(graph, "_table", None)
-        if table is not None:
-            return (sum(len(ball[0]) for ball in table.values()),
-                    sum(ball[0].nbytes + ball[1].nbytes + sys.getsizeof(ball[2])
-                        for ball in table.values()))
-        full = getattr(graph, "_full", None)
-        bitsets = sum(sys.getsizeof(bits)
-                      for balls in getattr(graph, "_balls", {}).values()
-                      for bits in balls.values())
-        if full is None:
-            return 0, bitsets
-        return full.size, full.nbytes + bitsets
+        table = graph._table.values()
+        return (sum(len(ball[0]) for ball in table),
+                sum(ball[0].nbytes + ball[1].nbytes + sys.getsizeof(ball[2])
+                    for ball in table))
     # modules import fit_in_ball by name: rebind every sepfilt binding
     for name, module in list(sys.modules.items()):
         if name == "sepfilt" or name.startswith("sepfilt."):
@@ -312,16 +268,11 @@ def measure(fixture):
     geometry = complex_.geometry(depth)
     lap("geometry", geometry.graph)
     graph = geometry.graph
-    arcs = getattr(graph, "_arcs", None)
-    if arcs is None:  # before the portal split: one complete matrix
-        arcs, portals, table_arcs = graph._matrix, graph.n_nodes, 0
-    else:
-        interior = np.unique(graph._interiors)
-        portals = graph.n_nodes - len(interior)
-        table_arcs = len(np.unique(graph._portals[:, :, None] * graph.n_nodes
-                                   + graph._interiors[None, :, :]))
+    portals = graph.n_nodes - len(np.unique(graph._interiors))
+    table_arcs = len(np.unique(graph._portals[:, :, None] * graph.n_nodes
+                               + graph._interiors[None, :, :]))
     graph_size = {"nodes": graph.n_nodes, "portals": portals,
-                  "dijkstra_arcs": int(arcs.nnz), "table_arcs": table_arcs}
+                  "dijkstra_arcs": int(graph._arcs.nnz), "table_arcs": table_arcs}
     clock = time.perf_counter()
     geometry.cell_system
     lap("incidence", geometry.graph)
