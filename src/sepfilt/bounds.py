@@ -317,16 +317,6 @@ class V1Estimate:
     systole: float | None
     warning: str | None
 
-    def to_json(self):
-        return {
-            "value": self.value,
-            "argmax_node": self.argmax_node,
-            "boundary_credit": self.boundary_credit,
-            "radius": self.radius,
-            "systole": self.systole,
-            "warning": self.warning,
-        }
-
 
 def estimate_v1(geometry):
     """Maximize the ball volume at radius 1 over the metric-graph nodes.

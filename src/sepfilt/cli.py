@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import sys
+from dataclasses import asdict
 
 import click
 
@@ -25,7 +26,8 @@ from .complexes import WeightedComplex
 from .filtration import Filtration, SeparationConfig
 from .files import read_json, write_checks_csv, write_json, write_manifest
 from .generators import circle, genus_surface, torus
-from .pipeline import audit_document, inequality_sweep, run_pipeline
+from .pipeline import (audit_document, inequality_sweep, run_pipeline,
+                       sweep_summary)
 
 INPUT_ERROR = 2
 VERIFICATION_ERROR = 3
@@ -102,7 +104,7 @@ def run(complex_file, radius, epsilon, seed, subdivision_depth, move_budget,
         manifest_path,
         "run",
         [complex_file],
-        {**config.to_json(), "samples": samples},
+        {**asdict(config), "samples": samples},
         [filtration_path, report_path, csv_path],
         __version__,
     )
@@ -131,7 +133,7 @@ def verify(filtration_file, samples, seed, out):
     density/coarea inequalities."""
     payload = read_json(filtration_file)
     complex_ = WeightedComplex.from_json(payload["complex"])
-    config = SeparationConfig.from_json(payload["config"])
+    config = SeparationConfig(**payload["config"])
     geometry = complex_.geometry(config.subdivision_depth)
     filtration = Filtration.from_json(geometry, payload)
     filtration.validate()
@@ -141,15 +143,14 @@ def verify(filtration_file, samples, seed, out):
         base = os.path.dirname(os.path.abspath(filtration_file))
         out = os.path.join(base, "sweep.csv")
     write_checks_csv(out, checks)
-    violations = [c for c in checks if c.violated]
-    min_residual = min((c.residual for c in checks), default=None)
+    summary = sweep_summary(checks)
     click.echo(
-        f"samples={len(checks)} min_residual={min_residual} "
-        f"violations={len(violations)}"
+        f"samples={summary['samples']} min_residual={summary['min_residual']} "
+        f"violations={summary['violations']}"
     )
-    if violations:
+    if summary["violations"]:
         raise SeparationViolation(
-            f"{len(violations)} unbudgeted inequality violations"
+            f"{summary['violations']} unbudgeted inequality violations"
         )
 
 

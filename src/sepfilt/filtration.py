@@ -15,7 +15,7 @@ import copy
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .errors import Infeasible, SeparationViolation
 _AREA_TOL = 1e-12
 # Relative tolerance of a stored level area against its recomputed sum.
 _AREA_RTOL = 1e-9
+# The keys of one level's record in a filtration file, in writing order.
+_LEVEL_KEYS = ("dim", "cells", "area", "slack", "slack_kind", "components")
 
 
 @dataclass(frozen=True)
@@ -67,19 +69,6 @@ class SeparationConfig:
                              f"positive, finite slacks in dimension {n}")
         return schedule, total
 
-    def to_json(self):
-        return {
-            "radius": self.radius,
-            "epsilon": self.epsilon,
-            "move_budget": self.move_budget,
-            "rng_seed": self.rng_seed,
-            "subdivision_depth": self.subdivision_depth,
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class ComponentCert:
@@ -92,9 +81,6 @@ class ComponentCert:
     cells: int
     center: int | None
     radius: float
-
-    def to_json(self):
-        return {"cells": self.cells, "center": self.center, "radius": self.radius}
 
 
 @dataclass(frozen=True)
@@ -535,31 +521,39 @@ class Filtration:
         return True
 
     def to_json(self):
-        payload = {
-            "config": self.config.to_json(),
+        """The file record: the config and certificates as their dataclass
+        fields, and one record per level with the keys ``_LEVEL_KEYS``."""
+        return {
+            "config": asdict(self.config),
             "dimension": self.dim,
-            "levels": [],
+            "levels": [
+                dict(zip(_LEVEL_KEYS, (
+                    i,
+                    [list(cell) for cell in level.subpolyhedron.cells],
+                    level.area,
+                    level.slack,
+                    level.slack_kind,
+                    [asdict(c) for c in level.certificates],
+                )))
+                for i, level in enumerate(self.levels)
+            ],
         }
-        for i, level in enumerate(self.levels):
-            payload["levels"].append(
-                {
-                    "dim": i,
-                    "cells": [list(cell) for cell in level.subpolyhedron.cells],
-                    "area": level.area,
-                    "slack": level.slack,
-                    "slack_kind": level.slack_kind,
-                    "components": [c.to_json() for c in level.certificates],
-                }
-            )
-        return payload
 
     @classmethod
     def from_json(cls, geometry, payload):
-        """The filtration of a ``to_json`` payload on ``geometry``.  The
-        stored ``dimension`` must be the geometry's and each level's ``dim``
-        its position; a mismatch raises SeparationViolation."""
-        config = SeparationConfig.from_json(payload["config"])
+        """The filtration of a ``to_json`` payload on ``geometry``.
+
+        Each level must carry exactly the keys ``_LEVEL_KEYS`` and each
+        certificate exactly the fields of ``ComponentCert``; a missing or
+        extra key raises ValueError, KeyError or TypeError.  The stored
+        ``dimension`` must be the geometry's and each level's ``dim`` its
+        position; a mismatch raises SeparationViolation."""
+        config = SeparationConfig(**payload["config"])
         entries = payload["levels"]
+        for i, entry in enumerate(entries):
+            if set(entry) != set(_LEVEL_KEYS):
+                raise ValueError(f"level {i}: keys {sorted(entry)} "
+                                 f"(written {sorted(_LEVEL_KEYS)})")
         for field, value, derived in [
             ("dimension: stored", payload["dimension"], geometry.dim),
             *((f"level {i}: stored dim", e["dim"], i) for i, e in enumerate(entries)),
@@ -575,11 +569,8 @@ class Filtration:
                     sub,
                     entry["area"],
                     entry["slack"],
-                    entry.get("slack_kind", "assumed"),
-                    tuple(
-                        ComponentCert(c["cells"], c["center"], c["radius"])
-                        for c in entry.get("components", ())
-                    ),
+                    entry["slack_kind"],
+                    tuple(ComponentCert(**c) for c in entry["components"]),
                 )
             )
             parent = sub

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 import reprlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .bounds import (
     bound_report,
@@ -60,6 +60,16 @@ def inequality_sweep(filtration, samples, seed):
     return checks
 
 
+def sweep_summary(checks):
+    """The sample count, the violation count and the smallest residual
+    (None without samples) of a sweep's checks."""
+    return {
+        "samples": len(checks),
+        "violations": len([c for c in checks if c.violated]),
+        "min_residual": min((c.residual for c in checks), default=None),
+    }
+
+
 @dataclass
 class RunArtifacts:
     """Everything one pipeline run produces, ready for serialization."""
@@ -83,28 +93,15 @@ class RunArtifacts:
         return payload
 
     def report_document(self):
-        violations = [c for c in self.checks if c.violated]
-        summary = {
-            "samples": len(self.checks),
-            "violations": len(violations),
-            "min_residual": (
-                min(c.residual for c in self.checks) if self.checks else None
-            ),
-        }
+        """The report file: the bound report, the V1 estimate and the
+        packing (its fields and its ``count``) and the sweep summary."""
+        packing = self.packing
         return {
             "bound_report": self.report.to_json(),
-            "v1_estimate": self.v1.to_json(),
-            "packing": (
-                {
-                    "centers": list(self.packing.centers),
-                    "r_small": self.packing.r_small,
-                    "r_big": self.packing.r_big,
-                    "count": self.packing.count,
-                }
-                if self.packing is not None
-                else None
-            ),
-            "sweep_summary": summary,
+            "v1_estimate": asdict(self.v1),
+            "packing": (None if packing is None
+                        else {**asdict(packing), "count": packing.count}),
+            "sweep_summary": sweep_summary(self.checks),
         }
 
 

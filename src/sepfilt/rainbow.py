@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import collections
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,16 +50,10 @@ class LevelColoring:
         self.face_colors = face_colors
 
     def to_json(self):
+        """Each color's ``ColorInfo`` fields and its ``id``."""
         return {
-            "colors": [
-                {
-                    "id": color,
-                    "level": info.level,
-                    "component": info.component,
-                    "nodes": info.nodes,
-                }
-                for color, info in sorted(self.color_meta.items())
-            ]
+            "colors": [{"id": color, **asdict(info)}
+                       for color, info in sorted(self.color_meta.items())]
         }
 
 

@@ -608,6 +608,19 @@ def bad_inputs(tmp_path_factory):
         paths[name] = root / f"{name}.json"
         paths[name].write_text(document)
         _set(paths[name], "config", key, value)
+    # levels and certificates carry exactly the keys a run writes: one
+    # missing or one extra is an input error, not a default or a failure
+    for name, edit in [
+        ("no_slack_kind", lambda levels: [lv.pop("slack_kind") for lv in levels]),
+        ("no_components", lambda levels: levels[1].pop("components")),
+        ("cert_extra_key", lambda levels: levels[0]["components"][0].update(
+            witness=0)),
+        ("level_extra_key", lambda levels: levels[1].update(moves_used=3)),
+    ]:
+        payload = json.loads(document)
+        edit(payload["levels"])
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
     return {name: str(path) for name, path in paths.items()}
 
 
@@ -631,11 +644,17 @@ def bad_inputs(tmp_path_factory):
         ["run", "{torus}", "--radius", "1e-200"],
         ["verify", "{huge_radius}"],
         ["verify", "{deep}"],
+        ["verify", "{no_slack_kind}"],
+        ["verify", "{no_components}"],
+        ["verify", "{cert_extra_key}"],
+        ["verify", "{level_extra_key}"],
     ],
     ids=["gen-scale-nan", "gen-scale-inf", "gen-length-inf", "gen-length-huge",
          "radius-nan", "radius-inf", "epsilon-nan", "epsilon-inf", "edge-nan",
          "edge-inf", "edge-huge", "degenerate-simplex", "slack-nan",
-         "radius-huge", "radius-tiny", "verify-radius-huge", "verify-depth-huge"],
+         "radius-huge", "radius-tiny", "verify-radius-huge", "verify-depth-huge",
+         "level-no-slack-kind", "level-no-components", "certificate-extra-key",
+         "level-extra-key"],
 )
 def test_non_finite_and_degenerate_inputs_are_input_errors(tmp_path, capsys,
                                                            bad_inputs, args):

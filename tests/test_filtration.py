@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -123,7 +124,7 @@ def test_config_validation():
     assert SeparationConfig(radius=1e200).slacks(1)[1] == pytest.approx(1e-6)
     config = SeparationConfig(radius=1.5, epsilon=0.12, move_budget=3,
                               rng_seed=5, subdivision_depth=1)
-    assert SeparationConfig.from_json(config.to_json()) == config
+    assert SeparationConfig(**dataclasses.asdict(config)) == config
 
 
 # ---------------------------------------------------------------------------
@@ -990,7 +991,7 @@ def test_minimize_digest_is_pinned():
     payload = {
         "cells": [list(cell) for cell in result.subpolyhedron.cells],
         "area": result.area,
-        "certificates": [cert.to_json() for cert in result.certificates],
+        "certificates": [dataclasses.asdict(c) for c in result.certificates],
         "slack": result.slack,
         "slack_kind": result.slack_kind,
         "moves_used": result.moves_used,

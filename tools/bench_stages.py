@@ -73,6 +73,17 @@ also records the per-level areas of its filtration (Z_0 first) and a
 sha256 of each level's cell list; ``areas_identical`` and
 ``cells_identical`` say whether every run gave the same ones.
 
+The host is shared, and its speed swings by more than most changes this
+tool judges.  So each run also times ``kernel()`` of the benchmark's
+``perfbench/speed.py`` (loaded by path from this tool's own tree, so
+every checkout is measured with one kernel) ``SPEED_SAMPLES`` times just
+before its first stage and as many times just after its last, never
+inside a stage.  Its ``speed`` is the mean of ``KERNEL_REF_S / sample``,
+as ``speed.scale`` computes it: 1.0 at the kernel's reference speed, below
+1 on a slower host.  ``stages_scaled_median_s`` gives the median over runs
+of each stage's time times its run's speed, next to the raw
+``stages_median_s``, and ``runs_speed`` lists each run's speed.
+
 With ``--out`` the result is merged into that JSON file under
 ``results[<fixture>]`` (other fixtures already in it are kept); without it,
 it is printed.
@@ -81,6 +92,7 @@ it is printed.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import statistics
@@ -115,6 +127,16 @@ COUNTERS = ("dijkstra_rows", "truncated_rows", "complete_rows",
 # sizes at the end of each stage, not counts during it
 STORE = ("table_entries", "table_bytes")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+SPEED_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "speed.py"
+SPEED_SAMPLES = 5
+
+
+def load_speed():
+    """The benchmark's ``speed`` module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("speed", SPEED_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def measure(fixture):
@@ -250,6 +272,8 @@ def measure(fixture):
     config = SeparationConfig(radius=radius, subdivision_depth=depth, **CONFIG)
     stages = {}
     stage_counts = {counter: {} for counter in (*COUNTERS, *STORE)}
+    speed = load_speed()
+    kernel_samples = [speed.kernel() for _ in range(SPEED_SAMPLES)]
     clock, at_lap = time.perf_counter(), dict(counts)
 
     def lap(stage, graph):
@@ -305,7 +329,7 @@ def measure(fixture):
     document = artifacts.filtration_document()
     clock = time.perf_counter()
     fresh = WeightedComplex.from_json(document["complex"])
-    checked_depth = SeparationConfig.from_json(document["config"]).subdivision_depth
+    checked_depth = SeparationConfig(**document["config"]).subdivision_depth
     checked = Filtration.from_json(fresh.geometry(checked_depth), document)
     lap("verify", checked.geometry.graph)
     checked.validate()
@@ -313,6 +337,7 @@ def measure(fixture):
     pipeline.audit_document(checked, document)
     verify_checks = inequality_sweep(checked, VERIFY_SAMPLES, VERIFY_SEED)
     lap("verify", checked.geometry.graph)
+    kernel_samples += [speed.kernel() for _ in range(SPEED_SAMPLES)]
     stages["total"] = sum(stages.values())
     text = canonical_dumps({
         "filtration": document,
@@ -324,6 +349,7 @@ def measure(fixture):
         "stages_s": stages,
         **stage_counts,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "speed": speed.scale(1.0, kernel_samples),
         "graph": graph_size,
         "digest": hashlib.sha256(text.encode()).hexdigest(),
         "level_areas": level_areas,
@@ -347,6 +373,11 @@ def summarize(runs):
             stage: round(statistics.median(r["stages_s"][stage] for r in runs), 4)
             for stage in (*STAGES, "total")
         },
+        "stages_scaled_median_s": {
+            stage: round(statistics.median(
+                r["stages_s"][stage] * r["speed"] for r in runs), 4)
+            for stage in (*STAGES, "total")
+        },
         **{
             f"{counter}_median": {
                 stage: statistics.median(r[counter][stage] for r in runs)
@@ -358,6 +389,7 @@ def summarize(runs):
             statistics.median(r["peak_rss_mb"] for r in runs), 1),
         "runs_total_s": [round(r["stages_s"]["total"], 3) for r in runs],
         "runs_peak_rss_mb": [round(r["peak_rss_mb"], 1) for r in runs],
+        "runs_speed": [round(r["speed"], 3) for r in runs],
         "graph": runs[0]["graph"],
         "level_areas": runs[0]["level_areas"],
         "level_cells": runs[0]["level_cells"],
