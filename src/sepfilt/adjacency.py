@@ -36,6 +36,17 @@ def row_groups(rows):
     return order, np.flatnonzero(new)
 
 
+def distinct(values):
+    """The distinct values of an integer array, flattened, ascending: one
+    sort, each value kept where it differs from the one before.  NumPy
+    2.4's ``np.unique`` takes a hash path on int64 values instead, several
+    times slower on the few thousand a prune state groups."""
+    values = np.sort(values, axis=None)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 class CellSystem:
     """Face incidence tables for a list of top cells of one dimension.
 
@@ -181,25 +192,21 @@ class CellSystem:
         return smallest[labels]
 
     def component_groups(self, labels):
-        """Per component of the cell labels ``labels`` (``components``), in
-        label order, its cells as a sorted tuple of cell indices and its
-        nodes as a sorted array.
+        """The components of the cell labels ``labels`` (``components``),
+        in label order, as the flat arrays ``(cells, cell_starts, nodes,
+        node_starts)``: component k's cells, ascending, are
+        ``cells[cell_starts[k]:cell_starts[k + 1]]`` and its distinct
+        nodes, ascending, ``nodes[node_starts[k]:node_starts[k + 1]]``
+        (the last component runs to the end).
 
-        The node arrays come from one sorted unique of ``label * n + node``
-        keys over every cell's nodes, split where the label changes.
+        The nodes are the ``distinct`` ``label * n + node`` keys of every
+        cell's nodes, split by label.
         """
-        if not len(labels):
-            return []
-        order = np.argsort(labels, kind="stable")
-        cuts = (np.flatnonzero(np.diff(labels[order])) + 1).tolist()
-        cells = order.tolist()
-        n = int(self.cell_nodes.max()) + 1
-        owners, nodes = np.divmod(np.unique(labels[:, None] * n + self.cell_nodes), n)
-        node_groups = np.split(nodes, np.flatnonzero(np.diff(owners)) + 1)
-        return [
-            (tuple(cells[a:b]), group)
-            for a, b, group in zip([0, *cuts], [*cuts, len(cells)], node_groups)
-        ]
+        cells = np.argsort(labels, kind="stable")
+        cell_starts = np.flatnonzero(np.diff(labels[cells], prepend=-1))
+        n = int(self.cell_nodes.max(initial=0)) + 1
+        owners, nodes = np.divmod(distinct(labels[:, None] * n + self.cell_nodes), n)
+        return cells, cell_starts, nodes, np.flatnonzero(np.diff(owners, prepend=-1))
 
     def cut_facets(self, side):
         """Ids of the facets whose cofaces do not all have the same
@@ -226,16 +233,16 @@ def fit_in_ball(geometry, nodes, radius):
     """The lowest-id node whose eccentricity over ``nodes`` is <= radius.
 
     Centers may be any node of the ambient complex; the feasible ones are
-    ``graph.feasible_centers(nodes, radius)``.  The fit's radius is the
-    center's exact eccentricity, read from its radius-limited row.  When no
-    node is feasible the set fits no radius-R ball: it has no center, and
-    its radius is ``inf``.
+    ``graph.feasible_centers`` of ``nodes`` as one group.  The fit's radius
+    is the center's exact eccentricity, read from its radius-limited row.
+    When no node is feasible the set fits no radius-R ball: it has no
+    center, and its radius is ``inf``.
     """
     graph = geometry.graph
     nodes = np.asarray(nodes, dtype=np.int64)
     if nodes.size == 0:
         return BallFit(True, None, 0.0)
-    centers = graph.feasible_centers(nodes, radius)
+    centers = graph.feasible_centers(nodes, [0], radius)[0]
     if not centers:
         return BallFit(False, None, math.inf)
     center = (centers & -centers).bit_length() - 1

@@ -318,25 +318,68 @@ class V1Estimate:
     warning: str | None
 
 
+def _node_weights(geometry):
+    """Per node v, w_v = the sum over the cells c holding v of vol(c) /
+    (n + 1).  A ball's credited measure (``_measures``) counts a cell by
+    the fraction of its n + 1 nodes inside, a whole cell by 1, so it is
+    the sum of w_v over the ball's nodes."""
+    n = geometry.n_nodes
+    shares = geometry.cell_volumes / len(geometry.cell_columns)
+    weights = np.zeros(n)
+    for column in geometry.cell_columns:
+        weights += np.bincount(column, shares, minlength=n)
+    return weights
+
+
 def estimate_v1(geometry):
     """Maximize the ball volume at radius 1 over the metric-graph nodes.
 
     This is the base-space maximum; it equals the supremum over covers only
     when the systole exceeds twice the radius, so shorter (or unknown)
-    systoles attach a warning instead of a silent number.  The balls not
-    proven whole are measured a chunk at a time (``_chunks``); the first
-    largest wins.
+    systoles attach a warning instead of a silent number.  The result is
+    the first node of largest ``_measures``, found without measuring every
+    ball that way.
+
+    Each ball not proven whole is first summed over its nodes with
+    ``_node_weights``: from its table row (``MetricGraph.table_sums``), or
+    else from its row read through ``_chunks``.  That sum and
+    ``_measures`` are float sums of the same nonnegative terms, of exact
+    total S, with at most m = cells + nodes + 4 roundings along any term,
+    so each lies within gamma_m S of S (gamma_m = m u / (1 - m u), u =
+    2^-53).  As the whole measure W >= S (1 - gamma_m), the two differ by
+    at most tol = 4 gamma_m W.  So a node whose sum is below the largest
+    sum minus 2 tol measures below the largest measure, and only the nodes
+    at or above that are measured with ``_measures``: a read row's ball as
+    soon as its sum is near the largest so far, a tabled one at the end.
     """
-    graph = geometry.graph
-    measures = [geometry.whole_measure] * geometry.n_nodes
-    nodes = np.arange(geometry.n_nodes)
-    nodes = nodes[~graph.holds_every_node(nodes, _V1_RADIUS)].tolist()
-    samples = [(node, _V1_RADIUS, _V1_RADIUS) for node in nodes]
-    for _, chunk, rows, _, (radii, whole) in _chunks(geometry, samples, _row_radii):
-        for (node, _, _), measure in zip(chunk, _measures(geometry, rows, radii, whole)):
-            measures[node] = measure
-    best_node = max(range(geometry.n_nodes), key=lambda node: measures[node][0])
-    best, best_boundary = measures[best_node]
+    graph, n = geometry.graph, geometry.n_nodes
+    whole_measure = geometry.whole_measure
+    m = len(geometry.cells_array) + n + 4
+    gamma = m * 2.0**-53 / (1 - m * 2.0**-53)
+    margin = 8 * gamma * whole_measure[0]  # 2 tol
+    weights = _node_weights(geometry)
+    whole = graph.holds_every_node(np.arange(n), _V1_RADIUS)
+    sums = np.where(whole, whole_measure[0], -math.inf)
+    tabled, tabled_sums, rest = graph.table_sums(
+        np.flatnonzero(~whole), _V1_RADIUS, weights)
+    sums[tabled] = tabled_sums
+    measures = {}
+    samples = [(node, _V1_RADIUS, _V1_RADIUS) for node in rest.tolist()]
+    for at, _, rows, _, (radii, holds) in _chunks(geometry, samples, _row_radii):
+        nodes = rest[at]
+        inside = np.where(rows <= radii[:, None], weights, 0.0).sum(axis=1)
+        sums[nodes] = np.where(holds, whole_measure[0], inside)
+        near = sums[nodes] >= sums.max() - margin
+        measures.update(zip(nodes[near].tolist(), _measures(
+            geometry, rows[near], radii[near], holds[near])))
+    near = np.flatnonzero(sums >= sums.max() - margin).tolist()
+    samples = [(node, _V1_RADIUS, _V1_RADIUS) for node in near
+               if node not in measures and not whole[node]]
+    for _, chunk, rows, _, (radii, holds) in _chunks(geometry, samples, _row_radii):
+        measures.update(zip([node for node, _, _ in chunk],
+                            _measures(geometry, rows, radii, holds)))
+    best_node = max(near, key=lambda node: measures.get(node, whole_measure)[0])
+    best, best_boundary = measures.get(best_node, whole_measure)
     systole = geometry.base.metadata.get("systole")
     warning = None
     if systole is None:

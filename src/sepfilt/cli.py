@@ -6,6 +6,7 @@ All randomness flows from the manifest seed.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from dataclasses import asdict
@@ -28,6 +29,13 @@ from .files import read_json, write_checks_csv, write_json, write_manifest
 from .generators import circle, genus_surface, torus
 from .pipeline import (audit_document, inequality_sweep, run_pipeline,
                        sweep_summary)
+
+# The objects the imports above leave behind live as long as the process:
+# move them out of the collector's reach, so that its full collections do
+# not walk them again.  This happens once, at import: ``main`` can run
+# several commands in one process, and a freeze there would also pin the
+# cyclic garbage a finished command leaves for the collector.
+gc.freeze()
 
 INPUT_ERROR = 2
 VERIFICATION_ERROR = 3

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .adjacency import CellSystem, row_groups
+from .adjacency import CellSystem, distinct, row_groups
 from .errors import DimensionMismatch, NondegenerateViolation
 
 # Distance entries (8 bytes each) computed per batch of rows.
@@ -282,6 +282,7 @@ class MetricGraph:
             shape=(n_nodes, n_nodes),
         )
         self.radius, self._table = -math.inf, {}  # no table: every limit is above
+        self._held = np.zeros(n_nodes, dtype=bool)  # the nodes the table holds
         self._every_node = (1 << n_nodes) - 1
 
     def _split(self, heads, tails, data, blocks):
@@ -409,14 +410,19 @@ class MetricGraph:
 
     def tabulate(self, nodes, radius):
         """Hold B(node, radius) in the ball table for each node whose ball
-        is neither held nor proven whole, first dropping a table at another
-        radius.  Batches of ``_BATCH`` entries keep those <= radius as CSR
-        columns and distances; a node holds its slices and its bitset."""
+        is neither held (``_held``) nor proven whole, first dropping a
+        table at another radius.  Batches of ``_BATCH`` entries keep those
+        <= radius as CSR columns and distances; a node holds its slices and
+        its bitset."""
         if radius != self.radius:
             self.radius, self._table = radius, {}
+            self._held = np.zeros(self.n_nodes, dtype=bool)
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if not len(nodes):
+            return
         table = self._table
-        missing = list(dict.fromkeys(node for node in nodes if node not in table
-                                     and self.reach[node] > radius))
+        missing = nodes[~self._held[nodes] & (self.reach[nodes] > radius)]
+        missing = list(dict.fromkeys(missing.tolist()))
         size = max(1, _BATCH // self.n_nodes)
         for start in range(0, len(missing), size):
             batch = missing[start : start + size]
@@ -429,6 +435,7 @@ class MetricGraph:
             for node, begin, end, ball in zip(batch, [0, *ends], ends, bits):
                 table[node] = (columns[begin:end], distances[begin:end],
                                int.from_bytes(ball, "little"))
+            self._held[batch] = True
 
     def distances_from(self, node):
         """Distances from one node to every node."""
@@ -465,7 +472,7 @@ class MetricGraph:
             else:
                 computed.setdefault(node, []).append(k)
                 largest[node] = max(limit, largest.get(node, limit))
-        self.tabulate(tabled, radius)
+        self.tabulate(list(tabled), radius)
         for node, at in tabled.items():
             columns, distances, _ = table[node]
             for k in at:
@@ -478,22 +485,47 @@ class MetricGraph:
                 rows[computed[node]] = row
         return rows
 
-    def feasible_centers(self, nodes, radius):
-        """The nodes within ``radius`` of every given node, as a bitset.
+    def table_sums(self, nodes, radius, weights):
+        """Split the nodes into those whose ball B(node, radius) is read
+        from the ball table, as ``rows_within`` reads it (tabulated first),
+        and the rest.  Returns the first, the sum of ``weights`` over each
+        one's ball, read from its table row, and the rest."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if radius > self.radius or not len(nodes):
+            return nodes[:0], np.empty(0), nodes
+        served = self._held[nodes] | (self.reach[nodes] > self.radius)
+        tabled = nodes[served]
+        self.tabulate(tabled, self.radius)
+        sums = []
+        for node in tabled.tolist():
+            columns, distances, _ = self._table[node]
+            sums.append(weights[columns[distances <= radius]].sum())
+        return tabled, np.array(sums), nodes[~served]
+
+    def feasible_centers(self, nodes, starts, radius):
+        """Per group ``nodes[starts[k]:starts[k + 1]]`` (the last one runs
+        to the end), the nodes within ``radius`` of every node of the
+        group, as a bitset.
 
         Distances are exactly symmetric, so these are the centers c whose
-        eccentricity ``max d(c, nodes)`` is at most the radius: the AND of
-        the members' table bitsets, skipping balls proven whole.
+        eccentricity over the group is at most the radius: the AND of the
+        members' table bitsets, after one ``tabulate`` of every member.  A
+        member the table does not hold has a ball proven whole, which
+        leaves the AND as it is.
         """
-        nodes = np.asarray(nodes)
-        members = nodes[self.reach[nodes] > radius].tolist()
-        self.tabulate(members, radius)
-        table, centers = self._table, self._every_node
-        for node in members:
-            centers &= table[node][2]
-            if not centers:
-                break
-        return centers
+        nodes = np.asarray(nodes, dtype=np.int64)
+        starts = np.asarray(starts, dtype=np.int64)
+        self.tabulate(nodes, radius)
+        held = self._held[nodes]
+        table = self._table
+        bits = [table[node][2] for node in nodes[held].tolist()]
+        # the positions in ``bits`` where each group starts and ends
+        before = np.concatenate([[0], np.cumsum(held)])
+        ends = np.append(starts[1:], len(nodes))
+        return [
+            functools.reduce(operator.and_, bits[a:b], self._every_node)
+            for a, b in zip(before[starts].tolist(), before[ends].tolist())
+        ]
 
 
 class ComplexGeometry:
@@ -579,7 +611,7 @@ class ComplexGeometry:
         # One position per (original simplex, node in it), keyed by
         # orig * n_nodes + node in sorted order.  A position sums its
         # support's weighted corners in support order, from zero.
-        self._pair_keys = np.unique(self.cell_orig[:, None] * n_nodes + cells)
+        self._pair_keys = distinct(self.cell_orig[:, None] * n_nodes + cells)
         pair_orig, pair_node = np.divmod(self._pair_keys, n_nodes)
         support = support_vertex[pair_node]
         local = (orig_vertices[pair_orig][:, None, :] == support[:, :, None]).argmax(
@@ -756,11 +788,14 @@ class Subpolyhedron:
 
     @classmethod
     def of_facets(cls, parent, facet_ids):
-        """The subpolyhedron made of the parent's facets with these ids."""
+        """The subpolyhedron made of the parent's facets with these ids,
+        an integer array or any iterable of ints."""
         self = cls.__new__(cls)
         self.parent = parent
         self.dim = parent.dim - 1
-        self.facet_ids = np.unique(np.fromiter(facet_ids, dtype=np.int64))
+        if not isinstance(facet_ids, np.ndarray):
+            facet_ids = np.fromiter(facet_ids, dtype=np.int64)
+        self.facet_ids = distinct(facet_ids.astype(np.int64, copy=False))
         self.cells_array = parent.cell_system.facets[self.facet_ids]
         return self
 

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .adjacency import fit_in_ball
+from .adjacency import distinct, fit_in_ball
 from .complexes import Subpolyhedron
 from .errors import Infeasible, SeparationViolation
 
@@ -94,6 +94,14 @@ class SeparationCheck:
         return self.separating
 
 
+def check_keys(name, found, written):
+    """Raise ValueError unless ``found`` is a dict with exactly the keys
+    ``written``: a record is read back with the keys it is written with."""
+    keys = sorted(found) if isinstance(found, dict) else None
+    if keys != sorted(written):
+        raise ValueError(f"{name}: keys {keys} (written {sorted(written)})")
+
+
 def _facet_ids(parent, candidate):
     """The facet ids of the candidate's cells, checked to be facets of the
     parent."""
@@ -120,14 +128,17 @@ class _Component:
 def _fit_components(parent, labels, radius):
     """The complement components of the parent's cell labels ``labels``
     (``CellSystem.components``), each with its feasible radius-ball
-    centers.
+    centers: one ``component_groups`` pass and one ``feasible_centers``
+    call for all of them.
 
     Keys are component labels (smallest cell index), in ascending order.
     """
-    graph = parent.root.graph
+    cells, cell_starts, nodes, node_starts = parent.cell_system.component_groups(labels)
+    centers = parent.root.graph.feasible_centers(nodes, node_starts, radius)
+    cells, starts = cells.tolist(), cell_starts.tolist()
     return {
-        group[0]: _Component(list(group), graph.feasible_centers(nodes, radius))
-        for group, nodes in parent.cell_system.component_groups(labels)
+        cells[a]: _Component(cells[a:b], bits)
+        for a, b, bits in zip(starts, [*starts[1:], len(cells)], centers)
     }
 
 
@@ -138,7 +149,7 @@ def _certificates(parent, components, radius):
     certs = []
     for label in sorted(components):
         cells = components[label].cells
-        fit = fit_in_ball(parent.root, np.unique(cell_nodes[cells]), radius)
+        fit = fit_in_ball(parent.root, distinct(cell_nodes[cells]), radius)
         certs.append(ComponentCert(len(cells), fit.center, fit.radius))
     return tuple(certs)
 
@@ -406,9 +417,9 @@ def minimize_separating(
     )
 
 
-def _audit_certificates(level, certificates, components, graph, radius):
+def _audit_certificates(level, certificates, groups, graph, radius):
     """Check a level's stored certificates against its complement
-    components, the ``(cells, nodes)`` pairs in label order.
+    components, the ``CellSystem.component_groups`` arrays ``groups``.
 
     Each certificate is the only proof that its component fits an R-ball:
     its center must see every node of the component within exactly the
@@ -417,22 +428,28 @@ def _audit_certificates(level, certificates, components, graph, radius):
     Every row is read out to R, so the ball table serves it: a node beyond
     R reads more than R (maybe ``inf``), which equals no stored radius.
     """
-    if len(certificates) != len(components):
+    cells, cell_starts, nodes, node_starts = groups
+    sizes = np.diff(cell_starts, append=len(cells)).tolist()
+    if len(certificates) != len(sizes):
         raise SeparationViolation(
             f"level {level}: {len(certificates)} stored components, "
-            f"{len(components)} recomputed"
+            f"{len(sizes)} recomputed"
         )
-    for k, (cert, (cells, nodes)) in enumerate(zip(certificates, components)):
+    starts = node_starts.tolist()
+    for k, (cert, size, a, b) in enumerate(
+        zip(certificates, sizes, starts, [*starts[1:], len(nodes)])
+    ):
         wrong = None
-        if cert.cells != len(cells):
-            wrong = f"cells {cert.cells} (recomputed {len(cells)})"
+        if cert.cells != size:
+            wrong = f"cells {cert.cells} (recomputed {size})"
         elif not (isinstance(cert.center, int)
                   and 0 <= cert.center < graph.n_nodes):
             wrong = f"center {cert.center!r} (not a node)"
         elif not cert.radius <= radius:
             wrong = f"radius {cert.radius!r} (above R = {radius})"
         else:
-            ecc = float(graph.distances_within(cert.center, radius)[nodes].max())
+            row = graph.distances_within(cert.center, radius)
+            ecc = float(row[nodes[a:b]].max())
             if ecc != cert.radius:
                 wrong = (f"radius {cert.radius!r} (center {cert.center} has "
                          f"eccentricity {ecc!r})")
@@ -514,8 +531,8 @@ class Filtration:
             level = self.levels[i]
             z = level.subpolyhedron
             system = z.parent.cell_system
-            components = system.component_groups(system.components(z.facet_ids))
-            _audit_certificates(i, level.certificates, components,
+            groups = system.component_groups(system.components(z.facet_ids))
+            _audit_certificates(i, level.certificates, groups,
                                 self.geometry.graph, radius)
             _audit_measures(i, level, z, schedule[i])
         return True
@@ -551,9 +568,7 @@ class Filtration:
         config = SeparationConfig(**payload["config"])
         entries = payload["levels"]
         for i, entry in enumerate(entries):
-            if set(entry) != set(_LEVEL_KEYS):
-                raise ValueError(f"level {i}: keys {sorted(entry)} "
-                                 f"(written {sorted(_LEVEL_KEYS)})")
+            check_keys(f"level {i}", entry, _LEVEL_KEYS)
         for field, value, derived in [
             ("dimension: stored", payload["dimension"], geometry.dim),
             *((f"level {i}: stored dim", e["dim"], i) for i, e in enumerate(entries)),

@@ -14,7 +14,7 @@ from .bounds import (
     point_density_check,
 )
 from .errors import CensusMismatch, SeparationViolation
-from .filtration import build_filtration
+from .filtration import build_filtration, check_keys
 from .rainbow import color_by_filtration, count_rainbow
 
 
@@ -28,6 +28,12 @@ def sample_radius_pairs(rng, radius, count):
             continue
         pairs.append((min(a, b), max(a, b)))
     return pairs
+
+
+# The keys of a filtration document (``RunArtifacts.filtration_document``):
+# the complex, the keys of ``Filtration.to_json`` and the two sections that
+# ``audit_document`` re-derives.
+DOCUMENT_KEYS = ("complex", "config", "dimension", "levels", "census", "coloring")
 
 
 def sweep_samples(filtration, samples, seed):
@@ -110,21 +116,27 @@ def audit_document(filtration, payload):
     compare them field by field with the ``coloring`` and ``census`` of
     its document.
 
-    No ball is searched: each color class lies in a complement component
-    whose stored certificate ``Filtration.validate`` checks.  The first
-    difference raises SeparationViolation (coloring) or
-    CensusMismatch (census), naming the field.
+    The document must carry exactly the keys ``DOCUMENT_KEYS`` and each
+    section exactly the keys it re-derives: a missing or extra key raises
+    ValueError before any field is compared.  No ball is searched: each
+    color class lies in a complement component whose stored certificate
+    ``Filtration.validate`` checks.  The first difference raises
+    SeparationViolation (coloring) or CensusMismatch (census), naming the
+    field.
     """
+    check_keys("document", payload, DOCUMENT_KEYS)
     geometry = filtration.geometry
     coloring = color_by_filtration(geometry, filtration)
     census = count_rainbow(geometry, coloring, filtration)
-    for name, derived, error in (
+    sections = (
         ("coloring", coloring.to_json(), SeparationViolation),
         ("census", census.to_json(), CensusMismatch),
-    ):
-        stored = payload.get(name)
+    )
+    for name, derived, _ in sections:
+        check_keys(name, payload[name], derived)
+    for name, derived, error in sections:
         for field, value in derived.items():
-            found = stored.get(field) if isinstance(stored, dict) else None
+            found = payload[name][field]
             if found != value:
                 raise error(f"{name}.{field}: stored {reprlib.repr(found)} "
                             f"(re-derived {reprlib.repr(value)})")

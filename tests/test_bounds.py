@@ -18,7 +18,7 @@ from sepfilt.bounds import (
 )
 from sepfilt.errors import RadiusOrder
 from sepfilt.filtration import Filtration, SeparationConfig, build_filtration
-from sepfilt.generators import circle, torus
+from sepfilt.generators import circle, genus_surface, torus
 from sepfilt.pipeline import inequality_sweep
 from sepfilt.rainbow import color_by_filtration, count_rainbow
 
@@ -836,6 +836,59 @@ def test_packing_oracle_matches_greedy(torus_filtration_d2):
 
 # ---------------------------------------------------------------------------
 # V1 and the report
+
+
+# name -> (complex, subdivision depth, radius R of the ball table)
+V1_FIXTURES = {
+    "search-torus": (lambda: torus(4), 2, 1.1),  # radius-1 rows from the table
+    "search-genus": (lambda: genus_surface(2), 1, 0.7),  # rows computed
+    "torus4-d3": (lambda: torus(4), 3, 1.0),
+    "vanish-large": (lambda: torus(5, scale=0.1), 3, 1.0),  # every ball whole
+}
+
+
+def v1_reference(geometry):
+    """(value, argmax_node, boundary_credit) of the first node of largest
+    ``_measures``, every node's ball measured from its row, 64 balls at a
+    time, or whole where ``holds_every_node`` proves it."""
+    graph, measures = geometry.graph, []
+    for start in range(0, geometry.n_nodes, 64):
+        nodes = np.arange(start, min(start + 64, geometry.n_nodes))
+        radii = np.ones(len(nodes))
+        whole = graph.holds_every_node(nodes, radii)
+        rows = graph.rows_within(nodes, np.where(whole, -1.0, radii))
+        measures += bounds._measures(geometry, rows, radii, whole)
+    best = max(range(len(measures)), key=lambda node: measures[node][0])
+    return measures[best][0], best, measures[best][1]
+
+
+@pytest.mark.parametrize("name", sorted(V1_FIXTURES))
+def test_v1_sums_select_the_largest_measure(name, monkeypatch):
+    # With the ball table at R, as the ball search leaves it, V1 sums each
+    # ball over its nodes and measures only the balls near the largest
+    # sum: the estimate is the reference's, bit for bit, and the table
+    # stays at R, holding the same balls.
+    make, depth, R = V1_FIXTURES[name]
+    geometry = make().geometry(depth)
+    graph = geometry.graph
+    graph.tabulate(range(geometry.n_nodes), R)
+    held = set(graph._table)
+    measured = []
+    measures = bounds._measures
+
+    def counting(z, rows, radii, whole):
+        measured.extend(np.flatnonzero(~whole).tolist())
+        return measures(z, rows, radii, whole)
+
+    monkeypatch.setattr(bounds, "_measures", counting)
+    estimate = estimate_v1(geometry)
+    assert (graph.radius, set(graph._table)) == (R, held)
+    monkeypatch.setattr(bounds, "_measures", measures)
+    assert (estimate.value, estimate.argmax_node,
+            estimate.boundary_credit) == v1_reference(geometry)
+    assert len(measured) < geometry.n_nodes / 4
+    if name == "vanish-large":
+        assert not held and not measured
 
 
 def test_v1_warning_for_short_systole(tiny_torus_filtration):

@@ -350,7 +350,7 @@ STORED_FIELD_EDITS = {
     "level-1-area": (("levels", 1, "area"), 0.001, "level 1: stored area 0.001"),
     "census-total": (("census", "total"), 999, "census.total: stored 999"),
     "level-0-slack": (("levels", 0, "slack"), -5, "level 0: stored slack -5"),
-    "coloring-empty": (("coloring",), {}, "coloring.colors: stored None"),
+    "coloring-empty": (("coloring", "colors"), [], "coloring.colors: stored []"),
     "dimension": (("dimension",), 9, "dimension: stored 9"),
     "level-1-dim": (("levels", 1, "dim"), 5, "level 1: stored dim 5"),
 }
@@ -621,6 +621,19 @@ def bad_inputs(tmp_path_factory):
         edit(payload["levels"])
         paths[name] = root / f"{name}.json"
         paths[name].write_text(json.dumps(payload))
+    # so do the document and its census and coloring sections
+    for name, edit in [
+        ("census_extra_key", lambda doc: doc["census"].update(note=1)),
+        ("census_no_dimension", lambda doc: doc["census"].pop("dimension")),
+        ("coloring_extra_key", lambda doc: doc["coloring"].update(note=1)),
+        ("coloring_no_colors", lambda doc: doc["coloring"].pop("colors")),
+        ("document_extra_key", lambda doc: doc.update(note=1)),
+        ("document_no_census", lambda doc: doc.pop("census")),
+    ]:
+        payload = json.loads(document)
+        edit(payload)
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
     return {name: str(path) for name, path in paths.items()}
 
 
@@ -648,13 +661,21 @@ def bad_inputs(tmp_path_factory):
         ["verify", "{no_components}"],
         ["verify", "{cert_extra_key}"],
         ["verify", "{level_extra_key}"],
+        ["verify", "{census_extra_key}"],
+        ["verify", "{census_no_dimension}"],
+        ["verify", "{coloring_extra_key}"],
+        ["verify", "{coloring_no_colors}"],
+        ["verify", "{document_extra_key}"],
+        ["verify", "{document_no_census}"],
     ],
     ids=["gen-scale-nan", "gen-scale-inf", "gen-length-inf", "gen-length-huge",
          "radius-nan", "radius-inf", "epsilon-nan", "epsilon-inf", "edge-nan",
          "edge-inf", "edge-huge", "degenerate-simplex", "slack-nan",
          "radius-huge", "radius-tiny", "verify-radius-huge", "verify-depth-huge",
          "level-no-slack-kind", "level-no-components", "certificate-extra-key",
-         "level-extra-key"],
+         "level-extra-key", "census-extra-key", "census-no-dimension",
+         "coloring-extra-key", "coloring-no-colors", "document-extra-key",
+         "document-no-census"],
 )
 def test_non_finite_and_degenerate_inputs_are_input_errors(tmp_path, capsys,
                                                            bad_inputs, args):

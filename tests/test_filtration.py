@@ -199,7 +199,7 @@ def test_components_match_oracle_on_random_cuts(torus4_d1):
     for _ in range(10):
         ids = rng.sample(range(len(facets)), k=rng.randrange(0, len(facets)))
         blocked = [facets[k] for k in ids]
-        groups = system.component_groups(system.components(ids))
+        groups = group_pairs(system, system.components(ids))
         ours = sorted(cells for cells, _ in groups)
         oracle = components_oracle(torus4_d1.cells, blocked)
         assert ours == oracle
@@ -210,6 +210,18 @@ def test_components_match_oracle_on_random_cuts(torus4_d1):
     # facet rows are looked up as they are, not re-sorted
     with pytest.raises(KeyError):
         system.face_ids([facets[0][::-1]])
+
+
+def group_pairs(system, labels):
+    """``component_groups`` of the labels as one ``(cells, nodes)`` pair
+    per component, in label order: the cells a tuple, the nodes an
+    array."""
+    cells, cell_starts, nodes, node_starts = system.component_groups(labels)
+    return [
+        (tuple(group.tolist()), group_nodes)
+        for group, group_nodes in zip(np.split(cells, cell_starts[1:]),
+                                      np.split(nodes, node_starts[1:]))
+    ]
 
 
 def incidence_systems(geometry, seed=9):
@@ -247,7 +259,7 @@ def test_array_incidence_matches_set_definitions(name):
             for index, label in enumerate(labels):
                 groups.setdefault(label, []).append(index)
             expected = [tuple(groups[key]) for key in sorted(groups)]
-            found = system.component_groups(labels)
+            found = group_pairs(system, labels)
             assert [group for group, _ in found] == expected
             assert all(type(i) is int for group, _ in found for i in group)
             for group, nodes in found:
@@ -407,7 +419,7 @@ def fit_inputs(geometry, radii, seed=11):
     node_sets = [np.arange(geometry.n_nodes)]
     for share in (0.3, 0.6, 0.9):
         blocked = [k for k in range(len(system.facets)) if rng.random() < share]
-        groups = system.component_groups(system.components(blocked))
+        groups = group_pairs(system, system.components(blocked))
         node_sets.extend(nodes for _, nodes in groups)
     return [(nodes, radius) for nodes in node_sets for radius in radii]
 
@@ -446,15 +458,88 @@ def test_feasible_centers_match_brute_force(name, mode, monkeypatch):
     radii = (*FIT_RADII[name], far, 2 * far)
     outcomes = set()
     for nodes, radius in fit_inputs(geometry, radii):
-        centers = bit_set(graph.feasible_centers(nodes, radius))
+        centers = bit_set(graph.feasible_centers(nodes, [0], radius)[0])
         expected = feasible_oracle(dist, nodes, radius)
         assert centers == expected
         outcomes.add(len(expected) == 0)
     assert outcomes == {True, False}
     assert graph.radius == 2 * far and not graph._table
-    graph.feasible_centers(np.arange(graph.n_nodes), far)
+    graph.feasible_centers(np.arange(graph.n_nodes), [0], far)
     assert graph._table and 0 not in graph._table
     assert (max(batches) == 1) == (mode == "rowwise")
+
+
+@pytest.mark.parametrize("mode", ["dense", "rowwise"])
+@pytest.mark.parametrize("name", sorted(FIT_RADII))
+def test_grouped_feasible_centers_match_brute_force(name, mode, monkeypatch):
+    # One call takes many groups: the components of random cuts and the
+    # whole complex, groups with repeated nodes, and a group of nodes whose
+    # balls ``reach`` proves whole, which the table never holds.  Each
+    # group gets the oracle's bitset.  The radius changes from call to
+    # call, back to the first at the end, so each call drops the table of
+    # the one before and holds only balls at its own radius.
+    geometry = fit_geometry(name)
+    graph = geometry.graph
+    dist = reference_distances(graph)
+    row_source(graph, mode, monkeypatch)
+    far = float(dist[0].max())
+    node_sets = [nodes for nodes, _ in fit_inputs(geometry, [None])]
+    repeated = [np.concatenate([node_sets[1], node_sets[1][::-1]]),
+                np.array([5, 5, 5]), np.array([0, 3, 0])]
+    proven_whole = 0
+    for radius in (*FIT_RADII[name], far, FIT_RADII[name][0]):
+        whole = np.flatnonzero(graph.reach <= radius)
+        groups = [*node_sets, *repeated] + ([whole] if len(whole) else [])
+        starts = np.cumsum([0, *map(len, groups[:-1])])
+        found = graph.feasible_centers(np.concatenate(groups), starts, radius)
+        assert [bit_set(bits) for bits in found] == [
+            feasible_oracle(dist, group, radius) for group in groups]
+        assert graph.radius == radius
+        assert all(ball[1].max() <= radius for ball in graph._table.values())
+        assert not set(graph._table) & set(whole.tolist())
+        proven_whole += len(whole) > 0
+    assert proven_whole
+
+
+def fit_components_reference(parent, labels, radius, balls):
+    """Per component of the cell labels, in label order, its label, its
+    cells and the AND of ``balls[node]`` over its nodes, found one
+    component at a time."""
+    members = {}
+    for cell, label in enumerate(labels.tolist()):
+        members.setdefault(label, []).append(cell)
+    cell_nodes = parent.cell_system.cell_nodes.tolist()
+    return [
+        (label, cells, functools.reduce(
+            int.__and__, (balls[v] for v in {v for c in cells for v in cell_nodes[c]})))
+        for label, cells in sorted(members.items())
+    ]
+
+
+def test_fit_components_match_a_per_component_reference():
+    # on states along a search-torus trajectory: the full facet set, its
+    # prunes and the ball replacements of the prune, separating or not
+    geometry = prune_geometry("torus4")
+    _, radius = PRUNE_FIXTURES["torus4"]
+    system = geometry.cell_system
+    inside = reference_distances(geometry.graph) <= radius
+    balls = [int.from_bytes(ball, "little")
+             for ball in np.packbits(inside, axis=1, bitorder="little")]
+    starts = prune_starts(geometry, radius, moves=6)
+    states = [filtration._prune(start.copy(), lambda facet: facet)
+              for start in starts[:2]]
+    rng = random.Random(5)
+    blocked = [sorted(state.z) for state in starts + states]
+    blocked += [rng.sample(blocked[0], len(blocked[0]) // 2) for _ in range(2)]
+    separating = set()
+    for facets in blocked:
+        labels = system.components(facets)
+        found = filtration._fit_components(geometry, labels, radius)
+        assert [(label, comp.cells, comp.centers)
+                for label, comp in found.items()] == fit_components_reference(
+            geometry, labels, radius, balls)
+        separating.add(all(comp.centers for comp in found.values()))
+    assert separating == {True, False}
 
 
 @pytest.mark.parametrize("name", sorted(FIT_RADII))

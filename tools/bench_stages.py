@@ -50,7 +50,10 @@ yields), ``dijkstra_calls`` the ``dijkstra`` calls and ``rows_read`` the
 distance rows the metric graph hands out: the rows
 ``MetricGraph.rows_within`` returns for a nonnegative limit.  ``gc_s`` is
 the time the cyclic garbage collector spent in each stage, from ``gc.callbacks`` (it is part of the stage's
-time), and ``gc_collections`` the number of its collections there.
+time), and ``gc_collections`` the number of its collections there.  The
+run imports ``sepfilt.cli`` as the command line does, so the collector
+starts from the state that import leaves (a ``gc.freeze`` where the
+checkout's ``cli`` makes one).
 ``fit_calls`` counts each stage's ``fit_in_ball`` calls, wrapped at every
 ``sepfilt`` module attribute that holds it.  ``balls_built`` counts the
 R-balls computed: the rows ``MetricGraph.tabulate`` adds to the table.
@@ -63,6 +66,14 @@ of feasible centers is empty.  ``cell_systems`` counts the
 ``CellSystem.face_ids`` calls
 (those inside a construction too), both by wrapping the methods of
 ``sepfilt.adjacency.CellSystem`` from outside the package.
+``prune_states`` counts the ``filtration._PruneState`` constructions (each
+builds its components and their feasible centers), ``feasible_calls`` the
+``MetricGraph.feasible_centers`` calls and ``feasible_groups`` the node
+groups they take (a call of the one-group form ``(nodes, radius)`` of
+checkouts before the grouped call counts one).  ``balls_measured`` counts
+the balls ``bounds._measures`` measures from their rows, not proven whole:
+in the V1 stage, the candidates V1 measures exactly (every ball not
+proven whole, before V1 summed balls over their nodes).
 Each checkout first makes one untimed warm-up run, whose result is
 dropped, so that no timed run includes the byte-compilation of modules
 edited since the checkout's last import.  Checkouts then alternate run
@@ -123,7 +134,8 @@ COUNTERS = ("dijkstra_rows", "truncated_rows", "complete_rows",
             "dijkstra_calls", "rows_read", "gc_s", "gc_collections",
             "fit_calls",
             "balls_built", "try_remove_calls", "merge_refusals",
-            "cell_systems", "face_id_lookups")
+            "cell_systems", "face_id_lookups", "prune_states",
+            "feasible_calls", "feasible_groups", "balls_measured")
 # sizes at the end of each stage, not counts during it
 STORE = ("table_entries", "table_bytes")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -149,6 +161,7 @@ def measure(fixture):
 
     import numpy as np
 
+    import sepfilt.cli  # noqa: F401  (the collector state its import leaves)
     from sepfilt import (WeightedComplex, adjacency, bounds, complexes,
                          filtration as filtration_module, generators, pipeline)
     from sepfilt.bounds import bound_report, estimate_v1, greedy_packing
@@ -160,8 +173,10 @@ def measure(fixture):
     counts = dict.fromkeys(COUNTERS, 0)
     dijkstra, fit_in_ball = complexes.dijkstra, adjacency.fit_in_ball
     try_remove = filtration_module._PruneState.try_remove
+    prune_state_init = filtration_module._PruneState.__init__
     graph_class = complexes.MetricGraph
     tabulate, fill = graph_class.tabulate, graph_class._fill
+    feasible_centers, measures = graph_class.feasible_centers, bounds._measures
     filling, uncounted = False, 0.0
     cell_system_init = adjacency.CellSystem.__init__
     face_ids = adjacency.CellSystem.face_ids
@@ -210,6 +225,19 @@ def measure(fixture):
         counts["merge_refusals"] += not removed
         return removed
 
+    def counted_prune_state(state, *args, **kwargs):
+        counts["prune_states"] += 1
+        prune_state_init(state, *args, **kwargs)
+
+    def counted_feasible(graph, *args):
+        counts["feasible_calls"] += 1
+        counts["feasible_groups"] += len(args[1]) if len(args) == 3 else 1
+        return feasible_centers(graph, *args)
+
+    def counted_measures(z, rows, radii, whole):
+        counts["balls_measured"] += int(np.count_nonzero(~whole))
+        return measures(z, rows, radii, whole)
+
     def counted_cell_system(system, *args, **kwargs):
         counts["cell_systems"] += 1
         cell_system_init(system, *args, **kwargs)
@@ -251,6 +279,9 @@ def measure(fixture):
     adjacency.CellSystem.__init__ = counted_cell_system
     adjacency.CellSystem.face_ids = counted_face_ids
     filtration_module._PruneState.try_remove = counted_remove
+    filtration_module._PruneState.__init__ = counted_prune_state
+    graph_class.feasible_centers = counted_feasible
+    bounds._measures = counted_measures
     graph_class.tabulate = counted_tabulate
     graph_class._fill = counted_fill
 
