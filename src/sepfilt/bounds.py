@@ -9,7 +9,7 @@ only counts as violated when the residual falls below minus that budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from numbers import Rational
 
@@ -395,10 +395,15 @@ def estimate_v1(geometry):
     return V1Estimate(best, best_node, best_boundary, _V1_RADIUS, systole, warning)
 
 
-def _exact_or_float(value):
-    if isinstance(value, Rational):
-        return Fraction(value)
-    return float(value)
+def _plain(value):
+    """A ``Fraction`` as its numerator, denominator and float value, a
+    dict value by value, anything else as it is."""
+    if isinstance(value, Fraction):
+        return {"numerator": value.numerator, "denominator": value.denominator,
+                "value": float(value)}
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
 
 
 @dataclass(frozen=True)
@@ -416,45 +421,26 @@ class BoundReport:
     tolerances: dict
 
     def to_json(self):
-        def plain(x):
-            if isinstance(x, Fraction):
-                return {"numerator": x.numerator, "denominator": x.denominator,
-                        "value": float(x)}
-            return x
-
-        return {
-            "dimension": self.dimension,
-            "v1": plain(self.v1),
-            "vol_m": plain(self.vol_m),
-            "z0_count": self.z0_count,
-            "rainbow_bound": plain(self.rainbow_bound),
-            "constant_bound": plain(self.constant_bound),
-            "vanishing": self.vanishing,
-            "vanishing_consistent": self.vanishing_consistent,
-            "tolerances": {k: plain(v) for k, v in sorted(self.tolerances.items())},
-        }
+        """The fields, each ``Fraction`` written by ``_plain``."""
+        return _plain(asdict(self))
 
 
 def bound_report(filtration, census, v1, vol_m, tolerances=None):
     """Assemble the rainbow and constant bounds plus the vanishing flag.
 
     ``rainbow_bound`` is 2^n * #Z_0 and ``constant_bound`` is
-    16^n (n!)^2 v1 vol_m; arithmetic is exact when v1 and vol_m are
-    rational.  Vanishing means v1 < 1/n!, in which case a converged
+    16^n (n!)^2 v1 vol_m, exact when v1 and vol_m are both rational (both
+    are taken as Fractions then, else both as floats).  Vanishing means
+    v1 < 1/n!, compared exactly for floats too, in which case a converged
     filtration must have an empty 0-level.
     """
     n = filtration.dim
-    v1 = _exact_or_float(v1)
-    vol_m = _exact_or_float(vol_m)
+    kind = Fraction if all(isinstance(x, Rational) for x in (v1, vol_m)) else float
+    v1, vol_m = kind(v1), kind(vol_m)
     z0_count = census.z0_count if census is not None else len(filtration.z0_nodes())
     rainbow_bound = (2**n) * z0_count
-    factor = 16**n * math.factorial(n) ** 2
-    if isinstance(v1, Fraction) and isinstance(vol_m, Fraction):
-        constant_bound = Fraction(factor) * v1 * vol_m
-        vanishing = v1 < Fraction(1, math.factorial(n))
-    else:
-        constant_bound = factor * float(v1) * float(vol_m)
-        vanishing = float(v1) < 1.0 / math.factorial(n)
+    constant_bound = 16**n * math.factorial(n) ** 2 * v1 * vol_m
+    vanishing = v1 < Fraction(1, math.factorial(n))
     record = dict(tolerances or {})
     record.setdefault("epsilon_total", filtration.slacks[1])
     return BoundReport(
@@ -464,7 +450,7 @@ def bound_report(filtration, census, v1, vol_m, tolerances=None):
         z0_count=z0_count,
         rainbow_bound=rainbow_bound,
         constant_bound=constant_bound,
-        vanishing=bool(vanishing),
+        vanishing=vanishing,
         vanishing_consistent=(not vanishing) or rainbow_bound == 0,
         tolerances=record,
     )

@@ -39,11 +39,7 @@ CSV_HEADER = "kind,center,r1,r2,lhs,rhs,residual,budget,violated"
 
 def write_checks_csv(path, checks):
     lines = [CSV_HEADER]
-    for kind, center, r1, r2, lhs, rhs, residual, budget, violated in (
-        check.to_row() for check in checks
-    ):
-        lines.append(f"{kind},{center},{r1!r},{r2!r},{lhs!r},{rhs!r},"
-                     f"{residual!r},{budget!r},{violated}")
+    lines.extend(",".join(map(str, check.to_row())) for check in checks)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -90,9 +90,6 @@ class SeparationCheck:
     separating: bool
     components: tuple
 
-    def __bool__(self):
-        return self.separating
-
 
 def check_keys(name, found, written):
     """Raise ValueError unless ``found`` is a dict with exactly the keys

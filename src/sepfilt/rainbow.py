@@ -119,14 +119,12 @@ class RainbowCensus:
         return (2**self.dimension) * self.z0_count
 
     def to_json(self):
-        return {
-            "dimension": self.dimension,
-            "total": self.total,
-            "z0_count": self.z0_count,
-            "expected_total": self.expected_total,
-            "per_point": {str(k): v for k, v in sorted(self.per_point.items())},
-            "color_count": self.color_count,
-        }
+        """The fields, ``per_point`` keyed by node strings, and the derived
+        ``expected_total``."""
+        record = asdict(self)
+        record["per_point"] = {str(k): v for k, v in self.per_point.items()}
+        record["expected_total"] = self.expected_total
+        return record
 
 
 def count_rainbow(geometry, coloring, filtration):
@@ -156,10 +154,9 @@ def count_rainbow(geometry, coloring, filtration):
         [coloring.color_meta[c].level == 0 for c in first_colors.tolist()],
         dtype=bool,
     )
+    hits = cells[cell, first][at_point[inverse]].tolist()
     per_point = {node: 0 for node in z0}
-    hits = collections.Counter(cells[cell, first][at_point[inverse]].tolist())
-    for node, count in hits.items():
-        per_point[node] = per_point.get(node, 0) + count
+    per_point.update(collections.Counter(hits))
     census = RainbowCensus(
         dimension=n,
         total=total,

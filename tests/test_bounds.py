@@ -929,6 +929,29 @@ def test_bound_report_vanishing_flag(torus_filtration_d1):
     assert report.vanishing_consistent is False
 
 
+def test_bound_report_compares_v1_with_the_exact_threshold():
+    # a stand-in 3-dimensional filtration: bound_report reads only these
+    class Stub:
+        dim = 3
+        slacks = (0.01, 0.06)
+
+        @staticmethod
+        def z0_nodes():
+            return []
+
+    # 1.0 / 6 is 0.16666666666666666, below 1/3! = 1/6
+    assert bound_report(Stub, None, 1.0 / 6, 1.0).vanishing is True
+    assert bound_report(Stub, None, Fraction(1, 6), Fraction(1)).vanishing is False
+
+    factor = 16**3 * math.factorial(3) ** 2
+    exact = bound_report(Stub, None, Fraction(1, 3), Fraction(5, 7))
+    assert exact.constant_bound == Fraction(factor * 5, 21)
+    v1, vol_m = 0.3, 4.7
+    inexact = bound_report(Stub, None, v1, vol_m)
+    assert inexact.constant_bound == factor * float(v1) * float(vol_m)
+    assert isinstance(inexact.constant_bound, float)
+
+
 def test_bound_report_vanishing_consistent(tiny_torus_filtration):
     geometry = tiny_torus_filtration.geometry
     coloring = color_by_filtration(geometry, tiny_torus_filtration)

@@ -501,6 +501,50 @@ def test_process_level_determinism(tmp_path):
         ).read_bytes(), name
 
 
+# sha256 of the records written from their fields (run_pipeline, seed 7,
+# 20 samples, depth 1): canonical_dumps of the report document and of the
+# filtration document's census and coloring, and the checks CSV text
+RECORD_DIGESTS = {
+    "torus4": {
+        "report": "fedc51066d1dcaba9bb9f6aa189ed68d8fa91db9803d3ebb4d01e3cb0bc43ca2",
+        "census": "4d67e74fbff64f973d846b15094228b687a5b94501be7fde54f6f3d7a52462da",
+        "coloring": "16d05fca43c0ad7f750bd27305bc1a82d2a571481e8f4b01e838b8fc65c1d7a5",
+        "checks_csv": "a70fed2765c0af852e89f9d524149d92bf8ab41ce8b9aa03855178daaf15d611",
+    },
+    "genus2": {
+        "report": "e3d57a31e301e80ba103448cbeeac2851016057c5077666917b723b4f0f90ca0",
+        "census": "79fc2dca55a90ca549e8783b36fc058a5b09620f90dfebd9ff27a764e415ba77",
+        "coloring": "c115190d85bf0d205ab6a1cdc137c02c0b6191953acd20f48f3797222f956ced",
+        "checks_csv": "4f3957f1e083eb24b54cab6349f824d30a1f126c0e1047049c453c9423dfe2aa",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_DIGESTS))
+def test_record_digests_are_pinned(tmp_path, name):
+    import hashlib
+
+    from sepfilt.files import write_checks_csv
+    from sepfilt.filtration import SeparationConfig
+    from sepfilt.pipeline import run_pipeline
+
+    complex_, radius = {"torus4": (torus(4), 1.1),
+                        "genus2": (genus_surface(2), 0.7)}[name]
+    config = SeparationConfig(radius=radius, rng_seed=7, subdivision_depth=1)
+    artifacts = run_pipeline(complex_, config, samples=20)
+    document = artifacts.filtration_document()
+    write_checks_csv(tmp_path / "checks.csv", artifacts.checks)
+    texts = {
+        "report": canonical_dumps(artifacts.report_document()),
+        "census": canonical_dumps(document["census"]),
+        "coloring": canonical_dumps(document["coloring"]),
+        "checks_csv": (tmp_path / "checks.csv").read_text(encoding="utf-8"),
+    }
+    digests = {key: hashlib.sha256(text.encode()).hexdigest()
+               for key, text in texts.items()}
+    assert digests == RECORD_DIGESTS[name]
+
+
 def test_help_exits_zero():
     assert main(["--help"]) == 0
 
