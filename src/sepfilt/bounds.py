@@ -108,32 +108,26 @@ def _measures(z, rows, radii, whole):
     chunk, ``rows[k]`` exact out to the radius unless ``whole[k]``: a ball
     proven whole gets Z's cached ``whole_measure``.
 
-    Cells with every node inside count fully; cells with some nodes inside
-    count by node fraction.  The boundary credit (total volume of partially
-    counted cells) bounds the crediting error.  The node-in-ball counts are
-    one gather per cell column over the chunk; each ball's sums are
-    ``ndarray.sum`` over its own cells in cell order, so a ball's floats do
-    not depend on the chunk it is measured in.
+    A cell counts by the fraction of its n + 1 nodes inside, so a cell with
+    every node inside counts fully.  The boundary credit (total volume of
+    partially counted cells) bounds the crediting error.  The node-in-ball
+    counts are one gather per cell column over the chunk, and the sums are
+    two matrix-vector products with Z's ``credited_volumes``: exact sums,
+    so a ball's floats do not depend on the chunk it is measured in.
     """
-    out = [z.whole_measure] * len(radii)
+    measures = np.full(len(radii), z.whole_measure[0])
+    credits = np.zeros(len(radii))
     balls = np.flatnonzero(~whole)
-    columns, volumes = z.cell_columns, z.cell_volumes
-    if not len(balls) or not len(volumes):
-        return out
-    inside = (rows <= radii[:, None])[balls].view(np.uint8)
-    size = len(columns)
-    counts = inside.take(columns[0], axis=1)
-    for column in columns[1:]:
-        counts += inside.take(column, axis=1)
-    full = counts == size
-    partial = counts > 0
-    partial ^= full
-    for k, count, whole_cells, cut in zip(balls.tolist(), counts, full, partial):
-        part = volumes[cut]
-        measure = float(volumes[whole_cells].sum())
-        measure += float((part * count[cut] / size).sum())
-        out[k] = measure, float(part.sum())
-    return out
+    columns, volumes = z.cell_columns, z.credited_volumes
+    if len(balls) and len(volumes):
+        inside = (rows <= radii[:, None])[balls].view(np.uint8)
+        counts = inside.take(columns[0], axis=1)
+        for column in columns[1:]:
+            counts += inside.take(column, axis=1)
+        size = len(columns)
+        measures[balls] = counts @ volumes / size
+        credits[balls] = ((counts > 0) & (counts < size)) @ volumes
+    return list(zip(measures.tolist(), credits.tolist()))
 
 
 def _level_checks(filtration, samples, levels):
@@ -208,9 +202,8 @@ def _slice_integrals(z, rows, r1s, r2s):
     read out to r2.
 
     A cell is inside once rho reaches its farthest node.  The slice areas
-    are summed in distance order, sorted stably, so tied cells keep their
-    cell order and the cells within r2, the only ones summed, come in the
-    same order whatever the entries beyond r2 read.
+    are running sums of ``credited_volumes`` in distance order: exact, so
+    the order of tied cells, or of cells beyond r2, changes no value.
     """
     columns = z.cell_columns
     far = rows.take(columns[0], axis=1)
@@ -219,12 +212,12 @@ def _slice_integrals(z, rows, r1s, r2s):
     # row-major, so each row's trapezoid sum is one pairwise sum over the
     # row, as for the row alone (linspace along axis 1 returns a transpose)
     rhos = np.ascontiguousarray(np.linspace(r1s, r2s, _COAREA_SAMPLES, axis=1))
-    order = np.argsort(far, axis=1, kind="stable")
+    order = np.argsort(far, axis=1)
     far.sort(axis=1)  # the values of far in that order
     inside = np.array([row.searchsorted(rho, side="right")
                        for row, rho in zip(far, rhos)])
     # far becomes the running area sums, in that order, in place
-    np.cumsum(z.cell_volumes.take(order, out=far), axis=1, out=far)
+    np.cumsum(z.credited_volumes.take(order, out=far), axis=1, out=far)
     del order
     values = np.where(inside > 0, np.take_along_axis(far, inside - 1, axis=1), 0.0)
     step = (r2s - r1s) / (_COAREA_SAMPLES - 1)
@@ -319,15 +312,13 @@ class V1Estimate:
 
 
 def _node_weights(geometry):
-    """Per node v, w_v = the sum over the cells c holding v of vol(c) /
-    (n + 1).  A ball's credited measure (``_measures``) counts a cell by
-    the fraction of its n + 1 nodes inside, a whole cell by 1, so it is
-    the sum of w_v over the ball's nodes."""
+    """Per node v, the sum of ``credited_volumes`` over the cells holding
+    v.  The sum of these over a ball's nodes is the count x volume sum
+    that ``_measures`` divides by n + 1, and as exact."""
     n = geometry.n_nodes
-    shares = geometry.cell_volumes / len(geometry.cell_columns)
     weights = np.zeros(n)
     for column in geometry.cell_columns:
-        weights += np.bincount(column, shares, minlength=n)
+        weights += np.bincount(column, geometry.credited_volumes, minlength=n)
     return weights
 
 
@@ -336,63 +327,47 @@ def estimate_v1(geometry):
 
     This is the base-space maximum; it equals the supremum over covers only
     when the systole exceeds twice the radius, so shorter (or unknown)
-    systoles attach a warning instead of a silent number.  The result is
-    the first node of largest ``_measures``, found without measuring every
-    ball that way.
+    systoles attach a warning instead of a silent number.
 
-    Each ball not proven whole is first summed over its nodes with
+    Each ball not proven whole is summed over its nodes with
     ``_node_weights``: from its table row (``MetricGraph.table_sums``), or
-    else from its row read through ``_chunks``.  That sum and
-    ``_measures`` are float sums of the same nonnegative terms, of exact
-    total S, with at most m = cells + nodes + 4 roundings along any term,
-    so each lies within gamma_m S of S (gamma_m = m u / (1 - m u), u =
-    2^-53).  As the whole measure W >= S (1 - gamma_m), the two differ by
-    at most tol = 4 gamma_m W.  So a node whose sum is below the largest
-    sum minus 2 tol measures below the largest measure, and only the nodes
-    at or above that are measured with ``_measures``: a read row's ball as
-    soon as its sum is near the largest so far, a tabled one at the end.
+    else from its row read through ``_chunks``.  These sums are exact, so
+    the first node of largest sum, divided by n + 1, is the first node of
+    largest ``_measures``, and only its ball is measured, for its boundary
+    credit: from the row kept for it, or from the table, or whole.
     """
     graph, n = geometry.graph, geometry.n_nodes
-    whole_measure = geometry.whole_measure
-    m = len(geometry.cells_array) + n + 4
-    gamma = m * 2.0**-53 / (1 - m * 2.0**-53)
-    margin = 8 * gamma * whole_measure[0]  # 2 tol
+    size = len(geometry.cell_columns)
+    whole_sum = geometry.whole_measure[0] * size
     weights = _node_weights(geometry)
     whole = graph.holds_every_node(np.arange(n), _V1_RADIUS)
-    sums = np.where(whole, whole_measure[0], -math.inf)
+    sums = np.where(whole, whole_sum, -math.inf)
     tabled, tabled_sums, rest = graph.table_sums(
         np.flatnonzero(~whole), _V1_RADIUS, weights)
     sums[tabled] = tabled_sums
-    measures = {}
+    kept, kept_row = -1, None  # the largest sum's node among ``rest``, its row
     samples = [(node, _V1_RADIUS, _V1_RADIUS) for node in rest.tolist()]
     for at, _, rows, _, (radii, holds) in _chunks(geometry, samples, _row_radii):
         nodes = rest[at]
-        inside = np.where(rows <= radii[:, None], weights, 0.0).sum(axis=1)
-        sums[nodes] = np.where(holds, whole_measure[0], inside)
-        near = sums[nodes] >= sums.max() - margin
-        measures.update(zip(nodes[near].tolist(), _measures(
-            geometry, rows[near], radii[near], holds[near])))
-    near = np.flatnonzero(sums >= sums.max() - margin).tolist()
-    samples = [(node, _V1_RADIUS, _V1_RADIUS) for node in near
-               if node not in measures and not whole[node]]
-    for _, chunk, rows, _, (radii, holds) in _chunks(geometry, samples, _row_radii):
-        measures.update(zip([node for node, _, _ in chunk],
-                            _measures(geometry, rows, radii, holds)))
-    best_node = max(near, key=lambda node: measures.get(node, whole_measure)[0])
-    best, best_boundary = measures.get(best_node, whole_measure)
+        whole[nodes] = holds
+        sums[nodes] = np.where(holds, whole_sum,
+                               (rows <= radii[:, None]) @ weights)
+        k = int(sums[nodes].argmax())
+        if kept < 0 or sums[nodes[k]] > sums[kept]:
+            kept, kept_row = int(nodes[k]), rows[k].copy()
+    best = int(sums.argmax())
+    row = kept_row if best == kept else graph.rows_within(
+        [best], [-1.0 if whole[best] else _V1_RADIUS])[0]
+    [(_, boundary)] = _measures(geometry, row[None], np.array([_V1_RADIUS]),
+                                whole[[best]])
     systole = geometry.base.metadata.get("systole")
     warning = None
-    if systole is None:
-        warning = (
-            "systole unknown: the node maximum may undershoot the "
-            "cover supremum"
-        )
-    elif systole <= 2.0 * _V1_RADIUS:
-        warning = (
-            f"systole {systole} <= {2 * _V1_RADIUS}: the node maximum may "
-            "undershoot the cover supremum"
-        )
-    return V1Estimate(best, best_node, best_boundary, _V1_RADIUS, systole, warning)
+    if systole is None or systole <= 2.0 * _V1_RADIUS:
+        cause = (f"systole {systole} <= {2 * _V1_RADIUS}" if systole is not None
+                 else "systole unknown")
+        warning = f"{cause}: the node maximum may undershoot the cover supremum"
+    return V1Estimate(float(sums[best] / size), best, boundary, _V1_RADIUS,
+                      systole, warning)
 
 
 def _plain(value):

@@ -26,6 +26,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .adjacency import CellSystem, distinct, row_groups
 from .errors import DimensionMismatch, NondegenerateViolation
+from .files import check_keys
 
 # Distance entries (8 bytes each) computed per batch of rows.
 _BATCH = 1 << 18
@@ -147,7 +148,8 @@ def _barycenter_supports(support_vertex, support_num, faces):
 
 
 class WeightedComplex:
-    """Pure n-dimensional complex: maximal simplices plus an edge-length map."""
+    """Pure n-dimensional complex: maximal simplices plus an edge-length
+    map, a dict or ``(pair, length)`` items listing each pair once."""
 
     def __init__(self, dimension, simplices, edge_lengths, metadata=None):
         if dimension < 1:
@@ -166,8 +168,11 @@ class WeightedComplex:
             raise ValueError("a complex needs at least one maximal simplex")
         self.simplices = tuple(normalized)
         self.edge_lengths = {}
-        for key, value in dict(edge_lengths).items():
+        items = edge_lengths.items() if isinstance(edge_lengths, dict) else edge_lengths
+        for key, value in items:
             u, v = sorted(map(operator.index, key))
+            if (u, v) in self.edge_lengths:
+                raise ValueError(f"edge ({u}, {v}) is listed twice")
             length = float(value)
             if not (math.isfinite(length) and length > 0):
                 raise ValueError(
@@ -219,11 +224,14 @@ class WeightedComplex:
 
     @classmethod
     def from_json(cls, data):
+        """The complex of a ``to_json`` payload, read with exactly its keys."""
+        check_keys("complex", data, ("dimension", "simplices", "edge_lengths",
+                                     "metadata"))
         return cls(
             data["dimension"],
             [tuple(cell) for cell in data["simplices"]],
-            {(u, v): length for u, v, length in data["edge_lengths"]},
-            metadata=data.get("metadata"),
+            [((u, v), length) for u, v, length in data["edge_lengths"]],
+            metadata=data["metadata"],
         )
 
 
@@ -743,10 +751,23 @@ class ComplexGeometry:
     # -- balls -------------------------------------------------------------
 
     @functools.cached_property
+    def credited_volumes(self):
+        """``cell_volumes`` rounded up to multiples of the quantum q =
+        2^(e + b - 53), 2^e above their total and 2^b above the n + 1
+        nodes of a cell: (n + 1) times the rounded total is below 2^53 q
+        (for fewer than 2^(53 - 2b) cells), so every sum of count x volume,
+        counts 0 to n + 1, is exact in float64, in any order.  Every
+        credited measure sums these."""
+        volumes = self.cell_volumes
+        e = math.frexp(float(volumes.sum()))[1]
+        quantum = math.ldexp(1.0, e + len(self.cell_columns).bit_length() - 53)
+        return np.ceil(volumes / quantum) * quantum
+
+    @functools.cached_property
     def whole_measure(self):
         """(measure, boundary credit) of a ball holding every node: the sum
-        of all cell volumes in cell order, zero boundary credit."""
-        return float(self.cell_volumes.sum()), 0.0
+        of all ``credited_volumes``, zero boundary credit."""
+        return float(self.credited_volumes.sum()), 0.0
 
     @functools.cached_property
     def cell_columns(self):
@@ -804,6 +825,7 @@ class Subpolyhedron:
         return tuple(map(tuple, self.cells_array.tolist()))
 
     cell_system = ComplexGeometry.cell_system
+    credited_volumes = ComplexGeometry.credited_volumes
     whole_measure = ComplexGeometry.whole_measure
     cell_columns = ComplexGeometry.cell_columns
 

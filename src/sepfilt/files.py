@@ -26,6 +26,14 @@ def read_json(path):
         return json.load(handle)
 
 
+def check_keys(name, found, written):
+    """Raise ValueError unless ``found`` is a dict with exactly the keys
+    ``written``: a record is read back with the keys it is written with."""
+    keys = sorted(found) if isinstance(found, dict) else None
+    if keys != sorted(written):
+        raise ValueError(f"{name}: keys {keys} (written {sorted(written)})")
+
+
 def sha256_of(path):
     digest = hashlib.sha256()
     with open(path, "rb") as handle:

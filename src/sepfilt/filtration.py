@@ -22,6 +22,7 @@ import numpy as np
 from .adjacency import distinct, fit_in_ball
 from .complexes import Subpolyhedron
 from .errors import Infeasible, SeparationViolation
+from .files import check_keys
 
 _AREA_TOL = 1e-12
 # Relative tolerance of a stored level area against its recomputed sum.
@@ -89,14 +90,6 @@ class SeparationCheck:
 
     separating: bool
     components: tuple
-
-
-def check_keys(name, found, written):
-    """Raise ValueError unless ``found`` is a dict with exactly the keys
-    ``written``: a record is read back with the keys it is written with."""
-    keys = sorted(found) if isinstance(found, dict) else None
-    if keys != sorted(written):
-        raise ValueError(f"{name}: keys {keys} (written {sorted(written)})")
 
 
 def _facet_ids(parent, candidate):

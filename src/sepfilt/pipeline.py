@@ -14,7 +14,8 @@ from .bounds import (
     point_density_check,
 )
 from .errors import CensusMismatch, SeparationViolation
-from .filtration import build_filtration, check_keys
+from .files import check_keys
+from .filtration import build_filtration
 from .rainbow import color_by_filtration, count_rainbow
 
 

@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,24 +38,36 @@ def reference_distances(graph, nodes=None):
     return dijkstra(complete_arcs(graph), indices=nodes)
 
 
+def credited_volumes(cells, volumes):
+    """The volumes rounded up to multiples of the quantum q = 2^(e + b -
+    53), where 2^e > their float total >= 2^(e - 1) and 2^b > the cells'
+    node count >= 2^(b - 1): the integers k with k q the rounded volume,
+    and q as a Fraction."""
+    e = math.frexp(float(volumes.sum()))[1]
+    quantum = math.ldexp(1.0, e + cells.shape[1].bit_length() - 53)
+    # dividing by a power of two is exact
+    units = [math.ceil(volume / quantum) for volume in volumes.tolist()]
+    return units, Fraction(quantum)
+
+
 def reference_measure(cells, volumes, dist, r):
     """(measure, boundary credit) of cells inside the ball ``dist <= r``,
-    one ball at a time: the formula the package's measure evaluates.
+    one ball at a time and in exact arithmetic: the formula the package's
+    measure evaluates.
 
-    ``cells`` is an array of node-id rows with matching ``volumes``.  Cells
-    with every node inside count fully; cells with some nodes inside count
-    by node fraction.  The boundary credit is the total volume of the
-    partially counted cells.
+    ``cells`` is an array of node-id rows with matching ``volumes``, which
+    are first rounded up as ``credited_volumes``.  A cell with k of its
+    n + 1 nodes inside counts k / (n + 1) of its volume: the sum of
+    k x volume is taken exactly, divided by n + 1 once and rounded to a
+    float.  The boundary credit is the total volume of the partially
+    counted cells.
     """
-    if not len(cells):
-        return 0.0, 0.0
-    counts = (dist[cells] <= r).sum(axis=1)
+    counts = (dist[cells] <= r).sum(axis=1).tolist()
     size = cells.shape[1]
-    full = counts == size
-    partial = (counts > 0) & ~full
-    measure = float(volumes[full].sum())
-    measure += float((volumes[partial] * counts[partial] / size).sum())
-    return measure, float(volumes[partial].sum())
+    units, quantum = credited_volumes(cells, volumes)
+    measure = sum(count * unit for count, unit in zip(counts, units))
+    credit = sum(unit for count, unit in zip(counts, units) if 0 < count < size)
+    return float(measure * quantum / size), float(credit * quantum)
 
 
 def ball_volume(geometry, center, r):

@@ -1,5 +1,6 @@
 """Smoke test of ``tools/bench_stages.py``: one measured run of the smallest
-fixture, so that renaming an internal the tool wraps breaks a test."""
+fixture, so that renaming an internal the tool wraps breaks a test, and
+the comparison of runs that reports which outputs stayed identical."""
 
 import importlib.util
 import json
@@ -8,22 +9,49 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "bench_stages.py"
 
 
-def test_one_measured_run_times_every_stage():
+@pytest.fixture(scope="module")
+def tool():
     spec = importlib.util.spec_from_file_location("bench_stages", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def record(tool):
+    """One measured run of the smallest fixture, in a fresh process."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.update({name: "1" for name in tool.THREAD_VARS})
     result = subprocess.run(
         [sys.executable, str(TOOL), "circle12-d2", "--measure"],
         env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    record = json.loads(result.stdout.splitlines()[-1])
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_one_measured_run_times_every_stage(tool, record):
     assert set(record["stages_s"]) == {*tool.STAGES, "total"}
     assert all(record["stages_s"][stage] > 0 for stage in tool.STAGES)
     assert record["level_areas"] == [3.0]
     assert record["speed"] > 0
+
+
+def test_the_filtration_and_the_measures_are_compared_apart(tool, record,
+                                                            monkeypatch):
+    # two checkouts whose runs agree on the filtration document and differ
+    # in the measured records, and the other way round
+    for same, differs in (("filtration", "measures"), ("measures", "filtration")):
+        def fresh_run(fixture, checkout):
+            return {**record, f"{differs}_digest": checkout}
+
+        monkeypatch.setattr(tool, "fresh_run", fresh_run)
+        result = tool.compare("circle12-d2", {"parent": "a", "change": "b"}, 2)
+        assert result[f"{same}_identical"] is True
+        assert result[f"{differs}_identical"] is False
+    assert "outputs_identical" not in result

@@ -72,14 +72,18 @@ builds its components and their feasible centers), ``feasible_calls`` the
 groups they take (a call of the one-group form ``(nodes, radius)`` of
 checkouts before the grouped call counts one).  ``balls_measured`` counts
 the balls ``bounds._measures`` measures from their rows, not proven whole:
-in the V1 stage, the candidates V1 measures exactly (every ball not
-proven whole, before V1 summed balls over their nodes).
+in the V1 stage, at most the ball of the largest exact sum, whose boundary
+credit V1 reports (before the sums were exact, every ball near the largest
+sum; before V1 summed balls over their nodes, every ball not proven
+whole).
 Each checkout first makes one untimed warm-up run, whose result is
 dropped, so that no timed run includes the byte-compilation of modules
 edited since the checkout's last import.  Checkouts then alternate run
-by run, BLAS threads are 1, and
-``outputs_identical`` says whether every run gave the same sha256 of the
-filtration and report documents and every sweep and verify row.  Each run
+by run, BLAS threads are 1, ``filtration_identical`` says whether
+every run gave the same sha256 of the filtration document (its levels
+included), and ``measures_identical`` whether every run gave the same
+sha256 of the report document and every sweep and verify row, the
+records the credited measures enter.  Each run
 also records the per-level areas of its filtration (Z_0 first) and a
 sha256 of each level's cell list; ``areas_identical`` and
 ``cells_identical`` say whether every run gave the same ones.
@@ -370,19 +374,22 @@ def measure(fixture):
     lap("verify", checked.geometry.graph)
     kernel_samples += [speed.kernel() for _ in range(SPEED_SAMPLES)]
     stages["total"] = sum(stages.values())
-    text = canonical_dumps({
-        "filtration": document,
-        "report": artifacts.report_document(),
-        "checks": [check.to_row() for check in checks],
-        "verify_checks": [check.to_row() for check in verify_checks],
-    })
+    texts = {
+        "filtration": canonical_dumps(document),
+        "measures": canonical_dumps({
+            "report": artifacts.report_document(),
+            "checks": [check.to_row() for check in checks],
+            "verify_checks": [check.to_row() for check in verify_checks],
+        }),
+    }
     return {
         "stages_s": stages,
         **stage_counts,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "speed": speed.scale(1.0, kernel_samples),
         "graph": graph_size,
-        "digest": hashlib.sha256(text.encode()).hexdigest(),
+        **{f"{key}_digest": hashlib.sha256(text.encode()).hexdigest()
+           for key, text in texts.items()},
         "level_areas": level_areas,
         "level_cells": level_cells,
     }
@@ -440,8 +447,9 @@ def compare(fixture, checkouts, runs):
                   f"{record['stages_s']['total']:.3f} s, "
                   f"{record['peak_rss_mb']:.1f} MB", file=sys.stderr)
     result = {label: summarize(rs) for label, rs in records.items()}
-    digests = {r["digest"] for rs in records.values() for r in rs}
-    result["outputs_identical"] = len(digests) == 1
+    for key in ("filtration", "measures"):
+        digests = {r[f"{key}_digest"] for rs in records.values() for r in rs}
+        result[f"{key}_identical"] = len(digests) == 1
     areas = {tuple(r["level_areas"]) for rs in records.values() for r in rs}
     result["areas_identical"] = len(areas) == 1
     cells = {tuple(r["level_cells"]) for rs in records.values() for r in rs}
