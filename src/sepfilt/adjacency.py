@@ -27,13 +27,34 @@ def row_groups(rows):
 
     Row ``order[starts[k]]`` is the first occurrence of the k-th distinct
     row, and ``order[starts[k]:starts[k + 1]]`` lists all its occurrences
-    in increasing position.
+    in increasing position.  When the rows' entries, less the smallest,
+    fit side by side in 63 bits, each row is one int64 key with its first
+    entry in the highest bits, and one stable sort of the keys orders the
+    rows; otherwise ``np.lexsort`` sorts column by column.
     """
+    count, width = rows.shape
+    low = int(rows.min(initial=0))
+    bits = (int(rows.max(initial=0)) - low).bit_length()
+    if bits * width <= 63:
+        keys = np.zeros(count, dtype=np.int64)
+        for column in rows.T:
+            keys <<= bits
+            keys |= column - low
+        order = np.argsort(keys, kind="stable")
+        return order, run_starts(keys[order])
     order = np.lexsort(rows.T[::-1])
     ordered = rows[order]
-    new = np.ones(len(rows), dtype=bool)
+    new = np.ones(count, dtype=bool)
     new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     return order, np.flatnonzero(new)
+
+
+def run_starts(values):
+    """The positions where each run of equal values of a 1-D array starts:
+    0 and each position whose value differs from the one before."""
+    new = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def distinct(values):
@@ -42,9 +63,7 @@ def distinct(values):
     2.4's ``np.unique`` takes a hash path on int64 values instead, several
     times slower on the few thousand a prune state groups."""
     values = np.sort(values, axis=None)
-    keep = np.ones(len(values), dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
+    return values[run_starts(values)]
 
 
 class CellSystem:
@@ -64,10 +83,20 @@ class CellSystem:
       subfaces by size and then lexicographically: the faces it blocks;
     - ``cell_faces``: per cell, the ids of its faces, the cell last, in the
       order of ``complexes.subdivision_flags``'s subsets;
-    - ``dual_pairs``: rows of shared face id, first coface and other
-      coface: each proper face joins its first coface to each other one.
-      The columns are sorted stably by first coface, so ``dual_ptr[cell]``
-      is where the cell's own columns start: the rows of a CSR dual graph.
+    - ``dual_ptr``, ``dual_cells``, ``dual_faces``: the dual graph as
+      symmetric int32 CSR rows, cell ``c``'s neighbours ascending from
+      ``dual_cells[dual_ptr[c]]`` on, each with the id of the face that
+      joins them in ``dual_faces``.  Each proper face joins its first
+      coface to each other one, both ways; where several faces join the
+      same two cells, one row keeps the largest of them, the smallest id.
+      That face is the two cells' whole common face: the faces joining
+      them all lie in it, and every cell that holds it holds them, so it
+      has their first coface and joins the two cells too.  A face that
+      contains an uncovered face is uncovered, so the kept face is
+      passable exactly when one of the merged ones is, and no component
+      changes.  No row repeats a column: SciPy 1.17's strong-components
+      routine never returns on a row that does;
+    - ``node_bound``: one above the largest node id of the cells.
 
     ``closure_lists`` and ``coface_lists`` give the same closures and
     cofaces as Python lists, for loops over a few faces at a time.
@@ -121,20 +150,33 @@ class CellSystem:
                 for subset in itertools.combinations(range(self.dim), size)
             ]
         )
-        # each proper face joins its first coface to every other one; the
-        # pairs are put in order straight into their rows, the fewest copies
+        self.node_bound = int(self.cell_nodes.max(initial=0)) + 1
+        # each proper face joins its first coface to every other one, both
+        # ways; one sort of (row, column, face) bit fields groups the rows
+        # and puts each pair's smallest face first
         repeats = np.diff(self.coface_ptr) - 1
         faces = np.repeat(np.arange(len(repeats)), repeats)
         other = self.coface_ptr[faces]
         first = self.coface_cells[other]
         other += np.arange(len(other)) - np.repeat(np.cumsum(repeats) - repeats, repeats)
-        other += 1
-        order = np.argsort(first, kind="stable")
-        self.dual_pairs = np.empty((3, len(order)), dtype=np.int64)
-        faces.take(order, out=self.dual_pairs[0])
-        first.take(order, out=self.dual_pairs[1])
-        self.coface_cells.take(other.take(order), out=self.dual_pairs[2])
-        self.dual_ptr = np.searchsorted(self.dual_pairs[1], np.arange(n_cells + 1))
+        other = self.coface_cells[other + 1]
+        cell_bits, face_bits = n_cells.bit_length(), len(repeats).bit_length()
+        if 2 * cell_bits + face_bits > 63:
+            raise ValueError(f"{n_cells} cells and {len(repeats)} faces are too "
+                             "many for one dual graph key")
+        keys = np.concatenate([first, other])
+        keys <<= cell_bits
+        keys |= np.concatenate([other, first])
+        keys <<= face_bits
+        keys |= np.concatenate([faces, faces])
+        keys.sort()
+        pairs = keys >> face_bits
+        keep = run_starts(pairs)
+        keys, pairs = keys[keep], pairs[keep]
+        self.dual_faces = keys & ((1 << face_bits) - 1)
+        self.dual_cells = (pairs & ((1 << cell_bits) - 1)).astype(np.int32)
+        self.dual_ptr = np.searchsorted(
+            pairs >> cell_bits, np.arange(n_cells + 1)).astype(np.int32)
 
     @functools.cached_property
     def closure_lists(self):
@@ -169,7 +211,9 @@ class CellSystem:
 
         A face blocks passage exactly when its count is positive.
         """
-        faces = self.closures[np.fromiter(blocked, dtype=np.int64)]
+        if not isinstance(blocked, np.ndarray):
+            blocked = np.fromiter(blocked, dtype=np.int64)
+        faces = self.closures[blocked]
         return np.bincount(faces.ravel(), minlength=len(self.coface_ptr) - 1)
 
     def components(self, blocked, cover=None):
@@ -181,14 +225,16 @@ class CellSystem:
         """
         if cover is None:
             cover = self.cover(blocked)
-        faces, _, tails = self.dual_pairs
-        passable = cover[faces] == 0
-        pointer = np.concatenate(([0], np.cumsum(passable)))[self.dual_ptr]
+        kept = np.flatnonzero(cover[self.dual_faces] == 0)
         size = len(self.cell_nodes)
-        graph = csr_matrix((np.ones(pointer[-1]), tails[passable], pointer),
+        graph = csr_matrix((np.ones(len(kept)), self.dual_cells.take(kept),
+                            np.searchsorted(kept, self.dual_ptr).astype(np.int32)),
                            (size, size))
-        _, labels = connected_components(graph, directed=False)
-        _, smallest = np.unique(labels, return_index=True)
+        # on a symmetric graph the strong components are the connected
+        # ones, and SciPy transposes no copy of the graph to find them
+        _, labels = connected_components(graph, directed=True, connection="strong")
+        smallest = np.full(size, size, dtype=labels.dtype)
+        np.minimum.at(smallest, labels, np.arange(size, dtype=labels.dtype))
         return smallest[labels]
 
     def component_groups(self, labels):
@@ -203,10 +249,10 @@ class CellSystem:
         cell's nodes, split by label.
         """
         cells = np.argsort(labels, kind="stable")
-        cell_starts = np.flatnonzero(np.diff(labels[cells], prepend=-1))
-        n = int(self.cell_nodes.max(initial=0)) + 1
+        cell_starts = run_starts(labels[cells])
+        n = self.node_bound
         owners, nodes = np.divmod(distinct(labels[:, None] * n + self.cell_nodes), n)
-        return cells, cell_starts, nodes, np.flatnonzero(np.diff(owners, prepend=-1))
+        return cells, cell_starts, nodes, run_starts(owners)
 
     def cut_facets(self, side):
         """Ids of the facets whose cofaces do not all have the same

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .adjacency import CellSystem, distinct, row_groups
+from .adjacency import CellSystem, distinct, row_groups, run_starts
 from .errors import DimensionMismatch, NondegenerateViolation
 from .files import check_keys
 
@@ -497,18 +497,32 @@ class MetricGraph:
         """Split the nodes into those whose ball B(node, radius) is read
         from the ball table, as ``rows_within`` reads it (tabulated first),
         and the rest.  Returns the first, the sum of ``weights`` over each
-        one's ball, read from its table row, and the rest."""
+        one's ball, read from its table row, and the rest.
+
+        The weights must be multiples of one quantum whose every partial
+        sum is exact, as ``bounds._node_weights`` are: the table rows are
+        summed about ``_BATCH`` entries at a time, each ball's weights
+        masked to the radius (below the table's) and added in one
+        ``np.add.reduceat``, in an order that then does not matter.  A
+        ball holds its own node, so no slice is empty."""
         nodes = np.asarray(nodes, dtype=np.int64)
         if radius > self.radius or not len(nodes):
             return nodes[:0], np.empty(0), nodes
         served = self._held[nodes] | (self.reach[nodes] > self.radius)
         tabled = nodes[served]
         self.tabulate(tabled, self.radius)
-        sums = []
-        for node in tabled.tolist():
-            columns, distances, _ = self._table[node]
-            sums.append(weights[columns[distances <= radius]].sum())
-        return tabled, np.array(sums), nodes[~served]
+        balls = [self._table[node] for node in tabled.tolist()]
+        sizes = np.array([len(ball[0]) for ball in balls], dtype=np.int64)
+        starts = np.cumsum(sizes) - sizes
+        # a batch: the balls that start in one window of _BATCH entries
+        firsts = run_starts(starts // _BATCH).tolist()
+        sums = [np.empty(0)]
+        for a, b in zip(firsts, [*firsts[1:], len(balls)]):
+            values = weights[np.concatenate([ball[0] for ball in balls[a:b]])]
+            if radius < self.radius:
+                values[np.concatenate([ball[1] for ball in balls[a:b]]) > radius] = 0.0
+            sums.append(np.add.reduceat(values, starts[a:b] - starts[a]))
+        return tabled, np.concatenate(sums), nodes[~served]
 
     def feasible_centers(self, nodes, starts, radius):
         """Per group ``nodes[starts[k]:starts[k + 1]]`` (the last one runs

@@ -214,22 +214,29 @@ class _PruneState:
     of each of its facets by id.  ``cover_count`` (``system.cover(z)``),
     ``labels`` (each cell's component label) and the bitsets are plain
     Python values: a removal touches only one closure's few faces and their
-    cells, where indexing a list beats a NumPy call.
+    cells, where indexing a list beats a NumPy call.  A state that is not
+    ``feasible`` is never pruned, so it stops at its components' feasible
+    centers: it holds only ``system``, ``comps`` and ``feasible``.
     """
 
     def __init__(self, parent, blocked, radius, area_of=None):
+        """``blocked`` lists distinct facet ids, best as an integer array."""
         self.system = system = parent.cell_system
-        self.z = set(blocked)
+        if not isinstance(blocked, np.ndarray):
+            blocked = np.fromiter(blocked, dtype=np.int64)
+        cover = system.cover(blocked)
+        labels = system.components(blocked, cover)
+        self.comps = _fit_components(parent, labels, radius)
+        self.feasible = all(comp.centers for comp in self.comps.values())
+        if not self.feasible:
+            return
+        self.z = set(blocked.tolist())
         if area_of is None:
             area_of = parent.face_volumes[: len(system.facets)].tolist()
         self.area_of = area_of
-        cover = system.cover(self.z)
         self.cover_count = cover.tolist()
         self.area = math.fsum(map(area_of.__getitem__, self.z))
-        labels = system.components(self.z, cover)
-        self.comps = _fit_components(parent, labels, radius)
         self.labels = labels.tolist()
-        self.feasible = all(comp.centers for comp in self.comps.values())
 
     def copy(self):
         """An independent state; ``try_remove`` replaces merged components
@@ -339,7 +346,8 @@ def minimize_separating(
         return FiltrationLevel(Subpolyhedron(parent, ()), 0.0, 0.0, "certified",
                                empty_check.components)
 
-    full = set(facets)
+    candidate = np.zeros(len(system.facets), dtype=bool)
+    candidate[facets] = True
     order_index = {facet: i for i, facet in enumerate(facets)}
     area_of = parent.face_volumes[: len(system.facets)].tolist()
 
@@ -352,7 +360,7 @@ def minimize_separating(
         return _PruneState(parent, blocked, radius, area_of)
 
     # pruning keeps feasibility, so the full candidate set decides it
-    full_state = new_state(full)
+    full_state = new_state(np.flatnonzero(candidate))
     if not full_state.feasible:
         raise Infeasible(
             "the full candidate facet set is not separating at this radius"
@@ -384,17 +392,19 @@ def minimize_separating(
     h = geometry.max_cell_diameter
     lo = min(0.25 * radius, max(radius - h, 0.05 * radius))
     hi = max(lo + 1e-9, radius * 0.999)
+    incumbent = blocked = None  # the best state and its subpolyhedron
     while moves_used < move_budget:
         moves_used += 1
         center = rng.randrange(geometry.n_nodes)
         rho = rng.uniform(lo, hi)
-        moved = sphere_replacement_move(
-            parent, Subpolyhedron.of_facets(parent, best_state.z), center, rho
-        )
-        cells = set(moved.facet_ids.tolist()) & full
-        if cells == best_state.z:
+        if incumbent is not best_state:
+            incumbent = best_state
+            blocked = Subpolyhedron.of_facets(parent, best_state.z)
+        moved = sphere_replacement_move(parent, blocked, center, rho).facet_ids
+        moved = moved[candidate[moved]]
+        if np.array_equal(moved, blocked.facet_ids):
             continue
-        consider(new_state(cells), lex_key)
+        consider(new_state(moved), lex_key)
 
     certified = best_state.area == 0.0
     return FiltrationLevel(

@@ -42,6 +42,17 @@ def test_one_measured_run_times_every_stage(tool, record):
     assert record["speed"] > 0
 
 
+def test_components_calls_and_infeasible_states_are_counted(record):
+    # every prune state labels its components once; validate labels each
+    # level's once more
+    calls, infeasible = record["components_calls"], record["infeasible_states"]
+    assert set(calls) == set(infeasible) == set(record["prune_states"])
+    assert calls["filtration"] >= record["prune_states"]["filtration"] > 0
+    assert calls["validate"] == 1
+    assert 0 <= infeasible["filtration"] < record["prune_states"]["filtration"]
+    assert sum(infeasible.values()) == infeasible["filtration"]
+
+
 def test_the_filtration_and_the_measures_are_compared_apart(tool, record,
                                                             monkeypatch):
     # two checkouts whose runs agree on the filtration document and differ

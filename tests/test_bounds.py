@@ -932,6 +932,24 @@ def test_v1_sums_select_the_largest_measure(name, monkeypatch):
         assert not held and not measured
 
 
+@pytest.mark.parametrize("batch", [1, 300, 1 << 18])
+def test_table_sums_equal_each_ball_summed_alone(batch, monkeypatch):
+    # one ball a batch, a few balls a batch and all in one; at the table's
+    # radius and below it, where each ball is masked to the radius
+    geometry = torus(4).geometry(2)
+    graph, n = geometry.graph, geometry.n_nodes
+    graph.tabulate(range(n), 1.1)
+    weights = bounds._node_weights(geometry)
+    dist = reference_distances(graph)
+    monkeypatch.setattr(complexes, "_BATCH", batch)
+    for radius in (1.1, 1.0, 0.3):
+        tabled, sums, rest = graph.table_sums(np.arange(n), radius, weights)
+        assert sorted([*tabled.tolist(), *rest.tolist()]) == list(range(n))
+        assert len(tabled) > n // 2
+        assert sums.tolist() == [weights[dist[node] <= radius].sum()
+                                 for node in tabled.tolist()]
+
+
 def test_v1_warning_for_short_systole(tiny_torus_filtration):
     estimate = estimate_v1(tiny_torus_filtration.geometry)
     assert estimate.warning is not None

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from sepfilt import Subpolyhedron, complexes, filtration
-from sepfilt.adjacency import CellSystem, fit_in_ball
+from sepfilt.adjacency import CellSystem, fit_in_ball, row_groups
 from sepfilt.errors import DimensionMismatch, Infeasible
 from sepfilt.filtration import (
     SeparationConfig,
@@ -360,11 +361,102 @@ def test_cell_system_matches_loop_build(name, depth):
         assert all(type(v) is int for v in system.coface_cells.tolist())
         assert system.closures.tolist() == loop["closures"]
         assert system.cell_faces.tolist() == loop["cell_faces"]
-        # sorted stably by first coface, with a row pointer over the cells
-        pairs = sorted(loop["pairs"], key=lambda pair: pair[1])
-        assert system.dual_pairs.T.tolist() == pairs
+        # each pair both ways, one row per two cells with their smallest
+        # face, by row and then column, with a row pointer over the cells
+        rows = {}
+        for face, first, other in loop["pairs"]:
+            for row in ((first, other), (other, first)):
+                rows[row] = min(face, rows.get(row, face))
+        entries = sorted(rows.items())
+        assert system.dual_ptr.dtype == system.dual_cells.dtype == np.int32
+        assert system.dual_cells.tolist() == [col for (_, col), _ in entries]
+        assert system.dual_faces.tolist() == [face for _, face in entries]
+        counts = collections.Counter(row for (row, _), _ in entries)
         assert system.dual_ptr.tolist() == [
-            sum(pair[1] < cell for pair in pairs) for cell in range(len(cells) + 1)]
+            0, *itertools.accumulate(counts[cell] for cell in range(len(cells)))]
+
+
+@pytest.mark.parametrize("low, high, width", [
+    (0, 5, 3), (-1, 40, 4), (0, 2**31, 2), (-2**40, 2**40, 2), (0, 3, 1)])
+def test_row_groups_order_rows_as_lexsort_does(low, high, width):
+    # keys side by side when they fit in 63 bits, else column by column
+    rows = np.random.default_rng(width).integers(low, high, size=(300, width))
+    order, starts = row_groups(rows)
+    expected = np.lexsort(rows.T[::-1])
+    assert order.tolist() == expected.tolist()
+    ordered = [tuple(row) for row in rows[expected].tolist()]
+    assert starts.tolist() == [k for k, row in enumerate(ordered)
+                               if k == 0 or row != ordered[k - 1]]
+
+
+def shared_faces(cells):
+    """Per pair of cell indices i < j with a common node, every face the
+    two cells share."""
+    holders = {}
+    for index, cell in enumerate(cells):
+        for node in cell:
+            holders.setdefault(node, []).append(index)
+    pairs = {pair for members in holders.values()
+             for pair in itertools.combinations(members, 2)}
+    shared = {}
+    for i, j in sorted(pairs):
+        common = tuple(sorted(set(cells[i]) & set(cells[j])))
+        shared[i, j] = [face for size in range(1, len(common) + 1)
+                        for face in itertools.combinations(common, size)]
+    return shared
+
+
+def loop_components(n_cells, shared, blocked):
+    """Component label (smallest cell index) per cell by union-find over
+    every face two cells share (``shared_faces``), passable when no
+    blocked facet holds it."""
+    covered = {face for facet in blocked for size in range(1, len(facet) + 1)
+               for face in itertools.combinations(facet, size)}
+    parent = list(range(n_cells))
+
+    def root(cell):
+        while parent[cell] != cell:
+            cell = parent[cell]
+        return cell
+
+    for (i, j), faces in shared.items():
+        if any(face not in covered for face in faces):
+            low, high = sorted((root(i), root(j)))
+            parent[high] = low
+    return [root(cell) for cell in range(n_cells)]
+
+
+def dual_fixtures():
+    """(name, depth) pairs of the loop fixtures and the 3-sphere."""
+    return [(name, depth) for name in sorted(LOOP_FIXTURES) for depth in (0, 1, 2)
+            ] + [("sphere3", 0), ("sphere3", 1)]
+
+
+@pytest.mark.parametrize("name, depth", dual_fixtures())
+def test_dual_rows_are_symmetric_and_join_cells_through_any_shared_face(
+        name, depth, sphere3):
+    complex_ = sphere3 if name == "sphere3" else LOOP_FIXTURES[name]()
+    geometry = complex_.geometry(depth)
+    rng = random.Random(5)
+    for cells in (geometry.cells, geometry.cell_system.facets):
+        system = CellSystem(cells)
+        cells = list(map(tuple, system.cell_nodes.tolist()))
+        ptr = system.dual_ptr.tolist()
+        neighbours = [system.dual_cells[a:b].tolist() for a, b in zip(ptr, ptr[1:])]
+        # no row repeats a column, and every entry has its reverse with the
+        # same face
+        assert all(len(set(row)) == len(row) for row in neighbours)
+        entries = {(row, col): face for row, cols in enumerate(neighbours)
+                   for col, face in zip(cols, system.dual_faces[ptr[row]:].tolist())}
+        assert all(entries.get((col, row)) == face
+                   for (row, col), face in entries.items())
+        assert all(row != col for row, col in entries)
+        facets = list(map(tuple, system.facets.tolist()))
+        shared = shared_faces(cells)
+        for share in (0.0, 0.2, 0.5, 0.8, 1.0):
+            blocked = [k for k in range(len(facets)) if rng.random() < share]
+            assert system.components(blocked).tolist() == loop_components(
+                len(cells), shared, [facets[k] for k in blocked])
 
 
 @pytest.mark.parametrize(

@@ -67,8 +67,11 @@ of feasible centers is empty.  ``cell_systems`` counts the
 (those inside a construction too), both by wrapping the methods of
 ``sepfilt.adjacency.CellSystem`` from outside the package.
 ``prune_states`` counts the ``filtration._PruneState`` constructions (each
-builds its components and their feasible centers), ``feasible_calls`` the
-``MetricGraph.feasible_centers`` calls and ``feasible_groups`` the node
+builds its components and their feasible centers), ``infeasible_states``
+those of them whose components do not all fit a ball (``feasible`` false),
+``components_calls`` the ``CellSystem.components`` calls (each builds the
+dual graph of one blocked set and labels its components),
+``feasible_calls`` the ``MetricGraph.feasible_centers`` calls and ``feasible_groups`` the node
 groups they take (a call of the one-group form ``(nodes, radius)`` of
 checkouts before the grouped call counts one).  ``balls_measured`` counts
 the balls ``bounds._measures`` measures from their rows, not proven whole:
@@ -139,6 +142,7 @@ COUNTERS = ("dijkstra_rows", "truncated_rows", "complete_rows",
             "fit_calls",
             "balls_built", "try_remove_calls", "merge_refusals",
             "cell_systems", "face_id_lookups", "prune_states",
+            "infeasible_states", "components_calls",
             "feasible_calls", "feasible_groups", "balls_measured")
 # sizes at the end of each stage, not counts during it
 STORE = ("table_entries", "table_bytes")
@@ -184,6 +188,7 @@ def measure(fixture):
     filling, uncounted = False, 0.0
     cell_system_init = adjacency.CellSystem.__init__
     face_ids = adjacency.CellSystem.face_ids
+    components = adjacency.CellSystem.components
 
     def counted_dijkstra(*args, **kwargs):
         result = dijkstra(*args, **kwargs)
@@ -232,6 +237,7 @@ def measure(fixture):
     def counted_prune_state(state, *args, **kwargs):
         counts["prune_states"] += 1
         prune_state_init(state, *args, **kwargs)
+        counts["infeasible_states"] += not state.feasible
 
     def counted_feasible(graph, *args):
         counts["feasible_calls"] += 1
@@ -249,6 +255,10 @@ def measure(fixture):
     def counted_face_ids(system, *args, **kwargs):
         counts["face_id_lookups"] += 1
         return face_ids(system, *args, **kwargs)
+
+    def counted_components(system, *args, **kwargs):
+        counts["components_calls"] += 1
+        return components(system, *args, **kwargs)
 
     check_init = bounds.InequalityCheck.__init__
     chunks, rows_within = bounds._chunks, graph_class.rows_within
@@ -282,6 +292,7 @@ def measure(fixture):
     complexes.dijkstra = counted_dijkstra
     adjacency.CellSystem.__init__ = counted_cell_system
     adjacency.CellSystem.face_ids = counted_face_ids
+    adjacency.CellSystem.components = counted_components
     filtration_module._PruneState.try_remove = counted_remove
     filtration_module._PruneState.__init__ = counted_prune_state
     graph_class.feasible_centers = counted_feasible
