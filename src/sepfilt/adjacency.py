@@ -28,20 +28,25 @@ def row_groups(rows):
     Row ``order[starts[k]]`` is the first occurrence of the k-th distinct
     row, and ``order[starts[k]:starts[k + 1]]`` lists all its occurrences
     in increasing position.  When the rows' entries, less the smallest,
-    fit side by side in 63 bits, each row is one int64 key with its first
-    entry in the highest bits, and one stable sort of the keys orders the
-    rows; otherwise ``np.lexsort`` sorts column by column.
+    and the row positions fit side by side in 63 bits, each row is one
+    int64 key, its first entry in the highest bits and its position in the
+    lowest, and one plain sort of the keys orders the rows stably (several
+    times faster than a stable argsort); otherwise ``np.lexsort`` sorts
+    column by column.
     """
     count, width = rows.shape
     low = int(rows.min(initial=0))
     bits = (int(rows.max(initial=0)) - low).bit_length()
-    if bits * width <= 63:
+    position_bits = max(count - 1, 0).bit_length()
+    if bits * width + position_bits <= 63:
         keys = np.zeros(count, dtype=np.int64)
         for column in rows.T:
             keys <<= bits
             keys |= column - low
-        order = np.argsort(keys, kind="stable")
-        return order, run_starts(keys[order])
+        keys <<= position_bits
+        keys |= np.arange(count)
+        keys.sort()
+        return keys & ((1 << position_bits) - 1), run_starts(keys >> position_bits)
     order = np.lexsort(rows.T[::-1])
     ordered = rows[order]
     new = np.ones(count, dtype=bool)
@@ -152,31 +157,23 @@ class CellSystem:
         )
         self.node_bound = int(self.cell_nodes.max(initial=0)) + 1
         # each proper face joins its first coface to every other one, both
-        # ways; one sort of (row, column, face) bit fields groups the rows
-        # and puts each pair's smallest face first
+        # ways; a cell pair (a, b) comes from one half of the concatenation
+        # only, with its faces ascending, so a stable grouping of the pairs
+        # puts each pair's smallest face first
         repeats = np.diff(self.coface_ptr) - 1
         faces = np.repeat(np.arange(len(repeats)), repeats)
         other = self.coface_ptr[faces]
         first = self.coface_cells[other]
         other += np.arange(len(other)) - np.repeat(np.cumsum(repeats) - repeats, repeats)
         other = self.coface_cells[other + 1]
-        cell_bits, face_bits = n_cells.bit_length(), len(repeats).bit_length()
-        if 2 * cell_bits + face_bits > 63:
-            raise ValueError(f"{n_cells} cells and {len(repeats)} faces are too "
-                             "many for one dual graph key")
-        keys = np.concatenate([first, other])
-        keys <<= cell_bits
-        keys |= np.concatenate([other, first])
-        keys <<= face_bits
-        keys |= np.concatenate([faces, faces])
-        keys.sort()
-        pairs = keys >> face_bits
-        keep = run_starts(pairs)
-        keys, pairs = keys[keep], pairs[keep]
-        self.dual_faces = keys & ((1 << face_bits) - 1)
-        self.dual_cells = (pairs & ((1 << cell_bits) - 1)).astype(np.int32)
+        pairs = np.column_stack([np.concatenate([first, other]),
+                                 np.concatenate([other, first])])
+        order, starts = row_groups(pairs)
+        kept = order[starts]
+        self.dual_faces = np.concatenate([faces, faces])[kept]
+        self.dual_cells = pairs[kept, 1].astype(np.int32)
         self.dual_ptr = np.searchsorted(
-            pairs >> cell_bits, np.arange(n_cells + 1)).astype(np.int32)
+            pairs[kept, 0], np.arange(n_cells + 1)).astype(np.int32)
 
     @functools.cached_property
     def closure_lists(self):
@@ -233,8 +230,9 @@ class CellSystem:
         # on a symmetric graph the strong components are the connected
         # ones, and SciPy transposes no copy of the graph to find them
         _, labels = connected_components(graph, directed=True, connection="strong")
-        smallest = np.full(size, size, dtype=labels.dtype)
-        np.minimum.at(smallest, labels, np.arange(size, dtype=labels.dtype))
+        # int64 labels: ``component_groups`` multiplies them by the node bound
+        smallest = np.full(size, size, dtype=np.int64)
+        np.minimum.at(smallest, labels, np.arange(size))
         return smallest[labels]
 
     def component_groups(self, labels):

@@ -220,10 +220,8 @@ class _PruneState:
     """
 
     def __init__(self, parent, blocked, radius, area_of=None):
-        """``blocked`` lists distinct facet ids, best as an integer array."""
+        """``blocked`` is an integer array of distinct facet ids."""
         self.system = system = parent.cell_system
-        if not isinstance(blocked, np.ndarray):
-            blocked = np.fromiter(blocked, dtype=np.int64)
         cover = system.cover(blocked)
         labels = system.components(blocked, cover)
         self.comps = _fit_components(parent, labels, radius)
@@ -311,7 +309,7 @@ def _voronoi_seed(parent, radius):
             break
         for cells in bad:
             candidate.update(system.cell_faces[cells, facet_columns].ravel().tolist())
-    return candidate
+    return np.fromiter(candidate, dtype=np.int64)
 
 
 def minimize_separating(

@@ -429,32 +429,6 @@ def test_rows_equal_the_complete_arc_reference(name, request):
         assert np.array_equal(batch, cut)
 
 
-def test_rows_from_the_table_land_in_their_own_rows():
-    # tabled nodes asked for more than once and at several limits, mixed
-    # with node 0, a negative limit and a read past the table's radius:
-    # each row is exact out to its limit, and a tabled row is its ball
-    geometry = genus_surface(2).geometry(1)
-    graph = geometry.graph
-    reference = reference_distances(graph)
-    graph.tabulate(range(1, graph.n_nodes, 3), 0.7)
-    nodes = [4, 7, 4, 0, 10, 7, 14, 4, 9]
-    limits = [0.7, 0.5, 0.2, 0.5, -1.0, 0.7, 1.5, 0.7, 0.0]
-    rows = graph.rows_within(nodes, limits)
-    for node, limit, row in zip(nodes, limits, rows):
-        if limit < 0:
-            assert np.isinf(row).all()
-        elif node == 0:
-            assert np.array_equal(row, reference[0])
-        else:
-            cut = max(limit, 0.7)
-            assert np.array_equal(np.where(row <= cut, row, np.inf),
-                                  np.where(reference[node] <= cut,
-                                           reference[node], np.inf))
-            if limit <= 0.7:  # the ball as the table holds it
-                assert np.array_equal(row, np.where(reference[node] <= 0.7,
-                                                    reference[node], np.inf))
-
-
 def test_a_strict_shortcut_stays_a_portal():
     # Node 1 lies only in block {0, 1, 2} but is a strict shortcut there,
     # L(0, 1) + L(1, 2) = 2 < L(0, 2) = 3; node 4 lies only in block

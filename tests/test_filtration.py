@@ -213,6 +213,18 @@ def test_components_match_oracle_on_random_cuts(torus4_d1):
         system.face_ids([facets[0][::-1]])
 
 
+def test_component_groups_hold_past_32_bit_keys():
+    # label * node_bound passes 2**31 here: the labels are int64, so the
+    # grouping keys do not wrap
+    big = 2**30
+    system = CellSystem([[0, big], [big, big + 1], [big + 1, big + 2], [big + 2, 0]])
+    labels = system.components(system.face_ids([[0], [big + 1]]))
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [0, 0, 2, 2]
+    assert [(cells, nodes.tolist()) for cells, nodes in group_pairs(system, labels)] == [
+        ((0, 1), [0, big, big + 1]), ((2, 3), [0, big + 1, big + 2])]
+
+
 def group_pairs(system, labels):
     """``component_groups`` of the labels as one ``(cells, nodes)`` pair
     per component, in label order: the cells a tuple, the nodes an
@@ -377,9 +389,11 @@ def test_cell_system_matches_loop_build(name, depth):
 
 
 @pytest.mark.parametrize("low, high, width", [
-    (0, 5, 3), (-1, 40, 4), (0, 2**31, 2), (-2**40, 2**40, 2), (0, 3, 1)])
+    (0, 5, 3), (-1, 40, 4), (0, 2**27, 2), (0, 2**31, 2), (-2**40, 2**40, 2),
+    (0, 3, 1)])
 def test_row_groups_order_rows_as_lexsort_does(low, high, width):
-    # keys side by side when they fit in 63 bits, else column by column
+    # entries and row positions side by side in one key when they fit in
+    # 63 bits (exactly, for 2**27 by 2), else column by column
     rows = np.random.default_rng(width).integers(low, high, size=(300, width))
     order, starts = row_groups(rows)
     expected = np.lexsort(rows.T[::-1])
@@ -665,7 +679,7 @@ def prune_starts(geometry, radius, seed=3, moves=12):
         return filtration._PruneState(geometry, blocked, radius)
 
     facets = range(len(system.facets))
-    full = new_state(facets)
+    full = new_state(np.arange(len(facets)))
     lex = {facet: i for i, facet in enumerate(facets)}
     pruned = filtration._prune(full.copy(), lex.__getitem__)
     rng = random.Random(seed)
@@ -676,7 +690,7 @@ def prune_starts(geometry, radius, seed=3, moves=12):
         moved = sphere_replacement_move(
             geometry, Subpolyhedron.of_facets(geometry, pruned.z), center, rho
         )
-        state = new_state(moved.facet_ids.tolist())
+        state = new_state(moved.facet_ids)
         if state.feasible:
             starts.append(state)
     return starts
@@ -761,7 +775,7 @@ def test_list_prune_state_matches_scratch(name, mode, monkeypatch):
     inside = reference_distances(geometry.graph) <= radius
     balls = [int.from_bytes(ball, "little")
              for ball in np.packbits(inside, axis=1, bitorder="little")]
-    full = filtration._PruneState(geometry, facets, radius)
+    full = filtration._PruneState(geometry, np.array(facets), radius)
     assert full.feasible
     assert_state_from_scratch(full, balls)
     state = full.copy()
