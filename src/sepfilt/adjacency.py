@@ -21,6 +21,33 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 
+def subdivision_flags(n):
+    """Index tables for the barycentric subdivision of an n-simplex.
+
+    Returns the nonempty subsets of its vertices ``range(n + 1)``, by size
+    and then lexicographically, and an array with one row per permutation
+    of the vertices (in ``itertools.permutations`` order): the indices
+    among those subsets of the permutation's n + 1 prefixes, each sorted.
+    Such a flag of faces spans one n-simplex of the subdivision; its first
+    index is the permutation's first vertex, as singletons come first.
+    This is the one face-subset order: ``CellSystem.cell_faces`` and
+    ``closures`` list faces in it, and the census reads its flags.
+    """
+    subsets = [
+        subset
+        for size in range(1, n + 2)
+        for subset in itertools.combinations(range(n + 1), size)
+    ]
+    index = {subset: k for k, subset in enumerate(subsets)}
+    flags = np.array(
+        [
+            [index[tuple(sorted(perm[: j + 1]))] for j in range(n + 1)]
+            for perm in itertools.permutations(range(n + 1))
+        ]
+    )
+    return subsets, flags
+
+
 def row_groups(rows):
     """A stable lexicographic order of the rows of an integer array, and
     the positions in that order where each distinct row starts.
@@ -85,9 +112,10 @@ class CellSystem:
     - ``coface_ptr``, ``coface_cells``: each proper face's cofaces,
       ascending, from ``coface_cells[coface_ptr[face]]`` on;
     - ``closures``: per facet, its own id and then those of its proper
-      subfaces by size and then lexicographically: the faces it blocks;
+      subfaces in the order of ``subdivision_flags``'s subsets: the faces
+      it blocks;
     - ``cell_faces``: per cell, the ids of its faces, the cell last, in the
-      order of ``complexes.subdivision_flags``'s subsets;
+      order of ``subdivision_flags``'s subsets;
     - ``dual_ptr``, ``dual_cells``, ``dual_faces``: the dual graph as
       symmetric int32 CSR rows, cell ``c``'s neighbours ascending from
       ``dual_cells[dual_ptr[c]]`` on, each with the id of the face that
@@ -117,11 +145,7 @@ class CellSystem:
         self.cell_nodes = np.sort(cell_nodes, axis=1)
         n_cells, width = self.cell_nodes.shape
         self.dim = width - 1
-        subsets = [
-            subset
-            for size in range(1, width + 1)
-            for subset in itertools.combinations(range(width), size)
-        ]
+        subsets, _ = subdivision_flags(self.dim)
         self.cell_faces = np.empty((n_cells, len(subsets)), dtype=np.int64)
         self.face_rows, self.offsets = {}, {}
         starts, members = [], []
@@ -147,13 +171,11 @@ class CellSystem:
         self.coface_ptr = np.concatenate([*starts, [occurrences]]).astype(np.int64)
         self.coface_cells = np.concatenate([np.empty(0, np.int64), *members])
         self.facets = self.face_rows.get(self.dim, np.empty((0, 0), np.int64))
+        # the proper subfaces: every node subset but the last, the whole facet
         self.closures = np.column_stack(
             [np.arange(len(self.facets))]
-            + [
-                self.face_ids(self.facets[:, list(subset)])
-                for size in range(1, self.dim)
-                for subset in itertools.combinations(range(self.dim), size)
-            ]
+            + [self.face_ids(self.facets[:, list(subset)])
+               for subset in subdivision_flags(self.dim - 1)[0][:-1]]
         )
         self.node_bound = int(self.cell_nodes.max(initial=0)) + 1
         # each proper face joins its first coface to every other one, both

@@ -17,7 +17,6 @@ from . import __version__
 from .errors import (
     BadParams,
     CensusMismatch,
-    CoverFailure,
     Infeasible,
     NondegenerateViolation,
     SepfiltError,
@@ -172,7 +171,7 @@ def main(argv=None):
     except click.ClickException as exc:
         exc.show(file=sys.stderr)
         return INPUT_ERROR
-    except (SeparationViolation, CensusMismatch, CoverFailure, Infeasible) as exc:
+    except (SeparationViolation, CensusMismatch, Infeasible) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return VERIFICATION_ERROR
     except (BadParams, KeyError, NondegenerateViolation, OSError,

@@ -24,7 +24,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .adjacency import CellSystem, distinct, row_groups, run_starts
+from .adjacency import (CellSystem, distinct, row_groups, run_starts,
+                        subdivision_flags)
 from .errors import DimensionMismatch, NondegenerateViolation
 from .files import check_keys
 
@@ -73,18 +74,13 @@ def simplex_volume(edge_lengths):
     return math.sqrt(vol2)
 
 
-def _embed_simplex(d, length_of):
-    """Coordinates in R^d for a d-simplex, vertex 0 at the origin.
-
-    ``length_of(i, j)`` returns the edge length between local vertices.
-    """
-    gram = np.empty((d, d))
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            between = 0.0 if i == j else length_of(i, j)
-            gram[i - 1, j - 1] = 0.5 * (
-                length_of(0, i) ** 2 + length_of(0, j) ** 2 - between**2
-            )
+def _embed_simplex(d, edge_lengths):
+    """Coordinates in R^d for a d-simplex, vertex 0 at the origin, from its
+    edge lengths in ``simplex_volume``'s order."""
+    squares = np.zeros((d + 1, d + 1))
+    for (i, j), length in zip(_pair_index(d), edge_lengths):
+        squares[i, j] = squares[j, i] = length**2
+    gram = 0.5 * (squares[0, 1:, None] + squares[0, None, 1:] - squares[1:, 1:])
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -99,29 +95,13 @@ def _embed_simplex(d, length_of):
     return coords
 
 
-def subdivision_flags(n):
-    """Index tables for the barycentric subdivision of an n-simplex.
-
-    Returns the nonempty subsets of its vertices ``range(n + 1)``, by size
-    and then lexicographically, and an array with one row per permutation
-    of the vertices (in ``itertools.permutations`` order): the indices
-    among those subsets of the permutation's n + 1 prefixes, each sorted.
-    Such a flag of faces spans one n-simplex of the subdivision; its first
-    index is the permutation's first vertex, as singletons come first.
-    """
-    subsets = [
-        subset
-        for size in range(1, n + 2)
-        for subset in itertools.combinations(range(n + 1), size)
-    ]
-    index = {subset: k for k, subset in enumerate(subsets)}
-    flags = np.array(
-        [
-            [index[tuple(sorted(perm[: j + 1]))] for j in range(n + 1)]
-            for perm in itertools.permutations(range(n + 1))
-        ]
-    )
-    return subsets, flags
+def _simplex_volumes(points):
+    """The k-volume of each simplex of ``points``, an array of shape
+    (simplices, k + 1, coordinates), from the Gram determinant of its edge
+    vectors from its first vertex."""
+    diffs = points[:, 1:] - points[:, :1]
+    det = np.linalg.det(diffs @ diffs.transpose(0, 2, 1))
+    return np.sqrt(np.maximum(det, 0.0)) / math.factorial(points.shape[1] - 1)
 
 
 def _barycenter_supports(support_vertex, support_num, faces):
@@ -148,22 +128,20 @@ def _barycenter_supports(support_vertex, support_num, faces):
 
 
 class WeightedComplex:
-    """Pure n-dimensional complex: maximal simplices plus an edge-length
-    map, a dict or ``(pair, length)`` items listing each pair once."""
+    """Pure n-dimensional complex: maximal simplices, each listed once in
+    any vertex order, plus an edge-length map, a dict or ``(pair, length)``
+    items listing each pair once."""
 
     def __init__(self, dimension, simplices, edge_lengths, metadata=None):
         if dimension < 1:
             raise ValueError("dimension must be at least 1")
         self.dimension = int(dimension)
-        seen = set()
         normalized = []
         for simplex in simplices:
             cell = tuple(sorted(map(operator.index, simplex)))
             if len(cell) != dimension + 1 or len(set(cell)) != dimension + 1:
                 raise ValueError(f"simplex {simplex} is not a {dimension}-simplex")
-            if cell not in seen:
-                seen.add(cell)
-                normalized.append(cell)
+            normalized.append(cell)
         if not normalized:
             raise ValueError("a complex needs at least one maximal simplex")
         self.simplices = tuple(normalized)
@@ -181,7 +159,11 @@ class WeightedComplex:
             self.edge_lengths[(u, v)] = length
         self.vertices = tuple(sorted({v for cell in self.simplices for v in cell}))
         self.metadata = dict(metadata or {})
+        seen = set()
         for cell in self.simplices:
+            if cell in seen:
+                raise ValueError(f"simplex {cell} is listed twice")
+            seen.add(cell)
             # raises NondegenerateViolation for impossible metrics
             simplex_volume(self.simplex_edge_lengths(cell))
 
@@ -565,15 +547,8 @@ class ComplexGeometry:
         n = self.dim
 
         # embed every original maximal simplex
-        orig_coords = []
-        for cell in base.simplices:
-            lengths = {
-                (i, j): base.edge_length(cell[i], cell[j])
-                for i, j in _pair_index(n)
-            }
-            orig_coords.append(
-                _embed_simplex(n, lambda i, j, L=lengths: L[(min(i, j), max(i, j))])
-            )
+        orig_coords = [_embed_simplex(n, base.simplex_edge_lengths(cell))
+                       for cell in base.simplices]
         vertex_index = {v: i for i, v in enumerate(base.vertices)}
         orig_vertices = np.array(
             [[vertex_index[v] for v in cell] for cell in base.simplices],
@@ -652,11 +627,8 @@ class ComplexGeometry:
             blocks,
         )
 
-        points = self._positions_of(self.cell_orig[:, None], cells)
-        diffs = points[:, 1:] - points[:, :1]
-        gram = diffs @ diffs.transpose(0, 2, 1)
-        det = np.linalg.det(gram)
-        self.cell_volumes = np.sqrt(np.maximum(det, 0.0)) / math.factorial(n)
+        self.cell_volumes = _simplex_volumes(
+            self._positions_of(self.cell_orig[:, None], cells))
         # every cell edge is an arc of the cell's block
         a, b = np.array(_pair_index(n)).T
         edges = np.searchsorted(arc_keys, cells[:, a] * n_nodes + cells[:, b])
@@ -753,10 +725,8 @@ class ComplexGeometry:
                 volumes.append(np.ones(len(rows)))
             else:
                 start = system.offsets[size]
-                points = self._positions_of(orig[start : start + len(rows), None], rows)
-                diffs = points[:, 1:] - points[:, :1]
-                det = np.linalg.det(diffs @ diffs.transpose(0, 2, 1))
-                volumes.append(np.sqrt(np.maximum(det, 0.0)) / math.factorial(size - 1))
+                volumes.append(_simplex_volumes(
+                    self._positions_of(orig[start : start + len(rows), None], rows)))
         return np.concatenate(volumes)
 
     def total_area(self):
@@ -834,10 +804,7 @@ class Subpolyhedron:
         self.cells_array = parent.cell_system.facets[self.facet_ids]
         return self
 
-    @functools.cached_property
-    def cells(self):
-        return tuple(map(tuple, self.cells_array.tolist()))
-
+    cells = ComplexGeometry.cells
     cell_system = ComplexGeometry.cell_system
     credited_volumes = ComplexGeometry.credited_volumes
     whole_measure = ComplexGeometry.whole_measure

@@ -35,7 +35,3 @@ class CensusMismatch(SepfiltError):
 
 class RadiusOrder(SepfiltError):
     """Radius arguments violate the required ordering r1 < r2."""
-
-
-class CoverFailure(SepfiltError):
-    """Doubled packing balls fail to cover the point set they came from."""

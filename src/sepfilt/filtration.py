@@ -276,8 +276,10 @@ class _PruneState:
         return True
 
 
-def _prune(state, order_key):
-    """One first-improvement removal pass; it ends at the fixpoint."""
+def _prune(state, order_key=None):
+    """One first-improvement removal pass; it ends at the fixpoint.  With
+    no ``order_key`` the facets go by ascending id, the lexicographic order
+    of their node rows."""
     for facet in sorted(state.z, key=order_key):
         state.try_remove(facet)
     return state
@@ -346,13 +348,10 @@ def minimize_separating(
 
     candidate = np.zeros(len(system.facets), dtype=bool)
     candidate[facets] = True
-    order_index = {facet: i for i, facet in enumerate(facets)}
     area_of = parent.face_volumes[: len(system.facets)].tolist()
 
-    lex_key = order_index.__getitem__
-
     def area_key(facet):
-        return (-area_of[facet], order_index[facet])
+        return (-area_of[facet], facet)
 
     def new_state(blocked):
         return _PruneState(parent, blocked, radius, area_of)
@@ -363,10 +362,10 @@ def minimize_separating(
         raise Infeasible(
             "the full candidate facet set is not separating at this radius"
         )
-    best_state = _prune(full_state.copy(), lex_key)
+    best_state = _prune(full_state.copy())
     moves_used = 0
 
-    def consider(state, order_key):
+    def consider(state, order_key=None):
         nonlocal best_state
         if state.feasible:  # only separating states are pruned
             _prune(state, order_key)
@@ -378,7 +377,7 @@ def minimize_separating(
     if candidate_facets is None:
         for theta in (1.0, 0.75, 0.5):
             seed = _voronoi_seed(parent, radius * theta)
-            consider(new_state(seed), lex_key)
+            consider(new_state(seed))
 
     for _ in range(2 if move_budget > 0 else 0):  # shuffled orders
         shuffled = list(facets)
@@ -402,7 +401,7 @@ def minimize_separating(
         moved = moved[candidate[moved]]
         if np.array_equal(moved, blocked.facet_ids):
             continue
-        consider(new_state(moved), lex_key)
+        consider(new_state(moved))
 
     certified = best_state.area == 0.0
     return FiltrationLevel(

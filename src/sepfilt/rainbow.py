@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .complexes import subdivision_flags
+from .adjacency import subdivision_flags
 from .errors import CensusMismatch
 
 

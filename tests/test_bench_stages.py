@@ -40,6 +40,7 @@ def test_one_measured_run_times_every_stage(tool, record):
     assert all(record["stages_s"][stage] > 0 for stage in tool.STAGES)
     assert record["level_areas"] == [3.0]
     assert record["speed"] > 0
+    assert all(record["stages_speed"][stage] > 0 for stage in (*tool.STAGES, "total"))
 
 
 def test_components_calls_and_infeasible_states_are_counted(record):

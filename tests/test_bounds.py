@@ -840,9 +840,13 @@ def test_packing_close_points_merge():
     assert packing.count == 1
 
 
-def test_packing_reverify_independent(torus_filtration_d2):
-    geometry = torus_filtration_d2.geometry
-    z0 = torus_filtration_d2.z0_nodes()
+@pytest.mark.parametrize("name", ["circle_filtration", "torus_filtration_d1",
+                                  "torus_filtration_d2", "small_genus_filtration"])
+def test_packing_reverify_independent(request, name):
+    # greedy_packing checks no cover itself: this is its only check
+    filtration = request.getfixturevalue(name)
+    geometry = filtration.geometry
+    z0 = filtration.z0_nodes()
     packing = greedy_packing(z0, geometry)
     # disjointness: pairwise center distance > 2 r_small
     for a in packing.centers:

@@ -635,13 +635,17 @@ def bad_inputs(tmp_path_factory):
         payload["edge_lengths"][0][2] = length
         paths[name] = root / f"{name}.json"
         paths[name].write_text(json.dumps(payload))
-    # a complex lists each edge once, in either order, and carries exactly
-    # the keys a complex file is written with
+    # a complex lists each edge and each maximal simplex once, in any vertex
+    # order, and carries exactly the keys a complex file is written with
     u, v, length = genus_surface(2).to_json()["edge_lengths"][0]
+    simplex = genus_surface(2).to_json()["simplices"][0]
     for name, edit in [
         ("edge_twice", lambda doc: doc["edge_lengths"].append([u, v, 3 * length])),
         ("edge_twice_reversed",
          lambda doc: doc["edge_lengths"].append([v, u, 3 * length])),
+        ("simplex_twice", lambda doc: doc["simplices"].append(simplex)),
+        ("simplex_twice_reversed",
+         lambda doc: doc["simplices"].append(simplex[::-1])),
         ("complex_extra_key", lambda doc: doc.update(note=1)),
     ]:
         payload = genus_surface(2).to_json()
@@ -729,6 +733,8 @@ def bad_inputs(tmp_path_factory):
         ["verify", "{document_no_census}"],
         ["run", "{edge_twice}"],
         ["run", "{edge_twice_reversed}"],
+        ["run", "{simplex_twice}"],
+        ["run", "{simplex_twice_reversed}"],
         ["run", "{complex_extra_key}"],
         ["verify", "{document_complex_extra_key}"],
     ],
@@ -740,6 +746,7 @@ def bad_inputs(tmp_path_factory):
          "level-extra-key", "census-extra-key", "census-no-dimension",
          "coloring-extra-key", "coloring-no-colors", "document-extra-key",
          "document-no-census", "edge-twice", "edge-twice-reversed",
+         "simplex-twice", "simplex-twice-reversed",
          "complex-extra-key", "document-complex-extra-key"],
 )
 def test_non_finite_and_degenerate_inputs_are_input_errors(tmp_path, capsys,

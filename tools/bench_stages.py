@@ -92,15 +92,19 @@ sha256 of each level's cell list; ``areas_identical`` and
 ``cells_identical`` say whether every run gave the same ones.
 
 The host is shared, and its speed swings by more than most changes this
-tool judges.  So each run also times ``kernel()`` of the benchmark's
-``perfbench/speed.py`` (loaded by path from this tool's own tree, so
-every checkout is measured with one kernel) ``SPEED_SAMPLES`` times just
-before its first stage and as many times just after its last, never
-inside a stage.  Its ``speed`` is the mean of ``KERNEL_REF_S / sample``,
-as ``speed.scale`` computes it: 1.0 at the kernel's reference speed, below
-1 on a slower host.  ``stages_scaled_median_s`` gives the median over runs
-of each stage's time times its run's speed, next to the raw
-``stages_median_s``, and ``runs_speed`` lists each run's speed.
+tool judges, also within one run.  So each run also times ``kernel()`` of
+the benchmark's ``perfbench/speed.py`` (loaded by path from this tool's
+own tree, so every checkout is measured with one kernel)
+``SPEED_SAMPLES`` times just before its first stage and as many times at
+the end of every stage, never inside a stage's time.  A speed is the mean
+of ``KERNEL_REF_S / sample``, as ``speed.scale`` computes it: 1.0 at the
+kernel's reference speed, below 1 on a slower host.  Each stage's speed
+is that of the samples at its start and end (of both its parts, for
+verify), and ``stages_speed`` of the total is its stages' time-weighted
+mean.  ``stages_scaled_median_s`` gives the median over runs of each
+stage's time times its own speed, next to the raw ``stages_median_s``;
+``runs_speed`` lists each run's speed over all its samples, and
+``runs_stages_speed`` each run's stage speeds.
 
 With ``--out`` the result is merged into that JSON file under
 ``results[<fixture>]`` (other fixtures already in it are kept); without it,
@@ -320,6 +324,7 @@ def measure(fixture):
     stage_counts = {counter: {} for counter in (*COUNTERS, *STORE)}
     speed = load_speed()
     kernel_samples = [speed.kernel() for _ in range(SPEED_SAMPLES)]
+    stage_samples = {}  # per stage, the kernel samples at its start and end
     clock, at_lap = time.perf_counter(), dict(counts)
 
     def lap(stage, graph):
@@ -333,6 +338,12 @@ def measure(fixture):
                                 - at_lap[counter])
         for counter, size in zip(STORE, store(graph)):
             stage_counts[counter][stage] = size
+        # after the counters are read, so that no collection the kernel
+        # triggers counts for a stage
+        start = kernel_samples[-SPEED_SAMPLES:]
+        kernel_samples.extend(speed.kernel() for _ in range(SPEED_SAMPLES))
+        stage_samples.setdefault(stage, []).extend(
+            start + kernel_samples[-SPEED_SAMPLES:])
         clock, at_lap = time.perf_counter(), dict(counts)
 
     geometry = complex_.geometry(depth)
@@ -383,8 +394,11 @@ def measure(fixture):
     pipeline.audit_document(checked, document)
     verify_checks = inequality_sweep(checked, VERIFY_SAMPLES, VERIFY_SEED)
     lap("verify", checked.geometry.graph)
-    kernel_samples += [speed.kernel() for _ in range(SPEED_SAMPLES)]
+    stages_speed = {stage: speed.scale(1.0, samples)
+                    for stage, samples in stage_samples.items()}
     stages["total"] = sum(stages.values())
+    stages_speed["total"] = sum(
+        stages[stage] * stages_speed[stage] for stage in STAGES) / stages["total"]
     texts = {
         "filtration": canonical_dumps(document),
         "measures": canonical_dumps({
@@ -398,6 +412,7 @@ def measure(fixture):
         **stage_counts,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "speed": speed.scale(1.0, kernel_samples),
+        "stages_speed": stages_speed,
         "graph": graph_size,
         **{f"{key}_digest": hashlib.sha256(text.encode()).hexdigest()
            for key, text in texts.items()},
@@ -424,7 +439,7 @@ def summarize(runs):
         },
         "stages_scaled_median_s": {
             stage: round(statistics.median(
-                r["stages_s"][stage] * r["speed"] for r in runs), 4)
+                r["stages_s"][stage] * r["stages_speed"][stage] for r in runs), 4)
             for stage in (*STAGES, "total")
         },
         **{
@@ -439,6 +454,9 @@ def summarize(runs):
         "runs_total_s": [round(r["stages_s"]["total"], 3) for r in runs],
         "runs_peak_rss_mb": [round(r["peak_rss_mb"], 1) for r in runs],
         "runs_speed": [round(r["speed"], 3) for r in runs],
+        "runs_stages_speed": [
+            {stage: round(v, 3) for stage, v in r["stages_speed"].items()}
+            for r in runs],
         "graph": runs[0]["graph"],
         "level_areas": runs[0]["level_areas"],
         "level_cells": runs[0]["level_cells"],
