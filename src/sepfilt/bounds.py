@@ -395,7 +395,7 @@ class BoundReport:
         return _plain(asdict(self))
 
 
-def bound_report(filtration, census, v1, vol_m, tolerances=None):
+def bound_report(filtration, census, v1, vol_m):
     """Assemble the rainbow and constant bounds plus the vanishing flag.
 
     ``rainbow_bound`` is 2^n * #Z_0 and ``constant_bound`` is
@@ -411,8 +411,6 @@ def bound_report(filtration, census, v1, vol_m, tolerances=None):
     rainbow_bound = (2**n) * z0_count
     constant_bound = 16**n * math.factorial(n) ** 2 * v1 * vol_m
     vanishing = v1 < Fraction(1, math.factorial(n))
-    record = dict(tolerances or {})
-    record.setdefault("epsilon_total", filtration.slacks[1])
     return BoundReport(
         dimension=n,
         v1=v1,
@@ -422,5 +420,6 @@ def bound_report(filtration, census, v1, vol_m, tolerances=None):
         constant_bound=constant_bound,
         vanishing=vanishing,
         vanishing_consistent=(not vanishing) or rainbow_bound == 0,
-        tolerances=record,
+        tolerances={"epsilon_total": filtration.slacks[1],
+                    "max_cell_diameter": filtration.geometry.max_cell_diameter},
     )

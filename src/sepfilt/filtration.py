@@ -422,8 +422,10 @@ def _audit_certificates(level, certificates, groups, graph, radius):
     its center must see every node of the component within exactly the
     stored radius, read from the center's own row, and that radius must be
     at most R; distances are exact, so the radius is compared with ``==``.
-    Every row is read out to R, so the ball table serves it: a node beyond
-    R reads more than R (maybe ``inf``), which equals no stored radius.
+    Every row is read out to R: a node beyond R reads more than R (maybe
+    ``inf``), which equals no stored radius.  The ball table serves the rows
+    once named at R, as in a run; ``sepfilt verify`` names it only after
+    ``validate``, so there each row is a ``dijkstra`` call of its own.
     """
     cells, cell_starts, nodes, node_starts = groups
     sizes = np.diff(cell_starts, append=len(cells)).tolist()
@@ -561,7 +563,8 @@ class Filtration:
         certificate exactly the fields of ``ComponentCert``; a missing or
         extra key raises ValueError, KeyError or TypeError.  The stored
         ``dimension`` must be the geometry's and each level's ``dim`` its
-        position; a mismatch raises SeparationViolation."""
+        position; a mismatch raises SeparationViolation.  A level that
+        lists a cell twice, in any vertex order, raises ValueError."""
         config = SeparationConfig(**payload["config"])
         entries = payload["levels"]
         for i, entry in enumerate(entries):
@@ -576,6 +579,8 @@ class Filtration:
         parent = geometry
         for entry in reversed(entries):
             sub = Subpolyhedron(parent, [tuple(c) for c in entry["cells"]])
+            if len(sub) != len(entry["cells"]):
+                raise ValueError(f"level {entry['dim']}: a cell is listed twice")
             levels.append(
                 FiltrationLevel(
                     sub,

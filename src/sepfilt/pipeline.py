@@ -79,10 +79,8 @@ def sweep_summary(checks):
 
 @dataclass
 class RunArtifacts:
-    """Everything one pipeline run produces, ready for serialization."""
+    """Everything one pipeline run produces; its geometry is the filtration's."""
 
-    complex_: object
-    geometry: object
     filtration: object
     coloring: object
     census: object
@@ -93,7 +91,7 @@ class RunArtifacts:
 
     def filtration_document(self):
         """Self-contained filtration file: complex, levels, census, colors."""
-        payload = {"complex": self.complex_.to_json()}
+        payload = {"complex": self.filtration.geometry.base.to_json()}
         payload.update(self.filtration.to_json())
         payload["census"] = self.census.to_json()
         payload["coloring"] = self.coloring.to_json()
@@ -102,12 +100,10 @@ class RunArtifacts:
     def report_document(self):
         """The report file: the bound report, the V1 estimate and the
         packing (its fields and its ``count``) and the sweep summary."""
-        packing = self.packing
         return {
             "bound_report": self.report.to_json(),
             "v1_estimate": asdict(self.v1),
-            "packing": (None if packing is None
-                        else {**asdict(packing), "count": packing.count}),
+            "packing": {**asdict(self.packing), "count": self.packing.count},
             "sweep_summary": sweep_summary(self.checks),
         }
 
@@ -150,26 +146,7 @@ def run_pipeline(complex_, config, samples=100):
     coloring = color_by_filtration(geometry, filtration)
     census = count_rainbow(geometry, coloring, filtration)
     v1 = estimate_v1(geometry)
-    z0 = filtration.z0_nodes()
-    packing = greedy_packing(z0, geometry) if z0 else None
-    tolerances = {
-        "ball_boundary_credit": v1.boundary_credit,
-        "max_cell_diameter": geometry.max_cell_diameter,
-    }
-    if v1.warning:
-        tolerances["v1_warning"] = v1.warning
-    report = bound_report(
-        filtration, census, v1.value, geometry.total_area(), tolerances
-    )
+    packing = greedy_packing(filtration.z0_nodes(), geometry)
+    report = bound_report(filtration, census, v1.value, geometry.total_area())
     checks = inequality_sweep(filtration, samples, config.rng_seed)
-    return RunArtifacts(
-        complex_,
-        geometry,
-        filtration,
-        coloring,
-        census,
-        v1,
-        packing,
-        report,
-        checks,
-    )
+    return RunArtifacts(filtration, coloring, census, v1, packing, report, checks)

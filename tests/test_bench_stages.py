@@ -1,7 +1,9 @@
 """Smoke test of ``tools/bench_stages.py``: one measured run of the smallest
-fixture, so that renaming an internal the tool wraps breaks a test, and
-the comparison of runs that reports which outputs stayed identical."""
+fixture, so that renaming an internal the tool wraps breaks a test, that
+run's filtration against the package's own ``run_pipeline``, and the
+comparison of runs that reports which outputs stayed identical."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -41,6 +43,22 @@ def test_one_measured_run_times_every_stage(tool, record):
     assert record["level_areas"] == [3.0]
     assert record["speed"] > 0
     assert all(record["stages_speed"][stage] > 0 for stage in (*tool.STAGES, "total"))
+
+
+def test_the_tool_measures_the_pipeline_the_cli_runs(tool, record):
+    from sepfilt import generators
+    from sepfilt.files import canonical_dumps
+    from sepfilt.filtration import SeparationConfig
+    from sepfilt.pipeline import run_pipeline
+
+    maker, kwargs, depth, radius = tool.FIXTURES["circle12-d2"]
+    config = SeparationConfig(radius=radius, subdivision_depth=depth,
+                              **tool.CONFIG)
+    artifacts = run_pipeline(getattr(generators, maker)(**kwargs), config,
+                             samples=tool.SAMPLES)
+    text = canonical_dumps(artifacts.filtration_document())
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert record["filtration_digest"] == digest
 
 
 def test_components_calls_and_infeasible_states_are_counted(record):

@@ -20,7 +20,7 @@ from sepfilt.bounds import (
 from sepfilt.errors import RadiusOrder
 from sepfilt.filtration import Filtration, SeparationConfig, build_filtration
 from sepfilt.generators import circle, genus_surface, torus
-from sepfilt.pipeline import inequality_sweep
+from sepfilt.pipeline import inequality_sweep, run_pipeline
 from sepfilt.rainbow import color_by_filtration, count_rainbow
 
 from conftest import (ball_volume, credited_volumes, reference_distances,
@@ -998,6 +998,9 @@ def test_bound_report_compares_v1_with_the_exact_threshold():
         dim = 3
         slacks = (0.01, 0.06)
 
+        class geometry:
+            max_cell_diameter = 0.5
+
         @staticmethod
         def z0_nodes():
             return []
@@ -1015,7 +1018,7 @@ def test_bound_report_compares_v1_with_the_exact_threshold():
     assert isinstance(inexact.constant_bound, float)
 
 
-def test_bound_report_vanishing_consistent(tiny_torus_filtration):
+def test_bound_report_vanishing_consistent(tiny_torus, tiny_torus_filtration):
     geometry = tiny_torus_filtration.geometry
     coloring = color_by_filtration(geometry, tiny_torus_filtration)
     census = count_rainbow(geometry, coloring, tiny_torus_filtration)
@@ -1026,6 +1029,14 @@ def test_bound_report_vanishing_consistent(tiny_torus_filtration):
     assert report.vanishing is True
     assert report.rainbow_bound == 0
     assert report.vanishing_consistent is True
+    # the report derives its tolerances, and an empty 0-level still has a
+    # packing, with no center
+    assert report.tolerances == {
+        "epsilon_total": tiny_torus_filtration.slacks[1],
+        "max_cell_diameter": geometry.max_cell_diameter,
+    }
+    artifacts = run_pipeline(tiny_torus, tiny_torus_filtration.config, samples=2)
+    assert artifacts.report_document()["packing"]["count"] == 0
 
 
 def test_rainbow_bound_below_packing_chain(torus_filtration_d2):

@@ -505,16 +505,18 @@ def test_process_level_determinism(tmp_path):
 # 20 samples, depth 1): canonical_dumps of the report document and of the
 # filtration document's census and coloring, and the checks CSV text; the
 # report and the CSV re-pinned once when the measures became exact sums of
-# volumes rounded up to a quantum
+# volumes rounded up to a quantum, and the report once more when its
+# tolerances became the two it derives (V1's credit and warning are in
+# its ``v1_estimate`` alone)
 RECORD_DIGESTS = {
     "torus4": {
-        "report": "24eb8cc0846c45517a4b187397316c40113f2c59e6309848e5a3e089d1d7bd11",
+        "report": "35007df1fcf1f4e3172de740deae252b9c8862c7fe308da83a7cde3b2c93cc22",
         "census": "4d67e74fbff64f973d846b15094228b687a5b94501be7fde54f6f3d7a52462da",
         "coloring": "16d05fca43c0ad7f750bd27305bc1a82d2a571481e8f4b01e838b8fc65c1d7a5",
         "checks_csv": "93a91e29bf2dcb6d384314701a8dafd9a6c9c038dd5795156d0fb1d426ddf3fc",
     },
     "genus2": {
-        "report": "d61043547f50e0577ac6a6001e62a9b6b13a47a9ead8a1c31bc0c3061c12ac7c",
+        "report": "2874ef5f081d4ab5cf0953be874f01a06587864bda2eb63c518b80ebf039bbbe",
         "census": "79fc2dca55a90ca549e8783b36fc058a5b09620f90dfebd9ff27a764e415ba77",
         "coloring": "c115190d85bf0d205ab6a1cdc137c02c0b6191953acd20f48f3797222f956ced",
         "checks_csv": "30b4c5bf1e7e32494d17aefb7175b2b518f956ad31205713e2a2e6b2d3cbbd74",
@@ -679,6 +681,11 @@ def bad_inputs(tmp_path_factory):
         ("cert_extra_key", lambda levels: levels[0]["components"][0].update(
             witness=0)),
         ("level_extra_key", lambda levels: levels[1].update(moves_used=3)),
+        # a level lists each of its cells once, in any vertex order
+        ("level_cell_twice",
+         lambda levels: levels[0]["cells"].append(levels[0]["cells"][0])),
+        ("level_cell_twice_reversed",
+         lambda levels: levels[1]["cells"].append(levels[1]["cells"][0][::-1])),
     ]:
         payload = json.loads(document)
         edit(payload["levels"])
@@ -725,6 +732,8 @@ def bad_inputs(tmp_path_factory):
         ["verify", "{no_components}"],
         ["verify", "{cert_extra_key}"],
         ["verify", "{level_extra_key}"],
+        ["verify", "{level_cell_twice}"],
+        ["verify", "{level_cell_twice_reversed}"],
         ["verify", "{census_extra_key}"],
         ["verify", "{census_no_dimension}"],
         ["verify", "{coloring_extra_key}"],
@@ -743,7 +752,8 @@ def bad_inputs(tmp_path_factory):
          "edge-inf", "edge-huge", "degenerate-simplex", "slack-nan",
          "radius-huge", "radius-tiny", "verify-radius-huge", "verify-depth-huge",
          "level-no-slack-kind", "level-no-components", "certificate-extra-key",
-         "level-extra-key", "census-extra-key", "census-no-dimension",
+         "level-extra-key", "level-cell-twice", "level-cell-twice-reversed",
+         "census-extra-key", "census-no-dimension",
          "coloring-extra-key", "coloring-no-colors", "document-extra-key",
          "document-no-census", "edge-twice", "edge-twice-reversed",
          "simplex-twice", "simplex-twice-reversed",

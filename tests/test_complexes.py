@@ -516,11 +516,11 @@ def test_each_ball_is_tabulated_once(make, radius, monkeypatch):
     config = SeparationConfig(radius=radius, epsilon=0.05, move_budget=10,
                               rng_seed=7, subdivision_depth=1)
     artifacts = run_pipeline(make(), config, samples=40)
-    graph = artifacts.geometry.graph
+    graph = artifacts.filtration.geometry.graph
     assert calls[0] == (None, [0])
     assert sorted(rows_at(radius)) == sorted(graph._table)
     v1_calls = [nodes for limit, nodes in calls if limit == 1.0]
-    geometry = artifacts.geometry
+    geometry = artifacts.filtration.geometry
     chunk = complexes._BATCH // (8 * max(geometry.n_nodes, len(geometry.cells)))
     assert all(len(nodes) <= chunk for nodes in v1_calls)
     assert bool(v1_calls) == (radius < 1) and len(calls) == 1 + len(

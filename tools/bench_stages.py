@@ -6,21 +6,25 @@ Usage, from anywhere:
         --checkout change=DIR_B --runs 3 --out BENCH_x.json
 
 Each ``--checkout LABEL=DIR`` names the root of a source tree that holds
-``src/sepfilt``, for example a ``git archive`` of one commit: d2bccac (the
-chunked inequality sweep) or a later one.  For every
-run a fresh ``python3`` process imports ``sepfilt`` from that checkout,
-builds the fixture and times ``run_pipeline``'s stages with
-``time.perf_counter``: geometry (``complex.geometry``), incidence (the
-geometry's ``cell_system``), filtration (``build_filtration`` alone),
-coloring (``color_by_filtration``), census (``count_rainbow``), V1
-(``estimate_v1``), packing (``greedy_packing``), sweep
-(``inequality_sweep``, 100 samples), then validate and verify, which
+``src/sepfilt``, for example a ``git archive`` of one commit: d2bccac
+(the chunked inequality sweep) or a later one.  For every run a fresh
+``python3`` process imports ``sepfilt`` from that checkout, builds the
+fixture and calls that checkout's own ``pipeline.run_pipeline`` (100
+samples).  Wrappers bound for that one call lap its stages with
+``time.perf_counter``, each from the end of the one before: geometry and
+incidence at ``WeightedComplex.geometry`` (the wrapper builds the
+geometry's ``cell_system`` between the two laps), then filtration,
+coloring, census, V1, packing and sweep at the ``sepfilt.pipeline``
+names ``build_filtration``, ``color_by_filtration``, ``count_rainbow``,
+``estimate_v1``, ``greedy_packing`` and ``inequality_sweep`` (the sweep
+includes ``bound_report``).  A stage that a checkout's run never calls
+reads 0 s: the packing on an empty Z_0 before the packing always
+existed.  The wrappers are restored before validate and verify, which
 together mirror ``sepfilt verify`` on a fresh geometry: validate is
 ``Filtration.validate`` alone, and verify is the rest:
 ``WeightedComplex.from_json`` and ``Filtration.from_json`` of the
 filtration document before it, ``pipeline.audit_document`` and
-``inequality_sweep`` with 2,000 samples at seed 101 after it.  Each of the two keeps its own time and counters; their sum is
-what the verify stage alone measured before they were split.
+``inequality_sweep`` with 2,000 samples at seed 101 after it.
 ``peak_rss_mb`` is the process's ``ru_maxrss``.  ``dijkstra_rows`` counts
 the distance rows each stage computes, by wrapping
 ``sepfilt.complexes.dijkstra`` from outside the package,
@@ -88,7 +92,7 @@ included), and ``measures_identical`` whether every run gave the same
 sha256 of the report document and every sweep and verify row, the
 records the credited measures enter.  Each run
 also records the per-level areas of its filtration (Z_0 first) and a
-sha256 of each level's cell list; ``areas_identical`` and
+sha256 of each level's cell list, taken after the run; ``areas_identical`` and
 ``cells_identical`` say whether every run gave the same ones.
 
 The host is shared, and its speed swings by more than most changes this
@@ -176,11 +180,8 @@ def measure(fixture):
     import sepfilt.cli  # noqa: F401  (the collector state its import leaves)
     from sepfilt import (WeightedComplex, adjacency, bounds, complexes,
                          filtration as filtration_module, generators, pipeline)
-    from sepfilt.bounds import bound_report, estimate_v1, greedy_packing
     from sepfilt.files import canonical_dumps
-    from sepfilt.filtration import Filtration, SeparationConfig, build_filtration
-    from sepfilt.pipeline import RunArtifacts, inequality_sweep
-    from sepfilt.rainbow import color_by_filtration, count_rainbow
+    from sepfilt.filtration import Filtration, SeparationConfig
 
     counts = dict.fromkeys(COUNTERS, 0)
     dijkstra, fit_in_ball = complexes.dijkstra, adjacency.fit_in_ball
@@ -190,9 +191,13 @@ def measure(fixture):
     tabulate, fill = graph_class.tabulate, graph_class._fill
     feasible_centers, measures = graph_class.feasible_centers, bounds._measures
     filling, uncounted = False, 0.0
-    cell_system_init = adjacency.CellSystem.__init__
-    face_ids = adjacency.CellSystem.face_ids
-    components = adjacency.CellSystem.components
+    cell_system = adjacency.CellSystem
+
+    def counting(counter, fn):
+        def counted(*args, **kwargs):
+            counts[counter] += 1
+            return fn(*args, **kwargs)
+        return counted
 
     def counted_dijkstra(*args, **kwargs):
         result = dijkstra(*args, **kwargs)
@@ -228,10 +233,6 @@ def measure(fixture):
         uncounted += time.perf_counter() - start
         return result
 
-    def counted_fit(*args, **kwargs):
-        counts["fit_calls"] += 1
-        return fit_in_ball(*args, **kwargs)
-
     def counted_remove(state, facet):
         removed = try_remove(state, facet)
         counts["try_remove_calls"] += 1
@@ -252,25 +253,8 @@ def measure(fixture):
         counts["balls_measured"] += int(np.count_nonzero(~whole))
         return measures(z, rows, radii, whole)
 
-    def counted_cell_system(system, *args, **kwargs):
-        counts["cell_systems"] += 1
-        cell_system_init(system, *args, **kwargs)
-
-    def counted_face_ids(system, *args, **kwargs):
-        counts["face_id_lookups"] += 1
-        return face_ids(system, *args, **kwargs)
-
-    def counted_components(system, *args, **kwargs):
-        counts["components_calls"] += 1
-        return components(system, *args, **kwargs)
-
-    check_init = bounds.InequalityCheck.__init__
     chunks, rows_within = bounds._chunks, graph_class.rows_within
     collecting = 0.0
-
-    def counted_check(check, *args, **kwargs):
-        counts["checks"] += 1
-        check_init(check, *args, **kwargs)
 
     def counted_chunks(*args, **kwargs):
         for chunk in chunks(*args, **kwargs):
@@ -289,14 +273,16 @@ def measure(fixture):
             counts["gc_s"] += time.perf_counter() - collecting
             counts["gc_collections"] += 1
 
-    bounds.InequalityCheck.__init__ = counted_check
+    bounds.InequalityCheck.__init__ = counting(
+        "checks", bounds.InequalityCheck.__init__)
     bounds._chunks = counted_chunks
     graph_class.rows_within = counted_rows_within
     gc.callbacks.append(timed_collection)
     complexes.dijkstra = counted_dijkstra
-    adjacency.CellSystem.__init__ = counted_cell_system
-    adjacency.CellSystem.face_ids = counted_face_ids
-    adjacency.CellSystem.components = counted_components
+    cell_system.__init__ = counting("cell_systems", cell_system.__init__)
+    cell_system.face_ids = counting("face_id_lookups", cell_system.face_ids)
+    cell_system.components = counting("components_calls",
+                                       cell_system.components)
     filtration_module._PruneState.try_remove = counted_remove
     filtration_module._PruneState.__init__ = counted_prune_state
     graph_class.feasible_centers = counted_feasible
@@ -311,6 +297,7 @@ def measure(fixture):
                 sum(ball[0].nbytes + ball[1].nbytes + sys.getsizeof(ball[2])
                     for ball in table))
     # modules import fit_in_ball by name: rebind every sepfilt binding
+    counted_fit = counting("fit_calls", fit_in_ball)
     for name, module in list(sys.modules.items()):
         if name == "sepfilt" or name.startswith("sepfilt."):
             for attr, value in list(vars(module).items()):
@@ -320,22 +307,21 @@ def measure(fixture):
     maker, kwargs, depth, radius = FIXTURES[fixture]
     complex_ = getattr(generators, maker)(**kwargs)
     config = SeparationConfig(radius=radius, subdivision_depth=depth, **CONFIG)
-    stages = {}
-    stage_counts = {counter: {} for counter in (*COUNTERS, *STORE)}
+    stages = dict.fromkeys(STAGES, 0.0)
+    stage_counts = {counter: dict.fromkeys(STAGES, 0)
+                    for counter in (*COUNTERS, *STORE)}
     speed = load_speed()
     kernel_samples = [speed.kernel() for _ in range(SPEED_SAMPLES)]
     stage_samples = {}  # per stage, the kernel samples at its start and end
-    clock, at_lap = time.perf_counter(), dict(counts)
+    run_graph = None  # set by the geometry's wrapper
 
     def lap(stage, graph):
         nonlocal clock, at_lap, uncounted
         now = time.perf_counter()
-        stages[stage] = stages.get(stage, 0.0) + now - clock - uncounted
+        stages[stage] += now - clock - uncounted
         uncounted = 0.0
         for counter in COUNTERS:
-            per_stage = stage_counts[counter]
-            per_stage[stage] = (per_stage.get(stage, 0) + counts[counter]
-                                - at_lap[counter])
+            stage_counts[counter][stage] += counts[counter] - at_lap[counter]
         for counter, size in zip(STORE, store(graph)):
             stage_counts[counter][stage] = size
         # after the counters are read, so that no collection the kernel
@@ -346,43 +332,49 @@ def measure(fixture):
             start + kernel_samples[-SPEED_SAMPLES:])
         clock, at_lap = time.perf_counter(), dict(counts)
 
-    geometry = complex_.geometry(depth)
-    lap("geometry", geometry.graph)
-    graph = geometry.graph
+    def lapped(stage, fn):
+        def run_stage(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            lap(stage, run_graph)
+            return result
+        return run_stage
+
+    def lapped_geometry(*args, **kwargs):
+        nonlocal run_graph
+        geometry = make_geometry(*args, **kwargs)
+        run_graph = geometry.graph
+        lap("geometry", run_graph)
+        geometry.cell_system
+        lap("incidence", run_graph)
+        return geometry
+
+    # the names the checkout's run_pipeline calls its stages by
+    stage_names = {"build_filtration": "filtration",
+                   "color_by_filtration": "coloring", "count_rainbow": "census",
+                   "estimate_v1": "V1", "greedy_packing": "packing",
+                   "inequality_sweep": "sweep"}
+    stage_functions = {name: getattr(pipeline, name) for name in stage_names}
+    make_geometry = WeightedComplex.geometry
+    WeightedComplex.geometry = lapped_geometry
+    vars(pipeline).update({name: lapped(stage, stage_functions[name])
+                           for name, stage in stage_names.items()})
+    clock, at_lap = time.perf_counter(), dict(counts)
+    artifacts = pipeline.run_pipeline(complex_, config, SAMPLES)
+    # audit_document and the verify sweep read the same names
+    vars(pipeline).update(stage_functions)
+    WeightedComplex.geometry = make_geometry
+    graph = run_graph
     portals = graph.n_nodes - len(np.unique(graph._interiors))
     table_arcs = len(np.unique(graph._portals[:, :, None] * graph.n_nodes
                                + graph._interiors[None, :, :]))
     graph_size = {"nodes": graph.n_nodes, "portals": portals,
                   "dijkstra_arcs": int(graph._arcs.nnz), "table_arcs": table_arcs}
-    clock = time.perf_counter()
-    geometry.cell_system
-    lap("incidence", geometry.graph)
-    filtration = build_filtration(geometry, config)
-    lap("filtration", geometry.graph)
-    level_areas = [level.area for level in filtration.levels]
+    levels = artifacts.filtration.levels
+    level_areas = [level.area for level in levels]
     level_cells = [
         hashlib.sha256(repr(level.subpolyhedron.cells).encode()).hexdigest()
-        for level in filtration.levels
+        for level in levels
     ]
-    coloring = color_by_filtration(geometry, filtration)
-    lap("coloring", geometry.graph)
-    census = count_rainbow(geometry, coloring, filtration)
-    lap("census", geometry.graph)
-    v1 = estimate_v1(geometry)
-    lap("V1", geometry.graph)
-    z0 = filtration.z0_nodes()
-    packing = greedy_packing(z0, geometry) if z0 else None
-    lap("packing", geometry.graph)
-    tolerances = {"ball_boundary_credit": v1.boundary_credit,
-                  "max_cell_diameter": geometry.max_cell_diameter}
-    if v1.warning:
-        tolerances["v1_warning"] = v1.warning
-    report = bound_report(filtration, census, v1.value, geometry.total_area(),
-                          tolerances)
-    checks = inequality_sweep(filtration, SAMPLES, config.rng_seed)
-    lap("sweep", geometry.graph)
-    artifacts = RunArtifacts(complex_, geometry, filtration, coloring, census,
-                             v1, packing, report, checks)
     document = artifacts.filtration_document()
     clock = time.perf_counter()
     fresh = WeightedComplex.from_json(document["complex"])
@@ -392,10 +384,12 @@ def measure(fixture):
     checked.validate()
     lap("validate", checked.geometry.graph)
     pipeline.audit_document(checked, document)
-    verify_checks = inequality_sweep(checked, VERIFY_SAMPLES, VERIFY_SEED)
+    verify_checks = pipeline.inequality_sweep(checked, VERIFY_SAMPLES,
+                                              VERIFY_SEED)
     lap("verify", checked.geometry.graph)
-    stages_speed = {stage: speed.scale(1.0, samples)
-                    for stage, samples in stage_samples.items()}
+    stages_speed = {stage: speed.scale(1.0, stage_samples.get(stage,
+                                                              kernel_samples))
+                    for stage in STAGES}
     stages["total"] = sum(stages.values())
     stages_speed["total"] = sum(
         stages[stage] * stages_speed[stage] for stage in STAGES) / stages["total"]
@@ -403,7 +397,7 @@ def measure(fixture):
         "filtration": canonical_dumps(document),
         "measures": canonical_dumps({
             "report": artifacts.report_document(),
-            "checks": [check.to_row() for check in checks],
+            "checks": [check.to_row() for check in artifacts.checks],
             "verify_checks": [check.to_row() for check in verify_checks],
         }),
     }
