@@ -653,6 +653,10 @@ GEOMETRY_DIGESTS = {
     ("circle12", 3): "bd37fcef6c51439caa0f2fe7234365082beea1271c13007353803c597ef9bffc",
     ("torus3", 0): "aac0257272f728f2f11e208c0a2bf4cbfa22b2e3e14c7dca47bbe48afd8ab36c",
     ("torus3", 3): "c75d3f51e3e4f994397267d3a68321d2597244eaf27e3ec921458421b770a4f0",
+    # search-torus's geometry
+    ("torus4", 2): "b1b4bab229ec1f9319ffa1457a5eca3862a267f84c17819eadc5d5e072c3838c",
+    # vanish-large's: 300 blocks of 25 members, none of them an original simplex
+    ("torus5_small", 3): "0b8cb2af355aa31a70fd13a207c402278dde329ffabc2e4e7582b2d175b7274f",
     ("genus2", 1): "d1c5e11c72b6c139c8caee334140033082e4228fbd2c3299648633d86ae7146d",
     ("sphere3", 0): "0d2eeb37b02b268c68c07e83dc1b058068e3070a1a45df60e9c72d299c1bd0e1",
     ("sphere3", 1): "5af8d3f493085ecf56f1f8243c254efa080a4b79acbce7c2401f82a6c7d0d7ff",
@@ -667,6 +671,8 @@ def test_geometry_digest_is_pinned(name, depth, request):
     complex_ = {
         "circle12": lambda: circle(12, 6.0),
         "torus3": lambda: torus(3),
+        "torus4": lambda: torus(4),
+        "torus5_small": lambda: torus(5, scale=0.1),
         "genus2": lambda: genus_surface(2),
         "sphere3": lambda: request.getfixturevalue("sphere3"),
     }[name]()
