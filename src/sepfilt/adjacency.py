@@ -81,6 +81,14 @@ def row_groups(rows):
     return order, np.flatnonzero(new)
 
 
+def group_ids(order, starts):
+    """Each row's group index, from ``row_groups``' order and starts: rows
+    equal to the k-th distinct row read k."""
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
+    return ids
+
+
 def run_starts(values):
     """The positions where each run of equal values of a 1-D array starts:
     0 and each position whose value differs from the one before."""
@@ -155,8 +163,7 @@ class CellSystem:
             columns = [k for k, subset in enumerate(subsets) if len(subset) == size]
             rows = self.cell_nodes[:, [subsets[k] for k in columns]].reshape(-1, size)
             order, first = row_groups(rows)
-            ids = np.empty(len(rows), dtype=np.int64)
-            ids[order] = np.repeat(np.arange(len(first)), np.diff(first, append=len(rows)))
+            ids = group_ids(order, first)
             self.cell_faces[:, columns] = offset + ids.reshape(n_cells, len(columns))
             self.face_rows[size] = rows[order[first]]
             self.offsets[size] = offset

@@ -24,8 +24,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .adjacency import (CellSystem, distinct, row_groups, run_starts,
-                        subdivision_flags)
+from .adjacency import (CellSystem, distinct, group_ids, row_groups,
+                        run_starts, subdivision_flags)
 from .errors import DimensionMismatch, NondegenerateViolation
 from .files import check_keys
 
@@ -116,7 +116,7 @@ def _barycenter_supports(support_vertex, support_num, faces):
     vertex = np.where(valid, support_vertex[faces], -1).reshape(n_faces, -1)
     num = np.where(valid, support_num[faces], 0).reshape(n_faces, -1)
     same = vertex[:, :, None] == vertex[:, None, :]
-    total = (same * num[:, None, :]).sum(axis=2)
+    total = (same @ num[:, :, None])[:, :, 0]
     first = (same.argmax(axis=2) == np.arange(vertex.shape[1])) & (vertex >= 0)
     keep = np.argsort(~first, axis=1, kind="stable")[:, :width]
     kept = np.take_along_axis(first, keep, axis=1)
@@ -606,66 +606,97 @@ class ComplexGeometry:
         self.n_nodes = n_nodes = len(support_vertex)
 
         # One position per (original simplex, node in it), keyed by
-        # orig * n_nodes + node in sorted order.  A position sums its
-        # support's weighted corners in support order, from zero.
-        self._pair_keys = distinct(self.cell_orig[:, None] * n_nodes + cells)
-        pair_orig, pair_node = np.divmod(self._pair_keys, n_nodes)
-        support = support_vertex[pair_node]
-        local = (orig_vertices[pair_orig][:, None, :] == support[:, :, None]).argmax(
-            axis=2
-        )
-        weights = support_num[pair_node] / self._denominator
-        corners = np.asarray(orig_coords)[pair_orig[:, None], local]
-        self._positions = np.zeros((len(pair_node), n))
-        for k in range(n + 1):
-            # a padding slot adds 0.0 * corner, which changes no sum
-            self._positions += weights[:, k, None] * corners[:, k]
-
-        arc_keys, arc_lengths, blocks = self._chords(children ** min(depth, 2))
+        # orig * n_nodes + node in sorted order; ``at`` is each cell node's
+        # position, read from the grouping that found the keys.
+        keys = (self.cell_orig[:, None] * n_nodes + cells).reshape(-1, 1)
+        order, starts = row_groups(keys)
+        self._pair_keys = keys[order[starts], 0]
+        at = group_ids(order, starts).reshape(cells.shape)
+        del keys, order, starts
+        self._positions = self._embed_nodes(orig_coords, orig_vertices)
+        self.cell_volumes = _simplex_volumes(self._positions[at])
+        del at
+        arc_keys, arc_lengths, blocks, edges = self._chords(children ** min(depth, 2))
+        self.max_cell_diameter = float(arc_lengths[edges].max())
+        del edges
         self.graph = MetricGraph(
             n_nodes, np.column_stack(np.divmod(arc_keys, n_nodes)), arc_lengths,
             blocks,
         )
 
-        self.cell_volumes = _simplex_volumes(
-            self._positions_of(self.cell_orig[:, None], cells))
-        # every cell edge is an arc of the cell's block
-        a, b = np.array(_pair_index(n)).T
-        edges = np.searchsorted(arc_keys, cells[:, a] * n_nodes + cells[:, b])
-        self.max_cell_diameter = float(arc_lengths[edges].max())
+    def _embed_nodes(self, orig_coords, orig_vertices):
+        """The position of each (original simplex, node) pair of
+        ``_pair_keys`` in the simplex's embedding: its support's weighted
+        corners summed in support order, from zero."""
+        n = self.dim
+        pair_orig, pair_node = np.divmod(self._pair_keys, self.n_nodes)
+        support = self._support_vertex[pair_node]
+        local = (orig_vertices[pair_orig][:, None, :] == support[:, :, None]).argmax(
+            axis=2
+        )
+        weights = self._support_num[pair_node] / self._denominator
+        corners = np.asarray(orig_coords)[pair_orig[:, None], local]
+        positions = np.zeros((len(pair_node), n))
+        for k in range(n + 1):
+            # a padding slot adds 0.0 * corner, which changes no sum
+            positions += weights[:, k, None] * corners[:, k]
+        return positions
 
     def _chords(self, block):
         """Arc keys ``head * n_nodes + tail`` (ascending) and lengths of the
-        chords between the nodes of each block of ``block`` cells, and the
-        blocks' members, one ascending row per block.
+        chords between the nodes of each block of ``block`` cells, the
+        blocks' members, one ascending row per block, and the arc of each
+        cell edge, one row per cell in ``_pair_index`` order.
 
         Chords join nodes sharing a cell two rounds up (the original
         simplex up to depth 2).  This keeps the arc count near linear while
         still refining the metric.  Every block is the same subdivided
         simplex, so each has the same member count, and every pair of its
         members is a chord: the metric graph splits its arcs by these
-        blocks.  The per-pair arrays are freed on return, before the
-        metric graph is built.
+        blocks.
+
+        Lookups are per block member, not per chord: each member's position
+        is found once, in its block's original simplex, and each cell node's
+        index among its block's members comes from the sort that found the
+        members.  The chords' lengths are the differences of those
+        positions; one grouping of the chord keys makes the arcs and tells
+        each chord, so each cell edge, its arc.  The metric graph still
+        searches its arcs for the blocks' pairs, as it does for any input.
+        The per-chord arrays are freed on return, before the metric graph
+        is built.
         """
         cells, n_nodes = self.cells_array, self.n_nodes
-        block_nodes = np.sort(cells.reshape(len(cells) // block, -1), axis=1)
-        distinct = np.ones(block_nodes.shape, dtype=bool)
-        distinct[:, 1:] = block_nodes[:, 1:] != block_nodes[:, :-1]
-        members = block_nodes[distinct].reshape(len(block_nodes), -1)
-        first, second = np.triu_indices(members.shape[1], 1)
-        heads = members[:, first].ravel()
-        tails = members[:, second].ravel()
-        block_orig = np.repeat(self.cell_orig[::block], len(first))
-        deltas = self._positions_of(block_orig, tails) - self._positions_of(
-            block_orig, heads
-        )
-        lengths = np.sqrt((deltas * deltas).sum(axis=1))
+        rows = cells.reshape(len(cells) // block, -1)
+        order = np.argsort(rows, axis=1)
+        ranked = np.take_along_axis(rows, order, axis=1)
+        new = np.ones(rows.shape, dtype=bool)
+        new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+        members = ranked[new].reshape(len(rows), -1)
+        # each cell node's index among its block's members
+        member_of = np.empty_like(order)
+        np.put_along_axis(member_of, order, np.cumsum(new, axis=1) - 1, axis=1)
+        m = members.shape[1]
+        first, second = np.triu_indices(m, 1)
+        points = self._positions_of(self.cell_orig[::block, None], members)
+        deltas = points[:, second]
+        deltas -= points[:, first]
+        deltas *= deltas
+        lengths = np.sqrt(deltas.reshape(-1, self.dim).sum(axis=1))
+        del deltas
         # A pair shared by two blocks keeps the later block's length.  Arcs
         # come out sorted by pair; the CSR matrix sorts them that way anyway.
-        arc_keys, last = np.unique(
-            (heads * n_nodes + tails)[::-1], return_index=True
-        )
-        return arc_keys, lengths[::-1][last], members
+        keys = (members[:, first] * n_nodes + members[:, second]).reshape(-1, 1)
+        order, starts = row_groups(keys)
+        last = order[np.append(starts[1:], len(order)) - 1]
+        arcs = group_ids(order, starts).reshape(len(rows), -1)
+        del order
+        pair = np.zeros((m, m), dtype=np.int64)  # chord index of two members
+        pair[first, second] = np.arange(len(first))
+        member_of = member_of.reshape(cells.shape)
+        a, b = np.array(_pair_index(self.dim)).T
+        edges = arcs[np.arange(len(cells))[:, None] // block,
+                     pair[member_of[:, a], member_of[:, b]]]
+        return keys[last, 0], lengths[last], members, edges
 
     # -- basic queries ----------------------------------------------------
 

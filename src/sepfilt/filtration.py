@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .adjacency import distinct, fit_in_ball
-from .complexes import Subpolyhedron
+from .complexes import _BATCH, Subpolyhedron
 from .errors import Infeasible, SeparationViolation
 from .files import check_keys
 
@@ -423,9 +423,12 @@ def _audit_certificates(level, certificates, groups, graph, radius):
     stored radius, read from the center's own row, and that radius must be
     at most R; distances are exact, so the radius is compared with ``==``.
     Every row is read out to R: a node beyond R reads more than R (maybe
-    ``inf``), which equals no stored radius.  The ball table serves the rows
-    once named at R, as in a run; ``sepfilt verify`` names it only after
-    ``validate``, so there each row is a ``dijkstra`` call of its own.
+    ``inf``), which equals no stored radius.  The rows of the centers that
+    pass the other checks are read in batches of about ``_BATCH`` entries,
+    one ``rows_within`` call each: under ``sepfilt verify``, which names no
+    ball table before ``validate``, one ``dijkstra`` call per level up to
+    ``_BATCH / n_nodes`` certificates.  The first certificate that fails,
+    in stored order, is the one reported.
     """
     cells, cell_starts, nodes, node_starts = groups
     sizes = np.diff(cell_starts, append=len(cells)).tolist()
@@ -434,27 +437,34 @@ def _audit_certificates(level, certificates, groups, graph, radius):
             f"level {level}: {len(certificates)} stored components, "
             f"{len(sizes)} recomputed"
         )
-    starts = node_starts.tolist()
-    for k, (cert, size, a, b) in enumerate(
-        zip(certificates, sizes, starts, [*starts[1:], len(nodes)])
-    ):
-        wrong = None
+    wrong = []
+    for cert, size in zip(certificates, sizes):
         if cert.cells != size:
-            wrong = f"cells {cert.cells} (recomputed {size})"
+            wrong.append(f"cells {cert.cells} (recomputed {size})")
         elif not (isinstance(cert.center, int)
                   and 0 <= cert.center < graph.n_nodes):
-            wrong = f"center {cert.center!r} (not a node)"
+            wrong.append(f"center {cert.center!r} (not a node)")
         elif not cert.radius <= radius:
-            wrong = f"radius {cert.radius!r} (above R = {radius})"
+            wrong.append(f"radius {cert.radius!r} (above R = {radius})")
         else:
-            row = graph.distances_within(cert.center, radius)
-            ecc = float(row[nodes[a:b]].max())
+            wrong.append(None)
+    read = [k for k, problem in enumerate(wrong) if problem is None]
+    ends = [*node_starts[1:].tolist(), len(nodes)]
+    size = max(1, _BATCH // graph.n_nodes)
+    for start in range(0, len(read), size):
+        batch = read[start : start + size]
+        rows = graph.rows_within([certificates[k].center for k in batch],
+                                 [radius] * len(batch))
+        for k, row in zip(batch, rows):
+            cert = certificates[k]
+            ecc = float(row[nodes[node_starts[k] : ends[k]]].max())
             if ecc != cert.radius:
-                wrong = (f"radius {cert.radius!r} (center {cert.center} has "
-                         f"eccentricity {ecc!r})")
-        if wrong is not None:
+                wrong[k] = (f"radius {cert.radius!r} (center {cert.center} "
+                            f"has eccentricity {ecc!r})")
+    for k, problem in enumerate(wrong):
+        if problem is not None:
             raise SeparationViolation(
-                f"level {level} component {k}: stored {wrong}"
+                f"level {level} component {k}: stored {problem}"
             )
 
 

@@ -43,6 +43,13 @@ def test_one_measured_run_times_every_stage(tool, record):
     assert record["level_areas"] == [3.0]
     assert record["speed"] > 0
     assert all(record["stages_speed"][stage] > 0 for stage in (*tool.STAGES, "total"))
+    # the run's metric graph and the fresh one verify builds, and the
+    # untimed geometry build's traced peak
+    graph_s = record["graph_s"]
+    assert graph_s["geometry"] > 0 and graph_s["verify"] > 0
+    assert sum(graph_s.values()) == graph_s["geometry"] + graph_s["verify"]
+    assert graph_s["geometry"] < record["stages_s"]["geometry"]
+    assert record["geometry_peak_mb"] > 0
 
 
 def test_the_tool_measures_the_pipeline_the_cli_runs(tool, record):

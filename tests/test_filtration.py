@@ -4,13 +4,14 @@ import functools
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from sepfilt import Subpolyhedron, complexes, filtration
 from sepfilt.adjacency import CellSystem, fit_in_ball, row_groups
-from sepfilt.errors import DimensionMismatch, Infeasible
+from sepfilt.errors import DimensionMismatch, Infeasible, SeparationViolation
 from sepfilt.filtration import (
     SeparationConfig,
     build_filtration,
@@ -1046,7 +1047,8 @@ def test_validate_builds_no_level(name, radius, monkeypatch):
 @pytest.mark.parametrize("name, radius", [("torus4", 1.1), ("genus2", 0.7)])
 def test_validate_reads_one_row_per_component(name, radius, monkeypatch):
     # validate builds no ball table: it reads only the stored centers'
-    # rows, one single-row call each, and node 0's anchor row for reach
+    # rows, each level's distinct centers in one call, top level first,
+    # and node 0's anchor row, for reach or as a center's row
     from sepfilt.filtration import Filtration
 
     config = SeparationConfig(radius=radius, epsilon=0.05, move_budget=10,
@@ -1062,11 +1064,33 @@ def test_validate_reads_one_row_per_component(name, radius, monkeypatch):
 
     monkeypatch.setattr(complexes, "dijkstra", recording)
     assert checked.validate()
-    centers = [cert.center for level in checked.levels for cert in level.certificates]
-    rows = [indices for indices in calls if indices != 0]
-    assert calls.count(0) <= 1 and 0 < len(rows) <= len(centers)
-    assert all(len(indices) == 1 and indices[0] in centers for indices in rows)
+    centers = [sorted({cert.center for cert in level.certificates} - {0})
+               for level in reversed(checked.levels)]
+    rows = [sorted(indices) for indices in calls if not isinstance(indices, int)]
+    assert calls.count(0) <= 1
+    assert rows == [level for level in centers if level]
+    assert len(rows) <= len(checked.levels)
     assert checked.geometry.graph.radius == -math.inf
+
+
+@pytest.mark.parametrize("order", ["row-first", "center-first"])
+def test_validate_reports_the_first_failing_certificate(order, torus_filtration_d1):
+    # the rows are read after the other checks, yet the certificate
+    # reported is the first that fails in stored order, whichever check
+    from sepfilt.filtration import Filtration
+
+    payload = torus_filtration_d1.to_json()
+    components = payload["levels"][0]["components"]
+    assert len(components) >= 2
+    row_check, center_check = (0, 1) if order == "row-first" else (1, 0)
+    components[row_check]["radius"] = math.nextafter(
+        components[row_check]["radius"], math.inf)
+    components[center_check]["center"] = None
+    checked = Filtration.from_json(fit_geometry("torus4"), payload)
+    expected = ("component 0: stored radius" if order == "row-first"
+                else "component 0: stored center None (not a node)")
+    with pytest.raises(SeparationViolation, match=re.escape(expected)):
+        checked.validate()
 
 
 @pytest.mark.parametrize("name, radius", [("torus4", 1.1), ("genus2", 0.7)])

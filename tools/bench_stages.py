@@ -25,7 +25,13 @@ together mirror ``sepfilt verify`` on a fresh geometry: validate is
 ``WeightedComplex.from_json`` and ``Filtration.from_json`` of the
 filtration document before it, ``pipeline.audit_document`` and
 ``inequality_sweep`` with 2,000 samples at seed 101 after it.
-``peak_rss_mb`` is the process's ``ru_maxrss``.  ``dijkstra_rows`` counts
+``peak_rss_mb`` is the process's ``ru_maxrss``; after it is read, one
+more geometry of the fixture is built, untimed, under ``tracemalloc``, and
+``geometry_peak_mb`` is that build's peak of live traced memory (NumPy's
+arrays included).  ``graph_s`` is the time spent inside
+``MetricGraph.__init__``, the metric graph's part of a geometry build: the
+run's in the geometry stage, the fresh geometry's in verify.
+``dijkstra_rows`` counts
 the distance rows each stage computes, by wrapping
 ``sepfilt.complexes.dijkstra`` from outside the package,
 and ``truncated_rows`` counts those of them computed with a finite
@@ -146,7 +152,7 @@ STAGES = ("geometry", "incidence", "filtration", "coloring", "census", "V1",
           "packing", "sweep", "validate", "verify")
 COUNTERS = ("dijkstra_rows", "truncated_rows", "complete_rows",
             "fill_pairs", "table_builds", "checks", "sweep_chunks",
-            "dijkstra_calls", "rows_read", "gc_s", "gc_collections",
+            "dijkstra_calls", "rows_read", "gc_s", "gc_collections", "graph_s",
             "fit_calls",
             "balls_built", "try_remove_calls", "merge_refusals",
             "cell_systems", "face_id_lookups", "prune_states",
@@ -174,6 +180,7 @@ def measure(fixture):
     import math
     import resource
     import time
+    import tracemalloc
 
     import numpy as np
 
@@ -188,6 +195,7 @@ def measure(fixture):
     try_remove = filtration_module._PruneState.try_remove
     prune_state_init = filtration_module._PruneState.__init__
     graph_class = complexes.MetricGraph
+    graph_init = graph_class.__init__
     tabulate, fill = graph_class.tabulate, graph_class._fill
     feasible_centers, measures = graph_class.feasible_centers, bounds._measures
     filling, uncounted = False, 0.0
@@ -232,6 +240,11 @@ def measure(fixture):
             np.isfinite(result).reshape(-1, graph.n_nodes).all(axis=1).sum())
         uncounted += time.perf_counter() - start
         return result
+
+    def timed_graph(graph, *args, **kwargs):
+        start = time.perf_counter()
+        graph_init(graph, *args, **kwargs)
+        counts["graph_s"] += time.perf_counter() - start
 
     def counted_remove(state, facet):
         removed = try_remove(state, facet)
@@ -287,6 +300,7 @@ def measure(fixture):
     filtration_module._PruneState.__init__ = counted_prune_state
     graph_class.feasible_centers = counted_feasible
     bounds._measures = counted_measures
+    graph_class.__init__ = timed_graph
     graph_class.tabulate = counted_tabulate
     graph_class._fill = counted_fill
 
@@ -393,6 +407,11 @@ def measure(fixture):
     stages["total"] = sum(stages.values())
     stages_speed["total"] = sum(
         stages[stage] * stages_speed[stage] for stage in STAGES) / stages["total"]
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    tracemalloc.start()
+    complex_.geometry(depth)
+    geometry_peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
     texts = {
         "filtration": canonical_dumps(document),
         "measures": canonical_dumps({
@@ -404,7 +423,8 @@ def measure(fixture):
     return {
         "stages_s": stages,
         **stage_counts,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": peak_rss_mb,
+        "geometry_peak_mb": geometry_peak_mb,
         "speed": speed.scale(1.0, kernel_samples),
         "stages_speed": stages_speed,
         "graph": graph_size,
@@ -445,6 +465,8 @@ def summarize(runs):
         },
         "peak_rss_mb_median": round(
             statistics.median(r["peak_rss_mb"] for r in runs), 1),
+        "geometry_peak_mb_median": round(
+            statistics.median(r["geometry_peak_mb"] for r in runs), 2),
         "runs_total_s": [round(r["stages_s"]["total"], 3) for r in runs],
         "runs_peak_rss_mb": [round(r["peak_rss_mb"], 1) for r in runs],
         "runs_speed": [round(r["speed"], 3) for r in runs],
