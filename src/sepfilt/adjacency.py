@@ -83,9 +83,12 @@ def row_groups(rows):
 
 def group_ids(order, starts):
     """Each row's group index, from ``row_groups``' order and starts: rows
-    equal to the k-th distinct row read k."""
+    equal to the k-th distinct row read k (a running count of the starts
+    along the order)."""
+    step = np.zeros(len(order), dtype=np.int64)
+    step[starts[1:]] = 1
     ids = np.empty(len(order), dtype=np.int64)
-    ids[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
+    ids[order] = np.cumsum(step, out=step)
     return ids
 
 
@@ -223,9 +226,7 @@ class CellSystem:
         table = self.face_rows.get(size, np.empty((0, size), np.int64))
         # a query row's group starts at the table row equal to it, if any
         order, starts = row_groups(np.concatenate([table, rows]))
-        first = np.empty(len(order), dtype=np.int64)
-        first[order] = np.repeat(order[starts], np.diff(starts, append=len(order)))
-        found = first[len(table):]
+        found = order[starts][group_ids(order, starts)[len(table):]]
         missing = found >= len(table)
         if missing.any():
             raise KeyError(tuple(rows[np.argmax(missing)].tolist()))

@@ -260,14 +260,16 @@ class MetricGraph:
         self.quantum = math.ldexp(1.0, e - 51)
         data = np.ceil(data / self.quantum) * self.quantum
         interior = self._split(heads, tails, data, np.asarray(blocks, dtype=np.int64))
-        # each arc both ways, but no portal -> interior arc
+        # each arc both ways, but no portal -> interior arc; for pairs listed
+        # by ascending key, the tail -> head arcs first put each row's
+        # columns in ascending order, so SciPy sorts no row
         forth = interior[heads] | ~interior[tails]
         back = interior[tails] | ~interior[heads]
         self._arcs = csr_matrix(
             (
-                np.concatenate([data[forth], data[back]]),
-                (np.concatenate([heads[forth], tails[back]]),
-                 np.concatenate([tails[forth], heads[back]])),
+                np.concatenate([data[back], data[forth]]),
+                (np.concatenate([tails[back], heads[forth]]),
+                 np.concatenate([heads[back], tails[forth]])),
             ),
             shape=(n_nodes, n_nodes),
         )
@@ -677,12 +679,17 @@ class ComplexGeometry:
         np.put_along_axis(member_of, order, np.cumsum(new, axis=1) - 1, axis=1)
         m = members.shape[1]
         first, second = np.triu_indices(m, 1)
+        # by coordinate: each (block, member) table row-gathered per chord,
+        # the squares added in coordinate order, as a row sum adds them
         points = self._positions_of(self.cell_orig[::block, None], members)
-        deltas = points[:, second]
-        deltas -= points[:, first]
-        deltas *= deltas
-        lengths = np.sqrt(deltas.reshape(-1, self.dim).sum(axis=1))
-        del deltas
+        lengths = np.zeros(len(members) * len(first))
+        for column in np.moveaxis(points, 2, 0):
+            delta = column.take(second, axis=1)
+            delta -= column.take(first, axis=1)
+            delta *= delta
+            lengths += delta.reshape(-1)
+        del delta
+        np.sqrt(lengths, out=lengths)
         # A pair shared by two blocks keeps the later block's length.  Arcs
         # come out sorted by pair; the CSR matrix sorts them that way anyway.
         keys = (members[:, first] * n_nodes + members[:, second]).reshape(-1, 1)
