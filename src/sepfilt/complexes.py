@@ -658,14 +658,11 @@ class ComplexGeometry:
         blocks.
 
         Lookups are per block member, not per chord: each member's position
-        is found once, in its block's original simplex, and each cell node's
-        index among its block's members comes from the sort that found the
-        members.  The chords' lengths are the differences of those
-        positions; one grouping of the chord keys makes the arcs and tells
-        each chord, so each cell edge, its arc.  The metric graph still
-        searches its arcs for the blocks' pairs, as it does for any input.
-        The per-chord arrays are freed on return, before the metric graph
-        is built.
+        is searched once, in its block's original simplex, and the sort that
+        finds the members gives each cell node its member index.  One
+        grouping of the chord keys makes the arcs and gives each chord, so
+        each cell edge, its arc.  The per-chord arrays are freed on return,
+        before the metric graph is built.
         """
         cells, n_nodes = self.cells_array, self.n_nodes
         rows = cells.reshape(len(cells) // block, -1)
@@ -688,15 +685,13 @@ class ComplexGeometry:
             delta -= column.take(first, axis=1)
             delta *= delta
             lengths += delta.reshape(-1)
-        del delta
         np.sqrt(lengths, out=lengths)
         # A pair shared by two blocks keeps the later block's length.  Arcs
-        # come out sorted by pair; the CSR matrix sorts them that way anyway.
+        # come out sorted by pair, the order the metric graph's CSR wants.
         keys = (members[:, first] * n_nodes + members[:, second]).reshape(-1, 1)
         order, starts = row_groups(keys)
         last = order[np.append(starts[1:], len(order)) - 1]
         arcs = group_ids(order, starts).reshape(len(rows), -1)
-        del order
         pair = np.zeros((m, m), dtype=np.int64)  # chord index of two members
         pair[first, second] = np.arange(len(first))
         member_of = member_of.reshape(cells.shape)
