@@ -609,7 +609,9 @@ class ComplexGeometry:
 
         # One position per (original simplex, node in it), keyed by
         # orig * n_nodes + node in sorted order; ``at`` is each cell node's
-        # position, read from the grouping that found the keys.
+        # position, read from the grouping that found the keys.  The build's
+        # memory peak comes in the metric graph, so what it does not read is
+        # freed before it.
         keys = (self.cell_orig[:, None] * n_nodes + cells).reshape(-1, 1)
         order, starts = row_groups(keys)
         self._pair_keys = keys[order[starts], 0]
