@@ -663,8 +663,9 @@ class ComplexGeometry:
         is searched once, in its block's original simplex, and the sort that
         finds the members gives each cell node its member index.  One
         grouping of the chord keys makes the arcs and gives each chord, so
-        each cell edge, its arc.  The per-chord arrays are freed on return,
-        before the metric graph is built.
+        each cell edge, its arc.  The one per-chord search left is the
+        metric graph's, of its arcs for the blocks' pairs.  The per-chord
+        arrays are freed on return, before the metric graph is built.
         """
         cells, n_nodes = self.cells_array, self.n_nodes
         rows = cells.reshape(len(cells) // block, -1)
