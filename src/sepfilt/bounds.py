@@ -22,6 +22,10 @@ _COAREA_SAMPLES = 64
 _V1_RADIUS = 1.0
 _PACKING_R_SMALL = 0.25
 _PACKING_R_BIG = 0.5
+# Balls per sweep chunk at most: larger chunks save no measured time on
+# small graphs, and their balls-by-cells matrices raise the peak memory
+# (search-genus, 153 balls: +0.5 MB).
+_CHUNK_BALLS = 64
 
 
 @dataclass(frozen=True)
@@ -72,27 +76,34 @@ def _chunks(geometry, samples, reads):
     ``holds_every_node`` proves its B(p, r1) whole.
 
     ``reads((r1s, whole1), (r2s, whole2))`` gives the radius each row is
-    read out to, negative for no row.  The samples are taken in ascending
-    order of r2, so one chunk's rows are read out to like radii, and
-    ``MetricGraph.rows_within`` reads each chunk's rows at once.  Balls are
-    classified when the chunk's turn comes, so the complete rows read for
-    earlier chunks have tightened ``reach``.  The centers whose r2 is
-    within the table's radius R are tabulated first, together.  A chunk
-    holds about ``_BATCH / 8`` entries in its widest matrix of balls by
-    nodes or by cells: a float64 one is then 256 KB.
+    read out to, negative for no row.  Every sample is classified once
+    before the first chunk, and the samples are taken in ascending order of
+    the radius that classification reads them to, then of r2, so one
+    chunk's rows are read out to like radii, and
+    ``MetricGraph.rows_within`` reads each chunk's rows at once.  That
+    first classification only orders the samples: a chunk's balls are
+    classified again when its turn comes, and its reads come from that, so
+    the complete rows read for earlier chunks have tightened ``reach``.
+    The centers whose r2 is within the table's radius R are tabulated
+    first, together.  A chunk's matrix of rows, balls by nodes, holds
+    about ``_BATCH / 8`` entries (256 KB of float64), in at most
+    ``_CHUNK_BALLS`` balls.
     """
+    if not samples:
+        return
     graph = geometry.graph
     graph.tabulate([c for c, _, r2 in samples if r2 <= graph.radius], graph.radius)
-    order = sorted(range(len(samples)), key=lambda k: samples[k][2])
-    width = max(geometry.n_nodes, len(geometry.cells_array))
-    size = max(1, complexes._BATCH // (8 * width))
+    centers, r1s, r2s = (np.array(column) for column in zip(*samples))
+    first = reads((r1s, graph.holds_every_node(centers, r1s)),
+                  (r2s, graph.holds_every_node(centers, r2s)))
+    order = np.lexsort((r2s, first))
+    size = max(1, min(_CHUNK_BALLS, complexes._BATCH // (8 * geometry.n_nodes)))
     for start in range(0, len(order), size):
         at = order[start : start + size]
-        chunk = [samples[k] for k in at]
-        centers, r1s, r2s = (np.array(column) for column in zip(*chunk))
-        small = r1s, graph.holds_every_node(centers, r1s)
-        large = r2s, graph.holds_every_node(centers, r2s)
-        yield at, chunk, graph.rows_within(centers, reads(small, large)), small, large
+        chunk = [samples[k] for k in at.tolist()]
+        small = r1s[at], graph.holds_every_node(centers[at], r1s[at])
+        large = r2s[at], graph.holds_every_node(centers[at], r2s[at])
+        yield at, chunk, graph.rows_within(centers[at], reads(small, large)), small, large
 
 
 def _row_radii(small, large):

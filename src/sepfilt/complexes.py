@@ -250,10 +250,18 @@ class MetricGraph:
         """``pairs`` is a (k, 2) array of distinct node pairs, ``lengths``
         their k arc lengths; each arc is traversed both ways.  Each row of
         ``blocks`` lists the members of a block, every pair of which must
-        be an arc; all rows have the same length."""
+        be an arc; all rows have the same length.  ValueError for a node id
+        out of range, a self-loop, a pair listed twice (in either order) or
+        a length that is not positive and finite."""
         self.n_nodes = n_nodes
         heads, tails = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
         data = np.asarray(lengths, dtype=float)
+        if ((heads < 0) | (heads >= n_nodes) | (tails < 0) | (tails >= n_nodes)).any():
+            raise ValueError(f"an arc's node id is not in range({n_nodes})")
+        if (heads == tails).any():
+            raise ValueError("an arc joins a node to itself")
+        if not (np.isfinite(data) & (data > 0)).all():
+            raise ValueError("arc lengths must be positive and finite")
         # 2 ** e exceeds every path length, and the quantum leaves one bit
         # for the sum of two path lengths below the 53-bit mantissa
         e = math.frexp(data.sum())[1]
@@ -294,6 +302,8 @@ class MetricGraph:
         keys = np.minimum(heads, tails) * n + np.maximum(heads, tails)
         order = np.argsort(keys)
         keys, data = keys[order], data[order]
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError("a node pair is listed twice")
         degree = np.bincount(heads, minlength=n) + np.bincount(tails, minlength=n)
         single = np.bincount(blocks.ravel(), minlength=n) == 1
         interior = single & (degree == m - 1)

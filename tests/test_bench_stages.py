@@ -79,6 +79,17 @@ def test_components_calls_and_infeasible_states_are_counted(record):
     assert sum(infeasible.values()) == infeasible["filtration"]
 
 
+def test_settled_entries_count_the_finite_entries_of_the_rows(record):
+    # a row settles at least its own source and at most every node, and a
+    # stage that computes no row settles nothing
+    settled, rows = record["settled_entries"], record["dijkstra_rows"]
+    nodes = record["graph"]["nodes"]
+    assert set(settled) == set(rows)
+    assert settled["filtration"] > 0 and settled["verify"] > 0
+    for stage in rows:
+        assert rows[stage] <= settled[stage] <= rows[stage] * nodes
+
+
 def test_the_filtration_and_the_measures_are_compared_apart(tool, record,
                                                             monkeypatch):
     # two checkouts whose runs agree on the filtration document and differ

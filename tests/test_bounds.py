@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepfilt import WeightedComplex, bounds, complexes
 from sepfilt.adjacency import fit_in_ball
@@ -474,8 +476,7 @@ ROW_RADIUS_CHECKS = {
 
 def chunk_size(geometry):
     """Balls per chunk of the checks and of V1."""
-    width = max(geometry.n_nodes, len(geometry.cells_array))
-    return complexes._BATCH // (8 * width)
+    return min(bounds._CHUNK_BALLS, complexes._BATCH // (8 * geometry.n_nodes))
 
 
 @pytest.mark.parametrize("name", sorted(ROW_RADIUS_CHECKS))
@@ -488,7 +489,11 @@ def test_rows_stop_at_the_largest_radius_not_proven_whole(name, request, monkeyp
     # comes, so a complete row read for an earlier chunk tightens reach;
     # node 0's rows come from its anchor row.  A sweep longer than one
     # chunk, with repeated centers, takes its samples in ascending order of
-    # r2 and makes the calls of those chunks in turn.
+    # the radius a classification before the first chunk reads them to,
+    # then of r2, and makes the calls of those chunks in turn.  So the
+    # chunks' largest radii by that first classification ascend, and each
+    # call's limit is at most its chunk's: a later classification reads a
+    # row to the same radius or a smaller one, or not at all.
     radii, checks = ROW_RADIUS_CHECKS[name]
     filtration = request.getfixturevalue(name)
     empty = {len(filtration.level(i)) == 0 for i in (0, 1)}
@@ -497,12 +502,7 @@ def test_rows_stop_at_the_largest_radius_not_proven_whole(name, request, monkeyp
     samples = [(center, r1, r1 + step) for step in (0.02, 0.05) for r1 in radii
                for center in range(n_nodes)]
     random.Random(5).shuffle(samples)
-    ascending = sorted(samples, key=lambda sample: sample[2])
     size = chunk_size(filtration.geometry)
-    chunks = [ascending[start : start + size]
-              for start in range(0, len(samples), size)]
-    assert len(chunks) > 1
-    assert any(len({center for center, _, _ in chunk}) < len(chunk) for chunk in chunks)
     calls = []
     dijkstra = complexes.dijkstra
 
@@ -511,28 +511,44 @@ def test_rows_stop_at_the_largest_radius_not_proven_whole(name, request, monkeyp
             calls.append((kwargs.get("limit"), sorted(kwargs["indices"])))
         return dijkstra(*args, **kwargs)
 
+    def classify(graph, center, r1, r2):
+        if graph.holds_every_node(center, r1):
+            return "both whole", None
+        if graph.holds_every_node(center, r2):
+            return "r2 whole", r1
+        return "neither whole", r2
+
     monkeypatch.setattr(complexes, "dijkstra", recording)
     cases = set()
     for check in checks:
         copy = fresh_copy(filtration)
         graph = copy.geometry.graph
+        reads = [classify(graph, *sample)[1] for sample in samples]
+        order = sorted(range(len(samples)),
+                       key=lambda k: (-1.0 if reads[k] is None else reads[k],
+                                      samples[k][2]))
+        parts = [order[start : start + size] for start in range(0, len(samples), size)]
+        chunks = [[samples[k] for k in part] for part in parts]
+        firsts = [max((reads[k] for k in part if reads[k] is not None), default=-1.0)
+                  for part in parts]
+        assert firsts == sorted(firsts) and firsts[0] < firsts[-1]
+        assert len(chunks) > 1
+        assert any(len({center for center, _, _ in chunk}) < len(chunk)
+                   for chunk in chunks)
         expected = []
-        for chunk in chunks:
+        for chunk, first in zip(chunks, firsts):
             needs = {}
             for center, r1, r2 in chunk:
-                if graph.holds_every_node(center, r1):
-                    case, need = "both whole", None
-                elif graph.holds_every_node(center, r2):
-                    case, need = "r2 whole", r1
-                else:
-                    case, need = "neither whole", r2
+                case, need = classify(graph, center, r1, r2)
                 cases.add(case)
                 if need is not None and center != 0:
                     needs[center] = max(need, needs.get(center, need))
             calls.clear()
             check(copy, chunk)
             assert calls == ([(max(needs.values()), sorted(needs))] if needs else [])
+            assert all(limit <= first for limit, _ in calls)
             expected += calls
+        assert len(expected) > 1
         calls.clear()
         check(fresh_copy(filtration), samples)
         assert calls == expected
@@ -663,6 +679,34 @@ def test_chunked_checks_equal_the_per_check_reference(name, mode, request):
     assert bool(graph._table) == (mode == "table")
     levels = {len(filtration.level(i)) > 0 for i in range(filtration.dim)}
     assert levels == ({False} if name == "vanishing_filtration" else {True})
+
+
+@pytest.mark.parametrize("name", ["small_genus_filtration", "vanishing_filtration"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_checks_come_in_sample_order(name, small_genus_filtration,
+                                     vanishing_filtration, data):
+    # Whatever order the chunks take the balls in, the density and coarea
+    # checks of a list of samples, and of a shuffle of it, are the
+    # reference's in sample order, over chunks of three balls.
+    filtration = fresh_copy({"small_genus_filtration": small_genus_filtration,
+                             "vanishing_filtration": vanishing_filtration}[name])
+    geometry = filtration.geometry
+    top = float(geometry.graph.reach.max())
+    sample = st.tuples(st.integers(0, geometry.n_nodes - 1),
+                       st.floats(0.05, 0.9), st.floats(0.01, 0.3))
+    drawn = data.draw(st.lists(sample, min_size=1, max_size=12))
+    samples = [(center, a * top, (a + b) * top) for center, a, b in drawn]
+    shuffled = data.draw(st.permutations(samples))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(complexes, "_BATCH", 8 * geometry.n_nodes * 3)
+        for each in (samples, shuffled):
+            density, _, coarea = reference_checks(filtration, each)
+            assert ([c.to_row() for c in point_density_check(filtration, each)]
+                    == [c.to_row() for c in density])
+            for level in range(filtration.dim):
+                assert ([c.to_row() for c in coarea_check(filtration, level, each)]
+                        == [c.to_row() for c in coarea[level]])
 
 
 # ---------------------------------------------------------------------------

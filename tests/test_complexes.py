@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepfilt import Subpolyhedron, WeightedComplex, complexes, simplex_volume
+from sepfilt import (Subpolyhedron, WeightedComplex, bounds, complexes,
+                     simplex_volume)
 from sepfilt.complexes import MetricGraph
 from sepfilt.errors import DimensionMismatch, NondegenerateViolation
 from sepfilt.generators import circle, genus_surface, torus
@@ -456,6 +457,31 @@ def test_a_strict_shortcut_stays_a_portal():
 
 
 @pytest.mark.parametrize(
+    "pairs, lengths, message",
+    [
+        ([(0, 1), (0, 1)], [1.0, 1.0], "listed twice"),
+        ([(0, 1), (1, 2), (1, 0)], [1.0, 1.0, 1.0], "listed twice"),
+        ([(0, 1), (2, 2)], [1.0, 1.0], "to itself"),
+        ([(0, 3)], [1.0], "not in range"),
+        ([(-1, 1)], [1.0], "not in range"),
+        ([(0, 1)], [-1.0], "positive and finite"),
+        ([(0, 1)], [0.0], "positive and finite"),
+        ([(0, 1)], [math.nan], "positive and finite"),
+        ([(0, 1)], [math.inf], "positive and finite"),
+    ],
+)
+def test_malformed_arcs_are_refused(pairs, lengths, message, monkeypatch):
+    # Each raises before any row is computed: summed duplicate lengths, a
+    # distance-0 or unreachable neighbour, or a broken quantum would give
+    # wrong rows, and SciPy's Dijkstra never ends on a negative 2-cycle.
+    calls = []
+    monkeypatch.setattr(complexes, "dijkstra", lambda *args, **kwargs: calls.append(1))
+    with pytest.raises(ValueError, match=message):
+        MetricGraph(3, pairs, lengths).distances_from(0)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
     "name, radius, step", [("torus4_d2", 1.1, 1), ("torus5_small_d3", 0.03, 7)]
 )
 def test_table_rows_are_the_reference_rows_cut_at_the_radius(
@@ -521,7 +547,7 @@ def test_each_ball_is_tabulated_once(make, radius, monkeypatch):
     assert sorted(rows_at(radius)) == sorted(graph._table)
     v1_calls = [nodes for limit, nodes in calls if limit == 1.0]
     geometry = artifacts.filtration.geometry
-    chunk = complexes._BATCH // (8 * max(geometry.n_nodes, len(geometry.cells)))
+    chunk = min(bounds._CHUNK_BALLS, complexes._BATCH // (8 * geometry.n_nodes))
     assert all(len(nodes) <= chunk for nodes in v1_calls)
     assert bool(v1_calls) == (radius < 1) and len(calls) == 1 + len(
         [limit for limit, _ in calls if limit in (radius, 1.0)])
