@@ -138,6 +138,15 @@ def run(complex_file, radius, epsilon, seed, subdivision_depth, move_budget,
 def verify(filtration_file, samples, seed, out):
     """Re-verify a filtration file, its coloring and census, and sweep the
     density/coarea inequalities."""
+    # a directory, or a path in a missing one, fails before any loading,
+    # not after the sweep
+    if out is None:
+        base = os.path.dirname(os.path.abspath(filtration_file))
+        out = os.path.join(base, "sweep.csv")
+    elif os.path.isdir(out):
+        raise IsADirectoryError(f"--out {out} is a directory")
+    elif not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise FileNotFoundError(f"--out {out}: no such directory")
     payload = read_json(filtration_file)
     complex_ = WeightedComplex.from_json(payload["complex"])
     config = SeparationConfig(**payload["config"])
@@ -146,9 +155,6 @@ def verify(filtration_file, samples, seed, out):
     filtration.validate()
     audit_document(filtration, payload)
     checks = inequality_sweep(filtration, samples, seed)
-    if out is None:
-        base = os.path.dirname(os.path.abspath(filtration_file))
-        out = os.path.join(base, "sweep.csv")
     write_checks_csv(out, checks)
     summary = sweep_summary(checks)
     click.echo(

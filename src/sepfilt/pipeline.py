@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
 import reprlib
+import signal
+import threading
 from dataclasses import asdict, dataclass
 
 from .bounds import (
@@ -13,7 +17,7 @@ from .bounds import (
     greedy_packing,
     point_density_check,
 )
-from .errors import CensusMismatch, SeparationViolation
+from .errors import CensusMismatch, SepfiltError, SeparationViolation
 from .files import check_keys
 from .filtration import build_filtration
 from .rainbow import color_by_filtration, count_rainbow
@@ -50,21 +54,113 @@ def sweep_samples(filtration, samples, seed):
     return [(center, r1, r2) for center, (r1, r2) in zip(centers, pairs)]
 
 
-def density_sweep(filtration, samples, seed):
-    return point_density_check(filtration, sweep_samples(filtration, samples, seed))
+# The fewest row entries, coarea samples times nodes, whose checks
+# ``inequality_sweep`` runs in a forked child: below it the fork, the
+# pages each process then copies on its first write and the pickled
+# checks cost more than the child saves.  Whole sweeps timed forked and
+# in-process on two CPUs: 12-26% slower forked at 107 K-288 K entries
+# (2,000 samples of search-genus and search-torus, 200 of vanish-large),
+# even at 428 K-576 K and about 30% faster at vanish-large's 2.7 M
+# (2,000 samples), while the second CPU was free.
+_FORK_ENTRIES = 1 << 19
 
 
-def coarea_sweep(filtration, samples, seed):
-    level = filtration.dim - 1
-    return coarea_check(filtration, level, sweep_samples(filtration, samples, seed))
+def _forks(entries):
+    """Whether coarea checks reading this many row entries run in a forked
+    child: at least ``_FORK_ENTRIES``, only the main thread alive (a fork
+    copies no other thread) and at least two usable CPUs.  Linux only:
+    ``os.sched_getaffinity`` exists there."""
+    return (entries >= _FORK_ENTRIES
+            and threading.active_count() == 1 and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _fork(work):
+    """Fork a child that runs ``work()``; returns its pid and the read end
+    of a pipe, as a binary file, that carries its pickled reply:
+    ``("ok", result)`` or ``("error", exception)``.  None when no process
+    can be forked.
+
+    The child leaves by ``os._exit`` on every path, so no exit handler of
+    the parent's runs in it and no stdio buffer it inherited is flushed
+    twice; its exit status is 0 only once the whole reply is written."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    status = 1
+    try:
+        os.close(read)
+        try:
+            reply = ("ok", work())
+        except BaseException as exc:  # raised again by the parent
+            reply = ("error", exc)
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reply(data, status):
+    """The result a forked child sent, or its exception raised here."""
+    if os.waitstatus_to_exitcode(status):
+        raise SepfiltError(f"the coarea sweep's child process failed "
+                           f"(wait status {status}) and sent no checks")
+    kind, value = pickle.loads(data)  # bytes our own child wrote
+    if kind == "error":
+        raise value
+    return value
 
 
 def inequality_sweep(filtration, samples, seed):
-    """Density checks, then coarea checks on a quarter of the samples."""
-    checks = density_sweep(filtration, samples, seed)
-    if samples:
-        checks.extend(coarea_sweep(filtration, max(1, samples // 4), seed + 1))
-    return checks
+    """Density checks, then coarea checks on a quarter of the samples.
+
+    When ``_forks`` allows, both sample lists are drawn first, the ball
+    table is filled once for the centers of both, and a forked child runs
+    the coarea checks while this process runs the density checks; the
+    child's checks come back pickled over a pipe, so the checks and their
+    order are the same either way.  Otherwise (or when no child can be
+    forked) both run here, each drawing its samples just before.  If the
+    density checks raise, the child is killed; it is always reaped.  An
+    exception raised in the child is raised here, with its type.
+    """
+    if not samples:
+        return []
+    share = max(1, samples // 4)
+    level, graph = filtration.dim - 1, filtration.geometry.graph
+    child = None
+    if _forks(share * graph.n_nodes):
+        density = sweep_samples(filtration, samples, seed)
+        coarea = sweep_samples(filtration, share, seed + 1)
+        graph.tabulate([center for center, _, _ in density + coarea],
+                       graph.radius)
+        child = _fork(lambda: coarea_check(filtration, level, coarea))
+    if child is None:
+        checks = point_density_check(
+            filtration, sweep_samples(filtration, samples, seed))
+        checks.extend(coarea_check(
+            filtration, level, sweep_samples(filtration, share, seed + 1)))
+        return checks
+    pid, pipe = child
+    with pipe:
+        try:
+            checks = point_density_check(filtration, density)
+            # to EOF before the wait: the reply outgrows the pipe's buffer
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    return checks + _reply(data, status)
 
 
 def sweep_summary(checks):

@@ -13,12 +13,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sepfilt.bounds import bound_report, estimate_v1
+from sepfilt.bounds import (bound_report, coarea_check, estimate_v1,
+                            point_density_check)
 from sepfilt.cli import main as cli_main
 from sepfilt.complexes import Subpolyhedron
 from sepfilt.filtration import SeparationConfig, build_filtration, minimize_separating
 from sepfilt.generators import circle, genus_surface, torus
-from sepfilt.pipeline import coarea_sweep, density_sweep
+from sepfilt.pipeline import sweep_samples
 from sepfilt.rainbow import (
     Chain,
     boundary,
@@ -205,7 +206,8 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_density_sweep(torus_filtration_d2):
     started = time.time()
-    checks = density_sweep(torus_filtration_d2, 500, seed=123)
+    samples = sweep_samples(torus_filtration_d2, 500, seed=123)
+    checks = point_density_check(torus_filtration_d2, samples)
     violations = [c for c in checks if c.violated]
     min_residual = min(c.residual for c in checks)
     min_margin = min(c.residual + c.budget for c in checks)
@@ -222,7 +224,8 @@ def test_criterion_3_density_sweep(torus_filtration_d2):
 
 
 def test_criterion_4_coarea_sweep(torus_filtration_d2):
-    checks = coarea_sweep(torus_filtration_d2, 200, seed=321)
+    samples = sweep_samples(torus_filtration_d2, 200, seed=321)
+    checks = coarea_check(torus_filtration_d2, torus_filtration_d2.dim - 1, samples)
     violations = [c for c in checks if c.violated]
     min_residual = min(c.residual for c in checks)
     assert len(checks) == 200

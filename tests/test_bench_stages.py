@@ -103,3 +103,40 @@ def test_the_filtration_and_the_measures_are_compared_apart(tool, record,
         assert result[f"{same}_identical"] is True
         assert result[f"{differs}_identical"] is False
     assert "outputs_identical" not in result
+
+
+def test_the_measured_process_runs_the_sweep_in_process(tool):
+    # a sweep large enough to fork anywhere forks nowhere once pinned, so
+    # the wrappers see all of the verify stage's calls
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the sweep forks only with two usable CPUs")
+    script = (
+        "import importlib.util, os, sys\n"
+        "from sepfilt import pipeline\n"
+        "spec = importlib.util.spec_from_file_location('tool', sys.argv[1])\n"
+        "tool = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tool)\n"
+        "large = pipeline._FORK_ENTRIES\n"
+        "before = pipeline._forks(large)\n"
+        "tool.pin()\n"
+        "print(before, pipeline._forks(large), len(os.sched_getaffinity(0)))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", script, str(TOOL)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["True", "False", "1"]
+
+
+def test_scaled_stage_times_come_with_their_quartiles(tool, record):
+    def run(seconds):
+        return {**record, "stages_s": dict.fromkeys(record["stages_s"], seconds),
+                "stages_speed": dict.fromkeys(record["stages_speed"], 0.5)}
+
+    summary = tool.summarize([run(s) for s in (8.0, 2.0, 6.0, 4.0)])
+    for stage in (*tool.STAGES, "total"):
+        assert summary["stages_scaled_median_s"][stage] == 2.5
+        assert summary["stages_scaled_q1_s"][stage] == 1.75
+        assert summary["stages_scaled_q3_s"][stage] == 3.25
+    alone = tool.summarize([run(3.0)])
+    assert alone["stages_scaled_q1_s"] == alone["stages_scaled_q3_s"] \
+        == alone["stages_scaled_median_s"]

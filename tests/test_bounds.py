@@ -1,6 +1,12 @@
+import errno
 import itertools
+import json
 import math
+import os
 import random
+import signal
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepfilt import WeightedComplex, bounds, complexes
+from sepfilt import WeightedComplex, bounds, complexes, pipeline
 from sepfilt.adjacency import fit_in_ball
 from sepfilt.bounds import (
     InequalityCheck,
@@ -19,7 +25,7 @@ from sepfilt.bounds import (
     level_trace_checks,
     point_density_check,
 )
-from sepfilt.errors import RadiusOrder
+from sepfilt.errors import RadiusOrder, SepfiltError
 from sepfilt.filtration import Filtration, SeparationConfig, build_filtration
 from sepfilt.generators import circle, genus_surface, torus
 from sepfilt.pipeline import inequality_sweep, run_pipeline
@@ -1097,3 +1103,156 @@ def test_rainbow_bound_below_packing_chain(torus_filtration_d2):
     lhs = (2**n) * len(z0)
     rhs = (4**n) * math.factorial(n) * (estimate.value + eps + budget) * packing.count
     assert lhs <= rhs + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the coarea checks in a forked child
+
+# The in-process side of a sweep: a fresh interpreter pinned to one CPU,
+# where ``inequality_sweep`` forks no child; it reads the complex, the
+# filtration, the sample count and the seed as JSON on stdin and prints
+# the check rows.
+PINNED_SWEEP = """
+import json, os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from sepfilt import WeightedComplex
+from sepfilt.filtration import Filtration
+from sepfilt.pipeline import inequality_sweep
+complex_, document, samples, seed = json.load(sys.stdin)
+depth = document["config"]["subdivision_depth"]
+geometry = WeightedComplex.from_json(complex_).geometry(depth)
+filtration = Filtration.from_json(geometry, document)
+print(json.dumps([c.to_row() for c in inequality_sweep(filtration, samples, seed)]))
+"""
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids ``os.fork`` returns to the parent; skips the test where the
+    sweep cannot fork."""
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the sweep forks only with two usable CPUs")
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def forked_samples(filtration):
+    """The fewest sweep samples whose coarea share forks."""
+    nodes = filtration.geometry.n_nodes
+    return 4 * -(-pipeline._FORK_ENTRIES // nodes)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "name", ["torus_filtration_d2", "small_genus_filtration", "vanishing_filtration"]
+)
+def test_forked_and_in_process_sweeps_give_the_same_checks(name, request, forks):
+    filtration = request.getfixturevalue(name)
+    samples = forked_samples(filtration)
+    rows = [c.to_row() for c in inequality_sweep(fresh_copy(filtration), samples, 5)]
+    assert len(forks) == 1
+    assert_no_child()
+    document = [filtration.geometry.base.to_json(), filtration.to_json(),
+                samples, 5]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    pinned = subprocess.run([sys.executable, "-c", PINNED_SWEEP],
+                            input=json.dumps(document), capture_output=True,
+                            text=True, env=env, timeout=300)
+    assert pinned.returncode == 0, pinned.stderr
+    assert json.loads(pinned.stdout) == rows
+    # density checks in sample order, then the coarea checks in theirs
+    kinds = [row[0] for row in rows]
+    assert kinds == ["density"] * samples + [f"coarea{filtration.dim - 1}"] * (samples // 4)
+
+
+class Unsendable(ValueError):
+    """An exception the child cannot pickle once its ``__module__`` names
+    no module."""
+
+
+@pytest.mark.parametrize("error", [RadiusOrder, ValueError, KeyboardInterrupt])
+def test_a_failure_in_the_child_is_raised_with_its_type(error, forks, monkeypatch,
+                                                        vanishing_filtration):
+    def failing(*args):
+        raise error("planted in the child")
+
+    monkeypatch.setattr(pipeline, "coarea_check", failing)
+    filtration = fresh_copy(vanishing_filtration)
+    with pytest.raises(error, match="planted in the child"):
+        inequality_sweep(filtration, forked_samples(filtration), 5)
+    assert len(forks) == 1
+    assert_no_child()
+
+
+def test_a_failure_the_child_cannot_send_is_a_package_error(forks, monkeypatch,
+                                                           vanishing_filtration):
+    def failing(*args):
+        raise Unsendable("planted in the child")
+
+    monkeypatch.setattr(pipeline, "coarea_check", failing)
+    monkeypatch.setattr(Unsendable, "__module__", "no_such_module")
+    filtration = fresh_copy(vanishing_filtration)
+    with pytest.raises(SepfiltError, match="child process failed"):
+        inequality_sweep(filtration, forked_samples(filtration), 5)
+    assert len(forks) == 1
+    assert_no_child()
+
+
+def test_a_sweep_that_cannot_fork_runs_in_process(forks, monkeypatch,
+                                                  vanishing_filtration):
+    samples = forked_samples(vanishing_filtration)
+    forked = inequality_sweep(fresh_copy(vanishing_filtration), samples, 5)
+    assert len(forks) == 1
+
+    def refused():
+        raise OSError(errno.EAGAIN, "no process to spare")
+
+    monkeypatch.setattr(os, "fork", refused)
+    rows = [c.to_row() for c in
+            inequality_sweep(fresh_copy(vanishing_filtration), samples, 5)]
+    assert rows == [c.to_row() for c in forked]
+    assert_no_child()
+
+
+def test_a_failure_in_the_parent_kills_and_reaps_the_child(forks, monkeypatch,
+                                                           vanishing_filtration):
+    def failing(*args):
+        raise RadiusOrder("planted in the parent")
+
+    kills, kill = [], os.kill
+
+    def recording(pid, sig):
+        kills.append((pid, sig))
+        kill(pid, sig)
+
+    monkeypatch.setattr(pipeline, "point_density_check", failing)
+    monkeypatch.setattr(os, "kill", recording)
+    filtration = fresh_copy(vanishing_filtration)
+    with pytest.raises(RadiusOrder, match="planted in the parent"):
+        inequality_sweep(filtration, forked_samples(filtration), 5)
+    assert kills == [(forks[0], signal.SIGKILL)]
+    assert_no_child()
+
+
+def test_run_never_forks(monkeypatch):
+    # the largest gated graph (5,400 nodes) at run's default 100 samples
+    def refused():
+        raise AssertionError("run forked")
+
+    monkeypatch.setattr(os, "fork", refused)
+    config = SeparationConfig(radius=1.0, epsilon=0.05, move_budget=40,
+                              rng_seed=7, subdivision_depth=3)
+    artifacts = run_pipeline(torus(5, scale=0.1), config)
+    assert len(artifacts.checks) == 125

@@ -9,6 +9,7 @@ import pytest
 import sepfilt.cli
 from sepfilt.cli import main
 from sepfilt.complexes import WeightedComplex
+from sepfilt.errors import RadiusOrder
 from sepfilt.files import canonical_dumps, read_json, write_json
 from sepfilt.generators import circle, genus_surface, torus
 
@@ -255,6 +256,58 @@ def test_negative_move_budget_in_file_is_input_error(tmp_path, capsys,
     assert main(["verify", str(path), "--samples", "2",
                  "--out", str(tmp_path / "sweep.csv")]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_verify_refuses_an_unwritable_out_before_loading(tmp_path, capsys,
+                                                         monkeypatch,
+                                                         circle_run, where):
+    # the path is checked before the filtration is read, so a bad --out
+    # costs no validate, audit or sweep
+    out = tmp_path / "absent" / "sweep.csv" if where == "missing-directory" \
+        else tmp_path
+    calls = []
+    for name in ("read_json", "inequality_sweep"):
+        monkeypatch.setattr(f"sepfilt.cli.{name}",
+                            lambda *a, name=name: calls.append(name))
+    assert main(["verify", circle_run["filtration"], "--samples", "2000",
+                 "--out", str(out)]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "absent").exists()
+
+
+@pytest.mark.parametrize("error", [RadiusOrder, ValueError])
+def test_a_failure_in_the_forked_child_exits_as_in_process(tmp_path, capsys,
+                                                           monkeypatch,
+                                                           circle_run, error):
+    # the child's exception reaches main with its type: the exit code and the
+    # one-line message of the in-process sweep, no traceback, no child left
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the sweep forks only with two usable CPUs")
+
+    def failing(*args):
+        raise error("planted in the coarea checks")
+
+    forks, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr("sepfilt.pipeline.coarea_check", failing)
+    monkeypatch.setattr(os, "fork", recording)
+    argv = ["verify", circle_run["filtration"], "--out", str(tmp_path / "s.csv")]
+    in_process = main(argv), capsys.readouterr()
+    monkeypatch.setattr("sepfilt.pipeline._FORK_ENTRIES", 1)
+    forked = main(argv), capsys.readouterr()
+    assert len(forks) == 1
+    assert forked == in_process
+    assert in_process[0] == (3 if error is RadiusOrder else 2)
+    assert "Traceback" not in forked[1].err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_verify_tampered_filtration(tmp_path, capsys):

@@ -115,9 +115,20 @@ kernel's reference speed, below 1 on a slower host.  Each stage's speed
 is that of the samples at its start and end (of both its parts, for
 verify), and ``stages_speed`` of the total is its stages' time-weighted
 mean.  ``stages_scaled_median_s`` gives the median over runs of each
-stage's time times its own speed, next to the raw ``stages_median_s``;
+stage's time times its own speed, next to the raw ``stages_median_s``,
+and ``stages_scaled_q1_s`` and ``stages_scaled_q3_s`` its first and third
+quartiles (NumPy's linear percentiles; with 3 runs, halfway from the
+median to the least and to the largest), so a change whose median moves
+by less than that spread shows as unresolved;
 ``runs_speed`` lists each run's speed over all its samples, and
 ``runs_stages_speed`` each run's stage speeds.
+
+Each measured process pins itself to one CPU (``pin``) before it imports
+sepfilt.  ``inequality_sweep`` then runs its coarea checks in-process
+rather than in a forked child, as it does on any one-CPU host, so every
+counter above counts the whole sweep; the child's calls would be out of
+the wrappers' sight.  So the verify stage is the in-process sweep's
+time, not that of ``sepfilt verify`` on a host with two usable CPUs.
 
 With ``--out`` the result is merged into that JSON file under
 ``results[<fixture>]`` (other fixtures already in it are kept); without it,
@@ -176,8 +187,16 @@ def load_speed():
     return module
 
 
+def pin():
+    """Pin this process to one CPU, its lowest usable one, so that
+    ``inequality_sweep`` runs its coarea checks in-process, where the
+    wrappers count them, and forks no child."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def measure(fixture):
     """One in-process run of the pipeline: stage seconds, RSS and digest."""
+    pin()
     import gc
     import hashlib
     import math
@@ -452,16 +471,32 @@ def fresh_run(fixture, checkout):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def quartile(values, which):
+    """The first (0) or third (2) quartile of the values, as NumPy's
+    linear percentile gives it; a single value is its own quartile."""
+    if len(values) < 2:
+        return values[0]
+    return statistics.quantiles(values, n=4, method="inclusive")[which]
+
+
 def summarize(runs):
+    scaled = {stage: [r["stages_s"][stage] * r["stages_speed"][stage]
+                      for r in runs]
+              for stage in (*STAGES, "total")}
     return {
         "stages_median_s": {
             stage: round(statistics.median(r["stages_s"][stage] for r in runs), 4)
             for stage in (*STAGES, "total")
         },
         "stages_scaled_median_s": {
-            stage: round(statistics.median(
-                r["stages_s"][stage] * r["stages_speed"][stage] for r in runs), 4)
-            for stage in (*STAGES, "total")
+            stage: round(statistics.median(values), 4)
+            for stage, values in scaled.items()
+        },
+        "stages_scaled_q1_s": {
+            stage: round(quartile(values, 0), 4) for stage, values in scaled.items()
+        },
+        "stages_scaled_q3_s": {
+            stage: round(quartile(values, 2), 4) for stage, values in scaled.items()
         },
         **{
             f"{counter}_median": {
