@@ -39,60 +39,63 @@ def _pair_index(d):
 
 
 def simplex_volume(edge_lengths):
-    """Euclidean d-volume of a simplex given its edge lengths.
-
-    The lengths are listed in lexicographic vertex-pair order
-    (d01, d02, ..., d0d, d12, ...).  Raises NondegenerateViolation when the
-    lengths satisfy no positive-volume embedding (Cayley-Menger test).
-    """
+    """Euclidean d-volume of a simplex given its edge lengths, listed in
+    lexicographic vertex-pair order (d01, d02, ..., d0d, d12, ...): the
+    ``_simplex_volumes`` volume of its ``_embed_simplices`` embedding, which
+    raises NondegenerateViolation when the lengths fit no flat simplex."""
     m = len(edge_lengths)
     d = (math.isqrt(1 + 8 * m) - 1) // 2
     if d < 1 or d * (d + 1) // 2 != m:
         raise ValueError(f"{m} lengths match no d-simplex edge pattern")
-    lengths = [float(x) for x in edge_lengths]
-    if any(not math.isfinite(x) or x <= 0 for x in lengths):
-        raise NondegenerateViolation("edge lengths must be positive and finite")
-    cm = np.ones((d + 2, d + 2))
-    cm[0, 0] = 0.0
-    np.fill_diagonal(cm[1:, 1:], 0.0)
-    for (i, j), length in zip(_pair_index(d), lengths):
-        cm[i + 1, j + 1] = cm[j + 1, i + 1] = length * length
-    try:
-        # when the scale is finite, so is every squared length in cm
-        scale = max(lengths) ** (2 * d)
-        with np.errstate(over="raise"):
-            det = np.linalg.det(cm)
-    except (OverflowError, FloatingPointError):
-        raise NondegenerateViolation(
-            f"edge lengths {lengths} overflow the volume computation"
-        ) from None
-    vol2 = (-1) ** (d + 1) * det / (2**d * math.factorial(d) ** 2)
-    if vol2 <= 1e-14 * scale:
-        raise NondegenerateViolation(
-            f"degenerate simplex: squared volume {vol2:.3e} from lengths {lengths}"
-        )
-    return math.sqrt(vol2)
+    points = _embed_simplices([tuple(range(d + 1))], [edge_lengths])
+    return float(_simplex_volumes(points)[0])
 
 
-def _embed_simplex(d, edge_lengths):
-    """Coordinates in R^d for a d-simplex, vertex 0 at the origin, from its
-    edge lengths in ``simplex_volume``'s order."""
-    squares = np.zeros((d + 1, d + 1))
-    for (i, j), length in zip(_pair_index(d), edge_lengths):
-        squares[i, j] = squares[j, i] = length**2
-    gram = 0.5 * (squares[0, 1:, None] + squares[0, None, 1:] - squares[1:, 1:])
+def _embed_simplices(simplices, lengths):
+    """The d-simplices placed in R^d from their rows of edge ``lengths``
+    (``simplex_volume``'s order), shape (simplices, d + 1, d): vertex 0 at
+    the origin, vertex k at row k - 1 of the Cholesky factor of the Gram
+    matrix of the edges from vertex 0, all factored in one call.
+
+    This is the check of a PL metric.  NondegenerateViolation names the
+    first simplex with a length not positive and finite, with L^(2d + 2)
+    infinite for its largest length L (the power a Cayley-Menger
+    determinant reaches), with a Gram matrix not positive definite (in
+    d = 3 a positive determinant does not prove it is), or with a squared
+    volume of at most 1e-14 L^(2d).
+    """
+    d = len(simplices[0]) - 1
+    lengths = np.asarray(lengths, dtype=float)
+    largest = lengths.max(axis=1)
+
+    def refuse(k, problem):
+        raise NondegenerateViolation(
+            f"simplex {simplices[k]}, edge lengths {lengths[k].tolist()}: {problem}")
+
+    valid = (np.isfinite(lengths) & (lengths > 0)).all(axis=1)
+    if not valid.all():
+        refuse(np.argmin(valid), "a length is not positive and finite")
+    with np.errstate(over="ignore"):
+        overflow = np.isinf(largest ** (2 * d + 2))
+    if overflow.any():
+        refuse(np.argmax(overflow), f"L^{2 * d + 2} overflows")
+    first, second = np.array(_pair_index(d)).T
+    squares = np.zeros((len(lengths), d + 1, d + 1))
+    squares[:, first, second] = squares[:, second, first] = lengths**2
+    gram = 0.5 * (squares[:, 0, 1:, None] + squares[:, 0, None, 1:]
+                  - squares[:, 1:, 1:])
+    points = np.zeros((len(lengths), d + 1, d))
     try:
-        chol = np.linalg.cholesky(gram)
+        points[:, 1:] = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        # Cayley-Menger validation has already passed; absorb tiny negative
-        # eigenvalue drift instead of failing.
-        w, v = np.linalg.eigh(gram)
-        if w.min() < -1e-9 * max(w.max(), 1.0):
-            raise NondegenerateViolation("Gram matrix is not positive semidefinite")
-        chol = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-    coords = np.zeros((d + 1, d))
-    coords[1:] = chol
-    return coords
+        # one at a time, to name the first failure (the last, if no other)
+        for k in range(len(lengths) - 1):
+            _embed_simplices(simplices[k : k + 1], lengths[k : k + 1])
+        refuse(len(lengths) - 1, "its Gram matrix is not positive definite")
+    flat = _simplex_volumes(points) ** 2 <= 1e-14 * largest ** (2 * d)
+    if flat.any():
+        refuse(np.argmax(flat), "degenerate, squared volume at most 1e-14 L^(2d)")
+    return points
 
 
 def _simplex_volumes(points):
@@ -127,18 +130,26 @@ def _barycenter_supports(support_vertex, support_num, faces):
     )
 
 
+def _integer(value, name):
+    """``operator.index(value)``, which reads True as 1: TypeError for a bool too."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} {value!r} is not an integer")
+    return operator.index(value)
+
+
 class WeightedComplex:
     """Pure n-dimensional complex: maximal simplices, each listed once in
     any vertex order, plus an edge-length map, a dict or ``(pair, length)``
-    items listing each pair once."""
+    items listing each pair once.  ``embedding`` places each maximal
+    simplex in R^n, in ``simplices`` order (``_embed_simplices``)."""
 
     def __init__(self, dimension, simplices, edge_lengths, metadata=None):
+        self.dimension = dimension = _integer(dimension, "dimension")
         if dimension < 1:
             raise ValueError("dimension must be at least 1")
-        self.dimension = int(dimension)
         normalized = []
         for simplex in simplices:
-            cell = tuple(sorted(map(operator.index, simplex)))
+            cell = tuple(sorted(_integer(v, "vertex id") for v in simplex))
             if len(cell) != dimension + 1 or len(set(cell)) != dimension + 1:
                 raise ValueError(f"simplex {simplex} is not a {dimension}-simplex")
             normalized.append(cell)
@@ -148,14 +159,13 @@ class WeightedComplex:
         self.edge_lengths = {}
         items = edge_lengths.items() if isinstance(edge_lengths, dict) else edge_lengths
         for key, value in items:
-            u, v = sorted(map(operator.index, key))
+            u, v = sorted(_integer(x, "vertex id") for x in key)
             if (u, v) in self.edge_lengths:
                 raise ValueError(f"edge ({u}, {v}) is listed twice")
             length = float(value)
-            if not (math.isfinite(length) and length > 0):
-                raise ValueError(
-                    f"edge ({u}, {v}) length {length} is not positive and finite"
-                )
+            if isinstance(value, bool) or not (math.isfinite(length) and length > 0):
+                raise ValueError(f"edge ({u}, {v}) length {value!r} is not a "
+                                 f"positive, finite number")
             self.edge_lengths[(u, v)] = length
         self.vertices = tuple(sorted({v for cell in self.simplices for v in cell}))
         self.metadata = dict(metadata or {})
@@ -164,21 +174,13 @@ class WeightedComplex:
             if cell in seen:
                 raise ValueError(f"simplex {cell} is listed twice")
             seen.add(cell)
-            # raises NondegenerateViolation for impossible metrics
-            simplex_volume(self.simplex_edge_lengths(cell))
-
-    def edge_length(self, u, v):
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self.edge_lengths[key]
-        except KeyError:
-            raise ValueError(f"missing length for edge {key}") from None
-
-    def simplex_edge_lengths(self, simplex):
-        return [
-            self.edge_length(simplex[i], simplex[j])
-            for i, j in _pair_index(len(simplex) - 1)
-        ]
+        try:  # a cell's vertices ascend, as each edge's key does
+            lengths = [[self.edge_lengths[cell[i], cell[j]]
+                        for i, j in _pair_index(dimension)] for cell in self.simplices]
+        except KeyError as missing:
+            raise ValueError(f"missing length for edge {missing.args[0]}") from None
+        # raises NondegenerateViolation for impossible metrics
+        self.embedding = _embed_simplices(self.simplices, lengths)
 
     def geometry(self, depth=2):
         """The subdivided metric realization at the given refinement depth;
@@ -558,14 +560,8 @@ class ComplexGeometry:
         self.dim = base.dimension
         n = self.dim
 
-        # embed every original maximal simplex
-        orig_coords = [_embed_simplex(n, base.simplex_edge_lengths(cell))
-                       for cell in base.simplices]
-        vertex_index = {v: i for i, v in enumerate(base.vertices)}
-        orig_vertices = np.array(
-            [[vertex_index[v] for v in cell] for cell in base.simplices],
-            dtype=np.int64,
-        )
+        # each simplex's vertices by index in ``base.vertices``, ascending
+        orig_vertices = np.searchsorted(base.vertices, base.simplices)
 
         # Node keys are barycentric numerators over one denominator.  A
         # barycenter of k nodes divides by k <= n + 1, which divides
@@ -627,7 +623,7 @@ class ComplexGeometry:
         self._pair_keys = keys[order[starts], 0]
         at = group_ids(order, starts).reshape(cells.shape)
         del keys, order, starts
-        self._positions = self._embed_nodes(orig_coords, orig_vertices)
+        self._positions = self._embed_nodes(orig_vertices)
         self.cell_volumes = _simplex_volumes(self._positions[at])
         del at
         arc_keys, arc_lengths, blocks, edges = self._chords(children ** min(depth, 2))
@@ -638,10 +634,10 @@ class ComplexGeometry:
             blocks,
         )
 
-    def _embed_nodes(self, orig_coords, orig_vertices):
+    def _embed_nodes(self, orig_vertices):
         """The position of each (original simplex, node) pair of
-        ``_pair_keys`` in the simplex's embedding: its support's weighted
-        corners summed in support order, from zero."""
+        ``_pair_keys`` in the simplex's ``embedding``: its support's
+        weighted corners summed in support order, from zero."""
         n = self.dim
         pair_orig, pair_node = np.divmod(self._pair_keys, self.n_nodes)
         support = self._support_vertex[pair_node]
@@ -649,7 +645,7 @@ class ComplexGeometry:
             axis=2
         )
         weights = self._support_num[pair_node] / self._denominator
-        corners = np.asarray(orig_coords)[pair_orig[:, None], local]
+        corners = self.base.embedding[pair_orig[:, None], local]
         positions = np.zeros((len(pair_node), n))
         for k in range(n + 1):
             # a padding slot adds 0.0 * corner, which changes no sum

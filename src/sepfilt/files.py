@@ -34,6 +34,12 @@ def check_keys(name, found, written):
         raise ValueError(f"{name}: keys {keys} (written {sorted(written)})")
 
 
+def same_value(found, derived):
+    """Whether a value read from a file is the derived one, its JSON type
+    included (1.0 and true are not 1), through nested lists and dicts."""
+    return json.dumps(found, sort_keys=True) == json.dumps(derived, sort_keys=True)
+
+
 def sha256_of(path):
     digest = hashlib.sha256()
     with open(path, "rb") as handle:

@@ -22,7 +22,7 @@ import numpy as np
 from .adjacency import distinct, fit_in_ball
 from .complexes import _BATCH, Subpolyhedron
 from .errors import Infeasible, SeparationViolation
-from .files import check_keys
+from .files import check_keys, same_value
 
 _AREA_TOL = 1e-12
 # Relative tolerance of a stored level area against its recomputed sum.
@@ -422,10 +422,11 @@ def _audit_certificates(level, certificates, groups, graph, radius):
     its center must see every node of the component within exactly the
     stored radius, read from the center's own row, and that radius must be
     at most R; distances are exact, so the radius is compared with ``==``.
-    Every row is read out to R: a node beyond R reads more than R (maybe
-    ``inf``), which equals no stored radius.  The rows of the centers that
-    pass the other checks are read in batches of about ``_BATCH`` entries,
-    one ``rows_within`` call each: under ``sepfilt verify``, which names no
+    The cell count and the center are ints, never 1.0 or true.  Every row
+    is read out to R: a node beyond R reads more than R (maybe ``inf``),
+    which equals no stored radius.  The rows of the centers that pass the
+    other checks are read in batches of about ``_BATCH`` entries, one
+    ``rows_within`` call each: under ``sepfilt verify``, which names no
     ball table before ``validate``, one ``dijkstra`` call per level up to
     ``_BATCH / n_nodes`` certificates.  The first certificate that fails,
     in stored order, is the one reported.
@@ -439,10 +440,9 @@ def _audit_certificates(level, certificates, groups, graph, radius):
         )
     wrong = []
     for cert, size in zip(certificates, sizes):
-        if cert.cells != size:
+        if not same_value(cert.cells, size):
             wrong.append(f"cells {cert.cells} (recomputed {size})")
-        elif not (isinstance(cert.center, int)
-                  and 0 <= cert.center < graph.n_nodes):
+        elif not (type(cert.center) is int and 0 <= cert.center < graph.n_nodes):
             wrong.append(f"center {cert.center!r} (not a node)")
         elif not cert.radius <= radius:
             wrong.append(f"radius {cert.radius!r} (above R = {radius})")
@@ -573,8 +573,9 @@ class Filtration:
         certificate exactly the fields of ``ComponentCert``; a missing or
         extra key raises ValueError, KeyError or TypeError.  The stored
         ``dimension`` must be the geometry's and each level's ``dim`` its
-        position; a mismatch raises SeparationViolation.  A level that
-        lists a cell twice, in any vertex order, raises ValueError."""
+        position, types included (``same_value``); a mismatch raises
+        SeparationViolation.  A level that lists a cell twice, in any
+        vertex order, raises ValueError."""
         config = SeparationConfig(**payload["config"])
         entries = payload["levels"]
         for i, entry in enumerate(entries):
@@ -583,7 +584,7 @@ class Filtration:
             ("dimension: stored", payload["dimension"], geometry.dim),
             *((f"level {i}: stored dim", e["dim"], i) for i, e in enumerate(entries)),
         ]:
-            if value != derived:
+            if not same_value(value, derived):
                 raise SeparationViolation(f"{field} {value!r} (re-derived {derived})")
         levels = []
         parent = geometry

@@ -18,7 +18,7 @@ from .bounds import (
     point_density_check,
 )
 from .errors import CensusMismatch, SepfiltError, SeparationViolation
-from .files import check_keys
+from .files import check_keys, same_value
 from .filtration import build_filtration
 from .rainbow import color_by_filtration, count_rainbow
 
@@ -123,32 +123,27 @@ def _reply(data, status):
 def inequality_sweep(filtration, samples, seed):
     """Density checks, then coarea checks on a quarter of the samples.
 
-    When ``_forks`` allows, both sample lists are drawn first, the ball
-    table is filled once for the centers of both, and a forked child runs
-    the coarea checks while this process runs the density checks; the
-    child's checks come back pickled over a pipe, so the checks and their
-    order are the same either way.  Otherwise (or when no child can be
-    forked) both run here, each drawing its samples just before.  If the
-    density checks raise, the child is killed; it is always reaped.  An
-    exception raised in the child is raised here, with its type.
+    Both sample lists are drawn first and the ball table is filled once
+    for the centers of both.  When ``_forks`` allows, a forked child then
+    runs the coarea checks while this process runs the density checks;
+    the child's checks come back pickled over a pipe, so the checks and
+    their order are the same either way.  Otherwise (or when no child can
+    be forked) both run here.  If the density checks raise, the child is
+    killed; it is always reaped.  An exception raised in the child is
+    raised here, with its type.
     """
     if not samples:
         return []
     share = max(1, samples // 4)
     level, graph = filtration.dim - 1, filtration.geometry.graph
-    child = None
-    if _forks(share * graph.n_nodes):
-        density = sweep_samples(filtration, samples, seed)
-        coarea = sweep_samples(filtration, share, seed + 1)
-        graph.tabulate([center for center, _, _ in density + coarea],
-                       graph.radius)
-        child = _fork(lambda: coarea_check(filtration, level, coarea))
-    if child is None:
-        checks = point_density_check(
-            filtration, sweep_samples(filtration, samples, seed))
-        checks.extend(coarea_check(
-            filtration, level, sweep_samples(filtration, share, seed + 1)))
-        return checks
+    density = sweep_samples(filtration, samples, seed)
+    coarea = sweep_samples(filtration, share, seed + 1)
+    graph.tabulate([center for center, _, _ in density + coarea], graph.radius)
+    child = _forks(share * graph.n_nodes) and _fork(
+        lambda: coarea_check(filtration, level, coarea))
+    if not child:
+        return (point_density_check(filtration, density)
+                + coarea_check(filtration, level, coarea))
     pid, pipe = child
     with pipe:
         try:
@@ -215,7 +210,7 @@ def audit_document(filtration, payload):
     color class lies in a complement component whose stored certificate
     ``Filtration.validate`` checks.  The first difference raises
     SeparationViolation (coloring) or CensusMismatch (census), naming the
-    field.
+    field; a stored 1.0 or true is not a derived 1 (``same_value``).
     """
     check_keys("document", payload, DOCUMENT_KEYS)
     geometry = filtration.geometry
@@ -230,7 +225,7 @@ def audit_document(filtration, payload):
     for name, derived, error in sections:
         for field, value in derived.items():
             found = payload[name][field]
-            if found != value:
+            if not same_value(found, value):
                 raise error(f"{name}.{field}: stored {reprlib.repr(found)} "
                             f"(re-derived {reprlib.repr(value)})")
 

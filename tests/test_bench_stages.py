@@ -39,6 +39,9 @@ def record(tool):
 
 def test_one_measured_run_times_every_stage(tool, record):
     assert set(record["stages_s"]) == {*tool.STAGES, "total"}
+    # the fixture's complex, metric check included, is timed before the run
+    assert tool.STAGES[:2] == ("complex", "geometry")
+    assert record["stages_s"]["complex"] > 0
     assert all(record["stages_s"][stage] > 0 for stage in tool.STAGES)
     assert record["level_areas"] == [3.0]
     assert record["speed"] > 0

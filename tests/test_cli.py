@@ -169,8 +169,10 @@ def test_hostile_paths_are_input_errors(tmp_path, capsys, monkeypatch, args):
 @pytest.mark.parametrize(
     "keys_and_value",
     [("simplices", 0, [0, 1.7]), ("simplices", 0, [0, "1"]),
-     ("edge_lengths", 0, [0, 1.0, 0.5])],
-    ids=["simplex-float", "simplex-str", "edge-float"],
+     ("simplices", 0, [0, True]), ("edge_lengths", 0, [0, 1.0, 0.5]),
+     ("edge_lengths", 0, [0, True, 0.5])],
+    ids=["simplex-float", "simplex-str", "simplex-true", "edge-float",
+         "edge-true"],
 )
 def test_non_integer_vertex_ids_are_input_errors(tmp_path, capsys,
                                                  keys_and_value):
@@ -373,6 +375,11 @@ CERTIFICATE_EDITS = {
     "radius-above-R": (0, 1, {"radius": 1.5}, "above R"),
     "cell-count": (1, 0, lambda c: {"cells": c["cells"] + 1}, "cells"),
     "center-none": (0, 3, {"center": None}, "not a node"),
+    # true and false would read as nodes 1 and 0, these components' centers
+    "center-true": (1, 3, {"center": True}, "not a node"),
+    "center-false": (1, 0, {"center": False}, "not a node"),
+    "cell-count-float": (1, 0, lambda c: {"cells": float(c["cells"])},
+                         "cells 12.0 (recomputed 12)"),
     "center-past-end": (1, 1, {"center": 10**9}, "not a node"),
     "center-negative": (0, 2, {"center": -1}, "not a node"),
 }
@@ -406,6 +413,11 @@ STORED_FIELD_EDITS = {
     "coloring-empty": (("coloring", "colors"), [], "coloring.colors: stored []"),
     "dimension": (("dimension",), 9, "dimension: stored 9"),
     "level-1-dim": (("levels", 1, "dim"), 5, "level 1: stored dim 5"),
+    # equal to the derived value, but not of its type
+    "dimension-float": (("dimension",), 2.0, "dimension: stored 2.0"),
+    "level-1-dim-true": (("levels", 1, "dim"), True, "level 1: stored dim True"),
+    "census-dimension-float": (("census", "dimension"), 2.0,
+                               "census.dimension: stored 2.0"),
 }
 
 
@@ -476,13 +488,14 @@ def _set(path, *keys_and_value):
     "command, keys_and_value",
     [
         ("run", ("dimension", "1")),
+        ("run", ("dimension", 1.0)),
         ("run", ("simplices", None)),
         ("verify", ("levels", None)),
         ("verify", ("config", "radius", "1")),
         ("verify", ("config", "unknown", 1)),
     ],
-    ids=["dimension-str", "simplices-null", "levels-null", "radius-str",
-         "config-unknown-key"],
+    ids=["dimension-str", "dimension-float", "simplices-null", "levels-null",
+         "radius-str", "config-unknown-key"],
 )
 def test_wrongly_typed_fields_are_input_errors(tmp_path, capsys, command,
                                                keys_and_value):
@@ -609,7 +622,11 @@ def test_help_exits_zero():
 # Definitions only the tests call: reference implementations they compare
 # the package's results with.
 TEST_ORACLES = ["ComplexGeometry.node_barycentric", "Chain.is_zero",
-                "boundary", "level_trace_checks", "straighten"]
+                "boundary", "level_trace_checks", "straighten",
+                # the public volume of one simplex, checked against Heron
+                # and coordinate-determinant oracles; the package embeds
+                # its simplices with ``_embed_simplices`` directly
+                "simplex_volume"]
 
 
 def referenced_names(node, bound=frozenset()):
@@ -683,9 +700,11 @@ def bad_inputs(tmp_path_factory):
     main(["gen", "circle", "--nodes", "8", "--length", "4", "-o",
           str(paths["circle"])])
     # the first edge of a unit-grid triangle, set to nan, inf, a length
-    # that breaks the triangle inequality, or one whose square overflows
+    # that breaks the triangle inequality, one whose square overflows, or
+    # true, which no length is (though it reads as this edge's 1.0)
     for name, length in [("nan_edge", math.nan), ("inf_edge", math.inf),
-                         ("degenerate", 5.0), ("huge_edge", 1e100)]:
+                         ("degenerate", 5.0), ("huge_edge", 1e100),
+                         ("true_edge", True)]:
         payload = torus(3).to_json()
         payload["edge_lengths"][0][2] = length
         paths[name] = root / f"{name}.json"
@@ -775,6 +794,7 @@ def bad_inputs(tmp_path_factory):
         ["run", "{nan_edge}"],
         ["run", "{inf_edge}"],
         ["run", "{huge_edge}"],
+        ["run", "{true_edge}"],
         ["run", "{degenerate}"],
         ["verify", "{nan_slack}"],
         ["run", "{torus}", "--radius", "1e200"],
@@ -802,7 +822,7 @@ def bad_inputs(tmp_path_factory):
     ],
     ids=["gen-scale-nan", "gen-scale-inf", "gen-length-inf", "gen-length-huge",
          "radius-nan", "radius-inf", "epsilon-nan", "epsilon-inf", "edge-nan",
-         "edge-inf", "edge-huge", "degenerate-simplex", "slack-nan",
+         "edge-inf", "edge-huge", "edge-true", "degenerate-simplex", "slack-nan",
          "radius-huge", "radius-tiny", "verify-radius-huge", "verify-depth-huge",
          "level-no-slack-kind", "level-no-components", "certificate-extra-key",
          "level-extra-key", "level-cell-twice", "level-cell-twice-reversed",

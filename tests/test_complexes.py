@@ -1,5 +1,6 @@
 import gc
 import heapq
+import itertools
 import math
 import random
 import weakref
@@ -80,7 +81,8 @@ def test_non_finite_length_rejected(bad):
         simplex_volume([bad, 1.0, 1.0])
 
 
-# the squared length overflows, or only the Cayley-Menger determinant does
+# the squared length overflows, or only L^(2d+2) does, the power a
+# Cayley-Menger determinant reaches
 @pytest.mark.parametrize("length", [1e300, 1.5e308**0.25], ids=["square", "det"])
 def test_overflowing_length_rejected(length):
     with pytest.raises(NondegenerateViolation, match="overflow"):
@@ -100,6 +102,15 @@ def test_volume_scaling_law(scale):
     assert scaled == pytest.approx(base * scale**2, rel=1e-9)
 
 
+@given(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.1, 0.9))
+@settings(max_examples=50, deadline=None)
+def test_triangle_volume_is_herons(a, b, t):
+    c = abs(a - b) + t * (a + b - abs(a - b))  # strictly between the bounds
+    s = (a + b + c) / 2
+    heron = math.sqrt(s * (s - a) * (s - b) * (s - c))
+    assert simplex_volume([a, b, c]) == pytest.approx(heron, rel=1e-9)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_volume_matches_coordinate_determinant(d):
     # oracle: volume of an embedded simplex from the Gram determinant of its
@@ -117,6 +128,33 @@ def test_volume_matches_coordinate_determinant(d):
             for j in range(i + 1, d + 1)
         ]
         assert simplex_volume(lengths) == pytest.approx(oracle, rel=1e-8)
+
+
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1), st.integers(0, 16))
+@settings(max_examples=200, deadline=None)
+def test_near_degenerate_simplices_are_refused_or_measured(d, seed, k):
+    # random points pushed toward a line or a plane (the last coordinate
+    # scaled by 10^-k); the oracle is the coordinate determinant above.
+    # Rounding the lengths alone moves a squared volume by a few units of
+    # roundoff of L^(2d), more than 1e-8 of it near the 1e-14 L^(2d) floor
+    points = np.random.default_rng(seed).normal(size=(d + 1, d))
+    points[:, -1] *= 10.0**-k
+    diffs = points[1:] - points[0]
+    oracle2 = abs(np.linalg.det(diffs @ diffs.T)) / math.factorial(d) ** 2
+    simplex = tuple(range(d + 1))
+    edges = {(i, j): float(np.linalg.norm(points[i] - points[j]))
+             for i, j in itertools.combinations(simplex, 2)}
+    lengths = list(edges.values())
+    try:
+        volume = simplex_volume(lengths)
+    except NondegenerateViolation:
+        with pytest.raises(NondegenerateViolation):
+            WeightedComplex(d, [simplex], edges)
+        return
+    roundoff = 16 * np.finfo(float).eps * max(lengths) ** (2 * d)
+    assert abs(volume**2 - oracle2) <= 1e-8 * oracle2 + roundoff
+    cells = WeightedComplex(d, [simplex], edges).geometry(1).cell_volumes
+    assert len(cells) == math.factorial(d + 1) and (cells > 0).all()
 
 
 def test_volume_invariant_under_relabeling():

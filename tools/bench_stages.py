@@ -10,7 +10,9 @@ Each ``--checkout LABEL=DIR`` names the root of a source tree that holds
 (the chunked inequality sweep) or a later one.  For every run a fresh
 ``python3`` process imports ``sepfilt`` from that checkout, builds the
 fixture and calls that checkout's own ``pipeline.run_pipeline`` (100
-samples).  Wrappers bound for that one call lap its stages with
+samples).  The complex stage, first, times the generator's build of the
+fixture's ``WeightedComplex``, which checks the metric of every maximal
+simplex.  Wrappers bound for the run lap its stages with
 ``time.perf_counter``, each from the end of the one before: geometry and
 incidence at ``WeightedComplex.geometry`` (the wrapper builds the
 geometry's ``cell_system`` between the two laps), then filtration,
@@ -162,7 +164,7 @@ FIXTURES = {
 CONFIG = {"epsilon": 0.05, "move_budget": 40, "rng_seed": 7}
 SAMPLES = 100
 VERIFY_SAMPLES, VERIFY_SEED = 2000, 101
-STAGES = ("geometry", "incidence", "filtration", "coloring", "census", "V1",
+STAGES = ("complex", "geometry", "incidence", "filtration", "coloring", "census", "V1",
           "packing", "sweep", "validate", "verify")
 COUNTERS = ("dijkstra_rows", "truncated_rows", "complete_rows",
             "settled_entries", "fill_pairs", "table_builds", "checks", "sweep_chunks",
@@ -331,8 +333,9 @@ def measure(fixture):
     graph_class._fill = counted_fill
 
     def store(graph):
-        """(entries, bytes) of the distances the graph holds."""
-        table = graph._table.values()
+        """(entries, bytes) of the distances the graph holds; none
+        before the run builds a graph."""
+        table = graph._table.values() if graph else ()
         return (sum(len(ball[0]) for ball in table),
                 sum(ball[0].nbytes + ball[1].nbytes + sys.getsizeof(ball[2])
                     for ball in table))
@@ -345,7 +348,6 @@ def measure(fixture):
                     setattr(module, attr, counted_fit)
 
     maker, kwargs, depth, radius = FIXTURES[fixture]
-    complex_ = getattr(generators, maker)(**kwargs)
     config = SeparationConfig(radius=radius, subdivision_depth=depth, **CONFIG)
     stages = dict.fromkeys(STAGES, 0.0)
     stage_counts = {counter: dict.fromkeys(STAGES, 0)
@@ -399,6 +401,8 @@ def measure(fixture):
     vars(pipeline).update({name: lapped(stage, stage_functions[name])
                            for name, stage in stage_names.items()})
     clock, at_lap = time.perf_counter(), dict(counts)
+    complex_ = getattr(generators, maker)(**kwargs)
+    lap("complex", None)
     artifacts = pipeline.run_pipeline(complex_, config, SAMPLES)
     # audit_document and the verify sweep read the same names
     vars(pipeline).update(stage_functions)
