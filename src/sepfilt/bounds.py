@@ -12,6 +12,7 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from numbers import Rational
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,9 +29,9 @@ _PACKING_R_BIG = 0.5
 _CHUNK_BALLS = 64
 
 
-@dataclass(frozen=True)
-class InequalityCheck:
-    """One evaluated inequality: lhs <= rhs up to the stated budget."""
+class InequalityCheck(NamedTuple):
+    """One evaluated inequality: lhs <= rhs up to the stated budget.  A
+    tuple: immutable, cheap to build and to pickle."""
 
     kind: str
     center: int
@@ -47,19 +48,6 @@ class InequalityCheck:
     @property
     def violated(self):
         return self.residual < -self.budget
-
-    def to_row(self):
-        return [
-            self.kind,
-            self.center,
-            self.r1,
-            self.r2,
-            self.lhs,
-            self.rhs,
-            self.residual,
-            self.budget,
-            int(self.violated),
-        ]
 
 
 def _check_radius_orders(samples):
@@ -166,8 +154,8 @@ def _level_checks(filtration, samples, levels):
         counts = np.where(whole1, len(z0), inside).tolist()
         areas = {i: _measures(filtration.level(i), rows, r2s, whole2)
                  for i in {i for _, i, _ in levels}}
-        for k, (center, r1, r2) in enumerate(chunk):
-            for j, (kind, i, slack) in enumerate(levels, at[k] * len(levels)):
+        for k, (first, (center, r1, r2)) in enumerate(zip(at.tolist(), chunk)):
+            for j, (kind, i, slack) in enumerate(levels, first * len(levels)):
                 area, boundary = areas[i][k]
                 lhs = counts[k] * (r2 - r1) ** i / math.factorial(i)
                 checks[j] = InequalityCheck(
@@ -264,10 +252,10 @@ def coarea_check(filtration, level, samples):
             integrals = quad_budgets = [0.0] * len(chunk)
         outer = _measures(parent, rows, r2s, whole2)
         inner = _measures(parent, rows, r1s, whole1)
-        for k, (center, r1, r2) in enumerate(chunk):
+        for k, (j, (center, r1, r2)) in enumerate(zip(at.tolist(), chunk)):
             (vol2, b2), (vol1, b1) = outer[k], inner[k]
             rhs = (vol2 - vol1) + 2.0 * eps * R
-            checks[at[k]] = InequalityCheck(
+            checks[j] = InequalityCheck(
                 f"coarea{level}", int(center), float(r1), float(r2),
                 integrals[k], rhs, quad_budgets[k] + b1 + b2)
     return checks

@@ -162,8 +162,10 @@ class WeightedComplex:
             u, v = sorted(_integer(x, "vertex id") for x in key)
             if (u, v) in self.edge_lengths:
                 raise ValueError(f"edge ({u}, {v}) is listed twice")
-            length = float(value)
-            if isinstance(value, bool) or not (math.isfinite(length) and length > 0):
+            # a JSON string or true is no length, though float() reads it
+            numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+            length = float(value) if numeric else math.nan
+            if not (math.isfinite(length) and length > 0):
                 raise ValueError(f"edge ({u}, {v}) length {value!r} is not a "
                                  f"positive, finite number")
             self.edge_lengths[(u, v)] = length
@@ -466,7 +468,8 @@ class MetricGraph:
         table, radius = self._table, self.radius
         rows = np.full((len(nodes), self.n_nodes), math.inf)
         tabled, computed, largest = {}, {}, {}  # node -> positions, limit
-        for k, (node, limit) in enumerate(zip(nodes, limits)):
+        for k, (node, limit) in enumerate(zip(np.asarray(nodes).tolist(),
+                                              np.asarray(limits).tolist())):
             if limit < 0:
                 continue
             if node == 0:

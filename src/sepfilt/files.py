@@ -52,8 +52,12 @@ CSV_HEADER = "kind,center,r1,r2,lhs,rhs,residual,budget,violated"
 
 
 def write_checks_csv(path, checks):
+    """One row per check: its fields, then its residual after rhs and its
+    violated flag (0 or 1) last.  Floats are written by ``repr``, which is
+    ``str`` for a Python float."""
     lines = [CSV_HEADER]
-    lines.extend(",".join(map(str, check.to_row())) for check in checks)
+    lines.extend(f"{c.kind},{c.center},{c.r1!r},{c.r2!r},{c.lhs!r},{c.rhs!r},"
+                 f"{c.residual!r},{c.budget!r},{c.violated:d}" for c in checks)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 

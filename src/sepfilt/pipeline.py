@@ -24,11 +24,16 @@ from .rainbow import color_by_filtration, count_rainbow
 
 
 def sample_radius_pairs(rng, radius, count):
-    """Independent (r1, r2) pairs with 0 < r1 < r2 < radius."""
+    """Independent (r1, r2) pairs with 0 < r1 < r2 < radius.  Each draw is
+    ``low + span * rng.random()``, the float ``rng.uniform(low, high)``
+    returns."""
+    low = 0.02 * radius
+    span = 0.98 * radius - low
+    draw = rng.random
     pairs = []
     while len(pairs) < count:
-        a = rng.uniform(0.02 * radius, 0.98 * radius)
-        b = rng.uniform(0.02 * radius, 0.98 * radius)
+        a = low + span * draw()
+        b = low + span * draw()
         if a == b:
             continue
         pairs.append((min(a, b), max(a, b)))
@@ -160,11 +165,13 @@ def inequality_sweep(filtration, samples, seed):
 
 def sweep_summary(checks):
     """The sample count, the violation count and the smallest residual
-    (None without samples) of a sweep's checks."""
+    (None without samples) of a sweep's checks, each residual computed
+    once (a check is violated when its residual is below -budget)."""
+    residuals = [c.residual for c in checks]
     return {
         "samples": len(checks),
-        "violations": len([c for c in checks if c.violated]),
-        "min_residual": min((c.residual for c in checks), default=None),
+        "violations": sum(r < -c.budget for r, c in zip(residuals, checks)),
+        "min_residual": min(residuals, default=None),
     }
 
 

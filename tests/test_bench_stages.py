@@ -43,6 +43,11 @@ def test_one_measured_run_times_every_stage(tool, record):
     assert tool.STAGES[:2] == ("complex", "geometry")
     assert record["stages_s"]["complex"] > 0
     assert all(record["stages_s"][stage] > 0 for stage in tool.STAGES)
+    # the verify's sweep CSV is timed last, as its own stage
+    assert tool.STAGES[-2:] == ("verify", "csv")
+    assert record["stages_s"]["csv"] > 0
+    # every check is counted, the verify's 2,500 among them
+    assert record["checks"]["verify"] == 2500 and record["checks"]["csv"] == 0
     assert record["level_areas"] == [3.0]
     assert record["speed"] > 0
     assert all(record["stages_speed"][stage] > 0 for stage in (*tool.STAGES, "total"))

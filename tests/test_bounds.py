@@ -147,24 +147,22 @@ def test_checks_on_empty_strata(tiny_torus_filtration):
     assert filtration.level(1).cells_array.shape == (0, 2)
     # the area 16 x 0.15^2 = 0.36 is measured with each cell's volume
     # rounded up to the quantum 2^-52, 1.842e-13 more in all
-    row = [0, 0.2, 0.6, 0.0]
+    # center, r1, r2 and lhs, then rhs and budget
+    row = (0, 0.2, 0.6, 0.0)
     sample = [(0, 0.2, 0.6)]
     assert filtration.geometry.whole_measure == (0.3600000000001842, 0.0)
-    assert [c.to_row() for c in point_density_check(filtration, sample)] == [
-        ["density", *row, 0.3700000000001842, 0.3700000000001842, 0.0, 0]
+    assert point_density_check(filtration, sample) == [
+        ("density", *row, 0.3700000000001842, 0.0)
     ]
-    assert [c.to_row() for c in level_trace_checks(filtration, sample)] == [
-        ["trace0", *row, 0.0, 0.0, 0.0, 0],
-        ["trace1", *row, 0.005, 0.005, 0.0, 0],
-        ["trace2", *row, 0.3700000000001842, 0.3700000000001842, 0.0, 0],
+    assert level_trace_checks(filtration, sample) == [
+        ("trace0", *row, 0.0, 0.0),
+        ("trace1", *row, 0.005, 0.0),
+        ("trace2", *row, 0.3700000000001842, 0.0),
     ]
-    assert [c.to_row() for c in coarea_check(filtration, 1, sample)] == [[
-        "coarea1", *row, 0.24583333333345653, 0.24583333333345653,
-        0.040000000000020464, 0,
-    ]]
-    assert [c.to_row() for c in coarea_check(filtration, 0, sample)] == [[
-        "coarea0", *row, 0.005, 0.005, 0.0, 0
-    ]]
+    assert coarea_check(filtration, 1, sample) == [
+        ("coarea1", *row, 0.24583333333345653, 0.040000000000020464)
+    ]
+    assert coarea_check(filtration, 0, sample) == [("coarea0", *row, 0.005, 0.0)]
     checks = inequality_sweep(filtration, 8, 3)
     assert [(c.kind, c.center, c.lhs, c.rhs, c.budget) for c in checks] == [
         ("density", 155, 0.0, 0.3700000000001842, 0.0),
@@ -180,8 +178,10 @@ def test_checks_on_empty_strata(tiny_torus_filtration):
     ]
 
 
-# sha256 of the check rows below (inequality_sweep, level_trace_checks and
-# level-0 coarea_check on the side-4 depth-2 torus), re-pinned once when
+# sha256 of the nine-column check rows below (inequality_sweep,
+# level_trace_checks and level-0 coarea_check on the side-4 depth-2 torus):
+# the fields, with the residual after rhs and the violated flag (0 or 1)
+# last, as the sweep CSV writes them.  Re-pinned once when
 # the metric graph's arc lengths became multiples of a dyadic quantum,
 # once when the coarea check's slice order became a stable sort and once
 # when the measures became exact sums of volumes rounded up to a quantum
@@ -192,7 +192,11 @@ def test_checks_digest_is_pinned(torus_filtration_d2):
     import hashlib
     import json
 
-    rows = [c.to_row() for c in inequality_sweep(torus_filtration_d2, 200, seed=5)]
+    def row(c):
+        return [c.kind, c.center, c.r1, c.r2, c.lhs, c.rhs, c.residual, c.budget,
+                int(c.violated)]
+
+    rows = [row(c) for c in inequality_sweep(torus_filtration_d2, 200, seed=5)]
     rng = random.Random(11)
     samples = []
     for _ in range(10):
@@ -201,7 +205,7 @@ def test_checks_digest_is_pinned(torus_filtration_d2):
     traces = level_trace_checks(torus_filtration_d2, samples)
     coareas = coarea_check(torus_filtration_d2, 0, samples)
     for k, coarea in enumerate(coareas):
-        rows += [c.to_row() for c in [*traces[3 * k : 3 * k + 3], coarea]]
+        rows += [row(c) for c in [*traces[3 * k : 3 * k + 3], coarea]]
     assert len(rows) == 290
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == CHECKS_DIGEST
@@ -297,7 +301,7 @@ def test_whole_ball_checks_match_rows(small_genus_filtration, monkeypatch, mode)
         checks += level_trace_checks(filtration, samples)
         for level in (0, 1):
             checks += coarea_check(filtration, level, samples)
-        return [c.to_row() for c in checks]
+        return checks
 
     fast = rows()
     without_shortcut(monkeypatch)
@@ -333,7 +337,7 @@ def test_whole_ball_checks_are_order_free(small_genus_filtration, monkeypatch):
             checks += level_trace_checks(filtration, samples)
             for level in (0, 1):
                 checks += coarea_check(filtration, level, samples)
-            out[center] = [c.to_row() for c in checks]
+            out[center] = checks
         return [out[c] for c in sorted(out)]
 
     n_nodes = small_genus_filtration.geometry.n_nodes
@@ -364,7 +368,7 @@ def test_coarea_rows_cut_at_r2_give_the_complete_rows_checks(
         samples.append((center, r1, r2))
 
     def rows(copy):
-        return [check.to_row() for level in range(filtration.dim)
+        return [check for level in range(filtration.dim)
                 for check in coarea_check(copy, level, samples)]
 
     complete = fresh_copy(filtration)
@@ -456,7 +460,7 @@ def test_empty_level_coarea_shortcut(vanishing_filtration, monkeypatch, mode):
                for r1 in VANISHING_RADII]
 
     def rows():
-        return [check.to_row() for level in (0, 1)
+        return [check for level in (0, 1)
                 for check in coarea_check(filtration, level, samples)]
 
     fast = rows()
@@ -675,13 +679,10 @@ def test_chunked_checks_equal_the_per_check_reference(name, mode, request):
     if mode == "table":
         graph.tabulate([], float(np.median([r2 for _, _, r2 in samples])))
     density, trace, coarea = reference_checks(filtration, samples)
-    assert ([c.to_row() for c in point_density_check(filtration, samples)]
-            == [c.to_row() for c in density])
-    assert ([c.to_row() for c in level_trace_checks(filtration, samples)]
-            == [c.to_row() for c in trace])
+    assert point_density_check(filtration, samples) == density
+    assert level_trace_checks(filtration, samples) == trace
     for level in range(filtration.dim):
-        assert ([c.to_row() for c in coarea_check(filtration, level, samples)]
-                == [c.to_row() for c in coarea[level]])
+        assert coarea_check(filtration, level, samples) == coarea[level]
     assert bool(graph._table) == (mode == "table")
     levels = {len(filtration.level(i)) > 0 for i in range(filtration.dim)}
     assert levels == ({False} if name == "vanishing_filtration" else {True})
@@ -708,11 +709,9 @@ def test_checks_come_in_sample_order(name, small_genus_filtration,
         patch.setattr(complexes, "_BATCH", 8 * geometry.n_nodes * 3)
         for each in (samples, shuffled):
             density, _, coarea = reference_checks(filtration, each)
-            assert ([c.to_row() for c in point_density_check(filtration, each)]
-                    == [c.to_row() for c in density])
+            assert point_density_check(filtration, each) == density
             for level in range(filtration.dim):
-                assert ([c.to_row() for c in coarea_check(filtration, level, each)]
-                        == [c.to_row() for c in coarea[level]])
+                assert coarea_check(filtration, level, each) == coarea[level]
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +803,7 @@ def test_truncated_rows_give_the_dense_outputs(name, top, request, monkeypatch):
     def outputs(copy):
         geometry = copy.geometry
         rng = random.Random(13)
-        rows = [c.to_row() for c in inequality_sweep(copy, 60, seed=3)]
+        rows = inequality_sweep(copy, 60, seed=3)
         samples = []
         for _ in range(20):
             center = rng.randrange(geometry.n_nodes)
@@ -813,7 +812,7 @@ def test_truncated_rows_give_the_dense_outputs(name, top, request, monkeypatch):
         checks = point_density_check(copy, samples)
         for level in range(copy.dim):
             checks += coarea_check(copy, level, samples)
-        rows += [c.to_row() for c in checks]
+        rows += checks
         z0 = copy.z0_nodes()
         packing = greedy_packing(z0, geometry) if z0 else None
         return rows, estimate_v1(geometry), packing
@@ -1111,7 +1110,7 @@ def test_rainbow_bound_below_packing_chain(torus_filtration_d2):
 # The in-process side of a sweep: a fresh interpreter pinned to one CPU,
 # where ``inequality_sweep`` forks no child; it reads the complex, the
 # filtration, the sample count and the seed as JSON on stdin and prints
-# the check rows.
+# the checks' fields.
 PINNED_SWEEP = """
 import json, os, sys
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -1122,7 +1121,7 @@ complex_, document, samples, seed = json.load(sys.stdin)
 depth = document["config"]["subdivision_depth"]
 geometry = WeightedComplex.from_json(complex_).geometry(depth)
 filtration = Filtration.from_json(geometry, document)
-print(json.dumps([c.to_row() for c in inequality_sweep(filtration, samples, seed)]))
+print(json.dumps(inequality_sweep(filtration, samples, seed)))
 """
 
 
@@ -1161,7 +1160,7 @@ def assert_no_child():
 def test_forked_and_in_process_sweeps_give_the_same_checks(name, request, forks):
     filtration = request.getfixturevalue(name)
     samples = forked_samples(filtration)
-    rows = [c.to_row() for c in inequality_sweep(fresh_copy(filtration), samples, 5)]
+    checks = inequality_sweep(fresh_copy(filtration), samples, 5)
     assert len(forks) == 1
     assert_no_child()
     document = [filtration.geometry.base.to_json(), filtration.to_json(),
@@ -1171,9 +1170,9 @@ def test_forked_and_in_process_sweeps_give_the_same_checks(name, request, forks)
                             input=json.dumps(document), capture_output=True,
                             text=True, env=env, timeout=300)
     assert pinned.returncode == 0, pinned.stderr
-    assert json.loads(pinned.stdout) == rows
+    assert json.loads(pinned.stdout) == [list(c) for c in checks]
     # density checks in sample order, then the coarea checks in theirs
-    kinds = [row[0] for row in rows]
+    kinds = [c.kind for c in checks]
     assert kinds == ["density"] * samples + [f"coarea{filtration.dim - 1}"] * (samples // 4)
 
 
@@ -1220,9 +1219,7 @@ def test_a_sweep_that_cannot_fork_runs_in_process(forks, monkeypatch,
         raise OSError(errno.EAGAIN, "no process to spare")
 
     monkeypatch.setattr(os, "fork", refused)
-    rows = [c.to_row() for c in
-            inequality_sweep(fresh_copy(vanishing_filtration), samples, 5)]
-    assert rows == [c.to_row() for c in forked]
+    assert inequality_sweep(fresh_copy(vanishing_filtration), samples, 5) == forked
     assert_no_child()
 
 

@@ -5,6 +5,8 @@ import math
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sepfilt.cli
 from sepfilt.cli import main
@@ -615,6 +617,52 @@ def test_record_digests_are_pinned(tmp_path, name):
     assert digests == RECORD_DIGESTS[name]
 
 
+# sha256 of the sweep CSV that write_checks_csv makes of a 2,000-sample
+# inequality_sweep at seed 101 on genus2 at depth 1 and R = 0.7: the text
+# of the file, pinned against its writer as well as its checks
+SWEEP_CSV_DIGEST = "55320cef202b60f5e66f2514d9d4ed0113d17adfc4af6eb54e032073b4ece042"
+
+
+def test_sweep_csv_text_is_pinned(tmp_path):
+    import hashlib
+
+    from sepfilt.files import write_checks_csv
+    from sepfilt.filtration import SeparationConfig, build_filtration
+    from sepfilt.pipeline import inequality_sweep
+
+    config = SeparationConfig(radius=0.7, rng_seed=7, subdivision_depth=1)
+    filtration = build_filtration(genus_surface(2).geometry(1), config)
+    checks = inequality_sweep(filtration, 2000, 101)
+    # Python values only: the repr of a NumPy float reads np.float64(...)
+    assert {tuple(map(type, check)) for check in checks} == {
+        (str, int, float, float, float, float, float)}
+    write_checks_csv(tmp_path / "sweep.csv", checks)
+    digest = hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == SWEEP_CSV_DIGEST
+
+
+SPECIAL_FLOATS = [-0.0, math.inf, 1e-05, 1e16, 5e-324]
+CHECK_FLOAT = st.sampled_from(SPECIAL_FLOATS) | st.floats()
+
+
+@settings(max_examples=60, deadline=None)
+@example([("density", 0, -0.0, math.inf, 1e-05, 1e16, 5e-324),
+          ("coarea0", 7, 5e-324, 1e-05, -0.0, -math.inf, 1e16)])
+@given(st.lists(st.tuples(st.sampled_from(["density", "trace1", "coarea0"]),
+                          st.integers(0, 10**6), *[CHECK_FLOAT] * 5),
+                max_size=6))
+def test_csv_rows_are_the_str_of_the_nine_columns(tmp_path_factory, fields):
+    from sepfilt.bounds import InequalityCheck
+    from sepfilt.files import CSV_HEADER, write_checks_csv
+
+    checks = [InequalityCheck(*each) for each in fields]
+    path = tmp_path_factory.mktemp("csv") / "checks.csv"
+    write_checks_csv(path, checks)
+    rows = [[*c[:6], c.residual, c.budget, int(c.violated)] for c in checks]
+    assert path.read_text(encoding="utf-8").split("\n") == [
+        CSV_HEADER, *(",".join(map(str, row)) for row in rows), ""]
+
+
 def test_help_exits_zero():
     assert main(["--help"]) == 0
 
@@ -709,6 +757,12 @@ def bad_inputs(tmp_path_factory):
         payload["edge_lengths"][0][2] = length
         paths[name] = root / f"{name}.json"
         paths[name].write_text(json.dumps(payload))
+    # the circle's first length written as the JSON string "0.5", which
+    # float() reads but no length is
+    payload = json.loads(paths["circle"].read_text())
+    payload["edge_lengths"][0][2] = str(payload["edge_lengths"][0][2])
+    paths["string_edge"] = root / "string_edge.json"
+    paths["string_edge"].write_text(json.dumps(payload))
     # a complex lists each edge and each maximal simplex once, in any vertex
     # order, and carries exactly the keys a complex file is written with
     u, v, length = genus_surface(2).to_json()["edge_lengths"][0]
@@ -795,6 +849,7 @@ def bad_inputs(tmp_path_factory):
         ["run", "{inf_edge}"],
         ["run", "{huge_edge}"],
         ["run", "{true_edge}"],
+        ["run", "{string_edge}"],
         ["run", "{degenerate}"],
         ["verify", "{nan_slack}"],
         ["run", "{torus}", "--radius", "1e200"],
@@ -822,7 +877,7 @@ def bad_inputs(tmp_path_factory):
     ],
     ids=["gen-scale-nan", "gen-scale-inf", "gen-length-inf", "gen-length-huge",
          "radius-nan", "radius-inf", "epsilon-nan", "epsilon-inf", "edge-nan",
-         "edge-inf", "edge-huge", "edge-true", "degenerate-simplex", "slack-nan",
+         "edge-inf", "edge-huge", "edge-true", "edge-string", "degenerate-simplex", "slack-nan",
          "radius-huge", "radius-tiny", "verify-radius-huge", "verify-depth-huge",
          "level-no-slack-kind", "level-no-components", "certificate-extra-key",
          "level-extra-key", "level-cell-twice", "level-cell-twice-reversed",

@@ -26,7 +26,9 @@ together mirror ``sepfilt verify`` on a fresh geometry: validate is
 ``Filtration.validate`` alone, and verify is the rest:
 ``WeightedComplex.from_json`` and ``Filtration.from_json`` of the
 filtration document before it, ``pipeline.audit_document`` and
-``inequality_sweep`` with 2,000 samples at seed 101 after it.
+``inequality_sweep`` with 2,000 samples at seed 101 after it.  The csv
+stage, last, is ``files.write_checks_csv`` of those 2,500 checks to a
+temporary file, as ``sepfilt verify --out`` writes them.
 ``peak_rss_mb`` is the process's ``ru_maxrss``; after it is read, one
 more geometry of the fixture is built, untimed, under ``tracemalloc``, and
 ``geometry_peak_mb`` is that build's peak of live traced memory (NumPy's
@@ -59,7 +61,9 @@ filled rows.
 ``dijkstra_arcs`` (the arcs Dijkstra scans) and ``table_arcs`` (the
 portal -> interior arcs held in the block tables).
 The sweep counters: ``checks`` counts the inequality checks made
-(``InequalityCheck`` constructions), ``sweep_chunks`` the chunks of
+(``InequalityCheck`` constructions, counted at its ``__new__``: a tuple's
+fields are set there, and a dataclass's ``__init__`` runs after it),
+``sweep_chunks`` the chunks of
 balls that the checks and V1 evaluate (the chunks ``bounds._chunks``
 yields), ``dijkstra_calls`` the ``dijkstra`` calls and ``rows_read`` the
 distance rows the metric graph hands out: the rows
@@ -100,8 +104,9 @@ edited since the checkout's last import.  Checkouts then alternate run
 by run, BLAS threads are 1, ``filtration_identical`` says whether
 every run gave the same sha256 of the filtration document (its levels
 included), and ``measures_identical`` whether every run gave the same
-sha256 of the report document and every sweep and verify row, the
-records the credited measures enter.  Each run
+sha256 of the report document, the fields of every sweep and verify
+check and the verify's CSV text, the records the credited measures
+enter.  Each run
 also records the per-level areas of its filtration (Z_0 first) and a
 sha256 of each level's cell list, taken after the run; ``areas_identical`` and
 ``cells_identical`` say whether every run gave the same ones.
@@ -165,7 +170,8 @@ CONFIG = {"epsilon": 0.05, "move_budget": 40, "rng_seed": 7}
 SAMPLES = 100
 VERIFY_SAMPLES, VERIFY_SEED = 2000, 101
 STAGES = ("complex", "geometry", "incidence", "filtration", "coloring", "census", "V1",
-          "packing", "sweep", "validate", "verify")
+          "packing", "sweep", "validate", "verify", "csv")
+CHECK_FIELDS = ("kind", "center", "r1", "r2", "lhs", "rhs", "budget")
 COUNTERS = ("dijkstra_rows", "truncated_rows", "complete_rows",
             "settled_entries", "fill_pairs", "table_builds", "checks", "sweep_chunks",
             "dijkstra_calls", "rows_read", "gc_s", "gc_collections", "graph_s",
@@ -203,6 +209,7 @@ def measure(fixture):
     import hashlib
     import math
     import resource
+    import tempfile
     import time
     import tracemalloc
 
@@ -211,7 +218,7 @@ def measure(fixture):
     import sepfilt.cli  # noqa: F401  (the collector state its import leaves)
     from sepfilt import (WeightedComplex, adjacency, bounds, complexes,
                          filtration as filtration_module, generators, pipeline)
-    from sepfilt.files import canonical_dumps
+    from sepfilt.files import canonical_dumps, write_checks_csv
     from sepfilt.filtration import Filtration, SeparationConfig
 
     counts = dict.fromkeys(COUNTERS, 0)
@@ -314,8 +321,15 @@ def measure(fixture):
             counts["gc_s"] += time.perf_counter() - collecting
             counts["gc_collections"] += 1
 
-    bounds.InequalityCheck.__init__ = counting(
-        "checks", bounds.InequalityCheck.__init__)
+    check_new = bounds.InequalityCheck.__new__
+
+    def counted_check(cls, *args, **kwargs):
+        counts["checks"] += 1
+        if check_new is object.__new__:  # a dataclass: __init__ sets the fields
+            return check_new(cls)
+        return check_new(cls, *args, **kwargs)
+
+    bounds.InequalityCheck.__new__ = counted_check
     bounds._chunks = counted_chunks
     graph_class.rows_within = counted_rows_within
     gc.callbacks.append(timed_collection)
@@ -431,6 +445,12 @@ def measure(fixture):
     verify_checks = pipeline.inequality_sweep(checked, VERIFY_SAMPLES,
                                               VERIFY_SEED)
     lap("verify", checked.geometry.graph)
+    with tempfile.TemporaryDirectory() as scratch:
+        csv_path = Path(scratch) / "sweep.csv"
+        clock = time.perf_counter()
+        write_checks_csv(csv_path, verify_checks)
+        lap("csv", checked.geometry.graph)
+        verify_csv = csv_path.read_text(encoding="utf-8")
     stages_speed = {stage: speed.scale(1.0, stage_samples.get(stage,
                                                               kernel_samples))
                     for stage in STAGES}
@@ -446,8 +466,11 @@ def measure(fixture):
         "filtration": canonical_dumps(document),
         "measures": canonical_dumps({
             "report": artifacts.report_document(),
-            "checks": [check.to_row() for check in artifacts.checks],
-            "verify_checks": [check.to_row() for check in verify_checks],
+            "checks": [[getattr(check, field) for field in CHECK_FIELDS]
+                       for check in artifacts.checks],
+            "verify_checks": [[getattr(check, field) for field in CHECK_FIELDS]
+                              for check in verify_checks],
+            "verify_csv": verify_csv,
         }),
     }
     return {
