@@ -617,18 +617,13 @@ class ComplexGeometry:
         self.n_nodes = n_nodes = len(support_vertex)
 
         # One position per (original simplex, node in it), keyed by
-        # orig * n_nodes + node in sorted order; ``at`` is each cell node's
-        # position, read from the grouping that found the keys.  The build's
-        # memory peak comes in the metric graph, so what it does not read is
-        # freed before it.
-        keys = (self.cell_orig[:, None] * n_nodes + cells).reshape(-1, 1)
-        order, starts = row_groups(keys)
-        self._pair_keys = keys[order[starts], 0]
-        at = group_ids(order, starts).reshape(cells.shape)
-        del keys, order, starts
+        # orig * n_nodes + node in sorted order.  The build's memory peak
+        # comes in the metric graph, so what it does not read is freed
+        # before it.
+        self._pair_keys = distinct(self.cell_orig[:, None] * n_nodes + cells)
         self._positions = self._embed_nodes(orig_vertices)
-        self.cell_volumes = _simplex_volumes(self._positions[at])
-        del at
+        self.cell_volumes = _simplex_volumes(
+            self._positions_of(self.cell_orig[:, None], cells))
         arc_keys, arc_lengths, blocks, edges = self._chords(children ** min(depth, 2))
         self.max_cell_diameter = float(arc_lengths[edges].max())
         del edges

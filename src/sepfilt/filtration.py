@@ -4,9 +4,9 @@ The minimizer is a deterministic seeded local search over facet subsets of a
 parent complex: greedy pruning from the full facet skeleton and
 ball-replacement moves that swap the part of a candidate inside a ball for
 the cut facets along the ball boundary.  Only without candidate facets,
-which ``build_filtration`` always gives, does it also reseed Voronoi-style
-from greedily packed centers.  Every accepted state carries per-component
-ball certificates.
+which ``build_filtration`` always gives, does it also reseed once,
+Voronoi-style from centers greedily packed at the radius.  Every accepted
+state carries per-component ball certificates.
 """
 
 from __future__ import annotations
@@ -47,6 +47,13 @@ class SeparationConfig:
     subdivision_depth: int = 2
 
     def __post_init__(self):
+        # a stored config is JSON: true reads as 1 and 2.5 as a count
+        if isinstance(self.radius, bool) or isinstance(self.epsilon, bool):
+            raise TypeError("radius and epsilon must be numbers, not booleans")
+        for name in ("move_budget", "rng_seed", "subdivision_depth"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, not {value!r}")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError("radius must be positive and finite")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
@@ -327,8 +334,9 @@ def minimize_separating(
     Deterministic for a fixed seed.  The search prunes from the full facet
     skeleton under several deterministic orders and spends the move budget
     on ball-replacement proposals.  Only when ``candidate_facets`` is
-    omitted, which ``build_filtration`` never does, does it also reseed from
-    greedy center partitions.  Returns the proved ``FiltrationLevel``.
+    omitted, which ``build_filtration`` never does, does it also reseed
+    once, from the greedy center partition at the radius.  Returns the
+    proved ``FiltrationLevel``.
     Raises Infeasible when not even the full candidate facet set separates.
     """
     system = parent.cell_system
@@ -375,9 +383,7 @@ def minimize_separating(
     consider(full_state.copy(), area_key)
 
     if candidate_facets is None:
-        for theta in (1.0, 0.75, 0.5):
-            seed = _voronoi_seed(parent, radius * theta)
-            consider(new_state(seed))
+        consider(new_state(_voronoi_seed(parent, radius)))
 
     for _ in range(2 if move_budget > 0 else 0):  # shuffled orders
         shuffled = list(facets)

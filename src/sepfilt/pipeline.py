@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import os
-import pickle
 import random
 import reprlib
-import signal
 import threading
 from dataclasses import asdict, dataclass
 
@@ -81,61 +79,34 @@ def _forks(entries):
             and len(os.sched_getaffinity(0)) >= 2)
 
 
-def _fork(work):
-    """Fork a child that runs ``work()``; returns its pid and the read end
-    of a pipe, as a binary file, that carries its pickled reply:
-    ``("ok", result)`` or ``("error", exception)``.  None when no process
-    can be forked.
-
-    The child leaves by ``os._exit`` on every path, so no exit handler of
-    the parent's runs in it and no stdio buffer it inherited is flushed
-    twice; its exit status is 0 only once the whole reply is written."""
-    read, write = os.pipe()
+def _child(work, send):
+    """The forked child's body: sends ``("ok", work())``, or ``("error",
+    exception)`` for whatever ``work`` raised, down the ``send`` end of a
+    pipe.  A reply it cannot send (an exception that does not pickle, or a
+    pipe the killed parent left) ends it by ``os._exit(1)``, so it prints
+    no traceback."""
     try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid:
-        os.close(write)
-        return pid, open(read, "rb")
-    status = 1
+        reply = ("ok", work())
+    except BaseException as exc:  # raised again by the parent
+        reply = ("error", exc)
     try:
-        os.close(read)
-        try:
-            reply = ("ok", work())
-        except BaseException as exc:  # raised again by the parent
-            reply = ("error", exc)
-        with open(write, "wb") as pipe:
-            pipe.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _reply(data, status):
-    """The result a forked child sent, or its exception raised here."""
-    if os.waitstatus_to_exitcode(status):
-        raise SepfiltError(f"the coarea sweep's child process failed "
-                           f"(wait status {status}) and sent no checks")
-    kind, value = pickle.loads(data)  # bytes our own child wrote
-    if kind == "error":
-        raise value
-    return value
+        send.send(reply)
+    except BaseException:
+        os._exit(1)
 
 
 def inequality_sweep(filtration, samples, seed):
     """Density checks, then coarea checks on a quarter of the samples.
 
     Both sample lists are drawn first and the ball table is filled once
-    for the centers of both.  When ``_forks`` allows, a forked child then
-    runs the coarea checks while this process runs the density checks;
-    the child's checks come back pickled over a pipe, so the checks and
-    their order are the same either way.  Otherwise (or when no child can
-    be forked) both run here.  If the density checks raise, the child is
-    killed; it is always reaped.  An exception raised in the child is
-    raised here, with its type.
+    for the centers of both.  When ``_forks`` allows, a child forked by
+    ``multiprocessing``'s fork context then runs the coarea checks while
+    this process runs the density checks; the child's checks come back
+    pickled over a one-way pipe, so the checks and their order are the
+    same either way.  Otherwise (or when no child can be forked) both run
+    here.  If the density checks raise, the child is killed; it is always
+    joined.  An exception raised in the child is raised here, with its
+    type; a child that sends nothing is a SepfiltError.
     """
     if not samples:
         return []
@@ -144,23 +115,43 @@ def inequality_sweep(filtration, samples, seed):
     density = sweep_samples(filtration, samples, seed)
     coarea = sweep_samples(filtration, share, seed + 1)
     graph.tabulate([center for center, _, _ in density + coarea], graph.radius)
-    child = _forks(share * graph.n_nodes) and _fork(
-        lambda: coarea_check(filtration, level, coarea))
-    if not child:
+    child = None
+    if _forks(share * graph.n_nodes):
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        reply, send = context.Pipe(duplex=False)
+        child = context.Process(target=_child, args=(
+            lambda: coarea_check(filtration, level, coarea), send))
+        try:
+            child.start()
+        except OSError:
+            reply.close()
+            child = None
+        finally:
+            send.close()  # so a dead child reads as EOF
+    if child is None:
         return (point_density_check(filtration, density)
                 + coarea_check(filtration, level, coarea))
-    pid, pipe = child
-    with pipe:
+    with reply:
         try:
             checks = point_density_check(filtration, density)
-            # to EOF before the wait: the reply outgrows the pipe's buffer
-            data = pipe.read()
+            try:
+                # before the join: the reply outgrows the pipe's buffer
+                kind, value = reply.recv()
+            except EOFError:
+                kind = None
         except BaseException:
-            os.kill(pid, signal.SIGKILL)
+            child.kill()
             raise
         finally:
-            status = os.waitpid(pid, 0)[1]
-    return checks + _reply(data, status)
+            child.join()
+    if kind is None:
+        raise SepfiltError(f"the coarea sweep's child process failed "
+                           f"(exit code {child.exitcode}) and sent no checks")
+    if kind == "error":
+        raise value
+    return checks + value
 
 
 def sweep_summary(checks):

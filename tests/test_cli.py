@@ -3,6 +3,8 @@ import collections
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -312,6 +314,41 @@ def test_a_failure_in_the_forked_child_exits_as_in_process(tmp_path, capsys,
     assert "Traceback" not in forked[1].err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# ``verify`` in a fresh interpreter whose coarea checks fork on any graph
+# and raise an exception that cannot be pickled: its ``__module__`` names
+# no module, so the child cannot send it.
+UNSENDABLE_VERIFY = """
+import sys
+from sepfilt import cli, pipeline
+
+class Unsendable(ValueError):
+    pass
+
+def failing(*args):
+    raise Unsendable("planted in the coarea checks")
+
+Unsendable.__module__ = "no_such_module"
+pipeline._FORK_ENTRIES = 1
+pipeline.coarea_check = failing
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_child_that_cannot_send_prints_no_traceback(tmp_path, circle_run):
+    # the child writes to the process's own fd 2, which capsys cannot see
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the sweep forks only with two usable CPUs")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = ["verify", circle_run["filtration"], "--out", str(tmp_path / "s.csv")]
+    result = subprocess.run([sys.executable, "-c", UNSENDABLE_VERIFY, *argv],
+                            capture_output=True, text=True, env=env, timeout=300)
+    assert result.returncode == 3
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: ") and "child process failed" in line
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
 
 
 def test_verify_tampered_filtration(tmp_path, capsys):
@@ -782,6 +819,18 @@ def bad_inputs(tmp_path_factory):
         paths[name].write_text(json.dumps(payload))
     main(["run", str(paths["circle"]), "--subdivision-depth", "1",
           "--samples", "2", "--out-dir", str(root / "run")])
+    # a config value of the wrong JSON type: true is no radius, epsilon or
+    # count, and 2.5 or 1.5 no count, though each reads as one
+    circle_document = (root / "run" / "filtration.json").read_text()
+    for name, key, value in [("radius_true", "radius", True),
+                             ("epsilon_true", "epsilon", True),
+                             ("depth_true", "subdivision_depth", True),
+                             ("budget_true", "move_budget", True),
+                             ("budget_fraction", "move_budget", 2.5),
+                             ("seed_fraction", "rng_seed", 1.5)]:
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(circle_document)
+        _set(paths[name], "config", key, value)
     # a config key that no command writes: verify refuses it as an input
     # error, exit 2 with no traceback
     paths["nan_slack"] = root / "run" / "filtration.json"
@@ -874,6 +923,12 @@ def bad_inputs(tmp_path_factory):
         ["run", "{simplex_twice_reversed}"],
         ["run", "{complex_extra_key}"],
         ["verify", "{document_complex_extra_key}"],
+        ["verify", "{radius_true}"],
+        ["verify", "{epsilon_true}"],
+        ["verify", "{depth_true}"],
+        ["verify", "{budget_true}"],
+        ["verify", "{budget_fraction}"],
+        ["verify", "{seed_fraction}"],
     ],
     ids=["gen-scale-nan", "gen-scale-inf", "gen-length-inf", "gen-length-huge",
          "radius-nan", "radius-inf", "epsilon-nan", "epsilon-inf", "edge-nan",
@@ -885,7 +940,9 @@ def bad_inputs(tmp_path_factory):
          "coloring-extra-key", "coloring-no-colors", "document-extra-key",
          "document-no-census", "edge-twice", "edge-twice-reversed",
          "simplex-twice", "simplex-twice-reversed",
-         "complex-extra-key", "document-complex-extra-key"],
+         "complex-extra-key", "document-complex-extra-key", "radius-true",
+         "epsilon-true", "depth-true", "move-budget-true",
+         "move-budget-fraction", "seed-fraction"],
 )
 def test_non_finite_and_degenerate_inputs_are_input_errors(tmp_path, capsys,
                                                            bad_inputs, args):

@@ -6,8 +6,8 @@ Usage, from anywhere:
         --checkout change=DIR_B --runs 3 --out BENCH_x.json
 
 Each ``--checkout LABEL=DIR`` names the root of a source tree that holds
-``src/sepfilt``, for example a ``git archive`` of one commit: d2bccac
-(the chunked inequality sweep) or a later one.  For every run a fresh
+``src/sepfilt``, for example a ``git archive`` of one commit: 15db71d
+(the sweep checks as tuples) or a later one.  For every run a fresh
 ``python3`` process imports ``sepfilt`` from that checkout, builds the
 fixture and calls that checkout's own ``pipeline.run_pipeline`` (100
 samples).  The complex stage, first, times the generator's build of the
@@ -61,8 +61,7 @@ filled rows.
 ``dijkstra_arcs`` (the arcs Dijkstra scans) and ``table_arcs`` (the
 portal -> interior arcs held in the block tables).
 The sweep counters: ``checks`` counts the inequality checks made
-(``InequalityCheck`` constructions, counted at its ``__new__``: a tuple's
-fields are set there, and a dataclass's ``__init__`` runs after it),
+(``InequalityCheck`` constructions, counted at the tuple's ``__new__``),
 ``sweep_chunks`` the chunks of
 balls that the checks and V1 evaluate (the chunks ``bounds._chunks``
 yields), ``dijkstra_calls`` the ``dijkstra`` calls and ``rows_read`` the
@@ -90,9 +89,8 @@ builds its components and their feasible centers), ``infeasible_states``
 those of them whose components do not all fit a ball (``feasible`` false),
 ``components_calls`` the ``CellSystem.components`` calls (each builds the
 dual graph of one blocked set and labels its components),
-``feasible_calls`` the ``MetricGraph.feasible_centers`` calls and ``feasible_groups`` the node
-groups they take (a call of the one-group form ``(nodes, radius)`` of
-checkouts before the grouped call counts one).  ``balls_measured`` counts
+``feasible_calls`` the ``MetricGraph.feasible_centers`` calls and
+``feasible_groups`` the node groups they take.  ``balls_measured`` counts
 the balls ``bounds._measures`` measures from their rows, not proven whole:
 in the V1 stage, at most the ball of the largest exact sum, whose boundary
 credit V1 reports (before the sums were exact, every ball near the largest
@@ -292,10 +290,10 @@ def measure(fixture):
         prune_state_init(state, *args, **kwargs)
         counts["infeasible_states"] += not state.feasible
 
-    def counted_feasible(graph, *args):
+    def counted_feasible(graph, nodes, starts, radius):
         counts["feasible_calls"] += 1
-        counts["feasible_groups"] += len(args[1]) if len(args) == 3 else 1
-        return feasible_centers(graph, *args)
+        counts["feasible_groups"] += len(starts)
+        return feasible_centers(graph, nodes, starts, radius)
 
     def counted_measures(z, rows, radii, whole):
         counts["balls_measured"] += int(np.count_nonzero(~whole))
@@ -325,8 +323,6 @@ def measure(fixture):
 
     def counted_check(cls, *args, **kwargs):
         counts["checks"] += 1
-        if check_new is object.__new__:  # a dataclass: __init__ sets the fields
-            return check_new(cls)
         return check_new(cls, *args, **kwargs)
 
     bounds.InequalityCheck.__new__ = counted_check
